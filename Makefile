@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-json test test-short test-race chaos chaos-nightly multitenant cachepolicy bench bench-json bench-engine examples experiments clean
+.PHONY: all build vet lint lint-json test test-short test-race chaos chaos-nightly multitenant cachepolicy bench bench-engine bench-smoke examples experiments clean
 
 all: build lint test
 
@@ -15,7 +15,7 @@ vet:
 # Static analysis: go vet plus starklint, the repo's determinism/purity/
 # plane-isolation analyzers (see DESIGN.md section 11) and the module-wide
 # call-graph suite (planetaint, hotalloc, errwrap; section 16). Gate for
-# every bench target so BENCH_* numbers never come off a dirty tree.
+# every bench target so numbers never come off a dirty tree.
 lint: vet
 	$(GO) run ./cmd/starklint ./...
 
@@ -65,11 +65,11 @@ bench: lint
 bench-engine: lint
 	$(GO) test -bench=. -benchmem -benchtime=3x ./internal/engine/ ./internal/record/
 
-# Machine-readable parallel-data-plane measurements (wall-clock speedup,
-# virtual-time identity, allocation micros) -> BENCH_4.json, gated by the
-# checked-in allocs/op ceilings in bench_budget.json.
-bench-json: lint
-	$(GO) run ./cmd/starkbench -bench-json BENCH_4.json -bench-budget bench_budget.json
+# The reference benchmark (BENCHMARK.json, `bash bench/run.sh`) is its own
+# module, invisible to `go build ./...` and `go test ./...` here: vet and
+# test it so an internal-package refactor cannot break it silently.
+bench-smoke:
+	cd bench && $(GO) vet . && $(GO) test .
 
 examples:
 	$(GO) run ./examples/quickstart

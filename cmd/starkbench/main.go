@@ -11,7 +11,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -40,47 +39,6 @@ var (
 	dumpFaults bool
 	chaosSeeds int
 )
-
-// runBenchJSON runs the deterministic-parallel-data-plane benchmark suite
-// and writes the machine-readable document (see BENCH_4.json) to path. When
-// budgetPath names a budget file, each optimized micro's allocs/op must stay
-// under its checked-in ceiling or the run fails (after writing the JSON, so
-// a regression still leaves the evidence on disk).
-func runBenchJSON(path string, quick bool, cores int, budgetPath string) error {
-	r, err := experiments.RunBench(experiments.BenchConfig{Quick: quick, Cores: cores})
-	if err != nil {
-		return err
-	}
-	r.Print(os.Stdout)
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := r.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", path)
-	if budgetPath == "" {
-		return nil
-	}
-	raw, err := os.ReadFile(budgetPath)
-	if err != nil {
-		return fmt.Errorf("reading allocation budget: %w", err)
-	}
-	var budget experiments.Budget
-	if err := json.Unmarshal(raw, &budget); err != nil {
-		return fmt.Errorf("parsing allocation budget %s: %w", budgetPath, err)
-	}
-	if err := r.CheckBudget(budget); err != nil {
-		return err
-	}
-	fmt.Printf("allocation budgets hold (%s)\n", budgetPath)
-	return nil
-}
 
 func experimentsList() []experiment {
 	return []experiment{
@@ -292,31 +250,19 @@ func experimentsList() []experiment {
 
 func main() {
 	var (
-		name      = flag.String("experiment", "", "experiment to run (fig1, fig7, ... or 'all')")
-		quick     = flag.Bool("quick", false, "smaller sweeps for a fast pass")
-		list      = flag.Bool("list", false, "list available experiments")
-		tsv       = flag.Bool("tsv", false, "emit machine-readable TSV where the figure has series data")
-		night     = flag.Bool("nightly", false, "deepen the chaos sweep (scheduled CI profile)")
-		dumpF     = flag.Bool("dump-faults", false, "print each chaos seed's armed fault schedule before it runs")
-		seeds     = flag.Int("seeds", 0, "override the chaos profile's fault-schedule count (0 keeps the profile default)")
-		benchJSON = flag.String("bench-json", "",
-			"measure the parallel data plane (wall-clock 1-vs-N arms, hot-path micros) and write JSON to this path")
-		benchCores  = flag.Int("bench-cores", 4, "worker-pool size of the parallel bench arm")
-		benchBudget = flag.String("bench-budget", "",
-			"allocation-budget JSON (micro name -> max allocs/op); with -bench-json, fail if an optimized micro exceeds its ceiling")
+		name  = flag.String("experiment", "", "experiment to run (fig1, fig7, ... or 'all')")
+		quick = flag.Bool("quick", false, "smaller sweeps for a fast pass")
+		list  = flag.Bool("list", false, "list available experiments")
+		tsv   = flag.Bool("tsv", false, "emit machine-readable TSV where the figure has series data")
+		night = flag.Bool("nightly", false, "deepen the chaos sweep (scheduled CI profile)")
+		dumpF = flag.Bool("dump-faults", false, "print each chaos seed's armed fault schedule before it runs")
+		seeds = flag.Int("seeds", 0, "override the chaos profile's fault-schedule count (0 keeps the profile default)")
 	)
 	flag.Parse()
 	tsvOut = *tsv
 	nightly = *night
 	dumpFaults = *dumpF
 	chaosSeeds = *seeds
-	if *benchJSON != "" {
-		if err := runBenchJSON(*benchJSON, *quick, *benchCores, *benchBudget); err != nil {
-			fmt.Fprintf(os.Stderr, "bench failed: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 	exps := experimentsList()
 	if *list || *name == "" {
 		fmt.Println("experiments:")

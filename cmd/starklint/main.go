@@ -1,7 +1,7 @@
 // Command starklint runs the Stark repo's custom static-analysis suite: the
 // determinism, purity, and plane-isolation contracts that the runtime
 // oracles (parallelism-1-vs-N byte equality, STARK_CHECK_COW, the chaos
-// harness, the bench_budget.json allocs/op gate) check dynamically,
+// harness, the testing.AllocsPerRun ceilings) check dynamically,
 // enforced at build time instead.
 //
 // Usage:
@@ -22,8 +22,8 @@
 // the interprocedural analyzers:
 //
 //	planetaint  — no transitive control-plane mutation from data-plane
-//	              roots (runPlane, planeCtx methods, hotpath kernels)
-//	              outside the px.immediate guard
+//	              roots (runPlane, planeCtx methods, hotpath kernels);
+//	              buffer the effect in the planeCtx instead
 //	hotalloc    — no allocation-inducing constructs reachable from
 //	              //starklint:hotpath kernels (boxing, per-call maps,
 //	              empty-slice append growth, Sprintf/concatenation)

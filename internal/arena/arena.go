@@ -54,7 +54,3 @@ func (p *Pool[T]) Reset() {
 	p.off = 0
 	p.held = 0
 }
-
-// Live reports how many elements are currently taken (for tests and
-// accounting).
-func (p *Pool[T]) Live() int { return p.off + p.held }

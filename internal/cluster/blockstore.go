@@ -80,9 +80,6 @@ func (s *BlockStore) SetShrink(factor float64) {
 	s.shrink = factor
 }
 
-// Shrink reports the current mem-pressure capacity factor.
-func (s *BlockStore) Shrink() float64 { return s.shrink }
-
 // BaseCapacity reports the configured capacity, ignoring mem pressure.
 func (s *BlockStore) BaseCapacity() int64 { return s.capacity }
 

@@ -105,19 +105,7 @@ type Execution struct {
 	// compute sequentially on the event-loop goroutine; 0 (the default)
 	// uses runtime.GOMAXPROCS(0).
 	Parallelism int
-	// DisableEventFusion turns off task-chunk fusion: by default the engine
-	// keeps its deferred data-plane batch accumulating across consecutive
-	// events at the same virtual instant (e.g. a wave of task launches
-	// scheduled for one timestamp), so the worker pool receives one coarse
-	// batch instead of many per-event slivers. Fusion is deterministic —
-	// it depends only on virtual timestamps, never on worker count — so
-	// results stay bit-identical at any parallelism; the flag exists for
-	// A/B measurement.
-	DisableEventFusion bool
 }
-
-// DefaultExecution sizes the worker pool to GOMAXPROCS.
-func DefaultExecution() Execution { return Execution{Parallelism: 0} }
 
 // Recovery configures the engine's failure-handling policy: bounded task
 // retry with virtual-time backoff, executor blacklisting after repeated

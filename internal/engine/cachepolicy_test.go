@@ -186,3 +186,73 @@ func TestExecutorOOMRecoversDeterministically(t *testing.T) {
 			n1, end1, sig1, n2, end2, sig2)
 	}
 }
+
+// forceCheckpointUnderOOM checkpoints a cache-flagged RDD whose blocks a
+// policy eviction dropped, while executor 1 sits at zero capacity inside an
+// armed ExecutorOOM window, and renders everything observable. The driver's
+// own materialization replays through applyEffects like any task's, but it
+// has no task to fail: refused puts are counted, never OOM-fatal.
+func forceCheckpointUnderOOM(t *testing.T, par int) string {
+	t.Helper()
+	cfg := stormConfig()
+	cfg.Execution.Parallelism = par
+	e := New(cfg)
+	g := e.Graph()
+	ident := func(r record.Record) record.Record { return r }
+	m := g.Map(g.Source("src", dataset(200, 8), true), "m", false, ident)
+	m.CacheFlag = true
+	if _, _, err := e.Count(m); err != nil {
+		t.Fatal(err)
+	}
+	// Cache other datasets until LRU has evicted every block of m.
+	cachedParts := func() (n int) {
+		for p := 0; p < m.Parts; p++ {
+			n += len(e.cl.Locations(blockID(m.ID, p)))
+		}
+		return n
+	}
+	for i := 0; cachedParts() > 0; i++ {
+		if i == 32 {
+			t.Fatal("m never left the cache; the storm no longer stresses it")
+		}
+		o := g.Map(g.Source(fmt.Sprintf("s%d", i), dataset(200, 8), true), fmt.Sprintf("o%d", i), false, ident)
+		o.CacheFlag = true
+		if _, _, err := e.Count(o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := e.CacheStats()
+
+	e.SetMemPressure(1, 0)
+	e.SetOOMWindow(1, true)
+	e.ForceCheckpoint(m)
+
+	cs := e.CacheStats()
+	if !m.Checkpointed {
+		t.Fatal("checkpoint did not complete")
+	}
+	if cs.CacheRefusals == before.CacheRefusals {
+		t.Fatal("no refusal counted for the puts on the zero-capacity executor")
+	}
+	if cs.RecomputesAfterEviction == before.RecomputesAfterEviction {
+		t.Fatal("recomputing the evicted blocks was not counted")
+	}
+	if cs.OOMTaskFailures != 0 {
+		t.Fatalf("driver materialization OOM-failed %d times", cs.OOMTaskFailures)
+	}
+	if err := e.Cluster().CheckConsistency(); err != nil {
+		t.Fatalf("cluster inconsistent after checkpoint: %v", err)
+	}
+	n, _, err := e.Count(m)
+	if err != nil || n != 200 {
+		t.Fatalf("count after checkpoint = %d, %v", n, err)
+	}
+	return fmt.Sprintf("now=%v\ncache=%v\nstats=%+v\nrecovery=%+v", e.Now(), e.CacheStats(), e.Stats(), e.Recovery())
+}
+
+func TestForceCheckpointUnderOOMWindow(t *testing.T) {
+	want := forceCheckpointUnderOOM(t, 1)
+	if got := forceCheckpointUnderOOM(t, 4); got != want {
+		t.Fatalf("parallelism 4 diverged from sequential:\n%s", diffLine(want, got))
+	}
+}

@@ -59,9 +59,12 @@ func (e *Engine) ForceCheckpoint(r *rdd.RDD) {
 			e.deferCheckpoint(r)
 			return
 		}
-		px := e.newPlaneCtx(exec) // checkpoint IO runs on a background thread
-		px.immediate = true
+		// The driver's own one-plane batch: materialize buffered, replay at
+		// once. Checkpoint IO runs on a background thread, so the plane's
+		// modeled cost is not charged to any task.
+		px := e.newPlaneCtx(exec)
 		data, err := px.materialize(r, p)
+		e.applyEffects(exec, &px.planeEffects, nil)
 		releasePlaneCtx(px)
 		if err == nil {
 			cpBytes := int64(float64(r.PartBytes[p]) * ratio)
@@ -125,11 +128,8 @@ func (e *Engine) drainDeferredCheckpoints() {
 // cache holder first, the namespace primary second, any live executor last.
 // ok is false when the cluster has no live executor at all.
 func (e *Engine) partitionHome(r *rdd.RDD, p int) (int, bool) {
-	for _, chain := range []*rdd.RDD{r} {
-		locs := e.filterAlive(e.cl.Locations(blockID(chain.ID, p)))
-		if len(locs) > 0 {
-			return locs[0], true
-		}
+	if locs := e.filterAlive(e.cl.Locations(blockID(r.ID, p))); len(locs) > 0 {
+		return locs[0], true
 	}
 	if ns := e.activeNamespace(r); ns != "" {
 		unit := p

@@ -261,9 +261,6 @@ type Engine struct {
 	batch    []*batchEntry
 	draining bool
 	par      int
-	// fuse keeps the batch accumulating across consecutive events at the
-	// same virtual instant (task-chunk fusion; see postStep in plane.go).
-	fuse bool
 
 	completed []metrics.JobMetrics
 	stats     Stats
@@ -322,7 +319,6 @@ func New(cfg Config) *Engine {
 	if e.par <= 0 {
 		e.par = runtime.GOMAXPROCS(0)
 	}
-	e.fuse = !cfg.Execution.DisableEventFusion
 	e.loop.SetPostStep(e.postStep)
 	e.net = netsim.New(cfg.Network, e.loop)
 	e.hb = cfg.Heartbeat
@@ -604,11 +600,6 @@ func (e *Engine) startJob(j *job) {
 		e.maybeStartStage(sr)
 	}
 	e.schedule()
-}
-
-// SubmitJobAt schedules a job submission at a future virtual time.
-func (e *Engine) SubmitJobAt(at time.Duration, final *rdd.RDD, action Action, cb func(JobResult)) {
-	e.loop.At(at, func() { e.SubmitJob(final, action, cb) })
 }
 
 // RunJob submits the job and drives the event loop until it completes.

@@ -26,13 +26,6 @@ import (
 // executor kill/restart, and renders everything observable into one string.
 func parallelWorkloadTranscript(t *testing.T, par int, seed int64, faults fault.Schedule) string {
 	t.Helper()
-	return parallelWorkloadTranscriptCfg(t, par, seed, faults, false)
-}
-
-// parallelWorkloadTranscriptCfg additionally exposes the event-fusion flag,
-// so the oracle can pin byte-equality on both sides of batch coarsening.
-func parallelWorkloadTranscriptCfg(t *testing.T, par int, seed int64, faults fault.Schedule, disableFusion bool) string {
-	t.Helper()
 	cfg := testConfig()
 	cfg.Cluster.NumExecutors = 4
 	cfg.Cluster.SlotsPerExecutor = 4
@@ -40,7 +33,6 @@ func parallelWorkloadTranscriptCfg(t *testing.T, par int, seed int64, faults fau
 	cfg.Faults = faults
 	cfg.Recovery.Speculation = true
 	cfg.Execution.Parallelism = par
-	cfg.Execution.DisableEventFusion = disableFusion
 	e := New(cfg)
 	g := e.Graph()
 

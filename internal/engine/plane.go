@@ -62,29 +62,34 @@ type deferredDrop struct {
 	detail     string
 }
 
-// planeCtx carries one task's data-plane state: the cost accumulator plus
-// buffered side effects. In immediate mode (ForceCheckpoint's synchronous
-// materialization) every effect applies straight through instead.
-type planeCtx struct {
-	e         *Engine
-	exec      int
-	immediate bool
-	acc       costAcc
-
-	// local overlays the executor cache with this task's own deferred puts,
-	// so a diamond-shaped narrow chain re-reading a partition it just cached
-	// hits, as it would inline.
-	local map[cluster.BlockID][]record.Record
+// planeEffects is the side-effect log one plane execution buffers for
+// applyEffects to replay on the control plane.
+type planeEffects struct {
 	ops   []cacheOp
 	drops []deferredDrop
-	// partBytes overlays rdd.PartBytes with this task's own measurements.
+	// partBytes overlays rdd.PartBytes with this plane's own measurements.
 	partBytes map[partKey]int64
 	// maxTT accumulates per-RDD max transform time for a deferred max-merge.
 	maxTT        map[*rdd.RDD]time.Duration
 	hits, misses int64
 	// recomputes counts cache misses on blocks a policy eviction previously
-	// dropped, merged into CacheStats at join.
+	// dropped, merged into CacheStats at replay.
 	recomputes int64
+}
+
+// planeCtx carries one plane execution's state: the cost accumulator plus
+// the buffered side effects. There is no synchronous mode; every caller,
+// ForceCheckpoint included, replays the effects with applyEffects.
+type planeCtx struct {
+	e    *Engine
+	exec int
+	acc  costAcc
+
+	// local overlays the executor cache with this plane's own deferred puts,
+	// so a diamond-shaped narrow chain re-reading a partition it just cached
+	// hits, as it would inline.
+	local map[cluster.BlockID][]record.Record
+	planeEffects
 
 	// scr backs the plane's transient tables (shuffle bucketing indexes,
 	// span permutations) with bump-allocated arenas. It is reset at the
@@ -122,17 +127,14 @@ func releasePlaneCtx(px *planeCtx) {
 		px.drops[i] = deferredDrop{}
 	}
 	px.scr.Reset()
-	*px = planeCtx{local: px.local, partBytes: px.partBytes, maxTT: px.maxTT,
-		ops: px.ops[:0], drops: px.drops[:0], scr: px.scr}
+	*px = planeCtx{local: px.local, scr: px.scr, planeEffects: planeEffects{
+		ops: px.ops[:0], drops: px.drops[:0], partBytes: px.partBytes, maxTT: px.maxTT}}
 	planeCtxPool.Put(px)
 }
 
-// cacheGet reads a block from the task's executor cache. Deferred mode never
-// touches LRU order; the recency update replays at join.
+// cacheGet reads a block from the plane's executor cache without touching
+// LRU order; the recency update replays in applyEffects.
 func (px *planeCtx) cacheGet(id cluster.BlockID) ([]record.Record, bool) {
-	if px.immediate {
-		return px.e.cl.CacheGet(px.exec, id)
-	}
 	if data, ok := px.local[id]; ok {
 		px.ops = append(px.ops, cacheOp{id: id})
 		return data, true
@@ -144,22 +146,9 @@ func (px *planeCtx) cacheGet(id cluster.BlockID) ([]record.Record, bool) {
 	return data, ok
 }
 
-// cachePut stores a block in the task's executor cache; deferred mode logs
-// the put (evictions and task wake-ups happen at join). Immediate mode is
-// the driver's own synchronous materialization, so a refused put degrades
-// to a counted refusal and never OOM-fails.
+// cachePut logs a put to the plane's executor cache; the store, its
+// evictions and task wake-ups happen in applyEffects.
 func (px *planeCtx) cachePut(id cluster.BlockID, data []record.Record, bytes int64) {
-	if px.immediate {
-		evicted, st := px.e.cl.CachePutChecked(px.exec, id, data, bytes)
-		px.e.noteEvicted(evicted)
-		px.e.onEvictions(px.exec, evicted)
-		if st == cluster.PutStored {
-			px.e.wakeTasks(id)
-		} else {
-			px.e.countRefusal(st)
-		}
-		return
-	}
 	if px.local == nil {
 		px.local = make(map[cluster.BlockID][]record.Record)
 	}
@@ -169,10 +158,8 @@ func (px *planeCtx) cachePut(id cluster.BlockID, data []record.Record, bytes int
 
 // partBytesOf reads a recorded partition size through the overlay.
 func (px *planeCtx) partBytesOf(r *rdd.RDD, p int) int64 {
-	if !px.immediate {
-		if b, ok := px.partBytes[partKey{r, p}]; ok {
-			return b
-		}
+	if b, ok := px.partBytes[partKey{r, p}]; ok {
+		return b
 	}
 	if r.PartBytes != nil && p < len(r.PartBytes) {
 		return r.PartBytes[p]
@@ -182,13 +169,6 @@ func (px *planeCtx) partBytesOf(r *rdd.RDD, p int) int64 {
 
 // setPartBytes records a partition size, deferred through the overlay.
 func (px *planeCtx) setPartBytes(r *rdd.RDD, p int, bytes int64) {
-	if px.immediate {
-		if r.PartBytes == nil {
-			r.PartBytes = make([]int64, r.Parts)
-		}
-		r.PartBytes[p] = bytes
-		return
-	}
 	if px.partBytes == nil {
 		px.partBytes = make(map[partKey]int64)
 	}
@@ -197,12 +177,6 @@ func (px *planeCtx) setPartBytes(r *rdd.RDD, p int, bytes int64) {
 
 // noteTransformTime accumulates the per-RDD max transform time.
 func (px *planeCtx) noteTransformTime(r *rdd.RDD, ct time.Duration) {
-	if px.immediate {
-		if ct > r.MaxTransformTime {
-			r.MaxTransformTime = ct
-		}
-		return
-	}
 	if px.maxTT == nil {
 		px.maxTT = make(map[*rdd.RDD]time.Duration)
 	}
@@ -211,61 +185,33 @@ func (px *planeCtx) noteTransformTime(r *rdd.RDD, ct time.Duration) {
 	}
 }
 
-// cacheHit / cacheMiss record cache-stat deltas, deferred to the join.
-func (px *planeCtx) cacheHit() {
-	if px.immediate {
-		px.e.stats.CacheHits++
-		return
-	}
-	px.hits++
-}
+// cacheHit / cacheMiss record cache-stat deltas.
+func (px *planeCtx) cacheHit() { px.hits++ }
 
-func (px *planeCtx) cacheMiss() {
-	if px.immediate {
-		px.e.stats.CacheMisses++
-		return
-	}
-	px.misses++
-}
+func (px *planeCtx) cacheMiss() { px.misses++ }
 
 // evictedRecompute records a cache miss on a block a policy eviction
 // previously dropped — the recompute penalty the DAG-aware policy exists to
 // reduce.
-func (px *planeCtx) evictedRecompute() {
-	if px.immediate {
-		px.e.cacheUpdate(func(m *cacheMetrics) { m.RecomputesAfterEviction++ })
-		return
-	}
-	px.recomputes++
-}
+func (px *planeCtx) evictedRecompute() { px.recomputes++ }
 
-// dropCorrupt evicts a corrupt persisted block, deferred to the join.
+// dropCorrupt logs the eviction of a corrupt persisted block.
 func (px *planeCtx) dropCorrupt(checkpoint bool, a, b int, detail string) {
-	if px.immediate {
-		if checkpoint {
-			px.e.store.DropCheckpoint(a, b)
-		} else {
-			px.e.store.DropMapOutput(a, b)
-		}
-		px.e.recUpdate(func(m *recMetrics) { m.CorruptBlocks++ })
-		px.e.trace("block-corrupt", -1, -1, -1, -1, detail)
-		return
-	}
 	px.drops = append(px.drops, deferredDrop{checkpoint: checkpoint, a: a, b: b, detail: detail})
 }
 
 // postStep is the loop's event-boundary hook: it drains the deferred batch
-// unless fusion applies. With fusion on, the batch keeps accumulating while
-// the next pending event runs at the *same* virtual instant — a wave of
-// task launches scheduled for one timestamp (a stage epoch) then executes as
-// one coarse batch on the worker pool instead of many per-event slivers.
+// unless fusion applies. The batch keeps accumulating while the next pending
+// event runs at the *same* virtual instant — a wave of task launches
+// scheduled for one timestamp (a stage epoch) then executes as one coarse
+// batch on the worker pool instead of many per-event slivers.
 // Fusion is deterministic: the decision depends only on the event queue's
 // timestamps, never on worker count or wall-clock, so parallelism 1 and N
 // see identical batches. Liveness holds because the batch always drains
 // before the clock advances (and drainBatch-at-join re-runs schedule at the
 // same instant), so no completion event is ever stranded.
 func (e *Engine) postStep() {
-	if e.fuse && len(e.batch) > 0 {
+	if len(e.batch) > 0 {
 		if at, ok := e.loop.NextAt(); ok && at == e.loop.Now() {
 			return
 		}
@@ -391,69 +337,7 @@ func (e *Engine) joinTask(be *batchEntry) {
 		e.releaseSlot(t)
 		return
 	}
-	oomWindow := e.oomArmed[px.exec]
-	oomFailed := false
-	for _, op := range px.ops {
-		if !op.put {
-			e.cl.CacheGet(px.exec, op.id) // LRU recency replay
-			continue
-		}
-		if oomFailed {
-			// The task died at its first over-bound write; later writes
-			// never happened.
-			continue
-		}
-		evicted, st := e.cl.CachePutChecked(px.exec, op.id, op.data, op.bytes)
-		e.noteEvicted(evicted)
-		e.onEvictions(px.exec, evicted)
-		if st == cluster.PutStored {
-			e.wakeTasks(op.id)
-			continue
-		}
-		// The store refused the cache (over the shrunk bound, or evicting
-		// would break a pinned peer group). Inside an armed ExecutorOOM
-		// window that write is fatal; otherwise degrade gracefully — the
-		// partition already streamed to its consumer uncached, and the
-		// refusal evicted nothing, so there is no thrash to pay.
-		if oomWindow {
-			oomFailed = true
-			e.cacheUpdate(func(m *cacheMetrics) { m.OOMTaskFailures++ })
-			e.trace("task-oom", t.sr.job.id, t.sr.st.ID, t.id, px.exec,
-				fmt.Sprintf("block=%v status=%v", op.id, st))
-			continue
-		}
-		e.countRefusal(st)
-		e.trace("cache-refuse", t.sr.job.id, t.sr.st.ID, t.id, px.exec,
-			fmt.Sprintf("block=%v status=%v", op.id, st))
-	}
-	for _, d := range px.drops {
-		if d.checkpoint {
-			e.store.DropCheckpoint(d.a, d.b)
-		} else {
-			e.store.DropMapOutput(d.a, d.b)
-		}
-		e.recUpdate(func(m *recMetrics) { m.CorruptBlocks++ })
-		e.trace("block-corrupt", -1, -1, -1, -1, d.detail)
-	}
-	// Partition sizes and transform times are idempotent across tasks
-	// (transforms are pure), so overlay iteration order is immaterial.
-	for pk, b := range px.partBytes {
-		if pk.r.PartBytes == nil {
-			pk.r.PartBytes = make([]int64, pk.r.Parts)
-		}
-		pk.r.PartBytes[pk.p] = b
-	}
-	for r, v := range px.maxTT {
-		if v > r.MaxTransformTime {
-			r.MaxTransformTime = v
-		}
-	}
-	e.stats.CacheHits += px.hits
-	e.stats.CacheMisses += px.misses
-	if px.recomputes > 0 {
-		n := int(px.recomputes)
-		e.cacheUpdate(func(m *cacheMetrics) { m.RecomputesAfterEviction += n })
-	}
+	oomFailed := e.applyEffects(px.exec, &px.planeEffects, t)
 	if px.err != nil {
 		t.failErr = px.err
 	} else if oomFailed {
@@ -467,4 +351,81 @@ func (e *Engine) joinTask(be *batchEntry) {
 	}
 	t.expectedEnd = e.loop.Now() + dur
 	e.loop.After(dur, func() { e.taskDone(t) })
+}
+
+// applyEffects replays one plane's buffered effects on the control plane:
+// cache recency and puts in program order, integrity drops, partition
+// sizes, transform times and cache-stat deltas. t is the task the plane ran
+// for, nil for the driver's own checkpoint materialization. Inside an armed
+// ExecutorOOM window a task's first refused put is fatal and the return
+// value reports it; the driver has no task to fail, so its refusals are
+// only counted.
+func (e *Engine) applyEffects(exec int, fx *planeEffects, t *task) (oomFailed bool) {
+	jobID, stageID, taskID := -1, -1, -1
+	if t != nil {
+		jobID, stageID, taskID = t.sr.job.id, t.sr.st.ID, t.id
+	}
+	oomWindow := t != nil && e.oomArmed[exec]
+	for _, op := range fx.ops {
+		if !op.put {
+			e.cl.CacheGet(exec, op.id) // LRU recency replay
+			continue
+		}
+		if oomFailed {
+			// The task died at its first over-bound write; later writes
+			// never happened.
+			continue
+		}
+		evicted, st := e.cl.CachePutChecked(exec, op.id, op.data, op.bytes)
+		e.noteEvicted(evicted)
+		e.onEvictions(exec, evicted)
+		if st == cluster.PutStored {
+			e.wakeTasks(op.id)
+			continue
+		}
+		// The store refused the cache (over the shrunk bound, or evicting
+		// would break a pinned peer group). Inside an armed ExecutorOOM
+		// window that write is fatal; otherwise degrade gracefully — the
+		// partition already streamed to its consumer uncached, and the
+		// refusal evicted nothing, so there is no thrash to pay.
+		if oomWindow {
+			oomFailed = true
+			e.cacheUpdate(func(m *cacheMetrics) { m.OOMTaskFailures++ })
+			e.trace("task-oom", jobID, stageID, taskID, exec,
+				fmt.Sprintf("block=%v status=%v", op.id, st))
+			continue
+		}
+		e.countRefusal(st)
+		e.trace("cache-refuse", jobID, stageID, taskID, exec,
+			fmt.Sprintf("block=%v status=%v", op.id, st))
+	}
+	for _, d := range fx.drops {
+		if d.checkpoint {
+			e.store.DropCheckpoint(d.a, d.b)
+		} else {
+			e.store.DropMapOutput(d.a, d.b)
+		}
+		e.recUpdate(func(m *recMetrics) { m.CorruptBlocks++ })
+		e.trace("block-corrupt", -1, -1, -1, -1, d.detail)
+	}
+	// Partition sizes and transform times are idempotent across planes
+	// (transforms are pure), so overlay iteration order is immaterial.
+	for pk, b := range fx.partBytes {
+		if pk.r.PartBytes == nil {
+			pk.r.PartBytes = make([]int64, pk.r.Parts)
+		}
+		pk.r.PartBytes[pk.p] = b
+	}
+	for r, v := range fx.maxTT {
+		if v > r.MaxTransformTime {
+			r.MaxTransformTime = v
+		}
+	}
+	e.stats.CacheHits += fx.hits
+	e.stats.CacheMisses += fx.misses
+	if fx.recomputes > 0 {
+		n := int(fx.recomputes)
+		e.cacheUpdate(func(m *cacheMetrics) { m.RecomputesAfterEviction += n })
+	}
+	return oomFailed
 }

@@ -60,59 +60,3 @@ func TestPoolEligibility(t *testing.T) {
 		t.Fatal("parallelism 1 must not pool")
 	}
 }
-
-// TestParallelMatchesSequentialWithoutFusion re-runs the byte-equality
-// oracle with task-chunk fusion disabled, so the par-1-vs-N contract is
-// pinned on both sides of the coarsening flag.
-func TestParallelMatchesSequentialWithoutFusion(t *testing.T) {
-	transcript := func(par int, seed int64) string {
-		t.Helper()
-		return parallelWorkloadTranscriptCfg(t, par, seed, fault.Schedule{}, true)
-	}
-	for seed := int64(0); seed < 3; seed++ {
-		want := transcript(1, seed)
-		if got := transcript(4, seed); got != want {
-			t.Fatalf("seed %d: unfused parallel diverged from sequential:\n%s", seed, diffLine(want, got))
-		}
-	}
-}
-
-// TestFusionPreservesJobResults checks that coarsening only re-times the
-// simulation's internals: the jobs' observable answers (counts, collected
-// partitions) are identical with fusion on and off, fault-free.
-func TestFusionPreservesJobResults(t *testing.T) {
-	results := func(disableFusion bool) string {
-		full := parallelWorkloadTranscriptCfg(t, 2, 9, fault.Schedule{}, disableFusion)
-		// Keep only the job-result lines; stats and Gantt legitimately move
-		// when batches coarsen.
-		var out string
-		for _, line := range splitLines(full) {
-			if len(line) >= 4 && (line[:4] == "job " || line[:2] == "  ") {
-				if len(line) >= 7 && line[:7] == "  task " {
-					continue
-				}
-				out += line + "\n"
-			}
-		}
-		return out
-	}
-	fused, unfused := results(false), results(true)
-	if fused != unfused {
-		t.Fatalf("fusion changed job results:\n%s", diffLine(unfused, fused))
-	}
-}
-
-func splitLines(s string) []string {
-	var out []string
-	start := 0
-	for i := 0; i < len(s); i++ {
-		if s[i] == '\n' {
-			out = append(out, s[start:i])
-			start = i + 1
-		}
-	}
-	if start < len(s) {
-		out = append(out, s[start:])
-	}
-	return out
-}

@@ -528,7 +528,7 @@ func (e *Engine) SetMemPressure(id int, factor float64) {
 
 // SetOOMWindow arms or disarms an ExecutorOOM window: while armed, a cache
 // write the (shrunk) capacity cannot admit fails its task with ErrOOM
-// instead of degrading to a graceful refusal (plane.go's joinTask).
+// instead of degrading to a graceful refusal (plane.go's applyEffects).
 func (e *Engine) SetOOMWindow(id int, armed bool) {
 	if armed {
 		e.oomArmed[id] = true

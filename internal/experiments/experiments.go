@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"stark"
-	"stark/internal/workload"
 )
 
 // System names one of the paper's compared configurations (Sec. IV-A).
@@ -203,5 +202,3 @@ func sampleKeys(recs []stark.Record, n int) []string {
 	}
 	return out
 }
-
-var _ = workload.DefaultWikipedia // keep the dependency explicit for later files

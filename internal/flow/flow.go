@@ -40,9 +40,6 @@ func NewGraph(n int) *Graph {
 	return &Graph{n: n, adj: make([][]int, n)}
 }
 
-// NumNodes reports the node count.
-func (g *Graph) NumNodes() int { return g.n }
-
 // AddEdge adds a directed edge from u to v with the given capacity and
 // returns its edge id, usable with EdgeByID after MaxFlow. Capacities must
 // be non-negative; AddEdge panics otherwise since a negative capacity is a

@@ -62,10 +62,6 @@ type Edge struct {
 	Callee *Node
 	Pos    token.Pos
 	Kind   EdgeKind
-	// Immediate marks a site inside the then-branch of an
-	// `if <planeCtx>.immediate { ... }` guard — the synchronous path that
-	// only runs on the event-loop goroutine. planetaint exempts these.
-	Immediate bool
 }
 
 // Node is one function or method in the call graph.
@@ -102,15 +98,6 @@ type CallGraph struct {
 // Node returns the node with the given FullName key, or nil.
 func (g *CallGraph) Node(name string) *Node { return g.nodes[name] }
 
-// NodeFor returns the node for fn (normalised to its generic origin), or
-// nil when fn was never seen.
-func (g *CallGraph) NodeFor(fn *types.Func) *Node {
-	if fn == nil {
-		return nil
-	}
-	return g.nodes[funcKey(fn)]
-}
-
 // Nodes returns every node sorted by name, for deterministic iteration.
 func (g *CallGraph) Nodes() []*Node {
 	out := make([]*Node, 0, len(g.nodes))
@@ -121,13 +108,10 @@ func (g *CallGraph) Nodes() []*Node {
 	return out
 }
 
-// funcKey is the canonical node key for fn: the FullName of its generic
-// origin, so arena.Pool[int32].Take and arena.Pool[int64].Take share the
-// node of the single declaration they instantiate.
-func funcKey(fn *types.Func) string {
-	return fn.Origin().FullName()
-}
-
+// getNode returns fn's node, creating it on first sight. The key is the
+// FullName of fn's generic origin, so arena.Pool[int32].Take and
+// arena.Pool[int64].Take share the node of the single declaration they
+// instantiate.
 func (g *CallGraph) getNode(fn *types.Func) *Node {
 	fn = fn.Origin()
 	key := fn.FullName()
@@ -225,7 +209,7 @@ func (b *graphBuilder) addEdges(caller *Node, pkg *Package, fd *ast.FuncDecl) {
 	// consumed marks selector/ident nodes already handled as a call's Fun,
 	// so the generic Ident pass below does not double-count them as refs.
 	consumed := map[*ast.Ident]bool{}
-	walkStack(fd.Body, func(n ast.Node, stack []ast.Node) bool {
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch x := n.(type) {
 		case *ast.CallExpr:
 			id := callFunIdent(x)
@@ -238,8 +222,7 @@ func (b *graphBuilder) addEdges(caller *Node, pkg *Package, fd *ast.FuncDecl) {
 				return true
 			}
 			consumed[id] = true
-			imm := inImmediateGuard(info, stack, n)
-			b.addCall(caller, info, fn, x.Pos(), imm, EdgeStatic)
+			b.addCall(caller, fn, x.Pos(), EdgeStatic)
 		case *ast.Ident:
 			if consumed[x] {
 				return true
@@ -248,8 +231,7 @@ func (b *graphBuilder) addEdges(caller *Node, pkg *Package, fd *ast.FuncDecl) {
 			if !ok {
 				return true
 			}
-			imm := inImmediateGuard(info, stack, n)
-			b.addCall(caller, info, fn, x.Pos(), imm, EdgeRef)
+			b.addCall(caller, fn, x.Pos(), EdgeRef)
 		}
 		return true
 	})
@@ -258,21 +240,21 @@ func (b *graphBuilder) addEdges(caller *Node, pkg *Package, fd *ast.FuncDecl) {
 // addCall records caller -> fn. Interface methods expand to the concrete
 // implementations declared in the module; non-interface targets get a
 // single edge of the given kind.
-func (b *graphBuilder) addCall(caller *Node, info *types.Info, fn *types.Func, pos token.Pos, immediate bool, kind EdgeKind) {
+func (b *graphBuilder) addCall(caller *Node, fn *types.Func, pos token.Pos, kind EdgeKind) {
 	sig, ok := fn.Type().(*types.Signature)
 	if ok && sig.Recv() != nil {
 		recv := sig.Recv().Type()
 		if types.IsInterface(recv) {
 			for _, impl := range b.ifaceTargets(fn, recv) {
 				caller.Out = append(caller.Out, Edge{
-					Callee: b.g.getNode(impl), Pos: pos, Kind: EdgeIface, Immediate: immediate,
+					Callee: b.g.getNode(impl), Pos: pos, Kind: EdgeIface,
 				})
 			}
 			return
 		}
 	}
 	caller.Out = append(caller.Out, Edge{
-		Callee: b.g.getNode(fn), Pos: pos, Kind: kind, Immediate: immediate,
+		Callee: b.g.getNode(fn), Pos: pos, Kind: kind,
 	})
 }
 
@@ -337,28 +319,4 @@ func callFunIdent(call *ast.CallExpr) *ast.Ident {
 		return e.Sel
 	}
 	return nil
-}
-
-// inImmediateGuard reports whether n sits inside the then-branch of an
-// `if <planeCtx>.immediate { ... }` statement — the synchronous path that
-// only executes on the event-loop goroutine.
-func inImmediateGuard(info *types.Info, stack []ast.Node, n ast.Node) bool {
-	for i := len(stack) - 1; i >= 0; i-- {
-		ifStmt, ok := stack[i].(*ast.IfStmt)
-		if !ok {
-			continue
-		}
-		cond, ok := ast.Unparen(ifStmt.Cond).(*ast.SelectorExpr)
-		if !ok || cond.Sel.Name != "immediate" {
-			continue
-		}
-		if namedTypeName(info.TypeOf(cond.X)) != "planeCtx" {
-			continue
-		}
-		// Must be in the then-branch, not the else.
-		if n.Pos() >= ifStmt.Body.Pos() && n.Pos() < ifStmt.Body.End() {
-			return true
-		}
-	}
-	return false
 }

@@ -6,8 +6,8 @@ import (
 	"go/types"
 )
 
-// HotallocAnalyzer is the static twin of the bench_budget.json allocs/op
-// gate. Kernels annotated with //starklint:hotpath in their doc comment
+// HotallocAnalyzer is the static twin of the testing.AllocsPerRun allocs/op
+// ceilings. Kernels annotated with //starklint:hotpath in their doc comment
 // (the PR-7 columnar path: GroupByKeySorted, JoinRecords, FromRecords,
 // PartitionStable, WriteMapOutputBatch, ReadReduce) and everything they
 // reach through the call graph must avoid allocation-inducing constructs:

@@ -2,7 +2,7 @@
 // suite. It enforces at build time the determinism, purity, and
 // plane-isolation contracts that the engine's runtime oracles (the
 // parallelism-1-vs-N byte-equality tests, STARK_CHECK_COW fingerprinting,
-// the chaos harness, the bench_budget.json allocs/op gate) can only check
+// the chaos harness, the testing.AllocsPerRun ceilings) can only check
 // after the fact: no wall-clock reads in deterministic packages, no global
 // math/rand state, no order-dependent iteration over maps in scheduling
 // paths, no mutation of copy-on-write record slices inside transform
@@ -11,8 +11,8 @@
 // On top of the per-package analyzers, three interprocedural analyzers run
 // over a module-wide static call graph (see callgraph.go and DESIGN.md
 // section 16): planetaint flags data-plane code transitively reaching a
-// control-plane mutation outside the px.immediate guard, hotalloc flags
-// allocation-inducing constructs reachable from //starklint:hotpath
+// control-plane mutation (the remedy is always to buffer the effect in the
+// planeCtx), hotalloc flags allocation-inducing constructs reachable from //starklint:hotpath
 // kernels, and errwrap flags error wrapping that severs errors.Is/Unwrap
 // reachability of the typed sentinels.
 //

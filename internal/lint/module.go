@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
-	"go/types"
 	"sort"
 )
 
@@ -37,15 +36,6 @@ func (p *ModulePass) Reportf(pos token.Pos, format string, args ...any) {
 		Analyzer: p.Analyzer.Name,
 		Message:  fmt.Sprintf(format, args...),
 	})
-}
-
-// infoFor returns the types.Info of the loaded package owning node n
-// (nil for import-only nodes without source).
-func (p *ModulePass) infoFor(n *Node) *types.Info {
-	if n == nil || n.Pkg == nil {
-		return nil
-	}
-	return n.Pkg.Info
 }
 
 // ModuleAnalyzers returns the interprocedural suite in stable order.

@@ -63,12 +63,12 @@ func checkModuleSource(t *testing.T, path, src string) []lint.Diagnostic {
 	return lint.RunModule([]*lint.Package{pkg}, lint.DefaultConfig(), lint.ModuleAnalyzers())
 }
 
-// TestSeededGuardDeletionInEngine pins the acceptance criterion: deleting
-// the px.immediate guard from a buffered side-effect site in
-// stark/internal/engine must fail the lint under the default policy, and
-// the guarded twin must pass with zero findings and zero suppressions.
-func TestSeededGuardDeletionInEngine(t *testing.T) {
-	const unguarded = `package engine
+// TestSeededUnbufferedEffectInEngine pins the acceptance criterion: a
+// planeCtx side-effect site in stark/internal/engine that applies its effect
+// instead of buffering it must fail the lint under the default policy, and
+// the buffering twin must pass with zero findings and zero suppressions.
+func TestSeededUnbufferedEffectInEngine(t *testing.T) {
+	const prelude = `package engine
 
 type Cluster struct{ recency []int }
 
@@ -77,46 +77,23 @@ func (c *Cluster) CachePut(id int) { c.recency = append(c.recency, id) }
 type Engine struct{ cl *Cluster }
 
 type planeCtx struct {
-	e         *Engine
-	immediate bool
-	ops       []int
-}
-
-// cachePut lost its px.immediate guard: the raw mutator call must flag.
-func (px *planeCtx) cachePut(id int) {
-	px.e.cl.CachePut(id)
+	e   *Engine
+	ops []int
 }
 `
-	diags := checkModuleSource(t, "stark/internal/engine", unguarded)
+	const unbuffered = prelude + `
+func (px *planeCtx) cachePut(id int) { px.e.cl.CachePut(id) }
+`
+	diags := checkModuleSource(t, "stark/internal/engine", unbuffered)
 	if len(diags) != 1 || diags[0].Analyzer != "planetaint" {
-		t.Fatalf("want exactly one planetaint finding for the deleted guard, got %v", diags)
+		t.Fatalf("want exactly one planetaint finding for the unbuffered effect, got %v", diags)
 	}
 
-	const guarded = `package engine
-
-type Cluster struct{ recency []int }
-
-func (c *Cluster) CachePut(id int) { c.recency = append(c.recency, id) }
-
-type Engine struct{ cl *Cluster }
-
-type planeCtx struct {
-	e         *Engine
-	immediate bool
-	ops       []int
-}
-
-// cachePut buffers in parallel and applies synchronously under the guard.
-func (px *planeCtx) cachePut(id int) {
-	if px.immediate {
-		px.e.cl.CachePut(id)
-		return
-	}
-	px.ops = append(px.ops, id)
-}
+	const buffered = prelude + `
+func (px *planeCtx) cachePut(id int) { px.ops = append(px.ops, id) }
 `
-	if diags := checkModuleSource(t, "stark/internal/engine", guarded); len(diags) != 0 {
-		t.Fatalf("guarded buffered side effect must lint clean, got %v", diags)
+	if diags := checkModuleSource(t, "stark/internal/engine", buffered); len(diags) != 0 {
+		t.Fatalf("buffered side effect must lint clean, got %v", diags)
 	}
 }
 

@@ -17,20 +17,21 @@ import (
 //     threading a *planeCtx parameter, and the //starklint:hotpath kernels.
 //   - A function is a control-plane MUTATOR when its body stores through a
 //     pointer to a named type declared in a control-plane package (Config.
-//     ControlPlanePkg) or to a package-level var there, outside the
-//     px.immediate guard — or when it transitively calls one. No manual
-//     mutator list: a new mutating method is inferred from its stores.
-//   - Any path from a data-plane root to a mutator, not passing through an
-//     `if px.immediate { ... }` guard, is a finding. Direct stores are
-//     reported at the store; transitive mutation is reported at the
-//     frontier call site with a witness chain down to the actual store.
+//     ControlPlanePkg) or to a package-level var there, or when it
+//     transitively calls one. No manual mutator list: a new mutating
+//     method is inferred from its stores.
+//   - Any path from a data-plane root to a mutator is a finding; the only
+//     remedy is to buffer the effect in the planeCtx and replay it at join.
+//     Direct stores are reported at the store; transitive mutation is
+//     reported at the frontier call site with a witness chain down to the
+//     actual store.
 //
 // Types in Config.PlaneLocalTypes (planeCtx, batchEntry, task, ...) are
 // exempt destinations: a single plane execution owns them, so worker-side
 // stores are the buffered-side-effect design working as intended.
 var PlanetaintAnalyzer = &ModuleAnalyzer{
 	Name: "planetaint",
-	Doc:  "flags data-plane code transitively reaching a control-plane mutation outside the px.immediate guard",
+	Doc:  "flags data-plane code transitively reaching a control-plane mutation",
 	Run:  runPlanetaint,
 }
 
@@ -63,9 +64,6 @@ func runPlanetaint(p *ModulePass) {
 			p.Reportf(st.pos, "data-plane code writes %s through control-plane state; buffer the effect in the planeCtx and replay it at join", st.desc)
 		}
 		for _, e := range n.Out {
-			if e.Immediate {
-				continue
-			}
 			callee := e.Callee
 			if roots[callee] {
 				// The callee is itself data-plane: descend and report at the
@@ -74,7 +72,7 @@ func runPlanetaint(p *ModulePass) {
 				continue
 			}
 			if mut[callee] != nil {
-				p.Reportf(e.Pos, "data-plane code reaches a control-plane mutation: %s %s; buffer the effect in the planeCtx or guard with px.immediate",
+				p.Reportf(e.Pos, "data-plane code reaches a control-plane mutation: %s %s; buffer the effect in the planeCtx and replay it at join",
 					callee.ShortName(), witnessChain(p.Fset, callee, mut))
 				continue
 			}
@@ -134,8 +132,8 @@ func isDataPlaneDecl(info *types.Info, fd *ast.FuncDecl) bool {
 }
 
 // collectPlaneStores finds, for every function with source, the stores
-// whose destination chain passes through control-plane state, outside the
-// px.immediate guard: assignments, ++/--, delete(...), and channel sends.
+// whose destination chain passes through control-plane state: assignments,
+// ++/--, delete(...), and channel sends.
 func collectPlaneStores(p *ModulePass) map[*Node][]planeStore {
 	out := map[*Node][]planeStore{}
 	for _, n := range p.Graph.Nodes() {
@@ -143,29 +141,26 @@ func collectPlaneStores(p *ModulePass) map[*Node][]planeStore {
 			continue
 		}
 		info := n.Pkg.Info
-		check := func(dest ast.Expr, stack []ast.Node, site ast.Node) {
-			if inImmediateGuard(info, stack, site) {
-				return
-			}
+		check := func(dest ast.Expr) {
 			if !chainHitsControlPlane(p.Config, info, dest) {
 				return
 			}
 			out[n] = append(out[n], planeStore{pos: dest.Pos(), desc: exprString(dest)})
 		}
-		walkStack(n.Decl.Body, func(node ast.Node, stack []ast.Node) bool {
+		ast.Inspect(n.Decl.Body, func(node ast.Node) bool {
 			switch st := node.(type) {
 			case *ast.AssignStmt:
 				for _, lhs := range st.Lhs {
-					check(lhs, stack, node)
+					check(lhs)
 				}
 			case *ast.IncDecStmt:
-				check(st.X, stack, node)
+				check(st.X)
 			case *ast.SendStmt:
-				check(st.Chan, stack, node)
+				check(st.Chan)
 			case *ast.CallExpr:
 				if id, ok := ast.Unparen(st.Fun).(*ast.Ident); ok && id.Name == "delete" {
 					if _, isBuiltin := info.Uses[id].(*types.Builtin); isBuiltin && len(st.Args) > 0 {
-						check(st.Args[0], stack, node)
+						check(st.Args[0])
 					}
 				}
 			}
@@ -262,7 +257,7 @@ func controlPlanePtr(cfg *Config, t types.Type) bool {
 
 // solveMutators computes the fixed point of "mutates control-plane state":
 // seeded with every function holding an offending store, then propagated
-// backwards across non-immediate call/ref edges. Each mutator keeps one
+// backwards across call/ref edges. Each mutator keeps one
 // deterministic witness (first found in sorted node order) for rendering.
 func solveMutators(p *ModulePass, stores map[*Node][]planeStore) map[*Node]*mutWitness {
 	mut := map[*Node]*mutWitness{}
@@ -280,7 +275,7 @@ func solveMutators(p *ModulePass, stores map[*Node][]planeStore) map[*Node]*mutW
 				continue
 			}
 			for _, e := range n.Out {
-				if e.Immediate || mut[e.Callee] == nil {
+				if mut[e.Callee] == nil {
 					continue
 				}
 				mut[n] = &mutWitness{via: e.Callee}

@@ -1,7 +1,7 @@
 // Package planetaint models the two-clock engine shape for the
 // interprocedural plane-isolation fixture: an Engine holding cluster,
 // store, and stats state, and a planeCtx overlay whose methods run on
-// worker goroutines unless guarded by px.immediate. Under the fixture's
+// worker goroutines. Under the fixture's
 // permissive policy every named type here counts as control-plane state
 // except the plane-local overlay types (planeCtx, task).
 package planetaint
@@ -54,8 +54,7 @@ func noteHit(e *Engine) { e.stats.CacheHits++ }
 type task struct{ count int }
 
 type planeCtx struct {
-	e         *Engine
-	immediate bool
-	hits      int64
-	drops     []int
+	e     *Engine
+	hits  int64
+	drops []int
 }

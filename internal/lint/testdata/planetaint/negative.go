@@ -1,13 +1,8 @@
 package planetaint
 
-// cachePut buffers when parallel and applies synchronously only under the
-// immediate guard — the sanctioned pattern; nothing flags.
+// cachePut buffers the effect in the overlay — the sanctioned pattern;
+// nothing flags.
 func (px *planeCtx) cachePut(id int) {
-	if px.immediate {
-		px.e.cl.CachePut(id)
-		px.e.stats.CacheHits++
-		return
-	}
 	px.drops = append(px.drops, id)
 }
 

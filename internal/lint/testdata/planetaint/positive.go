@@ -21,8 +21,8 @@ func (px *planeCtx) reduceInput(id int) []int {
 	return px.e.store.ReadReduce(id) // want planetaint
 }
 
-// putUnguarded models deleting the px.immediate guard from a buffered
-// side-effect helper: the now-raw mutator call must flag.
-func (px *planeCtx) putUnguarded(id int) {
+// putUnbuffered models a side-effect helper that applies its effect
+// instead of buffering it: the raw mutator call must flag.
+func (px *planeCtx) putUnbuffered(id int) {
 	px.e.cl.CachePut(id) // want planetaint
 }

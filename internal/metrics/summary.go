@@ -3,7 +3,6 @@ package metrics
 import (
 	"fmt"
 	"sort"
-	"strings"
 	"time"
 )
 
@@ -49,66 +48,4 @@ func (s Summary) String() string {
 	}
 	return fmt.Sprintf("n=%d min=%v p50=%v mean=%v p95=%v p99=%v max=%v",
 		s.Count, s.Min, s.P50, s.Mean, s.P95, s.P99, s.Max)
-}
-
-// Histogram buckets durations into fixed-width bins for terminal plots.
-type Histogram struct {
-	Width   time.Duration
-	Counts  []int
-	Total   int
-	Overmax int // samples beyond the last bin
-}
-
-// NewHistogram builds a histogram with bins of the given width covering
-// [0, width*bins); out-of-range samples land in Overmax.
-func NewHistogram(width time.Duration, bins int) *Histogram {
-	if width <= 0 {
-		width = time.Millisecond
-	}
-	if bins < 1 {
-		bins = 1
-	}
-	return &Histogram{Width: width, Counts: make([]int, bins)}
-}
-
-// Observe adds one sample.
-func (h *Histogram) Observe(d time.Duration) {
-	h.Total++
-	if d < 0 {
-		d = 0
-	}
-	idx := int(d / h.Width)
-	if idx >= len(h.Counts) {
-		h.Overmax++
-		return
-	}
-	h.Counts[idx]++
-}
-
-// Render draws the histogram with unit-width bars scaled to maxBar
-// characters.
-func (h *Histogram) Render(maxBar int) string {
-	if maxBar < 1 {
-		maxBar = 40
-	}
-	peak := h.Overmax
-	for _, c := range h.Counts {
-		if c > peak {
-			peak = c
-		}
-	}
-	if peak == 0 {
-		return "(empty)\n"
-	}
-	var b strings.Builder
-	for i, c := range h.Counts {
-		bar := strings.Repeat("#", c*maxBar/peak)
-		fmt.Fprintf(&b, "%8v-%8v |%-*s %d\n",
-			time.Duration(i)*h.Width, time.Duration(i+1)*h.Width, maxBar, bar, c)
-	}
-	if h.Overmax > 0 {
-		bar := strings.Repeat("#", h.Overmax*maxBar/peak)
-		fmt.Fprintf(&b, "%17s+ |%-*s %d\n", time.Duration(len(h.Counts))*h.Width, maxBar, bar, h.Overmax)
-	}
-	return b.String()
 }

@@ -62,28 +62,6 @@ func TestSummaryPercentileOrdering(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(10*time.Millisecond, 3)
-	for _, d := range []time.Duration{
-		time.Millisecond, 5 * time.Millisecond, // bin 0
-		15 * time.Millisecond,                    // bin 1
-		25 * time.Millisecond,                    // bin 2
-		99 * time.Millisecond, -time.Millisecond, // overmax, clamped-to-0
-	} {
-		h.Observe(d)
-	}
-	if h.Total != 6 || h.Counts[0] != 3 || h.Counts[1] != 1 || h.Counts[2] != 1 || h.Overmax != 1 {
-		t.Fatalf("histogram = %+v", h)
-	}
-	out := h.Render(20)
-	if !strings.Contains(out, "#") || !strings.Contains(out, "+") {
-		t.Fatalf("render = %q", out)
-	}
-	if NewHistogram(0, 0).Render(0) != "(empty)\n" {
-		t.Fatal("empty render wrong")
-	}
-}
-
 func TestGantt(t *testing.T) {
 	jm := JobMetrics{
 		JobID: 7,

@@ -69,12 +69,6 @@ type Config struct {
 	Seed int64
 }
 
-// Perfect reports whether the configuration delivers instantly and
-// losslessly (partitions may still block traffic).
-func (c Config) Perfect() bool {
-	return c.BaseDelay == 0 && c.Jitter == 0 && c.DropProb == 0
-}
-
 // Stats counts transport activity.
 type Stats struct {
 	Sent           int // send attempts, including retransmissions
@@ -140,9 +134,6 @@ func (n *Network) Partition(exec int) { n.part[exec] = true }
 
 // Heal reconnects a partitioned executor.
 func (n *Network) Heal(exec int) { delete(n.part, exec) }
-
-// Partitioned reports whether an executor is currently cut off.
-func (n *Network) Partitioned(exec int) bool { return n.part[exec] }
 
 // SetExtraDelay adds d to every subsequent delivery (0 restores normal
 // latency) — the delayed-heartbeat fault window.

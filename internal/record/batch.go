@@ -229,17 +229,11 @@ func (b *Batch) spillColumn(rs []Record) {
 	b.kind, b.spill = ColSpill, col
 }
 
-// Int64s returns the typed column after Columnize reported ColInt64.
-func (b *Batch) Int64s() []int64 { return b.ints }
-
 // Float64s returns the typed column after Columnize reported ColFloat64.
 func (b *Batch) Float64s() []float64 { return b.floats }
 
 // Strings returns the typed column after Columnize reported ColString.
 func (b *Batch) Strings() []string { return b.strs }
-
-// SpillValues returns the boxed column after Columnize reported ColSpill.
-func (b *Batch) SpillValues() []any { return b.spill }
 
 // WithoutRows returns a copy of the batch with the row view dropped, forcing
 // Records() down the column-materialization path. Tests use it to exercise

@@ -95,3 +95,25 @@ func BenchmarkSizeOfSlice(b *testing.B) {
 		_ = SizeOfSlice(data)
 	}
 }
+
+// TestKernelAllocCeilings is the allocation gate on the two record kernels,
+// at the shapes the benchmarks above use: sorted grouping measures 5
+// allocs/op (the map-of-slices path it replaced took 7578), the merge join
+// ~53.6k (one Joined box per output row). A change that re-introduces
+// per-record or per-group allocation fails here.
+func TestKernelAllocCeilings(t *testing.T) {
+	group := benchData(20000, 1500)
+	left, right := benchData(8000, 1200), benchData(8000, 1200)
+	for _, tc := range []struct {
+		name    string
+		ceiling float64
+		run     func()
+	}{
+		{"GroupByKeySorted", 16, func() { GroupByKeySorted(group) }},
+		{"JoinRecords", 56000, func() { JoinRecords(left, right) }},
+	} {
+		if got := testing.AllocsPerRun(5, tc.run); got > tc.ceiling {
+			t.Errorf("%s: %.0f allocs/op, ceiling %.0f", tc.name, got, tc.ceiling)
+		}
+	}
+}

@@ -41,22 +41,22 @@ func (e *CorruptError) Unwrap() error { return ErrCorrupt }
 // Bucket is one (map partition → reduce partition) shuffle output file.
 // The store stamps a content checksum at write time (sum); reads verify it,
 // so a corrupted persisted block surfaces as an integrity error instead of
-// silently wrong bytes. Buckets written through WriteMapOutputBatch also
-// carry a span view into the columnar batch, so verification runs off the
+// silently wrong bytes. Shuffle buckets (WriteMapOutputBatch) also carry a
+// span view into the columnar batch, so verification runs off the
 // contiguous key slab instead of re-walking boxed records.
 type Bucket struct {
 	Data  []record.Record
 	Bytes int64
 
 	sum uint64
-	// Columnar span view (batch rows [lo, hi)); nil for legacy row buckets.
+	// Columnar span view (batch rows [lo, hi)); nil for checkpoint blocks.
 	batch  *record.Batch
 	lo, hi int32
 }
 
 // verify recomputes the bucket's checksum and compares it to the stamped
 // one. Batch-backed buckets hash the key slab (no per-record byte-slice
-// conversions); legacy buckets re-walk their rows.
+// conversions); checkpoint blocks re-walk their rows.
 func (b Bucket) verify() bool {
 	if b.batch != nil {
 		return b.sum == b.batch.KeySumRange(int(b.lo), int(b.hi))
@@ -174,43 +174,11 @@ func (s *Store) RegisterShuffle(id, numMaps, numReduces int) error {
 	return nil
 }
 
-// WriteMapOutput commits one map task's buckets. Overwrites (speculative or
-// recomputed tasks) are allowed and idempotent in effect.
-func (s *Store) WriteMapOutput(id, mapPart int, buckets map[int]Bucket) error {
-	if err := s.injected(OpMapOutputWrite); err != nil {
-		return err
-	}
-	st, ok := s.shuffles[id]
-	if !ok {
-		return fmt.Errorf("storage: unknown shuffle %d", id)
-	}
-	if mapPart < 0 || mapPart >= st.numMaps {
-		return fmt.Errorf("storage: shuffle %d map partition %d out of range [0,%d)", id, mapPart, st.numMaps)
-	}
-	cp := make(map[int]Bucket, len(buckets))
-	for r, b := range buckets {
-		if r < 0 || r >= st.numReduces {
-			return fmt.Errorf("storage: shuffle %d reduce partition %d out of range [0,%d)", id, r, st.numReduces)
-		}
-		b.sum = sumRecords(b.Data)
-		cp[r] = b
-	}
-	if _, overwrite := st.outputs[mapPart]; overwrite {
-		st.dirty = true
-	} else if !st.dirty {
-		for r, b := range cp {
-			st.byReduce[r] = append(st.byReduce[r], reduceBucket{mapPart: mapPart, b: b})
-		}
-	}
-	st.outputs[mapPart] = cp
-	return nil
-}
-
 // WriteMapOutputBatch commits one map task's buckets from a partitioned
 // columnar batch: every bucket is a span view over one shared reordered row
 // array and key slab, and checksums come off the slab instead of per-record
-// re-hashing. Semantically identical to WriteMapOutput over the equivalent
-// per-bucket row slices.
+// re-hashing. Overwrites (speculative or recomputed tasks) are allowed and
+// idempotent in effect.
 //
 //starklint:hotpath
 func (s *Store) WriteMapOutputBatch(id, mapPart int, pb *record.PartitionedBatch) error {

@@ -2,10 +2,39 @@ package storage
 
 import (
 	"errors"
+	"sort"
 	"testing"
 
 	"stark/internal/record"
 )
+
+// mapOutput builds the columnar map output WriteMapOutputBatch takes from
+// per-reduce row buckets: rows concatenated in ascending reduce order, one
+// span per bucket (empty ones included), Bytes set to the bucket's raw size.
+func mapOutput(buckets map[int][]record.Record) *record.PartitionedBatch {
+	parts := make([]int, 0, len(buckets))
+	for p := range buckets {
+		parts = append(parts, p)
+	}
+	sort.Ints(parts)
+	var rows []record.Record
+	spans := make([]record.Span, 0, len(parts))
+	for _, p := range parts {
+		lo := len(rows)
+		rows = append(rows, buckets[p]...)
+		bytes := bucketBytes(buckets[p])
+		spans = append(spans, record.Span{Part: p, Lo: int32(lo), Hi: int32(len(rows)), RawBytes: bytes, Bytes: bytes})
+	}
+	return &record.PartitionedBatch{Batch: record.FromRecords(rows), Spans: spans}
+}
+
+func bucketBytes(rs []record.Record) int64 {
+	var n int64
+	for _, r := range rs {
+		n += record.SizeOfRecord(r)
+	}
+	return n
+}
 
 func TestShuffleLifecycle(t *testing.T) {
 	s := NewStore()
@@ -24,18 +53,17 @@ func TestShuffleLifecycle(t *testing.T) {
 	if got := s.MissingMapOutputs(1); len(got) != 2 {
 		t.Fatalf("missing = %v", got)
 	}
-	if err := s.WriteMapOutput(1, 0, map[int]Bucket{
-		0: {Data: []record.Record{record.Pair("a", 1)}, Bytes: 10},
-		2: {Data: []record.Record{record.Pair("c", 1)}, Bytes: 20},
-	}); err != nil {
+	a, a2 := record.Pair("a", 1), record.Pair("a2", 1)
+	if err := s.WriteMapOutputBatch(1, 0, mapOutput(map[int][]record.Record{
+		0: {a},
+		2: {record.Pair("c", 1)},
+	})); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := s.ReadReduce(1, 0); err == nil {
 		t.Fatal("read from incomplete shuffle succeeded")
 	}
-	if err := s.WriteMapOutput(1, 1, map[int]Bucket{
-		0: {Data: []record.Record{record.Pair("a2", 1)}, Bytes: 5},
-	}); err != nil {
+	if err := s.WriteMapOutputBatch(1, 1, mapOutput(map[int][]record.Record{0: {a2}})); err != nil {
 		t.Fatal(err)
 	}
 	if !s.ShuffleComplete(1) {
@@ -45,7 +73,7 @@ func TestShuffleLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(data) != 2 || bytes != 15 {
+	if len(data) != 2 || data[0] != a || data[1] != a2 || bytes != bucketBytes(data) {
 		t.Fatalf("data=%v bytes=%d", data, bytes)
 	}
 	// Reduce partition with no buckets reads empty.
@@ -57,7 +85,7 @@ func TestShuffleLifecycle(t *testing.T) {
 
 func TestShuffleValidation(t *testing.T) {
 	s := NewStore()
-	if err := s.WriteMapOutput(9, 0, nil); err == nil {
+	if err := s.WriteMapOutputBatch(9, 0, mapOutput(nil)); err == nil {
 		t.Fatal("write to unknown shuffle accepted")
 	}
 	if _, _, err := s.ReadReduce(9, 0); err == nil {
@@ -66,10 +94,10 @@ func TestShuffleValidation(t *testing.T) {
 	if err := s.RegisterShuffle(2, 1, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.WriteMapOutput(2, 5, nil); err == nil {
+	if err := s.WriteMapOutputBatch(2, 5, mapOutput(nil)); err == nil {
 		t.Fatal("out-of-range map partition accepted")
 	}
-	if err := s.WriteMapOutput(2, 0, map[int]Bucket{7: {}}); err == nil {
+	if err := s.WriteMapOutputBatch(2, 0, mapOutput(map[int][]record.Record{7: nil})); err == nil {
 		t.Fatal("out-of-range reduce partition accepted")
 	}
 }
@@ -79,15 +107,16 @@ func TestMapOutputOverwrite(t *testing.T) {
 	if err := s.RegisterShuffle(1, 1, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.WriteMapOutput(1, 0, map[int]Bucket{0: {Bytes: 10}}); err != nil {
-		t.Fatal(err)
+	first := []record.Record{record.Pair("a", 1)}
+	second := []record.Record{record.Pair("b", 1), record.Pair("cc", 2)}
+	for _, rows := range [][]record.Record{first, second} {
+		if err := s.WriteMapOutputBatch(1, 0, mapOutput(map[int][]record.Record{0: rows})); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := s.WriteMapOutput(1, 0, map[int]Bucket{0: {Bytes: 30}}); err != nil {
-		t.Fatal(err)
-	}
-	_, bytes, err := s.ReadReduce(1, 0)
-	if err != nil || bytes != 30 {
-		t.Fatalf("bytes = %d, %v", bytes, err)
+	data, bytes, err := s.ReadReduce(1, 0)
+	if err != nil || len(data) != 2 || data[0] != second[0] || bytes != bucketBytes(second) {
+		t.Fatalf("after overwrite: data=%v bytes=%d, %v", data, bytes, err)
 	}
 }
 
@@ -128,10 +157,10 @@ func TestCorruptMapOutputDetectedAndHealedByOverwrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	write := func(mapPart int) {
-		if err := s.WriteMapOutput(1, mapPart, map[int]Bucket{
-			0: {Data: []record.Record{record.Pair("a", mapPart)}, Bytes: 10},
-			1: {Data: []record.Record{record.Pair("b", mapPart)}, Bytes: 10},
-		}); err != nil {
+		if err := s.WriteMapOutputBatch(1, mapPart, mapOutput(map[int][]record.Record{
+			0: {record.Pair("a", mapPart)},
+			1: {record.Pair("b", mapPart)},
+		})); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -191,8 +220,15 @@ func TestDropShuffle(t *testing.T) {
 	if err := s.RegisterShuffle(1, 1, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.WriteMapOutput(1, 0, map[int]Bucket{0: {Bytes: 1}}); err != nil {
+	if err := s.WriteMapOutputBatch(1, 0, mapOutput(map[int][]record.Record{0: {record.Pair("a", 1)}})); err != nil {
 		t.Fatal(err)
+	}
+	// Losing a map output leaves the shuffle incomplete until it is rewritten.
+	if !s.DropMapOutput(1, 0) || s.DropMapOutput(1, 0) {
+		t.Fatal("DropMapOutput must report exactly the first drop")
+	}
+	if _, _, err := s.ReadReduce(1, 0); err == nil || s.ShuffleComplete(1) {
+		t.Fatal("shuffle still readable after losing its only map output")
 	}
 	s.DropShuffle(1)
 	if s.ShuffleComplete(1) || s.HasMapOutput(1, 0) {
