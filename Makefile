@@ -60,10 +60,11 @@ cachepolicy:
 bench: lint
 	$(GO) test -bench=. -benchmem -benchtime=1x .
 
-# Engine/record hot-path benchmarks (GroupByKeySorted, bucketing, the
-# parallel data plane's 1-vs-4 worker pair).
+# Engine/record/cluster hot-path benchmarks (GroupByKeySorted, bucketing,
+# the parallel data plane's 1-vs-4 worker pair, MCF offer scoring and the
+# unit index against its reference recount).
 bench-engine: lint
-	$(GO) test -bench=. -benchmem -benchtime=3x ./internal/engine/ ./internal/record/
+	$(GO) test -bench=. -benchmem -benchtime=3x ./internal/engine/ ./internal/record/ ./internal/cluster/
 
 # The reference benchmark (BENCHMARK.json, `bash bench/run.sh`) is its own
 # module, invisible to `go build ./...` and `go test ./...` here: vet and

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"strconv"
 	"testing"
 
 	"stark/internal/config"
@@ -26,5 +27,45 @@ func BenchmarkDirectoryLocations(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.Locations(BlockID{RDD: i % 50, Partition: i % 20})
+	}
+}
+
+// taxiShapeCluster is the taxi-window cache shape: 8 executors holding 96
+// blocks each, four partitions to a collection unit.
+func taxiShapeCluster() *Cluster {
+	const execs, blocks = 8, 96
+	cfg := config.Default()
+	cfg.NumExecutors = execs
+	c := New(cfg)
+	c.SetUnitMapping(func(id BlockID) (UnitID, bool) { return UnitID{NS: 1, Unit: id.Partition / 4}, true })
+	for e := 0; e < execs; e++ {
+		for b := 0; b < blocks; b++ {
+			c.CachePut(e, BlockID{RDD: b / 8, Partition: e*blocks + b}, nil, 1024)
+		}
+	}
+	return c
+}
+
+var unitsSink int
+
+// BenchmarkUnitsCached is the scheduler's MCF score: one indexed read.
+func BenchmarkUnitsCached(b *testing.B) {
+	c := taxiShapeCluster()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		unitsSink += c.UnitsCached(i % 8)
+	}
+}
+
+// BenchmarkUniqueKeysCached is the same score by the reference recount the
+// scheduler used to run per offer: a walk of the executor's whole store.
+func BenchmarkUniqueKeysCached(b *testing.B) {
+	c := taxiShapeCluster()
+	key := func(id BlockID) string { return "taxi/" + strconv.Itoa(id.Partition/4) }
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		unitsSink += c.UniqueKeysCached(i%8, key)
 	}
 }

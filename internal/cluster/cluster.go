@@ -23,6 +23,8 @@ type Executor struct {
 	// process from a healed partition even when the crash+restart fit
 	// inside the suspicion window.
 	inc int
+	// units indexes the cached blocks by collection unit (unitindex.go).
+	units unitIndex
 }
 
 // Incarnation reports the executor's process incarnation (1 = original).
@@ -68,11 +70,16 @@ func (e *Executor) Release() {
 }
 
 // Cluster is the set of executors plus the block directory mapping each
-// cached block to the executors holding a replica.
+// cached block to the executors holding a replica, and the per-executor
+// collection-unit index the MCF scheduler scores offers from.
 type Cluster struct {
 	Cfg       config.Cluster
 	executors []*Executor
 	directory map[BlockID]map[int]bool
+	// unitOf is the installed block -> collection-unit mapping and
+	// unitVersion counts its announced changes (unitindex.go).
+	unitOf      func(BlockID) (UnitID, bool)
+	unitVersion uint64
 }
 
 // New builds a cluster per the configuration.
@@ -80,6 +87,7 @@ func New(cfg config.Cluster) *Cluster {
 	c := &Cluster{
 		Cfg:       cfg,
 		directory: make(map[BlockID]map[int]bool),
+		unitOf:    func(BlockID) (UnitID, bool) { return UnitID{}, false },
 	}
 	for i := 0; i < cfg.NumExecutors; i++ {
 		c.executors = append(c.executors, &Executor{
@@ -87,6 +95,7 @@ func New(cfg config.Cluster) *Cluster {
 			Slots: cfg.SlotsPerExecutor,
 			Store: NewBlockStore(cfg.MemoryPerExecutor),
 			inc:   1,
+			units: unitIndex{refs: make(map[UnitID]int)},
 		})
 	}
 	return c
@@ -152,7 +161,10 @@ func (c *Cluster) CachePutChecked(exec int, id BlockID, data []record.Record, by
 			locs = make(map[int]bool)
 			c.directory[id] = locs
 		}
-		locs[exec] = true
+		if !locs[exec] { // a re-put of a held block changes neither books
+			locs[exec] = true
+			c.unitAdded(e, id)
+		}
 	}
 	return evicted, st
 }
@@ -239,6 +251,8 @@ func (c *Cluster) DropBlock(exec int, id BlockID) {
 	}
 }
 
+// dropLocation forgets a replica that just left an executor's store: the
+// directory entry and the executor's unit refcount go together.
 func (c *Cluster) dropLocation(id BlockID, exec int) {
 	if locs, ok := c.directory[id]; ok {
 		delete(locs, exec)
@@ -246,6 +260,7 @@ func (c *Cluster) dropLocation(id BlockID, exec int) {
 			delete(c.directory, id)
 		}
 	}
+	c.unitRemoved(c.executors[exec], id)
 }
 
 // Kill fails an executor: all cached blocks vanish, slots become
@@ -282,8 +297,9 @@ func (c *Cluster) SetSlowdown(exec int, factor float64) {
 
 // CheckConsistency verifies the directory against the executors' stores:
 // every directory entry must point at executors that actually hold the
-// block, and every cached block must be in the directory. It returns the
-// first violation found, or nil; tests call it after churn.
+// block, and every cached block must be in the directory; then the unit
+// index against a recount of the stores. It returns the first violation
+// found, or nil; tests call it after churn.
 func (c *Cluster) CheckConsistency() error {
 	for id, locs := range c.directory {
 		if len(locs) == 0 {
@@ -315,13 +331,15 @@ func (c *Cluster) CheckConsistency() error {
 			return fmt.Errorf("cluster: executor %d busy=%d of %d slots", e.ID, e.busy, e.Slots)
 		}
 	}
-	return nil
+	return c.checkUnitIndex()
 }
 
-// UniqueRDDsCached reports how many distinct RDDs have at least one block in
-// the executor's cache; the MCF scheduler uses a namespace-aware variant via
-// the provided key function: blocks mapping to the same key count once, and
-// blocks with key "" are ignored.
+// UniqueKeysCached reports how many distinct keys the executor's cached
+// blocks map to under keyOf: blocks mapping to the same key count once, and
+// blocks with key "" are ignored. It is the O(blocks) reference recount —
+// it walks the whole store and allocates per call — kept as the oracle the
+// unit index is tested against and as the benchmark's per-layer probe; the
+// scheduler scores offers through UnitsCached instead.
 func (c *Cluster) UniqueKeysCached(exec int, keyOf func(BlockID) string) int {
 	e := c.executors[exec]
 	if e.dead {

@@ -54,3 +54,57 @@ func benchmark100kTasks(b *testing.B, par int) {
 		}
 	}
 }
+
+// taxiShapeMCF builds an MCF engine whose caches have the taxi-window
+// shape: 8 executors each holding 96 blocks (12 window steps x 8
+// partitions) of one extendable namespace, four partitions to a group.
+func taxiShapeMCF(tb testing.TB) *Engine {
+	cfg := testConfig()
+	cfg.Cluster.NumExecutors = 8
+	cfg.Features.CoLocality = true
+	cfg.Features.Extendable = true
+	cfg.Features.MCF = true
+	e := New(cfg)
+	g := e.Graph()
+	p := partition.NewHash(64)
+	if err := e.RegisterNamespace("taxi", p, 16); err != nil {
+		tb.Fatal(err)
+	}
+	for step := 0; step < 12; step++ {
+		lp := g.LocalityPartitionBy(g.Source("src", dataset(64, 1), false), "step", p, "taxi")
+		e.TrackNamespaceRDD(lp)
+		for exec := 0; exec < 8; exec++ {
+			for part := exec * 8; part < exec*8+8; part++ {
+				e.Cluster().CachePut(exec, blockID(lp.ID, part), nil, 1024)
+			}
+		}
+	}
+	return e
+}
+
+var offersSink int
+
+// TestRemoteOffersMCFAllocCeiling is the scheduler-side twin of the record
+// package's TestKernelAllocCeilings: scoring and ordering MCF offers in the
+// steady state (caches populated, unit mapping unchanged) allocates nothing,
+// however many blocks the executors hold.
+func TestRemoteOffersMCFAllocCeiling(t *testing.T) {
+	e := taxiShapeMCF(t)
+	if n := len(e.remoteOffers()); n != 8 {
+		t.Fatalf("offers = %d, want 8", n)
+	}
+	if avg := testing.AllocsPerRun(200, func() { offersSink += len(e.remoteOffers()) }); avg != 0 {
+		t.Fatalf("remoteOffers allocates %.1f/op under MCF, want 0", avg)
+	}
+}
+
+// BenchmarkRemoteOffersMCF measures one MCF offer construction — score
+// every executor, order the offers — at the taxi-window cache shape.
+func BenchmarkRemoteOffersMCF(b *testing.B) {
+	e := taxiShapeMCF(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		offersSink += len(e.remoteOffers())
+	}
+}

@@ -194,6 +194,7 @@ func (e *Engine) CrashDriver(tearTail int) {
 	e.recMu.Unlock()
 	e.loc = locality.NewManager()
 	e.grp = group.NewManager(e.cfg.Groups)
+	e.cl.UnitMappingChanged() // every namespace just became unregistered
 	e.nsRDDs = make(map[string][]*rdd.RDD)
 	e.nsParts = make(map[string]int)
 	e.streamSteps = make(map[string]map[int]int)
@@ -306,6 +307,7 @@ func (e *Engine) replayJournal(recs []journal.Record, journaledMap map[[2]int]bo
 			if err := e.loc.ApplySplit(rec.S, int(rec.A), int(rec.B), int(rec.C), int(rec.D)); err != nil {
 				panic(fmt.Sprintf("engine: journal replay: split locality %q/%d: %v", rec.S, rec.A, err))
 			}
+			e.cl.UnitMappingChanged()
 		case journal.KindGroupMerge:
 			if !e.grp.Registered(rec.S) {
 				continue
@@ -316,6 +318,7 @@ func (e *Engine) replayJournal(recs []journal.Record, journaledMap map[[2]int]bo
 			if err := e.loc.ApplyMerge(rec.S, int(rec.A), int(rec.B), int(rec.C)); err != nil {
 				panic(fmt.Sprintf("engine: journal replay: merge locality %q/%d: %v", rec.S, rec.A, err))
 			}
+			e.cl.UnitMappingChanged()
 		case journal.KindMapOutput:
 			journaledMap[[2]int{int(rec.A), int(rec.B)}] = true
 		case journal.KindCheckpoint:
@@ -490,6 +493,11 @@ func (e *Engine) Close() error {
 // registerNamespace is the journal-free core of RegisterNamespace; replay
 // reuses it.
 func (e *Engine) registerNamespace(ns string, p partition.Partitioner, initialGroups int) error {
+	// Blocks of the namespace's RDDs cached before this call join a unit.
+	e.cl.UnitMappingChanged()
+	if _, ok := e.nsIDs[ns]; !ok {
+		e.nsIDs[ns] = len(e.nsIDs) + 1
+	}
 	numParts := p.NumPartitions()
 	var units []int
 	if e.cfg.Features.Extendable {

@@ -159,6 +159,10 @@ type Engine struct {
 	nsRDDs map[string][]*rdd.RDD
 	// nsGeometry remembers per-namespace partition counts.
 	nsParts map[string]int
+	// nsIDs interns namespace names for cluster.UnitID, from 1 so an
+	// unknown name maps to an id no block is counted under. Ids are names,
+	// not driver state: they survive a driver crash.
+	nsIDs map[string]int
 
 	jobSeq  int
 	taskSeq int
@@ -176,6 +180,10 @@ type Engine struct {
 	unarmed   int
 	wakeIndex map[cluster.BlockID][]*task
 	running   map[int]*task // by task id
+	// offers and offerUnits are remoteOffers' scratch: the offered executor
+	// ids and, under MCF, their scores, rebuilt in place each call.
+	offers     []int
+	offerUnits []int
 
 	// shuffleRunning marks shuffles whose map stage is currently executing;
 	// shuffleWaiters holds stage runs blocked on them; shuffleOwner remembers
@@ -298,6 +306,7 @@ func New(cfg Config) *Engine {
 		repl:           replication.NewPolicy(cfg.Replication),
 		nsRDDs:         make(map[string][]*rdd.RDD),
 		nsParts:        make(map[string]int),
+		nsIDs:          make(map[string]int),
 		running:        make(map[int]*task),
 		shuffleRunning: make(map[int]bool),
 		shuffleWaiters: make(map[int][]*stageRun),
@@ -314,6 +323,9 @@ func New(cfg Config) *Engine {
 		evictedEver:    make(map[cluster.BlockID]bool),
 		rng:            rand.New(rand.NewSource(seed)),
 	}
+	e.cl.SetUnitMapping(e.unitIDOf)
+	e.offers = make([]int, 0, e.cl.NumExecutors())
+	e.offerUnits = make([]int, 0, e.cl.NumExecutors())
 	e.installCachePolicy()
 	e.par = cfg.Execution.Parallelism
 	if e.par <= 0 {

@@ -512,37 +512,6 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-func TestMCFPrefersLeastContended(t *testing.T) {
-	cfg := nsConfig()
-	cfg.Features.MCF = true
-	e := New(cfg)
-	g := e.Graph()
-	p := partition.NewHash(4)
-	if err := e.RegisterNamespace("ns", p, 1); err != nil {
-		t.Fatal(err)
-	}
-	// Preload executor 0 with blocks of many units so MCF should avoid it.
-	lp := g.LocalityPartitionBy(g.Source("s", dataset(40, 2), false), "lp", p, "ns")
-	lp.CacheFlag = true
-	e.TrackNamespaceRDD(lp)
-	if _, _, err := e.Count(lp); err != nil {
-		t.Fatal(err)
-	}
-	offers := e.remoteOffers()
-	if len(offers) == 0 {
-		t.Fatal("no offers")
-	}
-	// Offers must be sorted ascending by unique units cached.
-	prev := -1
-	for _, id := range offers {
-		n := e.Cluster().UniqueKeysCached(id, e.unitKey)
-		if n < prev {
-			t.Fatalf("offers not sorted by contention: %v", offers)
-		}
-		prev = n
-	}
-}
-
 func TestMaterializeActionCaches(t *testing.T) {
 	e := New(testConfig())
 	g := e.Graph()

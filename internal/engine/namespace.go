@@ -87,6 +87,10 @@ func (e *Engine) ReportRDD(r *rdd.RDD) ([]group.Change, error) {
 		return nil, err
 	}
 	changes, err := e.grp.Rebalance(ns)
+	if len(changes) > 0 {
+		// Every split or merge moves partitions between units.
+		e.cl.UnitMappingChanged()
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -127,7 +131,10 @@ func (e *Engine) leastLoadedExecutor() int {
 }
 
 // unitOf maps a block to its collection unit, or ok=false when the block's
-// RDD is outside any active namespace.
+// RDD is outside any active namespace. The cluster's unit index counts
+// under this mapping (unitIDOf), so whatever changes its answer — namespace
+// registration, Group Tree geometry, the managers themselves — must call
+// Cluster.UnitMappingChanged.
 func (e *Engine) unitOf(id cluster.BlockID) (ns string, unit int, ok bool) {
 	r := e.graph.ByID(id.RDD)
 	if r == nil || r.Namespace == "" {
@@ -147,6 +154,16 @@ func (e *Engine) unitOf(id cluster.BlockID) (ns string, unit int, ok bool) {
 	return ns, id.Partition, true
 }
 
+// unitIDOf is unitOf in the cluster's comparable form: the mapping installed
+// into the unit index.
+func (e *Engine) unitIDOf(id cluster.BlockID) (cluster.UnitID, bool) {
+	ns, unit, ok := e.unitOf(id)
+	if !ok {
+		return cluster.UnitID{}, false
+	}
+	return cluster.UnitID{NS: e.nsIDs[ns], Unit: unit}, true
+}
+
 // onEvictions de-replicates collection units whose last cached block on an
 // executor was just evicted.
 func (e *Engine) onEvictions(exec int, evicted []cluster.BlockID) {
@@ -163,18 +180,10 @@ func (e *Engine) onEvictions(exec int, evicted []cluster.BlockID) {
 	}
 }
 
-// unitCachedOn reports whether any RDD of the namespace still has a block
-// of the unit cached on the executor.
+// unitCachedOn reports whether the executor still caches any block of the
+// unit: one refcount lookup in the cluster's unit index.
 func (e *Engine) unitCachedOn(ns string, unit, exec int) bool {
-	parts := e.unitPartitions(ns, unit)
-	for _, r := range e.nsRDDs[ns] {
-		for _, p := range parts {
-			if e.cl.CacheHas(exec, cluster.BlockID{RDD: r.ID, Partition: p}) {
-				return true
-			}
-		}
-	}
-	return false
+	return e.cl.UnitCached(exec, cluster.UnitID{NS: e.nsIDs[ns], Unit: unit})
 }
 
 // unitPartitions expands a unit to its partition list.

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"strconv"
 	"testing"
 	"time"
 
@@ -20,7 +21,7 @@ func TestScale100kPartitions(t *testing.T) {
 	n := 100000
 	recs := make([]record.Record, 200000)
 	for i := range recs {
-		recs[i] = record.Pair("k"+itoa(i), int64(i))
+		recs[i] = record.Pair("k"+strconv.Itoa(i), int64(i))
 	}
 	parts := make([][]record.Record, n)
 	for i, r := range recs {

@@ -74,7 +74,13 @@ func (e *Engine) schedule() {
 				eligible = append(eligible, t)
 			}
 		}
-		offers := e.remoteOffers()
+		// MCF offers cost a scoring pass and draw no randomness, so skip
+		// them when no task could take a remote slot. The randomized
+		// baseline permutes every pass: its draw count is part of the seed.
+		var offers []int
+		if !e.mcf() || len(eligible) > 0 || e.plainHead < len(e.plainPending) {
+			offers = e.remoteOffers()
+		}
 		if len(offers) > 0 && free > 0 {
 			oi := 0
 			nextTask := func() *task {
@@ -234,70 +240,55 @@ func (e *Engine) filterSchedulable(execs []int) []int {
 	return out
 }
 
+// mcf reports whether remote offers are ordered Minimum-Contention-First.
+func (e *Engine) mcf() bool { return e.cfg.Features.MCF || e.cfg.Sched.MCF }
+
 // remoteOffers lists live executors with free slots, ordered for remote
-// assignment. MCF sorts ascending by unique collection partitions cached
-// (Algorithm 1 line 5). Otherwise offers are randomly permuted, matching
-// Spark's randomized resource offers — the behaviour that scatters
-// partitions of independent RDDs across servers and breaks co-locality for
-// the Spark baselines (paper Sec. III-B).
+// assignment, in a scratch slice valid until the next call. MCF sorts
+// ascending by unique collection partitions cached (Algorithm 1 line 5).
+// Otherwise offers are randomly permuted, matching Spark's randomized
+// resource offers — the behaviour that scatters partitions of independent
+// RDDs across servers and breaks co-locality for the Spark baselines (paper
+// Sec. III-B).
 func (e *Engine) remoteOffers() []int {
-	var offers []int
-	for _, id := range e.cl.AliveExecutors() {
-		if e.schedulable(id) && e.cl.Executor(id).FreeSlots() > 0 {
-			offers = append(offers, id)
-		}
+	if e.mcf() {
+		return e.offersByContention()
 	}
-	if e.cfg.Features.MCF || e.cfg.Sched.MCF {
-		type off struct{ id, units int }
-		scored := make([]off, len(offers))
-		for i, id := range offers {
-			scored[i] = off{id: id, units: e.cl.UniqueKeysCached(id, e.unitKey)}
+	offers := e.offers[:0]
+	for _, ex := range e.cl.Executors() {
+		if ex.FreeSlots() > 0 && e.schedulable(ex.ID) {
+			offers = append(offers, ex.ID)
 		}
-		sort.SliceStable(scored, func(a, b int) bool {
-			if scored[a].units != scored[b].units {
-				return scored[a].units < scored[b].units
-			}
-			return scored[a].id < scored[b].id
-		})
-		for i, s := range scored {
-			offers[i] = s.id
-		}
-		return offers
 	}
 	e.rng.Shuffle(len(offers), func(i, j int) { offers[i], offers[j] = offers[j], offers[i] })
 	return offers
 }
 
-// unitKey renders a block's collection unit for MCF counting; "" for blocks
-// outside any namespace.
-func (e *Engine) unitKey(id cluster.BlockID) string {
-	ns, unit, ok := e.unitOf(id)
-	if !ok {
-		return ""
+// offersByContention is the MCF offer order: schedulable executors with a
+// free slot, ascending by the number of collection units they cache, ties
+// by executor id. Each score is an O(1) read of the cluster's unit index
+// and the order is an insertion sort over at most NumExecutors entries in
+// the engine's scratch (capacity NumExecutors, so the appends never grow
+// it): a scheduling pass allocates nothing here.
+//
+//starklint:hotpath
+func (e *Engine) offersByContention() []int {
+	offers, units := e.offers[:0], e.offerUnits[:0]
+	for _, ex := range e.cl.Executors() {
+		if ex.FreeSlots() == 0 || !e.schedulable(ex.ID) {
+			continue
+		}
+		n := e.cl.UnitsCached(ex.ID)
+		i := len(offers)
+		offers, units = append(offers, ex.ID), append(units, n)
+		// Executors arrive in id order, so shifting only past strictly
+		// larger scores keeps ties ascending by id.
+		for ; i > 0 && units[i-1] > n; i-- {
+			offers[i], units[i] = offers[i-1], units[i-1]
+		}
+		offers[i], units[i] = ex.ID, n
 	}
-	return ns + "/" + itoa(unit)
-}
-
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	neg := v < 0
-	if neg {
-		v = -v
-	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
+	return offers
 }
 
 // launch assigns a task to an executor: the slot is reserved driver-side,

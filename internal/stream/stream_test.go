@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"stark/internal/cluster"
 	"stark/internal/config"
 	"stark/internal/engine"
 	"stark/internal/partition"
@@ -268,5 +269,61 @@ func TestStreamExtendableReporting(t *testing.T) {
 	// The locality units followed the splits.
 	if units := e.Locality().Units("x"); len(units) != len(groups) {
 		t.Fatalf("units = %d, groups = %d", len(units), len(groups))
+	}
+}
+
+// TestWindowEvictionKeepsUnitIndex: window eviction drops blocks through
+// Cluster().DropBlock directly, behind the engine's back, and size
+// reporting splits groups between steps; after every step the cluster's
+// unit index (the MCF score) must equal the naive recount.
+func TestWindowEvictionKeepsUnitIndex(t *testing.T) {
+	cfg := engine.DefaultConfig()
+	cfg.Cluster.NumExecutors = 4
+	cfg.Features = config.Features{CoLocality: true, Extendable: true, MCF: true}
+	cfg.Groups.MaxBytes = 4000
+	cfg.Groups.MinBytes = 0
+	cfg.Groups.Window = 1
+	e := engine.New(cfg)
+	s, err := New(e, Config{
+		Name: "x", Partitioner: partition.NewHash(8),
+		Namespace: "x", InitialGroups: 2, Window: 2, ReportSizes: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := func(id cluster.BlockID) string {
+		r := e.Graph().ByID(id.RDD)
+		if r == nil || r.Namespace == "" {
+			return ""
+		}
+		g, err := e.Groups().GroupOf(r.Namespace, id.Partition)
+		if err != nil {
+			return ""
+		}
+		return fmt.Sprintf("%s/%d", r.Namespace, g.ID)
+	}
+	cached := 0
+	for step := 0; step < 6; step++ {
+		s.Ingest(step, stepData(step, 40*(step+1)))
+		e.Loop().Run()
+		for exec := 0; exec < e.Cluster().NumExecutors(); exec++ {
+			got, want := e.Cluster().UnitsCached(exec), e.Cluster().UniqueKeysCached(exec, key)
+			if got != want {
+				t.Fatalf("step %d: executor %d indexes %d units, recount says %d", step, exec, got, want)
+			}
+			cached += got
+		}
+		if err := e.Cluster().CheckConsistency(); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+	}
+	if cached == 0 {
+		t.Fatal("no unit ever cached")
+	}
+	if groups, _ := e.Groups().Groups("x"); len(groups) <= 2 {
+		t.Fatalf("groups = %d, expected splits as steps grow", len(groups))
+	}
+	if s.Step(0) != nil {
+		t.Fatal("window never evicted")
 	}
 }
