@@ -644,7 +644,11 @@ func (e *Engine) Collect(final *rdd.RDD) ([]record.Record, metrics.JobMetrics, e
 	if err != nil {
 		return nil, metrics.JobMetrics{}, err
 	}
-	var out []record.Record
+	n := 0
+	for _, p := range res.Partitions {
+		n += len(p)
+	}
+	out := make([]record.Record, 0, n)
 	for _, p := range res.Partitions {
 		out = append(out, p...)
 	}

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -646,5 +647,44 @@ func TestNamespaceGeometryMismatch(t *testing.T) {
 	// bogus preferred executors beyond what the cluster has).
 	if len(jm.Tasks) != 10 {
 		t.Fatalf("tasks = %d", len(jm.Tasks))
+	}
+}
+
+// TestSortByKeyLeavesCheckpointedParentIntact pins the purity of SortByKey:
+// a checkpoint of its "-range" shuffle parent hands the sort the stored
+// block's own rows, so a sort that reorders its input breaks the block's
+// order-dependent checksum and every later read reports corruption.
+func TestSortByKeyLeavesCheckpointedParentIntact(t *testing.T) {
+	e := New(testConfig())
+	g := e.Graph()
+	parts := make([][]record.Record, 4)
+	for i := 0; i < 200; i++ {
+		parts[i%4] = append(parts[i%4], record.Pair(fmt.Sprintf("k%03d", (i*37)%101), int64(i)))
+	}
+	sorted := g.SortByKey(g.Source("src", parts, false), "sorted", []string{"k025", "k050", "k075"}, 4)
+	want, _, err := e.Collect(sorted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < len(want); i++ {
+		if want[i-1].Key > want[i].Key {
+			t.Fatalf("record %d out of order: %q after %q", i, want[i].Key, want[i-1].Key)
+		}
+	}
+	e.ForceCheckpoint(sorted.Deps[0].Parent)
+	if !sorted.Deps[0].Parent.Checkpointed {
+		t.Fatal("range shuffle was not checkpointed")
+	}
+	for run := 0; run < 2; run++ {
+		got, _, err := e.Collect(sorted)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("collect %d after the checkpoint differs from the first", run+2)
+		}
+	}
+	if n := e.Recovery().CorruptBlocks; n != 0 {
+		t.Fatalf("CorruptBlocks = %d after reading a checkpointed sort parent, want 0", n)
 	}
 }

@@ -8,7 +8,7 @@ import (
 
 // HotallocAnalyzer is the static twin of the testing.AllocsPerRun allocs/op
 // ceilings. Kernels annotated with //starklint:hotpath in their doc comment
-// (the PR-7 columnar path: GroupByKeySorted, JoinRecords, FromRecords,
+// (the columnar path: GroupByKeySorted, JoinRecords, CoGroupRecords, FromRecords,
 // PartitionStable, WriteMapOutputBatch, ReadReduce) and everything they
 // reach through the call graph must avoid allocation-inducing constructs:
 //

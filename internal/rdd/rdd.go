@@ -21,7 +21,6 @@ package rdd
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"stark/internal/partition"
@@ -377,24 +376,7 @@ func (g *Graph) CoGroup(name string, p partition.Partitioner, parents ...*RDD) *
 		Deps:        g.coGroupDeps(p, parents),
 		Namespace:   sharedNamespace(parents),
 		Transform: func(_ int, inputs [][]record.Record) []record.Record {
-			grouped := make(map[string]*record.CoGrouped)
-			var order []string
-			for pi := 0; pi < n; pi++ {
-				for _, rec := range inputs[pi] {
-					cg, ok := grouped[rec.Key]
-					if !ok {
-						cg = &record.CoGrouped{Groups: make([][]any, n)}
-						grouped[rec.Key] = cg
-						order = append(order, rec.Key)
-					}
-					cg.Groups[pi] = append(cg.Groups[pi], rec.Value)
-				}
-			}
-			out := make([]record.Record, 0, len(order))
-			for _, k := range order {
-				out = append(out, record.Record{Key: k, Value: *grouped[k]})
-			}
-			return out
+			return record.CoGroupRecords(inputs[:n])
 		},
 		CostFactor: 2.0,
 	})
@@ -412,8 +394,6 @@ func (g *Graph) Join(name string, p partition.Partitioner, left, right *RDD) *RD
 		Deps:        g.coGroupDeps(p, parents),
 		Namespace:   sharedNamespace(parents),
 		Transform: func(_ int, inputs [][]record.Record) []record.Record {
-			// Merge-join over the sorted group lists the arena-backed kernel
-			// produces — no right-side index map, exact-size output.
 			return record.JoinRecords(inputs[0], inputs[1])
 		},
 		CostFactor: 2.0,
@@ -548,11 +528,7 @@ func Ancestors(r *RDD) []*RDD {
 func (g *Graph) SortByKey(parent *RDD, name string, sample []string, parts int) *RDD {
 	rp := partition.NewRange(sample, parts)
 	shuffled := g.PartitionBy(parent, name+"-range", rp)
-	return g.MapPartitions(shuffled, name, true, 1.2, func(in []record.Record) []record.Record {
-		// Sorting in place is safe: the input is the private "-range"
-		// shuffle's partition, freshly concatenated per materialization and
-		// never cached or shared with another consumer.
-		sort.SliceStable(in, func(i, j int) bool { return in[i].Key < in[j].Key })
-		return in
-	})
+	// The sort must not touch its input: a checkpoint of the "-range" shuffle
+	// hands every reader the stored block's own rows.
+	return g.MapPartitions(shuffled, name, true, 1.2, record.SortedByKey)
 }

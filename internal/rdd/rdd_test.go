@@ -2,6 +2,9 @@ package rdd
 
 import (
 	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -363,5 +366,96 @@ func TestSampleDeterministicAndClamped(t *testing.T) {
 	all := g.Sample(src, "all", 2, 7)
 	if got := all.Transform(0, [][]record.Record{in}); len(got) != 1000 {
 		t.Fatalf("sample(2) kept %d", len(got))
+	}
+}
+
+// TestKeyedOperatorsMatchNaiveReference holds the four operators that run on
+// the record package's co-group kernel — ReduceByKey, GroupByKey, Join,
+// CoGroup — to map-and-sort.Strings evaluations of their definitions, on
+// random, sorted (the kernel's run-length path) and reverse-sorted
+// partitions with duplicate keys, keys sharing an 8-byte prefix and empty
+// sides. Order is part of the contract: keys ascending for the first three,
+// first-seen for CoGroup, values in input order, absent cogroup sides nil.
+func TestKeyedOperatorsMatchNaiveReference(t *testing.T) {
+	g := NewGraph()
+	p := partition.NewHash(1)
+	src := func() *RDD { return g.Source("s", nil, false) }
+	concat := func(a, b any) any { return fmt.Sprint(a, "+", b) } // order-sensitive on purpose
+	reduce := g.ReduceByKey(src(), "rbk", p, concat)
+	group := g.GroupByKey(src(), "gbk", p)
+	join := g.Join("j", p, src(), src())
+	cogroup := g.CoGroup("cg", p, src(), src(), src())
+
+	collate := func(in []record.Record) (map[string][]any, []string) {
+		m := map[string][]any{}
+		var firstSeen []string
+		for _, r := range in {
+			if _, ok := m[r.Key]; !ok {
+				firstSeen = append(firstSeen, r.Key)
+			}
+			m[r.Key] = append(m[r.Key], r.Value)
+		}
+		return m, firstSeen
+	}
+	for seed := int64(0); seed < 50; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		sides := make([][]record.Record, 3)
+		for s := range sides {
+			n := []int{0, 1, rng.Intn(8), rng.Intn(300)}[rng.Intn(4)]
+			keys := 1 + rng.Intn(40)
+			for i := 0; i < n; i++ {
+				k := fmt.Sprintf("shared-prefix-%d", rng.Intn(keys))
+				if seed%2 == 0 {
+					k = fmt.Sprintf("%d", rng.Intn(keys))
+				}
+				sides[s] = append(sides[s], record.Pair(k, fmt.Sprintf("s%d#%d", s, i)))
+			}
+			switch rng.Intn(3) {
+			case 0:
+				sort.SliceStable(sides[s], func(i, j int) bool { return sides[s][i].Key < sides[s][j].Key })
+			case 1:
+				sort.SliceStable(sides[s], func(i, j int) bool { return sides[s][i].Key > sides[s][j].Key })
+			}
+		}
+
+		m0, seen0 := collate(sides[0])
+		sorted0 := append([]string(nil), seen0...)
+		sort.Strings(sorted0)
+		var wantReduce, wantGroup, wantJoin []record.Record
+		m1, _ := collate(sides[1])
+		for _, k := range sorted0 {
+			acc := m0[k][0]
+			for _, v := range m0[k][1:] {
+				acc = concat(acc, v)
+			}
+			wantReduce = append(wantReduce, record.Pair(k, acc))
+			wantGroup = append(wantGroup, record.Pair(k, m0[k]))
+			for _, lv := range m0[k] {
+				for _, rv := range m1[k] {
+					wantJoin = append(wantJoin, record.Pair(k, record.Joined{Left: lv, Right: rv}))
+				}
+			}
+		}
+		var wantCoGroup []record.Record
+		all := append(append(append([]record.Record(nil), sides[0]...), sides[1]...), sides[2]...)
+		_, seenAll := collate(all)
+		m2, _ := collate(sides[2])
+		for _, k := range seenAll {
+			wantCoGroup = append(wantCoGroup, record.Pair(k, record.CoGrouped{Groups: [][]any{m0[k], m1[k], m2[k]}}))
+		}
+
+		for _, tc := range []struct {
+			name      string
+			got, want []record.Record
+		}{
+			{"ReduceByKey", reduce.Transform(0, sides[:1]), wantReduce},
+			{"GroupByKey", group.Transform(0, sides[:1]), wantGroup},
+			{"Join", join.Transform(0, sides[:2]), wantJoin},
+			{"CoGroup", cogroup.Transform(0, sides), wantCoGroup},
+		} {
+			if len(tc.got) != len(tc.want) || (len(tc.want) > 0 && !reflect.DeepEqual(tc.got, tc.want)) {
+				t.Fatalf("seed %d: %s = %v, want %v", seed, tc.name, tc.got, tc.want)
+			}
+		}
 	}
 }

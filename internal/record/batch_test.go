@@ -200,65 +200,6 @@ func TestPartitionStableMatchesNaive(t *testing.T) {
 	}
 }
 
-func TestGroupByKeySortedMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 20; trial++ {
-		n := rng.Intn(300)
-		rs := make([]record.Record, n)
-		for i := range rs {
-			rs[i] = record.Record{Key: fmt.Sprintf("g%02d", rng.Intn(25)), Value: i}
-		}
-		groups := record.GroupByKeySorted(rs)
-		m, keys := record.GroupByKey(rs)
-		if len(groups) != len(keys) {
-			t.Fatalf("trial %d: %d groups, want %d", trial, len(groups), len(keys))
-		}
-		for i, k := range keys {
-			if groups[i].Key != k {
-				t.Fatalf("trial %d: group %d key %q, want %q", trial, i, groups[i].Key, k)
-			}
-			if !reflect.DeepEqual(groups[i].Values, m[k]) {
-				t.Fatalf("trial %d: group %q values differ", trial, k)
-			}
-		}
-	}
-}
-
-func TestJoinRecordsMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 20; trial++ {
-		mk := func(n, keys int, tag string) []record.Record {
-			rs := make([]record.Record, n)
-			for i := range rs {
-				rs[i] = record.Record{Key: fmt.Sprintf("j%02d", rng.Intn(keys)), Value: fmt.Sprintf("%s%d", tag, i)}
-			}
-			return rs
-		}
-		left := mk(rng.Intn(120), 18, "L")
-		right := mk(rng.Intn(120), 18, "R")
-		got := record.JoinRecords(left, right)
-
-		// Reference: the pre-batch map implementation's exact output order.
-		lm, lkeys := record.GroupByKey(left)
-		rm, _ := record.GroupByKey(right)
-		var want []record.Record
-		for _, k := range lkeys {
-			rv, ok := rm[k]
-			if !ok {
-				continue
-			}
-			for _, lv := range lm[k] {
-				for _, r := range rv {
-					want = append(want, record.Record{Key: k, Value: record.Joined{Left: lv, Right: r}})
-				}
-			}
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d: join output differs (%d vs %d records)", trial, len(got), len(want))
-		}
-	}
-}
-
 func TestJoinRecordsEmptySides(t *testing.T) {
 	rs := []record.Record{{Key: "k", Value: 1}}
 	if out := record.JoinRecords(nil, rs); out != nil {

@@ -97,10 +97,12 @@ func BenchmarkSizeOfSlice(b *testing.B) {
 }
 
 // TestKernelAllocCeilings is the allocation gate on the two record kernels,
-// at the shapes the benchmarks above use: sorted grouping measures 5
-// allocs/op (the map-of-slices path it replaced took 7578), the merge join
-// ~53.6k (one Joined box per output row). A change that re-introduces
-// per-record or per-group allocation fails here.
+// at the shapes the benchmarks above use: sorted grouping measures ~5
+// allocs/op (the map-of-slices path it replaced took 7578), the join ~53.6k
+// (one Joined box per output row; the grouping under it is one hash pass
+// over both sides and a handful of allocations). A change that re-introduces
+// per-record or per-group allocation fails here; TestCoGroupAllocCeilings
+// holds the cogroup entry point the same way.
 func TestKernelAllocCeilings(t *testing.T) {
 	group := benchData(20000, 1500)
 	left, right := benchData(8000, 1200), benchData(8000, 1200)

@@ -8,7 +8,6 @@ package record
 import (
 	"fmt"
 	"os"
-	"sort"
 	"sync"
 )
 
@@ -115,22 +114,6 @@ func SizeOfSlice(rs []Record) int64 {
 		s += SizeOfRecord(r)
 	}
 	return s
-}
-
-// GroupByKey groups a record slice into key -> values preserving first-seen
-// key order of iteration via the returned sorted keys. It is a helper for
-// reduce and cogroup implementations.
-func GroupByKey(rs []Record) (map[string][]any, []string) {
-	m := make(map[string][]any, len(rs))
-	var keys []string
-	for _, r := range rs {
-		if _, ok := m[r.Key]; !ok {
-			keys = append(keys, r.Key)
-		}
-		m[r.Key] = append(m[r.Key], r.Value)
-	}
-	sort.Strings(keys)
-	return m, keys
 }
 
 // Grouped is one key with its accumulated values, produced by

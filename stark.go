@@ -236,20 +236,25 @@ func (c *Context) RegisterNamespace(ns string, p Partitioner, initialGroups int)
 }
 
 // Parallelize creates an in-memory source RDD split into numParts
-// contiguous chunks.
+// contiguous chunks. Like FromPartitions it adopts recs rather than copying
+// them: the partitions are sub-slices of recs, shared copy-on-write, and the
+// caller must not mutate recs afterwards (STARK_CHECK_COW=1 turns a
+// violation into a panic at materialization).
 func (c *Context) Parallelize(name string, recs []Record, numParts int) *RDD {
 	parts := chunk(recs, numParts)
 	return &RDD{ctx: c, r: c.eng.Graph().Source(name, parts, false)}
 }
 
 // TextFile creates a source RDD whose materialization charges a disk read,
-// like sc.textFile.
+// like sc.textFile. It adopts recs under the same contract as Parallelize.
 func (c *Context) TextFile(name string, recs []Record, numParts int) *RDD {
 	parts := chunk(recs, numParts)
 	return &RDD{ctx: c, r: c.eng.Graph().Source(name, parts, true)}
 }
 
-// FromPartitions creates a source RDD with explicit partitioning.
+// FromPartitions creates a source RDD with explicit partitioning. The RDD
+// adopts the partition slices copy-on-write; the caller must not mutate them
+// afterwards.
 func (c *Context) FromPartitions(name string, parts [][]Record, fromDisk bool) *RDD {
 	return &RDD{ctx: c, r: c.eng.Graph().Source(name, parts, fromDisk)}
 }
@@ -318,20 +323,25 @@ func (c *Context) TotalCheckpointBytes() int64 {
 	return c.eng.Store().TotalCheckpointBytes()
 }
 
+// chunk splits recs into numParts contiguous sub-slices — record i lands in
+// partition i*numParts/len(recs) — without copying. Every part's capacity
+// equals its length, so an append through one cannot reach its neighbour;
+// partitions that receive no record stay nil.
 func chunk(recs []Record, numParts int) [][]Record {
 	if numParts < 1 {
 		numParts = 1
 	}
 	parts := make([][]Record, numParts)
-	if len(recs) == 0 {
+	n, lo := len(recs), 0
+	if n == 0 {
 		return parts
 	}
-	for i, r := range recs {
-		p := i * numParts / len(recs)
-		if p >= numParts {
-			p = numParts - 1
+	for p := range parts {
+		hi := ((p+1)*n + numParts - 1) / numParts // first i with i*numParts/n > p
+		if hi > lo {
+			parts[p] = recs[lo:hi:hi]
 		}
-		parts[p] = append(parts[p], r)
+		lo = hi
 	}
 	return parts
 }
