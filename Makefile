@@ -60,11 +60,13 @@ cachepolicy:
 bench: lint
 	$(GO) test -bench=. -benchmem -benchtime=1x .
 
-# Engine/record/cluster hot-path benchmarks (GroupByKeySorted, bucketing,
-# the parallel data plane's 1-vs-4 worker pair, MCF offer scoring and the
-# unit index against its reference recount).
+# Engine/record/storage/cluster hot-path benchmarks (GroupByKeySorted,
+# bucketing, the shuffle store round trip at the fat and wide shapes, the
+# parallel data plane's 1-vs-4 worker pair, MCF offer scoring and the unit
+# index against its reference recount). Same package list as the CI
+# "Hot-path benchmarks" step.
 bench-engine: lint
-	$(GO) test -bench=. -benchmem -benchtime=3x ./internal/engine/ ./internal/record/ ./internal/cluster/
+	$(GO) test -bench=. -benchmem -benchtime=3x ./internal/engine/ ./internal/record/ ./internal/storage/ ./internal/cluster/
 
 # The reference benchmark (BENCHMARK.json, `bash bench/run.sh`) is its own
 # module, invisible to `go build ./...` and `go test ./...` here: vet and

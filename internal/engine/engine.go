@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -745,6 +746,9 @@ func (e *Engine) stagePrefCap(sr *stageRun, ns string) bool {
 // resubmission reuses it to re-enqueue only the specs covering lost map
 // outputs.
 func (e *Engine) enqueueSpecs(sr *stageRun, specs []taskSpec, prefCap bool) {
+	// Every spec ends in one accepted result appended to the job's task
+	// metrics: grow once per stage instead of by doubling per task.
+	sr.job.tasks = slices.Grow(sr.job.tasks, len(specs))
 	for _, sp := range specs {
 		t := &task{
 			id:         e.taskSeq,

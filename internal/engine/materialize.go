@@ -108,30 +108,29 @@ func (e *Engine) runPlane(be *batchEntry) {
 // commitMapOutputs), so an attempt whose executor epoch has moved on can
 // never install shuffle outputs.
 //
-// The partition is lifted into a columnar record.Batch — key slab, one-pass
-// FNV hashes, per-record sizes — and stably reordered bucket-major, so every
-// bucket is a span view over one backing array instead of a per-bucket
-// append-grown copy. Hash partitioners route through the precomputed slab
-// hashes; all transient index tables come from the plane's arena scratch.
-// Per-bucket byte totals reproduce the old record-by-record accumulation
-// exactly: ScaleBytes(sliceOverhead + Σ SizeOfRecord).
+// The rows go straight to record.PartitionRows, which builds the bucket-major
+// columnar batch — rows, key slab, hashes, per-record sizes — exactly once, so
+// every bucket is a span view over one backing array instead of a per-bucket
+// append-grown copy. Hash partitioners route on the key hashes the kernel's
+// output carries anyway; hashes and index tables live in the plane's arena
+// scratch. Per-bucket byte totals reproduce the old record-by-record
+// accumulation exactly: ScaleBytes(sliceOverhead + Σ SizeOfRecord).
 func (e *Engine) bucketMapOutput(t *task, p int, data []record.Record, px *planeCtx) {
 	st := t.sr.st
 	part := st.Consumer.Partitioner
 	n := st.Consumer.Parts
-	b := record.FromRecords(data)
-	nr := b.Len()
-	idx := px.scr.I32.Take(nr)
+	hash := record.HashKeys(data, &px.scr)
+	idx := px.scr.I32.Take(len(data))
 	if hp, ok := part.(partition.Hash); ok {
-		for i := 0; i < nr; i++ {
-			idx[i] = int32(hp.PartitionForHash(b.Hash32(i)))
+		for i, h := range hash {
+			idx[i] = int32(hp.PartitionForHash(h))
 		}
 	} else {
-		for i := 0; i < nr; i++ {
-			idx[i] = int32(part.PartitionFor(b.Key(i)))
+		for i := range data {
+			idx[i] = int32(part.PartitionFor(data[i].Key))
 		}
 	}
-	pb := b.PartitionStable(idx, n, &px.scr)
+	pb := record.PartitionRows(data, hash, idx, n, &px.scr)
 	var total int64
 	for si := range pb.Spans {
 		sp := &pb.Spans[si]
@@ -242,7 +241,7 @@ func (px *planeCtx) materialize(r *rdd.RDD, p int) ([]record.Record, error) {
 		var inputBytes int64
 		for i, d := range r.Deps {
 			if d.Shuffle {
-				//starklint:ignore planetaint ReadReduce's lazy index rebuild only runs when the shuffle is dirty, and PrepareShuffleReads forces every rebuild on the event loop before parallel dispatch; the worker-side call is read-only at runtime
+				//starklint:ignore planetaint ReadReduce's lazy index build (kept for the sequential path and standalone callers) only runs when the shuffle is complete and dirty, and PrepareShuffleReads builds every such index on the event loop before parallel dispatch; the worker-side call is read-only at runtime
 				recs, bytes, err := e.store.ReadReduce(d.ShuffleID, p)
 				if err != nil {
 					var ce *storage.CorruptError

@@ -270,8 +270,8 @@ func (e *Engine) runPlanes(batch []*batchEntry) {
 		be.px = e.newPlaneCtx(be.exec)
 	}
 	if e.poolEligible(len(batch)) {
-		// Shuffle reads lazily rebuild their per-reduce index; force the
-		// rebuilds now so concurrent planes only ever read.
+		// A shuffle read builds a stale per-reduce index lazily; build
+		// them now so concurrent planes only ever read.
 		e.store.PrepareShuffleReads()
 		workers := e.par
 		if workers > len(batch) {

@@ -410,7 +410,7 @@ func (e *Engine) onTaskResult(t *task) {
 	}
 	t.sr.job.tasks = append(t.sr.job.tasks, t.tm)
 	e.recordTaskStats(t.tm)
-	e.trace("task-finish", t.sr.job.id, t.sr.st.ID, t.id, t.exec, "dur="+t.tm.Duration().String())
+	e.traceTaskFinish(t)
 	e.noteTaskSuccess(t)
 
 	// Apply action results now that the task is known to have survived.

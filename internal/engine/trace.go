@@ -74,3 +74,10 @@ func (e *Engine) traceTaskLaunch(t *task, exec int, loc metrics.Locality) {
 	e.trace("task-launch", t.sr.job.id, t.sr.st.ID, t.id, exec,
 		fmt.Sprintf("rdd=%s parts=%d locality=%s", t.sr.st.Output.Name, len(t.partitions), loc))
 }
+
+func (e *Engine) traceTaskFinish(t *task) {
+	if e.tracer == nil {
+		return
+	}
+	e.trace("task-finish", t.sr.job.id, t.sr.st.ID, t.id, t.exec, "dur="+t.tm.Duration().String())
+}

@@ -288,8 +288,8 @@ func solveMutators(p *ModulePass, stores map[*Node][]planeStore) map[*Node]*mutW
 }
 
 // witnessChain renders the path from a mutator down to its store, e.g.
-// "(which calls (*shuffleState).rebuildIndex, which stores st.byReduce at
-// storage.go:95)".
+// "(which calls (*storage.shuffleState).buildIndex, which stores st.start at
+// storage.go:137)".
 func witnessChain(fset *token.FileSet, n *Node, mut map[*Node]*mutWitness) string {
 	var parts []string
 	for cur, depth := n, 0; depth < 6; depth++ {

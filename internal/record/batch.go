@@ -1,7 +1,7 @@
 package record
 
 import (
-	"sort"
+	"slices"
 	"strings"
 
 	"stark/internal/arena"
@@ -248,11 +248,20 @@ func (b *Batch) WithoutRows() *Batch {
 // KeySumRange computes the storage block checksum of rows [lo, hi) straight
 // off the key slab — bit-identical to KeySum64(rows[lo:hi]) with zero
 // allocations and no per-record byte-slice conversions.
-func (b *Batch) KeySumRange(lo, hi int) uint64 {
+func (b *Batch) KeySumRange(lo, hi int) uint64 { return KeySumSlab(b.keys, b.offs, lo, hi) }
+
+// Slab returns the batch's key slab and offset column (key i is
+// keys[offs[i]:offs[i+1]]), read-only, for a holder that verifies ranges with
+// KeySumSlab without a hop through the batch.
+func (b *Batch) Slab() (keys string, offs []int32) { return b.keys, b.offs }
+
+// KeySumSlab is KeySumRange over a slab and offset column held apart from
+// their batch.
+func KeySumSlab(keys string, offs []int32, lo, hi int) uint64 {
 	h := uint64(fnvOffset64)
 	for i := lo; i < hi; i++ {
-		for j := b.offs[i]; j < b.offs[i+1]; j++ {
-			h = (h ^ uint64(b.keys[j])) * fnvPrime64
+		for j := offs[i]; j < offs[i+1]; j++ {
+			h = (h ^ uint64(keys[j])) * fnvPrime64
 		}
 		h = (h ^ 0xff) * fnvPrime64
 	}
@@ -286,12 +295,14 @@ func (b *Batch) Fingerprint() uint64 {
 type Scratch struct {
 	I32 arena.Pool[int32]
 	I64 arena.Pool[int64]
+	U32 arena.Pool[uint32]
 }
 
 // Reset reclaims all scratch memory taken since the last reset.
 func (s *Scratch) Reset() {
 	s.I32.Reset()
 	s.I64.Reset()
+	s.U32.Reset()
 }
 
 // Span describes one shuffle bucket inside a partitioned batch: rows
@@ -307,7 +318,8 @@ type Span struct {
 
 // PartitionedBatch is a batch reordered bucket-major plus the span table
 // describing each non-empty bucket. One backing row array and one slab serve
-// every bucket; storage persists span views instead of per-bucket copies.
+// every bucket; storage adopts both as they are instead of copying per
+// bucket, so neither may be written once committed.
 type PartitionedBatch struct {
 	Batch *Batch
 	Spans []Span
@@ -319,75 +331,84 @@ type PartitionedBatch struct {
 // of occupied buckets.
 const sparsePartitionThreshold = 4096
 
-// PartitionStable reorders the batch bucket-major by idx (idx[i] = target
-// partition of row i, in [0, nparts)), preserving input order within each
-// bucket, and returns the reordered batch plus spans for every non-empty
-// bucket in ascending partition order. All transient tables come from scr;
-// only the reordered batch and span table escape.
+// HashKeys returns the FNV-32a hash of every row's key — the bits
+// partition.Hash.PartitionForHash routes on and Batch.Hash32 reports — in
+// scratch memory that dies at scr's next Reset.
+func HashKeys(rs []Record, scr *Scratch) []uint32 {
+	hash := scr.U32.Take(len(rs))
+	for i := range rs {
+		hash[i] = fnv32aString(rs[i].Key)
+	}
+	return hash
+}
+
+// PartitionStable reorders the batch bucket-major by idx; see PartitionRows,
+// which it calls with the batch's own rows and hash column.
 //
 //starklint:hotpath
 func (b *Batch) PartitionStable(idx []int32, nparts int, scr *Scratch) *PartitionedBatch {
-	n := b.Len()
+	return PartitionRows(b.Records(), b.hash, idx, nparts, scr)
+}
+
+// PartitionRows is the shuffle map side's one partition kernel. Given rows,
+// their key hashes (hash[i] = FNV-32a of rs[i].Key, as HashKeys computes) and
+// a routing (idx[i] = target partition of row i, in [0, nparts)), it builds
+// the bucket-major batch — rows, key slab, offsets, hashes, sizes — once,
+// preserving input order within each bucket, plus the span of every
+// non-empty bucket in ascending partition order with its RawBytes. The input
+// rows are read, never written. All transient tables come from scr;
+// only the batch's columns and the span table escape.
+//
+//starklint:hotpath
+func PartitionRows(rs []Record, hash []uint32, idx []int32, nparts int, scr *Scratch) *PartitionedBatch {
+	n := len(rs)
+	// perm[j] = source row of output row j; buckets contiguous and ascending.
 	perm := scr.I32.Take(n)
 	var occupied int
 	if nparts > sparsePartitionThreshold && nparts > 2*n {
-		// Sparse: stable-sort row indices by bucket instead of touching
-		// O(nparts) counting arrays.
-		for i := range perm {
-			perm[i] = int32(i)
+		// Sparse: sort packed part<<32|row integers instead of touching
+		// O(nparts) counting arrays. The row number in the low word makes
+		// every element distinct, so the order is stable by construction.
+		packed := scr.I64.Take(n)
+		for i, p := range idx {
+			packed[i] = int64(p)<<32 | int64(i)
 		}
-		//starklint:ignore hotalloc sparse path only (nparts >> rows): one slice-header boxing per partition call beats allocating O(nparts) counting arrays
-		sort.SliceStable(perm, func(a, c int) bool { return idx[perm[a]] < idx[perm[c]] })
-		for i := 0; i < n; i++ {
-			if i == 0 || idx[perm[i]] != idx[perm[i-1]] {
+		slices.Sort(packed)
+		for j, v := range packed {
+			perm[j] = int32(v) // low word: the row
+			if j == 0 || v>>32 != packed[j-1]>>32 {
 				occupied++
 			}
 		}
-		return b.reorderSpans(idx, perm, occupied)
-	}
-	counts := scr.I32.Take(nparts)
-	for _, p := range idx {
-		counts[p]++
-	}
-	starts := scr.I32.Take(nparts)
-	var off int32
-	for p := 0; p < nparts; p++ {
-		if counts[p] > 0 {
-			occupied++
+	} else {
+		starts := scr.I32.Take(nparts + 1)
+		for _, p := range idx {
+			starts[p+1]++
 		}
-		starts[p] = off
-		off += counts[p]
+		for p := 0; p < nparts; p++ {
+			if starts[p+1] > 0 {
+				occupied++
+			}
+			starts[p+1] += starts[p]
+		}
+		for i, p := range idx {
+			perm[starts[p]] = int32(i)
+			starts[p]++
+		}
 	}
-	cursor := scr.I32.Take(nparts)
-	for i := 0; i < n; i++ {
-		p := idx[i]
-		perm[starts[p]+cursor[p]] = int32(i)
-		cursor[p]++
-	}
-	return b.reorderSpans(idx, perm, occupied)
-}
 
-// reorderSpans materializes the bucket-major batch and span table from a
-// permutation (perm[j] = source row of output row j) whose buckets are
-// contiguous and ascending.
-func (b *Batch) reorderSpans(idx, perm []int32, occupied int) *PartitionedBatch {
-	n := b.Len()
-	rs := b.Records()
 	out := make([]Record, n)
 	offs := make([]int32, n+1)
-	hash := make([]uint32, n)
+	hashes := make([]uint32, n)
 	sizes := make([]int64, n)
-	var sb strings.Builder
-	sb.Grow(len(b.keys))
 	spans := make([]Span, 0, occupied)
 	bytes := int64(sliceOverhead)
-	for j := 0; j < n; j++ {
-		i := perm[j]
-		out[j] = rs[i]
-		sb.WriteString(b.Key(int(i)))
-		offs[j+1] = offs[j] + (b.offs[i+1] - b.offs[i])
-		hash[j] = b.hash[i]
-		sz := b.sizes[i]
+	for j, i := range perm {
+		r := rs[i]
+		out[j] = r
+		offs[j+1] = offs[j] + int32(len(r.Key))
+		hashes[j] = hash[i]
+		sz := SizeOfRecord(r)
 		sizes[j] = sz
 		bytes += sz
 		p := int(idx[i])
@@ -398,6 +419,14 @@ func (b *Batch) reorderSpans(idx, perm []int32, occupied int) *PartitionedBatch 
 		sp.Hi = int32(j + 1)
 		sp.RawBytes += sz
 	}
-	ordered := &Batch{keys: sb.String(), offs: offs, hash: hash, recs: out, bytes: bytes, sizes: sizes}
+	// The slab goes last, in a loop of its own: every copy reads a key string
+	// somewhere on the heap, and with nothing else in the loop those misses
+	// overlap instead of queueing behind the column writes.
+	var sb strings.Builder
+	sb.Grow(int(offs[n]))
+	for j := range out {
+		sb.WriteString(out[j].Key)
+	}
+	ordered := &Batch{keys: sb.String(), offs: offs, hash: hashes, recs: out, bytes: bytes, sizes: sizes}
 	return &PartitionedBatch{Batch: ordered, Spans: spans}
 }

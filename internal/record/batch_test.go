@@ -5,6 +5,7 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -148,20 +149,48 @@ func TestBatchColumnKinds(t *testing.T) {
 func TestPartitionStableMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	var scr record.Scratch
-	for _, tc := range []struct{ n, parts int }{
-		{0, 4}, {1, 1}, {64, 8}, {500, 3}, {40, 10000} /* sparse path */, {3, 5000},
+	// Routings: "hash" scatters by key hash; "descending" sends runs of
+	// consecutive rows to ever lower partitions, so buckets are first seen in
+	// the reverse of their output order; "last" sends every row to the last
+	// partition.
+	for _, tc := range []struct {
+		n, parts int
+		route    string
+	}{
+		{0, 4, "hash"}, {1, 1, "hash"}, {64, 8, "hash"}, {500, 3, "hash"}, {64, 8, "descending"}, {500, 3, "last"},
+		// The sparse path (parts > 4096 and parts > 2n), a few rows and many
+		// rows per bucket.
+		{40, 10000, "hash"}, {3, 5000, "hash"}, {5000, 20000, "hash"}, {5000, 20000, "descending"},
+		{2047, 4097, "hash"}, {2047, 4097, "descending"}, {2047, 4097, "last"}, {5000, 20000, "last"},
 	} {
+		name := fmt.Sprintf("n=%d parts=%d %s", tc.n, tc.parts, tc.route)
 		rs := make([]record.Record, tc.n)
 		for i := range rs {
 			rs[i] = record.Record{Key: fmt.Sprintf("k%04d", rng.Intn(200)), Value: int64(i)}
 		}
+		input := slices.Clone(rs)
 		b := record.FromRecords(rs)
 		idx := make([]int32, tc.n)
 		for i := range idx {
-			idx[i] = int32(int(b.Hash32(i)) % tc.parts)
+			switch tc.route {
+			case "hash":
+				idx[i] = int32(int(b.Hash32(i)) % tc.parts)
+			case "descending":
+				idx[i] = int32(tc.parts - 1 - i/37)
+			case "last":
+				idx[i] = int32(tc.parts - 1)
+			}
 		}
 		pb := b.PartitionStable(idx, tc.parts, &scr)
+		for i, h := range record.HashKeys(rs, &scr) {
+			if h != b.Hash32(i) {
+				t.Fatalf("%s: HashKeys[%d] diverges from the batch's hash column", name, i)
+			}
+		}
 		scr.Reset()
+		if !slices.Equal(rs, input) {
+			t.Fatalf("%s: the kernel mutated its input rows", name)
+		}
 
 		// Naive reference: stable bucketing by append.
 		naive := make(map[int][]record.Record)
@@ -174,27 +203,51 @@ func TestPartitionStableMatchesNaive(t *testing.T) {
 		}
 		sort.Ints(parts)
 		if len(pb.Spans) != len(parts) {
-			t.Fatalf("n=%d parts=%d: %d spans, want %d", tc.n, tc.parts, len(pb.Spans), len(parts))
+			t.Fatalf("%s: %d spans, want %d", name, len(pb.Spans), len(parts))
 		}
 		rows := pb.Batch.Records()
+		if len(rows) != tc.n || cap(rows) != len(rows) {
+			t.Fatalf("%s: %d rows (cap %d), want %d with no spare capacity", name, len(rows), cap(rows), tc.n)
+		}
+		next := int32(0) // spans tile [0, n): bucket views are disjoint and gap-free
 		for si, p := range parts {
 			sp := pb.Spans[si]
-			if sp.Part != p {
-				t.Fatalf("span %d part = %d, want %d", si, sp.Part, p)
+			if sp.Part != p || sp.Lo != next || sp.Hi <= sp.Lo {
+				t.Fatalf("%s: span %d = %+v, want part %d starting at row %d", name, si, sp, p, next)
 			}
+			next = sp.Hi
+			// Equal to the naive bucket element by element: input order
+			// survives inside the bucket (values are the input positions).
 			got := rows[sp.Lo:sp.Hi]
 			if !reflect.DeepEqual(got, naive[p]) {
-				t.Fatalf("bucket %d rows differ", p)
+				t.Fatalf("%s: bucket %d rows differ", name, p)
 			}
 			var raw int64
 			for _, r := range naive[p] {
 				raw += record.SizeOfRecord(r)
 			}
 			if sp.RawBytes != raw {
-				t.Fatalf("bucket %d RawBytes = %d, want %d", p, sp.RawBytes, raw)
+				t.Fatalf("%s: bucket %d RawBytes = %d, want %d", name, p, sp.RawBytes, raw)
 			}
-			if got2, want := pb.Batch.KeySumRange(int(sp.Lo), int(sp.Hi)), record.KeySum64(naive[p]); got2 != want {
-				t.Fatalf("bucket %d checksum diverges", p)
+			keys, offs := pb.Batch.Slab() // what the store holds and verifies
+			if got2, want := record.KeySumSlab(keys, offs, int(sp.Lo), int(sp.Hi)), record.KeySum64(naive[p]); got2 != want ||
+				pb.Batch.KeySumRange(int(sp.Lo), int(sp.Hi)) != want {
+				t.Fatalf("%s: bucket %d checksum diverges", name, p)
+			}
+		}
+		if int(next) != tc.n {
+			t.Fatalf("%s: spans end at row %d of %d", name, next, tc.n)
+		}
+
+		// The batch the store adopts answers like one built from its rows.
+		ref := record.FromRecords(rows)
+		if pb.Batch.Len() != ref.Len() || pb.Batch.Bytes() != ref.Bytes() || pb.Batch.Fingerprint() != ref.Fingerprint() ||
+			!slices.Equal(pb.Batch.Sizes(), ref.Sizes()) || pb.Batch.KeySumRange(0, tc.n) != ref.KeySumRange(0, tc.n) {
+			t.Fatalf("%s: partitioned batch diverges from FromRecords of its rows", name)
+		}
+		for i := range rows {
+			if pb.Batch.Key(i) != ref.Key(i) || pb.Batch.Hash32(i) != ref.Hash32(i) {
+				t.Fatalf("%s: row %d: key %q hash %#x, FromRecords says %q %#x", name, i, pb.Batch.Key(i), pb.Batch.Hash32(i), ref.Key(i), ref.Hash32(i))
 			}
 		}
 	}

@@ -38,73 +38,103 @@ func (e *CorruptError) Error() string {
 
 func (e *CorruptError) Unwrap() error { return ErrCorrupt }
 
-// Bucket is one (map partition → reduce partition) shuffle output file.
-// The store stamps a content checksum at write time (sum); reads verify it,
-// so a corrupted persisted block surfaces as an integrity error instead of
-// silently wrong bytes. Shuffle buckets (WriteMapOutputBatch) also carry a
-// span view into the columnar batch, so verification runs off the
-// contiguous key slab instead of re-walking boxed records.
+// Bucket is one persisted checkpoint block. The store stamps a content
+// checksum at write time (sum); reads verify it, so a corrupted persisted
+// block surfaces as an integrity error instead of silently wrong bytes.
 type Bucket struct {
 	Data  []record.Record
 	Bytes int64
 
 	sum uint64
-	// Columnar span view (batch rows [lo, hi)); nil for checkpoint blocks.
-	batch  *record.Batch
-	lo, hi int32
 }
 
-// verify recomputes the bucket's checksum and compares it to the stamped
-// one. Batch-backed buckets hash the key slab (no per-record byte-slice
-// conversions); checkpoint blocks re-walk their rows.
-func (b Bucket) verify() bool {
-	if b.batch != nil {
-		return b.sum == b.batch.KeySumRange(int(b.lo), int(b.hi))
-	}
-	return b.sum == sumRecords(b.Data)
-}
+// verify recomputes the block's checksum over its rows and compares it to the
+// stamped one.
+func (b Bucket) verify() bool { return b.sum == sumRecords(b.Data) }
 
 // sumRecords computes the cheap integrity checksum stored with a persisted
 // block: FNV-64a over the record keys plus the record count. It exists to
 // catch *injected* corruption deterministically, not to survive adversarial
 // collisions, so hashing values is deliberately skipped (values are
 // arbitrary `any` and hashing them would dominate hot read paths). The hash
-// is record.KeySum64, shared with the batch slab checksum so the per-record
-// and columnar paths can never drift.
+// is record.KeySum64, shared with the batch slab checksum
+// (Batch.KeySumRange) shuffle buckets use, so the per-record and columnar
+// paths can never drift.
 func sumRecords(data []record.Record) uint64 { return record.KeySum64(data) }
 
+// mapOutput is one committed map task's output as the task produced it: the
+// partitioned batch's rows, key slab with its offsets, and ascending span
+// table are adopted, never copied or written (one PartitionedBatch may be
+// committed under many map partitions). Slab and offsets sit here rather
+// than behind the *Batch because a bucket verify is a chain of dependent
+// cache misses and this removes one. The store owns only sums, one checksum
+// per span stamped off the slab at write time — which is what
+// CorruptMapOutput flips, so rot in one output cannot reach another that
+// shares the caller's spans.
+type mapOutput struct {
+	rows  []record.Record
+	keys  string // key slab; key i is keys[offs[i]:offs[i+1]]
+	offs  []int32
+	spans []record.Span
+	sums  []uint64 // non-nil once committed: made even for zero spans
+}
+
+// indexEntry is one bucket of one reduce partition: rows [lo, hi) of map
+// partition mapPart's output, their stamped checksum and byte size. No
+// pointers, so the collector never traces the index.
+type indexEntry struct {
+	mapPart, lo, hi int32
+	sum             uint64
+	bytes           int64
+}
+
+// shuffleState is one shuffle: a fixed-length table of map outputs and a
+// per-reduce index over their spans in compressed-sparse-row form — reduce
+// partition r's buckets are entries[start[r]:start[r+1]], in map-partition
+// order — so ReadReduce is O(buckets present) instead of O(numMaps),
+// essential for the partition-count sweep (Fig. 7) at 10^5 partitions.
+// Writes, drops and corruption do no index work, they only set dirty; the
+// index is built whole the next time the shuffle is complete and about to be
+// read (PrepareShuffleReads on the event loop, or lazily in ReadReduce).
 type shuffleState struct {
 	numMaps    int
 	numReduces int
-	// outputs[mapPart][reducePart]
-	outputs map[int]map[int]Bucket
-	// byReduce indexes buckets per reduce partition in map-partition order,
-	// so ReadReduce is O(buckets present) instead of O(numMaps) — essential
-	// for the partition-count sweep (Fig. 7) at 10^5 partitions. Invalidated
-	// by overwrites and rebuilt lazily.
-	byReduce map[int][]reduceBucket
-	dirty    bool
+	outputs    []mapOutput // indexed by map partition
+	committed  int         // outputs with sums
+
+	start   []int32
+	entries []indexEntry
+	dirty   bool
 }
 
-type reduceBucket struct {
-	mapPart int
-	b       Bucket
-}
+func (st *shuffleState) complete() bool { return st.committed == st.numMaps }
 
-func (st *shuffleState) rebuildIndex() {
-	//starklint:ignore hotalloc rebuild runs once per dirty shuffle, not per read — PrepareShuffleReads forces it on the event loop before fan-out and steady-state ReadReduce hits the cached index
-	st.byReduce = make(map[int][]reduceBucket)
-	for m := 0; m < st.numMaps; m++ {
-		for r, b := range st.outputs[m] {
-			st.byReduce[r] = append(st.byReduce[r], reduceBucket{mapPart: m, b: b})
+// buildIndex is one counting sort of the committed spans by reduce
+// partition, stable in map-partition order: O(spans + numReduces) time, two
+// allocations.
+func (st *shuffleState) buildIndex() {
+	start := make([]int32, st.numReduces+1)
+	for m := range st.outputs {
+		for _, sp := range st.outputs[m].spans {
+			start[sp.Part+1]++
 		}
 	}
-	for r := range st.byReduce {
-		bs := st.byReduce[r]
-		//starklint:ignore hotalloc same amortized rebuild path: one boxing per reduce partition per dirty rebuild, off the steady-state read path
-		sort.Slice(bs, func(i, j int) bool { return bs[i].mapPart < bs[j].mapPart })
+	for r := 0; r < st.numReduces; r++ {
+		start[r+1] += start[r]
 	}
-	st.dirty = false
+	// start[r] doubles as reduce partition r's fill cursor, which leaves it
+	// at r's end — the next partition's start; shifting right restores it.
+	entries := make([]indexEntry, start[st.numReduces])
+	for m := range st.outputs {
+		out := &st.outputs[m]
+		for i, sp := range out.spans {
+			entries[start[sp.Part]] = indexEntry{mapPart: int32(m), lo: sp.Lo, hi: sp.Hi, sum: out.sums[i], bytes: sp.Bytes}
+			start[sp.Part]++
+		}
+	}
+	copy(start[1:], start[:st.numReduces])
+	start[0] = 0
+	st.start, st.entries, st.dirty = start, entries, false
 }
 
 type checkpointKey struct {
@@ -168,16 +198,16 @@ func (s *Store) RegisterShuffle(id, numMaps, numReduces int) error {
 	s.shuffles[id] = &shuffleState{
 		numMaps:    numMaps,
 		numReduces: numReduces,
-		outputs:    make(map[int]map[int]Bucket),
-		byReduce:   make(map[int][]reduceBucket),
+		outputs:    make([]mapOutput, numMaps),
+		dirty:      true,
 	}
 	return nil
 }
 
-// WriteMapOutputBatch commits one map task's buckets from a partitioned
-// columnar batch: every bucket is a span view over one shared reordered row
-// array and key slab, and checksums come off the slab instead of per-record
-// re-hashing. Overwrites (speculative or recomputed tasks) are allowed and
+// WriteMapOutputBatch commits one map task's output: the partitioned batch
+// is adopted as it is and the store stamps one checksum per span off the
+// slab. A write that fails a range check mutates nothing. Overwrites
+// (speculative or recomputed tasks) replace the whole output at once and are
 // idempotent in effect.
 //
 //starklint:hotpath
@@ -192,41 +222,38 @@ func (s *Store) WriteMapOutputBatch(id, mapPart int, pb *record.PartitionedBatch
 	if mapPart < 0 || mapPart >= st.numMaps {
 		return fmt.Errorf("storage: shuffle %d map partition %d out of range [0,%d)", id, mapPart, st.numMaps)
 	}
-	rows := pb.Batch.Records()
-	//starklint:ignore hotalloc the bucket map escapes into the shuffle index (one per map-task write, pre-sized to the span count); reusing a cleared map would alias live shuffle state
-	cp := make(map[int]Bucket, len(pb.Spans))
-	for _, sp := range pb.Spans {
+	keys, offs := pb.Batch.Slab()
+	sums := make([]uint64, len(pb.Spans))
+	for i, sp := range pb.Spans {
 		if sp.Part < 0 || sp.Part >= st.numReduces {
 			return fmt.Errorf("storage: shuffle %d reduce partition %d out of range [0,%d)", id, sp.Part, st.numReduces)
 		}
-		cp[sp.Part] = Bucket{
-			Data:  rows[sp.Lo:sp.Hi:sp.Hi],
-			Bytes: sp.Bytes,
-			sum:   pb.Batch.KeySumRange(int(sp.Lo), int(sp.Hi)),
-			batch: pb.Batch,
-			lo:    sp.Lo,
-			hi:    sp.Hi,
-		}
+		sums[i] = record.KeySumSlab(keys, offs, int(sp.Lo), int(sp.Hi))
 	}
-	if _, overwrite := st.outputs[mapPart]; overwrite {
-		st.dirty = true
-	} else if !st.dirty {
-		for r, b := range cp {
-			st.byReduce[r] = append(st.byReduce[r], reduceBucket{mapPart: mapPart, b: b})
-		}
+	out := &st.outputs[mapPart]
+	if out.sums == nil {
+		st.committed++
 	}
-	st.outputs[mapPart] = cp
+	*out = mapOutput{rows: pb.Batch.Records(), keys: keys, offs: offs, spans: pb.Spans, sums: sums}
+	st.dirty = true
 	return nil
+}
+
+// committedOutput returns a shuffle's state and one map partition's committed
+// output, or nils when the shuffle is unknown, the partition out of range or
+// nothing is committed there.
+func (s *Store) committedOutput(id, mapPart int) (*shuffleState, *mapOutput) {
+	st, ok := s.shuffles[id]
+	if !ok || mapPart < 0 || mapPart >= st.numMaps || st.outputs[mapPart].sums == nil {
+		return nil, nil
+	}
+	return st, &st.outputs[mapPart]
 }
 
 // HasMapOutput reports whether a map partition's output is committed.
 func (s *Store) HasMapOutput(id, mapPart int) bool {
-	st, ok := s.shuffles[id]
-	if !ok {
-		return false
-	}
-	_, done := st.outputs[mapPart]
-	return done
+	_, out := s.committedOutput(id, mapPart)
+	return out != nil
 }
 
 // ShuffleComplete reports whether every map partition has committed output,
@@ -236,7 +263,7 @@ func (s *Store) ShuffleComplete(id int) bool {
 	if !ok {
 		return false
 	}
-	return len(st.outputs) == st.numMaps
+	return st.complete()
 }
 
 // MissingMapOutputs lists the map partitions that still need to run.
@@ -246,29 +273,32 @@ func (s *Store) MissingMapOutputs(id int) []int {
 		return nil
 	}
 	var missing []int
-	for m := 0; m < st.numMaps; m++ {
-		if _, done := st.outputs[m]; !done {
+	for m := range st.outputs {
+		if st.outputs[m].sums == nil {
 			missing = append(missing, m)
 		}
 	}
 	return missing
 }
 
-// PrepareShuffleReads rebuilds every dirty per-reduce index up front so
-// subsequent ReadReduce calls are pure reads. The engine calls it before
-// dispatching a parallel batch: without it, the first reader of a dirty
-// shuffle would rebuild the index while other goroutines read it.
+// PrepareShuffleReads builds the per-reduce index of every complete shuffle
+// whose index is stale, so subsequent ReadReduce calls are pure reads. The
+// engine calls it on the event loop before dispatching a parallel batch:
+// without it, the first reader of a dirty shuffle would build the index
+// while other goroutines read it. An incomplete shuffle cannot be read and
+// is skipped.
 func (s *Store) PrepareShuffleReads() {
 	for _, st := range s.shuffles {
-		if st.dirty {
-			st.rebuildIndex()
+		if st.dirty && st.complete() {
+			st.buildIndex()
 		}
 	}
 }
 
 // ReadReduce concatenates every map output bucket for one reduce partition,
-// returning the records and total bytes fetched. It fails if the shuffle is
-// incomplete, because a real reducer would block.
+// in map-partition order with input order inside each bucket, returning the
+// records and total bytes fetched. It fails if the shuffle is incomplete,
+// because a real reducer would block.
 //
 //starklint:hotpath
 func (s *Store) ReadReduce(id, reducePart int) ([]record.Record, int64, error) {
@@ -279,32 +309,37 @@ func (s *Store) ReadReduce(id, reducePart int) ([]record.Record, int64, error) {
 	if !ok {
 		return nil, 0, fmt.Errorf("storage: unknown shuffle %d", id)
 	}
-	if len(st.outputs) != st.numMaps {
-		return nil, 0, fmt.Errorf("storage: shuffle %d incomplete: %d/%d map outputs", id, len(st.outputs), st.numMaps)
+	if reducePart < 0 || reducePart >= st.numReduces {
+		return nil, 0, fmt.Errorf("storage: shuffle %d reduce partition %d out of range [0,%d)", id, reducePart, st.numReduces)
+	}
+	if !st.complete() {
+		return nil, 0, fmt.Errorf("storage: shuffle %d incomplete: %d/%d map outputs", id, st.committed, st.numMaps)
 	}
 	if st.dirty {
-		st.rebuildIndex()
+		st.buildIndex()
 	}
-	// Verify first, then concatenate into an exact-size slice: the append
-	// loop used to re-grow out log(n) times, and verification re-hashed every
-	// record through a byte-slice conversion. The error surfaced (first
-	// corrupt bucket in map-partition order) is unchanged.
-	bs := st.byReduce[reducePart]
+	// Verify every bucket against its stamped checksum, recomputed off the
+	// key slab, before returning any data (the error is the first corrupt
+	// bucket in map-partition order), then concatenate at exact size.
+	es := st.entries[st.start[reducePart]:st.start[reducePart+1]]
 	total := 0
 	var bytes int64
-	for _, rb := range bs {
-		if !rb.b.verify() {
-			return nil, 0, &CorruptError{Shuffle: id, MapPart: rb.mapPart}
+	for i := range es {
+		e := &es[i]
+		out := &st.outputs[e.mapPart]
+		if record.KeySumSlab(out.keys, out.offs, int(e.lo), int(e.hi)) != e.sum {
+			return nil, 0, &CorruptError{Shuffle: id, MapPart: int(e.mapPart)}
 		}
-		total += len(rb.b.Data)
-		bytes += rb.b.Bytes
+		total += int(e.hi - e.lo)
+		bytes += e.bytes
 	}
 	if total == 0 {
 		return nil, bytes, nil
 	}
 	out := make([]record.Record, 0, total)
-	for _, rb := range bs {
-		out = append(out, rb.b.Data...)
+	for i := range es {
+		e := &es[i]
+		out = append(out, st.outputs[e.mapPart].rows[e.lo:e.hi]...)
 	}
 	return out, bytes, nil
 }
@@ -355,14 +390,12 @@ func (s *Store) DropShuffle(id int) { delete(s.shuffles, id) }
 // the shuffle becomes incomplete until the partition is recomputed. It
 // reports whether an output was actually dropped.
 func (s *Store) DropMapOutput(id, mapPart int) bool {
-	st, ok := s.shuffles[id]
-	if !ok {
+	st, out := s.committedOutput(id, mapPart)
+	if out == nil {
 		return false
 	}
-	if _, done := st.outputs[mapPart]; !done {
-		return false
-	}
-	delete(st.outputs, mapPart)
+	*out = mapOutput{}
+	st.committed--
 	st.dirty = true
 	return true
 }
@@ -392,8 +425,8 @@ func (s *Store) CommittedMapOutputs() [][2]int {
 	var out [][2]int
 	for _, id := range ids {
 		st := s.shuffles[id]
-		for m := 0; m < st.numMaps; m++ {
-			if _, done := st.outputs[m]; done {
+		for m := range st.outputs {
+			if st.outputs[m].sums != nil {
 				out = append(out, [2]int{id, m})
 			}
 		}
@@ -422,20 +455,15 @@ func (s *Store) CheckpointBlocks() [][2]int {
 // touching it fails with a CorruptError. It reports whether the output
 // existed. A later overwrite (recomputed map task) restores integrity.
 func (s *Store) CorruptMapOutput(id, mapPart int) bool {
-	st, ok := s.shuffles[id]
-	if !ok {
+	st, out := s.committedOutput(id, mapPart)
+	if out == nil {
 		return false
 	}
-	buckets, done := st.outputs[mapPart]
-	if !done {
-		return false
+	for i := range out.sums {
+		out.sums[i] ^= 0xdeadbeef
 	}
-	for r, b := range buckets {
-		b.sum ^= 0xdeadbeef
-		buckets[r] = b
-	}
-	// The byReduce index holds bucket copies; force a rebuild so readers see
-	// the corrupted sums.
+	// The index carries a copy of every checksum; rebuild it so readers see
+	// the flipped ones.
 	st.dirty = true
 	return true
 }

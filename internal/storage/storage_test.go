@@ -8,10 +8,10 @@ import (
 	"stark/internal/record"
 )
 
-// mapOutput builds the columnar map output WriteMapOutputBatch takes from
+// mapOutputOf builds the columnar map output WriteMapOutputBatch takes from
 // per-reduce row buckets: rows concatenated in ascending reduce order, one
 // span per bucket (empty ones included), Bytes set to the bucket's raw size.
-func mapOutput(buckets map[int][]record.Record) *record.PartitionedBatch {
+func mapOutputOf(buckets map[int][]record.Record) *record.PartitionedBatch {
 	parts := make([]int, 0, len(buckets))
 	for p := range buckets {
 		parts = append(parts, p)
@@ -54,7 +54,7 @@ func TestShuffleLifecycle(t *testing.T) {
 		t.Fatalf("missing = %v", got)
 	}
 	a, a2 := record.Pair("a", 1), record.Pair("a2", 1)
-	if err := s.WriteMapOutputBatch(1, 0, mapOutput(map[int][]record.Record{
+	if err := s.WriteMapOutputBatch(1, 0, mapOutputOf(map[int][]record.Record{
 		0: {a},
 		2: {record.Pair("c", 1)},
 	})); err != nil {
@@ -63,7 +63,7 @@ func TestShuffleLifecycle(t *testing.T) {
 	if _, _, err := s.ReadReduce(1, 0); err == nil {
 		t.Fatal("read from incomplete shuffle succeeded")
 	}
-	if err := s.WriteMapOutputBatch(1, 1, mapOutput(map[int][]record.Record{0: {a2}})); err != nil {
+	if err := s.WriteMapOutputBatch(1, 1, mapOutputOf(map[int][]record.Record{0: {a2}})); err != nil {
 		t.Fatal(err)
 	}
 	if !s.ShuffleComplete(1) {
@@ -85,7 +85,7 @@ func TestShuffleLifecycle(t *testing.T) {
 
 func TestShuffleValidation(t *testing.T) {
 	s := NewStore()
-	if err := s.WriteMapOutputBatch(9, 0, mapOutput(nil)); err == nil {
+	if err := s.WriteMapOutputBatch(9, 0, mapOutputOf(nil)); err == nil {
 		t.Fatal("write to unknown shuffle accepted")
 	}
 	if _, _, err := s.ReadReduce(9, 0); err == nil {
@@ -94,11 +94,52 @@ func TestShuffleValidation(t *testing.T) {
 	if err := s.RegisterShuffle(2, 1, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.WriteMapOutputBatch(2, 5, mapOutput(nil)); err == nil {
+	if err := s.WriteMapOutputBatch(2, 5, mapOutputOf(nil)); err == nil {
 		t.Fatal("out-of-range map partition accepted")
 	}
-	if err := s.WriteMapOutputBatch(2, 0, mapOutput(map[int][]record.Record{7: nil})); err == nil {
+	if err := s.WriteMapOutputBatch(2, -1, mapOutputOf(nil)); err == nil {
+		t.Fatal("negative map partition accepted")
+	}
+	if err := s.WriteMapOutputBatch(2, 0, mapOutputOf(map[int][]record.Record{-1: nil})); err == nil {
+		t.Fatal("negative reduce partition accepted")
+	}
+	// A write rejected on its last span must not have committed the earlier
+	// ones.
+	if err := s.WriteMapOutputBatch(2, 0, mapOutputOf(map[int][]record.Record{
+		0: {record.Pair("a", 1)}, 7: nil,
+	})); err == nil {
 		t.Fatal("out-of-range reduce partition accepted")
+	}
+	if s.HasMapOutput(2, 0) || s.ShuffleComplete(2) || len(s.CommittedMapOutputs()) != 0 {
+		t.Fatal("rejected write left state behind")
+	}
+	if err := s.WriteMapOutputBatch(2, 0, mapOutputOf(map[int][]record.Record{0: {record.Pair("a", 1)}})); err != nil {
+		t.Fatal(err)
+	}
+	// Reads and the per-output operations range-check like the write does:
+	// the shuffle is complete here, so only the index can be at fault.
+	for _, r := range []int{-1, 1, 6} {
+		if data, _, err := s.ReadReduce(2, r); err == nil || data != nil {
+			t.Fatalf("ReadReduce(2, %d) = %v, %v; want a range error", r, data, err)
+		}
+	}
+	for _, m := range []int{-1, 1, 6} {
+		if s.HasMapOutput(2, m) || s.CorruptMapOutput(2, m) || s.DropMapOutput(2, m) {
+			t.Fatalf("map partition %d outside [0,1) reported as present", m)
+		}
+	}
+	if data, _, err := s.ReadReduce(2, 0); err != nil || len(data) != 1 {
+		t.Fatalf("out-of-range probes disturbed the shuffle: %v, %v", data, err)
+	}
+	// The range error comes before the completeness one: a caller's bad
+	// index is reported whatever state the shuffle is in.
+	if err := s.RegisterShuffle(3, 2, 2); err != nil {
+		t.Fatal(err)
+	}
+	_, _, errRange := s.ReadReduce(3, 2)
+	_, _, errIncomplete := s.ReadReduce(3, 1)
+	if errRange == nil || errIncomplete == nil || errRange.Error() == errIncomplete.Error() {
+		t.Fatalf("incomplete shuffle: out-of-range read %v, in-range read %v", errRange, errIncomplete)
 	}
 }
 
@@ -110,7 +151,7 @@ func TestMapOutputOverwrite(t *testing.T) {
 	first := []record.Record{record.Pair("a", 1)}
 	second := []record.Record{record.Pair("b", 1), record.Pair("cc", 2)}
 	for _, rows := range [][]record.Record{first, second} {
-		if err := s.WriteMapOutputBatch(1, 0, mapOutput(map[int][]record.Record{0: rows})); err != nil {
+		if err := s.WriteMapOutputBatch(1, 0, mapOutputOf(map[int][]record.Record{0: rows})); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -157,7 +198,7 @@ func TestCorruptMapOutputDetectedAndHealedByOverwrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	write := func(mapPart int) {
-		if err := s.WriteMapOutputBatch(1, mapPart, mapOutput(map[int][]record.Record{
+		if err := s.WriteMapOutputBatch(1, mapPart, mapOutputOf(map[int][]record.Record{
 			0: {record.Pair("a", mapPart)},
 			1: {record.Pair("b", mapPart)},
 		})); err != nil {
@@ -220,7 +261,7 @@ func TestDropShuffle(t *testing.T) {
 	if err := s.RegisterShuffle(1, 1, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.WriteMapOutputBatch(1, 0, mapOutput(map[int][]record.Record{0: {record.Pair("a", 1)}})); err != nil {
+	if err := s.WriteMapOutputBatch(1, 0, mapOutputOf(map[int][]record.Record{0: {record.Pair("a", 1)}})); err != nil {
 		t.Fatal(err)
 	}
 	// Losing a map output leaves the shuffle incomplete until it is rewritten.
