@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-json test test-short test-race chaos chaos-nightly multitenant cachepolicy bench bench-engine bench-smoke examples experiments clean
+.PHONY: all build vet lint lint-json test test-short test-race chaos chaos-nightly multitenant cachepolicy shuffle bench bench-engine bench-smoke examples experiments clean
 
 all: build lint test
 
@@ -56,6 +56,14 @@ multitenant:
 cachepolicy:
 	$(GO) test -race -cpu 1,4 ./internal/cluster/ ./internal/engine/
 	$(GO) run ./cmd/starkbench -experiment cachepolicy -seeds $(SEEDS)
+
+# Shuffle store and pooled planes: reduce tasks on the worker pool read one
+# shared reduce-major copy of a shuffle, so both packages run under the race
+# detector at 1 and 4 procs, then with copy-on-write checking on (the store
+# fingerprints every reduce partition it publishes).
+shuffle:
+	$(GO) test -race -cpu 1,4 ./internal/storage/ ./internal/engine/
+	STARK_CHECK_COW=1 $(GO) test ./internal/storage/ ./internal/engine/ ./internal/rdd/ .
 
 bench: lint
 	$(GO) test -bench=. -benchmem -benchtime=1x .

@@ -109,20 +109,18 @@ func (e *Engine) runPlane(be *batchEntry) {
 // never install shuffle outputs.
 //
 // The rows go straight to record.PartitionRows, which builds the bucket-major
-// columnar batch — rows, key slab, hashes, per-record sizes — exactly once, so
-// every bucket is a span view over one backing array instead of a per-bucket
-// append-grown copy. Hash partitioners route on the key hashes the kernel's
-// output carries anyway; hashes and index tables live in the plane's arena
-// scratch. Per-bucket byte totals reproduce the old record-by-record
+// rows exactly once, so every bucket is a span view over one backing array
+// instead of a per-bucket append-grown copy. Hash partitioners route on key
+// hashes computed in one pass; hashes and index tables live in the plane's
+// arena scratch. Per-bucket byte totals reproduce the old record-by-record
 // accumulation exactly: ScaleBytes(sliceOverhead + Σ SizeOfRecord).
 func (e *Engine) bucketMapOutput(t *task, p int, data []record.Record, px *planeCtx) {
 	st := t.sr.st
 	part := st.Consumer.Partitioner
 	n := st.Consumer.Parts
-	hash := record.HashKeys(data, &px.scr)
 	idx := px.scr.I32.Take(len(data))
 	if hp, ok := part.(partition.Hash); ok {
-		for i, h := range hash {
+		for i, h := range record.HashKeys(data, &px.scr) {
 			idx[i] = int32(hp.PartitionForHash(h))
 		}
 	} else {
@@ -130,7 +128,7 @@ func (e *Engine) bucketMapOutput(t *task, p int, data []record.Record, px *plane
 			idx[i] = int32(part.PartitionFor(data[i].Key))
 		}
 	}
-	pb := record.PartitionRows(data, hash, idx, n, &px.scr)
+	pb := record.PartitionRows(data, idx, n, &px.scr)
 	var total int64
 	for si := range pb.Spans {
 		sp := &pb.Spans[si]
@@ -241,7 +239,7 @@ func (px *planeCtx) materialize(r *rdd.RDD, p int) ([]record.Record, error) {
 		var inputBytes int64
 		for i, d := range r.Deps {
 			if d.Shuffle {
-				//starklint:ignore planetaint ReadReduce's lazy index build (kept for the sequential path and standalone callers) only runs when the shuffle is complete and dirty, and PrepareShuffleReads builds every such index on the event loop before parallel dispatch; the worker-side call is read-only at runtime
+				//starklint:ignore planetaint ReadReduce's lazy index build, which also transposes the shuffle reduce-major (kept for one-plane batches and standalone callers such as the bench drivers), only runs when the shuffle is complete and dirty, and PrepareShuffleReads builds every such index on the event loop before parallel dispatch; the worker-side call only reads shared rows at runtime
 				recs, bytes, err := e.store.ReadReduce(d.ShuffleID, p)
 				if err != nil {
 					var ce *storage.CorruptError

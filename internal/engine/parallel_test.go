@@ -168,6 +168,37 @@ func TestCowCheckDetectsSourceMutation(t *testing.T) {
 	_, _, _ = e.Count(g.Map(src, "m", false, func(r record.Record) record.Record { return r }))
 }
 
+// TestCowCheckDetectsShuffleViewMutation proves the debug mode catches a
+// transform that writes a key into its shuffle input. ReadReduce hands every
+// reader the store's own reduce-major rows, so without the check the next
+// read would see a checksum mismatch, drop the "corrupt" map output and let a
+// stage resubmit heal it — hiding the purity bug behind a recovery.
+func TestCowCheckDetectsShuffleViewMutation(t *testing.T) {
+	prev := record.SetCowCheckForTesting(true)
+	defer record.SetCowCheckForTesting(prev)
+
+	e := New(testConfig())
+	g := e.Graph()
+	src := g.Source("src", [][]record.Record{
+		{record.Pair("a", int64(1)), record.Pair("b", int64(2))},
+		{record.Pair("c", int64(3))},
+	}, false)
+	shuffled := g.PartitionBy(src, "pb", partition.NewHash(1))
+	impure := g.MapPartitions(shuffled, "impure", true, 1, func(in []record.Record) []record.Record {
+		in[0].Key = "mutated"
+		return in
+	})
+	if _, _, err := e.Count(impure); err != nil {
+		t.Fatalf("first count: %v", err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a rewritten shuffle view was read again without a COW panic")
+		}
+	}()
+	_, _, _ = e.Count(shuffled)
+}
+
 // TestCowCheckCleanRun verifies the debug mode reports no false positives
 // on a workload exercising collect staging, caching and shuffles.
 func TestCowCheckCleanRun(t *testing.T) {

@@ -21,6 +21,7 @@ package rdd
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"stark/internal/partition"
@@ -235,16 +236,33 @@ func (g *Graph) FlatMap(parent *RDD, name string, f func(record.Record) []record
 		})
 }
 
-// Filter keeps records satisfying pred; partitioning is preserved.
+// keepPool recycles Filter's selection vectors: pointer-free, so a pooled one
+// costs the collector nothing, and an output sized from it is allocated once
+// instead of regrown 1, 2, 4, … as it fills.
+var keepPool = sync.Pool{New: func() any { return new([]int32) }}
+
+// Filter keeps records satisfying pred; partitioning is preserved. pred runs
+// once per record, in input order.
 func (g *Graph) Filter(parent *RDD, name string, pred func(record.Record) bool) *RDD {
 	return g.narrowChild(parent, name, true, 0.6,
 		func(_ int, inputs [][]record.Record) []record.Record {
-			var out []record.Record
-			for _, rec := range inputs[0] {
+			in := inputs[0]
+			kp := keepPool.Get().(*[]int32)
+			keep := (*kp)[:0]
+			for i, rec := range in {
 				if pred(rec) {
-					out = append(out, rec)
+					keep = append(keep, int32(i))
 				}
 			}
+			var out []record.Record
+			if len(keep) > 0 {
+				out = make([]record.Record, len(keep))
+				for j, i := range keep {
+					out[j] = in[i]
+				}
+			}
+			*kp = keep
+			keepPool.Put(kp)
 			return out
 		})
 }

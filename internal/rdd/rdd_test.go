@@ -459,3 +459,61 @@ func TestKeyedOperatorsMatchNaiveReference(t *testing.T) {
 		}
 	}
 }
+
+// TestFilterMatchesNaiveReference holds Filter to append-if-pred over the
+// shapes that matter to its sizing — everything kept, nothing kept,
+// alternating, random — and to its contract: pred once per record in input
+// order, input untouched, output allocated once at its exact size (nil when
+// empty). Sample is a Filter and inherits all of it.
+func TestFilterMatchesNaiveReference(t *testing.T) {
+	g := NewGraph()
+	src := g.Source("s", nil, false)
+	rng := rand.New(rand.NewSource(5))
+	in := make([]record.Record, 1000)
+	for i := range in {
+		in[i] = record.Pair(fmt.Sprintf("k%d", rng.Intn(100)), i)
+	}
+	input := append([]record.Record(nil), in...)
+	for name, keep := range map[string]func(i int) bool{
+		"all":         func(int) bool { return true },
+		"none":        func(int) bool { return false },
+		"alternating": func(i int) bool { return i%2 == 1 },
+		"random":      func(i int) bool { return (i*2654435761)>>7%3 == 0 },
+	} {
+		for _, n := range []int{0, 1, len(in)} {
+			var want []record.Record
+			for i, r := range in[:n] {
+				if keep(i) {
+					want = append(want, r)
+				}
+			}
+			calls := 0
+			f := g.Filter(src, name, func(r record.Record) bool {
+				if r != in[calls] {
+					t.Fatalf("%s n=%d: call %d of pred saw %v, want %v", name, n, calls, r, in[calls])
+				}
+				calls++
+				return keep(calls - 1)
+			})
+			got := f.Transform(0, [][]record.Record{in[:n]})
+			if calls != n {
+				t.Fatalf("%s n=%d: pred ran %d times", name, n, calls)
+			}
+			if !reflect.DeepEqual(got, want) || cap(got) != len(got) {
+				t.Fatalf("%s n=%d: %d records (cap %d), want %d (nil when empty)", name, n, len(got), cap(got), len(want))
+			}
+		}
+	}
+	if !reflect.DeepEqual(in, input) {
+		t.Fatal("Filter wrote into its input")
+	}
+
+	third := g.Filter(src, "third", func(r record.Record) bool { return r.Value.(int)%3 == 0 })
+	inputs := [][]record.Record{in}
+	if raceEnabled {
+		return // sync.Pool drops a quarter of its Puts under the race detector
+	}
+	if allocs := testing.AllocsPerRun(20, func() { third.Transform(0, inputs) }); allocs > 1 {
+		t.Fatalf("Filter keeping a third of %d records: %.0f allocs/op on a warm pool, want its one output", len(in), allocs)
+	}
+}

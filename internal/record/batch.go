@@ -18,6 +18,14 @@ const (
 	fnvPrime64  = 1099511628211
 )
 
+// mixInt64 folds n into h as 8 little-endian bytes, one FNV-64a step each.
+func mixInt64(h uint64, n int) uint64 {
+	for i := 0; i < 8; i++ {
+		h = (h ^ uint64(byte(n>>(8*i)))) * fnvPrime64
+	}
+	return h
+}
+
 func fnv32aString(s string) uint32 {
 	h := uint32(fnvOffset32)
 	for i := 0; i < len(s); i++ {
@@ -38,11 +46,7 @@ func KeySum64(rs []Record) uint64 {
 		}
 		h = (h ^ 0xff) * fnvPrime64
 	}
-	cnt := uint64(len(rs))
-	for i := 0; i < 8; i++ {
-		h = (h ^ (cnt >> (8 * i) & 0xff)) * fnvPrime64
-	}
-	return h
+	return mixInt64(h, len(rs))
 }
 
 // ColKind tags the typed value column a batch carries. A batch whose values
@@ -248,16 +252,8 @@ func (b *Batch) WithoutRows() *Batch {
 // KeySumRange computes the storage block checksum of rows [lo, hi) straight
 // off the key slab — bit-identical to KeySum64(rows[lo:hi]) with zero
 // allocations and no per-record byte-slice conversions.
-func (b *Batch) KeySumRange(lo, hi int) uint64 { return KeySumSlab(b.keys, b.offs, lo, hi) }
-
-// Slab returns the batch's key slab and offset column (key i is
-// keys[offs[i]:offs[i+1]]), read-only, for a holder that verifies ranges with
-// KeySumSlab without a hop through the batch.
-func (b *Batch) Slab() (keys string, offs []int32) { return b.keys, b.offs }
-
-// KeySumSlab is KeySumRange over a slab and offset column held apart from
-// their batch.
-func KeySumSlab(keys string, offs []int32, lo, hi int) uint64 {
+func (b *Batch) KeySumRange(lo, hi int) uint64 {
+	keys, offs := b.keys, b.offs
 	h := uint64(fnvOffset64)
 	for i := lo; i < hi; i++ {
 		for j := offs[i]; j < offs[i+1]; j++ {
@@ -265,21 +261,14 @@ func KeySumSlab(keys string, offs []int32, lo, hi int) uint64 {
 		}
 		h = (h ^ 0xff) * fnvPrime64
 	}
-	cnt := uint64(hi - lo)
-	for i := 0; i < 8; i++ {
-		h = (h ^ (cnt >> (8 * i) & 0xff)) * fnvPrime64
-	}
-	return h
+	return mixInt64(h, hi-lo)
 }
 
 // Fingerprint hashes the batch's observable shape off the slab, bit-exact
 // with Fingerprint over its rows.
 func (b *Batch) Fingerprint() uint64 {
-	h := uint64(fnvOffset64)
 	n := b.Len()
-	for i := 0; i < 8; i++ {
-		h = (h ^ uint64(byte(n>>(8*i)))) * fnvPrime64
-	}
+	h := mixInt64(fnvOffset64, n)
 	for i := 0; i < n; i++ {
 		for j := b.offs[i]; j < b.offs[i+1]; j++ {
 			h = (h ^ uint64(b.keys[j])) * fnvPrime64
@@ -316,12 +305,12 @@ type Span struct {
 	Bytes    int64
 }
 
-// PartitionedBatch is a batch reordered bucket-major plus the span table
-// describing each non-empty bucket. One backing row array and one slab serve
-// every bucket; storage adopts both as they are instead of copying per
-// bucket, so neither may be written once committed.
+// PartitionedBatch is one map task's shuffle output: its rows reordered
+// bucket-major plus the span table describing each non-empty bucket. Storage
+// adopts the one backing row array and the spans as they are instead of
+// copying per bucket, so neither may be written once committed.
 type PartitionedBatch struct {
-	Batch *Batch
+	Rows  []Record
 	Spans []Span
 }
 
@@ -342,25 +331,24 @@ func HashKeys(rs []Record, scr *Scratch) []uint32 {
 	return hash
 }
 
-// PartitionStable reorders the batch bucket-major by idx; see PartitionRows,
-// which it calls with the batch's own rows and hash column.
+// PartitionStable reorders the batch's rows bucket-major by idx; see
+// PartitionRows, which it calls with the batch's own rows.
 //
 //starklint:hotpath
 func (b *Batch) PartitionStable(idx []int32, nparts int, scr *Scratch) *PartitionedBatch {
-	return PartitionRows(b.Records(), b.hash, idx, nparts, scr)
+	return PartitionRows(b.Records(), idx, nparts, scr)
 }
 
-// PartitionRows is the shuffle map side's one partition kernel. Given rows,
-// their key hashes (hash[i] = FNV-32a of rs[i].Key, as HashKeys computes) and
-// a routing (idx[i] = target partition of row i, in [0, nparts)), it builds
-// the bucket-major batch — rows, key slab, offsets, hashes, sizes — once,
-// preserving input order within each bucket, plus the span of every
-// non-empty bucket in ascending partition order with its RawBytes. The input
-// rows are read, never written. All transient tables come from scr;
-// only the batch's columns and the span table escape.
+// PartitionRows is the shuffle map side's one partition kernel. Given rows
+// and a routing (idx[i] = target partition of row i, in [0, nparts)), it
+// builds the bucket-major rows, preserving input order within each bucket,
+// plus the span of every non-empty bucket in ascending partition order with
+// its RawBytes. The input rows are read, never written. All transient tables
+// come from scr; only the rows and the span table escape (the store gathers
+// key bytes itself, once per shuffle, in the order reducers read them).
 //
 //starklint:hotpath
-func PartitionRows(rs []Record, hash []uint32, idx []int32, nparts int, scr *Scratch) *PartitionedBatch {
+func PartitionRows(rs []Record, idx []int32, nparts int, scr *Scratch) *PartitionedBatch {
 	n := len(rs)
 	// perm[j] = source row of output row j; buckets contiguous and ascending.
 	perm := scr.I32.Take(n)
@@ -398,35 +386,17 @@ func PartitionRows(rs []Record, hash []uint32, idx []int32, nparts int, scr *Scr
 	}
 
 	out := make([]Record, n)
-	offs := make([]int32, n+1)
-	hashes := make([]uint32, n)
-	sizes := make([]int64, n)
 	spans := make([]Span, 0, occupied)
-	bytes := int64(sliceOverhead)
 	for j, i := range perm {
 		r := rs[i]
 		out[j] = r
-		offs[j+1] = offs[j] + int32(len(r.Key))
-		hashes[j] = hash[i]
-		sz := SizeOfRecord(r)
-		sizes[j] = sz
-		bytes += sz
 		p := int(idx[i])
 		if len(spans) == 0 || spans[len(spans)-1].Part != p {
 			spans = append(spans, Span{Part: p, Lo: int32(j)})
 		}
 		sp := &spans[len(spans)-1]
 		sp.Hi = int32(j + 1)
-		sp.RawBytes += sz
+		sp.RawBytes += SizeOfRecord(r)
 	}
-	// The slab goes last, in a loop of its own: every copy reads a key string
-	// somewhere on the heap, and with nothing else in the loop those misses
-	// overlap instead of queueing behind the column writes.
-	var sb strings.Builder
-	sb.Grow(int(offs[n]))
-	for j := range out {
-		sb.WriteString(out[j].Key)
-	}
-	ordered := &Batch{keys: sb.String(), offs: offs, hash: hashes, recs: out, bytes: bytes, sizes: sizes}
-	return &PartitionedBatch{Batch: ordered, Spans: spans}
+	return &PartitionedBatch{Rows: out, Spans: spans}
 }

@@ -159,21 +159,12 @@ func Clone(rs []Record) []Record {
 // cloned, turning an aliasing violation into a loud failure instead of
 // silent corruption.
 func Fingerprint(rs []Record) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(b byte) { h = (h ^ uint64(b)) * prime64 }
-	n := len(rs)
-	for i := 0; i < 8; i++ {
-		mix(byte(n >> (8 * i)))
-	}
+	h := mixInt64(fnvOffset64, len(rs))
 	for _, r := range rs {
 		for i := 0; i < len(r.Key); i++ {
-			mix(r.Key[i])
+			h = (h ^ uint64(r.Key[i])) * fnvPrime64
 		}
-		mix(0)
+		h = (h ^ 0) * fnvPrime64
 	}
 	return h
 }

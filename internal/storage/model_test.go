@@ -14,17 +14,26 @@ import (
 // shuffleModel is the naive reference the store is held to: committed map
 // outputs as map[mapPart]map[reducePart][]Record, the bytes each bucket was
 // written with, and which outputs have been corrupted since their last write.
+// held is a window of views earlier reads returned, each with a private copy
+// of what it held then: whatever the store does afterwards, a published view
+// must not change (cached blocks hold them).
 type shuffleModel struct {
 	numMaps, numReduces int
 	rows                map[int]map[int][]record.Record
 	bytes               map[int]map[int]int64
 	corrupt             map[int]bool
+	held                []heldView
+}
+
+type heldView struct {
+	where      string
+	view, then []record.Record
 }
 
 // commit records pb as map partition m's output, replacing any earlier one.
 func (md *shuffleModel) commit(m int, pb *record.PartitionedBatch) {
 	rows, bytes := map[int][]record.Record{}, map[int]int64{}
-	all := pb.Batch.Records()
+	all := pb.Rows
 	for _, sp := range pb.Spans {
 		rows[sp.Part] = append(rows[sp.Part], all[sp.Lo:sp.Hi]...)
 		bytes[sp.Part] += sp.Bytes
@@ -45,7 +54,7 @@ func randomOutput(rng *rand.Rand, numReduces int, serial *int) (*record.Partitio
 		idx[i] = int32(rng.Intn(numReduces))
 	}
 	var scr record.Scratch
-	pb := record.PartitionRows(rows, record.HashKeys(rows, &scr), idx, numReduces, &scr)
+	pb := record.PartitionRows(rows, idx, numReduces, &scr)
 	for i := range pb.Spans {
 		pb.Spans[i].Bytes = pb.Spans[i].RawBytes + int64(rng.Intn(100))
 	}
@@ -78,6 +87,12 @@ func (md *shuffleModel) check(t *testing.T, s *Store, id int, where string) {
 	if s.ShuffleComplete(id) != complete {
 		t.Fatalf("%s: ShuffleComplete = %v, model %v", where, !complete, complete)
 	}
+	for _, h := range md.held {
+		if !slices.Equal(h.view, h.then) {
+			t.Fatalf("%s: the view read at %s changed under its holder: %v, was %v", where, h.where, h.view, h.then)
+		}
+	}
+	md.held = md.held[max(0, len(md.held)-64):]
 	for r := 0; r < md.numReduces; r++ {
 		data, bytes, err := s.ReadReduce(id, r)
 		if !complete {
@@ -111,13 +126,24 @@ func (md *shuffleModel) check(t *testing.T, s *Store, id int, where string) {
 		if !slices.Equal(data, want) || bytes != wantBytes {
 			t.Fatalf("%s: read %d = %v (%d bytes), model %v (%d bytes)", where, r, data, bytes, want, wantBytes)
 		}
+		if cap(data) != len(data) {
+			t.Fatalf("%s: read %d has %d spare capacity: an append would reach the next partition", where, r, cap(data)-len(data))
+		}
+		// A clean partition read twice is the same memory, not two copies.
+		again, _, err := s.ReadReduce(id, r)
+		if err != nil || len(again) != len(data) || (len(data) > 0 && &again[0] != &data[0]) {
+			t.Fatalf("%s: second read %d = %v, %v; want the first read's view", where, r, again, err)
+		}
+		md.held = append(md.held, heldView{where: where, view: data, then: slices.Clone(data)})
 	}
 }
 
 // TestShuffleStoreMatchesNaiveModel drives random sequences of every shuffle
 // operation against the store and a naive model, comparing all observables
 // after every step. Reads go through the lazy index build or, when the
-// sequence happened to call PrepareShuffleReads first, the prebuilt one.
+// sequence happened to call PrepareShuffleReads first, the prebuilt one;
+// every view a read returned is held across the overwrites, drops, rewrites,
+// corruptions and heals that follow and must keep its rows.
 func TestShuffleStoreMatchesNaiveModel(t *testing.T) {
 	const id = 7
 	for seed := int64(1); seed <= 20; seed++ {
@@ -194,5 +220,21 @@ func TestShuffleStoreMatchesNaiveModel(t *testing.T) {
 			}
 			md.check(t, s, id, where)
 		}
+		// Healed and indexed, reading allocates nothing.
+		for m := 0; m < md.numMaps; m++ {
+			pb, _ := randomOutput(rng, md.numReduces, &serial)
+			write(m, pb)
+		}
+		s.PrepareShuffleReads()
+		if allocs := testing.AllocsPerRun(10, func() {
+			for r := 0; r < md.numReduces; r++ {
+				if _, _, err := s.ReadReduce(id, r); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}); allocs != 0 {
+			t.Fatalf("seed %d: reading a built index: %.0f allocs, want 0", seed, allocs)
+		}
+		md.check(t, s, id, fmt.Sprintf("seed %d healed", seed))
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 
 	"stark/internal/record"
 )
@@ -57,84 +58,119 @@ func (b Bucket) verify() bool { return b.sum == sumRecords(b.Data) }
 // catch *injected* corruption deterministically, not to survive adversarial
 // collisions, so hashing values is deliberately skipped (values are
 // arbitrary `any` and hashing them would dominate hot read paths). The hash
-// is record.KeySum64, shared with the batch slab checksum
-// (Batch.KeySumRange) shuffle buckets use, so the per-record and columnar
-// paths can never drift.
+// is record.KeySum64, the same one shuffle buckets are stamped and verified
+// with.
 func sumRecords(data []record.Record) uint64 { return record.KeySum64(data) }
 
 // mapOutput is one committed map task's output as the task produced it: the
-// partitioned batch's rows, key slab with its offsets, and ascending span
-// table are adopted, never copied or written (one PartitionedBatch may be
-// committed under many map partitions). Slab and offsets sit here rather
-// than behind the *Batch because a bucket verify is a chain of dependent
-// cache misses and this removes one. The store owns only sums, one checksum
-// per span stamped off the slab at write time — which is what
-// CorruptMapOutput flips, so rot in one output cannot reach another that
-// shares the caller's spans.
+// bucket-major rows and ascending span table are adopted, never copied or
+// written (one PartitionedBatch may be committed under many map partitions).
+// The store owns only sums, one checksum per span stamped at write time —
+// which is what CorruptMapOutput flips, so rot in one output cannot reach
+// another that shares the caller's spans.
 type mapOutput struct {
 	rows  []record.Record
-	keys  string // key slab; key i is keys[offs[i]:offs[i+1]]
-	offs  []int32
 	spans []record.Span
 	sums  []uint64 // non-nil once committed: made even for zero spans
 }
 
-// indexEntry is one bucket of one reduce partition: rows [lo, hi) of map
-// partition mapPart's output, their stamped checksum and byte size. No
-// pointers, so the collector never traces the index.
+// indexEntry is one bucket of a reduce partition: its next n rows, from map
+// partition mapPart, stamped sum at write time. Pointer-free: never traced.
 type indexEntry struct {
-	mapPart, lo, hi int32
-	sum             uint64
-	bytes           int64
+	mapPart, n int32
+	sum        uint64
 }
 
-// shuffleState is one shuffle: a fixed-length table of map outputs and a
-// per-reduce index over their spans in compressed-sparse-row form — reduce
-// partition r's buckets are entries[start[r]:start[r+1]], in map-partition
-// order — so ReadReduce is O(buckets present) instead of O(numMaps),
-// essential for the partition-count sweep (Fig. 7) at 10^5 partitions.
-// Writes, drops and corruption do no index work, they only set dirty; the
-// index is built whole the next time the shuffle is complete and about to be
-// read (PrepareShuffleReads on the event loop, or lazily in ReadReduce).
+// reduceStart is where a reduce partition begins in the entries and the rows.
+type reduceStart struct{ entry, row int }
+
+// shuffleState is one shuffle: a fixed-length table of map outputs and, built
+// once it is complete and about to be read (PrepareShuffleReads on the event
+// loop, or lazily in ReadReduce), the same records transposed reduce-major.
+// Reduce partition r is rows[at[r].row:at[r+1].row] — buckets in
+// map-partition order, described by entries[at[r].entry:at[r+1].entry] —
+// every Key aliasing one key slab in the same order; bytes[r] is what reading
+// it costs. A read is O(buckets present), not O(numMaps): essential for the
+// partition-count sweep (Fig. 7) at 10^5 partitions. Writes, drops and
+// corruption do no index work, they only set dirty.
 type shuffleState struct {
 	numMaps    int
 	numReduces int
 	outputs    []mapOutput // indexed by map partition
 	committed  int         // outputs with sums
 
-	start   []int32
+	at      []reduceStart // numReduces+1
 	entries []indexEntry
+	rows    []record.Record
+	bytes   []int64
+	fps     []uint64 // record.Fingerprint of each reduce partition; STARK_CHECK_COW only
 	dirty   bool
 }
 
 func (st *shuffleState) complete() bool { return st.committed == st.numMaps }
 
-// buildIndex is one counting sort of the committed spans by reduce
-// partition, stable in map-partition order: O(spans + numReduces) time, two
-// allocations.
+// buildIndex transposes the committed map outputs: a counting sort of their
+// spans by reduce partition, stable in map-partition order, that moves the
+// rows with the index entries, then a gather of every key into one slab.
+// O(rows + spans + numReduces) time, five allocations. Every array is fresh:
+// views ReadReduce handed out (cached blocks hold them) outlive a rebuild.
 func (st *shuffleState) buildIndex() {
-	start := make([]int32, st.numReduces+1)
+	at := make([]reduceStart, st.numReduces+1)
+	bytes := make([]int64, st.numReduces)
 	for m := range st.outputs {
 		for _, sp := range st.outputs[m].spans {
-			start[sp.Part+1]++
+			at[sp.Part+1].entry++
+			at[sp.Part+1].row += int(sp.Hi - sp.Lo)
+			bytes[sp.Part] += sp.Bytes
 		}
 	}
 	for r := 0; r < st.numReduces; r++ {
-		start[r+1] += start[r]
+		at[r+1].entry += at[r].entry
+		at[r+1].row += at[r].row
 	}
-	// start[r] doubles as reduce partition r's fill cursor, which leaves it
-	// at r's end — the next partition's start; shifting right restores it.
-	entries := make([]indexEntry, start[st.numReduces])
+	// at[r] doubles as reduce partition r's fill cursor, which leaves it at
+	// r's end — the next partition's start; shifting right restores it.
+	entries := make([]indexEntry, at[st.numReduces].entry)
+	rows := make([]record.Record, at[st.numReduces].row)
 	for m := range st.outputs {
 		out := &st.outputs[m]
 		for i, sp := range out.spans {
-			entries[start[sp.Part]] = indexEntry{mapPart: int32(m), lo: sp.Lo, hi: sp.Hi, sum: out.sums[i], bytes: sp.Bytes}
-			start[sp.Part]++
+			c := &at[sp.Part]
+			n := copy(rows[c.row:], out.rows[sp.Lo:sp.Hi])
+			entries[c.entry] = indexEntry{mapPart: int32(m), n: int32(n), sum: out.sums[i]}
+			c.entry++
+			c.row += n
 		}
 	}
-	copy(start[1:], start[:st.numReduces])
-	start[0] = 0
-	st.start, st.entries, st.dirty = start, entries, false
+	copy(at[1:], at[:st.numReduces])
+	at[0] = reduceStart{}
+
+	// The slab is gathered in a loop of its own: every copy reads a key string
+	// somewhere on the heap, and with nothing else in the loop those misses
+	// overlap.
+	keyBytes := 0
+	for i := range rows {
+		keyBytes += len(rows[i].Key)
+	}
+	var sb strings.Builder
+	sb.Grow(keyBytes)
+	for i := range rows {
+		sb.WriteString(rows[i].Key)
+	}
+	slab := sb.String()
+	for i := range rows {
+		n := len(rows[i].Key)
+		rows[i].Key, slab = slab[:n], slab[n:]
+	}
+
+	var fps []uint64
+	if record.CowCheckEnabled() {
+		fps = make([]uint64, st.numReduces)
+		for r := range fps {
+			fps[r] = record.Fingerprint(rows[at[r].row:at[r+1].row])
+		}
+	}
+	st.at, st.entries, st.rows, st.bytes, st.fps, st.dirty = at, entries, rows, bytes, fps, false
 }
 
 type checkpointKey struct {
@@ -205,10 +241,10 @@ func (s *Store) RegisterShuffle(id, numMaps, numReduces int) error {
 }
 
 // WriteMapOutputBatch commits one map task's output: the partitioned batch
-// is adopted as it is and the store stamps one checksum per span off the
-// slab. A write that fails a range check mutates nothing. Overwrites
-// (speculative or recomputed tasks) replace the whole output at once and are
-// idempotent in effect.
+// is adopted as it is and the store stamps one checksum per span. A write
+// that fails a range check mutates nothing. Overwrites (speculative or
+// recomputed tasks) replace the whole output at once and are idempotent in
+// effect.
 //
 //starklint:hotpath
 func (s *Store) WriteMapOutputBatch(id, mapPart int, pb *record.PartitionedBatch) error {
@@ -222,19 +258,19 @@ func (s *Store) WriteMapOutputBatch(id, mapPart int, pb *record.PartitionedBatch
 	if mapPart < 0 || mapPart >= st.numMaps {
 		return fmt.Errorf("storage: shuffle %d map partition %d out of range [0,%d)", id, mapPart, st.numMaps)
 	}
-	keys, offs := pb.Batch.Slab()
 	sums := make([]uint64, len(pb.Spans))
 	for i, sp := range pb.Spans {
-		if sp.Part < 0 || sp.Part >= st.numReduces {
-			return fmt.Errorf("storage: shuffle %d reduce partition %d out of range [0,%d)", id, sp.Part, st.numReduces)
+		if sp.Part < 0 || sp.Part >= st.numReduces || sp.Lo < 0 || sp.Lo > sp.Hi || int(sp.Hi) > len(pb.Rows) {
+			return fmt.Errorf("storage: shuffle %d map partition %d: span for reduce partition %d, rows [%d,%d), outside [0,%d) partitions or the output's %d rows",
+				id, mapPart, sp.Part, sp.Lo, sp.Hi, st.numReduces, len(pb.Rows))
 		}
-		sums[i] = record.KeySumSlab(keys, offs, int(sp.Lo), int(sp.Hi))
+		sums[i] = record.KeySum64(pb.Rows[sp.Lo:sp.Hi])
 	}
 	out := &st.outputs[mapPart]
 	if out.sums == nil {
 		st.committed++
 	}
-	*out = mapOutput{rows: pb.Batch.Records(), keys: keys, offs: offs, spans: pb.Spans, sums: sums}
+	*out = mapOutput{rows: pb.Rows, spans: pb.Spans, sums: sums}
 	st.dirty = true
 	return nil
 }
@@ -281,12 +317,11 @@ func (s *Store) MissingMapOutputs(id int) []int {
 	return missing
 }
 
-// PrepareShuffleReads builds the per-reduce index of every complete shuffle
-// whose index is stale, so subsequent ReadReduce calls are pure reads. The
-// engine calls it on the event loop before dispatching a parallel batch:
-// without it, the first reader of a dirty shuffle would build the index
-// while other goroutines read it. An incomplete shuffle cannot be read and
-// is skipped.
+// PrepareShuffleReads builds the index of every complete shuffle whose index
+// is stale, so subsequent ReadReduce calls are pure reads. The engine calls
+// it on the event loop before dispatching a parallel batch: without it, the
+// first reader of a dirty shuffle would transpose it while other goroutines
+// read it. An incomplete shuffle cannot be read and is skipped.
 func (s *Store) PrepareShuffleReads() {
 	for _, st := range s.shuffles {
 		if st.dirty && st.complete() {
@@ -295,10 +330,12 @@ func (s *Store) PrepareShuffleReads() {
 	}
 }
 
-// ReadReduce concatenates every map output bucket for one reduce partition,
-// in map-partition order with input order inside each bucket, returning the
-// records and total bytes fetched. It fails if the shuffle is incomplete,
-// because a real reducer would block.
+// ReadReduce returns one reduce partition — every map output bucket routed
+// to it, in map-partition order with input order inside each bucket — and
+// the total bytes fetched. The records are a read-only view shared by every
+// reader, capped so an append cannot reach the next partition and unchanged
+// by whatever happens to the shuffle afterwards. It fails if the shuffle is
+// incomplete, because a real reducer would block.
 //
 //starklint:hotpath
 func (s *Store) ReadReduce(id, reducePart int) ([]record.Record, int64, error) {
@@ -318,30 +355,26 @@ func (s *Store) ReadReduce(id, reducePart int) ([]record.Record, int64, error) {
 	if st.dirty {
 		st.buildIndex()
 	}
-	// Verify every bucket against its stamped checksum, recomputed off the
-	// key slab, before returning any data (the error is the first corrupt
-	// bucket in map-partition order), then concatenate at exact size.
-	es := st.entries[st.start[reducePart]:st.start[reducePart+1]]
-	total := 0
-	var bytes int64
-	for i := range es {
-		e := &es[i]
-		out := &st.outputs[e.mapPart]
-		if record.KeySumSlab(out.keys, out.offs, int(e.lo), int(e.hi)) != e.sum {
+	lo, hi := st.at[reducePart], st.at[reducePart+1]
+	view := st.rows[lo.row:hi.row:hi.row]
+	// A consumer that wrote a key into an earlier view would otherwise read
+	// as a corrupt block and be healed by a resubmit, hiding the purity bug.
+	if st.fps != nil && record.Fingerprint(view) != st.fps[reducePart] {
+		panic(fmt.Errorf("storage: shuffle %d reduce partition %d mutated through a ReadReduce view (copy-on-write violation)", id, reducePart))
+	}
+	// Every bucket's checksum is recomputed off the key bytes before any data
+	// is returned; the error is the first corrupt one in map-partition order.
+	n := 0
+	for _, e := range st.entries[lo.entry:hi.entry] {
+		if record.KeySum64(view[n:n+int(e.n)]) != e.sum {
 			return nil, 0, &CorruptError{Shuffle: id, MapPart: int(e.mapPart)}
 		}
-		total += int(e.hi - e.lo)
-		bytes += e.bytes
+		n += int(e.n)
 	}
-	if total == 0 {
-		return nil, bytes, nil
+	if len(view) == 0 {
+		return nil, st.bytes[reducePart], nil
 	}
-	out := make([]record.Record, 0, total)
-	for i := range es {
-		e := &es[i]
-		out = append(out, st.outputs[e.mapPart].rows[e.lo:e.hi]...)
-	}
-	return out, bytes, nil
+	return view, st.bytes[reducePart], nil
 }
 
 // WriteCheckpoint persists one partition of an RDD and accounts its bytes

@@ -8,7 +8,7 @@ import (
 	"stark/internal/record"
 )
 
-// mapOutputOf builds the columnar map output WriteMapOutputBatch takes from
+// mapOutputOf builds the map output WriteMapOutputBatch takes from
 // per-reduce row buckets: rows concatenated in ascending reduce order, one
 // span per bucket (empty ones included), Bytes set to the bucket's raw size.
 func mapOutputOf(buckets map[int][]record.Record) *record.PartitionedBatch {
@@ -25,7 +25,7 @@ func mapOutputOf(buckets map[int][]record.Record) *record.PartitionedBatch {
 		bytes := bucketBytes(buckets[p])
 		spans = append(spans, record.Span{Part: p, Lo: int32(lo), Hi: int32(len(rows)), RawBytes: bytes, Bytes: bytes})
 	}
-	return &record.PartitionedBatch{Batch: record.FromRecords(rows), Spans: spans}
+	return &record.PartitionedBatch{Rows: rows, Spans: spans}
 }
 
 func bucketBytes(rs []record.Record) int64 {
@@ -113,6 +113,23 @@ func TestShuffleValidation(t *testing.T) {
 	if s.HasMapOutput(2, 0) || s.ShuffleComplete(2) || len(s.CommittedMapOutputs()) != 0 {
 		t.Fatal("rejected write left state behind")
 	}
+	// Span row ranges are checked like span partitions: a bad one would
+	// otherwise panic in the write or, worse, commit and panic in a reader.
+	ab := []record.Record{record.Pair("a", 1), record.Pair("b", 2)}
+	for name, spans := range map[string][]record.Span{
+		"negative Lo":        {{Part: 0, Lo: -1, Hi: 1}},
+		"Lo > Hi":            {{Part: 0, Lo: 2, Hi: 1}},
+		"Hi past the rows":   {{Part: 0, Lo: 0, Hi: 3}},
+		"bad range, last":    {{Part: 0, Lo: 0, Hi: 1}, {Part: 0, Lo: 1, Hi: 3}},
+		"empty past the end": {{Part: 0, Lo: 3, Hi: 3}},
+	} {
+		if err := s.WriteMapOutputBatch(2, 0, &record.PartitionedBatch{Rows: ab, Spans: spans}); err == nil {
+			t.Fatalf("span with %s accepted", name)
+		}
+		if s.HasMapOutput(2, 0) || s.ShuffleComplete(2) || len(s.CommittedMapOutputs()) != 0 {
+			t.Fatalf("write rejected for %s left state behind", name)
+		}
+	}
 	if err := s.WriteMapOutputBatch(2, 0, mapOutputOf(map[int][]record.Record{0: {record.Pair("a", 1)}})); err != nil {
 		t.Fatal(err)
 	}
@@ -130,6 +147,17 @@ func TestShuffleValidation(t *testing.T) {
 	}
 	if data, _, err := s.ReadReduce(2, 0); err != nil || len(data) != 1 {
 		t.Fatalf("out-of-range probes disturbed the shuffle: %v, %v", data, err)
+	}
+	// A rejected overwrite is not an overwrite: the committed output stays,
+	// and the index built by the read above stays current.
+	if err := s.WriteMapOutputBatch(2, 0, &record.PartitionedBatch{Rows: ab, Spans: []record.Span{{Part: 0, Lo: 1, Hi: 0}}}); err == nil {
+		t.Fatal("overwrite with Lo > Hi accepted")
+	}
+	if st := s.shuffles[2]; st.dirty || st.committed != 1 {
+		t.Fatalf("rejected overwrite left dirty=%v committed=%d", st.dirty, st.committed)
+	}
+	if data, _, err := s.ReadReduce(2, 0); err != nil || len(data) != 1 || data[0].Key != "a" {
+		t.Fatalf("rejected overwrite disturbed the shuffle: %v, %v", data, err)
 	}
 	// The range error comes before the completeness one: a caller's bad
 	// index is reported whatever state the shuffle is in.
