@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-json test test-short test-race chaos chaos-nightly multitenant cachepolicy shuffle bench bench-engine bench-smoke examples experiments clean
+.PHONY: all build vet lint lint-json loc test test-short test-race chaos chaos-nightly multitenant cachepolicy shuffle bench bench-engine bench-smoke examples experiments clean
 
 all: build lint test
 
@@ -24,6 +24,14 @@ lint: vet
 # matches `make lint`, so the file holds the findings whenever this fails.
 lint-json: vet
 	$(GO) run ./cmd/starklint -json ./... > starklint-findings.json
+
+# The size CHANGES.md quotes per PR: lines of non-test Go outside bench/,
+# testdata/ and the benchmark's build cache, then the same for _test.go files.
+LOC_FIND = find . -name '*.go' ! -path './bench/*' ! -path '*/testdata/*' ! -path './.bench_build/*'
+
+loc:
+	@echo "non-test Go lines: $$($(LOC_FIND) ! -name '*_test.go' -exec cat {} + | wc -l)"
+	@echo "test Go lines:     $$($(LOC_FIND) -name '*_test.go' -exec cat {} + | wc -l) in $$($(LOC_FIND) -name '*_test.go' | wc -l) files"
 
 test:
 	$(GO) test ./...

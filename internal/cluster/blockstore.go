@@ -62,9 +62,6 @@ func (s *BlockStore) SetPolicy(p EvictionPolicy) {
 	s.policy = p
 }
 
-// Policy reports the installed eviction policy.
-func (s *BlockStore) Policy() EvictionPolicy { return s.policy }
-
 // SetShrink sets the mem-pressure capacity factor; values outside (0, 1]
 // clamp to that range (0 would make every put fail as oversized rather
 // than model pressure). Shrinking below Used does not evict eagerly —

@@ -251,6 +251,18 @@ func (c *Cluster) DropBlock(exec int, id BlockID) {
 	}
 }
 
+// DropReplicas removes every replica of a block the directory lists, in
+// ascending executor order, without allocating; a block cached nowhere costs
+// one directory lookup.
+func (c *Cluster) DropReplicas(id BlockID) {
+	locs := c.directory[id] // dropLocation deletes from this same set
+	for exec := 0; exec < len(c.executors) && len(locs) > 0; exec++ {
+		if locs[exec] {
+			c.DropBlock(exec, id)
+		}
+	}
+}
+
 // dropLocation forgets a replica that just left an executor's store: the
 // directory entry and the executor's unit refcount go together.
 func (c *Cluster) dropLocation(id BlockID, exec int) {

@@ -76,9 +76,9 @@ func (lruPolicy) Plan(s *BlockStore, need int64, keep BlockID) EvictionPlan {
 // the driver crashes (the restarted driver re-charges on resubmission).
 type DAGPolicy struct {
 	refs map[int]int
-	// groupOf maps a block to its collection partition-group key; ok=false
+	// groupOf maps a block to its collection unit, the peer group; ok=false
 	// means ungrouped. Nil until the engine installs it.
-	groupOf func(id BlockID) (string, bool)
+	groupOf func(id BlockID) (UnitID, bool)
 }
 
 // NewDAGPolicy returns a DAG-aware policy with an empty reference table.
@@ -88,9 +88,10 @@ func NewDAGPolicy() *DAGPolicy {
 
 func (p *DAGPolicy) Name() string { return "dag" }
 
-// SetGroupFn installs the block → peer-group mapping (the engine's
-// namespace unit lookup). Pass nil to treat every block as ungrouped.
-func (p *DAGPolicy) SetGroupFn(fn func(id BlockID) (string, bool)) { p.groupOf = fn }
+// SetGroupFn installs the block → peer-group mapping: the same function the
+// engine hands SetUnitMapping, so a peer group is a collection unit. Pass nil
+// to treat every block as ungrouped.
+func (p *DAGPolicy) SetGroupFn(fn func(id BlockID) (UnitID, bool)) { p.groupOf = fn }
 
 // Charge adds n remaining consumers to an RDD's reference count.
 func (p *DAGPolicy) Charge(rdd, n int) {
@@ -119,9 +120,9 @@ func (p *DAGPolicy) Refs(rdd int) int { return p.refs[rdd] }
 // journal replay re-charges as jobs resubmit.
 func (p *DAGPolicy) ResetRefs() { p.refs = make(map[int]int) }
 
-func (p *DAGPolicy) keyOf(id BlockID) (string, bool) {
+func (p *DAGPolicy) keyOf(id BlockID) (UnitID, bool) {
 	if p.groupOf == nil {
-		return "", false
+		return UnitID{}, false
 	}
 	return p.groupOf(id)
 }
@@ -136,8 +137,8 @@ func (p *DAGPolicy) Plan(s *BlockStore, need int64, keep BlockID) EvictionPlan {
 	// still referenced (pinned) — including the incoming keep block's
 	// group, whose peers must survive the put for the cache to stay
 	// effective.
-	groupPinned := make(map[string]bool)
-	pinnedOf := func(key string) bool {
+	groupPinned := make(map[UnitID]bool)
+	pinnedOf := func(key UnitID) bool {
 		pinned, ok := groupPinned[key]
 		if ok {
 			return pinned

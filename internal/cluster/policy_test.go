@@ -82,16 +82,17 @@ func TestBlockStoreShrinkCapacity(t *testing.T) {
 	}
 }
 
-// groupFn maps blocks to peer groups for tests: rdds 10..19 → group "g1",
-// 20..29 → "g2", everything else ungrouped.
-func groupFn(id BlockID) (string, bool) {
+// groupFn maps blocks to peer groups for tests: rdds 10..19 → unit 7 of
+// namespace 1, 20..29 → unit 7 of namespace 2 (the same unit number, so only
+// the namespace tells the groups apart), everything else ungrouped.
+func groupFn(id BlockID) (UnitID, bool) {
 	switch {
 	case id.RDD >= 10 && id.RDD < 20:
-		return "g1", true
+		return UnitID{NS: 1, Unit: 7}, true
 	case id.RDD >= 20 && id.RDD < 30:
-		return "g2", true
+		return UnitID{NS: 2, Unit: 7}, true
 	}
-	return "", false
+	return UnitID{}, false
 }
 
 func TestDAGPolicyEvictsZeroRefFirst(t *testing.T) {
@@ -152,6 +153,35 @@ func TestDAGPolicyGroupCascade(t *testing.T) {
 	}
 	if s.Contains(BlockID{10, 0}) || s.Contains(BlockID{11, 0}) {
 		t.Fatalf("partial peer group survived: evicted=%v blocks=%v", ev, s.Blocks())
+	}
+}
+
+// The same unit number in two namespaces is two peer groups: the cascade
+// that evicts one takes all of it and none of the other.
+func TestDAGPolicyGroupsAreNamespaced(t *testing.T) {
+	p := NewDAGPolicy()
+	p.SetGroupFn(groupFn)
+	s := NewBlockStore(100)
+	s.SetPolicy(p)
+	s.Put(BlockID{10, 0}, nil, 20) // namespace 1, unit 7: least recently used
+	s.Put(BlockID{20, 0}, nil, 20) // namespace 2, unit 7
+	s.Put(BlockID{11, 0}, nil, 20)
+	s.Put(BlockID{21, 0}, nil, 20)
+	// Need 10 bytes: the first victim's group goes whole and covers it.
+	ev, st := s.PutChecked(BlockID{2, 0}, nil, 30)
+	if st != PutStored || len(ev) != 2 {
+		t.Fatalf("st=%v ev=%v, want exactly namespace 1's two blocks evicted", st, ev)
+	}
+	if s.Contains(BlockID{10, 0}) || s.Contains(BlockID{11, 0}) {
+		t.Fatalf("partial peer group survived: evicted=%v blocks=%v", ev, s.Blocks())
+	}
+	if !s.Contains(BlockID{20, 0}) || !s.Contains(BlockID{21, 0}) {
+		t.Fatalf("unit 7 of the other namespace was evicted with it: evicted=%v blocks=%v", ev, s.Blocks())
+	}
+	// A reference into namespace 1 pins nothing of namespace 2.
+	p.Charge(10, 1)
+	if ev, st := s.PutChecked(BlockID{3, 0}, nil, 70); st != PutStored || len(ev) != 2 || s.Contains(BlockID{20, 0}) {
+		t.Fatalf("st=%v ev=%v, want namespace 2's group evicted, unpinned by a reference into namespace 1", st, ev)
 	}
 }
 

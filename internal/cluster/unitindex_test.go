@@ -61,7 +61,7 @@ func TestUnitIndexMatchesRecount(t *testing.T) {
 		c := New(cfg)
 		if seed%2 == 0 {
 			dag := NewDAGPolicy()
-			dag.SetGroupFn(func(id BlockID) (string, bool) { return strconv.Itoa(id.Partition / 4), true })
+			dag.SetGroupFn(func(id BlockID) (UnitID, bool) { return UnitID{NS: 1, Unit: id.Partition / 4}, true })
 			c.SetPolicy(dag)
 		}
 		m := &unitModel{width: 2, firstLoose: rdds - 1}
@@ -88,9 +88,18 @@ func TestUnitIndexMatchesRecount(t *testing.T) {
 			case k < 60:
 				op = "evicting put"
 				c.CachePut(exec, randBlock(), nil, 1200)
-			case k < 75:
+			case k < 70:
 				op = "drop"
 				c.DropBlock(exec, randBlock())
+			case k < 75:
+				op = "drop replicas"
+				id := randBlock()
+				c.DropReplicas(id)
+				for e := 0; e < execs; e++ {
+					if c.Executor(e).Store.Contains(id) {
+						t.Fatalf("seed %d step %d: executor %d still holds %v after DropReplicas", seed, step, e, id)
+					}
+				}
 			case k < 80:
 				op = "get"
 				c.CacheGet(exec, randBlock())

@@ -192,9 +192,6 @@ type Scheduler struct {
 	// for a data-local slot before accepting a remote one
 	// (spark.locality.wait; default 3 s in Spark 1.3).
 	LocalityWait time.Duration
-	// MCF enables Minimum-Contention-First ordering of remote offers
-	// (paper Algorithm 1).
-	MCF bool
 }
 
 // DefaultScheduler mirrors Spark 1.3 defaults.

@@ -53,13 +53,7 @@ func (e *Engine) installCachePolicy() {
 		return
 	}
 	e.dagPol = cluster.NewDAGPolicy()
-	e.dagPol.SetGroupFn(func(id cluster.BlockID) (string, bool) {
-		ns, unit, ok := e.unitOf(id)
-		if !ok {
-			return "", false
-		}
-		return fmt.Sprintf("%s/%d", ns, unit), true
-	})
+	e.dagPol.SetGroupFn(e.unitIDOf)
 	e.cl.SetPolicy(e.dagPol)
 	e.cacheRec.Policy = "dag"
 }

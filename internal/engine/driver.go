@@ -45,6 +45,93 @@ import (
 // Replay is virtual-time-free and deterministically ordered: records apply
 // in append order, and every sweep over map-shaped state walks sorted keys.
 
+// driverMemory is DESIGN §12's volatile state: pending queues, the
+// running-task table, locality-wait bookkeeping, shuffle waiters, the
+// recovery and blacklist books, the locality and group managers with the
+// namespace tables beside them, the failure detector's timer flag. A crash
+// simply discards it — CrashDriver assigns a fresh one — and restart lets
+// journal replay and resubmission repopulate it; New builds it through the
+// same constructor, so a crashed driver remembers exactly what a new one
+// does. What is not the driver process's to lose (executors and their epochs,
+// the store, the lineage graph, client-held handles, counters) sits on Engine
+// beside it, and TestEveryEngineFieldIsClassified makes a new field pick a
+// side.
+type driverMemory struct {
+	// prefPending holds tasks that currently have a concrete locality
+	// preference (namespace tasks, and tasks with a cached chain block for
+	// their partition); it is scanned every round and must stay small.
+	// plainPending tasks launch remotely, strictly FIFO from plainHead, so
+	// scheduling stays O(launches) even with 10^5-task stages. A plain task
+	// whose chain block gets cached is promoted via wakeIndex.
+	prefPending  []*task
+	plainPending []*task
+	plainHead    int
+	// unarmed counts prefPending tasks without a locality-wait timer yet.
+	unarmed   int
+	wakeIndex map[cluster.BlockID][]*task
+	running   map[int]*task // by task id
+
+	// shuffleRunning marks shuffles whose map stage is currently executing;
+	// shuffleWaiters holds stage runs blocked on them; shuffleOwner remembers
+	// which job's run holds the execution so cross-job in-flight stage
+	// subscriptions are distinguishable from same-job re-checks in Stats.
+	shuffleRunning map[int]bool
+	shuffleWaiters map[int][]*stageRun
+	shuffleOwner   map[int]*job
+
+	// Failure-recovery state: which stage produces each shuffle (for
+	// resubmission after block loss), reduce tasks parked on a rebuilding
+	// shuffle, per-shuffle resubmission counts, per-executor failure counts
+	// and blacklist windows (both blacklist maps guarded by Engine.recMu),
+	// and checkpoints deferred for lack of live executors.
+	shuffleStages  map[int]*sched.Stage
+	fetchWaiters   map[int][]*task
+	resubmits      map[int]int
+	execFailures   map[int]int
+	blacklist      map[int]bool
+	blacklistUntil map[int]time.Duration
+	pendingCP      []*rdd.RDD
+
+	// Namespace state, re-registered by journal replay: preferred executors
+	// per collection unit, the Group Trees, the RDDs tracked per namespace
+	// (eviction bookkeeping) and per-namespace partition counts.
+	loc     *locality.Manager
+	grp     *group.Manager
+	nsRDDs  map[string][]*rdd.RDD
+	nsParts map[string]int
+	// streamSteps holds the stream step tables (nil unless DriverRecovery):
+	// stream name -> step -> RDD id.
+	streamSteps map[string]map[int]int
+	// detectorArmed is whether the failure-detector timer is scheduled.
+	detectorArmed bool
+}
+
+// newDriverMemory is the memory of a driver that has just started, whether
+// for the first time or after a crash.
+func newDriverMemory(cfg Config) driverMemory {
+	m := driverMemory{
+		wakeIndex:      make(map[cluster.BlockID][]*task),
+		running:        make(map[int]*task),
+		shuffleRunning: make(map[int]bool),
+		shuffleWaiters: make(map[int][]*stageRun),
+		shuffleOwner:   make(map[int]*job),
+		shuffleStages:  make(map[int]*sched.Stage),
+		fetchWaiters:   make(map[int][]*task),
+		resubmits:      make(map[int]int),
+		execFailures:   make(map[int]int),
+		blacklist:      make(map[int]bool),
+		blacklistUntil: make(map[int]time.Duration),
+		loc:            locality.NewManager(),
+		grp:            group.NewManager(cfg.Groups),
+		nsRDDs:         make(map[string][]*rdd.RDD),
+		nsParts:        make(map[string]int),
+	}
+	if cfg.DriverRecovery {
+		m.streamSteps = make(map[string]map[int]int)
+	}
+	return m
+}
+
 // DriverRecoveryEnabled reports whether the driver fault domain is armed.
 func (e *Engine) DriverRecoveryEnabled() bool { return e.jrn != nil }
 
@@ -169,36 +256,14 @@ func (e *Engine) CrashDriver(tearTail int) {
 	// the downtime, the replay, and the resumed work's completion.
 	e.resumeEpoch = &recoveryEpoch{start: e.loop.Now()}
 
-	// Volatile driver memory vanishes. Scheduling queues, the running-task
-	// table, shuffle and recovery bookkeeping, locality and group state,
-	// and detection timers are all rebuilt from the journal plus the
-	// re-handshake at restart. Slot accounting lives executor-side and the
-	// executors' own completion events release it, so it is untouched.
-	e.prefPending = nil
-	e.plainPending = nil
-	e.plainHead = 0
-	e.unarmed = 0
-	e.wakeIndex = make(map[cluster.BlockID][]*task)
-	e.running = make(map[int]*task)
-	e.shuffleRunning = make(map[int]bool)
-	e.shuffleWaiters = make(map[int][]*stageRun)
-	e.shuffleOwner = make(map[int]*job)
-	e.shuffleStages = make(map[int]*sched.Stage)
-	e.fetchWaiters = make(map[int][]*task)
-	e.resubmits = make(map[int]int)
-	e.execFailures = make(map[int]int)
-	e.pendingCP = nil
-	e.recMu.Lock()
-	e.blacklist = make(map[int]bool)
-	e.blacklistUntil = make(map[int]time.Duration)
+	// Volatile driver memory vanishes, to be rebuilt from the journal plus
+	// the re-handshake at restart. Slot accounting lives executor-side and
+	// the executors' own completion events release it, so it is untouched.
+	fresh := newDriverMemory(e.cfg)
+	e.recMu.Lock() // Blacklisted snapshots read the maps inside
+	e.driverMemory = fresh
 	e.recMu.Unlock()
-	e.loc = locality.NewManager()
-	e.grp = group.NewManager(e.cfg.Groups)
 	e.cl.UnitMappingChanged() // every namespace just became unregistered
-	e.nsRDDs = make(map[string][]*rdd.RDD)
-	e.nsParts = make(map[string]int)
-	e.streamSteps = make(map[string]map[int]int)
-	e.detectorArmed = false
 	if e.dagPol != nil {
 		// DAG refcounts are volatile driver memory; resubmission re-charges
 		// fresh stage runs (chargeStage) after the journal replays.

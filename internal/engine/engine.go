@@ -152,14 +152,12 @@ type Engine struct {
 	cl    *cluster.Cluster
 	store *storage.Store
 	graph *rdd.Graph
-	loc   *locality.Manager
-	grp   *group.Manager
 	repl  *replication.Policy
 
-	// nsRDDs lists RDDs per namespace, for eviction bookkeeping.
-	nsRDDs map[string][]*rdd.RDD
-	// nsGeometry remembers per-namespace partition counts.
-	nsParts map[string]int
+	// driverMemory is everything a driver crash forgets (driver.go),
+	// embedded so e.running, e.loc, e.blacklist … select through it.
+	driverMemory
+
 	// nsIDs interns namespace names for cluster.UnitID, from 1 so an
 	// unknown name maps to an id no block is counted under. Ids are names,
 	// not driver state: they survive a driver crash.
@@ -168,49 +166,17 @@ type Engine struct {
 	jobSeq  int
 	taskSeq int
 
-	// prefPending holds tasks that currently have a concrete locality
-	// preference (namespace tasks, and tasks with a cached chain block for
-	// their partition); it is scanned every round and must stay small.
-	// plainPending tasks launch remotely, strictly FIFO from plainHead, so
-	// scheduling stays O(launches) even with 10^5-task stages. A plain task
-	// whose chain block gets cached is promoted via wakeIndex.
-	prefPending  []*task
-	plainPending []*task
-	plainHead    int
-	// unarmed counts prefPending tasks without a locality-wait timer yet.
-	unarmed   int
-	wakeIndex map[cluster.BlockID][]*task
-	running   map[int]*task // by task id
 	// offers and offerUnits are remoteOffers' scratch: the offered executor
 	// ids and, under MCF, their scores, rebuilt in place each call.
 	offers     []int
 	offerUnits []int
 
-	// shuffleRunning marks shuffles whose map stage is currently executing;
-	// shuffleWaiters holds stage runs blocked on them; shuffleOwner remembers
-	// which job's run holds the execution so cross-job in-flight stage
-	// subscriptions are distinguishable from same-job re-checks in Stats.
-	shuffleRunning map[int]bool
-	shuffleWaiters map[int][]*stageRun
-	shuffleOwner   map[int]*job
-
-	// Failure-recovery state: which stage produces each shuffle (for
-	// resubmission after block loss), reduce tasks parked on a rebuilding
-	// shuffle, per-shuffle resubmission counts, per-executor failure counts
-	// and blacklist windows, checkpoints deferred for lack of live
-	// executors, and the injector when faults are armed.
-	shuffleStages  map[int]*sched.Stage
-	fetchWaiters   map[int][]*task
-	resubmits      map[int]int
-	execFailures   map[int]int
-	blacklist      map[int]bool
-	blacklistUntil map[int]time.Duration
-	pendingCP      []*rdd.RDD
-	inj            *fault.Injector
-	// recMu guards rec, cacheRec, blacklist, and blacklistUntil so
-	// RecoveryStats / CacheStats / Blacklisted snapshots may be taken from
-	// another goroutine while a job runs. All writes happen on the
-	// event-loop goroutine.
+	// inj is the fault injector when faults are armed.
+	inj *fault.Injector
+	// recMu guards rec, cacheRec, and driverMemory's blacklist and
+	// blacklistUntil so RecoveryStats / CacheStats / Blacklisted snapshots
+	// may be taken from another goroutine while a job runs. All writes
+	// happen on the event-loop goroutine.
 	recMu    sync.Mutex
 	rec      metrics.RecoveryMetrics
 	cacheRec metrics.CacheMetrics
@@ -231,21 +197,20 @@ type Engine struct {
 	hb  config.Heartbeat
 	// activeJobs gates the heartbeat and detector timers: with no job in
 	// flight the timers stop, so Loop.Run and RunJob still drain.
-	activeJobs    int
-	detectorArmed bool
-	beatArmed     []bool
-	lastBeat      []time.Duration
-	execView      []viewState
-	execEpoch     []int
-	incSeen       []int
+	activeJobs int
+	beatArmed  []bool
+	lastBeat   []time.Duration
+	execView   []viewState
+	execEpoch  []int
+	incSeen    []int
 
 	// Driver fault domain (driver.go): the write-ahead journal (nil unless
 	// DriverRecovery), whether the driver is currently crashed, the driver
 	// generation (bumped per crash, invalidating pre-crash timer closures),
 	// journal appends and job submissions buffered during downtime, the
 	// client-held job handles and namespace partitioners re-attached at
-	// restart, the replayed stream step tables, restart hooks, and the open
-	// recovery epoch spanning crash through first resumed completions.
+	// restart, restart hooks, and the open recovery epoch spanning crash
+	// through first resumed completions.
 	jrn         *journal.Log
 	driverDown  bool
 	driverGen   int
@@ -260,7 +225,6 @@ type Engine struct {
 	closed         bool
 	closeErr       error
 	nsPartitioners map[string]partition.Partitioner
-	streamSteps    map[string]map[int]int
 	restartHooks   []func()
 	resumeEpoch    *recoveryEpoch
 
@@ -297,32 +261,18 @@ func New(cfg Config) *Engine {
 		cfg.Network.Seed = seed ^ 0x6e65747 // decorrelate from scheduler draws
 	}
 	e := &Engine{
-		cfg:            cfg,
-		loop:           vtime.NewLoop(),
-		cl:             cluster.New(cfg.Cluster),
-		store:          storage.NewStore(),
-		graph:          rdd.NewGraph(),
-		loc:            locality.NewManager(),
-		grp:            group.NewManager(cfg.Groups),
-		repl:           replication.NewPolicy(cfg.Replication),
-		nsRDDs:         make(map[string][]*rdd.RDD),
-		nsParts:        make(map[string]int),
-		nsIDs:          make(map[string]int),
-		running:        make(map[int]*task),
-		shuffleRunning: make(map[int]bool),
-		shuffleWaiters: make(map[int][]*stageRun),
-		shuffleOwner:   make(map[int]*job),
-		jobTab:         make(map[int]*job),
-		shuffleStages:  make(map[int]*sched.Stage),
-		fetchWaiters:   make(map[int][]*task),
-		resubmits:      make(map[int]int),
-		execFailures:   make(map[int]int),
-		blacklist:      make(map[int]bool),
-		blacklistUntil: make(map[int]time.Duration),
-		wakeIndex:      make(map[cluster.BlockID][]*task),
-		oomArmed:       make(map[int]bool),
-		evictedEver:    make(map[cluster.BlockID]bool),
-		rng:            rand.New(rand.NewSource(seed)),
+		cfg:          cfg,
+		loop:         vtime.NewLoop(),
+		cl:           cluster.New(cfg.Cluster),
+		store:        storage.NewStore(),
+		graph:        rdd.NewGraph(),
+		repl:         replication.NewPolicy(cfg.Replication),
+		driverMemory: newDriverMemory(cfg),
+		nsIDs:        make(map[string]int),
+		jobTab:       make(map[int]*job),
+		oomArmed:     make(map[int]bool),
+		evictedEver:  make(map[cluster.BlockID]bool),
+		rng:          rand.New(rand.NewSource(seed)),
 	}
 	e.cl.SetUnitMapping(e.unitIDOf)
 	e.offers = make([]int, 0, e.cl.NumExecutors())
@@ -347,7 +297,6 @@ func New(cfg Config) *Engine {
 	if cfg.DriverRecovery {
 		e.jrn = &journal.Log{}
 		e.nsPartitioners = make(map[string]partition.Partitioner)
-		e.streamSteps = make(map[string]map[int]int)
 	}
 	if !cfg.Faults.Empty() {
 		e.inj = fault.New(cfg.Faults)

@@ -173,9 +173,9 @@ func TestMCFIndexFollowsSplitAndMerge(t *testing.T) {
 }
 
 // TestMCFIndexFollowsDrops covers removals that bypass the engine's put
-// path: a stream-style window eviction (Cluster().DropBlock called
-// directly, as stream.evictBefore does), Unpersist, and a late namespace
-// registration that adopts blocks cached before it.
+// path: a stream-style window eviction (DropCached, as stream.evictBefore
+// calls it), Unpersist, and a late namespace registration that adopts blocks
+// cached before it.
 func TestMCFIndexFollowsDrops(t *testing.T) {
 	cfg := nsConfig()
 	cfg.Features.MCF = true
@@ -206,11 +206,14 @@ func TestMCFIndexFollowsDrops(t *testing.T) {
 	b := cacheNS(t, e, "b", dataset(80, 4), p)
 	checkOffers(t, e, "after caching")
 
-	// Window eviction: every replica of every partition, straight through
-	// the cluster.
+	// Window eviction: every replica of every partition, replica lists
+	// untouched.
+	e.DropCached(a)
 	for exec := 0; exec < e.Cluster().NumExecutors(); exec++ {
 		for part := 0; part < a.Parts; part++ {
-			e.Cluster().DropBlock(exec, blockID(a.ID, part))
+			if e.Cluster().Executor(exec).Store.Contains(blockID(a.ID, part)) {
+				t.Fatalf("executor %d still holds %v after DropCached", exec, blockID(a.ID, part))
+			}
 		}
 	}
 	checkOffers(t, e, "after window eviction")

@@ -8,7 +8,6 @@ import (
 	"stark/internal/journal"
 	"stark/internal/partition"
 	"stark/internal/rdd"
-	"stark/internal/replication"
 )
 
 // RegisterNamespace declares a locality namespace for RDDs created with
@@ -154,14 +153,21 @@ func (e *Engine) unitOf(id cluster.BlockID) (ns string, unit int, ok bool) {
 	return ns, id.Partition, true
 }
 
-// unitIDOf is unitOf in the cluster's comparable form: the mapping installed
-// into the unit index.
+// unitID names a collection unit the one way every unit-keyed table does —
+// the cluster's unit index, the dag policy's peer groups, the replication
+// policy's demand counters.
+func (e *Engine) unitID(ns string, unit int) cluster.UnitID {
+	return cluster.UnitID{NS: e.nsIDs[ns], Unit: unit}
+}
+
+// unitIDOf is unitOf as a cluster.UnitID: the mapping installed into the
+// unit index and, under the dag policy, the peer-group function.
 func (e *Engine) unitIDOf(id cluster.BlockID) (cluster.UnitID, bool) {
 	ns, unit, ok := e.unitOf(id)
 	if !ok {
 		return cluster.UnitID{}, false
 	}
-	return cluster.UnitID{NS: e.nsIDs[ns], Unit: unit}, true
+	return e.unitID(ns, unit), true
 }
 
 // onEvictions de-replicates collection units whose last cached block on an
@@ -176,14 +182,14 @@ func (e *Engine) onEvictions(exec int, evicted []cluster.BlockID) {
 			continue
 		}
 		e.loc.RemoveReplica(ns, unit, exec)
-		e.repl.Dropped(replication.UnitKey{Namespace: ns, Unit: unit})
+		e.repl.Dropped(e.unitID(ns, unit))
 	}
 }
 
 // unitCachedOn reports whether the executor still caches any block of the
 // unit: one refcount lookup in the cluster's unit index.
 func (e *Engine) unitCachedOn(ns string, unit, exec int) bool {
-	return e.cl.UnitCached(exec, cluster.UnitID{NS: e.nsIDs[ns], Unit: unit})
+	return e.cl.UnitCached(exec, e.unitID(ns, unit))
 }
 
 // unitPartitions expands a unit to its partition list.

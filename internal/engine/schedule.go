@@ -9,7 +9,6 @@ import (
 	"stark/internal/metrics"
 	netsim "stark/internal/net"
 	"stark/internal/record"
-	"stark/internal/replication"
 )
 
 // schedule runs one scheduling round: delay scheduling first (launch every
@@ -241,7 +240,7 @@ func (e *Engine) filterSchedulable(execs []int) []int {
 }
 
 // mcf reports whether remote offers are ordered Minimum-Contention-First.
-func (e *Engine) mcf() bool { return e.cfg.Features.MCF || e.cfg.Sched.MCF }
+func (e *Engine) mcf() bool { return e.cfg.Features.MCF }
 
 // remoteOffers lists live executors with free slots, ordered for remote
 // assignment, in a scratch slice valid until the next call. MCF sorts
@@ -429,7 +428,7 @@ func (e *Engine) onTaskResult(t *task) {
 	// decides whether that copy is worth keeping as a replica, and whether
 	// a cooled-down unit should retire one.
 	if t.ns != "" {
-		key := replication.UnitKey{Namespace: t.ns, Unit: t.unit}
+		key := e.unitID(t.ns, t.unit)
 		now := e.loop.Now()
 		switch t.tm.Locality {
 		case metrics.Remote:
@@ -468,7 +467,7 @@ func (e *Engine) deReplicate(ns string, unit int) {
 		}
 	}
 	e.loc.RemoveReplica(ns, unit, victim)
-	e.repl.Dropped(replication.UnitKey{Namespace: ns, Unit: unit})
+	e.repl.Dropped(e.unitID(ns, unit))
 	e.trace("replica-drop", -1, -1, -1, victim, fmt.Sprintf("unit=%s/%d", ns, unit))
 }
 

@@ -83,17 +83,26 @@ func (e *Engine) recordTaskStats(tm metrics.TaskMetrics) {
 	}
 }
 
+// DropCached drops every cached block of the RDD, wherever the cluster's
+// directory says a replica lives, in ascending partition then executor order
+// — the one "this dataset's cache is gone" primitive under Unpersist and the
+// stream window's eviction. Only executor caches and their directory and
+// unit-index entries change; what else the caller forgets (cache flag,
+// replica lists, a journal record) is the caller's.
+func (e *Engine) DropCached(r *rdd.RDD) {
+	for p := 0; p < r.Parts; p++ {
+		e.cl.DropReplicas(cluster.BlockID{RDD: r.ID, Partition: p})
+	}
+}
+
 // Unpersist drops every cached block of the RDD across the cluster and
 // clears its cache flag — Spark's RDD.unpersist, the "evict" half of the
 // paper's dynamically loaded and evicted dataset collections.
 func (e *Engine) Unpersist(r *rdd.RDD) {
 	r.CacheFlag = false
+	e.DropCached(r)
 	for p := 0; p < r.Parts; p++ {
-		id := cluster.BlockID{RDD: r.ID, Partition: p}
-		for _, exec := range e.cl.Locations(id) {
-			e.cl.DropBlock(exec, id)
-		}
-		ns, unit, ok := e.unitOf(id)
+		ns, unit, ok := e.unitOf(cluster.BlockID{RDD: r.ID, Partition: p})
 		if !ok {
 			continue
 		}

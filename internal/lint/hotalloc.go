@@ -8,9 +8,10 @@ import (
 
 // HotallocAnalyzer is the static twin of the testing.AllocsPerRun allocs/op
 // ceilings. Kernels annotated with //starklint:hotpath in their doc comment
-// (the columnar path: GroupByKeySorted, JoinRecords, CoGroupRecords, FromRecords,
-// PartitionRows, WriteMapOutputBatch, ReadReduce) and everything they
-// reach through the call graph must avoid allocation-inducing constructs:
+// (the row kernels and the shuffle store: GroupByKeySorted, JoinRecords,
+// CoGroupRecords, PartitionRows, WriteMapOutputBatch, ReadReduce) and
+// everything they reach through the call graph must avoid
+// allocation-inducing constructs:
 //
 //   - interface boxing at call sites (a concrete value passed to an
 //     interface parameter escapes to the heap);

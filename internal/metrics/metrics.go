@@ -113,62 +113,11 @@ func (j JobMetrics) LocalityFraction() float64 {
 	return float64(n) / float64(len(j.Tasks))
 }
 
-// Percentile returns the p-th percentile (0..100) of ds using
-// nearest-rank; it returns 0 for empty input.
-func Percentile(ds []time.Duration, p float64) time.Duration {
-	if len(ds) == 0 {
-		return 0
-	}
-	sorted := make([]time.Duration, len(ds))
-	copy(sorted, ds)
-	sort.Slice(sorted, func(a, b int) bool { return sorted[a] < sorted[b] })
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
-	}
-	rank := int(p/100*float64(len(sorted))+0.5) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	if rank >= len(sorted) {
-		rank = len(sorted) - 1
-	}
-	return sorted[rank]
-}
-
-// Mean returns the average duration; 0 for empty input.
-func Mean(ds []time.Duration) time.Duration {
-	if len(ds) == 0 {
-		return 0
-	}
-	var s time.Duration
-	for _, d := range ds {
-		s += d
-	}
-	return s / time.Duration(len(ds))
-}
-
 // Max returns the maximum duration; 0 for empty input.
 func Max(ds []time.Duration) time.Duration {
 	var m time.Duration
 	for _, d := range ds {
 		if d > m {
-			m = d
-		}
-	}
-	return m
-}
-
-// Min returns the minimum duration; 0 for empty input.
-func Min(ds []time.Duration) time.Duration {
-	if len(ds) == 0 {
-		return 0
-	}
-	m := ds[0]
-	for _, d := range ds[1:] {
-		if d < m {
 			m = d
 		}
 	}

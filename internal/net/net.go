@@ -118,9 +118,6 @@ func New(cfg Config, loop *vtime.Loop) *Network {
 	}
 }
 
-// Config returns the normalized configuration.
-func (n *Network) Config() Config { return n.cfg }
-
 // Stats returns the transport counters so far.
 func (n *Network) Stats() Stats { return n.stats }
 

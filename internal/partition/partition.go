@@ -62,9 +62,9 @@ func (h Hash) PartitionFor(key string) int {
 }
 
 // PartitionForHash maps a precomputed FNV-32a key hash to its partition,
-// bit-identical to PartitionFor on the hashed key. The columnar shuffle path
-// hashes every key once into the batch and routes through this instead of
-// re-hashing per record.
+// bit-identical to PartitionFor on the hashed key. The shuffle map side
+// hashes a task's keys once (record.HashKeys) and routes through this instead
+// of building a hash.Hash32 per record.
 func (h Hash) PartitionForHash(sum uint32) int { return int(sum % uint32(h.n)) }
 
 // Equivalent implements Partitioner.
@@ -182,13 +182,6 @@ func (r Range) Equivalent(other Partitioner) bool {
 		}
 	}
 	return true
-}
-
-// Bounds returns a copy of the boundary list.
-func (r Range) Bounds() []string {
-	b := make([]string, len(r.bounds))
-	copy(b, r.bounds)
-	return b
 }
 
 // Describe implements Partitioner.

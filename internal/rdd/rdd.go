@@ -503,22 +503,13 @@ func (g *Graph) Sample(parent *RDD, name string, frac float64, salt uint32) *RDD
 	}
 	threshold := uint32(frac * float64(1<<32-1))
 	return g.Filter(parent, name, func(r record.Record) bool {
-		h := fnv32(r.Key) ^ salt
+		h := record.Hash32(r.Key) ^ salt
 		// One extra mix round decorrelates from the partitioner's hash.
 		h ^= h >> 16
 		h *= 0x7feb352d
 		h ^= h >> 15
 		return h <= threshold
 	})
-}
-
-func fnv32(s string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= 16777619
-	}
-	return h
 }
 
 // Ancestors returns every transitive parent of r (excluding r), unordered.

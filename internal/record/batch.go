@@ -7,10 +7,10 @@ import (
 	"stark/internal/arena"
 )
 
-// FNV-1a constants shared by the slab hashers. They must track hash/fnv
+// FNV-1a constants shared by the key hashers. They must track hash/fnv
 // exactly: partition.Hash uses fnv.New32a and storage block checksums use
-// fnv.New64a, and the batch's amortized hashes have to be bit-identical to
-// what those per-record paths produce.
+// fnv.New64a, and the allocation-free loops here have to be bit-identical to
+// what those produce.
 const (
 	fnvOffset32 = 2166136261
 	fnvPrime32  = 16777619
@@ -26,7 +26,10 @@ func mixInt64(h uint64, n int) uint64 {
 	return h
 }
 
-func fnv32aString(s string) uint32 {
+// Hash32 is FNV-32a over the key's bytes with no allocation — the bits
+// partition.Hash routes on (hash/fnv's New32a), and the one hash the shuffle
+// map side, the co-group kernel and rdd.Sample share.
+func Hash32(s string) uint32 {
 	h := uint32(fnvOffset32)
 	for i := 0; i < len(s); i++ {
 		h = (h ^ uint32(s[i])) * fnvPrime32
@@ -49,53 +52,24 @@ func KeySum64(rs []Record) uint64 {
 	return mixInt64(h, len(rs))
 }
 
-// ColKind tags the typed value column a batch carries. A batch whose values
-// are uniformly int64 / float64 / string gets the matching typed column; any
-// other mix spills to the boxed []any column.
-type ColKind uint8
-
-const (
-	// ColSpill is the boxed fallback column for mixed or uncommon value
-	// types.
-	ColSpill ColKind = iota
-	// ColInt64 marks a uniform []int64 value column.
-	ColInt64
-	// ColFloat64 marks a uniform []float64 value column.
-	ColFloat64
-	// ColString marks a uniform []string value column.
-	ColString
-)
-
-// Batch is a columnar view of one partition's records: a contiguous
-// key-bytes slab with offsets, per-key FNV hashes computed in one amortized
-// pass, and a memoized byte size. The row form ([]Record) stays canonical —
-// a batch built by FromRecords adopts the row slice copy-on-write, so
-// Records() is zero-alloc and values are never re-boxed at API boundaries.
-// Typed value columns (int64/float64/string with a boxed spill) are derived
-// lazily for kernels that want them.
-//
-// Batches follow the engine's COW contract: neither the adopted rows nor any
-// slice returned by a Batch method may be mutated once shared.
+// Batch is the slab/offset/hash view of one partition's rows that the layer
+// benchmark times: its only caller outside tests is bench/layers.go, which
+// compiles against exactly FromRecords, Len, Hash32, KeySumRange and
+// PartitionStable. The engine's data plane is rows end to end — a map task
+// hashes with HashKeys and buckets with PartitionRows, the store stamps and
+// verifies KeySum64 over its reduce-major rows — so nothing here is on a
+// production path, and the tests hold each method bit-equal to the row
+// function the engine does call.
 type Batch struct {
 	keys string   // concatenated key bytes
 	offs []int32  // len n+1; key i is keys[offs[i]:offs[i+1]]
-	hash []uint32 // FNV-32a per key, matches partition.Hash.PartitionFor
-	recs []Record // canonical rows (nil only after WithoutRows, for tests)
-
-	bytes int64   // memoized SizeOfSlice equivalent
-	sizes []int64 // lazy per-record SizeOfRecord
-
-	kind     ColKind
-	colsDone bool
-	ints     []int64
-	floats   []float64
-	strs     []string
-	spill    []any
+	hash []uint32 // Hash32 of each key
+	recs []Record // the adopted rows, never written
 }
 
-// FromRecords builds a batch over rs in one pass: key slab, offsets, FNV-32a
-// hashes, and the exact SizeOfSlice byte total. The row slice is adopted
-// (not copied) under the copy-on-write contract.
+// FromRecords builds a batch over rs in one pass: key slab, offsets and
+// FNV-32a hashes. The row slice is adopted (not copied) under the
+// copy-on-write contract.
 //
 //starklint:hotpath
 func FromRecords(rs []Record) *Batch {
@@ -108,146 +82,21 @@ func FromRecords(rs []Record) *Batch {
 	sb.Grow(total)
 	offs := make([]int32, n+1)
 	hash := make([]uint32, n)
-	bytes := int64(sliceOverhead)
-	sizes := make([]int64, n)
 	for i := 0; i < n; i++ {
-		r := rs[i]
-		sb.WriteString(r.Key)
-		offs[i+1] = offs[i] + int32(len(r.Key))
-		hash[i] = fnv32aString(r.Key)
-		sz := recordOverhead + stringOverhead + int64(len(r.Key)) + SizeOf(r.Value)
-		sizes[i] = sz
-		bytes += sz
+		key := rs[i].Key
+		sb.WriteString(key)
+		offs[i+1] = offs[i] + int32(len(key))
+		hash[i] = Hash32(key)
 	}
-	return &Batch{keys: sb.String(), offs: offs, hash: hash, recs: rs, bytes: bytes, sizes: sizes}
+	return &Batch{keys: sb.String(), offs: offs, hash: hash, recs: rs}
 }
 
 // Len reports the number of records.
 func (b *Batch) Len() int { return len(b.offs) - 1 }
 
-// Key returns record i's key as a zero-copy substring of the slab.
-func (b *Batch) Key(i int) string { return b.keys[b.offs[i]:b.offs[i+1]] }
-
 // Hash32 returns the FNV-32a hash of record i's key, bit-identical to
 // hashing the key through hash/fnv as partition.Hash does.
 func (b *Batch) Hash32(i int) uint32 { return b.hash[i] }
-
-// Bytes returns the memoized SizeOfSlice of the batch's rows. Shuffle and
-// cache accounting read this instead of re-walking the partition.
-func (b *Batch) Bytes() int64 { return b.bytes }
-
-// Sizes returns the per-record SizeOfRecord column.
-func (b *Batch) Sizes() []int64 { return b.sizes }
-
-// Records returns the canonical row view without copying or re-boxing. If
-// the rows were stripped (WithoutRows), they are rebuilt from the columns —
-// the only path that re-boxes values.
-func (b *Batch) Records() []Record {
-	if b.recs != nil || b.Len() == 0 {
-		return b.recs
-	}
-	n := b.Len()
-	rs := make([]Record, n)
-	for i := 0; i < n; i++ {
-		rs[i].Key = b.Key(i)
-		switch b.kind {
-		case ColInt64:
-			rs[i].Value = b.ints[i]
-		case ColFloat64:
-			rs[i].Value = b.floats[i]
-		case ColString:
-			rs[i].Value = b.strs[i]
-		default:
-			rs[i].Value = b.spill[i]
-		}
-	}
-	b.recs = rs
-	return rs
-}
-
-// ToRecords is Records under the name the round-trip property uses:
-// FromRecords(ToRecords(b)) must be identical to b observably (keys, hashes,
-// bytes, fingerprint).
-func (b *Batch) ToRecords() []Record { return b.Records() }
-
-// Columnize derives the typed value column (or the boxed spill column) from
-// the rows and reports the batch's column kind. It is lazy and memoized;
-// kernels that can exploit unboxed values call it, everything else never
-// pays for it.
-func (b *Batch) Columnize() ColKind {
-	if b.colsDone {
-		return b.kind
-	}
-	b.colsDone = true
-	rs := b.Records()
-	n := len(rs)
-	if n == 0 {
-		b.kind = ColSpill
-		return b.kind
-	}
-	switch rs[0].Value.(type) {
-	case int64:
-		col := make([]int64, n)
-		for i, r := range rs {
-			v, ok := r.Value.(int64)
-			if !ok {
-				b.spillColumn(rs)
-				return b.kind
-			}
-			col[i] = v
-		}
-		b.kind, b.ints = ColInt64, col
-	case float64:
-		col := make([]float64, n)
-		for i, r := range rs {
-			v, ok := r.Value.(float64)
-			if !ok {
-				b.spillColumn(rs)
-				return b.kind
-			}
-			col[i] = v
-		}
-		b.kind, b.floats = ColFloat64, col
-	case string:
-		col := make([]string, n)
-		for i, r := range rs {
-			v, ok := r.Value.(string)
-			if !ok {
-				b.spillColumn(rs)
-				return b.kind
-			}
-			col[i] = v
-		}
-		b.kind, b.strs = ColString, col
-	default:
-		b.spillColumn(rs)
-	}
-	return b.kind
-}
-
-func (b *Batch) spillColumn(rs []Record) {
-	col := make([]any, len(rs))
-	for i, r := range rs {
-		col[i] = r.Value
-	}
-	b.kind, b.spill = ColSpill, col
-}
-
-// Float64s returns the typed column after Columnize reported ColFloat64.
-func (b *Batch) Float64s() []float64 { return b.floats }
-
-// Strings returns the typed column after Columnize reported ColString.
-func (b *Batch) Strings() []string { return b.strs }
-
-// WithoutRows returns a copy of the batch with the row view dropped, forcing
-// Records() down the column-materialization path. Tests use it to exercise
-// re-boxing; the engine never does.
-func (b *Batch) WithoutRows() *Batch {
-	b.Columnize()
-	cp := *b
-	cp.recs = nil
-	return &cp
-}
 
 // KeySumRange computes the storage block checksum of rows [lo, hi) straight
 // off the key slab — bit-identical to KeySum64(rows[lo:hi]) with zero
@@ -262,20 +111,6 @@ func (b *Batch) KeySumRange(lo, hi int) uint64 {
 		h = (h ^ 0xff) * fnvPrime64
 	}
 	return mixInt64(h, hi-lo)
-}
-
-// Fingerprint hashes the batch's observable shape off the slab, bit-exact
-// with Fingerprint over its rows.
-func (b *Batch) Fingerprint() uint64 {
-	n := b.Len()
-	h := mixInt64(fnvOffset64, n)
-	for i := 0; i < n; i++ {
-		for j := b.offs[i]; j < b.offs[i+1]; j++ {
-			h = (h ^ uint64(b.keys[j])) * fnvPrime64
-		}
-		h = (h ^ 0) * fnvPrime64
-	}
-	return h
 }
 
 // Scratch bundles the arena pools the batch kernels carve their transient
@@ -326,7 +161,7 @@ const sparsePartitionThreshold = 4096
 func HashKeys(rs []Record, scr *Scratch) []uint32 {
 	hash := scr.U32.Take(len(rs))
 	for i := range rs {
-		hash[i] = fnv32aString(rs[i].Key)
+		hash[i] = Hash32(rs[i].Key)
 	}
 	return hash
 }
@@ -336,7 +171,7 @@ func HashKeys(rs []Record, scr *Scratch) []uint32 {
 //
 //starklint:hotpath
 func (b *Batch) PartitionStable(idx []int32, nparts int, scr *Scratch) *PartitionedBatch {
-	return PartitionRows(b.Records(), idx, nparts, scr)
+	return PartitionRows(b.recs, idx, nparts, scr)
 }
 
 // PartitionRows is the shuffle map side's one partition kernel. Given rows

@@ -12,8 +12,9 @@ import (
 	"stark/internal/record"
 )
 
-// corpora the round-trip properties run over: typed columns, the any spill
-// column, empty and single-key partitions.
+// corpora the batch properties run over: uniform and mixed value types
+// (values ride along in the rows, whatever they are), keys with embedded
+// separators and NULs, empty and single-key partitions.
 func batchCorpora() map[string][]record.Record {
 	mixed := []record.Record{
 		{Key: "a", Value: int64(1)},
@@ -56,27 +57,38 @@ func batchCorpora() map[string][]record.Record {
 	}
 }
 
+// TestBatchRoundTripIdentity: the identity partition (every row to bucket 0
+// of 1) hands back the rows it was given — same order, same values, input
+// untouched — and a batch rebuilt from that output reports the hashes and
+// key sums the first one did.
 func TestBatchRoundTripIdentity(t *testing.T) {
+	var scr record.Scratch
 	for name, rs := range batchCorpora() {
 		t.Run(name, func(t *testing.T) {
+			input := slices.Clone(rs)
 			b := record.FromRecords(rs)
-			if b.Len() != len(rs) {
-				t.Fatalf("Len = %d, want %d", b.Len(), len(rs))
+			pb := b.PartitionStable(make([]int32, len(rs)), 1, &scr)
+			scr.Reset()
+			if !reflect.DeepEqual(rs, input) {
+				t.Fatalf("the round trip mutated its input rows")
 			}
-			back := b.ToRecords()
-			if !reflect.DeepEqual(back, rs) {
-				t.Fatalf("ToRecords mismatch:\n got %v\nwant %v", back, rs)
+			if len(pb.Rows) != len(rs) || (len(rs) > 0 && !reflect.DeepEqual(pb.Rows, rs)) {
+				t.Fatalf("identity partition changed the rows:\n got %v\nwant %v", pb.Rows, rs)
 			}
-			b2 := record.FromRecords(b.ToRecords())
-			if !reflect.DeepEqual(b2.ToRecords(), rs) {
-				t.Fatalf("FromRecords(ToRecords(b)) not identity")
+			b2 := record.FromRecords(pb.Rows)
+			if b2.Len() != b.Len() {
+				t.Fatalf("round-trip Len = %d, want %d", b2.Len(), b.Len())
 			}
-			if got, want := b2.Fingerprint(), record.Fingerprint(rs); got != want {
-				t.Fatalf("round-trip fingerprint changed: %#x != %#x", got, want)
+			for i := 0; i < b.Len(); i++ {
+				if b2.Hash32(i) != b.Hash32(i) {
+					t.Fatalf("round-trip Hash32(%d) changed", i)
+				}
+				if b2.KeySumRange(i, i+1) != b.KeySumRange(i, i+1) {
+					t.Fatalf("round-trip KeySumRange(%d,%d) changed", i, i+1)
+				}
 			}
-			if b2.Bytes() != b.Bytes() || b2.Bytes() != record.SizeOfSlice(rs) {
-				t.Fatalf("round-trip bytes changed: %d / %d / %d",
-					b2.Bytes(), b.Bytes(), record.SizeOfSlice(rs))
+			if got, want := b2.KeySumRange(0, b2.Len()), b.KeySumRange(0, b.Len()); got != want {
+				t.Fatalf("round-trip key sum changed: %#x != %#x", got, want)
 			}
 		})
 	}
@@ -86,23 +98,14 @@ func TestBatchMatchesRowPaths(t *testing.T) {
 	for name, rs := range batchCorpora() {
 		t.Run(name, func(t *testing.T) {
 			b := record.FromRecords(rs)
-			if got, want := b.Fingerprint(), record.Fingerprint(rs); got != want {
-				t.Fatalf("batch fingerprint %#x != row fingerprint %#x", got, want)
-			}
-			if got, want := b.Bytes(), record.SizeOfSlice(rs); got != want {
-				t.Fatalf("batch bytes %d != SizeOfSlice %d", got, want)
+			if b.Len() != len(rs) {
+				t.Fatalf("Len = %d, want %d", b.Len(), len(rs))
 			}
 			for i, r := range rs {
-				if b.Key(i) != r.Key {
-					t.Fatalf("Key(%d) = %q, want %q", i, b.Key(i), r.Key)
-				}
 				f := fnv.New32a()
 				f.Write([]byte(r.Key))
-				if b.Hash32(i) != f.Sum32() {
+				if b.Hash32(i) != f.Sum32() || record.Hash32(r.Key) != f.Sum32() {
 					t.Fatalf("Hash32(%d) diverges from hash/fnv", i)
-				}
-				if b.Sizes()[i] != record.SizeOfRecord(r) {
-					t.Fatalf("Sizes()[%d] = %d, want %d", i, b.Sizes()[i], record.SizeOfRecord(r))
 				}
 			}
 			// KeySumRange over every sub-range matches the per-record checksum.
@@ -114,35 +117,6 @@ func TestBatchMatchesRowPaths(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-func TestBatchColumnKinds(t *testing.T) {
-	c := batchCorpora()
-	want := map[string]record.ColKind{
-		"mixed-spill": record.ColSpill,
-		"int64":       record.ColInt64,
-		"float64":     record.ColFloat64,
-		"string":      record.ColString,
-		"empty":       record.ColSpill,
-		"single-key":  record.ColInt64,
-		"big":         record.ColInt64,
-	}
-	for name, rs := range c {
-		b := record.FromRecords(rs)
-		if got := b.Columnize(); got != want[name] {
-			t.Fatalf("%s: Columnize = %d, want %d", name, got, want[name])
-		}
-		// Rebuilding rows from columns (the spill/re-box path) must still
-		// round-trip and keep the fingerprint.
-		nb := b.WithoutRows()
-		if !reflect.DeepEqual(nb.Records(), rs) {
-			t.Fatalf("%s: column-materialized rows differ", name)
-		}
-		b3 := record.FromRecords(nb.ToRecords())
-		if got, wantFP := b3.Fingerprint(), record.Fingerprint(rs); got != wantFP {
-			t.Fatalf("%s: fingerprint changed through column round-trip", name)
-		}
 	}
 }
 
@@ -209,7 +183,7 @@ func TestPartitionStableMatchesNaive(t *testing.T) {
 		if len(rows) != tc.n || cap(rows) != len(rows) {
 			t.Fatalf("%s: %d rows (cap %d), want %d with no spare capacity", name, len(rows), cap(rows), tc.n)
 		}
-		ref := record.FromRecords(rows) // the columnar twin of the store's checksum
+		ref := record.FromRecords(rows) // the slab twin of the store's checksum
 		next := int32(0)                // spans tile [0, n): bucket views are disjoint and gap-free
 		for si, p := range parts {
 			sp := pb.Spans[si]

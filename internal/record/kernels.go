@@ -95,7 +95,7 @@ func (sc *groupScratch) group(sides [][]Record) coGrouping {
 	for _, side := range sides {
 		for j := range side {
 			key := side[j].Key
-			h := fnv32aString(key)
+			h := Hash32(key)
 			slot := uint64(h) & mask
 			for {
 				e := table[slot]

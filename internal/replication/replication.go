@@ -14,20 +14,17 @@
 // The engine feeds launch events in; the policy answers "should this
 // remote launch be adopted as a replica?" and "which replica should unit α
 // give up?". Demand is tracked with an exponentially decayed counter per
-// unit, so bursts age out.
+// unit, so bursts age out. A unit is named by cluster.UnitID, the same key
+// the cluster's unit index and the dag eviction policy use.
 package replication
 
 import (
 	"math"
 	"sync"
 	"time"
-)
 
-// UnitKey names a collection unit: a namespace plus a partition or group id.
-type UnitKey struct {
-	Namespace string
-	Unit      int
-}
+	"stark/internal/cluster"
+)
 
 // Config bounds the policy.
 type Config struct {
@@ -60,7 +57,7 @@ type unitState struct {
 type Policy struct {
 	mu    sync.Mutex
 	cfg   Config
-	units map[UnitKey]*unitState
+	units map[cluster.UnitID]*unitState
 }
 
 // NewPolicy builds a policy; zero-valued config fields fall back to
@@ -76,10 +73,10 @@ func NewPolicy(cfg Config) *Policy {
 	if cfg.DemandPerReplica <= 0 {
 		cfg.DemandPerReplica = def.DemandPerReplica
 	}
-	return &Policy{cfg: cfg, units: make(map[UnitKey]*unitState)}
+	return &Policy{cfg: cfg, units: make(map[cluster.UnitID]*unitState)}
 }
 
-func (p *Policy) state(k UnitKey) *unitState {
+func (p *Policy) state(k cluster.UnitID) *unitState {
 	st, ok := p.units[k]
 	if !ok {
 		st = &unitState{replicas: 1}
@@ -100,7 +97,7 @@ func (st *unitState) decayTo(now time.Duration, halfLife time.Duration) {
 
 // OnLocalLaunch records a data-local task launch for the unit at virtual
 // time now.
-func (p *Policy) OnLocalLaunch(k UnitKey, now time.Duration) {
+func (p *Policy) OnLocalLaunch(k cluster.UnitID, now time.Duration) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	st := p.state(k)
@@ -111,7 +108,7 @@ func (p *Policy) OnLocalLaunch(k UnitKey, now time.Duration) {
 // OnRemoteLaunch records a failed-locality launch — the paper's replication
 // signal — and reports whether the executor that ran the task should be
 // adopted as a replica.
-func (p *Policy) OnRemoteLaunch(k UnitKey, now time.Duration) (adopt bool) {
+func (p *Policy) OnRemoteLaunch(k cluster.UnitID, now time.Duration) (adopt bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	st := p.state(k)
@@ -139,7 +136,7 @@ func (p *Policy) TargetLocked(st *unitState) int {
 }
 
 // Target reports the unit's current replica target at virtual time now.
-func (p *Policy) Target(k UnitKey, now time.Duration) int {
+func (p *Policy) Target(k cluster.UnitID, now time.Duration) int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	st := p.state(k)
@@ -148,7 +145,7 @@ func (p *Policy) Target(k UnitKey, now time.Duration) int {
 }
 
 // Replicas reports the policy's view of a unit's replica count.
-func (p *Policy) Replicas(k UnitKey) int {
+func (p *Policy) Replicas(k cluster.UnitID) int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.state(k).replicas
@@ -158,7 +155,7 @@ func (p *Policy) Replicas(k UnitKey) int {
 // replica count, i.e. one replica should be retired (paper: excessive
 // replication "catalyzes cache eviction"). The caller performs the actual
 // cache drop and then confirms with Dropped.
-func (p *Policy) ShouldDeReplicate(k UnitKey, now time.Duration) bool {
+func (p *Policy) ShouldDeReplicate(k cluster.UnitID, now time.Duration) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	st := p.state(k)
@@ -168,7 +165,7 @@ func (p *Policy) ShouldDeReplicate(k UnitKey, now time.Duration) bool {
 
 // Dropped records that one replica of the unit was retired (either by the
 // de-replication path or by cache eviction).
-func (p *Policy) Dropped(k UnitKey) {
+func (p *Policy) Dropped(k cluster.UnitID) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	st := p.state(k)
@@ -178,7 +175,7 @@ func (p *Policy) Dropped(k UnitKey) {
 }
 
 // Demand exposes a unit's decayed demand (diagnostics).
-func (p *Policy) Demand(k UnitKey, now time.Duration) float64 {
+func (p *Policy) Demand(k cluster.UnitID, now time.Duration) float64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	st := p.state(k)

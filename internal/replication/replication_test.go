@@ -4,9 +4,11 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"stark/internal/cluster"
 )
 
-var k = UnitKey{Namespace: "ns", Unit: 3}
+var k = cluster.UnitID{NS: 1, Unit: 3}
 
 func TestDefaultsApplied(t *testing.T) {
 	p := NewPolicy(Config{})
@@ -111,7 +113,7 @@ func TestTargetMonotoneInDemand(t *testing.T) {
 func TestReplicasNeverExceedCapQuick(t *testing.T) {
 	f := func(events []bool, unit uint8) bool {
 		p := NewPolicy(Config{MaxReplicas: 3, DemandPerReplica: 2, HalfLife: time.Second})
-		key := UnitKey{Namespace: "q", Unit: int(unit)}
+		key := cluster.UnitID{NS: 2, Unit: int(unit)}
 		now := time.Duration(0)
 		for _, remote := range events {
 			now += 10 * time.Millisecond
@@ -133,8 +135,8 @@ func TestReplicasNeverExceedCapQuick(t *testing.T) {
 
 func TestUnitsIndependent(t *testing.T) {
 	p := NewPolicy(Config{DemandPerReplica: 2, MaxReplicas: 4, HalfLife: time.Hour})
-	hot := UnitKey{Namespace: "ns", Unit: 1}
-	cold := UnitKey{Namespace: "ns", Unit: 2}
+	hot := cluster.UnitID{NS: 1, Unit: 1}
+	cold := cluster.UnitID{NS: 1, Unit: 2}
 	for i := 0; i < 10; i++ {
 		p.OnRemoteLaunch(hot, 0)
 	}

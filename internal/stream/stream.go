@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"time"
 
-	"stark/internal/cluster"
 	"stark/internal/engine"
 	"stark/internal/metrics"
 	"stark/internal/partition"
@@ -165,11 +164,7 @@ func (s *Stream) evictBefore(cutoff int) {
 		if r == nil {
 			continue
 		}
-		for exec := 0; exec < s.eng.Cluster().NumExecutors(); exec++ {
-			for p := 0; p < r.Parts; p++ {
-				s.eng.Cluster().DropBlock(exec, blockID(r.ID, p))
-			}
-		}
+		s.eng.DropCached(r)
 		s.steps[st] = nil
 		s.eng.JournalStreamEvict(s.cfg.Name, st)
 	}
@@ -259,11 +254,6 @@ func MeanDelay(rs []QueryResult) time.Duration {
 		s += r.Delay
 	}
 	return s / time.Duration(len(rs))
-}
-
-// blockID mirrors the engine-internal helper.
-func blockID(rddID, part int) cluster.BlockID {
-	return cluster.BlockID{RDD: rddID, Partition: part}
 }
 
 // WindowCoGroup builds a cogroup over the n most recent live steps using

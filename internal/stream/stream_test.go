@@ -91,6 +91,10 @@ func TestIngestMaterializesAndCaches(t *testing.T) {
 	}
 }
 
+func blockID(rddID, part int) cluster.BlockID {
+	return cluster.BlockID{RDD: rddID, Partition: part}
+}
+
 func TestEvictionDropsCache(t *testing.T) {
 	e := testEngine(config.Features{})
 	s, err := New(e, Config{Name: "s", Partitioner: partition.NewHash(2), Window: 1})
@@ -99,12 +103,30 @@ func TestEvictionDropsCache(t *testing.T) {
 	}
 	r0 := s.Ingest(0, stepData(0, 20))
 	e.Loop().Run()
+	// One holder of the step dies and comes back with a cold cache before
+	// the window moves: the eviction follows the directory, which must by
+	// then list only the replicas that are really there.
+	holders := e.Cluster().Locations(blockID(r0.ID, 0))
+	if len(holders) == 0 {
+		t.Fatal("step 0 was never cached")
+	}
+	e.KillExecutor(holders[0])
+	e.RestartExecutor(holders[0])
 	s.Ingest(1, stepData(1, 20))
 	e.Loop().Run()
 	for p := 0; p < r0.Parts; p++ {
 		if len(e.Cluster().Locations(blockID(r0.ID, p))) != 0 {
 			t.Fatal("evicted step still cached")
 		}
+		// The directory is not the only witness: probe every store.
+		for _, ex := range e.Cluster().Executors() {
+			if ex.Store.Contains(blockID(r0.ID, p)) {
+				t.Fatalf("executor %d still holds evicted block %v", ex.ID, blockID(r0.ID, p))
+			}
+		}
+	}
+	if err := e.Cluster().CheckConsistency(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -270,20 +270,6 @@ func RandomRegion(rng *rand.Rand, g zorder.Grid, depth int) (lo, hi string) {
 	return zorder.Key(b * span), zorder.Key((b+1)*span - 1)
 }
 
-// Partition splits records into parts slices by a partition function,
-// a convenience for building pre-partitioned sources.
-func Partition(recs []record.Record, parts int, partFor func(string) int) [][]record.Record {
-	out := make([][]record.Record, parts)
-	for _, r := range recs {
-		p := partFor(r.Key)
-		if p < 0 || p >= parts {
-			p = 0
-		}
-		out[p] = append(out[p], r)
-	}
-	return out
-}
-
 // Chunk splits records into parts roughly equal contiguous slices,
 // modeling unpartitioned file blocks.
 func Chunk(recs []record.Record, parts int) [][]record.Record {
