@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-json loc test test-short test-race chaos chaos-nightly multitenant cachepolicy shuffle bench bench-engine bench-smoke examples experiments clean
+.PHONY: all build vet lint lint-json loc test test-short test-race chaos chaos-nightly multitenant cachepolicy shuffle bench-engine bench-smoke examples experiments clean
 
 all: build lint test
 
@@ -72,9 +72,6 @@ cachepolicy:
 shuffle:
 	$(GO) test -race -cpu 1,4 ./internal/storage/ ./internal/engine/
 	STARK_CHECK_COW=1 $(GO) test ./internal/storage/ ./internal/engine/ ./internal/rdd/ .
-
-bench: lint
-	$(GO) test -bench=. -benchmem -benchtime=1x .
 
 # Engine/record/storage/cluster hot-path benchmarks (GroupByKeySorted,
 # bucketing, the shuffle store round trip at the fat and wide shapes, the

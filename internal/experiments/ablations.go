@@ -10,7 +10,82 @@ import (
 
 // Ablations beyond the paper's own figures, exercising the design choices
 // DESIGN.md calls out: MCF scheduling, group-threshold hysteresis, the
-// delay-scheduling wait bound, and the checkpoint relaxation factor.
+// delay-scheduling wait bound, the checkpoint relaxation factor, and task
+// placement.
+
+// AblationsResult holds every ablation sweep at the values starkbench
+// reports.
+type AblationsResult struct {
+	MCF        AblationMCFResult
+	Hysteresis []AblationHysteresisPoint
+	Wait       []AblationWaitPoint
+	Relax      []AblationRelaxPoint
+	Placement  []AblationPlacementPoint
+}
+
+// RunAblations runs the five ablations in print order.
+func RunAblations() (AblationsResult, error) {
+	var r AblationsResult
+	var err error
+	if r.MCF, err = RunAblationMCF(); err != nil {
+		return r, err
+	}
+	if r.Hysteresis, err = RunAblationHysteresis([]float64{1.5, 2, 4, 8, 16}); err != nil {
+		return r, err
+	}
+	if r.Wait, err = RunAblationLocalityWait([]time.Duration{
+		0, 50 * time.Millisecond, 250 * time.Millisecond, time.Second, 3 * time.Second,
+	}); err != nil {
+		return r, err
+	}
+	if r.Relax, err = RunAblationRelax([]float64{1, 2, 3, 4, 8}); err != nil {
+		return r, err
+	}
+	r.Placement, err = RunAblationPlacement()
+	return r, err
+}
+
+// Print emits the five ablations.
+func (r AblationsResult) Print(w io.Writer) {
+	fprintf(w, "Ablation: MCF scheduling under hotspot load\n")
+	fprintf(w, "  delay scheduling only: %s\n", fmtMs(r.MCF.WithoutMCF))
+	fprintf(w, "  with MCF:              %s\n", fmtMs(r.MCF.WithMCF))
+
+	fprintf(w, "Ablation: group threshold hysteresis (band = max/min bytes) vs churn under drift\n")
+	fprintf(w, "  %6s %8s %10s\n", "band", "changes", "imbalance")
+	for _, pt := range r.Hysteresis {
+		fprintf(w, "  %6.1f %8d %9.2fx\n", pt.Band, pt.Changes, pt.Imbalance)
+	}
+
+	fprintf(w, "Ablation: delay-scheduling wait bound vs locality and delay under contention\n")
+	fprintf(w, "  %10s %9s %10s\n", "wait", "locality", "mean")
+	for _, pt := range r.Wait {
+		fprintf(w, "  %10v %8.0f%% %s\n", pt.Wait, pt.Locality*100, fmtMs(pt.Mean))
+	}
+
+	fprintf(w, "Ablation: checkpoint relaxation factor f\n")
+	fprintf(w, "  %6s %10s %9s\n", "f", "total", "selected")
+	for _, pt := range r.Relax {
+		fprintf(w, "  %6.1f %8dMB %9d\n", pt.Relax, pt.Total>>20, pt.Selected)
+	}
+
+	fprintf(w, "Ablation: task placement extremes (paper Fig. 9) under bursty hotspot load\n")
+	fprintf(w, "  %-10s %10s %9s %9s\n", "policy", "mean", "cacheHit", "locality")
+	for _, pt := range r.Placement {
+		fprintf(w, "  %-10s %s %8.0f%% %8.0f%%\n", pt.Policy, fmtMs(pt.Mean), pt.HitRate*100, pt.Locality*100)
+	}
+}
+
+// loadLogCollection loads the four 10k-line log datasets d0..d3 the MCF and
+// placement ablations query, under sys's discipline over a 16-way hash
+// partitioner.
+func loadLogCollection(ctx *stark.Context, sys System) (*collection, error) {
+	c, err := newCollection(ctx, sys, "ns", stark.NewHashPartitioner(16), 1)
+	for i := 0; err == nil && i < 4; i++ {
+		_, err = c.load(fmt.Sprintf("d%d", i), makeLogFile(int64(i), 10000), 8)
+	}
+	return c, err
+}
 
 // AblationMCFResult compares hotspot query delay with and without
 // Minimum-Contention-First scheduling.
@@ -35,21 +110,12 @@ func RunAblationMCF() (AblationMCFResult, error) {
 			opts = append(opts, stark.WithMCF())
 		}
 		ctx := stark.NewContext(opts...)
-		p := stark.NewHashPartitioner(16)
-		if err := ctx.RegisterNamespace("ns", p, 1); err != nil {
+		c, err := loadLogCollection(ctx, StarkH)
+		if err != nil {
 			return 0, err
 		}
-		var rdds []*stark.RDD
-		for i := 0; i < 4; i++ {
-			r := ctx.TextFile(fmt.Sprintf("d%d", i), makeLogFile(int64(i), 10000), 8).
-				LocalityPartitionBy(p, "ns").Cache()
-			if _, err := r.Materialize(); err != nil {
-				return 0, err
-			}
-			rdds = append(rdds, r)
-		}
 		results := ctx.OpenLoop(5*time.Millisecond, 60, func(i int) *stark.RDD {
-			return ctx.CoGroup(p, rdds...)
+			return ctx.CoGroup(c.p, c.rdds...)
 		})
 		return stark.MeanDelay(results), nil
 	}
@@ -62,13 +128,6 @@ func RunAblationMCF() (AblationMCFResult, error) {
 		return res, err
 	}
 	return res, nil
-}
-
-// Print emits the comparison.
-func (r AblationMCFResult) Print(w io.Writer) {
-	fprintf(w, "Ablation: MCF scheduling under hotspot load\n")
-	fprintf(w, "  delay scheduling only: %s\n", fmtMs(r.WithoutMCF))
-	fprintf(w, "  with MCF:              %s\n", fmtMs(r.WithMCF))
 }
 
 // AblationHysteresisPoint is one (band, churn) measurement.
@@ -94,24 +153,16 @@ func RunAblationHysteresis(bands []float64) ([]AblationHysteresisPoint, error) {
 			stark.WithSizeScale(420),
 			stark.WithSeed(5),
 		)
-		p := stark.NewStaticRangePartitioner(uniformSkewBounds(4096, 32))
-		if err := ctx.RegisterNamespace("ns", p, 8); err != nil {
+		c, err := newCollection(ctx, StarkE, "ns", stark.NewStaticRangePartitioner(uniformSkewBounds(4096, 32)), 8)
+		if err != nil {
 			return nil, err
 		}
-		changes := 0
 		// The hot window drifts across the key space over 8 datasets.
 		for i := 0; i < 8; i++ {
 			recs := makeSkewedRDD(int64(i), 20000, 4096, 0.6, 512, i*512)
-			r := ctx.TextFile(fmt.Sprintf("d%d", i), recs, 8).
-				LocalityPartitionBy(p, "ns").Cache()
-			if _, err := r.Materialize(); err != nil {
+			if _, err := c.load(fmt.Sprintf("d%d", i), recs, 8); err != nil {
 				return nil, err
 			}
-			ch, err := ctx.ReportRDD(r)
-			if err != nil {
-				return nil, err
-			}
-			changes += len(ch)
 		}
 		sizes, err := ctx.GroupSizes("ns")
 		if err != nil {
@@ -128,18 +179,9 @@ func RunAblationHysteresis(bands []float64) ([]AblationHysteresisPoint, error) {
 		if sum > 0 && len(sizes) > 0 {
 			imb = float64(max) / (float64(sum) / float64(len(sizes)))
 		}
-		out = append(out, AblationHysteresisPoint{Band: band, Changes: changes, Imbalance: imb})
+		out = append(out, AblationHysteresisPoint{Band: band, Changes: c.changes, Imbalance: imb})
 	}
 	return out, nil
-}
-
-// PrintHysteresis emits the sweep.
-func PrintHysteresis(w io.Writer, pts []AblationHysteresisPoint) {
-	fprintf(w, "Ablation: group threshold hysteresis (band = max/min bytes) vs churn under drift\n")
-	fprintf(w, "  %6s %8s %10s\n", "band", "changes", "imbalance")
-	for _, pt := range pts {
-		fprintf(w, "  %6.1f %8d %9.2fx\n", pt.Band, pt.Changes, pt.Imbalance)
-	}
 }
 
 // AblationWaitPoint is one (wait, locality, delay) measurement.
@@ -161,39 +203,20 @@ func RunAblationLocalityWait(waits []time.Duration) ([]AblationWaitPoint, error)
 			stark.WithLocalityWait(wait),
 			stark.WithSeed(9),
 		)
-		p := stark.NewHashPartitioner(8)
-		if err := ctx.RegisterNamespace("ns", p, 1); err != nil {
+		c, err := newCollection(ctx, StarkH, "ns", stark.NewHashPartitioner(8), 1)
+		if err != nil {
 			return nil, err
 		}
-		base := ctx.TextFile("d", makeLogFile(1, 20000), 4).
-			LocalityPartitionBy(p, "ns").Cache()
-		if _, err := base.Materialize(); err != nil {
+		base, err := c.load("d", makeLogFile(1, 20000), 4)
+		if err != nil {
 			return nil, err
 		}
 		results := ctx.OpenLoop(2*time.Millisecond, 50, func(i int) *stark.RDD {
 			return base.Filter(func(stark.Record) bool { return true })
 		})
-		var local, total float64
-		for _, r := range results {
-			total += float64(len(r.Metrics.Tasks))
-			local += r.Metrics.LocalityFraction() * float64(len(r.Metrics.Tasks))
-		}
-		frac := 0.0
-		if total > 0 {
-			frac = local / total
-		}
-		out = append(out, AblationWaitPoint{Wait: wait, Locality: frac, Mean: stark.MeanDelay(results)})
+		out = append(out, AblationWaitPoint{Wait: wait, Locality: taskLocality(results), Mean: stark.MeanDelay(results)})
 	}
 	return out, nil
-}
-
-// PrintWait emits the sweep.
-func PrintWait(w io.Writer, pts []AblationWaitPoint) {
-	fprintf(w, "Ablation: delay-scheduling wait bound vs locality and delay under contention\n")
-	fprintf(w, "  %10s %9s %10s\n", "wait", "locality", "mean")
-	for _, pt := range pts {
-		fprintf(w, "  %10v %8.0f%% %s\n", pt.Wait, pt.Locality*100, fmtMs(pt.Mean))
-	}
 }
 
 // AblationRelaxPoint is one (f, checkpoint bytes, triggers) measurement.
@@ -209,14 +232,9 @@ func RunAblationRelax(fs []float64) ([]AblationRelaxPoint, error) {
 	cfg := DefaultCheckpoint()
 	var out []AblationRelaxPoint
 	for _, f := range fs {
-		ctx, app, err := newTrendingRun(cfg, stark.WithCheckpointing(cfg.Bound, f))
+		ctx, err := runTrending(cfg, nil, stark.WithCheckpointing(cfg.Bound, f))
 		if err != nil {
 			return nil, err
-		}
-		for s := 0; s < cfg.Steps; s++ {
-			if _, err := app.Step(trendingInput(cfg, s)); err != nil {
-				return nil, err
-			}
 		}
 		selected := 0
 		for _, r := range ctx.Engine().Graph().RDDs() {
@@ -227,15 +245,6 @@ func RunAblationRelax(fs []float64) ([]AblationRelaxPoint, error) {
 		out = append(out, AblationRelaxPoint{Relax: f, Total: ctx.TotalCheckpointBytes(), Selected: selected})
 	}
 	return out, nil
-}
-
-// PrintRelax emits the sweep.
-func PrintRelax(w io.Writer, pts []AblationRelaxPoint) {
-	fprintf(w, "Ablation: checkpoint relaxation factor f\n")
-	fprintf(w, "  %6s %10s %9s\n", "f", "total", "selected")
-	for _, pt := range pts {
-		fprintf(w, "  %6.1f %8dMB %9d\n", pt.Relax, pt.Total>>20, pt.Selected)
-	}
 }
 
 // AblationPlacementPoint is one scheduling-policy measurement of the
@@ -271,45 +280,22 @@ func RunAblationPlacement() ([]AblationPlacementPoint, error) {
 			opts = append(opts, stark.WithMCF())
 		}
 		ctx := stark.NewContext(opts...)
-		p := stark.NewHashPartitioner(16)
+		sys := SparkH // blind placement loads like Spark-H, the others like Stark-H
 		if useNS {
-			if err := ctx.RegisterNamespace("ns", p, 1); err != nil {
-				return AblationPlacementPoint{}, err
-			}
+			sys = StarkH
 		}
-		var rdds []*stark.RDD
-		for i := 0; i < 4; i++ {
-			src := ctx.TextFile(fmt.Sprintf("d%d", i), makeLogFile(int64(i), 10000), 8)
-			var r *stark.RDD
-			if useNS {
-				r = src.LocalityPartitionBy(p, "ns")
-			} else {
-				r = src.PartitionBy(p)
-			}
-			r.Cache()
-			if _, err := r.Materialize(); err != nil {
-				return AblationPlacementPoint{}, err
-			}
-			rdds = append(rdds, r)
+		c, err := loadLogCollection(ctx, sys)
+		if err != nil {
+			return AblationPlacementPoint{}, err
 		}
 		results := ctx.OpenLoop(900*time.Millisecond, 40, func(i int) *stark.RDD {
-			return ctx.CoGroup(p, rdds...)
+			return ctx.CoGroup(c.p, c.rdds...)
 		})
-		st := ctx.Stats()
-		var local, total float64
-		for _, r := range results {
-			total += float64(len(r.Metrics.Tasks))
-			local += r.Metrics.LocalityFraction() * float64(len(r.Metrics.Tasks))
-		}
-		frac := 0.0
-		if total > 0 {
-			frac = local / total
-		}
 		return AblationPlacementPoint{
 			Policy:   policy,
 			Mean:     stark.MeanDelay(results),
-			HitRate:  st.CacheHitRate(),
-			Locality: frac,
+			HitRate:  ctx.Stats().CacheHitRate(),
+			Locality: taskLocality(results),
 		}, nil
 	}
 	var out []AblationPlacementPoint
@@ -332,11 +318,15 @@ func RunAblationPlacement() ([]AblationPlacementPoint, error) {
 	return out, nil
 }
 
-// PrintPlacement emits the comparison.
-func PrintPlacement(w io.Writer, pts []AblationPlacementPoint) {
-	fprintf(w, "Ablation: task placement extremes (paper Fig. 9) under bursty hotspot load\n")
-	fprintf(w, "  %-10s %10s %9s %9s\n", "policy", "mean", "cacheHit", "locality")
-	for _, pt := range pts {
-		fprintf(w, "  %-10s %s %8.0f%% %8.0f%%\n", pt.Policy, fmtMs(pt.Mean), pt.HitRate*100, pt.Locality*100)
+// taskLocality is the NODE_LOCAL share of every task the jobs ran.
+func taskLocality(results []stark.QueryResult) float64 {
+	var local, total float64
+	for _, r := range results {
+		total += float64(len(r.Metrics.Tasks))
+		local += r.Metrics.LocalityFraction() * float64(len(r.Metrics.Tasks))
 	}
+	if total == 0 {
+		return 0
+	}
+	return local / total
 }

@@ -45,15 +45,19 @@ func DefaultCachePolicy() CachePolicyConfig {
 	}
 }
 
-// CachePolicyArm aggregates one policy's counters over all seeds.
-type CachePolicyArm struct {
-	Policy string
+// Quick is the -quick profile: 2 seeds per arm, 6 rounds.
+func (c CachePolicyConfig) Quick() CachePolicyConfig {
+	c.Seeds = 2
+	c.Rounds = 6
+	return c
+}
 
-	Recomputes   int // recomputes of previously evicted cached blocks
-	Refusals     int // graceful cache refusals (compute-and-stream)
-	PinnedBlocks int // refusals caused by pinned peer groups
-	HitRate      float64
-	Makespan     time.Duration // summed virtual makespan over seeds
+// CachePolicyArm aggregates one policy's runs over all seeds.
+type CachePolicyArm struct {
+	Policy   string
+	Cache    stark.CacheStats // counters summed over seeds
+	HitRate  float64          // mean over seeds
+	Makespan time.Duration    // summed virtual makespan over seeds
 }
 
 // CachePolicyResult is the LRU-vs-DAG comparison. Fingerprints must match
@@ -97,6 +101,26 @@ func cpBatchRecords(cfg CachePolicyConfig, p stark.Partitioner, r int) []stark.R
 	return recs
 }
 
+// cpBase builds the long-lived cached base: a per-key sum over BaseRecords
+// unique keys, partitioned by p.
+func cpBase(ctx *stark.Context, cfg CachePolicyConfig, p stark.Partitioner) *stark.RDD {
+	recs := make([]stark.Record, cfg.BaseRecords)
+	for i := range recs {
+		recs[i] = stark.Pair(fmt.Sprintf("k%06d", i), i)
+	}
+	sum := func(a, b any) any { return a.(int) + b.(int) }
+	return ctx.TextFile("cp-base", recs, cfg.Parts).ReduceByKey(p, sum).Cache()
+}
+
+// cpRound caches round r's fresh batch and counts its join with base.
+func cpRound(ctx *stark.Context, cfg CachePolicyConfig, p stark.Partitioner, base *stark.RDD, r int) (int64, error) {
+	first := func(a, b any) any { return a }
+	batch := ctx.TextFile(fmt.Sprintf("cp-batch-%02d", r), cpBatchRecords(cfg, p, r), cfg.Parts).
+		ReduceByKey(p, first).Cache()
+	n, _, err := batch.Join(p, base).Count()
+	return n, err
+}
+
 // cachePolicyWorkload materializes a cached base (ReduceByKey over unique
 // keys, partitioned by p), then for each round builds a fresh cached batch
 // with the same partitioner and counts batch.Join(p, base). Both join deps
@@ -107,11 +131,7 @@ func cpBatchRecords(cfg CachePolicyConfig, p stark.Partitioner, r int) []stark.R
 // first. LRU interleaves stale-batch and base victims by recency and pays
 // recomputes for the base partitions it ages out.
 func cachePolicyWorkload(cfg CachePolicyConfig, policy string, seed int64, memory int64) (run cachePolicyRun) {
-	defer func() {
-		if p := recover(); p != nil {
-			run.err = fmt.Errorf("panic reached driver: %v", p)
-		}
-	}()
+	defer recoverInto(&run.err)
 	ctx := stark.NewContext(
 		stark.WithExecutors(cfg.Executors),
 		stark.WithSlots(cfg.Slots),
@@ -126,14 +146,7 @@ func cachePolicyWorkload(cfg CachePolicyConfig, policy string, seed int64, memor
 	}()
 
 	p := stark.NewHashPartitioner(cfg.Parts)
-	sum := func(a, b any) any { return a.(int) + b.(int) }
-
-	baseRecs := make([]stark.Record, cfg.BaseRecords)
-	for i := range baseRecs {
-		baseRecs[i] = stark.Pair(fmt.Sprintf("k%06d", i), i)
-	}
-	base := ctx.TextFile("cp-base", baseRecs, cfg.Parts).ReduceByKey(p, sum).Cache()
-
+	base := cpBase(ctx, cfg, p)
 	h := fnv.New64a()
 	total, _, err := base.Count()
 	if err != nil {
@@ -142,11 +155,8 @@ func cachePolicyWorkload(cfg CachePolicyConfig, policy string, seed int64, memor
 	}
 	fmt.Fprintf(h, "base=%d;", total)
 
-	first := func(a, b any) any { return a }
 	for r := 0; r < cfg.Rounds; r++ {
-		batch := ctx.TextFile(fmt.Sprintf("cp-batch-%02d", r), cpBatchRecords(cfg, p, r), cfg.Parts).
-			ReduceByKey(p, first).Cache()
-		n, _, err := batch.Join(p, base).Count()
+		n, err := cpRound(ctx, cfg, p, base, r)
 		if err != nil {
 			run.err = fmt.Errorf("round %d: %w", r, err)
 			return run
@@ -169,21 +179,13 @@ func probeCachePolicyMemory(cfg CachePolicyConfig) (int64, error) {
 		stark.WithSeed(1),
 	)
 	p := stark.NewHashPartitioner(cfg.Parts)
-	sum := func(a, b any) any { return a.(int) + b.(int) }
-	baseRecs := make([]stark.Record, cfg.BaseRecords)
-	for i := range baseRecs {
-		baseRecs[i] = stark.Pair(fmt.Sprintf("k%06d", i), i)
-	}
-	base := ctx.TextFile("cp-base", baseRecs, cfg.Parts).ReduceByKey(p, sum).Cache()
+	base := cpBase(ctx, cfg, p)
 	if _, _, err := base.Count(); err != nil {
 		return 0, fmt.Errorf("probe base: %w", err)
 	}
 	baseBytes := cacheUsed(ctx)
 
-	first := func(a, b any) any { return a }
-	batch := ctx.TextFile("cp-batch-00", cpBatchRecords(cfg, p, 0), cfg.Parts).
-		ReduceByKey(p, first).Cache()
-	if _, _, err := batch.Join(p, base).Count(); err != nil {
+	if _, err := cpRound(ctx, cfg, p, base, 0); err != nil {
 		return 0, fmt.Errorf("probe round: %w", err)
 	}
 	batchBytes := cacheUsed(ctx) - baseBytes
@@ -239,17 +241,14 @@ func RunCachePolicy(cfg CachePolicyConfig) (CachePolicyResult, error) {
 	res.LRU.HitRate /= float64(seeds)
 	res.DAG.HitRate /= float64(seeds)
 
-	if res.DAG.Recomputes >= res.LRU.Recomputes {
-		return res, fmt.Errorf("DAG-aware policy did not strictly reduce recomputes-after-eviction: dag=%d lru=%d",
-			res.DAG.Recomputes, res.LRU.Recomputes)
+	if dag, lru := res.DAG.Cache.RecomputesAfterEviction, res.LRU.Cache.RecomputesAfterEviction; dag >= lru {
+		return res, fmt.Errorf("DAG-aware policy did not strictly reduce recomputes-after-eviction: dag=%d lru=%d", dag, lru)
 	}
 	return res, nil
 }
 
 func accumulateArm(a *CachePolicyArm, run cachePolicyRun) {
-	a.Recomputes += run.cache.RecomputesAfterEviction
-	a.Refusals += run.cache.CacheRefusals
-	a.PinnedBlocks += run.cache.PinnedEvictionsBlocked
+	addCounts(&a.Cache, &run.cache)
 	a.HitRate += run.hitRate
 	a.Makespan += run.makespan
 }
@@ -261,12 +260,10 @@ func (r CachePolicyResult) Print(w io.Writer) {
 	fprintf(w, "  %-8s %12s %10s %13s %9s %12s\n",
 		"policy", "recomputes", "refusals", "pinnedBlocked", "cacheHit", "makespan")
 	for _, a := range []CachePolicyArm{r.LRU, r.DAG} {
-		fprintf(w, "  %-8s %12d %10d %13d %8.0f%% %12s\n",
-			a.Policy, a.Recomputes, a.Refusals, a.PinnedBlocks, a.HitRate*100, fmtMs(a.Makespan))
+		fprintf(w, "  %-8s %12d %10d %13d %8.0f%% %12s\n", a.Policy, a.Cache.RecomputesAfterEviction,
+			a.Cache.CacheRefusals, a.Cache.PinnedEvictionsBlocked, a.HitRate*100, fmtMs(a.Makespan))
 	}
-	if r.LRU.Recomputes > 0 {
-		fprintf(w, "  recomputes-after-eviction reduced %d -> %d (%.0f%%)\n",
-			r.LRU.Recomputes, r.DAG.Recomputes,
-			100*(1-float64(r.DAG.Recomputes)/float64(r.LRU.Recomputes)))
+	if lru, dag := r.LRU.Cache.RecomputesAfterEviction, r.DAG.Cache.RecomputesAfterEviction; lru > 0 {
+		fprintf(w, "  recomputes-after-eviction reduced %d -> %d (%.0f%%)\n", lru, dag, 100*(1-float64(dag)/float64(lru)))
 	}
 }

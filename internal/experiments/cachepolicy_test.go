@@ -17,10 +17,10 @@ func TestCachePolicyStrictImprovement(t *testing.T) {
 		t.Fatal(err)
 	}
 	res.Print(io.Discard)
-	if res.DAG.Recomputes != 0 {
-		t.Errorf("DAG policy paid %d recomputes-after-eviction; the pinned base should never be evicted", res.DAG.Recomputes)
+	if n := res.DAG.Cache.RecomputesAfterEviction; n != 0 {
+		t.Errorf("DAG policy paid %d recomputes-after-eviction; the pinned base should never be evicted", n)
 	}
-	if res.LRU.Recomputes == 0 {
+	if res.LRU.Cache.RecomputesAfterEviction == 0 {
 		t.Error("LRU baseline paid no recomputes; the workload no longer stresses the cache")
 	}
 }

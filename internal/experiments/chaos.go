@@ -64,6 +64,14 @@ func NightlyChaos() ChaosConfig {
 	return cfg
 }
 
+// Quick trims the default or nightly profile for -quick: 20 schedules over
+// a four-step workload.
+func (c ChaosConfig) Quick() ChaosConfig {
+	c.Seeds = 20
+	c.Steps = 4
+	return c
+}
+
 // ChaosResult reports the harness outcome.
 type ChaosResult struct {
 	Cfg    ChaosConfig
@@ -73,49 +81,15 @@ type ChaosResult struct {
 	// exceeded the recovery bound, with a reason each.
 	Violations []string
 
-	// Aggregates across all seeded runs.
-	Crashes         int
-	Restarts        int
-	Stragglers      int
-	BlocksDropped   int
-	BlocksCorrupted int
-	StorageErrors   int
-	Partitions      int
-	Heals           int
-	DelayWindows    int
-	MsgDrops        int
-
-	TaskFailures  int
-	TaskRetries   int
-	FetchFailures int
-	Resubmits     int
-	SpecLaunches  int
-	SpecWins      int
-	Blacklists    int
-
-	Suspicions   int
-	SuspCleared  int
-	DeadDecls    int
-	Rejoins      int
-	StaleRejects int
-	CorruptReads int // corrupt blocks detected by checksum on read
-	MaxDetect    time.Duration
-
-	// Driver fault-domain aggregates (both sweeps).
-	DriverCrashes   int
-	DriverRestarts  int
-	JournalReplayed int // journal records replayed across all restarts
-	JournalTorn     int // torn journal tails truncated during replay
-
-	// Memory-pressure aggregates: fault windows delivered and how the engine
-	// degraded — graceful cache refusals (incl. pinned-group refusals), OOM
-	// task failures, and recomputes of previously evicted blocks.
-	MemPressures    int
-	OOMWindows      int
-	CacheRefusals   int
-	PinnedBlocked   int
-	OOMTaskFails    int
-	EvictRecomputes int
+	// Faults, Recovery and Cache sum the int counters of every seeded run
+	// of the main sweep (Recovery's delay lists stay empty: MaxDetect and
+	// MaxDelay keep the maxima). The stream sweep adds only its driver-domain
+	// counters: driver crashes and restarts, journal records replayed, torn
+	// tails.
+	Faults    stark.FaultStats
+	Recovery  stark.RecoveryStats
+	Cache     stark.CacheStats
+	MaxDetect time.Duration // largest failure-detection delay, main sweep
 
 	StreamOracle string // fault-free stream-window fingerprint
 
@@ -132,36 +106,52 @@ type chaosRun struct {
 	faults      stark.FaultStats
 }
 
+// violation checks one seeded run against the recovery contract and says
+// how it broke it — an error, a fingerprint (named what) other than the
+// oracle's, or a recovery delay over the bound — or "" when it held.
+func (run chaosRun) violation(what, oracle string, bound time.Duration) string {
+	switch {
+	case run.err != nil:
+		return run.err.Error()
+	case run.fingerprint != oracle:
+		return fmt.Sprintf("%s %s != oracle %s", what, run.fingerprint, oracle)
+	case run.rec.MaxRecoveryDelay() > bound:
+		return fmt.Sprintf("recovery delay %v exceeds bound %v", run.rec.MaxRecoveryDelay(), bound)
+	}
+	return ""
+}
+
+// chaosContext builds a context for either chaos workload: control traffic
+// rides a lossy-capable network and failures are detected via heartbeats,
+// and the driver itself is a fault domain that journals its commit points
+// so seeded driver crashes can replay — in the oracles too, so fingerprints
+// are compared under identical machinery.
+func chaosContext(cfg ChaosConfig, opts ...stark.Option) *stark.Context {
+	base := []stark.Option{
+		stark.WithExecutors(cfg.Executors),
+		stark.WithSlots(cfg.Slots),
+		stark.WithSeed(7),
+		stark.WithNetwork(stark.NetworkConfig{
+			BaseDelay: 200 * time.Microsecond,
+			Jitter:    300 * time.Microsecond,
+		}),
+		stark.WithHeartbeat(40*time.Millisecond, 120*time.Millisecond, 300*time.Millisecond),
+		stark.WithDriverRecovery(),
+	}
+	return stark.NewContext(append(base, opts...)...)
+}
+
 // chaosWorkload runs the harness workload on a fresh context: build a
 // cached base dataset, shuffle it into per-key sums, then issue Steps query
 // jobs (filter + aggregate + join) and a final collect. The returned
 // fingerprint hashes every job's result, so any lost update, duplicate, or
 // reordering shows up.
 func chaosWorkload(cfg ChaosConfig, opts ...stark.Option) (run chaosRun) {
-	defer func() {
-		if p := recover(); p != nil {
-			run.err = fmt.Errorf("panic reached driver: %v", p)
-		}
-	}()
-	base := []stark.Option{
-		stark.WithExecutors(cfg.Executors),
-		stark.WithSlots(cfg.Slots),
-		stark.WithSeed(7),
+	defer recoverInto(&run.err)
+	ctx := chaosContext(cfg, append([]stark.Option{
 		stark.WithCheckpointing(cfg.Bound, 1),
 		stark.WithSpeculation(1.5, 0.75),
-		// Control traffic rides a lossy-capable network and failures are
-		// detected via heartbeats, in the oracle too, so fingerprints are
-		// compared under identical machinery.
-		stark.WithNetwork(stark.NetworkConfig{
-			BaseDelay: 200 * time.Microsecond,
-			Jitter:    300 * time.Microsecond,
-		}),
-		stark.WithHeartbeat(40*time.Millisecond, 120*time.Millisecond, 300*time.Millisecond),
-		// The driver itself is a fault domain: every run — oracle included —
-		// journals its commit points so seeded driver crashes can replay.
-		stark.WithDriverRecovery(),
-	}
-	ctx := stark.NewContext(append(base, opts...)...)
+	}, opts...)...)
 	defer func() {
 		run.rec = ctx.RecoveryStats()
 		run.cache = ctx.CacheStats()
@@ -229,70 +219,24 @@ func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 	res.Oracle = oracle.fingerprint
 	res.Horizon = oracle.end
 
-	for seed := int64(0); seed < int64(cfg.Seeds); seed++ {
-		sched := stark.RandomFaultSchedule(seed, res.Horizon, cfg.Executors).
-			WithNetFaults(seed, res.Horizon, cfg.Executors).
-			WithDriverFaults(seed, res.Horizon).
-			WithMemFaults(seed, res.Horizon, cfg.Executors)
-		if cfg.DumpFaults != nil {
-			fprintf(cfg.DumpFaults, "seed %d fault schedule:\n", seed)
-			for _, line := range sched.Describe() {
-				fprintf(cfg.DumpFaults, "  %s\n", line)
+	sweep(0, cfg.Seeds, cfg.DumpFaults, "seed %d fault schedule:\n",
+		func(seed int64) stark.FaultSchedule {
+			return stark.RandomFaultSchedule(seed, res.Horizon, cfg.Executors).
+				WithNetFaults(seed, res.Horizon, cfg.Executors).
+				WithDriverFaults(seed, res.Horizon).
+				WithMemFaults(seed, res.Horizon, cfg.Executors)
+		},
+		func(seed int64, faults stark.Option) {
+			run := chaosWorkload(cfg, faults)
+			if v := run.violation("fingerprint", res.Oracle, cfg.Bound); v != "" {
+				res.Violations = append(res.Violations, fmt.Sprintf("seed %d: %s", seed, v))
 			}
-		}
-		run := chaosWorkload(cfg, stark.WithFaults(sched))
-		switch {
-		case run.err != nil:
-			res.Violations = append(res.Violations,
-				fmt.Sprintf("seed %d: %v", seed, run.err))
-		case run.fingerprint != res.Oracle:
-			res.Violations = append(res.Violations,
-				fmt.Sprintf("seed %d: fingerprint %s != oracle %s", seed, run.fingerprint, res.Oracle))
-		case run.rec.MaxRecoveryDelay() > cfg.Bound:
-			res.Violations = append(res.Violations,
-				fmt.Sprintf("seed %d: recovery delay %v exceeds bound %v",
-					seed, run.rec.MaxRecoveryDelay(), cfg.Bound))
-		}
-		res.Crashes += run.faults.Crashes
-		res.Restarts += run.faults.Restarts
-		res.Stragglers += run.faults.Stragglers
-		res.BlocksDropped += run.faults.BlocksDropped
-		res.BlocksCorrupted += run.faults.BlocksCorrupted
-		res.StorageErrors += run.faults.StorageErrors
-		res.Partitions += run.faults.Partitions
-		res.Heals += run.faults.Heals
-		res.DelayWindows += run.faults.DelayWindows
-		res.MsgDrops += run.faults.MsgDrops
-		res.TaskFailures += run.rec.TaskFailures
-		res.TaskRetries += run.rec.TaskRetries
-		res.FetchFailures += run.rec.FetchFailures
-		res.Resubmits += run.rec.StageResubmissions
-		res.SpecLaunches += run.rec.SpeculativeLaunches
-		res.SpecWins += run.rec.SpeculativeWins
-		res.Blacklists += run.rec.ExecutorBlacklists
-		res.Suspicions += run.rec.Suspicions
-		res.SuspCleared += run.rec.SuspicionsCleared
-		res.DeadDecls += run.rec.DeadDeclarations
-		res.Rejoins += run.rec.Rejoins
-		res.StaleRejects += run.rec.StaleEpochRejections
-		res.CorruptReads += run.rec.CorruptBlocks
-		res.DriverCrashes += run.rec.DriverCrashes
-		res.DriverRestarts += run.rec.DriverRestarts
-		res.JournalReplayed += run.rec.JournalRecordsReplayed
-		res.JournalTorn += run.rec.JournalTornTails
-		res.MemPressures += run.faults.MemPressures
-		res.OOMWindows += run.faults.OOMWindows
-		res.CacheRefusals += run.cache.CacheRefusals
-		res.PinnedBlocked += run.cache.PinnedEvictionsBlocked
-		res.OOMTaskFails += run.cache.OOMTaskFailures
-		res.EvictRecomputes += run.cache.RecomputesAfterEviction
-		if d := run.rec.MaxDetectionDelay(); d > res.MaxDetect {
-			res.MaxDetect = d
-		}
-		if d := run.rec.MaxRecoveryDelay(); d > res.MaxDelay {
-			res.MaxDelay = d
-		}
-	}
+			addCounts(&res.Faults, &run.faults)
+			addCounts(&res.Recovery, &run.rec)
+			addCounts(&res.Cache, &run.cache)
+			res.MaxDetect = max(res.MaxDetect, run.rec.MaxDetectionDelay())
+			res.MaxDelay = max(res.MaxDelay, run.rec.MaxRecoveryDelay())
+		})
 	runChaosStream(cfg, &res)
 	if len(res.Violations) > 0 {
 		return res, fmt.Errorf("chaos: %d of %d seeds violated the recovery contract",
@@ -307,24 +251,8 @@ func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 // driver crash mid-window must come back with exactly the same live steps
 // holding exactly the same records.
 func chaosStreamWorkload(cfg ChaosConfig, opts ...stark.Option) (run chaosRun) {
-	defer func() {
-		if p := recover(); p != nil {
-			run.err = fmt.Errorf("panic reached driver: %v", p)
-		}
-	}()
-	base := []stark.Option{
-		stark.WithExecutors(cfg.Executors),
-		stark.WithSlots(cfg.Slots),
-		stark.WithSeed(7),
-		stark.WithCoLocality(),
-		stark.WithNetwork(stark.NetworkConfig{
-			BaseDelay: 200 * time.Microsecond,
-			Jitter:    300 * time.Microsecond,
-		}),
-		stark.WithHeartbeat(40*time.Millisecond, 120*time.Millisecond, 300*time.Millisecond),
-		stark.WithDriverRecovery(),
-	}
-	ctx := stark.NewContext(append(base, opts...)...)
+	defer recoverInto(&run.err)
+	ctx := chaosContext(cfg, append([]stark.Option{stark.WithCoLocality()}, opts...)...)
 	defer func() {
 		run.rec = ctx.RecoveryStats()
 		run.faults = ctx.FaultStats()
@@ -393,36 +321,19 @@ func runChaosStream(cfg ChaosConfig, res *ChaosResult) {
 		return
 	}
 	res.StreamOracle = oracle.fingerprint
-	for seed := int64(0); seed < int64(cfg.Seeds); seed++ {
-		sched := stark.FaultSchedule{}.WithDriverFaults(seed, oracle.end)
-		if cfg.DumpFaults != nil {
-			fprintf(cfg.DumpFaults, "stream seed %d fault schedule:\n", seed)
-			for _, line := range sched.Describe() {
-				fprintf(cfg.DumpFaults, "  %s\n", line)
+	sweep(0, cfg.Seeds, cfg.DumpFaults, "stream seed %d fault schedule:\n",
+		func(seed int64) stark.FaultSchedule { return stark.FaultSchedule{}.WithDriverFaults(seed, oracle.end) },
+		func(seed int64, faults stark.Option) {
+			run := chaosStreamWorkload(cfg, faults)
+			if v := run.violation("window fingerprint", res.StreamOracle, cfg.Bound); v != "" {
+				res.Violations = append(res.Violations, fmt.Sprintf("stream seed %d: %s", seed, v))
 			}
-		}
-		run := chaosStreamWorkload(cfg, stark.WithFaults(sched))
-		switch {
-		case run.err != nil:
-			res.Violations = append(res.Violations,
-				fmt.Sprintf("stream seed %d: %v", seed, run.err))
-		case run.fingerprint != res.StreamOracle:
-			res.Violations = append(res.Violations,
-				fmt.Sprintf("stream seed %d: window fingerprint %s != oracle %s",
-					seed, run.fingerprint, res.StreamOracle))
-		case run.rec.MaxRecoveryDelay() > cfg.Bound:
-			res.Violations = append(res.Violations,
-				fmt.Sprintf("stream seed %d: recovery delay %v exceeds bound %v",
-					seed, run.rec.MaxRecoveryDelay(), cfg.Bound))
-		}
-		res.DriverCrashes += run.rec.DriverCrashes
-		res.DriverRestarts += run.rec.DriverRestarts
-		res.JournalReplayed += run.rec.JournalRecordsReplayed
-		res.JournalTorn += run.rec.JournalTornTails
-		if d := run.rec.MaxRecoveryDelay(); d > res.MaxDelay {
-			res.MaxDelay = d
-		}
-	}
+			res.Recovery.DriverCrashes += run.rec.DriverCrashes
+			res.Recovery.DriverRestarts += run.rec.DriverRestarts
+			res.Recovery.JournalRecordsReplayed += run.rec.JournalRecordsReplayed
+			res.Recovery.JournalTornTails += run.rec.JournalTornTails
+			res.MaxDelay = max(res.MaxDelay, run.rec.MaxRecoveryDelay())
+		})
 }
 
 // Print emits the chaos summary.
@@ -430,19 +341,21 @@ func (r ChaosResult) Print(w io.Writer) {
 	fprintf(w, "Chaos: %d randomized fault schedules vs fault-free oracle (bound r=%v)\n",
 		r.Cfg.Seeds, r.Cfg.Bound)
 	fprintf(w, "  oracle fingerprint %s, fault window %v (virtual)\n", r.Oracle, r.Horizon)
+	f, rec, c := r.Faults, r.Recovery, r.Cache
 	fprintf(w, "  faults injected: crashes=%d restarts=%d stragglers=%d blockLoss=%d blockCorrupt=%d storageErr=%d\n",
-		r.Crashes, r.Restarts, r.Stragglers, r.BlocksDropped, r.BlocksCorrupted, r.StorageErrors)
+		f.Crashes, f.Restarts, f.Stragglers, f.BlocksDropped, f.BlocksCorrupted, f.StorageErrors)
 	fprintf(w, "  network faults:  partitions=%d heals=%d delayWindows=%d msgDrops=%d\n",
-		r.Partitions, r.Heals, r.DelayWindows, r.MsgDrops)
+		f.Partitions, f.Heals, f.DelayWindows, f.MsgDrops)
 	fprintf(w, "  recovery work:   taskFail=%d retries=%d fetchFail=%d resubmits=%d spec=%d/%d blacklists=%d\n",
-		r.TaskFailures, r.TaskRetries, r.FetchFailures, r.Resubmits,
-		r.SpecWins, r.SpecLaunches, r.Blacklists)
+		rec.TaskFailures, rec.TaskRetries, rec.FetchFailures, rec.StageResubmissions,
+		rec.SpeculativeWins, rec.SpeculativeLaunches, rec.ExecutorBlacklists)
 	fprintf(w, "  detection:       suspect=%d cleared=%d dead=%d rejoin=%d staleEpoch=%d corruptReads=%d maxDetect=%v\n",
-		r.Suspicions, r.SuspCleared, r.DeadDecls, r.Rejoins, r.StaleRejects, r.CorruptReads, r.MaxDetect)
+		rec.Suspicions, rec.SuspicionsCleared, rec.DeadDeclarations, rec.Rejoins, rec.StaleEpochRejections,
+		rec.CorruptBlocks, r.MaxDetect)
 	fprintf(w, "  driver domain:   crashes=%d restarts=%d journalReplayed=%d tornTails=%d\n",
-		r.DriverCrashes, r.DriverRestarts, r.JournalReplayed, r.JournalTorn)
+		rec.DriverCrashes, rec.DriverRestarts, rec.JournalRecordsReplayed, rec.JournalTornTails)
 	fprintf(w, "  memory pressure: windows=%d oomWindows=%d refusals=%d pinnedBlocked=%d oomTaskFails=%d evictRecomputes=%d\n",
-		r.MemPressures, r.OOMWindows, r.CacheRefusals, r.PinnedBlocked, r.OOMTaskFails, r.EvictRecomputes)
+		f.MemPressures, f.OOMWindows, c.CacheRefusals, c.PinnedEvictionsBlocked, c.OOMTaskFailures, c.RecomputesAfterEviction)
 	if r.StreamOracle != "" {
 		fprintf(w, "  stream window:   oracle fingerprint %s across %d driver-crash seeds\n",
 			r.StreamOracle, r.Cfg.Seeds)

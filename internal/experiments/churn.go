@@ -54,31 +54,19 @@ func RunChurn(cfg ChurnConfig) (ChurnResult, error) {
 			opts = append(opts, stark.WithCoLocality(), stark.WithMCF())
 		}
 		ctx := stark.NewContext(opts...)
-		p := stark.NewHashPartitioner(16)
-		const ns = "churn"
+		sys := SparkH // stock placement loads like Spark-H, co-locality like Stark-H
 		if coloc {
-			if err := ctx.RegisterNamespace(ns, p, 1); err != nil {
-				return 0, 0, err
-			}
+			sys = StarkH
+		}
+		c, err := newCollection(ctx, sys, "churn", stark.NewHashPartitioner(16), 1)
+		if err != nil {
+			return 0, 0, err
 		}
 		rng := rand.New(rand.NewSource(cfg.Seed))
-		var live []*stark.RDD
 		loadOne := func(i int) error {
 			service := gen.Services[i%len(gen.Services)]
-			recs := gen.Dataset(service, i)
-			src := ctx.FromPartitions(fmt.Sprintf("%s-%d", service, i), chunkRecords(recs, 8), true)
-			var r *stark.RDD
-			if coloc {
-				r = src.LocalityPartitionBy(p, ns)
-			} else {
-				r = src.PartitionBy(p)
-			}
-			r.Cache()
-			if _, err := r.Materialize(); err != nil {
-				return err
-			}
-			live = append(live, r)
-			return nil
+			_, err := c.load(fmt.Sprintf("%s-%d", service, i), gen.Dataset(service, i), 8)
+			return err
 		}
 		for i := 0; i < cfg.LiveDatasets; i++ {
 			if err := loadOne(i); err != nil {
@@ -89,16 +77,16 @@ func RunChurn(cfg ChurnConfig) (ChurnResult, error) {
 		next := cfg.LiveDatasets
 		for cycle := 0; cycle < cfg.Cycles; cycle++ {
 			// Evict the oldest, load a fresh dataset.
-			live[0].Unpersist()
-			live = live[1:]
+			c.rdds[0].Unpersist()
+			c.rdds = c.rdds[1:]
 			if err := loadOne(next); err != nil {
 				return 0, 0, err
 			}
 			next++
 			for q := 0; q < cfg.QueriesPerCycle; q++ {
 				k := 2 + rng.Intn(3)
-				lo := rng.Intn(len(live) - k + 1)
-				query := ctx.CoGroup(p, live[lo:lo+k]...)
+				lo := rng.Intn(len(c.rdds) - k + 1)
+				query := ctx.CoGroup(c.p, c.rdds[lo:lo+k]...)
 				_, jm, err := query.Count()
 				if err != nil {
 					return 0, 0, err
@@ -123,18 +111,6 @@ func RunChurn(cfg ChurnConfig) (ChurnResult, error) {
 		return res, err
 	}
 	return res, nil
-}
-
-func chunkRecords(recs []stark.Record, n int) [][]stark.Record {
-	out := make([][]stark.Record, n)
-	if len(recs) == 0 {
-		return out
-	}
-	for i, r := range recs {
-		p := i * n / len(recs)
-		out[p] = append(out[p], r)
-	}
-	return out
 }
 
 // Print emits the comparison.

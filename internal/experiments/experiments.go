@@ -1,8 +1,15 @@
 // Package experiments reproduces every measured figure of the paper's
-// evaluation (Sec. IV) on the simulated cluster. Each RunFigNN function
-// returns a structured result whose Print method emits the same rows or
-// series the paper plots; cmd/starkbench and the repository's benchmarks
-// are thin wrappers around these functions.
+// evaluation (Sec. IV) on the simulated cluster. Each Run* function takes
+// its experiment's config — Default* is the full profile, the config's Quick
+// method (if any) the -quick one — and returns a result whose Print method
+// emits the rows or series the paper plots, and whose WriteTSV method, where
+// the figure has series data, emits them as TSV; cmd/starkbench is one table
+// over these functions.
+//
+// The harness has one way to do each shared thing: a collection loads
+// datasets under a System's partitioning discipline, sweep drives a seeded
+// fault sweep, recoverInto turns a panic into a run's error, and addCounts
+// sums the stats values runs return.
 //
 // Absolute times depend on the calibrated cost model and will not match the
 // authors' testbed; the claims under reproduction are the *shapes*: who
@@ -14,6 +21,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"reflect"
 	"strings"
 	"time"
 
@@ -127,65 +135,102 @@ func keywordCountJob(ctx *stark.Context, p stark.Partitioner, rdds []*stark.RDD,
 	})
 }
 
-// ingestCollection loads hourly datasets into a context under the
-// system's partitioning discipline and returns the partitioned cached RDDs
-// plus the partitioner used for queries.
-func ingestCollection(ctx *stark.Context, sys System, ns string, hours [][]stark.Record,
-	hashParts int, staticBounds []string) ([]*stark.RDD, stark.Partitioner, error) {
-	var shared stark.Partitioner
-	switch sys {
-	case SparkH, StarkH:
-		shared = stark.NewHashPartitioner(hashParts)
-	case StarkS, StarkE:
-		shared = stark.NewStaticRangePartitioner(staticBounds)
-	}
-	if sys.UsesCoLocality() {
-		groups := 1
-		if sys == StarkE {
-			groups = initialGroupsFor(len(staticBounds) + 1)
-		}
-		if err := ctx.RegisterNamespace(ns, shared, groups); err != nil {
-			return nil, nil, err
-		}
-	}
-	var out []*stark.RDD
-	queryP := shared
-	for h, recs := range hours {
-		src := ctx.TextFile(fmt.Sprintf("%s-hour%d", ns, h), recs, ctx.NumExecutors())
-		var r *stark.RDD
-		switch sys {
-		case SparkR:
-			sample := sampleKeys(recs, 1024)
-			fresh := stark.NewRangePartitioner(sample, hashParts)
-			r = src.PartitionBy(fresh)
-			queryP = fresh // queries must also fit some partitioner; use last
-		case SparkH:
-			r = src.PartitionBy(shared)
-		default:
-			r = src.LocalityPartitionBy(shared, ns)
-		}
-		r.Cache()
-		if _, err := r.Materialize(); err != nil {
-			return nil, nil, err
-		}
-		if sys == StarkE {
-			if _, err := ctx.ReportRDD(r); err != nil {
-				return nil, nil, err
-			}
-		}
-		out = append(out, r)
-	}
-	return out, queryP, nil
+// collection is a dataset collection loaded under one system's partitioning
+// discipline (Sec. IV-A): Spark-R fits a fresh RangePartitioner to every
+// dataset, Spark-H hash-partitions by the shared partitioner p without
+// co-locality, and the Stark systems LocalityPartitionBy p under namespace
+// ns, Stark-E also reporting each dataset's sizes to the group manager.
+type collection struct {
+	ctx  *stark.Context
+	sys  System
+	ns   string
+	p    stark.Partitioner
+	rdds []*stark.RDD // loaded datasets, oldest first
+
+	// queryP is the partitioner queries over the collection use: p, or for
+	// Spark-R the range partitioner fitted to the last dataset loaded.
+	queryP stark.Partitioner
+	// changes counts the group splits and merges Stark-E's reports caused.
+	changes int
 }
 
-// initialGroupsFor picks a power-of-two initial group count of about an
-// eighth of the partition count, minimum 2.
-func initialGroupsFor(parts int) int {
-	g := 2
-	for g*8 < parts {
-		g *= 2
+// newCollection opens an empty collection; the co-located systems register
+// ns over p with groups initial groups.
+func newCollection(ctx *stark.Context, sys System, ns string, p stark.Partitioner, groups int) (*collection, error) {
+	c := &collection{ctx: ctx, sys: sys, ns: ns, p: p, queryP: p}
+	if sys.UsesCoLocality() {
+		return c, ctx.RegisterNamespace(ns, p, groups)
 	}
-	return g
+	return c, nil
+}
+
+// load adds one dataset: recs read as a TextFile of srcParts partitions,
+// partitioned under the collection's discipline, cached and materialized.
+// Spark-R's fresh partitioner has p's partition count.
+func (c *collection) load(name string, recs []stark.Record, srcParts int) (*stark.RDD, error) {
+	src := c.ctx.TextFile(name, recs, srcParts)
+	var r *stark.RDD
+	switch c.sys {
+	case SparkR:
+		c.queryP = stark.NewRangePartitioner(sampleKeys(recs, 1024), c.p.NumPartitions())
+		r = src.PartitionBy(c.queryP)
+	case SparkH:
+		r = src.PartitionBy(c.p)
+	default:
+		r = src.LocalityPartitionBy(c.p, c.ns)
+	}
+	r.Cache()
+	if _, err := r.Materialize(); err != nil {
+		return nil, err
+	}
+	if c.sys == StarkE {
+		ch, err := c.ctx.ReportRDD(r)
+		if err != nil {
+			return nil, err
+		}
+		c.changes += len(ch)
+	}
+	c.rdds = append(c.rdds, r)
+	return r, nil
+}
+
+// recoverInto is deferred by every seeded workload: a panic that reaches
+// the harness's driver becomes the run's error, so one broken seed is a
+// reported violation instead of a crashed sweep.
+func recoverInto(err *error) {
+	if p := recover(); p != nil {
+		*err = fmt.Errorf("panic reached driver: %v", p)
+	}
+}
+
+// sweep is the seeded-sweep driver of the robustness oracles: for each seed
+// in [first, first+n) it builds schedule(seed) — fixed over the caller's
+// fault-free oracle run — prints it to dump under header (a format taking
+// the seed) when dump is set, and hands run the option that arms it.
+func sweep(first, n int, dump io.Writer, header string,
+	schedule func(seed int64) stark.FaultSchedule, run func(seed int64, faults stark.Option)) {
+	for seed := int64(first); seed < int64(first+n); seed++ {
+		sched := schedule(seed)
+		if dump != nil {
+			fprintf(dump, header, seed)
+			for _, line := range sched.Describe() {
+				fprintf(dump, "  %s\n", line)
+			}
+		}
+		run(seed, stark.WithFaults(sched))
+	}
+}
+
+// addCounts adds every int field of *src to the same field of *dst: summed
+// over runs, a stats value (FaultStats, RecoveryStats, CacheStats) is that
+// value with its counters added. Other fields are left alone.
+func addCounts[T any](dst, src *T) {
+	d, s := reflect.ValueOf(dst).Elem(), reflect.ValueOf(src).Elem()
+	for i := 0; i < d.NumField(); i++ {
+		if f := d.Field(i); f.Kind() == reflect.Int {
+			f.SetInt(f.Int() + s.Field(i).Int())
+		}
+	}
 }
 
 func sampleKeys(recs []stark.Record, n int) []string {

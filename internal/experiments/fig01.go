@@ -35,7 +35,7 @@ func DefaultFig01() Fig01Config {
 
 // RunFig01 executes the experiment.
 func RunFig01(cfg Fig01Config) (Fig01Result, error) {
-	build := func(cache bool) (*stark.Context, *stark.RDD, *stark.RDD, error) {
+	build := func(cache bool) (c, d *stark.RDD) {
 		ctx := stark.NewContext(
 			stark.WithExecutors(8), stark.WithSlots(4),
 			stark.WithSizeScale(cfg.SizeScale), stark.WithSeed(cfg.Seed),
@@ -47,24 +47,21 @@ func RunFig01(cfg Fig01Config) (Fig01Result, error) {
 		// val B = A.partitionBy(new HashPartitioner(2))
 		b := a.PartitionBy(stark.NewHashPartitioner(2))
 		// val C = B.filter(_.startsWith("ERROR"))
-		c := b.Filter(isError)
+		c = b.Filter(isError)
 		// val D = C.filter(_.length > 30)
-		d := c.Filter(func(r stark.Record) bool {
+		d = c.Filter(func(r stark.Record) bool {
 			s, ok := r.Value.(string)
 			return ok && len(s) > 30
 		})
 		if cache {
 			c.Cache()
 		}
-		return ctx, c, d, nil
+		return c, d
 	}
 
 	var res Fig01Result
 	// Cached variant: C.cache.count; D.count.
-	_, c, d, err := build(true)
-	if err != nil {
-		return res, err
-	}
+	c, d := build(true)
 	_, jmC, err := c.Count()
 	if err != nil {
 		return res, err
@@ -78,10 +75,7 @@ func RunFig01(cfg Fig01Config) (Fig01Result, error) {
 
 	// Uncached variant: C.count ran (so shuffle outputs exist), then
 	// D.count restarts from the reduce phase of B.
-	_, c2, d2, err := build(false)
-	if err != nil {
-		return res, err
-	}
+	c2, d2 := build(false)
 	if _, _, err := c2.Count(); err != nil {
 		return res, err
 	}

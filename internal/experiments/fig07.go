@@ -33,6 +33,12 @@ func DefaultFig07() Fig07Config {
 	}
 }
 
+// Quick is the -quick profile: one decade in four of the sweep.
+func (c Fig07Config) Quick() Fig07Config {
+	c.Partitions = []int{1, 16, 256, 4096, 65536}
+	return c
+}
+
 // RunFig07 executes the sweep; each point uses a fresh cluster.
 func RunFig07(cfg Fig07Config) (Fig07Result, error) {
 	res := Fig07Result{Partitions: cfg.Partitions}

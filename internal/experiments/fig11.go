@@ -48,6 +48,12 @@ func DefaultFig11() Fig11Config {
 	}
 }
 
+// Quick is the -quick profile: one query per cogroup width.
+func (c Fig11Config) Quick() Fig11Config {
+	c.QueriesPerK = 1
+	return c
+}
+
 // Fig11Result holds mean job delay per cogrouped-RDD count for Spark-H and
 // Stark-H (Fig. 11), plus the per-task metrics of the last query at each k
 // for the task-level breakdown (Fig. 12).
@@ -87,9 +93,14 @@ func RunFig11(cfg Fig11Config) (Fig11Result, error) {
 			stark.WithGC(cfg.GCBase, cfg.GCKnee, cfg.GCMax, cfg.GCPower),
 			stark.WithSeed(cfg.Seed),
 		)...)
-		rdds, p, err := ingestCollection(ctx, sys, "wiki", hours, 8, nil)
+		c, err := newCollection(ctx, sys, "wiki", stark.NewHashPartitioner(8), 1)
 		if err != nil {
 			return nil, nil, err
+		}
+		for h, recs := range hours {
+			if _, err := c.load(fmt.Sprintf("wiki-hour%d", h), recs, ctx.NumExecutors()); err != nil {
+				return nil, nil, err
+			}
 		}
 		var delays []time.Duration
 		lastJob := make(map[int]stark.JobStats)
@@ -99,9 +110,8 @@ func RunFig11(cfg Fig11Config) (Fig11Result, error) {
 			for q := 0; q < cfg.QueriesPerK; q++ {
 				// Each query cogroups a sliding range of k trace RDDs with a
 				// random keyword, like the paper's log-mining queries.
-				lo := q % (len(rdds) - k + 1)
-				job := keywordCountJob(ctx, p, rdds[lo:lo+k], keywords[(k+q)%len(keywords)])
-				var err error
+				lo := q % (len(c.rdds) - k + 1)
+				job := keywordCountJob(ctx, c.queryP, c.rdds[lo:lo+k], keywords[(k+q)%len(keywords)])
 				_, jm, err = job.Count()
 				if err != nil {
 					return nil, nil, err
@@ -136,15 +146,24 @@ func (r Fig11Result) Print(w io.Writer) {
 	}
 }
 
-// PrintFig12 emits the task-level view for k in ks: tasks sorted by delay
-// with their GC share — the paper's Fig. 12.
-func (r Fig11Result) PrintFig12(w io.Writer, ks []int) {
+// Fig12Result is the task-level view of a Fig. 11 run (Fig. 12) at the
+// cogroup widths the paper plots, 2, 4 and 6.
+type Fig12Result struct{ Fig11 Fig11Result }
+
+// RunFig12 runs Fig. 11 for its per-task metrics.
+func RunFig12(cfg Fig11Config) (Fig12Result, error) {
+	r, err := RunFig11(cfg)
+	return Fig12Result{r}, err
+}
+
+// Print emits each width's tasks sorted by delay with their GC share.
+func (r Fig12Result) Print(w io.Writer) {
 	fprintf(w, "Fig 12: per-task delay, sorted, with GC share (paper: GC explodes for cogroup-6)\n")
 	for _, sys := range []struct {
 		name string
 		m    map[int]stark.JobStats
-	}{{"Stark", r.TasksStark}, {"Spark", r.TasksSpark}} {
-		for _, k := range ks {
+	}{{"Stark", r.Fig11.TasksStark}, {"Spark", r.Fig11.TasksSpark}} {
+		for _, k := range []int{2, 4, 6} {
 			jm, ok := sys.m[k]
 			if !ok {
 				continue
@@ -161,6 +180,3 @@ func (r Fig11Result) PrintFig12(w io.Writer, ks []int) {
 		}
 	}
 }
-
-// fig11Keyword avoids the unused-import dance in tests.
-var _ = fmt.Sprintf

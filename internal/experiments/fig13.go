@@ -99,7 +99,6 @@ type SkewJob struct {
 	First  time.Duration
 	Second time.Duration
 	// SecondStats keeps the steady-state job's task metrics (Fig. 15).
-	FirstStats  stark.JobStats
 	SecondStats stark.JobStats
 }
 
@@ -128,9 +127,10 @@ func RunSkew(cfg SkewConfig) (SkewResult, error) {
 	}
 
 	// Static bounds fitted to the *uniform* distribution — the misfit under
-	// drifting skew is the phenomenon under test.
-	coarseBounds := uniformSkewBounds(cfg.KeySpace, cfg.CoarseParts)
-	fineBounds := uniformSkewBounds(cfg.KeySpace, cfg.FineParts)
+	// drifting skew is the phenomenon under test. Spark-R fits its own
+	// ranges, with Stark-S's partition count.
+	coarse := stark.NewStaticRangePartitioner(uniformSkewBounds(cfg.KeySpace, cfg.CoarseParts))
+	fine := stark.NewStaticRangePartitioner(uniformSkewBounds(cfg.KeySpace, cfg.FineParts))
 
 	for _, sys := range res.Systems {
 		res.InputSizes[sys] = make(map[string][]int64)
@@ -150,79 +150,41 @@ func RunSkew(cfg SkewConfig) (SkewResult, error) {
 
 		for ci, sp := range specs {
 			ns := fmt.Sprintf("skew-%d", ci)
-			var shared stark.Partitioner
-			var parts int
-			switch sys {
-			case StarkE:
-				shared = stark.NewStaticRangePartitioner(fineBounds)
-				parts = cfg.FineParts
-				if err := ctx.RegisterNamespace(ns, shared, cfg.InitialGroups); err != nil {
-					return res, err
-				}
-			case StarkS:
-				shared = stark.NewStaticRangePartitioner(coarseBounds)
-				parts = cfg.CoarseParts
-				if err := ctx.RegisterNamespace(ns, shared, 1); err != nil {
-					return res, err
-				}
-			case SparkR:
-				parts = cfg.CoarseParts
+			p, groups := coarse, 1
+			if sys == StarkE {
+				p, groups = fine, cfg.InitialGroups
 			}
-
-			var rdds []*stark.RDD
-			queryP := shared
+			c, err := newCollection(ctx, sys, ns, p, groups)
+			if err != nil {
+				return res, err
+			}
 			for h := 0; h < 3; h++ {
 				recs := makeSkewedRDD(cfg.Seed+int64(ci*100+h), cfg.RecordsPerRDD, cfg.KeySpace, sp.HotFrac, sp.Window, sp.Offset)
-				src := ctx.TextFile(fmt.Sprintf("%s-h%d", ns, h), recs, 8)
-				var r *stark.RDD
-				if sys == SparkR {
-					fresh := stark.NewRangePartitioner(sampleKeys(recs, 1024), parts)
-					r = src.PartitionBy(fresh)
-					queryP = fresh
-				} else {
-					r = src.LocalityPartitionBy(shared, ns)
-				}
-				r.Cache()
-				if _, err := r.Materialize(); err != nil {
+				if _, err := c.load(fmt.Sprintf("%s-h%d", ns, h), recs, 8); err != nil {
 					return res, err
 				}
-				if sys == StarkE {
-					if _, err := ctx.ReportRDD(r); err != nil {
-						return res, err
-					}
-				}
-				rdds = append(rdds, r)
 			}
 
 			// Fig. 13 cell sizes.
-			res.InputSizes[sys][sp.Name] = taskInputSizes(ctx, sys, ns, rdds)
+			res.InputSizes[sys][sp.Name] = taskInputSizes(ctx, sys, ns, c.rdds)
 
-			// Fig. 14: first and second job after the rebalance.
-			job1 := countAllJob(ctx, queryP, rdds)
-			_, jm1, err := job1.Count()
-			if err != nil {
-				return res, err
-			}
-			job2 := countAllJob(ctx, queryP, rdds)
-			_, jm2, err := job2.Count()
-			if err != nil {
-				return res, err
+			// Fig. 14: first and second job after the rebalance, each the
+			// repeated interactive job of Sec. IV-C — cogroup the collection
+			// and count keys.
+			var jm [2]stark.JobStats
+			for i := range jm {
+				if _, jm[i], err = ctx.CoGroup(c.queryP, c.rdds...).Count(); err != nil {
+					return res, err
+				}
 			}
 			res.Jobs[sys][sp.Name] = SkewJob{
-				First:       jm1.Makespan(),
-				Second:      jm2.Makespan(),
-				FirstStats:  jm1,
-				SecondStats: jm2,
+				First:       jm[0].Makespan(),
+				Second:      jm[1].Makespan(),
+				SecondStats: jm[1],
 			}
 		}
 	}
 	return res, nil
-}
-
-// countAllJob cogroups the collection and counts keys — the repeated
-// interactive job of Sec. IV-C.
-func countAllJob(ctx *stark.Context, p stark.Partitioner, rdds []*stark.RDD) *stark.RDD {
-	return ctx.CoGroup(p, rdds...)
 }
 
 // taskInputSizes returns per-task input bytes: group sums for Stark-E,

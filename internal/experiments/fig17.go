@@ -11,7 +11,8 @@ import (
 )
 
 // CheckpointConfig drives the failure-recovery experiments (Sec. IV-D):
-// the Fig. 16 trending application over Wikipedia data for ten steps.
+// the Fig. 16 trending application over Wikipedia data for Steps steps
+// (twelve in DefaultCheckpoint).
 type CheckpointConfig struct {
 	Steps          int
 	RecordsPerStep int
@@ -66,9 +67,11 @@ type Fig17Result struct {
 	Ratio           float64
 }
 
-// newTrendingRun builds a context and trending app for the checkpoint
-// experiments, with extra engine options appended.
-func newTrendingRun(cfg CheckpointConfig, extra ...stark.Option) (*stark.Context, *trending.App, error) {
+// runTrending runs the trending app of the checkpoint experiments for
+// cfg.Steps steps on a fresh co-located context, with extra engine options
+// appended, handing every step's output to each (when non-nil).
+func runTrending(cfg CheckpointConfig, each func(ctx *stark.Context, step int, out trending.StepRDDs),
+	extra ...stark.Option) (*stark.Context, error) {
 	opts := []stark.Option{
 		stark.WithCoLocality(),
 		stark.WithExecutors(8), stark.WithSlots(4),
@@ -79,13 +82,23 @@ func newTrendingRun(cfg CheckpointConfig, extra ...stark.Option) (*stark.Context
 	ctx := stark.NewContext(opts...)
 	p := stark.NewHashPartitioner(cfg.Partitions)
 	if err := ctx.RegisterNamespace("trend", p, 1); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	tcfg := trending.DefaultConfig(p)
 	tcfg.KeepContents = 16
 	tcfg.PopularThreshold = 2
 	tcfg.Namespace = "trend"
-	return ctx, trending.New(ctx, tcfg), nil
+	app := trending.New(ctx, tcfg)
+	for s := 0; s < cfg.Steps; s++ {
+		out, err := app.Step(trendingInput(cfg, s))
+		if err != nil {
+			return nil, err
+		}
+		if each != nil {
+			each(ctx, s, out)
+		}
+	}
+	return ctx, nil
 }
 
 // RunFig17 runs the app with co-locality and measures one mid-run step.
@@ -94,20 +107,14 @@ func RunFig17(cfg CheckpointConfig) (Fig17Result, error) {
 		CachedBytes:     make(map[string]int64),
 		CheckpointBytes: make(map[string]int64),
 	}
-	ctx, app, err := newTrendingRun(cfg)
-	if err != nil {
-		return res, err
-	}
-
 	var mid trending.StepRDDs
-	for s := 0; s < cfg.Steps; s++ {
-		out, err := app.Step(trendingInput(cfg, s))
-		if err != nil {
-			return res, err
-		}
+	ctx, err := runTrending(cfg, func(_ *stark.Context, s int, out trending.StepRDDs) {
 		if s == cfg.Steps/2 {
 			mid = out
 		}
+	})
+	if err != nil {
+		return res, err
 	}
 	named := mid.Named()
 	for name := range named {
@@ -168,19 +175,11 @@ type Fig18Result struct {
 // RunFig18 runs the app under the three checkpointing policies.
 func RunFig18(cfg CheckpointConfig) (Fig18Result, error) {
 	res := Fig18Result{Steps: cfg.Steps}
-	run := func(opt stark.Option) ([]int64, error) {
-		ctx, app, err := newTrendingRun(cfg, opt)
-		if err != nil {
-			return nil, err
-		}
-		var series []int64
-		for s := 0; s < cfg.Steps; s++ {
-			if _, err := app.Step(trendingInput(cfg, s)); err != nil {
-				return nil, err
-			}
+	run := func(opt stark.Option) (series []int64, err error) {
+		_, err = runTrending(cfg, func(ctx *stark.Context, _ int, _ trending.StepRDDs) {
 			series = append(series, ctx.TotalCheckpointBytes())
-		}
-		return series, nil
+		}, opt)
+		return series, err
 	}
 	var err error
 	if res.Stark1, err = run(stark.WithCheckpointing(cfg.Bound, 1)); err != nil {

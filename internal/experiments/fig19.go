@@ -75,6 +75,14 @@ func DefaultThroughput() ThroughputConfig {
 	}
 }
 
+// Quick is Fig. 19's -quick profile: three rates, one per paper anchor
+// (Spark-R's 9, Spark-H's 56, Stark-H's 220 jobs/s), 60 queries each.
+func (c ThroughputConfig) Quick() ThroughputConfig {
+	c.QueriesPerRate = 60
+	c.Rates = []float64{9, 56, 220}
+	return c
+}
+
 // throughputSetup ingests the window of timesteps under a system's
 // discipline and returns the context, live step RDDs, the query
 // partitioner, and the Z-grid used for regions.

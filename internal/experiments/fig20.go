@@ -39,6 +39,13 @@ func DefaultFig20() Fig20Config {
 	}
 }
 
+// Quick is the -quick profile: six hours, one burst per hour.
+func (c Fig20Config) Quick() Fig20Config {
+	c.Hours = 6
+	c.BurstsPerHour = 1
+	return c
+}
+
 // Fig20Point is one sampled bucket.
 type Fig20Point struct {
 	Hour      float64

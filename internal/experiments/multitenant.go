@@ -76,6 +76,12 @@ func DefaultMultitenant() MultitenantConfig {
 	}
 }
 
+// Quick is the -quick profile: 8 fault seeds.
+func (c MultitenantConfig) Quick() MultitenantConfig {
+	c.Seeds = 8
+	return c
+}
+
 // MultitenantResult aggregates the sweep.
 type MultitenantResult struct {
 	Seeds       int
@@ -134,11 +140,7 @@ func multitenantWorkload(cfg MultitenantConfig, only int, opts ...stark.Option) 
 	for t := range run.out {
 		run.out[t] = make([]mtOutcome, cfg.JobsPerTenant)
 	}
-	defer func() {
-		if p := recover(); p != nil {
-			run.err = fmt.Errorf("panic reached driver: %v", p)
-		}
-	}()
+	defer recoverInto(&run.err)
 
 	base := []stark.Option{
 		stark.WithExecutors(cfg.Executors),
@@ -330,18 +332,13 @@ func RunMultitenant(cfg MultitenantConfig) (*MultitenantResult, error) {
 	var allLat, allQD []time.Duration
 	var thrSum float64
 	thrRuns := 0
-	for seed := 1; seed <= cfg.Seeds; seed++ {
-		sched := stark.FaultSchedule{}.WithTenantFaults(int64(seed), res.Horizon, cfg.Tenants)
-		if cfg.DumpFaults != nil {
-			fprintf(cfg.DumpFaults, "seed %d:\n", seed)
-			for _, line := range sched.Describe() {
-				fprintf(cfg.DumpFaults, "  %s\n", line)
-			}
-		}
-		run := multitenantWorkload(cfg, -1, stark.WithFaults(sched))
+	sweep(1, cfg.Seeds, cfg.DumpFaults, "seed %d:\n", func(seed int64) stark.FaultSchedule {
+		return stark.FaultSchedule{}.WithTenantFaults(seed, res.Horizon, cfg.Tenants)
+	}, func(seed int64, faults stark.Option) {
+		run := multitenantWorkload(cfg, -1, faults)
 		if run.err != nil {
 			violate("seed %d: %v", seed, run.err)
-			continue
+			return
 		}
 		completed := 0
 		for t := 0; t < cfg.Tenants; t++ {
@@ -392,7 +389,7 @@ func RunMultitenant(cfg MultitenantConfig) (*MultitenantResult, error) {
 			thrSum += float64(completed) / run.lastDone.Seconds()
 			thrRuns++
 		}
-	}
+	})
 
 	if thrRuns > 0 {
 		res.Throughput = thrSum / float64(thrRuns)

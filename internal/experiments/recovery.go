@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"stark"
+	"stark/internal/trending"
 )
 
 // RecoveryResult measures actual failure-recovery delay against the
@@ -23,22 +24,21 @@ type RecoveryResult struct {
 	Baseline time.Duration
 }
 
+// DefaultRecoveryBounds are the bounds starkbench compares: below, at and
+// above DefaultCheckpoint's 3.2 s.
+func DefaultRecoveryBounds() []time.Duration {
+	return []time.Duration{time.Second, 3200 * time.Millisecond, 10 * time.Second}
+}
+
 // RunRecovery runs the trending app for the configured steps under each
 // recovery bound, fails an executor, and measures the recomputation job.
 func RunRecovery(cfg CheckpointConfig, bounds []time.Duration) (RecoveryResult, error) {
 	res := RecoveryResult{Bounds: bounds}
 	run := func(opts ...stark.Option) (recovery, baseline time.Duration, err error) {
-		ctx, app, err := newTrendingRun(cfg, opts...)
+		var last *stark.RDD
+		ctx, err := runTrending(cfg, func(_ *stark.Context, _ int, out trending.StepRDDs) { last = out.Res }, opts...)
 		if err != nil {
 			return 0, 0, err
-		}
-		var last *stark.RDD
-		for s := 0; s < cfg.Steps; s++ {
-			out, err := app.Step(trendingInput(cfg, s))
-			if err != nil {
-				return 0, 0, err
-			}
-			last = out.Res
 		}
 		// Steady-state job before the failure.
 		_, jmBase, err := last.Filter(func(stark.Record) bool { return true }).Count()

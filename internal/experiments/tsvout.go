@@ -9,89 +9,77 @@ import (
 // harness output can feed plotting scripts directly
 // (`starkbench -experiment fig19 -tsv > fig19.tsv`).
 
+// tsvWriter writes rows until the first error, which it keeps.
+type tsvWriter struct {
+	w   io.Writer
+	err error
+}
+
+func (t *tsvWriter) row(format string, args ...any) {
+	if t.err == nil {
+		_, t.err = fmt.Fprintf(t.w, format, args...)
+	}
+}
+
 // WriteTSV emits `partitions \t delay_ms`.
 func (r Fig07Result) WriteTSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "partitions\tdelay_ms"); err != nil {
-		return err
-	}
+	t := &tsvWriter{w: w}
+	t.row("partitions\tdelay_ms\n")
 	for i, n := range r.Partitions {
-		if _, err := fmt.Fprintf(w, "%d\t%d\n", n, r.Delay[i].Milliseconds()); err != nil {
-			return err
-		}
+		t.row("%d\t%d\n", n, r.Delay[i].Milliseconds())
 	}
-	return nil
+	return t.err
 }
 
 // WriteTSV emits `cogroup_k \t sparkH_ms \t starkH_ms`.
 func (r Fig11Result) WriteTSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "cogroup_k\tsparkH_ms\tstarkH_ms"); err != nil {
-		return err
-	}
+	t := &tsvWriter{w: w}
+	t.row("cogroup_k\tsparkH_ms\tstarkH_ms\n")
 	for i, k := range r.Ks {
-		if _, err := fmt.Fprintf(w, "%d\t%d\t%d\n", k, r.SparkH[i].Milliseconds(), r.StarkH[i].Milliseconds()); err != nil {
-			return err
-		}
+		t.row("%d\t%d\t%d\n", k, r.SparkH[i].Milliseconds(), r.StarkH[i].Milliseconds())
 	}
-	return nil
+	return t.err
 }
 
 // WriteTSV emits `step \t stark1_mb \t stark3_mb \t tachyon_mb`.
 func (r Fig18Result) WriteTSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "step\tstark1_mb\tstark3_mb\ttachyon_mb"); err != nil {
-		return err
-	}
+	t := &tsvWriter{w: w}
+	t.row("step\tstark1_mb\tstark3_mb\ttachyon_mb\n")
 	for i := 0; i < r.Steps; i++ {
-		if _, err := fmt.Fprintf(w, "%d\t%d\t%d\t%d\n", i+1, r.Stark1[i]>>20, r.Stark3[i]>>20, r.Tachyon[i]>>20); err != nil {
-			return err
-		}
+		t.row("%d\t%d\t%d\t%d\n", i+1, r.Stark1[i]>>20, r.Stark3[i]>>20, r.Tachyon[i]>>20)
 	}
-	return nil
+	return t.err
 }
 
 // WriteTSV emits `system \t rate_jobs_per_s \t mean_ms \t p95_ms`.
 func (r Fig19Result) WriteTSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "system\trate_jobs_per_s\tmean_ms\tp95_ms"); err != nil {
-		return err
-	}
+	t := &tsvWriter{w: w}
+	t.row("system\trate_jobs_per_s\tmean_ms\tp95_ms\n")
 	for _, sys := range r.Systems {
 		for _, pt := range r.Curves[sys] {
-			if _, err := fmt.Fprintf(w, "%s\t%.0f\t%d\t%d\n",
-				sys, pt.Rate, pt.MeanDelay.Milliseconds(), pt.P95Delay.Milliseconds()); err != nil {
-				return err
-			}
+			t.row("%s\t%.0f\t%d\t%d\n", sys, pt.Rate, pt.MeanDelay.Milliseconds(), pt.P95Delay.Milliseconds())
 		}
 	}
-	return nil
+	return t.err
 }
 
 // WriteTSV emits `hour \t <system>_ms ...` rows.
 func (r Fig20Result) WriteTSV(w io.Writer) error {
-	if _, err := fmt.Fprint(w, "hour"); err != nil {
-		return err
-	}
+	t := &tsvWriter{w: w}
+	t.row("hour")
 	for _, sys := range r.Systems {
-		if _, err := fmt.Fprintf(w, "\t%s_ms", sys); err != nil {
-			return err
-		}
+		t.row("\t%s_ms", sys)
 	}
-	if _, err := fmt.Fprintln(w); err != nil {
-		return err
+	t.row("\n")
+	if len(r.Systems) == 0 {
+		return t.err
 	}
-	if len(r.Systems) == 0 || len(r.Series[r.Systems[0]]) == 0 {
-		return nil
-	}
-	for i := range r.Series[r.Systems[0]] {
-		if _, err := fmt.Fprintf(w, "%.1f", r.Series[r.Systems[0]][i].Hour); err != nil {
-			return err
-		}
+	for i, pt := range r.Series[r.Systems[0]] {
+		t.row("%.1f", pt.Hour)
 		for _, sys := range r.Systems {
-			if _, err := fmt.Fprintf(w, "\t%d", r.Series[sys][i].MeanDelay.Milliseconds()); err != nil {
-				return err
-			}
+			t.row("\t%d", r.Series[sys][i].MeanDelay.Milliseconds())
 		}
-		if _, err := fmt.Fprintln(w); err != nil {
-			return err
-		}
+		t.row("\n")
 	}
-	return nil
+	return t.err
 }

@@ -7,10 +7,10 @@ import "strings"
 // permissive policy while cmd/starklint runs the Stark defaults.
 type Config struct {
 	// DeterministicPkg reports whether a package must be free of wall-clock
-	// reads and global randomness. The intentional exceptions (bench timing
-	// in internal/experiments and cmd/starkbench) are NOT carved out here —
-	// they carry //starklint:ignore directives in-source, so the allowlist
-	// is visible where the clock is read.
+	// reads and global randomness. The intentional exception (the harness
+	// timer in cmd/starkbench) is NOT carved out here — its two lines carry
+	// //starklint:ignore directives in-source, so the allowlist is visible
+	// where the clock is read.
 	DeterministicPkg func(path string) bool
 
 	// OrderedPkg reports whether a package holds order-sensitive scheduling
