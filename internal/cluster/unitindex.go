@@ -53,6 +53,19 @@ func (c *Cluster) UnitCached(exec int, u UnitID) bool {
 	return c.freshUnits(c.executors[exec]).refs[u] > 0
 }
 
+// DropUnit drops from the executor's cache every block the installed
+// mapping sends to u — exactly the blocks its index counts under u — so
+// UnitCached(exec, u) is false afterwards. Each drop touches only that
+// block's directory entry, store entry and unit refcount, so the walk's
+// order does not matter.
+func (c *Cluster) DropUnit(exec int, u UnitID) {
+	for id := range c.executors[exec].Store.blocks {
+		if got, ok := c.unitOf(id); ok && got == u {
+			c.DropBlock(exec, id)
+		}
+	}
+}
+
 // freshUnits returns the executor's index, recounted from its store first
 // if the mapping changed since it was built.
 func (c *Cluster) freshUnits(e *Executor) *unitIndex {

@@ -88,9 +88,22 @@ func TestUnitIndexMatchesRecount(t *testing.T) {
 			case k < 60:
 				op = "evicting put"
 				c.CachePut(exec, randBlock(), nil, 1200)
-			case k < 70:
+			case k < 65:
 				op = "drop"
 				c.DropBlock(exec, randBlock())
+			case k < 70:
+				op = "drop unit"
+				// Mostly a unit the executor holds, else any unit.
+				u := UnitID{NS: 1 + rng.Intn(2), Unit: rng.Intn(parts / m.width)}
+				if held := c.Executor(exec).Store.Blocks(); len(held) > 0 {
+					if hu, ok := m.unitOf(held[rng.Intn(len(held))]); ok {
+						u = hu
+					}
+				}
+				c.DropUnit(exec, u)
+				if installed && bruteUnitCached(c, m, exec, u) {
+					t.Fatalf("seed %d step %d: executor %d still holds a block of %v after DropUnit", seed, step, exec, u)
+				}
 			case k < 75:
 				op = "drop replicas"
 				id := randBlock()

@@ -72,7 +72,6 @@ func taxiShapeMCF(tb testing.TB) *Engine {
 	}
 	for step := 0; step < 12; step++ {
 		lp := g.LocalityPartitionBy(g.Source("src", dataset(64, 1), false), "step", p, "taxi")
-		e.TrackNamespaceRDD(lp)
 		for exec := 0; exec < 8; exec++ {
 			for part := exec * 8; part < exec*8+8; part++ {
 				e.Cluster().CachePut(exec, blockID(lp.ID, part), nil, 1024)

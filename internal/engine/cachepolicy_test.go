@@ -44,7 +44,6 @@ func TestEvictionStormDereplicates(t *testing.T) {
 				src := g.Source(fmt.Sprintf("src%d", i), dataset(200, 2), true)
 				lp := g.LocalityPartitionBy(src, fmt.Sprintf("lp%d", i), p, ns)
 				lp.CacheFlag = true
-				e.TrackNamespaceRDD(lp)
 				if _, _, err := e.Count(lp); err != nil {
 					t.Fatal(err)
 				}

@@ -93,11 +93,10 @@ type driverMemory struct {
 	pendingCP      []*rdd.RDD
 
 	// Namespace state, re-registered by journal replay: preferred executors
-	// per collection unit, the Group Trees, the RDDs tracked per namespace
-	// (eviction bookkeeping) and per-namespace partition counts.
+	// per collection unit, the Group Trees and per-namespace partition
+	// counts.
 	loc     *locality.Manager
 	grp     *group.Manager
-	nsRDDs  map[string][]*rdd.RDD
 	nsParts map[string]int
 	// streamSteps holds the stream step tables (nil unless DriverRecovery):
 	// stream name -> step -> RDD id.
@@ -123,7 +122,6 @@ func newDriverMemory(cfg Config) driverMemory {
 		blacklistUntil: make(map[int]time.Duration),
 		loc:            locality.NewManager(),
 		grp:            group.NewManager(cfg.Groups),
-		nsRDDs:         make(map[string][]*rdd.RDD),
 		nsParts:        make(map[string]int),
 	}
 	if cfg.DriverRecovery {
@@ -357,10 +355,6 @@ func (e *Engine) replayJournal(recs []journal.Record, journaledMap map[[2]int]bo
 			}
 			if err := e.registerNamespace(rec.S, p, int(rec.A)); err != nil {
 				panic(fmt.Sprintf("engine: journal replay: namespace %q: %v", rec.S, err))
-			}
-		case journal.KindRDDTrack:
-			if r := e.graph.ByID(int(rec.A)); r != nil {
-				e.trackNamespaceRDD(r)
 			}
 		case journal.KindGroupSplit:
 			if !e.grp.Registered(rec.S) {

@@ -153,7 +153,6 @@ func TestDriverRecoveryRebuildsNamespace(t *testing.T) {
 	src := g.Source("src", dataset(400, 8), true)
 	pb := g.LocalityPartitionBy(src, "pb", p, "ns")
 	pb.CacheFlag = true
-	e.TrackNamespaceRDD(pb)
 	if _, err := e.Materialize(pb); err != nil {
 		t.Fatalf("materialize: %v", err)
 	}

@@ -88,7 +88,6 @@ func TestGroupTaskCollect(t *testing.T) {
 		t.Fatal(err)
 	}
 	lp := g.LocalityPartitionBy(g.Source("s", dataset(64, 2), false), "lp", p, "ns")
-	e.TrackNamespaceRDD(lp)
 	res, err := e.RunJob(lp, ActionCollect)
 	if err != nil {
 		t.Fatal(err)
@@ -119,7 +118,6 @@ func TestLocalityWaitExpiryLaunchesRemote(t *testing.T) {
 	}
 	lp := g.LocalityPartitionBy(g.Source("s", dataset(4000, 2), false), "lp", p, "ns")
 	lp.CacheFlag = true
-	e.TrackNamespaceRDD(lp)
 	if _, _, err := e.Count(lp); err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +159,6 @@ func TestReplicationAdoptsHotUnit(t *testing.T) {
 	}
 	lp := g.LocalityPartitionBy(g.Source("s", dataset(2000, 2), false), "lp", p, "hot")
 	lp.CacheFlag = true
-	e.TrackNamespaceRDD(lp)
 	if _, _, err := e.Count(lp); err != nil {
 		t.Fatal(err)
 	}
@@ -179,6 +176,89 @@ func TestReplicationAdoptsHotUnit(t *testing.T) {
 	after := len(e.Locality().Preferred("hot", 0)) + len(e.Locality().Preferred("hot", 1))
 	if after <= before {
 		t.Skip("no replication occurred; acceptable when slots never contend")
+	}
+}
+
+// TestDeReplicationDropsEveryUnitBlock follows one replica through its life:
+// a remote launch adopts it, the replica executor caches the unit's steps and
+// a cogroup of them, and once the unit has cooled for several half-lives its
+// next task retires the replica — every block the unit index counts under
+// the unit there, and nothing of the executor's other units.
+func TestDeReplicationDropsEveryUnitBlock(t *testing.T) {
+	cfg := nsConfig()
+	cfg.Cluster.SlotsPerExecutor = 1
+	e := New(cfg)
+	drops := 0
+	e.SetTracer(func(ev TraceEvent) {
+		if ev.Kind == "replica-drop" {
+			drops++
+		}
+	})
+	g := e.Graph()
+	p := partition.NewHash(4)
+	if err := e.RegisterNamespace("ns", p, 1); err != nil {
+		t.Fatal(err)
+	}
+	var steps []*rdd.RDD
+	for i := 0; i < 2; i++ {
+		lp := g.LocalityPartitionBy(g.Source(fmt.Sprintf("s%d", i), dataset(80, 2), false), fmt.Sprintf("step%d", i), p, "ns")
+		lp.CacheFlag = true
+		if _, _, err := e.Count(lp); err != nil {
+			t.Fatal(err)
+		}
+		steps = append(steps, lp)
+	}
+	cg := g.CoGroup("cg", p, steps...)
+	cg.CacheFlag = true
+
+	// Unit 0's only executor is busy, so its cogroup task runs remotely once
+	// the locality wait expires and the policy adopts that executor.
+	home := e.Locality().Preferred("ns", 0)[0]
+	e.Cluster().Executor(home).Acquire()
+	if _, _, err := e.Count(cg); err != nil {
+		t.Fatal(err)
+	}
+	e.Cluster().Executor(home).Release()
+	pref := e.Locality().Preferred("ns", 0)
+	if len(pref) != 2 {
+		t.Fatalf("preferred = %v after a remote launch, want a second replica", pref)
+	}
+	victim, u := pref[1], e.unitID("ns", 0)
+	for _, r := range []*rdd.RDD{steps[0], steps[1], cg} {
+		if !e.Cluster().CacheHas(victim, blockID(r.ID, 0)) {
+			t.Fatalf("replica executor %d does not cache %s[0]", victim, r)
+		}
+	}
+	var victimUnits []int
+	for _, unit := range e.Locality().Units("ns") {
+		if e.Locality().Preferred("ns", unit)[0] == victim {
+			victimUnits = append(victimUnits, unit)
+		}
+	}
+	if len(victimUnits) == 0 {
+		t.Fatalf("replica executor %d owns no unit of its own", victim)
+	}
+
+	e.Loop().RunUntil(e.Loop().Now() + 5*cfg.Replication.HalfLife)
+	if _, _, err := e.Count(g.Filter(cg, "q", func(record.Record) bool { return true })); err != nil {
+		t.Fatal(err)
+	}
+	if e.Cluster().UnitCached(victim, u) {
+		t.Fatalf("executor %d still caches unit 0 after de-replication: %v", victim, e.Cluster().Executor(victim).Store.Blocks())
+	}
+	if pref := e.Locality().Preferred("ns", 0); len(pref) != 1 || pref[0] == victim {
+		t.Fatalf("preferred = %v after de-replication, want one executor other than %d", pref, victim)
+	}
+	if drops != 1 {
+		t.Fatalf("replica-drop traced %d times, want 1", drops)
+	}
+	for _, unit := range victimUnits {
+		if !e.Cluster().UnitCached(victim, e.unitID("ns", unit)) {
+			t.Fatalf("de-replicating unit 0 dropped executor %d's own unit %d", victim, unit)
+		}
+	}
+	if err := e.Cluster().CheckConsistency(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -490,7 +570,6 @@ func TestFig2Vs3Semantics(t *testing.T) {
 				lp = g.PartitionBy(src, "lp", p)
 			}
 			lp.CacheFlag = true
-			e.TrackNamespaceRDD(lp)
 			if _, _, err := e.Count(lp); err != nil {
 				t.Fatal(err)
 			}
@@ -592,7 +671,6 @@ func TestGroupShuffleMapTasks(t *testing.T) {
 	}
 	lp := g.LocalityPartitionBy(g.Source("s", dataset(80, 2), false), "lp", p, "ns")
 	lp.CacheFlag = true
-	e.TrackNamespaceRDD(lp)
 	if _, _, err := e.Count(lp); err != nil {
 		t.Fatal(err)
 	}
@@ -635,7 +713,6 @@ func TestNamespaceGeometryMismatch(t *testing.T) {
 	}
 	// Build an RDD claiming namespace "ns" but with 8 partitions.
 	rogue := g.LocalityPartitionBy(g.Source("s", dataset(40, 2), false), "lp", partition.NewHash(8), "ns")
-	e.TrackNamespaceRDD(rogue)
 	n, jm, err := e.Count(rogue)
 	if err != nil {
 		t.Fatal(err)

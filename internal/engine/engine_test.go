@@ -244,7 +244,6 @@ func TestCoLocalityAllLocal(t *testing.T) {
 		src := g.Source(fmt.Sprintf("src%d", i), dataset(100, 2), true)
 		lp := g.LocalityPartitionBy(src, fmt.Sprintf("lp%d", i), p, "logs")
 		lp.CacheFlag = true
-		e.TrackNamespaceRDD(lp)
 		if _, _, err := e.Count(lp); err != nil {
 			t.Fatal(err)
 		}
@@ -280,7 +279,6 @@ func TestCoLocalityConsistentPlacement(t *testing.T) {
 		src := g.Source(fmt.Sprintf("s%d", i), dataset(80, 2), false)
 		lp := g.LocalityPartitionBy(src, fmt.Sprintf("lp%d", i), p, "ns")
 		lp.CacheFlag = true
-		e.TrackNamespaceRDD(lp)
 		if _, _, err := e.Count(lp); err != nil {
 			t.Fatal(err)
 		}
@@ -312,7 +310,6 @@ func TestGroupTasks(t *testing.T) {
 	src := g.Source("src", dataset(100, 2), false)
 	lp := g.LocalityPartitionBy(src, "lp", p, "ns")
 	lp.CacheFlag = true
-	e.TrackNamespaceRDD(lp)
 	n, jm, err := e.Count(lp)
 	if err != nil {
 		t.Fatal(err)
@@ -348,7 +345,6 @@ func TestGroupSplitRebalances(t *testing.T) {
 	src := g.Source("src", dataset(100, 2), false)
 	lp := g.LocalityPartitionBy(src, "lp", p, "ns")
 	lp.CacheFlag = true
-	e.TrackNamespaceRDD(lp)
 	if _, _, err := e.Count(lp); err != nil {
 		t.Fatal(err)
 	}

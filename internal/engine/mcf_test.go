@@ -107,7 +107,6 @@ func cacheNS(t *testing.T, e *Engine, name string, parts [][]record.Record, p pa
 	g := e.Graph()
 	lp := g.LocalityPartitionBy(g.Source(name+"-src", parts, false), name, p, "ns")
 	lp.CacheFlag = true
-	e.TrackNamespaceRDD(lp)
 	if _, _, err := e.Count(lp); err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +191,6 @@ func TestMCFIndexFollowsDrops(t *testing.T) {
 	if err := e.RegisterNamespace("ns", p, 1); err != nil {
 		t.Fatal(err)
 	}
-	e.TrackNamespaceRDD(early)
 	checkOffers(t, e, "after late registration")
 	total := 0
 	for _, ex := range e.Cluster().Executors() {

@@ -40,33 +40,6 @@ func (e *Engine) RegisterNamespace(ns string, p partition.Partitioner, initialGr
 	return nil
 }
 
-// TrackNamespaceRDD associates an RDD with its namespace for eviction and
-// size bookkeeping. The graph-building layer calls it for every RDD whose
-// namespace is active.
-func (e *Engine) TrackNamespaceRDD(r *rdd.RDD) {
-	if r.Namespace == "" {
-		return
-	}
-	if e.trackNamespaceRDD(r) {
-		e.journalAppend(journal.Record{Kind: journal.KindRDDTrack, S: r.Namespace, A: int64(r.ID)})
-	}
-}
-
-// trackNamespaceRDD is the journal-free core of TrackNamespaceRDD; it
-// reports whether the RDD was newly tracked.
-func (e *Engine) trackNamespaceRDD(r *rdd.RDD) bool {
-	if r.Namespace == "" {
-		return false
-	}
-	for _, existing := range e.nsRDDs[r.Namespace] {
-		if existing.ID == r.ID {
-			return false
-		}
-	}
-	e.nsRDDs[r.Namespace] = append(e.nsRDDs[r.Namespace], r)
-	return true
-}
-
 // ReportRDD feeds a materialized RDD's partition sizes to the GroupManager
 // (the paper's GroupManager.reportRDD API) and applies any threshold-
 // triggered splits or merges, rewiring the LocalityManager accordingly.
@@ -190,19 +163,4 @@ func (e *Engine) onEvictions(exec int, evicted []cluster.BlockID) {
 // unit: one refcount lookup in the cluster's unit index.
 func (e *Engine) unitCachedOn(ns string, unit, exec int) bool {
 	return e.cl.UnitCached(exec, e.unitID(ns, unit))
-}
-
-// unitPartitions expands a unit to its partition list.
-func (e *Engine) unitPartitions(ns string, unit int) []int {
-	if e.cfg.Features.Extendable && e.grp.Registered(ns) {
-		g, err := e.grp.GroupOf(ns, unit)
-		if err == nil && g.ID == unit {
-			parts := make([]int, 0, g.Width())
-			for p := g.Lo; p < g.Hi; p++ {
-				parts = append(parts, p)
-			}
-			return parts
-		}
-	}
-	return []int{unit}
 }

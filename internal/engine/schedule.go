@@ -454,20 +454,18 @@ func (e *Engine) onTaskResult(t *task) {
 }
 
 // deReplicate retires the unit's most recently added replica: drops its
-// cached blocks and removes it from the preferred-executor list.
+// cached blocks — every one the cluster's unit index counts under the unit
+// there — and removes it from the preferred-executor list.
 func (e *Engine) deReplicate(ns string, unit int) {
 	execs := e.loc.Preferred(ns, unit)
 	if len(execs) < 2 {
 		return
 	}
 	victim := execs[len(execs)-1]
-	for _, r := range e.nsRDDs[ns] {
-		for _, p := range e.unitPartitions(ns, unit) {
-			e.cl.DropBlock(victim, cluster.BlockID{RDD: r.ID, Partition: p})
-		}
-	}
+	key := e.unitID(ns, unit)
+	e.cl.DropUnit(victim, key)
 	e.loc.RemoveReplica(ns, unit, victim)
-	e.repl.Dropped(e.unitID(ns, unit))
+	e.repl.Dropped(key)
 	e.trace("replica-drop", -1, -1, -1, victim, fmt.Sprintf("unit=%s/%d", ns, unit))
 }
 

@@ -54,8 +54,6 @@ const (
 	// KindStreamEvict records a stream step leaving the retention window:
 	// S=stream name, A=step.
 	KindStreamEvict
-	// KindRDDTrack records TrackNamespaceRDD: S=namespace, A=RDD ID.
-	KindRDDTrack
 )
 
 // String names the kind for diagnostics.
@@ -83,8 +81,6 @@ func (k Kind) String() string {
 		return "stream-ingest"
 	case KindStreamEvict:
 		return "stream-evict"
-	case KindRDDTrack:
-		return "rdd-track"
 	}
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }

@@ -18,7 +18,6 @@ func sample() []Record {
 		{Kind: KindUnblacklist, A: 3},
 		{Kind: KindStreamIngest, A: 5, B: 77, S: "clicks"},
 		{Kind: KindStreamEvict, A: 1, S: "clicks"},
-		{Kind: KindRDDTrack, A: 77, S: "users"},
 		{Kind: KindMapOutput, A: -1, B: -9223372036854775808, C: 9223372036854775807},
 		{Kind: KindNamespace, S: ""},
 	}

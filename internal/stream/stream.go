@@ -131,7 +131,6 @@ func (s *Stream) Ingest(step int, recs []record.Record) *rdd.RDD {
 	switch {
 	case s.cfg.Namespace != "":
 		pb = g.LocalityPartitionBy(src, fmt.Sprintf("%s-step%d", s.cfg.Name, step), s.cfg.Partitioner, s.cfg.Namespace)
-		s.eng.TrackNamespaceRDD(pb)
 	case s.cfg.StepPartitioner != nil:
 		pb = g.PartitionBy(src, fmt.Sprintf("%s-step%d", s.cfg.Name, step), s.cfg.StepPartitioner(step, recs))
 	default:

@@ -42,9 +42,7 @@ func (r *RDD) Map(f func(Record) Record) *RDD {
 // MapValues applies f to every record, promising keys are unchanged:
 // partitioning and the locality namespace carry over.
 func (r *RDD) MapValues(f func(Record) Record) *RDD {
-	nr := r.ctx.eng.Graph().Map(r.r, "mapValues", true, f)
-	r.ctx.eng.TrackNamespaceRDD(nr)
-	return &RDD{ctx: r.ctx, r: nr}
+	return &RDD{ctx: r.ctx, r: r.ctx.eng.Graph().Map(r.r, "mapValues", true, f)}
 }
 
 // FlatMap applies f and concatenates the outputs.
@@ -54,9 +52,7 @@ func (r *RDD) FlatMap(f func(Record) []Record) *RDD {
 
 // Filter keeps records satisfying pred; partitioning is preserved.
 func (r *RDD) Filter(pred func(Record) bool) *RDD {
-	nr := r.ctx.eng.Graph().Filter(r.r, "filter", pred)
-	r.ctx.eng.TrackNamespaceRDD(nr)
-	return &RDD{ctx: r.ctx, r: nr}
+	return &RDD{ctx: r.ctx, r: r.ctx.eng.Graph().Filter(r.r, "filter", pred)}
 }
 
 // PartitionBy repartitions by p through a shuffle.
@@ -69,9 +65,7 @@ func (r *RDD) PartitionBy(p Partitioner) *RDD {
 // localityPartitionBy(p, ns) API. The namespace must have been registered
 // with an equivalent partitioner via Context.RegisterNamespace.
 func (r *RDD) LocalityPartitionBy(p Partitioner, ns string) *RDD {
-	nr := r.ctx.eng.Graph().LocalityPartitionBy(r.r, "localityPartitionBy", p, ns)
-	r.ctx.eng.TrackNamespaceRDD(nr)
-	return &RDD{ctx: r.ctx, r: nr}
+	return &RDD{ctx: r.ctx, r: r.ctx.eng.Graph().LocalityPartitionBy(r.r, "localityPartitionBy", p, ns)}
 }
 
 // ReduceByKey shuffles by p and merges values per key.
@@ -115,9 +109,7 @@ func (r *RDD) GroupByKey(p Partitioner) *RDD {
 // Sample keeps approximately frac of the records, deterministically by key
 // hash (salt varies the subset); partitioning is preserved.
 func (r *RDD) Sample(frac float64, salt uint32) *RDD {
-	nr := r.ctx.eng.Graph().Sample(r.r, "sample", frac, salt)
-	r.ctx.eng.TrackNamespaceRDD(nr)
-	return &RDD{ctx: r.ctx, r: nr}
+	return &RDD{ctx: r.ctx, r: r.ctx.eng.Graph().Sample(r.r, "sample", frac, salt)}
 }
 
 // Cache marks the RDD for in-memory caching on first materialization and

@@ -264,9 +264,7 @@ func (c *Context) FromPartitions(name string, parts [][]Record, fromDisk bool) *
 // an iterative application, so first-step cogroups stay narrow. The caller
 // guarantees every record sits in its p-assigned partition.
 func (c *Context) PartitionedSource(name string, parts [][]Record, p Partitioner, ns string) *RDD {
-	r := c.eng.Graph().SourceWithPartitioner(name, parts, false, p, ns)
-	c.eng.TrackNamespaceRDD(r)
-	return &RDD{ctx: c, r: r}
+	return &RDD{ctx: c, r: c.eng.Graph().SourceWithPartitioner(name, parts, false, p, ns)}
 }
 
 // EmptyPartitioned creates an empty RDD partitioned by p (ns optional).
