@@ -67,11 +67,13 @@ cachepolicy:
 
 # Shuffle store and pooled planes: reduce tasks on the worker pool read one
 # shared reduce-major copy of a shuffle, so both packages run under the race
-# detector at 1 and 4 procs, then with copy-on-write checking on (the store
-# fingerprints every reduce partition it publishes).
+# detector at 1 and 4 procs, then with copy-on-write checking on. The store
+# shares rows on both sides: it adopts each map task's input rows (it
+# fingerprints every output at commit and re-checks before it transposes)
+# and publishes reduce views (it fingerprints every reduce partition).
 shuffle:
 	$(GO) test -race -cpu 1,4 ./internal/storage/ ./internal/engine/
-	STARK_CHECK_COW=1 $(GO) test ./internal/storage/ ./internal/engine/ ./internal/rdd/ .
+	STARK_CHECK_COW=1 $(GO) test ./internal/storage/ ./internal/engine/ ./internal/rdd/ ./internal/record/ .
 
 # Engine/record/storage/cluster hot-path benchmarks (GroupByKeySorted,
 # bucketing, the shuffle store round trip at the fat and wide shapes, the

@@ -108,11 +108,12 @@ func (e *Engine) runPlane(be *batchEntry) {
 // commitMapOutputs), so an attempt whose executor epoch has moved on can
 // never install shuffle outputs.
 //
-// The rows go straight to record.PartitionRows, which builds the bucket-major
-// rows exactly once, so every bucket is a span view over one backing array
-// instead of a per-bucket append-grown copy. Hash partitioners route on key
-// hashes computed in one pass; hashes and index tables live in the plane's
-// arena scratch. Per-bucket byte totals reproduce the old record-by-record
+// The rows go straight to record.PartitionRows, which routes them instead of
+// copying them: the output adopts data and adds a bucket-major permutation
+// and one span per bucket, whose checksum the kernel computes here on the
+// data plane. Hash partitioners route on key hashes computed in one pass;
+// hashes and index tables live in the plane's arena scratch. Each span's raw
+// bytes are priced in place, reproducing the old record-by-record
 // accumulation exactly: ScaleBytes(sliceOverhead + Σ SizeOfRecord).
 func (e *Engine) bucketMapOutput(t *task, p int, data []record.Record, px *planeCtx) {
 	st := t.sr.st
@@ -132,7 +133,7 @@ func (e *Engine) bucketMapOutput(t *task, p int, data []record.Record, px *plane
 	var total int64
 	for si := range pb.Spans {
 		sp := &pb.Spans[si]
-		sp.Bytes = e.cfg.Cluster.ScaleBytes(sliceOverheadBytes + sp.RawBytes)
+		sp.Bytes = e.cfg.Cluster.ScaleBytes(sliceOverheadBytes + sp.Bytes)
 		total += sp.Bytes
 	}
 	if t.mapOut == nil {

@@ -40,26 +40,31 @@ func Hash32(s string) uint32 {
 // KeySum64 is the allocation-free twin of the storage package's block
 // checksum: FNV-64a over every key followed by a 0xff separator, then the
 // record count as 8 little-endian bytes. storage delegates here so the
-// per-record and batch-slab paths can never drift.
+// per-record, batch-slab and partition-kernel paths can never drift.
 func KeySum64(rs []Record) uint64 {
 	h := uint64(fnvOffset64)
 	for _, r := range rs {
-		for i := 0; i < len(r.Key); i++ {
-			h = (h ^ uint64(r.Key[i])) * fnvPrime64
-		}
-		h = (h ^ 0xff) * fnvPrime64
+		h = mixKey(h, r.Key)
 	}
 	return mixInt64(h, len(rs))
+}
+
+// mixKey folds one key and its 0xff separator into a KeySum64 state.
+func mixKey(h uint64, key string) uint64 {
+	for i := 0; i < len(key); i++ {
+		h = (h ^ uint64(key[i])) * fnvPrime64
+	}
+	return (h ^ 0xff) * fnvPrime64
 }
 
 // Batch is the slab/offset/hash view of one partition's rows that the layer
 // benchmark times: its only caller outside tests is bench/layers.go, which
 // compiles against exactly FromRecords, Len, Hash32, KeySumRange and
 // PartitionStable. The engine's data plane is rows end to end — a map task
-// hashes with HashKeys and buckets with PartitionRows, the store stamps and
-// verifies KeySum64 over its reduce-major rows — so nothing here is on a
-// production path, and the tests hold each method bit-equal to the row
-// function the engine does call.
+// hashes with HashKeys and routes with PartitionRows, which also sums each
+// bucket with KeySum64; the store verifies those sums over its reduce-major
+// rows — so nothing here is on a production path, and the tests hold each
+// method bit-equal to the row function the engine does call.
 type Batch struct {
 	keys string   // concatenated key bytes
 	offs []int32  // len n+1; key i is keys[offs[i]:offs[i+1]]
@@ -129,23 +134,29 @@ func (s *Scratch) Reset() {
 	s.U32.Reset()
 }
 
-// Span describes one shuffle bucket inside a partitioned batch: rows
-// [Lo, Hi) of the reordered batch belong to reduce partition Part. RawBytes
-// is the unscaled sum of per-record sizes; Bytes is filled by the engine
-// after applying cluster byte scaling and slice overhead.
+// Span describes one shuffle bucket of a partitioned batch: the rows
+// Rows[Perm[Lo]], ..., Rows[Perm[Hi-1]] belong to reduce partition Part, in
+// that order. The kernel sets Bytes to the unscaled sum of SizeOfRecord over
+// them, which the engine then prices in place (cluster byte scaling plus
+// slice overhead), and Sum to their KeySum64 — the checksum the store stamps
+// the bucket with. 32 B, no pointers.
 type Span struct {
-	Part     int
-	Lo, Hi   int32
-	RawBytes int64
-	Bytes    int64
+	Part   int32
+	Lo, Hi int32
+	Bytes  int64
+	Sum    uint64
 }
 
-// PartitionedBatch is one map task's shuffle output: its rows reordered
-// bucket-major plus the span table describing each non-empty bucket. Storage
-// adopts the one backing row array and the spans as they are instead of
-// copying per bucket, so neither may be written once committed.
+// PartitionedBatch is one map task's shuffle output as a routing, not a
+// copy: Rows is the task's own row slice, adopted unwritten; Perm lists it
+// bucket-major (Perm[j] is the row at bucket-major position j, input order
+// kept inside each bucket); Spans describes each non-empty bucket. Storage
+// adopts all three as they are, so none may be written once committed —
+// Rows included, which makes a committed output pin whatever the task read
+// (a source partition, a cached block, an earlier shuffle's reduce view).
 type PartitionedBatch struct {
 	Rows  []Record
+	Perm  []int32
 	Spans []Span
 }
 
@@ -166,8 +177,9 @@ func HashKeys(rs []Record, scr *Scratch) []uint32 {
 	return hash
 }
 
-// PartitionStable reorders the batch's rows bucket-major by idx; see
-// PartitionRows, which it calls with the batch's own rows.
+// PartitionStable routes the batch's rows bucket-major by idx; see
+// PartitionRows, which it calls with the batch's own rows (adopted by the
+// result, as the batch adopted them).
 //
 //starklint:hotpath
 func (b *Batch) PartitionStable(idx []int32, nparts int, scr *Scratch) *PartitionedBatch {
@@ -176,17 +188,20 @@ func (b *Batch) PartitionStable(idx []int32, nparts int, scr *Scratch) *Partitio
 
 // PartitionRows is the shuffle map side's one partition kernel. Given rows
 // and a routing (idx[i] = target partition of row i, in [0, nparts)), it
-// builds the bucket-major rows, preserving input order within each bucket,
-// plus the span of every non-empty bucket in ascending partition order with
-// its RawBytes. The input rows are read, never written. All transient tables
-// come from scr; only the rows and the span table escape (the store gathers
-// key bytes itself, once per shuffle, in the order reducers read them).
+// derives the stable bucket-major permutation and, in the same pass over it,
+// the span of every non-empty bucket in ascending partition order with its
+// raw Bytes and its KeySum64 — so the checksum is computed on the data plane,
+// where the task runs, and the store only copies it. The rows themselves are
+// neither copied nor written: the result adopts rs. All transient tables
+// come from scr; only Perm (4 B a row), the span table (32 B a bucket) and
+// the header escape.
 //
 //starklint:hotpath
 func PartitionRows(rs []Record, idx []int32, nparts int, scr *Scratch) *PartitionedBatch {
 	n := len(rs)
-	// perm[j] = source row of output row j; buckets contiguous and ascending.
-	perm := scr.I32.Take(n)
+	// perm[j] = source row of bucket-major position j; buckets contiguous and
+	// ascending.
+	perm := make([]int32, n)
 	var occupied int
 	if nparts > sparsePartitionThreshold && nparts > 2*n {
 		// Sparse: sort packed part<<32|row integers instead of touching
@@ -220,18 +235,19 @@ func PartitionRows(rs []Record, idx []int32, nparts int, scr *Scratch) *Partitio
 		}
 	}
 
-	out := make([]Record, n)
 	spans := make([]Span, 0, occupied)
 	for j, i := range perm {
-		r := rs[i]
-		out[j] = r
-		p := int(idx[i])
-		if len(spans) == 0 || spans[len(spans)-1].Part != p {
-			spans = append(spans, Span{Part: p, Lo: int32(j)})
+		r := &rs[i]
+		if p := idx[i]; len(spans) == 0 || spans[len(spans)-1].Part != p {
+			spans = append(spans, Span{Part: p, Lo: int32(j), Sum: fnvOffset64})
 		}
 		sp := &spans[len(spans)-1]
 		sp.Hi = int32(j + 1)
-		sp.RawBytes += SizeOfRecord(r)
+		sp.Bytes += SizeOfRecord(*r)
+		sp.Sum = mixKey(sp.Sum, r.Key)
 	}
-	return &PartitionedBatch{Rows: out, Spans: spans}
+	for s := range spans {
+		spans[s].Sum = mixInt64(spans[s].Sum, int(spans[s].Hi-spans[s].Lo))
+	}
+	return &PartitionedBatch{Rows: rs, Perm: perm, Spans: spans}
 }

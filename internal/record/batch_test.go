@@ -5,6 +5,7 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"sort"
 	"testing"
@@ -72,10 +73,17 @@ func TestBatchRoundTripIdentity(t *testing.T) {
 			if !reflect.DeepEqual(rs, input) {
 				t.Fatalf("the round trip mutated its input rows")
 			}
-			if len(pb.Rows) != len(rs) || (len(rs) > 0 && !reflect.DeepEqual(pb.Rows, rs)) {
-				t.Fatalf("identity partition changed the rows:\n got %v\nwant %v", pb.Rows, rs)
+			out := make([]record.Record, len(pb.Perm))
+			for j, i := range pb.Perm {
+				if int(i) != j {
+					t.Fatalf("identity partition moved row %d to position %d", i, j)
+				}
+				out[j] = pb.Rows[i]
 			}
-			b2 := record.FromRecords(pb.Rows)
+			if len(out) != len(rs) || (len(rs) > 0 && !reflect.DeepEqual(out, rs)) {
+				t.Fatalf("identity partition changed the rows:\n got %v\nwant %v", out, rs)
+			}
+			b2 := record.FromRecords(out)
 			if b2.Len() != b.Len() {
 				t.Fatalf("round-trip Len = %d, want %d", b2.Len(), b.Len())
 			}
@@ -126,7 +134,7 @@ func TestPartitionStableMatchesNaive(t *testing.T) {
 	// Routings: "hash" scatters by key hash; "descending" sends runs of
 	// consecutive rows to ever lower partitions, so buckets are first seen in
 	// the reverse of their output order; "last" sends every row to the last
-	// partition.
+	// partition (one bucket).
 	for _, tc := range []struct {
 		n, parts int
 		route    string
@@ -134,7 +142,7 @@ func TestPartitionStableMatchesNaive(t *testing.T) {
 		{0, 4, "hash"}, {1, 1, "hash"}, {64, 8, "hash"}, {500, 3, "hash"}, {64, 8, "descending"}, {500, 3, "last"},
 		// The sparse path (parts > 4096 and parts > 2n), a few rows and many
 		// rows per bucket.
-		{40, 10000, "hash"}, {3, 5000, "hash"}, {5000, 20000, "hash"}, {5000, 20000, "descending"},
+		{0, 10000, "hash"}, {40, 10000, "hash"}, {3, 5000, "hash"}, {5000, 20000, "hash"}, {5000, 20000, "descending"},
 		{2047, 4097, "hash"}, {2047, 4097, "descending"}, {2047, 4097, "last"}, {5000, 20000, "last"},
 	} {
 		name := fmt.Sprintf("n=%d parts=%d %s", tc.n, tc.parts, tc.route)
@@ -165,6 +173,13 @@ func TestPartitionStableMatchesNaive(t *testing.T) {
 		if !slices.Equal(rs, input) {
 			t.Fatalf("%s: the kernel mutated its input rows", name)
 		}
+		// The output adopts the input: no row is copied.
+		if len(pb.Rows) != tc.n || (tc.n > 0 && &pb.Rows[0] != &rs[0]) {
+			t.Fatalf("%s: %d output rows, not the %d input rows adopted", name, len(pb.Rows), tc.n)
+		}
+		if len(pb.Perm) != tc.n || pb.Perm == nil {
+			t.Fatalf("%s: permutation of %d positions (nil %v) over %d rows", name, len(pb.Perm), pb.Perm == nil, tc.n)
+		}
 
 		// Naive reference: stable bucketing by append.
 		naive := make(map[int][]record.Record)
@@ -179,21 +194,21 @@ func TestPartitionStableMatchesNaive(t *testing.T) {
 		if len(pb.Spans) != len(parts) {
 			t.Fatalf("%s: %d spans, want %d", name, len(pb.Spans), len(parts))
 		}
-		rows := pb.Rows
-		if len(rows) != tc.n || cap(rows) != len(rows) {
-			t.Fatalf("%s: %d rows (cap %d), want %d with no spare capacity", name, len(rows), cap(rows), tc.n)
-		}
-		ref := record.FromRecords(rows) // the slab twin of the store's checksum
-		next := int32(0)                // spans tile [0, n): bucket views are disjoint and gap-free
+		ref := record.FromRecords(input) // the slab twin of the store's checksum
+		next := int32(0)                 // spans tile [0, n): buckets are disjoint and gap-free
 		for si, p := range parts {
 			sp := pb.Spans[si]
-			if sp.Part != p || sp.Lo != next || sp.Hi <= sp.Lo {
-				t.Fatalf("%s: span %d = %+v, want part %d starting at row %d", name, si, sp, p, next)
+			if int(sp.Part) != p || sp.Lo != next || sp.Hi <= sp.Lo {
+				t.Fatalf("%s: span %d = %+v, want part %d starting at position %d", name, si, sp, p, next)
 			}
 			next = sp.Hi
-			// Equal to the naive bucket element by element: input order
-			// survives inside the bucket (values are the input positions).
-			got := rows[sp.Lo:sp.Hi]
+			// Read through the permutation, the bucket equals the naive one
+			// element by element: input order survives inside the bucket
+			// (values are the input positions).
+			got := make([]record.Record, 0, sp.Hi-sp.Lo)
+			for _, i := range pb.Perm[sp.Lo:sp.Hi] {
+				got = append(got, pb.Rows[i])
+			}
 			if !reflect.DeepEqual(got, naive[p]) {
 				t.Fatalf("%s: bucket %d rows differ", name, p)
 			}
@@ -201,18 +216,61 @@ func TestPartitionStableMatchesNaive(t *testing.T) {
 			for _, r := range naive[p] {
 				raw += record.SizeOfRecord(r)
 			}
-			if sp.RawBytes != raw {
-				t.Fatalf("%s: bucket %d RawBytes = %d, want %d", name, p, sp.RawBytes, raw)
+			if sp.Bytes != raw {
+				t.Fatalf("%s: bucket %d Bytes = %d, want %d", name, p, sp.Bytes, raw)
 			}
-			// What the store stamps at write time.
-			if got2, want := record.KeySum64(got), record.KeySum64(naive[p]); got2 != want ||
-				ref.KeySumRange(int(sp.Lo), int(sp.Hi)) != want {
-				t.Fatalf("%s: bucket %d checksum diverges", name, p)
+			// The checksum the store stamps the bucket with.
+			if want := record.KeySum64(naive[p]); sp.Sum != want || record.KeySum64(got) != want {
+				t.Fatalf("%s: bucket %d Sum = %#x, want %#x", name, p, sp.Sum, want)
+			}
+			// Where a bucket is a contiguous run of the input (one bucket, or
+			// runs of a descending routing), the slab path agrees too. Input
+			// positions ascend inside a bucket, so its first and last bound
+			// such a run exactly when they are len-1 apart.
+			if lo := int(pb.Perm[sp.Lo]); int(pb.Perm[sp.Hi-1]) == lo+int(sp.Hi-sp.Lo)-1 {
+				if ref.KeySumRange(lo, lo+int(sp.Hi-sp.Lo)) != sp.Sum {
+					t.Fatalf("%s: bucket %d Sum diverges from the slab checksum", name, p)
+				}
 			}
 		}
 		if int(next) != tc.n {
-			t.Fatalf("%s: spans end at row %d of %d", name, next, tc.n)
+			t.Fatalf("%s: spans end at position %d of %d", name, next, tc.n)
 		}
+	}
+}
+
+// TestPartitionRowsCopiesNoRow caps the bytes one partition-kernel call
+// allocates at the batch-join shape (25 k rows over 16 partitions, warm
+// scratch): the permutation, 4 B a row, plus the span table, 32 B a bucket,
+// plus the header. A bucket-major copy of the rows would add 32 B a row. The
+// runtime charges an allocation past 32 KiB whole 8 KiB pages, so the
+// permutation's share is rounded up to one.
+func TestPartitionRowsCopiesNoRow(t *testing.T) {
+	const n, parts, page = 25000, 16, 8192
+	rs := make([]record.Record, n)
+	idx := make([]int32, n)
+	for i := range rs {
+		rs[i] = record.Record{Key: fmt.Sprintf("key-%06d", i), Value: int64(i)}
+		idx[i] = int32(record.Hash32(rs[i].Key) % parts)
+	}
+	var scr record.Scratch
+	record.PartitionRows(rs, idx, parts, &scr) // warm the scratch
+	scr.Reset()
+	ceiling := uint64((4*n+page-1)/page*page + 32*parts + 256)
+	best := ^uint64(0)
+	var before, after runtime.MemStats
+	for run := 0; run < 5; run++ {
+		runtime.ReadMemStats(&before)
+		pb := record.PartitionRows(rs, idx, parts, &scr)
+		runtime.ReadMemStats(&after)
+		scr.Reset()
+		if len(pb.Spans) != parts {
+			t.Fatalf("%d spans, want %d", len(pb.Spans), parts)
+		}
+		best = min(best, after.TotalAlloc-before.TotalAlloc)
+	}
+	if best > ceiling {
+		t.Fatalf("PartitionRows over %d rows: %d bytes allocated, ceiling %d", n, best, ceiling)
 	}
 }
 

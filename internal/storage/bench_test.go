@@ -27,24 +27,20 @@ func shuffleInput() [][]record.Record {
 
 // partitionByHash routes one map partition the way the engine's
 // bucketMapOutput does — key hashes and routing index in scratch, then the
-// one partition kernel — and prices every span at its raw size.
+// one partition kernel — leaving every span priced at its raw size.
 func partitionByHash(data []record.Record, p partition.Hash, scr *record.Scratch) *record.PartitionedBatch {
 	idx := scr.I32.Take(len(data))
 	for j, h := range record.HashKeys(data, scr) {
 		idx[j] = int32(p.PartitionForHash(h))
 	}
-	pb := record.PartitionRows(data, idx, p.NumPartitions(), scr)
-	for si := range pb.Spans {
-		pb.Spans[si].Bytes = pb.Spans[si].RawBytes
-	}
-	return pb
+	return record.PartitionRows(data, idx, p.NumPartitions(), scr)
 }
 
 // shuffleRoundTrip runs the full store round trip on the production path:
-// partition each map output into bucket-major rows and spans, commit it with
-// WriteMapOutputBatch (one checksum per span), build the reduce-major index
-// once, then read every reduce partition back through ReadReduce (every
-// bucket verified, a view returned).
+// route each map output into a bucket-major permutation and summed spans,
+// commit it with WriteMapOutputBatch (one checksum per span, copied), build
+// the reduce-major index once, then read every reduce partition back through
+// ReadReduce (every bucket verified, a view returned).
 func shuffleRoundTrip(tb testing.TB, mapData [][]record.Record, reduces int, scr *record.Scratch) {
 	p := partition.NewHash(reduces)
 	s := NewStore()
@@ -89,9 +85,9 @@ func BenchmarkShuffleReadWrite(b *testing.B) {
 // TestShuffleReadWriteAllocs is the allocation gate on the shuffle store at
 // the fat shape. With a warm scratch arena (AllocsPerRun's warm-up call) a
 // whole 8x16 round trip measures 39 allocations: the store and its shuffle
-// table, three per partitioned batch (rows, spans, header), one checksum
-// slice per write, five for the index and its reduce-major transposition,
-// none per read. The ceiling leaves ~25% headroom; the store that gathered a
+// table, three per partitioned batch (permutation, spans, header — the rows
+// are the task's own, adopted), one checksum slice per write, five for the
+// index and its reduce-major transposition, none per read. The ceiling leaves ~25% headroom; the store that gathered a
 // fresh slice per read over map-side key columns took 92, the boxed-bucket
 // store before it 226, the per-record path before that 1512, so
 // re-introducing per-record, per-bucket or per-read allocation fails here.
@@ -137,8 +133,9 @@ func BenchmarkShuffleWide(b *testing.B) {
 
 // TestWideShuffleAllocs holds the four costs a wide shuffle multiplies by its
 // task or read count. The partition kernel's escaping allocations are exactly
-// the three pieces of its output (rows, spans, the PartitionedBatch header)
-// with every table in warm scratch; a write adds one checksum slice whatever
+// the three pieces of its output it makes (the permutation, spans, the
+// PartitionedBatch header; the rows are adopted) with every table in warm
+// scratch; a write adds one checksum slice whatever
 // the span count (the boxed-bucket store took 46 at this shape); an index
 // build with its transposition is five arrays whatever the shuffle holds
 // (per-reduce starts and bytes, entries, rows, key slab; the per-partition
@@ -193,7 +190,7 @@ func TestWideShuffleAllocs(t *testing.T) {
 	}
 	read := testing.AllocsPerRun(5, func() {
 		for _, sp := range pb.Spans {
-			if rs, _, err := s.ReadReduce(1, sp.Part); err != nil || len(rs) != wideMaps*int(sp.Hi-sp.Lo) {
+			if rs, _, err := s.ReadReduce(1, int(sp.Part)); err != nil || len(rs) != wideMaps*int(sp.Hi-sp.Lo) {
 				t.Fatalf("read %d: %d rows, %v", sp.Part, len(rs), err)
 			}
 		}

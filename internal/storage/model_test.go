@@ -16,13 +16,16 @@ import (
 // written with, and which outputs have been corrupted since their last write.
 // held is a window of views earlier reads returned, each with a private copy
 // of what it held then: whatever the store does afterwards, a published view
-// must not change (cached blocks hold them).
+// must not change (cached blocks hold them). given is a window of the batches
+// handed to the store, each with a private copy of its rows, permutation and
+// spans: the store adopts them and must never write into them.
 type shuffleModel struct {
 	numMaps, numReduces int
 	rows                map[int]map[int][]record.Record
 	bytes               map[int]map[int]int64
 	corrupt             map[int]bool
 	held                []heldView
+	given               []givenBatch
 }
 
 type heldView struct {
@@ -30,35 +33,60 @@ type heldView struct {
 	view, then []record.Record
 }
 
+type givenBatch struct {
+	where string
+	pb    *record.PartitionedBatch
+	then  record.PartitionedBatch
+}
+
 // commit records pb as map partition m's output, replacing any earlier one.
-func (md *shuffleModel) commit(m int, pb *record.PartitionedBatch) {
+// Buckets are read the way the store gathers them: through the permutation.
+func (md *shuffleModel) commit(m int, pb *record.PartitionedBatch, where string) {
 	rows, bytes := map[int][]record.Record{}, map[int]int64{}
-	all := pb.Rows
 	for _, sp := range pb.Spans {
-		rows[sp.Part] = append(rows[sp.Part], all[sp.Lo:sp.Hi]...)
-		bytes[sp.Part] += sp.Bytes
+		p := int(sp.Part)
+		for _, i := range pb.Perm[sp.Lo:sp.Hi] {
+			rows[p] = append(rows[p], pb.Rows[i])
+		}
+		bytes[p] += sp.Bytes
 	}
 	md.rows[m], md.bytes[m] = rows, bytes
 	delete(md.corrupt, m)
+	md.given = append(md.given, givenBatch{where: where, pb: pb, then: record.PartitionedBatch{
+		Rows: slices.Clone(pb.Rows), Perm: slices.Clone(pb.Perm), Spans: slices.Clone(pb.Spans)}})
 }
 
 // randomOutput routes fresh random rows through the production kernel and
 // prices every span, returning the partitioned batch and the rows it was
-// built from.
+// built from. One time in three the rows are a sub-slice of a larger array
+// whose other rows no output routes.
 func randomOutput(rng *rand.Rand, numReduces int, serial *int) (*record.PartitionedBatch, []record.Record) {
-	rows := make([]record.Record, rng.Intn(12))
-	idx := make([]int32, len(rows))
-	for i := range rows {
+	n, lo, extra := rng.Intn(12), 0, 0
+	if rng.Intn(3) == 0 {
+		lo, extra = rng.Intn(3), rng.Intn(3)
+	}
+	backing := make([]record.Record, lo+n+extra)
+	for i := range backing {
 		*serial++
-		rows[i] = record.Pair(fmt.Sprintf("k%d", rng.Intn(40)), *serial)
+		backing[i] = record.Pair(fmt.Sprintf("k%d", rng.Intn(40)), *serial)
+	}
+	rows := backing[lo : lo+n]
+	return routeOutput(rng, rows, numReduces), rows
+}
+
+// routeOutput routes rows at random through the production kernel and prices
+// every span above its raw bytes.
+func routeOutput(rng *rand.Rand, rows []record.Record, numReduces int) *record.PartitionedBatch {
+	idx := make([]int32, len(rows))
+	for i := range idx {
 		idx[i] = int32(rng.Intn(numReduces))
 	}
 	var scr record.Scratch
 	pb := record.PartitionRows(rows, idx, numReduces, &scr)
 	for i := range pb.Spans {
-		pb.Spans[i].Bytes = pb.Spans[i].RawBytes + int64(rng.Intn(100))
+		pb.Spans[i].Bytes += int64(rng.Intn(100))
 	}
-	return pb, rows
+	return pb
 }
 
 // check compares every observable of the store with the model.
@@ -93,6 +121,12 @@ func (md *shuffleModel) check(t *testing.T, s *Store, id int, where string) {
 		}
 	}
 	md.held = md.held[max(0, len(md.held)-64):]
+	for _, g := range md.given {
+		if !slices.Equal(g.pb.Rows, g.then.Rows) || !slices.Equal(g.pb.Perm, g.then.Perm) || !slices.Equal(g.pb.Spans, g.then.Spans) {
+			t.Fatalf("%s: the store wrote into the rows, permutation or spans written at %s", where, g.where)
+		}
+	}
+	md.given = md.given[max(0, len(md.given)-64):]
 	for r := 0; r < md.numReduces; r++ {
 		data, bytes, err := s.ReadReduce(id, r)
 		if !complete {
@@ -143,7 +177,9 @@ func (md *shuffleModel) check(t *testing.T, s *Store, id int, where string) {
 // after every step. Reads go through the lazy index build or, when the
 // sequence happened to call PrepareShuffleReads first, the prebuilt one;
 // every view a read returned is held across the overwrites, drops, rewrites,
-// corruptions and heals that follow and must keep its rows.
+// corruptions and heals that follow and must keep its rows, and every batch
+// the store adopted — rows (some a sub-slice of a larger array, some shared
+// by two routings), permutation and spans — must keep its contents.
 func TestShuffleStoreMatchesNaiveModel(t *testing.T) {
 	const id = 7
 	for seed := int64(1); seed <= 20; seed++ {
@@ -156,18 +192,19 @@ func TestShuffleStoreMatchesNaiveModel(t *testing.T) {
 		if err := s.RegisterShuffle(id, md.numMaps, md.numReduces); err != nil {
 			t.Fatal(err)
 		}
+		where := ""
 		write := func(m int, pb *record.PartitionedBatch) {
 			t.Helper()
 			if err := s.WriteMapOutputBatch(id, m, pb); err != nil {
 				t.Fatal(err)
 			}
-			md.commit(m, pb)
+			md.commit(m, pb, where)
 		}
 		serial := 0
 		for step := 0; step < 300; step++ {
-			where := fmt.Sprintf("seed %d step %d", seed, step)
+			where = fmt.Sprintf("seed %d step %d", seed, step)
 			m := rng.Intn(md.numMaps)
-			switch op := rng.Intn(20); {
+			switch op := rng.Intn(22); {
 			case op < 9: // write, or overwrite with different rows
 				pb, _ := randomOutput(rng, md.numReduces, &serial)
 				write(m, pb)
@@ -180,8 +217,7 @@ func TestShuffleStoreMatchesNaiveModel(t *testing.T) {
 					}
 				}
 			case op < 13: // one batch committed under several map partitions, one of them then corrupted
-				pb, rows := randomOutput(rng, md.numReduces, &serial)
-				spans, input := slices.Clone(pb.Spans), slices.Clone(rows)
+				pb, _ := randomOutput(rng, md.numReduces, &serial)
 				for c := range md.numMaps {
 					if c == m || rng.Intn(2) == 0 {
 						write(c, pb)
@@ -191,10 +227,11 @@ func TestShuffleStoreMatchesNaiveModel(t *testing.T) {
 					t.Fatalf("%s: corrupting a committed output reported no block", where)
 				}
 				md.corrupt[m] = true
-				if !slices.Equal(pb.Spans, spans) || !slices.Equal(rows, input) {
-					t.Fatalf("%s: the store wrote into the caller's spans or rows", where)
-				}
-			case op < 16:
+			case op < 15: // two routings of one row slice under two map partitions
+				pb, rows := randomOutput(rng, md.numReduces, &serial)
+				write(m, pb)
+				write(rng.Intn(md.numMaps), routeOutput(rng, rows, md.numReduces))
+			case op < 18:
 				_, done := md.rows[m]
 				if s.DropMapOutput(id, m) != done {
 					t.Fatalf("%s: DropMapOutput(%d) = %v, model %v", where, m, !done, done)
@@ -202,7 +239,7 @@ func TestShuffleStoreMatchesNaiveModel(t *testing.T) {
 				delete(md.rows, m)
 				delete(md.bytes, m)
 				delete(md.corrupt, m)
-			case op < 19:
+			case op < 21:
 				// A second flip of the same checksums would restore them;
 				// bit rot is only ever injected into an intact output here.
 				if md.corrupt[m] {

@@ -63,15 +63,18 @@ func (b Bucket) verify() bool { return b.sum == sumRecords(b.Data) }
 func sumRecords(data []record.Record) uint64 { return record.KeySum64(data) }
 
 // mapOutput is one committed map task's output as the task produced it: the
-// bucket-major rows and ascending span table are adopted, never copied or
-// written (one PartitionedBatch may be committed under many map partitions).
-// The store owns only sums, one checksum per span stamped at write time —
-// which is what CorruptMapOutput flips, so rot in one output cannot reach
-// another that shares the caller's spans.
+// task's own rows, the bucket-major permutation over them and the ascending
+// span table are adopted, never copied or written (one PartitionedBatch may
+// be committed under many map partitions, and two routings of one row slice
+// under two). The store owns only sums, one checksum per span copied from
+// the spans at write time — which is what CorruptMapOutput flips, so rot in
+// one output cannot reach another that shares the caller's spans.
 type mapOutput struct {
 	rows  []record.Record
+	perm  []int32
 	spans []record.Span
 	sums  []uint64 // non-nil once committed: made even for zero spans
+	fp    uint64   // record.Fingerprint(rows) at write time; STARK_CHECK_COW only
 }
 
 // indexEntry is one bucket of a reduce partition: its next n rows, from map
@@ -98,6 +101,7 @@ type shuffleState struct {
 	numReduces int
 	outputs    []mapOutput // indexed by map partition
 	committed  int         // outputs with sums
+	cow        bool        // STARK_CHECK_COW was on at RegisterShuffle
 
 	at      []reduceStart // numReduces+1
 	entries []indexEntry
@@ -109,12 +113,24 @@ type shuffleState struct {
 
 func (st *shuffleState) complete() bool { return st.committed == st.numMaps }
 
-// buildIndex transposes the committed map outputs: a counting sort of their
-// spans by reduce partition, stable in map-partition order, that moves the
-// rows with the index entries, then a gather of every key into one slab.
-// O(rows + spans + numReduces) time, five allocations. Every array is fresh:
-// views ReadReduce handed out (cached blocks hold them) outlive a rebuild.
-func (st *shuffleState) buildIndex() {
+// buildIndex transposes the committed map outputs of shuffle id: a counting
+// sort of their spans by reduce partition, stable in map-partition order,
+// that gathers each span's rows straight from the output's adopted rows
+// through its permutation — the one copy a shuffled row gets — and writes
+// the index entries, then a gather of every key into one slab. O(rows +
+// spans + numReduces) time, five allocations. Every array is fresh: views
+// ReadReduce handed out (cached blocks hold them) outlive a rebuild.
+func (st *shuffleState) buildIndex(id int) {
+	// An adopted row slice that changed since its write would be gathered as
+	// it is now and read as a corrupt block, which a stage resubmit heals,
+	// hiding the purity bug.
+	if st.cow {
+		for m := range st.outputs {
+			if out := &st.outputs[m]; record.Fingerprint(out.rows) != out.fp {
+				panic(fmt.Errorf("storage: shuffle %d map output %d: rows mutated after commit (copy-on-write violation)", id, m))
+			}
+		}
+	}
 	at := make([]reduceStart, st.numReduces+1)
 	bytes := make([]int64, st.numReduces)
 	for m := range st.outputs {
@@ -134,12 +150,16 @@ func (st *shuffleState) buildIndex() {
 	rows := make([]record.Record, at[st.numReduces].row)
 	for m := range st.outputs {
 		out := &st.outputs[m]
+		src, perm := out.rows, out.perm
 		for i, sp := range out.spans {
 			c := &at[sp.Part]
-			n := copy(rows[c.row:], out.rows[sp.Lo:sp.Hi])
-			entries[c.entry] = indexEntry{mapPart: int32(m), n: int32(n), sum: out.sums[i]}
+			dst := rows[c.row : c.row+int(sp.Hi-sp.Lo)]
+			for k, j := range perm[sp.Lo:sp.Hi] {
+				dst[k] = src[j]
+			}
+			entries[c.entry] = indexEntry{mapPart: int32(m), n: int32(len(dst)), sum: out.sums[i]}
 			c.entry++
-			c.row += n
+			c.row += len(dst)
 		}
 	}
 	copy(at[1:], at[:st.numReduces])
@@ -164,7 +184,7 @@ func (st *shuffleState) buildIndex() {
 	}
 
 	var fps []uint64
-	if record.CowCheckEnabled() {
+	if st.cow {
 		fps = make([]uint64, st.numReduces)
 		for r := range fps {
 			fps[r] = record.Fingerprint(rows[at[r].row:at[r+1].row])
@@ -235,16 +255,20 @@ func (s *Store) RegisterShuffle(id, numMaps, numReduces int) error {
 		numMaps:    numMaps,
 		numReduces: numReduces,
 		outputs:    make([]mapOutput, numMaps),
+		cow:        record.CowCheckEnabled(),
 		dirty:      true,
 	}
 	return nil
 }
 
-// WriteMapOutputBatch commits one map task's output: the partitioned batch
-// is adopted as it is and the store stamps one checksum per span. A write
-// that fails a range check mutates nothing. Overwrites (speculative or
-// recomputed tasks) replace the whole output at once and are idempotent in
-// effect.
+// WriteMapOutputBatch commits one map task's output: the partitioned batch —
+// rows, permutation and spans — is adopted as it is, and the store copies
+// each span's Sum, computed by the task, into checksums of its own; it hashes
+// no key. Every span's partition and position range is checked against the
+// permutation, and the permutation's length against the rows; its entries
+// are the partition kernel's and are trusted. A write that fails a check
+// mutates nothing. Overwrites (speculative or recomputed tasks) replace the
+// whole output at once and are idempotent in effect.
 //
 //starklint:hotpath
 func (s *Store) WriteMapOutputBatch(id, mapPart int, pb *record.PartitionedBatch) error {
@@ -258,19 +282,25 @@ func (s *Store) WriteMapOutputBatch(id, mapPart int, pb *record.PartitionedBatch
 	if mapPart < 0 || mapPart >= st.numMaps {
 		return fmt.Errorf("storage: shuffle %d map partition %d out of range [0,%d)", id, mapPart, st.numMaps)
 	}
+	if len(pb.Perm) != len(pb.Rows) {
+		return fmt.Errorf("storage: shuffle %d map partition %d: permutation of %d positions over %d rows", id, mapPart, len(pb.Perm), len(pb.Rows))
+	}
 	sums := make([]uint64, len(pb.Spans))
 	for i, sp := range pb.Spans {
-		if sp.Part < 0 || sp.Part >= st.numReduces || sp.Lo < 0 || sp.Lo > sp.Hi || int(sp.Hi) > len(pb.Rows) {
-			return fmt.Errorf("storage: shuffle %d map partition %d: span for reduce partition %d, rows [%d,%d), outside [0,%d) partitions or the output's %d rows",
-				id, mapPart, sp.Part, sp.Lo, sp.Hi, st.numReduces, len(pb.Rows))
+		if sp.Part < 0 || int(sp.Part) >= st.numReduces || sp.Lo < 0 || sp.Lo > sp.Hi || int(sp.Hi) > len(pb.Perm) {
+			return fmt.Errorf("storage: shuffle %d map partition %d: span for reduce partition %d, positions [%d,%d), outside [0,%d) partitions or the output's %d rows",
+				id, mapPart, sp.Part, sp.Lo, sp.Hi, st.numReduces, len(pb.Perm))
 		}
-		sums[i] = record.KeySum64(pb.Rows[sp.Lo:sp.Hi])
+		sums[i] = sp.Sum
 	}
 	out := &st.outputs[mapPart]
 	if out.sums == nil {
 		st.committed++
 	}
-	*out = mapOutput{rows: pb.Rows, spans: pb.Spans, sums: sums}
+	*out = mapOutput{rows: pb.Rows, perm: pb.Perm, spans: pb.Spans, sums: sums}
+	if st.cow {
+		out.fp = record.Fingerprint(pb.Rows)
+	}
 	st.dirty = true
 	return nil
 }
@@ -323,9 +353,9 @@ func (s *Store) MissingMapOutputs(id int) []int {
 // first reader of a dirty shuffle would transpose it while other goroutines
 // read it. An incomplete shuffle cannot be read and is skipped.
 func (s *Store) PrepareShuffleReads() {
-	for _, st := range s.shuffles {
+	for id, st := range s.shuffles {
 		if st.dirty && st.complete() {
-			st.buildIndex()
+			st.buildIndex(id)
 		}
 	}
 }
@@ -353,7 +383,7 @@ func (s *Store) ReadReduce(id, reducePart int) ([]record.Record, int64, error) {
 		return nil, 0, fmt.Errorf("storage: shuffle %d incomplete: %d/%d map outputs", id, st.committed, st.numMaps)
 	}
 	if st.dirty {
-		st.buildIndex()
+		st.buildIndex(id)
 	}
 	lo, hi := st.at[reducePart], st.at[reducePart+1]
 	view := st.rows[lo.row:hi.row:hi.row]

@@ -2,15 +2,19 @@ package storage
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"stark/internal/record"
 )
 
 // mapOutputOf builds the map output WriteMapOutputBatch takes from
-// per-reduce row buckets: rows concatenated in ascending reduce order, one
-// span per bucket (empty ones included), Bytes set to the bucket's raw size.
+// per-reduce row buckets: rows concatenated in ascending reduce order under
+// the identity permutation, one span per bucket (empty ones included) with
+// the bucket's raw size as Bytes and its real KeySum64 as Sum.
 func mapOutputOf(buckets map[int][]record.Record) *record.PartitionedBatch {
 	parts := make([]int, 0, len(buckets))
 	for p := range buckets {
@@ -22,10 +26,14 @@ func mapOutputOf(buckets map[int][]record.Record) *record.PartitionedBatch {
 	for _, p := range parts {
 		lo := len(rows)
 		rows = append(rows, buckets[p]...)
-		bytes := bucketBytes(buckets[p])
-		spans = append(spans, record.Span{Part: p, Lo: int32(lo), Hi: int32(len(rows)), RawBytes: bytes, Bytes: bytes})
+		spans = append(spans, record.Span{Part: int32(p), Lo: int32(lo), Hi: int32(len(rows)),
+			Bytes: bucketBytes(buckets[p]), Sum: record.KeySum64(buckets[p])})
 	}
-	return &record.PartitionedBatch{Rows: rows, Spans: spans}
+	perm := make([]int32, len(rows))
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	return &record.PartitionedBatch{Rows: rows, Perm: perm, Spans: spans}
 }
 
 func bucketBytes(rs []record.Record) int64 {
@@ -113,21 +121,31 @@ func TestShuffleValidation(t *testing.T) {
 	if s.HasMapOutput(2, 0) || s.ShuffleComplete(2) || len(s.CommittedMapOutputs()) != 0 {
 		t.Fatal("rejected write left state behind")
 	}
-	// Span row ranges are checked like span partitions: a bad one would
-	// otherwise panic in the write or, worse, commit and panic in a reader.
+	// Span position ranges are checked like span partitions, against the
+	// permutation, and the permutation against the rows: a bad one would
+	// otherwise commit and panic in the index build. Nothing rejected is
+	// written into.
 	ab := []record.Record{record.Pair("a", 1), record.Pair("b", 2)}
-	for name, spans := range map[string][]record.Span{
-		"negative Lo":        {{Part: 0, Lo: -1, Hi: 1}},
-		"Lo > Hi":            {{Part: 0, Lo: 2, Hi: 1}},
-		"Hi past the rows":   {{Part: 0, Lo: 0, Hi: 3}},
-		"bad range, last":    {{Part: 0, Lo: 0, Hi: 1}, {Part: 0, Lo: 1, Hi: 3}},
-		"empty past the end": {{Part: 0, Lo: 3, Hi: 3}},
+	for name, pb := range map[string]*record.PartitionedBatch{
+		"negative Lo":        {Rows: ab, Perm: []int32{0, 1}, Spans: []record.Span{{Part: 0, Lo: -1, Hi: 1}}},
+		"Lo > Hi":            {Rows: ab, Perm: []int32{0, 1}, Spans: []record.Span{{Part: 0, Lo: 2, Hi: 1}}},
+		"Hi past Perm":       {Rows: ab, Perm: []int32{0, 1}, Spans: []record.Span{{Part: 0, Lo: 0, Hi: 3}}},
+		"bad range, last":    {Rows: ab, Perm: []int32{0, 1}, Spans: []record.Span{{Part: 0, Lo: 0, Hi: 1}, {Part: 0, Lo: 1, Hi: 3}}},
+		"empty past the end": {Rows: ab, Perm: []int32{0, 1}, Spans: []record.Span{{Part: 0, Lo: 3, Hi: 3}}},
+		"short Perm":         {Rows: ab, Perm: []int32{1}, Spans: []record.Span{{Part: 0, Lo: 0, Hi: 1}}},
+		"long Perm":          {Rows: ab, Perm: []int32{1, 0, 1}, Spans: []record.Span{{Part: 0, Lo: 0, Hi: 2}}},
+		"nil Perm over rows": {Rows: ab, Spans: []record.Span{{Part: 0, Lo: 0, Hi: 0}}},
+		"Perm over no rows":  {Perm: []int32{0}},
 	} {
-		if err := s.WriteMapOutputBatch(2, 0, &record.PartitionedBatch{Rows: ab, Spans: spans}); err == nil {
-			t.Fatalf("span with %s accepted", name)
+		then := record.PartitionedBatch{Rows: slices.Clone(pb.Rows), Perm: slices.Clone(pb.Perm), Spans: slices.Clone(pb.Spans)}
+		if err := s.WriteMapOutputBatch(2, 0, pb); err == nil {
+			t.Fatalf("output with %s accepted", name)
 		}
 		if s.HasMapOutput(2, 0) || s.ShuffleComplete(2) || len(s.CommittedMapOutputs()) != 0 {
 			t.Fatalf("write rejected for %s left state behind", name)
+		}
+		if !slices.Equal(pb.Rows, then.Rows) || !slices.Equal(pb.Perm, then.Perm) || !slices.Equal(pb.Spans, then.Spans) {
+			t.Fatalf("write rejected for %s wrote into its output", name)
 		}
 	}
 	if err := s.WriteMapOutputBatch(2, 0, mapOutputOf(map[int][]record.Record{0: {record.Pair("a", 1)}})); err != nil {
@@ -150,7 +168,7 @@ func TestShuffleValidation(t *testing.T) {
 	}
 	// A rejected overwrite is not an overwrite: the committed output stays,
 	// and the index built by the read above stays current.
-	if err := s.WriteMapOutputBatch(2, 0, &record.PartitionedBatch{Rows: ab, Spans: []record.Span{{Part: 0, Lo: 1, Hi: 0}}}); err == nil {
+	if err := s.WriteMapOutputBatch(2, 0, &record.PartitionedBatch{Rows: ab, Perm: []int32{0, 1}, Spans: []record.Span{{Part: 0, Lo: 1, Hi: 0}}}); err == nil {
 		t.Fatal("overwrite with Lo > Hi accepted")
 	}
 	if st := s.shuffles[2]; st.dirty || st.committed != 1 {
@@ -302,5 +320,47 @@ func TestDropShuffle(t *testing.T) {
 	s.DropShuffle(1)
 	if s.ShuffleComplete(1) || s.HasMapOutput(1, 0) {
 		t.Fatal("shuffle survived drop")
+	}
+}
+
+// TestCowCheckDetectsMapOutputMutation: a committed map output adopts the
+// task's input rows, so a later write into that slice is picked up by the
+// next index build. Without the debug mode the read fails as a corrupt block
+// (which a stage resubmit would silently heal); with STARK_CHECK_COW=1 the
+// build panics naming the shuffle and map partition.
+func TestCowCheckDetectsMapOutputMutation(t *testing.T) {
+	for _, cow := range []bool{false, true} {
+		t.Run(fmt.Sprintf("cow=%v", cow), func(t *testing.T) {
+			prev := record.SetCowCheckForTesting(cow)
+			defer record.SetCowCheckForTesting(prev)
+			s := NewStore()
+			if err := s.RegisterShuffle(4, 2, 2); err != nil {
+				t.Fatal(err)
+			}
+			input := []record.Record{record.Pair("a", 1), record.Pair("b", 2), record.Pair("c", 3)}
+			var scr record.Scratch
+			for m := 0; m < 2; m++ {
+				rows := input[m : m+2]
+				if err := s.WriteMapOutputBatch(4, m, record.PartitionRows(rows, []int32{1, 0}, 2, &scr)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			input[2].Key = "mutated" // map output 1's rows, after commit
+			defer func() {
+				msg := fmt.Sprint(recover())
+				if cow != strings.Contains(msg, "shuffle 4 map output 1") {
+					t.Fatalf("cow=%v: PrepareShuffleReads panic %q", cow, msg)
+				}
+			}()
+			s.PrepareShuffleReads()
+			_, _, err := s.ReadReduce(4, 0)
+			var ce *CorruptError
+			if !errors.As(err, &ce) || ce.Shuffle != 4 || ce.MapPart != 1 {
+				t.Fatalf("read of a mutated output = %v, want CorruptError for map output 1", err)
+			}
+			if _, _, err := s.ReadReduce(4, 1); err != nil {
+				t.Fatalf("read of the partitions the mutation missed: %v", err)
+			}
+		})
 	}
 }
