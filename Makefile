@@ -70,9 +70,12 @@ cachepolicy:
 # detector at 1 and 4 procs, then with copy-on-write checking on. The store
 # shares rows on both sides: it adopts each map task's input rows (it
 # fingerprints every output at commit and re-checks before it transposes)
-# and publishes reduce views (it fingerprints every reduce partition).
+# and publishes reduce views (it fingerprints every reduce partition). The
+# record and rdd kernels join them: every Join and CoGroup value of a
+# partition points into one slab, which a cached block hands to every plane
+# that reads it.
 shuffle:
-	$(GO) test -race -cpu 1,4 ./internal/storage/ ./internal/engine/
+	$(GO) test -race -cpu 1,4 ./internal/storage/ ./internal/engine/ ./internal/record/ ./internal/rdd/
 	STARK_CHECK_COW=1 $(GO) test ./internal/storage/ ./internal/engine/ ./internal/rdd/ ./internal/record/ .
 
 # Engine/record/storage/cluster hot-path benchmarks (GroupByKeySorted,

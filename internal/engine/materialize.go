@@ -236,7 +236,13 @@ func (px *planeCtx) materialize(r *rdd.RDD, p int) ([]record.Record, error) {
 		px.finishPartition(r, p, data, bytes)
 		return data, nil
 	default:
-		inputs := make([][]record.Record, len(r.Deps))
+		// This step's inputs are slots [base, base+len(r.Deps)) of the
+		// plane's header stack. A parent's recursion pushes above them and
+		// may move the stack, so slots are addressed by index until every
+		// parent is materialized.
+		base := len(px.inputs)
+		px.inputs = append(px.inputs, make([][]record.Record, len(r.Deps))...)
+		defer px.popInputs(base)
 		var inputBytes int64
 		for i, d := range r.Deps {
 			if d.Shuffle {
@@ -264,7 +270,7 @@ func (px *planeCtx) materialize(r *rdd.RDD, p int) ([]record.Record, error) {
 					px.acc.shuffleRead += e.cfg.Cluster.NetTime(remote)
 				}
 				px.acc.bytesShuffle += bytes
-				inputs[i] = recs
+				px.inputs[base+i] = recs
 				inputBytes += bytes
 			} else {
 				pp := p
@@ -279,12 +285,12 @@ func (px *planeCtx) materialize(r *rdd.RDD, p int) ([]record.Record, error) {
 				if err != nil {
 					return nil, err
 				}
-				inputs[i] = in
+				px.inputs[base+i] = in
 				inputBytes += px.partBytesOf(d.Parent, pp)
 			}
 		}
 		ct := e.cfg.Cluster.ComputeTime(inputBytes, r.CostFactor)
-		data = r.Transform(p, inputs)
+		data = r.Transform(p, px.inputs[base:])
 		px.acc.compute += ct
 		px.acc.bytesInput += inputBytes
 		px.noteTransformTime(r, ct)

@@ -97,6 +97,11 @@ type planeCtx struct {
 	// reuse one warm buffer per pool instead of allocating per task.
 	scr record.Scratch
 
+	// inputs is the stack of input headers materialize hands to transforms:
+	// each narrow step pushes one slot per dependency and pops them when its
+	// transform returns, so a step costs no header allocation.
+	inputs [][]record.Record
+
 	dur time.Duration
 	err error
 }
@@ -127,9 +132,16 @@ func releasePlaneCtx(px *planeCtx) {
 		px.drops[i] = deferredDrop{}
 	}
 	px.scr.Reset()
-	*px = planeCtx{local: px.local, scr: px.scr, planeEffects: planeEffects{
+	*px = planeCtx{local: px.local, scr: px.scr, inputs: px.inputs, planeEffects: planeEffects{
 		ops: px.ops[:0], drops: px.drops[:0], partBytes: px.partBytes, maxTT: px.maxTT}}
 	planeCtxPool.Put(px)
+}
+
+// popInputs truncates the input-header stack to n slots, clearing the
+// vacated ones so the stack pins no partition.
+func (px *planeCtx) popInputs(n int) {
+	clear(px.inputs[n:])
+	px.inputs = px.inputs[:n]
 }
 
 // cacheGet reads a block from the plane's executor cache without touching

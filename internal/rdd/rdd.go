@@ -308,18 +308,7 @@ func (g *Graph) LocalityPartitionBy(parent *RDD, name string, p partition.Partit
 // narrow per-partition pass with no shuffle — Spark's combineByKey fast
 // path, which Stark's co-partitioned collections hit constantly.
 func (g *Graph) ReduceByKey(parent *RDD, name string, p partition.Partitioner, merge func(a, b any) any) *RDD {
-	combine := func(in []record.Record) []record.Record {
-		groups := record.GroupByKeySorted(in)
-		out := make([]record.Record, 0, len(groups))
-		for _, grp := range groups {
-			acc := grp.Values[0]
-			for _, v := range grp.Values[1:] {
-				acc = merge(acc, v)
-			}
-			out = append(out, record.Record{Key: grp.Key, Value: acc})
-		}
-		return out
-	}
+	combine := func(in []record.Record) []record.Record { return record.ReduceRecords(in, merge) }
 	if parent.Partitioner != nil && parent.Parts == p.NumPartitions() && parent.Partitioner.Equivalent(p) {
 		return g.MapPartitions(parent, name, true, 1.5, combine)
 	}

@@ -432,7 +432,7 @@ func TestKeyedOperatorsMatchNaiveReference(t *testing.T) {
 			wantGroup = append(wantGroup, record.Pair(k, m0[k]))
 			for _, lv := range m0[k] {
 				for _, rv := range m1[k] {
-					wantJoin = append(wantJoin, record.Pair(k, record.Joined{Left: lv, Right: rv}))
+					wantJoin = append(wantJoin, record.Pair(k, &record.JoinedPair{Left: lv, Right: rv}))
 				}
 			}
 		}
@@ -441,7 +441,7 @@ func TestKeyedOperatorsMatchNaiveReference(t *testing.T) {
 		_, seenAll := collate(all)
 		m2, _ := collate(sides[2])
 		for _, k := range seenAll {
-			wantCoGroup = append(wantCoGroup, record.Pair(k, record.CoGrouped{Groups: [][]any{m0[k], m1[k], m2[k]}}))
+			wantCoGroup = append(wantCoGroup, record.Pair(k, &record.CoGroupedSides{Groups: [][]any{m0[k], m1[k], m2[k]}}))
 		}
 
 		for _, tc := range []struct {

@@ -21,7 +21,7 @@ func batchCorpora() map[string][]record.Record {
 		{Key: "a", Value: int64(1)},
 		{Key: "b", Value: "text"},
 		{Key: "a", Value: 3.5},
-		{Key: "", Value: record.Joined{Left: int64(1), Right: "r"}},
+		{Key: "", Value: &record.JoinedPair{Left: int64(1), Right: "r"}},
 		{Key: "z\xff\x00z", Value: nil},
 	}
 	ints := []record.Record{

@@ -96,13 +96,14 @@ func BenchmarkSizeOfSlice(b *testing.B) {
 	}
 }
 
-// TestKernelAllocCeilings is the allocation gate on the two record kernels,
-// at the shapes the benchmarks above use: sorted grouping measures ~5
-// allocs/op (the map-of-slices path it replaced took 7578), the join ~53.6k
-// (one Joined box per output row; the grouping under it is one hash pass
-// over both sides and a handful of allocations). A change that re-introduces
-// per-record or per-group allocation fails here; TestCoGroupAllocCeilings
-// holds the cogroup entry point the same way.
+// TestKernelAllocCeilings is the allocation gate on the record kernels, at
+// the shapes the benchmarks above use: sorted grouping measures ~5 allocs/op
+// (the map-of-slices path it replaced took 7578), the join a handful for its
+// ~53.3k output rows (one hash pass over both sides, one carved backing, the
+// output and the slab of pairs its Joined values point into; it took one box
+// per row before). A change that re-introduces per-record or per-group
+// allocation fails here; TestCoGroupAllocCeilings holds the cogroup entry
+// point the same way.
 func TestKernelAllocCeilings(t *testing.T) {
 	group := benchData(20000, 1500)
 	left, right := benchData(8000, 1200), benchData(8000, 1200)
@@ -112,10 +113,29 @@ func TestKernelAllocCeilings(t *testing.T) {
 		run     func()
 	}{
 		{"GroupByKeySorted", 16, func() { GroupByKeySorted(group) }},
-		{"JoinRecords", 56000, func() { JoinRecords(left, right) }},
+		{"JoinRecords", 16, func() { JoinRecords(left, right) }},
 	} {
 		if got := testing.AllocsPerRun(5, tc.run); got > tc.ceiling {
 			t.Errorf("%s: %.0f allocs/op, ceiling %.0f", tc.name, got, tc.ceiling)
+		}
+	}
+}
+
+// TestReduceRecordsAllocCeilings holds ReduceRecords with a merge that
+// allocates nothing to a constant: the output slice, plus on unsorted input
+// the scratch arenas regrown after a GC emptied the pool. The ceiling is the
+// same at 1k and 100k output rows, so no per-key or per-record cost hides in
+// it.
+func TestReduceRecordsAllocCeilings(t *testing.T) {
+	const ceiling = 16
+	keep := func(acc, _ any) any { return acc }
+	for _, keys := range []int{1000, 100_000} {
+		unsorted := benchData(4*keys, keys)
+		sorted := SortedByKey(unsorted)
+		for name, rs := range map[string][]Record{"sorted": sorted, "unsorted": unsorted} {
+			if got := testing.AllocsPerRun(5, func() { ReduceRecords(rs, keep) }); got > ceiling {
+				t.Errorf("%s, %d records over %d keys: %.0f allocs/op, ceiling %d at any key count", name, len(rs), keys, got, ceiling)
+			}
 		}
 	}
 }

@@ -23,13 +23,13 @@ func GroupByKey(rs []Record) (map[string][]any, []string) {
 // for a side without the key.
 func CoGroupNaive(sides [][]Record) []Record {
 	n := len(sides)
-	grouped := make(map[string]*CoGrouped)
+	grouped := make(map[string]CoGrouped)
 	var order []string
 	for s := 0; s < n; s++ {
 		for _, rec := range sides[s] {
 			cg, ok := grouped[rec.Key]
 			if !ok {
-				cg = &CoGrouped{Groups: make([][]any, n)}
+				cg = &CoGroupedSides{Groups: make([][]any, n)}
 				grouped[rec.Key] = cg
 				order = append(order, rec.Key)
 			}
@@ -38,7 +38,7 @@ func CoGroupNaive(sides [][]Record) []Record {
 	}
 	out := make([]Record, 0, len(order))
 	for _, k := range order {
-		out = append(out, Record{Key: k, Value: *grouped[k]})
+		out = append(out, Record{Key: k, Value: grouped[k]})
 	}
 	return out
 }

@@ -264,13 +264,61 @@ func groupRuns(rs []Record, runs int) []Grouped {
 	return groups
 }
 
+// ReduceRecords folds each key's values with merge and returns one record
+// per key, keys ascending: a key's first value in input order is the
+// accumulator and the rest are merged into it in input order. Sorted input
+// folds adjacent runs; otherwise one hash pass and a sort of the distinct
+// keys place each group, and one pass over the input in input order folds
+// it into its slot. No group's values are gathered, so the allocation is the
+// exact-size output slice plus whatever merge allocates.
+//
+//starklint:hotpath
+func ReduceRecords(rs []Record, merge func(acc, v any) any) []Record {
+	if len(rs) == 0 {
+		return []Record{}
+	}
+	if runs, ok := sortedRuns(rs); ok {
+		out := make([]Record, 0, runs)
+		for i := range rs {
+			if i > 0 && rs[i].Key == rs[i-1].Key {
+				last := &out[len(out)-1]
+				last.Value = merge(last.Value, rs[i].Value)
+			} else {
+				out = append(out, rs[i])
+			}
+		}
+		return out
+	}
+	sc := getScratch()
+	sides := [1][]Record{rs}
+	cg := sc.group(sides[:])
+	order := cg.ids()
+	cg.sortByKey(order)
+	rank := sc.i32.Take(cg.ngroups) // per group: its slot in key order
+	for i, g := range order {
+		rank[g] = int32(i)
+	}
+	out := make([]Record, cg.ngroups)
+	for i := range rs {
+		g := cg.gidOf[i]
+		slot := &out[rank[g]]
+		if cg.first[g] == int32(i) {
+			*slot = rs[i]
+		} else {
+			slot.Value = merge(slot.Value, rs[i].Value)
+		}
+	}
+	sc.release()
+	return out
+}
+
 // JoinRecords computes the inner join of two record slices: for every key
 // present on both sides, the cross-product of left and right values as
 // Joined pairs, keys ascending, left then right values in input order. One
 // hash pass groups both sides together; only the keys present on both are
 // sorted and only their values carved, so besides that one backing array the
-// allocations are the exact-size output slice and the Joined boxes the row
-// API requires.
+// allocations are the exact-size output slice and one slab of pairs the
+// Joined values point into.
 //
 //starklint:hotpath
 func JoinRecords(left, right []Record) []Record {
@@ -296,13 +344,17 @@ func JoinRecords(left, right []Record) []Record {
 	matched = matched[:m]
 	cg.sortByKey(matched)
 	backing, ends := cg.carve(matched)
-	out := make([]Record, 0, total)
+	pairs := make([]JoinedPair, total)
+	out := make([]Record, total)
+	i := 0
 	for _, g := range matched {
 		key := cg.key(g)
 		rvs := cg.run(backing, ends, g, 1)
 		for _, lv := range cg.run(backing, ends, g, 0) {
 			for _, rv := range rvs {
-				out = append(out, Record{Key: key, Value: Joined{Left: lv, Right: rv}})
+				pairs[i] = JoinedPair{Left: lv, Right: rv}
+				out[i] = Record{Key: key, Value: &pairs[i]}
+				i++
 			}
 		}
 	}
@@ -313,9 +365,9 @@ func JoinRecords(left, right []Record) []Record {
 // CoGroupRecords groups the sides' values by key into CoGrouped values, one
 // record per distinct key in first-seen order (sides in order, records in
 // order); Groups[s] holds side s's values in input order and is nil when the
-// side lacks the key. All value runs share one backing array and all Groups
-// headers another, so the per-key cost is the one CoGrouped box the row API
-// requires.
+// side lacks the key. All value runs share one backing array, all Groups
+// headers another and all CoGrouped values point into a third, so a call
+// allocates the same handful of objects whatever its key count.
 //
 //starklint:hotpath
 func CoGroupRecords(sides [][]Record) []Record {
@@ -325,13 +377,15 @@ func CoGroupRecords(sides [][]Record) []Record {
 	backing, ends := cg.carve(order)
 	ns := len(sides)
 	headers := make([][]any, cg.ngroups*ns)
+	slab := make([]CoGroupedSides, cg.ngroups)
 	out := make([]Record, cg.ngroups)
 	for _, g := range order {
 		groups := headers[int(g)*ns : (int(g)+1)*ns : (int(g)+1)*ns]
 		for s := range groups {
 			groups[s] = cg.run(backing, ends, g, s)
 		}
-		out[g] = Record{Key: cg.key(g), Value: CoGrouped{Groups: groups}}
+		slab[g] = CoGroupedSides{Groups: groups}
+		out[g] = Record{Key: cg.key(g), Value: &slab[g]}
 	}
 	sc.release()
 	return out

@@ -22,7 +22,7 @@ func naiveJoin(left, right []record.Record) []record.Record {
 	for _, k := range lkeys {
 		for _, lv := range lm[k] {
 			for _, rv := range rm[k] {
-				want = append(want, record.Record{Key: k, Value: record.Joined{Left: lv, Right: rv}})
+				want = append(want, record.Record{Key: k, Value: &record.JoinedPair{Left: lv, Right: rv}})
 			}
 		}
 	}
@@ -188,11 +188,74 @@ func FuzzCoGroupKernel(f *testing.F) {
 	})
 }
 
+// reduceReference is the grouping-then-fold ReduceRecords replaced: group by
+// key, then fold each group's values in order, the first the accumulator.
+func reduceReference(rs []record.Record, merge func(acc, v any) any) []record.Record {
+	groups := record.GroupByKeySorted(rs)
+	out := make([]record.Record, 0, len(groups))
+	for _, g := range groups {
+		acc := g.Values[0]
+		for _, v := range g.Values[1:] {
+			acc = merge(acc, v)
+		}
+		out = append(out, record.Record{Key: g.Key, Value: acc})
+	}
+	return out
+}
+
+// TestReduceRecordsMatchesReference holds ReduceRecords to reduceReference
+// with a non-commutative merge, so a fold out of input order shows, on
+// sorted and unsorted inputs of every key population genSide draws plus the
+// edge shapes named below. Equality is exact, including the non-nil empty
+// result of an empty input.
+func TestReduceRecordsMatchesReference(t *testing.T) {
+	concat := func(acc, v any) any { return acc.(string) + "+" + v.(string) }
+	check := func(name string, rs []record.Record) {
+		t.Helper()
+		snapshot := append([]record.Record(nil), rs...)
+		got, want := record.ReduceRecords(rs, concat), reduceReference(rs, concat)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: ReduceRecords = %v, want %v", name, got, want)
+		}
+		if len(rs) > 0 && !reflect.DeepEqual(rs, snapshot) {
+			t.Fatalf("%s: ReduceRecords wrote into its input", name)
+		}
+	}
+	recs := func(keys ...string) []record.Record {
+		rs := make([]record.Record, len(keys))
+		for i, k := range keys {
+			rs[i] = record.Record{Key: k, Value: fmt.Sprint(i)}
+		}
+		return rs
+	}
+	check("empty", nil)
+	check("empty non-nil", []record.Record{})
+	check("one record", recs("k"))
+	check("single key", recs("k", "k", "k", "k"))
+	check("all distinct, sorted", recs("a", "b", "c", "d"))
+	check("all distinct, unsorted", recs("d", "b", "a", "c"))
+	check("sorted runs", recs("a", "a", "b", "c", "c", "c"))
+	check("unsorted", recs("c", "a", "c", "b", "a", "c"))
+	check("prefix ties, sorted", recs("prefix__a", "prefix__a", "prefix__b", "prefix__b\x00", "prefix__c"))
+	check("prefix ties, unsorted", recs("prefix__b", "prefix__a", "prefix__b\x00", "prefix__a", "prefix__b", "prefix__"))
+
+	for seed := int64(0); seed < 50; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		for trial := 0; trial < 8; trial++ {
+			rs := genSide(rng, 0)
+			for i := range rs {
+				rs[i].Value = fmt.Sprint(rs[i].Value)
+			}
+			check(fmt.Sprintf("seed %d trial %d", seed, trial), rs)
+		}
+	}
+}
+
 // TestCoGroupAllocCeilings gates what the kernel removed from cogroup: the
-// per-key &CoGrouped, make([][]any, n) and append-growth allocations. What
-// is left per output key is the one CoGrouped box the row API needs; the
-// constant covers the output slice, the two backing arrays and a scratch
-// arena regrown after a GC emptied the pool.
+// per-key &CoGrouped, make([][]any, n) and append-growth allocations, and
+// the per-key box the values took before they pointed into one slab. The
+// constant covers the output slice, the two backing arrays, the slab and a
+// scratch arena regrown after a GC emptied the pool, at any key count.
 func TestCoGroupAllocCeilings(t *testing.T) {
 	mk := func(sides, perSide, keys int) [][]record.Record {
 		out := make([][]record.Record, sides)
@@ -203,9 +266,12 @@ func TestCoGroupAllocCeilings(t *testing.T) {
 		}
 		return out
 	}
-	big := mk(3, 6000, 1500)
-	if got, ceiling := testing.AllocsPerRun(5, func() { record.CoGroupRecords(big) }), 1500.0+16; got > ceiling {
-		t.Errorf("3x6000 records over 1500 keys: %.0f allocs/op, ceiling %.0f (one box per key + 16)", got, ceiling)
+	const ceiling = 16
+	for _, shape := range []struct{ perSide, keys int }{{6000, 1500}, {100_000, 100_000}} {
+		big := mk(3, shape.perSide, shape.keys)
+		if got := testing.AllocsPerRun(5, func() { record.CoGroupRecords(big) }); got > ceiling {
+			t.Errorf("3x%d records over %d keys: %.0f allocs/op, ceiling %d at any key count", shape.perSide, shape.keys, got, ceiling)
+		}
 	}
 	// The taxi-window shape: a handful of records a side. The arenas and the
 	// pool must not cost a tiny call more than the map cost it.

@@ -23,17 +23,31 @@ func Pair(key string, value any) Record { return Record{Key: key, Value: value} 
 
 // CoGrouped is the value type produced by CoGroup: one value slice per
 // parent dataset, in parent order. A key missing from parent i has an empty
-// Groups[i].
-type CoGrouped struct {
+// Groups[i]. It points into a slab the kernel allocates once per call, so
+// storing it in Record.Value does not box.
+type CoGrouped = *CoGroupedSides
+
+// CoGroupedSides is what a CoGrouped points to.
+type CoGroupedSides struct {
 	Groups [][]any
 }
 
+// String prints what %v printed when CoGrouped was a struct value.
+func (c *CoGroupedSides) String() string { return fmt.Sprintf("{%v}", c.Groups) }
+
 // Joined is the value type produced by Join: the cross-product element of
-// the two parents' values for a key.
-type Joined struct {
+// the two parents' values for a key. It points into a slab the kernel
+// allocates once per call, so storing it in Record.Value does not box.
+type Joined = *JoinedPair
+
+// JoinedPair is what a Joined points to.
+type JoinedPair struct {
 	Left  any
 	Right any
 }
+
+// String prints what %v printed when Joined was a struct value.
+func (j *JoinedPair) String() string { return fmt.Sprintf("{%v %v}", j.Left, j.Right) }
 
 const (
 	// recordOverhead approximates per-record object headers, pointers and
@@ -65,11 +79,7 @@ func SizeOf(v any) int64 {
 	case []byte:
 		return sliceOverhead + int64(len(x))
 	case []any:
-		s := int64(sliceOverhead)
-		for _, e := range x {
-			s += 8 + SizeOf(e)
-		}
-		return s
+		return sizeOfAnys(x)
 	case []string:
 		s := int64(sliceOverhead)
 		for _, e := range x {
@@ -80,11 +90,12 @@ func SizeOf(v any) int64 {
 		return sliceOverhead + 8*int64(len(x))
 	case []float64:
 		return sliceOverhead + 8*int64(len(x))
+	// The two typed cases stay above fmt.Stringer: both types have a String
+	// method, and neither is priced by it.
 	case CoGrouped:
 		s := int64(sliceOverhead)
 		for _, g := range x.Groups {
-			//starklint:ignore hotalloc SizeOf's any parameter is the data model — values arrive boxed from Record.Value, so re-boxing the group header here is inherent, not avoidable
-			s += SizeOf(g)
+			s += sizeOfAnys(g)
 		}
 		return s
 	case Joined:
@@ -100,6 +111,15 @@ func SizeOf(v any) int64 {
 	default:
 		return 64
 	}
+}
+
+// sizeOfAnys is SizeOf of a []any without boxing the slice header.
+func sizeOfAnys(vs []any) int64 {
+	s := int64(sliceOverhead)
+	for _, e := range vs {
+		s += 8 + SizeOf(e)
+	}
+	return s
 }
 
 // SizeOfRecord estimates the footprint of a full record.

@@ -1,6 +1,7 @@
 package record
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -26,17 +27,39 @@ func TestSizeOfBasics(t *testing.T) {
 	}
 }
 
+// TestSizeOfComposites pins the bytes a CoGrouped and a Joined are priced at
+// (the formula every v-metric was measured with, not their String form) and
+// that pricing them allocates nothing.
 func TestSizeOfComposites(t *testing.T) {
-	cg := CoGrouped{Groups: [][]any{{int64(1)}, {"x"}}}
-	if got := SizeOf(cg); got <= 0 {
-		t.Fatalf("SizeOf(CoGrouped) = %d", got)
+	var cg CoGrouped = &CoGroupedSides{Groups: [][]any{{int64(1)}, {"x"}, nil}}
+	// Header, then per side: a slice header plus 8 + SizeOf per element.
+	if got, want := SizeOf(cg), int64(24+(24+8+8)+(24+8+17)+24); got != want {
+		t.Fatalf("SizeOf(CoGrouped) = %d, want %d", got, want)
 	}
-	j := Joined{Left: "a", Right: int64(1)}
+	var j Joined = &JoinedPair{Left: "a", Right: int64(1)}
 	if got := SizeOf(j); got != 16+17+8 {
 		t.Fatalf("SizeOf(Joined) = %d", got)
 	}
 	if got := SizeOf(struct{ X int }{1}); got != 64 {
 		t.Fatalf("unknown type fallback = %d", got)
+	}
+	for name, v := range map[string]any{"CoGrouped": cg, "Joined": j} {
+		if allocs := testing.AllocsPerRun(100, func() { SizeOf(v) }); allocs != 0 {
+			t.Errorf("SizeOf(%s): %.0f allocs/op, want 0", name, allocs)
+		}
+	}
+}
+
+// TestCompositesPrintAsStructs pins the %v text of the pointer-shaped values
+// to what the struct values they replaced printed, which transcripts and
+// goldens compare against.
+func TestCompositesPrintAsStructs(t *testing.T) {
+	rs := []Record{
+		Pair("j", &JoinedPair{Left: "l", Right: int64(2)}),
+		Pair("c", &CoGroupedSides{Groups: [][]any{{"a", "b"}, nil}}),
+	}
+	if got, want := fmt.Sprintf("%v", rs), "[{j {l 2}} {c {[[a b] []]}}]"; got != want {
+		t.Fatalf("%%v = %q, want %q", got, want)
 	}
 }
 

@@ -19,10 +19,14 @@ type Record = record.Record
 // Pair builds a Record.
 func Pair(key string, value any) Record { return record.Pair(key, value) }
 
-// CoGrouped is the value type CoGroup produces: one value slice per parent.
+// CoGrouped is the value type CoGroup produces: a pointer to one value
+// slice per parent (read v.Groups[i]). Every CoGrouped of a partition points
+// into one slab, so keeping one keeps the slab alive; treat it as read-only.
 type CoGrouped = record.CoGrouped
 
-// Joined is the value type Join produces.
+// Joined is the value type Join produces: a pointer to one left/right value
+// pair (read v.Left, v.Right). Every Joined of a partition points into one
+// slab, so keeping one keeps the slab alive; treat it as read-only.
 type Joined = record.Joined
 
 // Partitioner maps keys to partitions; see NewHashPartitioner,
