@@ -14,7 +14,7 @@ vet:
 
 # Static analysis: go vet plus starklint, the repo's determinism/purity/
 # plane-isolation analyzers (see DESIGN.md section 11) and the module-wide
-# call-graph suite (planetaint, hotalloc, errwrap; section 16). Gate for
+# call-graph suite (planetaint, hotalloc, errwrap, unreachable; section 16). Gate for
 # every bench target so numbers never come off a dirty tree.
 lint: vet
 	$(GO) run ./cmd/starklint ./...

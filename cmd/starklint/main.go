@@ -29,6 +29,8 @@
 //	              empty-slice append growth, Sprintf/concatenation)
 //	errwrap     — no %v/%s flattening of error operands, no wrapper error
 //	              type without Unwrap: typed sentinels stay errors.Is-able
+//	unreachable — no function only tests reach; roots are main, init, var
+//	              initialisers and the root package's exported API
 //
 // Findings print as file:line:col: analyzer: message, or with -json as one
 // JSON object per line ({file, line, col, analyzer, message}). A finding is

@@ -1,7 +1,6 @@
 // Command tracegen emits the synthetic traces the experiments run on, in
 // the repository's TSV trace format (`tag \t index \t key \t value`), so
-// they can be inspected or fed to other tools. The format round-trips
-// through workload.ReadTSV.
+// they can be inspected or fed to other tools.
 //
 // Usage:
 //

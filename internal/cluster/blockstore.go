@@ -31,7 +31,7 @@ type blockEntry struct {
 // BlockStore is a per-executor cache of partition blocks, measured in
 // simulated bytes, with a pluggable eviction policy (LRU baseline). A
 // MemPressure fault can shrink the effective capacity by a factor in
-// (0, 1]; Capacity and Pressure report the shrunk bound so every consumer
+// (0, 1]; Capacity reports the shrunk bound so every consumer
 // (GC model, admission ledger, put path) sees the same squeezed world.
 type BlockStore struct {
 	capacity int64
@@ -77,9 +77,6 @@ func (s *BlockStore) SetShrink(factor float64) {
 	s.shrink = factor
 }
 
-// BaseCapacity reports the configured capacity, ignoring mem pressure.
-func (s *BlockStore) BaseCapacity() int64 { return s.capacity }
-
 // Capacity reports the effective capacity: the configured bound scaled by
 // the current mem-pressure shrink factor.
 func (s *BlockStore) Capacity() int64 {
@@ -91,20 +88,6 @@ func (s *BlockStore) Capacity() int64 {
 
 // Used reports the bytes currently cached.
 func (s *BlockStore) Used() int64 { return s.used }
-
-// Pressure reports Used/Capacity in [0, 1] against the effective
-// (pressure-shrunk) capacity.
-func (s *BlockStore) Pressure() float64 {
-	cap := s.Capacity()
-	if cap <= 0 {
-		return 1
-	}
-	p := float64(s.used) / float64(cap)
-	if p > 1 {
-		p = 1
-	}
-	return p
-}
 
 // Len reports the number of cached blocks.
 func (s *BlockStore) Len() int { return len(s.blocks) }
@@ -135,15 +118,6 @@ func (s *BlockStore) Peek(id BlockID) ([]record.Record, bool) {
 		return nil, false
 	}
 	return e.data, true
-}
-
-// BytesOf reports the cached size of a block.
-func (s *BlockStore) BytesOf(id BlockID) (int64, bool) {
-	e, ok := s.blocks[id]
-	if !ok {
-		return 0, false
-	}
-	return e.bytes, true
 }
 
 // PutStatus classifies the outcome of a checked put.
@@ -177,6 +151,8 @@ func (st PutStatus) String() string {
 // returns the evicted ids. ok = false means the put was refused (oversized
 // or pin-blocked) and the store is untouched; use PutChecked for the
 // refusal reason.
+//
+//starklint:ignore unreachable bench/layers.go (cluster.put_evict_*_ns_op)
 func (s *BlockStore) Put(id BlockID, data []record.Record, bytes int64) (evicted []BlockID, ok bool) {
 	evicted, st := s.PutChecked(id, data, bytes)
 	return evicted, st == PutStored

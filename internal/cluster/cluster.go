@@ -123,19 +123,10 @@ func (c *Cluster) AliveExecutors() []int {
 	return out
 }
 
-// TotalSlots reports the number of slots across live executors.
-func (c *Cluster) TotalSlots() int {
-	n := 0
-	for _, e := range c.executors {
-		if !e.dead {
-			n += e.Slots
-		}
-	}
-	return n
-}
-
 // CachePut stores a block on an executor and updates the directory,
 // returning the evicted block ids (already removed from the directory).
+//
+//starklint:ignore unreachable bench/layers.go (cluster.unique_keys_us_op set-up)
 func (c *Cluster) CachePut(exec int, id BlockID, data []record.Record, bytes int64) []BlockID {
 	evicted, _ := c.CachePutChecked(exec, id, data, bytes)
 	return evicted
@@ -216,12 +207,6 @@ func (c *Cluster) CachePeek(exec int, id BlockID) ([]record.Record, bool) {
 		return nil, false
 	}
 	return e.Store.Peek(id)
-}
-
-// CacheHas reports whether an executor holds a block.
-func (c *Cluster) CacheHas(exec int, id BlockID) bool {
-	e := c.executors[exec]
-	return !e.dead && e.Store.Contains(id)
 }
 
 // Locations returns the executor ids caching a block, ascending.
@@ -352,6 +337,8 @@ func (c *Cluster) CheckConsistency() error {
 // it walks the whole store and allocates per call — kept as the oracle the
 // unit index is tested against and as the benchmark's per-layer probe; the
 // scheduler scores offers through UnitsCached instead.
+//
+//starklint:ignore unreachable bench/layers.go and bench/profile.go (cluster.unique_keys_us_op, prof.cluster_unique_keys_pct)
 func (c *Cluster) UniqueKeysCached(exec int, keyOf func(BlockID) string) int {
 	e := c.executors[exec]
 	if e.dead {

@@ -107,8 +107,7 @@ func TestBlockStoreCapacityInvariantQuick(t *testing.T) {
 		// Used must equal the sum of cached block sizes.
 		var sum int64
 		for _, id := range s.Blocks() {
-			b, _ := s.BytesOf(id)
-			sum += b
+			sum += s.blocks[id].bytes
 		}
 		return sum == s.Used()
 	}
@@ -134,8 +133,8 @@ func TestClusterDirectory(t *testing.T) {
 	if len(locs) != 2 || locs[0] != 0 || locs[1] != 2 {
 		t.Fatalf("locations = %v", locs)
 	}
-	if !c.CacheHas(0, id) || c.CacheHas(1, id) {
-		t.Fatal("CacheHas wrong")
+	if !c.Executor(0).Store.Contains(id) || c.Executor(1).Store.Contains(id) {
+		t.Fatal("placement wrong")
 	}
 	c.DropBlock(0, id)
 	if locs := c.Locations(id); len(locs) != 1 || locs[0] != 2 {
@@ -168,9 +167,6 @@ func TestKillClearsBlocksAndSlots(t *testing.T) {
 	}
 	if got := c.AliveExecutors(); len(got) != 2 {
 		t.Fatalf("alive = %v", got)
-	}
-	if c.TotalSlots() != 4 {
-		t.Fatalf("slots = %d", c.TotalSlots())
 	}
 	// Double-kill is a no-op; restart revives with empty cache.
 	c.Kill(1)

@@ -10,8 +10,6 @@ package cluster
 // locking but must be deterministic: equal store state and equal policy
 // state must yield equal plans.
 type EvictionPolicy interface {
-	// Name identifies the policy in metrics and experiment output.
-	Name() string
 	// Plan selects victims freeing at least need bytes from s, never
 	// naming keep (the block being put). OK reports whether the plan
 	// covers need; PinBlocked reports that the shortfall is due to
@@ -34,9 +32,9 @@ type EvictionPlan struct {
 type lruPolicy struct{}
 
 // NewLRUPolicy returns the baseline least-recently-used eviction policy.
+//
+//starklint:ignore unreachable bench/layers.go (cluster.put_evict_*_ns_op)
 func NewLRUPolicy() EvictionPolicy { return lruPolicy{} }
-
-func (lruPolicy) Name() string { return "lru" }
 
 func (lruPolicy) Plan(s *BlockStore, need int64, keep BlockID) EvictionPlan {
 	var plan EvictionPlan
@@ -86,8 +84,6 @@ func NewDAGPolicy() *DAGPolicy {
 	return &DAGPolicy{refs: make(map[int]int)}
 }
 
-func (p *DAGPolicy) Name() string { return "dag" }
-
 // SetGroupFn installs the block → peer-group mapping: the same function the
 // engine hands SetUnitMapping, so a peer group is a collection unit. Pass nil
 // to treat every block as ungrouped.
@@ -112,9 +108,6 @@ func (p *DAGPolicy) Release(rdd, n int) {
 		delete(p.refs, rdd)
 	}
 }
-
-// Refs reports an RDD's remaining consumer count.
-func (p *DAGPolicy) Refs(rdd int) int { return p.refs[rdd] }
 
 // ResetRefs clears the whole table — driver crash discards volatile state;
 // journal replay re-charges as jobs resubmit.

@@ -51,8 +51,8 @@ func TestBlockStoreShrinkCapacity(t *testing.T) {
 	if got := s.Capacity(); got != 500 {
 		t.Fatalf("effective capacity = %d, want 500", got)
 	}
-	if s.BaseCapacity() != 1000 {
-		t.Fatalf("base capacity = %d", s.BaseCapacity())
+	if s.capacity != 1000 {
+		t.Fatalf("base capacity = %d", s.capacity)
 	}
 	// A put over the shrunk bound is refused even though the base bound
 	// would admit it.
@@ -64,8 +64,8 @@ func TestBlockStoreShrinkCapacity(t *testing.T) {
 	if st != PutStored || len(ev) != 1 || ev[0] != (BlockID{1, 0}) {
 		t.Fatalf("st=%v ev=%v", st, ev)
 	}
-	if p := s.Pressure(); p < 0.59 || p > 0.61 {
-		t.Fatalf("pressure = %v, want 300/500", p)
+	if s.Used() != 300 || s.Capacity() != 500 {
+		t.Fatalf("used/capacity = %d/%d, want 300/500", s.Used(), s.Capacity())
 	}
 	s.SetShrink(1)
 	if s.Capacity() != 1000 {
@@ -125,12 +125,12 @@ func TestDAGPolicyReleaseUnpins(t *testing.T) {
 	}
 	// Release clamps at zero (resubmission after a crash-reset).
 	p.Release(1, 5)
-	if p.Refs(1) != 0 {
-		t.Fatalf("refs = %d after over-release", p.Refs(1))
+	if p.refs[1] != 0 {
+		t.Fatalf("refs = %d after over-release", p.refs[1])
 	}
 	p.Charge(3, 2)
 	p.ResetRefs()
-	if p.Refs(3) != 0 {
+	if p.refs[3] != 0 {
 		t.Fatal("ResetRefs left refs behind")
 	}
 }

@@ -37,7 +37,7 @@ func (c *countingCloser) Close() error {
 func TestCloseIdempotent(t *testing.T) {
 	e := New(driverTestConfig())
 	sink := &countingCloser{}
-	e.Journal().SetSink(sink)
+	e.jrn.SetSink(sink)
 	g := e.Graph()
 	src := g.Source("src", dataset(400, 8), true)
 	pb := g.PartitionBy(src, "pb", partition.NewHash(8))
@@ -85,7 +85,7 @@ func TestCloseIdempotent(t *testing.T) {
 
 	// Driver fault surface after Close: both ignore the closed engine.
 	e.CrashDriver(0)
-	if e.DriverDown() {
+	if e.driverDown {
 		t.Fatal("CrashDriver acted on a closed driver")
 	}
 	e.RestartDriver()
@@ -98,7 +98,7 @@ func TestCloseIdempotent(t *testing.T) {
 func TestCloseDuringCrashRecovery(t *testing.T) {
 	e := New(driverTestConfig())
 	sink := &countingCloser{}
-	e.Journal().SetSink(sink)
+	e.jrn.SetSink(sink)
 	g := e.Graph()
 	src := g.Source("src", dataset(200, 4), true)
 	pb := g.PartitionBy(src, "pb", partition.NewHash(4))
@@ -107,7 +107,7 @@ func TestCloseDuringCrashRecovery(t *testing.T) {
 	e.Loop().At(time.Millisecond, func() { e.CrashDriver(0) })
 	e.Loop().At(2*time.Millisecond, func() {
 		e.SubmitJob(pb, ActionCount, func(r JobResult) { buffered = r.Err })
-		if !e.DriverDown() {
+		if !e.driverDown {
 			t.Error("driver expected down at submit time")
 		}
 	})
@@ -123,7 +123,7 @@ func TestCloseDuringCrashRecovery(t *testing.T) {
 	if !errors.Is(buffered, ErrJobCancelled) {
 		t.Fatalf("buffered job error = %v, want ErrJobCancelled chain", buffered)
 	}
-	if e.DriverDown() {
+	if e.driverDown {
 		t.Fatal("closed driver reports down: RestartDriver should not have flipped state")
 	}
 	if sink.closes != 1 {
@@ -143,7 +143,7 @@ func TestCloseDuringCrashRecovery(t *testing.T) {
 func TestCloseLatchesSinkWriteError(t *testing.T) {
 	e := New(driverTestConfig())
 	sink := &countingCloser{failAt: 1}
-	e.Journal().SetSink(sink)
+	e.jrn.SetSink(sink)
 	g := e.Graph()
 	src := g.Source("src", dataset(100, 4), true)
 	pb := g.PartitionBy(src, "pb", partition.NewHash(4))

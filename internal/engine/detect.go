@@ -40,17 +40,6 @@ func (v viewState) String() string {
 	return "alive"
 }
 
-// ExecutorEpoch reports the driver's current epoch for an executor. The
-// epoch increments every time the driver gives up on an executor process
-// (dead declaration, observed restart, or omniscient kill), fencing off
-// results from older incarnations.
-func (e *Engine) ExecutorEpoch(id int) int { return e.execEpoch[id] }
-
-// ExecutorView reports the driver's current view of an executor:
-// "alive", "suspected", or "dead". Always "alive" while heartbeat
-// detection is disabled.
-func (e *Engine) ExecutorView(id int) string { return e.execView[id].String() }
-
 // ensureHeartbeats (re)arms the per-executor heartbeat timers and the
 // driver's detector when a job becomes active. Heartbeat ages reset for
 // every executor the driver does not consider dead, so idle gaps between

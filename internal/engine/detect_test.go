@@ -31,7 +31,7 @@ func hbConfig() Config {
 // correct.
 func TestPartitionHealRejoinNewEpoch(t *testing.T) {
 	e := New(hbConfig())
-	epoch0 := e.ExecutorEpoch(2)
+	epoch0 := e.execEpoch[2]
 	e.Loop().At(time.Millisecond, func() { e.PartitionExecutor(2) })
 	e.Loop().At(40*time.Millisecond, func() { e.HealExecutor(2) })
 
@@ -53,8 +53,8 @@ func TestPartitionHealRejoinNewEpoch(t *testing.T) {
 	if rec.Suspicions == 0 {
 		t.Fatal("no suspicion preceded the dead declaration")
 	}
-	if e.ExecutorEpoch(2) <= epoch0 {
-		t.Fatalf("epoch = %d, want > %d after dead declaration", e.ExecutorEpoch(2), epoch0)
+	if e.execEpoch[2] <= epoch0 {
+		t.Fatalf("epoch = %d, want > %d after dead declaration", e.execEpoch[2], epoch0)
 	}
 	if d := rec.MaxDetectionDelay(); d < hbConfig().Heartbeat.DeadAfter {
 		t.Fatalf("detection delay %v below DeadAfter %v", d, hbConfig().Heartbeat.DeadAfter)
@@ -62,7 +62,7 @@ func TestPartitionHealRejoinNewEpoch(t *testing.T) {
 	if rec.StaleEpochRejections == 0 {
 		t.Fatal("no stale-epoch result was rejected — the old incarnation's results went unfenced")
 	}
-	epochDead := e.ExecutorEpoch(2)
+	epochDead := e.execEpoch[2]
 
 	// A second job restarts the heartbeat plane; the healed executor's first
 	// beat rejoins it under the (new) epoch and it serves tasks again.
@@ -77,11 +77,11 @@ func TestPartitionHealRejoinNewEpoch(t *testing.T) {
 	if rec.Rejoins != 1 {
 		t.Fatalf("rejoins = %d, want 1", rec.Rejoins)
 	}
-	if got := e.ExecutorView(2); got != "alive" {
+	if got := e.execView[2].String(); got != "alive" {
 		t.Fatalf("view = %q after heal+rejoin, want alive", got)
 	}
-	if e.ExecutorEpoch(2) < epochDead {
-		t.Fatalf("epoch went backwards: %d < %d", e.ExecutorEpoch(2), epochDead)
+	if e.execEpoch[2] < epochDead {
+		t.Fatalf("epoch went backwards: %d < %d", e.execEpoch[2], epochDead)
 	}
 	if !e.schedulable(2) {
 		t.Fatal("rejoined executor must be schedulable")
@@ -124,7 +124,7 @@ func TestTransientPartitionOnlySuspects(t *testing.T) {
 	if rec.DeadDeclarations != 0 {
 		t.Fatalf("dead declarations = %d, want 0 for a transient partition", rec.DeadDeclarations)
 	}
-	if got := e.ExecutorView(2); got != "alive" {
+	if got := e.execView[2].String(); got != "alive" {
 		t.Fatalf("view = %q, want alive", got)
 	}
 }

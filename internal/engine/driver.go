@@ -133,22 +133,6 @@ func newDriverMemory(cfg Config) driverMemory {
 // DriverRecoveryEnabled reports whether the driver fault domain is armed.
 func (e *Engine) DriverRecoveryEnabled() bool { return e.jrn != nil }
 
-// DriverDown reports whether the driver is currently crashed.
-func (e *Engine) DriverDown() bool { return e.driverDown }
-
-// Journal exposes the write-ahead journal (nil without driver recovery),
-// so callers can attach a durable sink and so shutdown paths can be tested
-// for handle hygiene.
-func (e *Engine) Journal() *journal.Log { return e.jrn }
-
-// JournalLen reports the number of records currently in the journal.
-func (e *Engine) JournalLen() int {
-	if e.jrn == nil {
-		return 0
-	}
-	return e.jrn.Len()
-}
-
 // OnDriverRestart registers a hook invoked after every journal replay, once
 // the control plane is rebuilt but before jobs resubmit. The stream layer
 // uses it to reconstruct step tables from the replayed journal.
@@ -530,7 +514,7 @@ func (e *Engine) Close() error {
 	}
 	e.closed = true
 	// A closed driver is terminally down, not crashed-awaiting-restart:
-	// clear the crash flag so DriverDown readers see a settled state and a
+	// clear the crash flag so driverDown readers see a settled state and a
 	// racing scheduled RestartDriver stays a no-op (it checks closed first).
 	e.driverDown = false
 	cause := fmt.Errorf("engine: driver closed: %w", ErrJobCancelled)

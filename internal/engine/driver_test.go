@@ -90,7 +90,7 @@ func TestDriverRestartIsDeterministic(t *testing.T) {
 			t.Fatalf("run: %v", err)
 		}
 		sortRecs(out)
-		return out, e.JournalLen()
+		return out, e.jrn.Len()
 	}
 	a, alen := run()
 	b, blen := run()
@@ -120,7 +120,7 @@ func TestDriverCrashBuffersSubmissions(t *testing.T) {
 			n = r.Count
 			done = true
 		})
-		if !e.DriverDown() {
+		if !e.driverDown {
 			t.Error("driver expected down at submit time")
 		}
 	})

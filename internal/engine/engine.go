@@ -401,13 +401,12 @@ func (e *Engine) Store() *storage.Store { return e.store }
 func (e *Engine) Network() *netsim.Network { return e.net }
 
 // Locality exposes the LocalityManager.
+//
+//starklint:ignore unreachable stream tests
 func (e *Engine) Locality() *locality.Manager { return e.loc }
 
 // Groups exposes the GroupManager.
 func (e *Engine) Groups() *group.Manager { return e.grp }
-
-// Config returns the engine configuration.
-func (e *Engine) Config() Config { return e.cfg }
 
 // CompletedJobs returns metrics for every finished job, in completion
 // order.

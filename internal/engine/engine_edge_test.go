@@ -225,7 +225,7 @@ func TestDeReplicationDropsEveryUnitBlock(t *testing.T) {
 	}
 	victim, u := pref[1], e.unitID("ns", 0)
 	for _, r := range []*rdd.RDD{steps[0], steps[1], cg} {
-		if !e.Cluster().CacheHas(victim, blockID(r.ID, 0)) {
+		if !e.Cluster().Executor(victim).Store.Contains(blockID(r.ID, 0)) {
 			t.Fatalf("replica executor %d does not cache %s[0]", victim, r)
 		}
 	}

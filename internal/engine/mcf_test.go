@@ -24,7 +24,7 @@ func naiveUnitKey(e *Engine) func(cluster.BlockID) string {
 			return ""
 		}
 		unit := id.Partition
-		if e.Config().Features.Extendable && e.Groups().Registered(r.Namespace) {
+		if e.cfg.Features.Extendable && e.Groups().Registered(r.Namespace) {
 			g, err := e.Groups().GroupOf(r.Namespace, id.Partition)
 			if err != nil {
 				return ""

@@ -67,14 +67,3 @@ func (r Fig07Result) Print(w io.Writer) {
 		fprintf(w, "  %10d  %s\n", n, fmtSec(r.Delay[i]))
 	}
 }
-
-// Best returns the partition count with minimum delay.
-func (r Fig07Result) Best() (int, time.Duration) {
-	best, bd := 0, time.Duration(0)
-	for i, n := range r.Partitions {
-		if i == 0 || r.Delay[i] < bd {
-			best, bd = n, r.Delay[i]
-		}
-	}
-	return best, bd
-}

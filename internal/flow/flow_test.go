@@ -171,3 +171,46 @@ func TestAddEdgeValidation(t *testing.T) {
 		}()
 	}
 }
+
+// ForwardEdges iterates over all forward (non-reverse) edges, calling fn
+// with each edge id and edge.
+func (g *Graph) ForwardEdges(fn func(id int, e *Edge)) {
+	for i := 0; i < len(g.edges); i += 2 {
+		fn(i, &g.edges[i])
+	}
+}
+
+// SourceSide returns, after MaxFlow, the set of nodes reachable from s in
+// the residual graph. The minimum cut is exactly the set of forward edges
+// from SourceSide to its complement.
+func (g *Graph) SourceSide(s int) []bool {
+	seen := make([]bool, g.n)
+	stack := []int{s}
+	seen[s] = true
+	for len(stack) > 0 {
+		u := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, id := range g.adj[u] {
+			e := &g.edges[id]
+			if e.Cap > 0 && !seen[e.To] {
+				seen[e.To] = true
+				stack = append(stack, e.To)
+			}
+		}
+	}
+	return seen
+}
+
+// MinCutEdges returns, after MaxFlow, the ids of forward edges crossing the
+// minimum cut (from the source side to the sink side). The sum of their
+// original capacities equals the max-flow value.
+func (g *Graph) MinCutEdges(s int) []int {
+	side := g.SourceSide(s)
+	var cut []int
+	g.ForwardEdges(func(id int, e *Edge) {
+		if side[e.From] && !side[e.To] {
+			cut = append(cut, id)
+		}
+	})
+	return cut
+}

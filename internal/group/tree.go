@@ -124,9 +124,6 @@ func (t *Tree) Groups() []Group {
 	return out
 }
 
-// NumGroups reports the current leaf count.
-func (t *Tree) NumGroups() int { return len(t.Groups()) }
-
 // Split divides the group with the given id into its two halves and returns
 // them. It fails if the group does not exist or holds a single partition
 // (paper: "split can be applied to any leaf node with more than one

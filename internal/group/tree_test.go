@@ -50,8 +50,8 @@ func TestSplitAndMerge(t *testing.T) {
 	if l.Lo != 0 || l.Hi != 2 || r.Lo != 2 || r.Hi != 4 {
 		t.Fatalf("split = %v, %v", l, r)
 	}
-	if tr.NumGroups() != 5 {
-		t.Fatalf("groups = %d", tr.NumGroups())
+	if len(tr.Groups()) != 5 {
+		t.Fatalf("groups = %d", len(tr.Groups()))
 	}
 	coverage(t, tr)
 
@@ -62,8 +62,8 @@ func TestSplitAndMerge(t *testing.T) {
 	if m.Lo != 0 || m.Hi != 4 {
 		t.Fatalf("merge = %v", m)
 	}
-	if tr.NumGroups() != 4 {
-		t.Fatalf("groups = %d", tr.NumGroups())
+	if len(tr.Groups()) != 4 {
+		t.Fatalf("groups = %d", len(tr.Groups()))
 	}
 	coverage(t, tr)
 }
@@ -102,8 +102,8 @@ func TestMergeRequiresSiblingLeaves(t *testing.T) {
 	if _, err := tr.Merge(0); err != nil {
 		t.Fatal(err)
 	}
-	if tr.NumGroups() != 1 {
-		t.Fatalf("groups = %d, want 1", tr.NumGroups())
+	if len(tr.Groups()) != 1 {
+		t.Fatalf("groups = %d, want 1", len(tr.Groups()))
 	}
 	// Root cannot merge further.
 	if _, err := tr.Merge(0); err == nil {
@@ -181,7 +181,7 @@ func TestSplitMergeAreInverse(t *testing.T) {
 		if g.Width() < 2 {
 			return true
 		}
-		before := tr.NumGroups()
+		before := len(tr.Groups())
 		if _, _, err := tr.Split(g.ID); err != nil {
 			return false
 		}
@@ -189,7 +189,7 @@ func TestSplitMergeAreInverse(t *testing.T) {
 			return false
 		}
 		after := tr.GroupOf(g.Lo)
-		return tr.NumGroups() == before && after.Lo == g.Lo && after.Hi == g.Hi
+		return len(tr.Groups()) == before && after.Lo == g.Lo && after.Hi == g.Hi
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)

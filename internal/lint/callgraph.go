@@ -4,26 +4,29 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 )
 
-// This file builds the module-wide static call graph that the
-// interprocedural analyzers (planetaint, hotalloc, errwrap) run on. The
-// graph is conservative in the direction the analyzers need: it
-// over-approximates what a function may reach, never under-approximates.
+// This file builds the module-wide static call graph that the module
+// analyzers (planetaint, hotalloc, errwrap, unreachable) run on. The graph
+// is conservative in the direction the analyzers need: it over-approximates
+// what a function may reach, never under-approximates.
 //
 //   - Static calls and method calls resolve through go/types.
-//   - Interface-method calls expand to every module-declared concrete type
-//     whose method set satisfies the interface (method-set expansion). Calls
-//     through interfaces declared outside the module (error, io.Writer, ...)
-//     are not expanded — the module cannot enumerate their implementors, and
-//     the analyzers treat external code as opaque.
+//   - Interface-method calls, generic constraints included, expand to every
+//     module-declared concrete type whose method set satisfies the interface
+//     (method-set expansion on sigParts). Calls through interfaces declared
+//     outside the module (error, io.Writer, ...) are not expanded — the
+//     module cannot enumerate their implementors, and the analyzers treat
+//     external code as opaque.
 //   - Taking a function or method value (w.close, record.KeySum64 passed as
 //     an argument) adds a reference edge: the value may be called later, so
 //     reachability must include it.
 //   - Function literals are folded into their enclosing declaration: a store
 //     inside a closure built by runPlane is runPlane's store.
+//   - Package-level var initialisers are edges of the package's init node.
 //
 // Nodes are keyed by types.Func.FullName with generic instantiations
 // normalised to their Origin. The string key is load-bearing: the same
@@ -133,29 +136,39 @@ func BuildCallGraph(pkgs []*Package) *CallGraph {
 		loaded:    map[string]bool{},
 		ifaceMemo: map[*types.Interface][]*types.Func{},
 	}
-	// Pass 1: register every declared function so Decl/Pkg are bound to the
-	// source-checked object regardless of package processing order.
 	for _, pkg := range pkgs {
 		b.loaded[pkg.ImportPath] = true
+	}
+	b.concrete = concreteTypes(pkgs)
+	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
 			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok {
-					continue
+				switch d := decl.(type) {
+				case *ast.FuncDecl:
+					// Bind Decl/Pkg to the source-checked object, whichever
+					// object a caller seen earlier created the node from.
+					if fn, ok := pkg.Info.Defs[d.Name].(*types.Func); ok {
+						n := g.getNode(fn)
+						n.Fn, n.Decl, n.Pkg = fn.Origin(), d, pkg
+						if d.Body != nil {
+							b.addEdges(n, pkg, d.Body)
+						}
+					}
+				case *ast.GenDecl:
+					if d.Tok == token.VAR { // initialisers run in pkg's init, declared or not
+						b.addEdges(g.getNode(types.NewFunc(token.NoPos, pkg.Types, "init", new(types.Signature))), pkg, d)
+					}
 				}
-				fn, ok := pkg.Info.Defs[fd.Name].(*types.Func)
-				if !ok {
-					continue
-				}
-				n := g.getNode(fn)
-				n.Fn = fn.Origin()
-				n.Decl = fd
-				n.Pkg = pkg
 			}
 		}
 	}
-	// Candidate concrete types for interface-method expansion: every named
-	// non-interface type declared in a loaded package.
+	return g
+}
+
+// concreteTypes returns the candidates for interface-method expansion: every
+// named non-interface type declared in a loaded package, in a stable order.
+func concreteTypes(pkgs []*Package) []*types.Named {
+	var out []*types.Named
 	for _, pkg := range pkgs {
 		scope := pkg.Types.Scope()
 		for _, name := range scope.Names() {
@@ -167,29 +180,11 @@ func BuildCallGraph(pkgs []*Package) *CallGraph {
 			if !ok || types.IsInterface(named) {
 				continue
 			}
-			b.concrete = append(b.concrete, named)
+			out = append(out, named)
 		}
 	}
-	sort.Slice(b.concrete, func(i, j int) bool {
-		return b.concrete[i].Obj().Id() < b.concrete[j].Obj().Id()
-	})
-	// Pass 2: edges.
-	for _, pkg := range pkgs {
-		for _, f := range pkg.Files {
-			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				fn, ok := pkg.Info.Defs[fd.Name].(*types.Func)
-				if !ok {
-					continue
-				}
-				b.addEdges(g.getNode(fn), pkg, fd)
-			}
-		}
-	}
-	return g
+	sort.Slice(out, func(i, j int) bool { return out[i].Obj().Id() < out[j].Obj().Id() })
+	return out
 }
 
 type graphBuilder struct {
@@ -202,14 +197,15 @@ type graphBuilder struct {
 	ifaceMemo map[*types.Interface][]*types.Func
 }
 
-// addEdges walks fd's body recording every call and function-value
-// reference as an outgoing edge of caller. Function literals fold into fd.
-func (b *graphBuilder) addEdges(caller *Node, pkg *Package, fd *ast.FuncDecl) {
+// addEdges walks root, a function body or a package-level var declaration,
+// recording every call and function-value reference as an outgoing edge of
+// caller. Function literals fold into the walk.
+func (b *graphBuilder) addEdges(caller *Node, pkg *Package, root ast.Node) {
 	info := pkg.Info
 	// consumed marks selector/ident nodes already handled as a call's Fun,
 	// so the generic Ident pass below does not double-count them as refs.
 	consumed := map[*ast.Ident]bool{}
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
+	ast.Inspect(root, func(n ast.Node) bool {
 		switch x := n.(type) {
 		case *ast.CallExpr:
 			id := callFunIdent(x)
@@ -274,22 +270,90 @@ func (b *graphBuilder) ifaceTargets(fn *types.Func, recv types.Type) []*types.Fu
 	if targets, ok := b.ifaceMemo[iface]; ok {
 		return filterByName(targets, fn.Name())
 	}
+	var want [][]string
+	for i := 0; i < iface.NumMethods(); i++ {
+		want = append(want, sigParts(iface.Method(i)))
+	}
 	var methods []*types.Func
 	for _, named := range b.concrete {
-		ptr := types.NewPointer(named)
-		if !types.Implements(ptr, iface) && !types.Implements(named, iface) {
-			continue
-		}
-		for i := 0; i < iface.NumMethods(); i++ {
-			m := iface.Method(i)
-			obj, _, _ := types.LookupFieldOrMethod(ptr, true, named.Obj().Pkg(), m.Name())
-			if impl, ok := obj.(*types.Func); ok {
-				methods = append(methods, impl)
-			}
-		}
+		methods = append(methods, implementing(named, want)...)
 	}
 	b.ifaceMemo[iface] = methods
 	return filterByName(methods, fn.Name())
+}
+
+// implementing returns the methods of *named matching want, one sigParts per
+// interface method, or nil unless all match. types.Implements fails when the
+// interface came through another package's export data, which names module
+// types by other objects than the source-checked concrete type does.
+func implementing(named *types.Named, want [][]string) []*types.Func {
+	mset := types.NewMethodSet(types.NewPointer(named))
+	var out []*types.Func
+	for _, w := range want {
+		n := len(out)
+		for i := 0; i < mset.Len(); i++ {
+			if m := mset.At(i).Obj().(*types.Func); slices.EqualFunc(sigParts(m), w, wildEqual) {
+				out = append(out, m)
+				break
+			}
+		}
+		if len(out) == n {
+			return nil
+		}
+	}
+	return out
+}
+
+// sigParts renders a method as its Id, "(", its parameter types, ")" and its
+// result types, package-path-qualified, a type mentioning a type parameter
+// as the wildcard "?": "Equivalent ( stark/internal/partition.Partitioner ) bool".
+func sigParts(fn *types.Func) []string {
+	sig := fn.Type().(*types.Signature)
+	parts := []string{fn.Id(), "("}
+	add := func(tup *types.Tuple) {
+		for i := 0; i < tup.Len(); i++ {
+			if t := tup.At(i).Type(); hasTypeParam(t) {
+				parts = append(parts, "?")
+			} else {
+				parts = append(parts, types.TypeString(t, nil))
+			}
+		}
+	}
+	add(sig.Params())
+	parts = append(parts, ")")
+	add(sig.Results())
+	if sig.Variadic() {
+		parts = append(parts, "...")
+	}
+	return parts
+}
+
+func wildEqual(a, b string) bool { return a == b || a == "?" || b == "?" }
+
+func hasTypeParam(t types.Type) bool {
+	switch t := types.Unalias(t).(type) {
+	case *types.TypeParam:
+		return true
+	case *types.Map:
+		return hasTypeParam(t.Key()) || hasTypeParam(t.Elem())
+	case interface{ Elem() types.Type }: // pointer, slice, array, chan
+		return hasTypeParam(t.Elem())
+	case *types.Named:
+		for i := 0; i < t.TypeArgs().Len(); i++ {
+			if hasTypeParam(t.TypeArgs().At(i)) {
+				return true
+			}
+		}
+	case *types.Signature:
+		return hasTypeParam(t.Params()) || hasTypeParam(t.Results())
+	case *types.Tuple:
+		for i := 0; i < t.Len(); i++ {
+			if hasTypeParam(t.At(i).Type()) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 func filterByName(fns []*types.Func, name string) []*types.Func {

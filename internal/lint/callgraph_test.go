@@ -3,6 +3,7 @@ package lint_test
 import (
 	"fmt"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -80,23 +81,38 @@ func TestCallGraphFixture(t *testing.T) {
 	}
 }
 
-// TestCallGraphCrossPackage loads two real module packages with source and
+// TestCallGraphCrossPackage loads real module packages with source and
 // asserts the cross-package edge lands on the callee's source-bound node:
 // the rdd join transform must reach the record merge-join kernel even
 // though the two packages type-check against different types.Package views.
+// It also pins the edges that need an interface seen through another
+// package's export data, a generic constraint, or a package-level var
+// initialiser.
 func TestCallGraphCrossPackage(t *testing.T) {
 	if testing.Short() {
 		t.Skip("shells out to go list; skipped in -short")
 	}
 	root := moduleRoot(t)
-	pkgs, err := lint.Load(root, "./internal/rdd", "./internal/record")
+	pkgs, err := lint.Load(root, "./internal/rdd", "./internal/record", "./internal/partition",
+		"./internal/locality", "./internal/experiments", "./cmd/starkbench")
 	if err != nil {
 		t.Fatalf("loading packages: %v", err)
 	}
-	if len(pkgs) != 2 {
-		t.Fatalf("want 2 packages, got %d", len(pkgs))
+	if len(pkgs) != 6 {
+		t.Fatalf("want 6 packages, got %d", len(pkgs))
 	}
 	g := lint.BuildCallGraph(pkgs)
+
+	for _, c := range []struct{ caller, edge string }{
+		{"(*stark/internal/rdd.Graph).GroupByKey", "iface (stark/internal/partition.Hash).Equivalent"},
+		{"(*stark/internal/locality.Manager).Register", "iface (stark/internal/partition.Range).NumPartitions"},
+		{"stark/cmd/starkbench.profile", "iface (stark/internal/experiments.Fig20Config).Quick"},
+		{"stark/cmd/starkbench.init", "static stark/internal/experiments.RunFig20"},
+	} {
+		if !slices.Contains(edgeKeys(g.Node(c.caller)), c.edge) {
+			t.Errorf("%s: no edge %q", c.caller, c.edge)
+		}
+	}
 
 	callee := g.Node("stark/internal/record.JoinRecords")
 	if callee == nil {

@@ -96,15 +96,3 @@ func defaultPlaneLocalTypes() map[string]bool {
 		"costAcc":    true,
 	}
 }
-
-// PermissiveConfig binds every analyzer to every package; fixture tests use
-// it so scope policy cannot mask an analyzer bug.
-func PermissiveConfig() *Config {
-	all := func(string) bool { return true }
-	return &Config{
-		DeterministicPkg: all,
-		OrderedPkg:       all,
-		ControlPlanePkg:  all,
-		PlaneLocalTypes:  defaultPlaneLocalTypes(),
-	}
-}

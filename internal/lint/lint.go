@@ -8,13 +8,14 @@
 // paths, no mutation of copy-on-write record slices inside transform
 // closures.
 //
-// On top of the per-package analyzers, three interprocedural analyzers run
+// On top of the per-package analyzers, four interprocedural analyzers run
 // over a module-wide static call graph (see callgraph.go and DESIGN.md
 // section 16): planetaint flags data-plane code transitively reaching a
 // control-plane mutation (the remedy is always to buffer the effect in the
 // planeCtx), hotalloc flags allocation-inducing constructs reachable from //starklint:hotpath
-// kernels, and errwrap flags error wrapping that severs errors.Is/Unwrap
-// reachability of the typed sentinels.
+// kernels, errwrap flags error wrapping that severs errors.Is/Unwrap
+// reachability of the typed sentinels, and unreachable flags functions
+// that only tests reach.
 //
 // The suite is built on the standard library only (go/parser + go/types,
 // with export data served from the build cache via `go list -export`), so

@@ -73,25 +73,6 @@ func exportImporter(fset *token.FileSet, exports map[string]string) types.Import
 	})
 }
 
-// NewRepoImporter builds a types.Importer that can resolve every package the
-// module (rooted at dir) depends on, plus the extra import paths listed.
-// Fixture tests use it to type-check testdata packages that import real repo
-// packages such as stark/internal/record.
-func NewRepoImporter(fset *token.FileSet, dir string, extra ...string) (types.Importer, error) {
-	args := append([]string{"-deps", "-export", "-json=Dir,ImportPath,Export,GoFiles,Standard", "./..."}, extra...)
-	pkgs, err := goList(dir, args...)
-	if err != nil {
-		return nil, err
-	}
-	exports := make(map[string]string, len(pkgs))
-	for _, p := range pkgs {
-		if p.Export != "" {
-			exports[p.ImportPath] = p.Export
-		}
-	}
-	return exportImporter(fset, exports), nil
-}
-
 // Load lists the packages matching the go-list patterns under dir, parses
 // their non-test Go files, and type-checks them against build-cache export
 // data. Test files are excluded by design: the determinism contracts bind

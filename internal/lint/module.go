@@ -7,9 +7,9 @@ import (
 	"sort"
 )
 
-// ModuleAnalyzer is a check that needs the whole module at once — the three
-// interprocedural analyzers (planetaint, hotalloc, errwrap) reason over the
-// cross-package call graph, which no single-package Pass can see.
+// ModuleAnalyzer is a check that needs the whole module at once: the
+// interprocedural analyzers reason over the cross-package call graph,
+// which no single-package Pass can see.
 type ModuleAnalyzer struct {
 	Name string
 	Doc  string
@@ -27,6 +27,7 @@ type ModulePass struct {
 	Graph *CallGraph
 
 	diags *[]Diagnostic
+	sup   *suppressionSet // every in-source directive of the loaded packages
 }
 
 // Reportf records a finding at pos.
@@ -44,18 +45,24 @@ func ModuleAnalyzers() []*ModuleAnalyzer {
 		PlanetaintAnalyzer,
 		HotallocAnalyzer,
 		ErrwrapAnalyzer,
+		UnreachableAnalyzer,
 	}
 }
 
 // RunModule executes the module analyzers over the loaded packages, applies
 // in-source suppression directives, and returns the surviving diagnostics
-// sorted by position. Directive-hygiene findings are NOT re-emitted here —
-// Run already reports them per package, and cmd/starklint runs both.
+// sorted by position. Directive hygiene is Run's job, bar the stale
+// unreachable suppressions only the call graph can tell apart.
 func RunModule(pkgs []*Package, cfg *Config, analyzers []*ModuleAnalyzer) []Diagnostic {
 	if len(pkgs) == 0 {
 		return nil
 	}
 	graph := BuildCallGraph(pkgs)
+	var files []*ast.File
+	for _, pkg := range pkgs {
+		files = append(files, pkg.Files...)
+	}
+	sup, _ := collectSuppressions(pkgs[0].Fset, files)
 	var diags []Diagnostic
 	for _, a := range analyzers {
 		a.Run(&ModulePass{
@@ -65,20 +72,15 @@ func RunModule(pkgs []*Package, cfg *Config, analyzers []*ModuleAnalyzer) []Diag
 			Pkgs:     pkgs,
 			Graph:    graph,
 			diags:    &diags,
+			sup:      sup,
 		})
 	}
-	var kept []Diagnostic
-	for _, pkg := range pkgs {
-		sup, _ := collectSuppressions(pkg.Fset, pkg.Files)
-		next := diags[:0]
-		for _, d := range diags {
-			if !sup.suppresses(d) {
-				next = append(next, d)
-			}
+	kept := diags[:0]
+	for _, d := range diags {
+		if !sup.suppresses(d) {
+			kept = append(kept, d)
 		}
-		diags = next
 	}
-	kept = append(kept, diags...)
 	sortDiagnostics(kept)
 	return kept
 }

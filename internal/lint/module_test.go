@@ -47,6 +47,23 @@ func TestSuppressionSpansMultiLineExpr(t *testing.T) {
 	diffFindings(t, want, gotFindings(diags), diags)
 }
 
+// TestUnreachableSilentOnPartialLoad pins the whole-module rule: a load of
+// one package leaves its callers out, so unreachable must report nothing.
+func TestUnreachableSilentOnPartialLoad(t *testing.T) {
+	if testing.Short() {
+		t.Skip("shells out to go list; skipped in -short")
+	}
+	pkgs, err := lint.Load(moduleRoot(t), "./internal/engine")
+	if err != nil {
+		t.Fatalf("loading packages: %v", err)
+	}
+	for _, d := range lint.RunModule(pkgs, lint.DefaultConfig(), lint.ModuleAnalyzers()) {
+		if d.Analyzer == "unreachable" {
+			t.Errorf("partial load: %s", d)
+		}
+	}
+}
+
 // checkModuleSource type-checks an in-memory file as the given import path
 // and runs the interprocedural suite under the repo's DefaultConfig.
 func checkModuleSource(t *testing.T, path, src string) []lint.Diagnostic {

@@ -84,17 +84,6 @@ func (m *Manager) Registered(ns string) bool {
 	return ok
 }
 
-// Partitioner returns the namespace's registered partitioner.
-func (m *Manager) Partitioner(ns string) (partition.Partitioner, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	st, ok := m.namespaces[ns]
-	if !ok {
-		return nil, false
-	}
-	return st.partitioner, true
-}
-
 // Preferred returns the ordered executor list of a unit (primary first),
 // empty when the namespace or unit is unknown. The slice is a copy.
 func (m *Manager) Preferred(ns string, unit int) []int {

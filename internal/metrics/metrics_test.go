@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -69,8 +70,9 @@ func TestLocalityString(t *testing.T) {
 	}
 }
 
+// TestEncodeJobsJSON pins the JSON shape of job metrics: snake_case field
+// names and Locality levels by name (Locality.MarshalJSON).
 func TestEncodeJobsJSON(t *testing.T) {
-	var sb strings.Builder
 	jobs := []JobMetrics{{
 		JobID:    3,
 		Finished: time.Second,
@@ -78,12 +80,12 @@ func TestEncodeJobsJSON(t *testing.T) {
 			TaskID: 9, Locality: NodeLocal, Compute: time.Millisecond,
 		}},
 	}}
-	if err := EncodeJobs(&sb, jobs); err != nil {
+	out, err := json.MarshalIndent(jobs, "", "  ")
+	if err != nil {
 		t.Fatal(err)
 	}
-	out := sb.String()
 	for _, want := range []string{`"job_id": 3`, `"task_id": 9`, `"NODE_LOCAL"`, `"compute_ns": 1000000`} {
-		if !strings.Contains(out, want) {
+		if !strings.Contains(string(out), want) {
 			t.Fatalf("json missing %q:\n%s", want, out)
 		}
 	}

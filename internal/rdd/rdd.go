@@ -108,6 +108,8 @@ type RDD struct {
 }
 
 // Narrow reports whether every dependency is narrow.
+//
+//starklint:ignore unreachable sched, checkpoint and stream tests
 func (r *RDD) Narrow() bool {
 	for _, d := range r.Deps {
 		if d.Shuffle {
@@ -499,24 +501,6 @@ func (g *Graph) Sample(parent *RDD, name string, frac float64, salt uint32) *RDD
 		h ^= h >> 15
 		return h <= threshold
 	})
-}
-
-// Ancestors returns every transitive parent of r (excluding r), unordered.
-func Ancestors(r *RDD) []*RDD {
-	seen := map[int]bool{r.ID: true}
-	var out []*RDD
-	var walk func(*RDD)
-	walk = func(n *RDD) {
-		for _, d := range n.Deps {
-			if !seen[d.Parent.ID] {
-				seen[d.Parent.ID] = true
-				out = append(out, d.Parent)
-				walk(d.Parent)
-			}
-		}
-	}
-	walk(r)
-	return out
 }
 
 // SortByKey range-partitions the dataset by a partitioner fitted to the

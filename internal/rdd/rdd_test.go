@@ -212,22 +212,6 @@ func TestJoinTransform(t *testing.T) {
 	}
 }
 
-func TestAncestors(t *testing.T) {
-	g := NewGraph()
-	src := g.Source("src", nil, false)
-	p := partition.NewHash(2)
-	pb := g.PartitionBy(src, "pb", p)
-	f := g.Filter(pb, "f", func(record.Record) bool { return true })
-	cg := g.CoGroup("cg", p, f, pb)
-	anc := Ancestors(cg)
-	if len(anc) != 3 {
-		t.Fatalf("ancestors = %v", anc)
-	}
-	if len(Ancestors(src)) != 0 {
-		t.Fatal("source has ancestors")
-	}
-}
-
 func TestGraphByID(t *testing.T) {
 	g := NewGraph()
 	r := g.Source("s", nil, false)

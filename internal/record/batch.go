@@ -77,6 +77,7 @@ type Batch struct {
 // copy-on-write contract.
 //
 //starklint:hotpath
+//starklint:ignore unreachable bench/layers.go (record.* layer drivers)
 func FromRecords(rs []Record) *Batch {
 	n := len(rs)
 	total := 0
@@ -97,15 +98,21 @@ func FromRecords(rs []Record) *Batch {
 }
 
 // Len reports the number of records.
+//
+//starklint:ignore unreachable bench/layers.go (record.* layer drivers)
 func (b *Batch) Len() int { return len(b.offs) - 1 }
 
 // Hash32 returns the FNV-32a hash of record i's key, bit-identical to
 // hashing the key through hash/fnv as partition.Hash does.
+//
+//starklint:ignore unreachable bench/layers.go (record.* layer drivers)
 func (b *Batch) Hash32(i int) uint32 { return b.hash[i] }
 
 // KeySumRange computes the storage block checksum of rows [lo, hi) straight
 // off the key slab — bit-identical to KeySum64(rows[lo:hi]) with zero
 // allocations and no per-record byte-slice conversions.
+//
+//starklint:ignore unreachable bench/layers.go (record.keysum_ns_op)
 func (b *Batch) KeySumRange(lo, hi int) uint64 {
 	keys, offs := b.keys, b.offs
 	h := uint64(fnvOffset64)
@@ -182,6 +189,7 @@ func HashKeys(rs []Record, scr *Scratch) []uint32 {
 // result, as the batch adopted them).
 //
 //starklint:hotpath
+//starklint:ignore unreachable bench/layers.go and bench/profile.go (record.partition_*, prof.record_partition_pct)
 func (b *Batch) PartitionStable(idx []int32, nparts int, scr *Scratch) *PartitionedBatch {
 	return PartitionRows(b.recs, idx, nparts, scr)
 }

@@ -144,7 +144,9 @@ type Grouped struct {
 }
 
 // AsInt64 converts numeric values the engine produces to int64, with ok
-// reporting success. Counting and reduce helpers use it to stay total.
+// reporting success; tests read counts and sums through it.
+//
+//starklint:ignore unreachable engine and rdd tests
 func AsInt64(v any) (int64, bool) {
 	switch x := v.(type) {
 	case int:
@@ -164,8 +166,10 @@ func AsInt64(v any) (int64, bool) {
 	}
 }
 
-// Clone copies a record slice. Partition data handed across executor
-// boundaries is cloned so caches never alias mutable slices.
+// Clone copies a record slice, so a test's reference input cannot alias
+// rows the engine adopts.
+//
+//starklint:ignore unreachable engine tests (oracle_test.go)
 func Clone(rs []Record) []Record {
 	out := make([]Record, len(rs))
 	copy(out, rs)
@@ -204,6 +208,8 @@ func CowCheckEnabled() bool {
 // SetCowCheckForTesting overrides the STARK_CHECK_COW switch for tests that
 // must exercise both modes within one process (the env variable is read
 // once). It returns the previous value so callers can restore it.
+//
+//starklint:ignore unreachable root, engine and storage tests
 func SetCowCheckForTesting(v bool) bool {
 	cowCheckOnce.Do(func() { cowCheck = os.Getenv("STARK_CHECK_COW") == "1" })
 	prev := cowCheck

@@ -135,22 +135,6 @@ func (p *Policy) TargetLocked(st *unitState) int {
 	return t
 }
 
-// Target reports the unit's current replica target at virtual time now.
-func (p *Policy) Target(k cluster.UnitID, now time.Duration) int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	st := p.state(k)
-	st.decayTo(now, p.cfg.HalfLife)
-	return p.TargetLocked(st)
-}
-
-// Replicas reports the policy's view of a unit's replica count.
-func (p *Policy) Replicas(k cluster.UnitID) int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.state(k).replicas
-}
-
 // ShouldDeReplicate reports whether the unit's demand has decayed below its
 // replica count, i.e. one replica should be retired (paper: excessive
 // replication "catalyzes cache eviction"). The caller performs the actual
@@ -172,13 +156,4 @@ func (p *Policy) Dropped(k cluster.UnitID) {
 	if st.replicas > 1 {
 		st.replicas--
 	}
-}
-
-// Demand exposes a unit's decayed demand (diagnostics).
-func (p *Policy) Demand(k cluster.UnitID, now time.Duration) float64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	st := p.state(k)
-	st.decayTo(now, p.cfg.HalfLife)
-	return st.demand
 }

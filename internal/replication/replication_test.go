@@ -10,6 +10,13 @@ import (
 
 var k = cluster.UnitID{NS: 1, Unit: 3}
 
+// unit returns k's state decayed to now, as the launch hooks see it.
+func unit(p *Policy, k cluster.UnitID, now time.Duration) *unitState {
+	st := p.state(k)
+	st.decayTo(now, p.cfg.HalfLife)
+	return st
+}
+
 func TestDefaultsApplied(t *testing.T) {
 	p := NewPolicy(Config{})
 	if p.cfg.MaxReplicas != 4 || p.cfg.HalfLife != 30*time.Second || p.cfg.DemandPerReplica != 8 {
@@ -19,10 +26,10 @@ func TestDefaultsApplied(t *testing.T) {
 
 func TestColdUnitHasOneReplica(t *testing.T) {
 	p := NewPolicy(Config{})
-	if got := p.Target(k, 0); got != 1 {
+	if got := p.TargetLocked(unit(p, k, 0)); got != 1 {
 		t.Fatalf("target = %d", got)
 	}
-	if got := p.Replicas(k); got != 1 {
+	if got := p.state(k).replicas; got != 1 {
 		t.Fatalf("replicas = %d", got)
 	}
 }
@@ -38,7 +45,7 @@ func TestRemoteLaunchesGrowReplicas(t *testing.T) {
 	if adopted == 0 {
 		t.Fatal("hot unit never replicated")
 	}
-	if got := p.Replicas(k); got != 3 {
+	if got := p.state(k).replicas; got != 3 {
 		t.Fatalf("replicas = %d, want capped at 3", got)
 	}
 	// Past the cap, no further adoption.
@@ -52,13 +59,13 @@ func TestDemandDecays(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		p.OnLocalLaunch(k, 0)
 	}
-	if d := p.Demand(k, 0); d != 8 {
+	if d := unit(p, k, 0).demand; d != 8 {
 		t.Fatalf("demand = %v", d)
 	}
-	if d := p.Demand(k, time.Second); d < 3.9 || d > 4.1 {
+	if d := unit(p, k, time.Second).demand; d < 3.9 || d > 4.1 {
 		t.Fatalf("demand after one half-life = %v, want ~4", d)
 	}
-	if d := p.Demand(k, 10*time.Second); d > 0.1 {
+	if d := unit(p, k, 10*time.Second).demand; d > 0.1 {
 		t.Fatalf("demand after 10 half-lives = %v", d)
 	}
 }
@@ -69,8 +76,8 @@ func TestDeReplicationAfterCooling(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		p.OnRemoteLaunch(k, now)
 	}
-	if p.Replicas(k) < 2 {
-		t.Fatalf("setup: replicas = %d", p.Replicas(k))
+	if p.state(k).replicas < 2 {
+		t.Fatalf("setup: replicas = %d", p.state(k).replicas)
 	}
 	if p.ShouldDeReplicate(k, now) {
 		t.Fatal("hot unit flagged for de-replication")
@@ -80,26 +87,26 @@ func TestDeReplicationAfterCooling(t *testing.T) {
 	if !p.ShouldDeReplicate(k, later) {
 		t.Fatal("cooled unit not flagged for de-replication")
 	}
-	before := p.Replicas(k)
+	before := p.state(k).replicas
 	p.Dropped(k)
-	if p.Replicas(k) != before-1 {
+	if p.state(k).replicas != before-1 {
 		t.Fatal("Dropped did not decrement")
 	}
 	// The count never drops below one.
 	for i := 0; i < 10; i++ {
 		p.Dropped(k)
 	}
-	if p.Replicas(k) != 1 {
-		t.Fatalf("replicas = %d, want floor of 1", p.Replicas(k))
+	if p.state(k).replicas != 1 {
+		t.Fatalf("replicas = %d, want floor of 1", p.state(k).replicas)
 	}
 }
 
 func TestTargetMonotoneInDemand(t *testing.T) {
 	p := NewPolicy(Config{DemandPerReplica: 5, MaxReplicas: 8, HalfLife: time.Hour})
-	prev := p.Target(k, 0)
+	prev := p.TargetLocked(unit(p, k, 0))
 	for i := 0; i < 40; i++ {
 		p.OnLocalLaunch(k, 0)
-		cur := p.Target(k, 0)
+		cur := p.TargetLocked(unit(p, k, 0))
 		if cur < prev {
 			t.Fatalf("target decreased while demand grew: %d -> %d", prev, cur)
 		}
@@ -122,7 +129,7 @@ func TestReplicasNeverExceedCapQuick(t *testing.T) {
 			} else {
 				p.OnLocalLaunch(key, now)
 			}
-			if r := p.Replicas(key); r < 1 || r > 3 {
+			if r := p.state(key).replicas; r < 1 || r > 3 {
 				return false
 			}
 		}
@@ -140,10 +147,10 @@ func TestUnitsIndependent(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		p.OnRemoteLaunch(hot, 0)
 	}
-	if p.Target(cold, 0) != 1 {
+	if p.TargetLocked(unit(p, cold, 0)) != 1 {
 		t.Fatal("cold unit affected by hot unit")
 	}
-	if p.Target(hot, 0) <= p.Target(cold, 0) {
+	if p.TargetLocked(unit(p, hot, 0)) <= p.TargetLocked(unit(p, cold, 0)) {
 		t.Fatal("hot unit target not above cold")
 	}
 }

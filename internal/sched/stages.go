@@ -39,6 +39,8 @@ type Stage struct {
 
 // NumTasks is the stage's task count before grouping: one per partition of
 // the output RDD.
+//
+//starklint:ignore unreachable bench/layers.go (sched.build_us_op)
 func (s *Stage) NumTasks() int { return s.Output.Parts }
 
 // Build constructs the stage DAG for computing final. It returns the result

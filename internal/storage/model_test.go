@@ -96,7 +96,7 @@ func (md *shuffleModel) check(t *testing.T, s *Store, id int, where string) {
 	var committed [][2]int
 	for m := 0; m < md.numMaps; m++ {
 		_, done := md.rows[m]
-		if s.HasMapOutput(id, m) != done {
+		if hasMapOutput(s, id, m) != done {
 			t.Fatalf("%s: HasMapOutput(%d) = %v, model %v", where, m, !done, done)
 		}
 		if done {

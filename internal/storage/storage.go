@@ -316,12 +316,6 @@ func (s *Store) committedOutput(id, mapPart int) (*shuffleState, *mapOutput) {
 	return st, &st.outputs[mapPart]
 }
 
-// HasMapOutput reports whether a map partition's output is committed.
-func (s *Store) HasMapOutput(id, mapPart int) bool {
-	_, out := s.committedOutput(id, mapPart)
-	return out != nil
-}
-
 // ShuffleComplete reports whether every map partition has committed output,
 // i.e. reducers can run. An unregistered shuffle is not complete.
 func (s *Store) ShuffleComplete(id int) bool {
@@ -447,6 +441,8 @@ func (s *Store) ReadCheckpoint(rdd, part int) ([]record.Record, int64, error) {
 func (s *Store) TotalCheckpointBytes() int64 { return s.cpBytes }
 
 // DropShuffle discards a shuffle's outputs (dataset eviction).
+//
+//starklint:ignore unreachable ROADMAP dataset lifecycle (release by lifetime)
 func (s *Store) DropShuffle(id int) { delete(s.shuffles, id) }
 
 // DropMapOutput discards one committed map output (simulated block loss);
@@ -547,6 +543,8 @@ func (s *Store) CorruptCheckpoint(rdd, part int) bool {
 
 // DropCheckpoints discards all checkpoints of an RDD, subtracting their
 // bytes from the running total.
+//
+//starklint:ignore unreachable ROADMAP dataset lifecycle (release by lifetime)
 func (s *Store) DropCheckpoints(rdd int) {
 	for k, b := range s.checkpoints {
 		if k.rdd == rdd {

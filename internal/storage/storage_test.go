@@ -11,6 +11,12 @@ import (
 	"stark/internal/record"
 )
 
+// hasMapOutput reports whether a map partition's output is committed.
+func hasMapOutput(s *Store, id, mapPart int) bool {
+	_, out := s.committedOutput(id, mapPart)
+	return out != nil
+}
+
 // mapOutputOf builds the map output WriteMapOutputBatch takes from
 // per-reduce row buckets: rows concatenated in ascending reduce order under
 // the identity permutation, one span per bucket (empty ones included) with
@@ -118,7 +124,7 @@ func TestShuffleValidation(t *testing.T) {
 	})); err == nil {
 		t.Fatal("out-of-range reduce partition accepted")
 	}
-	if s.HasMapOutput(2, 0) || s.ShuffleComplete(2) || len(s.CommittedMapOutputs()) != 0 {
+	if hasMapOutput(s, 2, 0) || s.ShuffleComplete(2) || len(s.CommittedMapOutputs()) != 0 {
 		t.Fatal("rejected write left state behind")
 	}
 	// Span position ranges are checked like span partitions, against the
@@ -141,7 +147,7 @@ func TestShuffleValidation(t *testing.T) {
 		if err := s.WriteMapOutputBatch(2, 0, pb); err == nil {
 			t.Fatalf("output with %s accepted", name)
 		}
-		if s.HasMapOutput(2, 0) || s.ShuffleComplete(2) || len(s.CommittedMapOutputs()) != 0 {
+		if hasMapOutput(s, 2, 0) || s.ShuffleComplete(2) || len(s.CommittedMapOutputs()) != 0 {
 			t.Fatalf("write rejected for %s left state behind", name)
 		}
 		if !slices.Equal(pb.Rows, then.Rows) || !slices.Equal(pb.Perm, then.Perm) || !slices.Equal(pb.Spans, then.Spans) {
@@ -159,7 +165,7 @@ func TestShuffleValidation(t *testing.T) {
 		}
 	}
 	for _, m := range []int{-1, 1, 6} {
-		if s.HasMapOutput(2, m) || s.CorruptMapOutput(2, m) || s.DropMapOutput(2, m) {
+		if hasMapOutput(s, 2, m) || s.CorruptMapOutput(2, m) || s.DropMapOutput(2, m) {
 			t.Fatalf("map partition %d outside [0,1) reported as present", m)
 		}
 	}
@@ -318,7 +324,7 @@ func TestDropShuffle(t *testing.T) {
 		t.Fatal("shuffle still readable after losing its only map output")
 	}
 	s.DropShuffle(1)
-	if s.ShuffleComplete(1) || s.HasMapOutput(1, 0) {
+	if s.ShuffleComplete(1) || hasMapOutput(s, 1, 0) {
 		t.Fatal("shuffle survived drop")
 	}
 }

@@ -254,15 +254,3 @@ func MeanDelay(rs []QueryResult) time.Duration {
 	}
 	return s / time.Duration(len(rs))
 }
-
-// WindowCoGroup builds a cogroup over the n most recent live steps using
-// the stream's partitioner — the paper's slice-style window computation.
-// It returns nil when no steps are live.
-func (s *Stream) WindowCoGroup(n int) *rdd.RDD {
-	window := s.Recent(n)
-	if len(window) == 0 {
-		return nil
-	}
-	p := s.cfg.Partitioner
-	return s.eng.Graph().CoGroup(fmt.Sprintf("%s-window%d", s.cfg.Name, len(window)), p, window...)
-}

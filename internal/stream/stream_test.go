@@ -247,15 +247,17 @@ func TestWindowCoGroup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.WindowCoGroup(3) != nil {
-		t.Fatal("cogroup over empty stream")
+	if len(s.Recent(3)) != 0 {
+		t.Fatal("window over empty stream")
 	}
 	for step := 0; step < 3; step++ {
 		s.Ingest(step, stepData(step, 40))
 		e.Loop().Run()
 	}
-	cg := s.WindowCoGroup(2)
-	if cg == nil || !cg.Narrow() {
+	// Steps ingested under the stream's partitioner are co-partitioned, so a
+	// cogroup over the window is narrow.
+	cg := e.Graph().CoGroup("w-window", p, s.Recent(2)...)
+	if !cg.Narrow() {
 		t.Fatalf("window cogroup = %v", cg)
 	}
 	n, _, err := e.Count(cg)

@@ -166,6 +166,3 @@ func (a *App) Step(raw []stark.Record) (StepRDDs, error) {
 	a.dec, a.res = dec, res
 	return out, nil
 }
-
-// StepCount reports how many steps have run.
-func (a *App) StepCount() int { return a.step }

@@ -51,8 +51,8 @@ func TestStepProducesAllRDDs(t *testing.T) {
 			t.Fatalf("rdd %q missing", name)
 		}
 	}
-	if app.StepCount() != 1 {
-		t.Fatalf("steps = %d", app.StepCount())
+	if app.step != 1 {
+		t.Fatalf("steps = %d", app.step)
 	}
 }
 

@@ -65,9 +65,6 @@ func NewLoop() *Loop { return &Loop{} }
 // Now reports the current virtual time.
 func (l *Loop) Now() time.Duration { return l.now }
 
-// Len reports the number of pending events.
-func (l *Loop) Len() int { return len(l.pq) }
-
 // NextAt peeks at the earliest pending event's deadline without running it;
 // ok is false when the queue is empty. The engine's event-fusion path uses
 // it to keep deferred data-plane batches accumulating while further events
@@ -129,15 +126,5 @@ func (l *Loop) RunUntil(t time.Duration) {
 	}
 	if l.now < t {
 		l.now = t
-	}
-}
-
-// Advance moves the clock forward by d without running events whose
-// deadlines fall in the skipped window; it is intended for callers that
-// manage all events themselves and only need timestamp arithmetic. Most
-// callers want RunUntil instead.
-func (l *Loop) Advance(d time.Duration) {
-	if d > 0 {
-		l.now += d
 	}
 }

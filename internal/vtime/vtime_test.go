@@ -78,8 +78,8 @@ func TestRunUntil(t *testing.T) {
 	if l.Now() != 2*time.Second {
 		t.Fatalf("Now = %v", l.Now())
 	}
-	if l.Len() != 1 {
-		t.Fatalf("pending = %d, want 1", l.Len())
+	if len(l.pq) != 1 {
+		t.Fatalf("pending = %d, want 1", len(l.pq))
 	}
 	l.RunUntil(10 * time.Second)
 	if ran != 3 || l.Now() != 10*time.Second {
@@ -91,15 +91,6 @@ func TestStepOnEmpty(t *testing.T) {
 	l := NewLoop()
 	if l.Step() {
 		t.Fatal("Step on empty loop reported true")
-	}
-}
-
-func TestAdvance(t *testing.T) {
-	l := NewLoop()
-	l.Advance(time.Second)
-	l.Advance(-time.Second) // ignored
-	if l.Now() != time.Second {
-		t.Fatalf("Now = %v", l.Now())
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"strconv"
 	"strings"
 
 	"stark/internal/record"
@@ -28,53 +27,4 @@ func WriteTSV(w io.Writer, tag string, index int, recs []record.Record) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// TSVDataset is one (tag, index) group read back from a TSV stream.
-type TSVDataset struct {
-	Tag     string
-	Index   int
-	Records []record.Record
-}
-
-// ReadTSV parses a TSV trace stream into datasets, preserving first-seen
-// (tag, index) order. Malformed lines are rejected with their line number.
-func ReadTSV(r io.Reader) ([]TSVDataset, error) {
-	type key struct {
-		tag   string
-		index int
-	}
-	var order []key
-	data := make(map[key][]record.Record)
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := sc.Text()
-		if line == "" {
-			continue
-		}
-		parts := strings.SplitN(line, "\t", 4)
-		if len(parts) != 4 {
-			return nil, fmt.Errorf("workload: line %d: want 4 tab-separated fields, got %d", lineNo, len(parts))
-		}
-		idx, err := strconv.Atoi(parts[1])
-		if err != nil {
-			return nil, fmt.Errorf("workload: line %d: bad index %q: %w", lineNo, parts[1], err)
-		}
-		k := key{tag: parts[0], index: idx}
-		if _, seen := data[k]; !seen {
-			order = append(order, k)
-		}
-		data[k] = append(data[k], record.Pair(parts[2], parts[3]))
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("workload: reading TSV: %w", err)
-	}
-	out := make([]TSVDataset, 0, len(order))
-	for _, k := range order {
-		out = append(out, TSVDataset{Tag: k.tag, Index: k.index, Records: data[k]})
-	}
-	return out, nil
 }

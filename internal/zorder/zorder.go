@@ -16,6 +16,8 @@ func Encode(x, y uint32) uint64 {
 }
 
 // Decode inverts Encode.
+//
+//starklint:ignore unreachable workload tests
 func Decode(z uint64) (x, y uint32) {
 	return compact(z), compact(z >> 1)
 }
@@ -68,11 +70,6 @@ func (g Grid) Cells() uint64 { return uint64(g.n) * uint64(g.n) }
 // containing cell.
 func (g Grid) EncodePoint(u, v float64) uint64 {
 	return Encode(g.clamp(u), g.clamp(v))
-}
-
-// CellOf returns the (x, y) grid cell containing the clamped point.
-func (g Grid) CellOf(u, v float64) (x, y uint32) {
-	return g.clamp(u), g.clamp(v)
 }
 
 func (g Grid) clamp(u float64) uint32 {

@@ -64,15 +64,15 @@ func TestGridEncode(t *testing.T) {
 	if g.Side() != 4 || g.Cells() != 16 {
 		t.Fatalf("side=%d cells=%d", g.Side(), g.Cells())
 	}
-	if x, y := g.CellOf(0.0, 0.0); x != 0 || y != 0 {
-		t.Fatalf("CellOf(0,0) = %d,%d", x, y)
+	if z := g.EncodePoint(0.0, 0.0); z != Encode(0, 0) {
+		t.Fatalf("EncodePoint(0,0) = %d", z)
 	}
-	if x, y := g.CellOf(0.99, 0.99); x != 3 || y != 3 {
-		t.Fatalf("CellOf(.99,.99) = %d,%d", x, y)
+	if z := g.EncodePoint(0.99, 0.99); z != Encode(3, 3) {
+		t.Fatalf("EncodePoint(.99,.99) = %d", z)
 	}
 	// Clamping.
-	if x, y := g.CellOf(-1, 2); x != 0 || y != 3 {
-		t.Fatalf("CellOf(-1,2) = %d,%d", x, y)
+	if z := g.EncodePoint(-1, 2); z != Encode(0, 3) {
+		t.Fatalf("EncodePoint(-1,2) = %d", z)
 	}
 }
 
