@@ -38,7 +38,7 @@ func run(windows int) error {
 		if r, ok := loaded[key]; ok {
 			return r, nil
 		}
-		r := ctx.FromPartitions(key, chunk(gen.Dataset(service, window), 8), true).
+		r := ctx.TextFile(key, gen.Dataset(service, window), 8).
 			LocalityPartitionBy(p, ns).Cache()
 		if _, err := r.Materialize(); err != nil {
 			return nil, err
@@ -121,14 +121,6 @@ func run(windows int) error {
 	st := ctx.Stats()
 	fmt.Printf("session: %s\n", st)
 	return nil
-}
-
-func chunk(recs []stark.Record, n int) [][]stark.Record {
-	out := make([][]stark.Record, n)
-	for i, r := range recs {
-		out[i*n/len(recs)] = append(out[i*n/len(recs)], r)
-	}
-	return out
 }
 
 func main() {

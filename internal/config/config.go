@@ -124,9 +124,6 @@ type Recovery struct {
 	// scheduling before it gets probationary offers again; a successful
 	// task then removes it from the blacklist.
 	BlacklistExpiry time.Duration
-	// MaxStageResubmissions bounds how often one shuffle's map stage may be
-	// resubmitted to rebuild lost outputs before the job fails.
-	MaxStageResubmissions int
 	// Speculation enables speculative re-execution of stragglers.
 	Speculation bool
 	// SpeculationMultiplier flags a running task as a straggler when its
@@ -146,7 +143,6 @@ func DefaultRecovery() Recovery {
 		RetryBackoff:          50 * time.Millisecond,
 		BlacklistThreshold:    3,
 		BlacklistExpiry:       30 * time.Second,
-		MaxStageResubmissions: 8,
 		SpeculationMultiplier: 1.5,
 		SpeculationQuantile:   0.75,
 	}

@@ -3,7 +3,6 @@ package engine
 import (
 	"errors"
 	"fmt"
-	"sort"
 )
 
 // This file is the cooperative job-cancellation path the session layer's
@@ -45,12 +44,7 @@ func (e *Engine) cancelJob(j *job, cause error) {
 	// Abort running attempts first so their slots free now instead of at
 	// their simulated completion, and release their recovery epochs — a
 	// cancelled task needs no replacement attempt.
-	ids := make([]int, 0, len(e.running))
-	for tid := range e.running {
-		ids = append(ids, tid)
-	}
-	sort.Ints(ids)
-	for _, tid := range ids {
+	for _, tid := range sortedIDs(e.running) {
 		t := e.running[tid]
 		if t.sr.job == j {
 			e.cancelTask(t)

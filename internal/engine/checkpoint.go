@@ -9,10 +9,14 @@ import (
 	"stark/internal/rdd"
 )
 
+// serializationRatio converts cached bytes to checkpoint bytes (Fig. 17's
+// constant factor).
+const serializationRatio = 0.4
+
 // checkpointStats supplies (d, c) for the optimizer: recovery delay is the
 // maximum observed transform time, cost is the serialized size.
 func (e *Engine) checkpointStats(r *rdd.RDD) (time.Duration, int64) {
-	c := int64(float64(r.TotalBytes()) * e.cfg.Checkpoint.SerializationRatio)
+	c := int64(float64(r.TotalBytes()) * serializationRatio)
 	return r.MaxTransformTime, c
 }
 
@@ -52,7 +56,6 @@ func (e *Engine) ForceCheckpoint(r *rdd.RDD) {
 	if r.Checkpointed || r.PartBytes == nil {
 		return
 	}
-	ratio := e.cfg.Checkpoint.SerializationRatio
 	for p := 0; p < r.Parts; p++ {
 		exec, ok := e.partitionHome(r, p)
 		if !ok {
@@ -67,7 +70,7 @@ func (e *Engine) ForceCheckpoint(r *rdd.RDD) {
 		e.applyEffects(exec, &px.planeEffects, nil)
 		releasePlaneCtx(px)
 		if err == nil {
-			cpBytes := int64(float64(r.PartBytes[p]) * ratio)
+			cpBytes := int64(float64(r.PartBytes[p]) * serializationRatio)
 			err = e.store.WriteCheckpoint(r.ID, p, data, cpBytes)
 		}
 		if err != nil {

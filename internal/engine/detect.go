@@ -227,35 +227,3 @@ func (e *Engine) SetNetDelay(extra time.Duration) {
 	e.trace("net-delay", -1, -1, -1, -1, fmt.Sprintf("extra=%v", extra))
 	e.net.SetExtraDelay(extra)
 }
-
-// CorruptShuffleBlock flips the checksum of the pick-th committed shuffle
-// map output (modulo the current count); the next reader takes the
-// integrity-failure recompute path.
-func (e *Engine) CorruptShuffleBlock(pick int) bool {
-	blocks := e.store.CommittedMapOutputs()
-	if len(blocks) == 0 {
-		return false
-	}
-	b := blocks[pick%len(blocks)]
-	if !e.store.CorruptMapOutput(b[0], b[1]) {
-		return false
-	}
-	e.trace("fault-block-corrupt", -1, -1, -1, -1, fmt.Sprintf("shuffle=%d map=%d", b[0], b[1]))
-	return true
-}
-
-// CorruptCheckpointBlock flips the checksum of the pick-th checkpoint block
-// (modulo the current count); the next reader drops it and recomputes
-// through lineage.
-func (e *Engine) CorruptCheckpointBlock(pick int) bool {
-	blocks := e.store.CheckpointBlocks()
-	if len(blocks) == 0 {
-		return false
-	}
-	b := blocks[pick%len(blocks)]
-	if !e.store.CorruptCheckpoint(b[0], b[1]) {
-		return false
-	}
-	e.trace("fault-block-corrupt", -1, -1, -1, -1, fmt.Sprintf("checkpoint rdd=%d part=%d", b[0], b[1]))
-	return true
-}

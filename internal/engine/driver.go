@@ -467,12 +467,7 @@ func (e *Engine) resubmitJobs(liveJobs map[int]bool) {
 		e.journalAppend(journal.Record{Kind: journal.KindJobComplete, A: int64(id)})
 	}
 
-	ids := make([]int, 0, len(e.jobTab))
-	for id := range e.jobTab {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
+	for _, id := range sortedIDs(e.jobTab) {
 		j := e.jobTab[id]
 		if j.done || j.pending {
 			// Submissions buffered during the downtime start below, after
@@ -518,12 +513,7 @@ func (e *Engine) Close() error {
 	// racing scheduled RestartDriver stays a no-op (it checks closed first).
 	e.driverDown = false
 	cause := fmt.Errorf("engine: driver closed: %w", ErrJobCancelled)
-	ids := make([]int, 0, len(e.jobTab))
-	for id := range e.jobTab {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
+	for _, id := range sortedIDs(e.jobTab) {
 		e.cancelJob(e.jobTab[id], cause)
 	}
 	e.pendingJobs = nil

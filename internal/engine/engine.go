@@ -63,9 +63,6 @@ type CheckpointConfig struct {
 	Mode  CheckpointMode
 	Bound time.Duration // recovery delay bound r
 	Relax float64       // cost relaxation f >= 1
-	// SerializationRatio converts cached bytes to checkpoint bytes
-	// (Fig. 17's constant factor).
-	SerializationRatio float64
 }
 
 // Config assembles all engine configuration.
@@ -114,10 +111,9 @@ func DefaultConfig() Config {
 		Sched:   config.DefaultScheduler(),
 		Groups:  group.DefaultConfig(),
 		Checkpoint: CheckpointConfig{
-			Mode:               CheckpointOff,
-			Bound:              60 * time.Second,
-			Relax:              1,
-			SerializationRatio: 0.4,
+			Mode:  CheckpointOff,
+			Bound: 60 * time.Second,
+			Relax: 1,
 		},
 		Replication: replication.Config{
 			// One remote launch is enough evidence to adopt a replica, like
@@ -246,9 +242,6 @@ func New(cfg Config) *Engine {
 	if cfg.Checkpoint.Relax < 1 {
 		cfg.Checkpoint.Relax = 1
 	}
-	if cfg.Checkpoint.SerializationRatio <= 0 {
-		cfg.Checkpoint.SerializationRatio = 0.4
-	}
 	normalizeRecovery(&cfg.Recovery)
 	if err := normalizeHeartbeat(&cfg.Heartbeat); err != nil {
 		panic(err) // misconfiguration; Validate offers the error-returning path
@@ -305,6 +298,17 @@ func New(cfg Config) *Engine {
 		e.inj.Arm(e.loop, e)
 	}
 	return e
+}
+
+// sortedIDs returns the keys of an id-keyed driver table in ascending order,
+// so walks over it are deterministic.
+func sortedIDs[V any](m map[int]V) []int {
+	ids := make([]int, 0, len(m))
+	for id := range m {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	return ids
 }
 
 // normalizeHeartbeat fills zero timeouts with defaults and enforces
@@ -369,9 +373,6 @@ func normalizeRecovery(rc *config.Recovery) {
 	}
 	if rc.BlacklistExpiry <= 0 {
 		rc.BlacklistExpiry = d.BlacklistExpiry
-	}
-	if rc.MaxStageResubmissions <= 0 {
-		rc.MaxStageResubmissions = d.MaxStageResubmissions
 	}
 	if rc.SpeculationMultiplier <= 1 {
 		rc.SpeculationMultiplier = d.SpeculationMultiplier

@@ -56,12 +56,7 @@ func (e *Engine) Recovery() metrics.RecoveryMetrics {
 func (e *Engine) Blacklisted() []int {
 	e.recMu.Lock()
 	defer e.recMu.Unlock()
-	out := make([]int, 0, len(e.blacklist))
-	for id := range e.blacklist {
-		out = append(out, id)
-	}
-	sort.Ints(out)
-	return out
+	return sortedIDs(e.blacklist)
 }
 
 // schedulable reports whether the scheduler may offer an executor's slots:
@@ -302,8 +297,12 @@ func (e *Engine) resubmitForFetch(t *task, shuffleID int) {
 	e.rebuildShuffle(t.sr.job, shuffleID)
 }
 
+// maxStageResubmissions bounds how often one shuffle's map stage may be
+// resubmitted to rebuild lost outputs before the job fails.
+const maxStageResubmissions = 8
+
 // rebuildShuffle resubmits the map stage that produced a shuffle whose
-// outputs went missing, bounded by MaxStageResubmissions per shuffle.
+// outputs went missing, bounded by maxStageResubmissions per shuffle.
 func (e *Engine) rebuildShuffle(j *job, shuffleID int) {
 	if e.shuffleRunning[shuffleID] {
 		return // a rebuild is already in flight; waiters drain on completion
@@ -337,9 +336,9 @@ func (e *Engine) rebuildShuffle(j *job, shuffleID int) {
 // failing the job when the bound is exhausted.
 func (e *Engine) bumpResubmit(j *job, shuffleID int) bool {
 	e.resubmits[shuffleID]++
-	if e.resubmits[shuffleID] > e.cfg.Recovery.MaxStageResubmissions {
+	if e.resubmits[shuffleID] > maxStageResubmissions {
 		e.failJob(j, fmt.Errorf("engine: shuffle %d resubmitted more than %d times: %w",
-			shuffleID, e.cfg.Recovery.MaxStageResubmissions, ErrFetchFailed))
+			shuffleID, maxStageResubmissions, ErrFetchFailed))
 		return false
 	}
 	e.recUpdate(func(r *recMetrics) { r.StageResubmissions++ })
@@ -447,12 +446,7 @@ func (e *Engine) maybeSpeculate(sr *stageRun) {
 	}
 	limit := time.Duration(rc.SpeculationMultiplier * float64(med))
 	now := e.loop.Now()
-	ids := make([]int, 0, len(e.running))
-	for id := range e.running {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
+	for _, id := range sortedIDs(e.running) {
 		t := e.running[id]
 		if t.sr != sr || t.aborted || t.failErr != nil || t.spec != nil || t.specOf != nil {
 			continue
@@ -538,33 +532,38 @@ func (e *Engine) SetOOMWindow(id int, armed bool) {
 	e.trace("executor-oom-window", -1, -1, -1, id, fmt.Sprintf("armed=%v", armed))
 }
 
-// DropShuffleBlock deletes the pick-th committed shuffle map output (modulo
-// the current count), simulating loss of a persisted block. Consumers see a
-// fetch failure and trigger stage resubmission.
-func (e *Engine) DropShuffleBlock(pick int) bool {
-	blocks := e.store.CommittedMapOutputs()
-	if len(blocks) == 0 {
-		return false
-	}
-	b := blocks[pick%len(blocks)]
-	if !e.store.DropMapOutput(b[0], b[1]) {
-		return false
-	}
-	e.trace("fault-block-loss", -1, -1, -1, -1, fmt.Sprintf("shuffle=%d map=%d", b[0], b[1]))
-	return true
+// LoseBlock deletes the pick-th committed shuffle map output, or checkpoint
+// block when checkpoint is set (modulo the current count), simulating loss
+// of a persisted block. Consumers of a lost map output see a fetch failure
+// and trigger stage resubmission; readers of a lost checkpoint fall back to
+// lineage recomputation.
+func (e *Engine) LoseBlock(checkpoint bool, pick int) bool {
+	return e.faultBlock("fault-block-loss", checkpoint, pick, e.store.DropMapOutput, e.store.DropCheckpoint)
 }
 
-// DropCheckpointBlock deletes the pick-th checkpoint block (modulo the
-// current count); readers fall back to lineage recomputation.
-func (e *Engine) DropCheckpointBlock(pick int) bool {
-	blocks := e.store.CheckpointBlocks()
+// CorruptBlock flips the checksum of the pick-th committed shuffle map
+// output, or checkpoint block when checkpoint is set (modulo the current
+// count); the next reader takes the integrity-failure recompute path.
+func (e *Engine) CorruptBlock(checkpoint bool, pick int) bool {
+	return e.faultBlock("fault-block-corrupt", checkpoint, pick, e.store.CorruptMapOutput, e.store.CorruptCheckpoint)
+}
+
+// faultBlock applies onShuffle to the pick-th committed map output, or
+// onCheckpoint to the pick-th checkpoint block, and traces kind if the block
+// existed.
+func (e *Engine) faultBlock(kind string, checkpoint bool, pick int, onShuffle, onCheckpoint func(a, b int) bool) bool {
+	list, op, detail := e.store.CommittedMapOutputs, onShuffle, "shuffle=%d map=%d"
+	if checkpoint {
+		list, op, detail = e.store.CheckpointBlocks, onCheckpoint, "checkpoint rdd=%d part=%d"
+	}
+	blocks := list()
 	if len(blocks) == 0 {
 		return false
 	}
 	b := blocks[pick%len(blocks)]
-	if !e.store.DropCheckpoint(b[0], b[1]) {
+	if !op(b[0], b[1]) {
 		return false
 	}
-	e.trace("fault-block-loss", -1, -1, -1, -1, fmt.Sprintf("checkpoint rdd=%d part=%d", b[0], b[1]))
+	e.trace(kind, -1, -1, -1, -1, fmt.Sprintf(detail, b[0], b[1]))
 	return true
 }

@@ -93,7 +93,7 @@ func TestFetchFailureResubmitsStage(t *testing.T) {
 	e.SetTracer(func(ev TraceEvent) {
 		if ev.Kind == "stage-start" && strings.Contains(ev.Detail, "shuffleMap=false") && !dropped {
 			dropped = true
-			e.Loop().After(time.Nanosecond, func() { e.DropShuffleBlock(0) })
+			e.Loop().After(time.Nanosecond, func() { e.LoseBlock(false, 0) })
 		}
 	})
 	n, _, err := e.Count(pb)
@@ -129,7 +129,7 @@ func TestCheckpointBlockLossFallsBackToLineage(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.ForceCheckpoint(f)
-	if !e.DropCheckpointBlock(0) {
+	if !e.LoseBlock(true, 0) {
 		t.Fatal("no checkpoint block to drop")
 	}
 	f2 := g.Filter(f, "f2", func(record.Record) bool { return true })
@@ -402,7 +402,7 @@ func TestMissingShuffleRebuiltForLaterJob(t *testing.T) {
 	q := g.PartitionBy(src2, "q", partition.NewHash(8))
 	jn := g.Join("jn", partition.NewHash(8), pb, q)
 	e.Loop().After(time.Millisecond, func() {
-		if !e.DropShuffleBlock(0) {
+		if !e.LoseBlock(false, 0) {
 			t.Error("no shuffle block to drop")
 		}
 	})

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"stark/internal/cluster"
@@ -479,12 +478,7 @@ func (e *Engine) deReplicate(ns string, unit int) {
 func (e *Engine) KillExecutor(id int) {
 	e.trace("executor-kill", -1, -1, -1, id, "")
 	e.cl.Kill(id)
-	ids := make([]int, 0, len(e.running))
-	for tid := range e.running {
-		ids = append(ids, tid)
-	}
-	sort.Ints(ids)
-	for _, tid := range ids {
+	for _, tid := range sortedIDs(e.running) {
 		t := e.running[tid]
 		if t.exec != id || t.lost {
 			continue
@@ -517,13 +511,8 @@ func (e *Engine) KillExecutor(id int) {
 // clone has succeeded, yielding the measured recovery delay. Task ids are
 // walked in sorted order so clone ids stay deterministic.
 func (e *Engine) resubmitLostTasks(id int, epochStart time.Duration) {
-	ids := make([]int, 0, len(e.running))
-	for tid := range e.running {
-		ids = append(ids, tid)
-	}
-	sort.Ints(ids)
 	var ep *recoveryEpoch
-	for _, tid := range ids {
+	for _, tid := range sortedIDs(e.running) {
 		t := e.running[tid]
 		if t.exec != id || t.aborted {
 			continue

@@ -192,11 +192,10 @@ type System interface {
 	KillExecutor(id int)
 	RestartExecutor(id int)
 	SetStraggler(id int, factor float64)
-	// DropShuffleBlock / DropCheckpointBlock delete the pick-th committed
-	// block (modulo the current count), reporting whether anything existed
-	// to drop.
-	DropShuffleBlock(pick int) bool
-	DropCheckpointBlock(pick int) bool
+	// LoseBlock deletes the pick-th committed shuffle map output, or
+	// checkpoint block when checkpoint is set (modulo the current count),
+	// reporting whether anything existed to drop.
+	LoseBlock(checkpoint bool, pick int) bool
 	// PartitionExecutor / HealExecutor open and close a bidirectional
 	// network partition between the driver and one executor.
 	PartitionExecutor(id int)
@@ -204,11 +203,10 @@ type System interface {
 	// SetNetDelay adds extra latency to every control message (0 restores
 	// normal latency).
 	SetNetDelay(extra time.Duration)
-	// CorruptShuffleBlock / CorruptCheckpointBlock flip the checksum of the
-	// pick-th committed block (modulo the current count), reporting whether
-	// anything existed to corrupt.
-	CorruptShuffleBlock(pick int) bool
-	CorruptCheckpointBlock(pick int) bool
+	// CorruptBlock flips the checksum of the pick-th committed shuffle map
+	// output, or checkpoint block when checkpoint is set (modulo the current
+	// count), reporting whether anything existed to corrupt.
+	CorruptBlock(checkpoint bool, pick int) bool
 	// CrashDriver fails the driver, tearing tearTail bytes off the journal;
 	// RestartDriver replays the journal and resumes. Both require the
 	// driver-recovery feature.
@@ -351,12 +349,7 @@ func (in *Injector) Arm(loop *vtime.Loop, sys System) {
 	for _, bl := range in.sched.BlockLoss {
 		bl := bl
 		loop.At(bl.At, func() {
-			var dropped bool
-			if bl.Checkpoint {
-				dropped = sys.DropCheckpointBlock(bl.Pick)
-			} else {
-				dropped = sys.DropShuffleBlock(bl.Pick)
-			}
+			dropped := sys.LoseBlock(bl.Checkpoint, bl.Pick)
 			in.bump(func(s *Stats) {
 				if dropped {
 					s.BlocksDropped++
@@ -388,12 +381,7 @@ func (in *Injector) Arm(loop *vtime.Loop, sys System) {
 	for _, bc := range in.sched.BlockCorrupt {
 		bc := bc
 		loop.At(bc.At, func() {
-			var corrupted bool
-			if bc.Checkpoint {
-				corrupted = sys.CorruptCheckpointBlock(bc.Pick)
-			} else {
-				corrupted = sys.CorruptShuffleBlock(bc.Pick)
-			}
+			corrupted := sys.CorruptBlock(bc.Checkpoint, bc.Pick)
 			in.bump(func(s *Stats) {
 				if corrupted {
 					s.BlocksCorrupted++

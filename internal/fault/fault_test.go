@@ -23,13 +23,19 @@ func (r *recorder) SetStraggler(id int, factor float64) {
 		r.log = append(r.log, "restore")
 	}
 }
-func (r *recorder) DropShuffleBlock(pick int) bool {
-	r.log = append(r.log, "drop-shuffle")
-	return true
+
+// blockKind names the block a LoseBlock or CorruptBlock call asked for.
+func blockKind(checkpoint bool) string {
+	if checkpoint {
+		return "checkpoint"
+	}
+	return "shuffle"
 }
-func (r *recorder) DropCheckpointBlock(pick int) bool {
-	r.log = append(r.log, "drop-checkpoint")
-	return false
+
+// LoseBlock finds a shuffle block to drop but no checkpoint block.
+func (r *recorder) LoseBlock(checkpoint bool, pick int) bool {
+	r.log = append(r.log, "drop-"+blockKind(checkpoint))
+	return !checkpoint
 }
 func (r *recorder) PartitionExecutor(id int) { r.log = append(r.log, "partition") }
 func (r *recorder) HealExecutor(id int)      { r.log = append(r.log, "heal") }
@@ -40,12 +46,8 @@ func (r *recorder) SetNetDelay(extra time.Duration) {
 		r.log = append(r.log, "undelay")
 	}
 }
-func (r *recorder) CorruptShuffleBlock(pick int) bool {
-	r.log = append(r.log, "corrupt-shuffle")
-	return true
-}
-func (r *recorder) CorruptCheckpointBlock(pick int) bool {
-	r.log = append(r.log, "corrupt-checkpoint")
+func (r *recorder) CorruptBlock(checkpoint bool, pick int) bool {
+	r.log = append(r.log, "corrupt-"+blockKind(checkpoint))
 	return true
 }
 func (r *recorder) CrashDriver(tearTail int) { r.log = append(r.log, "driver-crash") }
@@ -154,21 +156,24 @@ func TestRandomScheduleDeterministicAndSafe(t *testing.T) {
 
 func TestArmDeliversNetworkFaults(t *testing.T) {
 	s := Schedule{
-		Partitions:   []Partition{{At: 10 * time.Millisecond, For: 30 * time.Millisecond, Executor: 2}},
-		NetDelays:    []NetDelay{{At: 5 * time.Millisecond, For: 10 * time.Millisecond, Extra: 20 * time.Millisecond}},
-		BlockCorrupt: []BlockCorrupt{{At: 20 * time.Millisecond, Checkpoint: true, Pick: 3}},
+		Partitions: []Partition{{At: 10 * time.Millisecond, For: 30 * time.Millisecond, Executor: 2}},
+		NetDelays:  []NetDelay{{At: 5 * time.Millisecond, For: 10 * time.Millisecond, Extra: 20 * time.Millisecond}},
+		BlockCorrupt: []BlockCorrupt{
+			{At: 20 * time.Millisecond, Checkpoint: true, Pick: 3},
+			{At: 25 * time.Millisecond, Checkpoint: false, Pick: 0},
+		},
 	}
 	loop := vtime.NewLoop()
 	rec := &recorder{}
 	in := New(s)
 	in.Arm(loop, rec)
 	loop.Run()
-	want := []string{"delay", "partition", "undelay", "corrupt-checkpoint", "heal"}
+	want := []string{"delay", "partition", "undelay", "corrupt-checkpoint", "corrupt-shuffle", "heal"}
 	if !reflect.DeepEqual(rec.log, want) {
 		t.Fatalf("delivery order = %v, want %v", rec.log, want)
 	}
 	st := in.Stats()
-	if st.Partitions != 1 || st.Heals != 1 || st.DelayWindows != 1 || st.BlocksCorrupted != 1 {
+	if st.Partitions != 1 || st.Heals != 1 || st.DelayWindows != 1 || st.BlocksCorrupted != 2 {
 		t.Fatalf("stats = %+v", st)
 	}
 }

@@ -209,7 +209,7 @@ func CowCheckEnabled() bool {
 // must exercise both modes within one process (the env variable is read
 // once). It returns the previous value so callers can restore it.
 //
-//starklint:ignore unreachable root, engine and storage tests
+//starklint:ignore unreachable root, engine, storage and stream tests
 func SetCowCheckForTesting(v bool) bool {
 	cowCheckOnce.Do(func() { cowCheck = os.Getenv("STARK_CHECK_COW") == "1" })
 	prev := cowCheck

@@ -117,16 +117,18 @@ func (s *Stream) rebuildFromJournal() {
 
 // Ingest creates the timestep's RDD at the current virtual time, submits
 // its materialization, and evicts steps that fell out of the window. It
-// returns the partitioned, cached RDD for the step.
+// returns the partitioned, cached RDD for the step. Like Parallelize it
+// adopts recs rather than copying them: the step's source partitions are
+// sub-slices of recs, shared copy-on-write, and the caller must not mutate
+// recs afterwards (STARK_CHECK_COW=1 turns a violation into a panic at
+// materialization).
 func (s *Stream) Ingest(step int, recs []record.Record) *rdd.RDD {
 	g := s.eng.Graph()
-	var src *rdd.RDD
+	parts := s.eng.Cluster().NumExecutors()
 	if s.cfg.SingleNodeIngest {
-		src = g.Source(fmt.Sprintf("%s-raw%d", s.cfg.Name, step), [][]record.Record{recs}, false)
-	} else {
-		chunks := workload.Chunk(recs, s.eng.Cluster().NumExecutors())
-		src = g.Source(fmt.Sprintf("%s-raw%d", s.cfg.Name, step), chunks, false)
+		parts = 1
 	}
+	src := g.Source(fmt.Sprintf("%s-raw%d", s.cfg.Name, step), workload.Chunk(recs, parts), false)
 	var pb *rdd.RDD
 	switch {
 	case s.cfg.Namespace != "":

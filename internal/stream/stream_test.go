@@ -351,3 +351,41 @@ func TestWindowEvictionKeepsUnitIndex(t *testing.T) {
 		t.Fatal("window never evicted")
 	}
 }
+
+// TestIngestAdoptsItsInput pins Ingest's adopt-not-copy contract: the step's
+// source partitions are views of the caller's slice, and under
+// STARK_CHECK_COW a caller that mutates that slice after Ingest is caught at
+// the step's materialization.
+func TestIngestAdoptsItsInput(t *testing.T) {
+	prev := record.SetCowCheckForTesting(true)
+	defer record.SetCowCheckForTesting(prev)
+
+	e := testEngine(config.Features{})
+	s, err := New(e, Config{Name: "s", Partitioner: partition.NewHash(4), Window: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := stepData(0, 40)
+	src := s.Ingest(0, recs).Deps[0].Parent
+	off := 0
+	for p, part := range src.Source {
+		if len(part) == 0 {
+			continue
+		}
+		if &part[0] != &recs[off] {
+			t.Fatalf("source partition %d is a copy, not a view of the ingested slice", p)
+		}
+		off += len(part)
+	}
+	if off != len(recs) {
+		t.Fatalf("source partitions hold %d records, want %d", off, len(recs))
+	}
+
+	recs[17].Key = "mutated"
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a mutated step materialized without a COW panic")
+		}
+	}()
+	e.Loop().Run()
+}

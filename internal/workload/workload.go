@@ -270,22 +270,26 @@ func RandomRegion(rng *rand.Rand, g zorder.Grid, depth int) (lo, hi string) {
 	return zorder.Key(b * span), zorder.Key((b+1)*span - 1)
 }
 
-// Chunk splits records into parts roughly equal contiguous slices,
-// modeling unpartitioned file blocks.
+// Chunk splits recs into parts contiguous sub-slices, modeling
+// unpartitioned file blocks: record i lands in partition i*parts/len(recs).
+// It does not copy. Every part's capacity equals its length, so an append
+// through one cannot reach its neighbour; partitions that receive no record
+// stay nil.
 func Chunk(recs []record.Record, parts int) [][]record.Record {
 	if parts < 1 {
 		parts = 1
 	}
 	out := make([][]record.Record, parts)
-	for i, r := range recs {
-		p := i * parts / len(recs)
-		if p >= parts {
-			p = parts - 1
-		}
-		out[p] = append(out[p], r)
-	}
-	if len(recs) == 0 {
+	n, lo := len(recs), 0
+	if n == 0 {
 		return out
+	}
+	for p := range out {
+		hi := ((p+1)*n + parts - 1) / parts // first i with i*parts/n > p
+		if hi > lo {
+			out[p] = recs[lo:hi:hi]
+		}
+		lo = hi
 	}
 	return out
 }

@@ -1,10 +1,13 @@
 package workload
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
+	"stark/internal/record"
 	"stark/internal/zorder"
 )
 
@@ -203,6 +206,55 @@ func TestPartitionAndChunk(t *testing.T) {
 	}
 	if got := Chunk(recs, 0); len(got) != 1 {
 		t.Fatalf("Chunk(.,0) = %d parts", len(got))
+	}
+}
+
+// chunkByRecord is the per-record assignment Chunk used to make by copying:
+// record i goes to partition i*numParts/len(recs).
+func chunkByRecord(recs []record.Record, numParts int) [][]record.Record {
+	if numParts < 1 {
+		numParts = 1
+	}
+	parts := make([][]record.Record, numParts)
+	for i, r := range recs {
+		p := i * numParts / len(recs)
+		parts[p] = append(parts[p], r)
+	}
+	return parts
+}
+
+func TestChunkBoundariesAndAliasing(t *testing.T) {
+	for _, n := range []int{0, 1, 7, 16, 1000} {
+		for _, numParts := range []int{0, 1, 3, 16, 17, 2000} {
+			recs := make([]record.Record, n)
+			for i := range recs {
+				recs[i] = record.Pair(fmt.Sprintf("key-%04d", i), int64(i))
+			}
+			got, want := Chunk(recs, numParts), chunkByRecord(recs, numParts)
+			if len(got) != len(want) {
+				t.Fatalf("len %d parts %d: %d partitions, want %d", n, numParts, len(got), len(want))
+			}
+			off := 0
+			for p := range want {
+				if want[p] == nil {
+					if got[p] != nil {
+						t.Fatalf("len %d parts %d: partition %d = %v, want nil", n, numParts, p, got[p])
+					}
+					continue
+				}
+				if !reflect.DeepEqual(got[p], want[p]) {
+					t.Fatalf("len %d parts %d: partition %d = %v, want %v", n, numParts, p, got[p], want[p])
+				}
+				if cap(got[p]) != len(got[p]) {
+					t.Fatalf("len %d parts %d: partition %d has cap %d over len %d: an append would clobber its neighbour",
+						n, numParts, p, cap(got[p]), len(got[p]))
+				}
+				if &got[p][0] != &recs[off] {
+					t.Fatalf("len %d parts %d: partition %d is a copy, not a view of the input", n, numParts, p)
+				}
+				off += len(got[p])
+			}
+		}
 	}
 }
 

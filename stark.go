@@ -10,6 +10,7 @@ import (
 	"stark/internal/partition"
 	"stark/internal/rdd"
 	"stark/internal/record"
+	"stark/internal/workload"
 	"stark/internal/zorder"
 )
 
@@ -245,14 +246,14 @@ func (c *Context) RegisterNamespace(ns string, p Partitioner, initialGroups int)
 // caller must not mutate recs afterwards (STARK_CHECK_COW=1 turns a
 // violation into a panic at materialization).
 func (c *Context) Parallelize(name string, recs []Record, numParts int) *RDD {
-	parts := chunk(recs, numParts)
+	parts := workload.Chunk(recs, numParts)
 	return &RDD{ctx: c, r: c.eng.Graph().Source(name, parts, false)}
 }
 
 // TextFile creates a source RDD whose materialization charges a disk read,
 // like sc.textFile. It adopts recs under the same contract as Parallelize.
 func (c *Context) TextFile(name string, recs []Record, numParts int) *RDD {
-	parts := chunk(recs, numParts)
+	parts := workload.Chunk(recs, numParts)
 	return &RDD{ctx: c, r: c.eng.Graph().Source(name, parts, true)}
 }
 
@@ -323,29 +324,6 @@ func (c *Context) CompletedJobs() []JobStats { return c.eng.CompletedJobs() }
 // TotalCheckpointBytes reports cumulative checkpointed bytes.
 func (c *Context) TotalCheckpointBytes() int64 {
 	return c.eng.Store().TotalCheckpointBytes()
-}
-
-// chunk splits recs into numParts contiguous sub-slices — record i lands in
-// partition i*numParts/len(recs) — without copying. Every part's capacity
-// equals its length, so an append through one cannot reach its neighbour;
-// partitions that receive no record stay nil.
-func chunk(recs []Record, numParts int) [][]Record {
-	if numParts < 1 {
-		numParts = 1
-	}
-	parts := make([][]Record, numParts)
-	n, lo := len(recs), 0
-	if n == 0 {
-		return parts
-	}
-	for p := range parts {
-		hi := ((p+1)*n + numParts - 1) / numParts // first i with i*numParts/n > p
-		if hi > lo {
-			parts[p] = recs[lo:hi:hi]
-		}
-		lo = hi
-	}
-	return parts
 }
 
 // LineageDOT renders the full lineage graph in Graphviz DOT form for

@@ -58,7 +58,11 @@ func (c *Context) NewStream(cfg StreamConfig) (*Stream, error) {
 }
 
 // Ingest creates the timestep's partitioned, cached RDD at the current
-// virtual time and submits its materialization.
+// virtual time and submits its materialization. Like Parallelize it adopts
+// recs rather than copying them: the step's source partitions are
+// sub-slices of recs, shared copy-on-write, and the caller must not mutate
+// recs afterwards (STARK_CHECK_COW=1 turns a violation into a panic at
+// materialization).
 func (s *Stream) Ingest(step int, recs []Record) *RDD {
 	return &RDD{ctx: s.ctx, r: s.s.Ingest(step, recs)}
 }
