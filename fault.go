@@ -58,9 +58,10 @@ type MemPressureFault = fault.MemPressure
 type ExecutorOOMFault = fault.ExecutorOOM
 
 // NetworkConfig parameterizes the simulated control network: base one-way
-// delay, deterministic jitter, a random message-drop probability, and the
-// retransmission policy for reliable messages. The zero value is a perfect
-// network that delivers synchronously — the pre-network engine behaviour.
+// delay and deterministic jitter. Messages are lost only to the fault
+// schedule (MsgDropProb and partitions); reliable ones retransmit with a
+// fixed, doubling timeout. The zero value is a perfect network that delivers
+// synchronously — the pre-network engine behaviour.
 type NetworkConfig = netsim.Config
 
 // NetworkStats counts the control messages the simulated network carried,
@@ -100,26 +101,6 @@ func WithFaults(s FaultSchedule) Option {
 	return func(c *engine.Config) { c.Faults = s }
 }
 
-// WithTaskRetries bounds per-task retry: a failed task is re-attempted up
-// to n times with doubling virtual-time backoff starting at backoff.
-// n < 0 disables retry (first failure fails the job).
-func WithTaskRetries(n int, backoff time.Duration) Option {
-	return func(c *engine.Config) {
-		c.Recovery.MaxTaskRetries = n
-		c.Recovery.RetryBackoff = backoff
-	}
-}
-
-// WithBlacklist excludes an executor from scheduling for expiry after
-// threshold task failures; a successful task afterwards clears the entry.
-// threshold < 0 disables blacklisting.
-func WithBlacklist(threshold int, expiry time.Duration) Option {
-	return func(c *engine.Config) {
-		c.Recovery.BlacklistThreshold = threshold
-		c.Recovery.BlacklistExpiry = expiry
-	}
-}
-
 // WithSpeculation enables speculative re-execution of stragglers: once
 // quantile of a stage's tasks finished, running tasks expected to exceed
 // multiplier times the stage median get a second copy on another executor;
@@ -134,8 +115,8 @@ func WithSpeculation(multiplier, quantile float64) Option {
 
 // WithNetwork routes all driver-executor control traffic (task launches,
 // task results, heartbeats) through a simulated network with the given
-// delay, jitter, drop, and retransmission parameters. Without this option
-// the control network is perfect and adds no latency.
+// delay and jitter. Without this option the control network is perfect and
+// adds no latency.
 func WithNetwork(nc NetworkConfig) Option {
 	return func(c *engine.Config) { c.Network = nc }
 }
@@ -145,13 +126,13 @@ func WithNetwork(nc NetworkConfig) Option {
 // the driver suspects an executor after suspectAfter without a heartbeat
 // (excluding it from scheduling) and declares it dead after deadAfter
 // (bumping its epoch and resubmitting its tasks; stale-epoch results are
-// rejected). Pass 0 for any argument to use the calibrated default. Without
-// this option the driver learns of failures omnisciently, exactly when they
-// happen.
+// rejected). The timeouts must satisfy
+// 0 < interval <= suspectAfter < deadAfter: NewContext panics otherwise and
+// ValidateConfig reports the error. Without this option the driver learns of
+// failures omnisciently, exactly when they happen.
 func WithHeartbeat(interval, suspectAfter, deadAfter time.Duration) Option {
 	return func(c *engine.Config) {
 		c.Heartbeat = config.Heartbeat{
-			Enabled:      true,
 			Interval:     interval,
 			SuspectAfter: suspectAfter,
 			DeadAfter:    deadAfter,
@@ -171,7 +152,7 @@ func WithDriverRecovery() Option {
 }
 
 // ValidateConfig checks an option set for configuration errors (e.g. a
-// heartbeat suspicion timeout at or above the death timeout) without
+// heartbeat death timeout at or below the suspicion timeout) without
 // building a cluster. NewContext panics on the same errors.
 func ValidateConfig(opts ...Option) error {
 	cfg := engine.DefaultConfig()
@@ -196,7 +177,10 @@ func (c *Context) RecoveryStats() RecoveryStats { return c.eng.Recovery() }
 // far.
 func (c *Context) CacheStats() CacheStats { return c.eng.CacheStats() }
 
-// NetworkStats reports the control-network message counters so far.
+// NetworkStats reports the control-network message counters so far. The
+// counters are not synchronised: call it only from the goroutine that runs
+// jobs, between actions. RecoveryStats, CacheStats, FaultStats and
+// Blacklisted are the accessors safe from any goroutine.
 func (c *Context) NetworkStats() NetworkStats { return c.eng.Network().Stats() }
 
 // Blacklisted lists the executors currently blacklisted, ascending.

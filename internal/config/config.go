@@ -49,23 +49,14 @@ type Cluster struct {
 	MemoryPerExecutor int64 // simulated bytes of block-cache capacity
 
 	DiskBandwidth int64 // bytes/s sequential
-	DiskLatency   time.Duration
 	NetBandwidth  int64 // bytes/s per flow
-	NetLatency    time.Duration
-
-	// ComputeBandwidth is the per-slot processing rate, in bytes/s, for a
-	// transformation with cost factor 1.0 (a simple map/filter pass).
-	ComputeBandwidth int64
-
-	// TaskOverhead is the fixed scheduling + launch + result-report cost
-	// charged per task; it produces the right side of the Fig. 7 U-shape.
-	TaskOverhead time.Duration
 
 	// GroupPartitionOverhead is the extra cost a GroupResultTask /
 	// GroupShuffleMapTask pays per member partition (iterator setup and
-	// group bookkeeping). It is well below TaskOverhead — grouping exists
-	// to cut scheduling cost — but makes grouping slightly hurt when the
-	// workload is static and light (paper Fig. 19's Stark-E curve).
+	// group bookkeeping). It is well below the engine's fixed per-task
+	// overhead — grouping exists to cut scheduling cost — but makes
+	// grouping slightly hurt when the workload is static and light (paper
+	// Fig. 19's Stark-E curve).
 	GroupPartitionOverhead time.Duration
 
 	GC GC
@@ -73,6 +64,15 @@ type Cluster struct {
 	// SizeScale converts real in-process bytes to simulated bytes.
 	SizeScale float64
 }
+
+// The cost-model constants every configuration shares.
+const (
+	diskLatency = 4 * time.Millisecond
+	netLatency  = 500 * time.Microsecond
+	// computeBandwidth is the per-slot processing rate, in bytes/s, for a
+	// transformation with cost factor 1.0 (a simple map/filter pass).
+	computeBandwidth = 400 << 20
+)
 
 // Default returns the calibrated baseline cluster: 8 workers of 16 GB, the
 // size used by the co-locality experiments; throughput experiments override
@@ -83,11 +83,7 @@ func Default() Cluster {
 		SlotsPerExecutor:       4,
 		MemoryPerExecutor:      16 << 30,
 		DiskBandwidth:          150 << 20,
-		DiskLatency:            4 * time.Millisecond,
 		NetBandwidth:           110 << 20,
-		NetLatency:             500 * time.Microsecond,
-		ComputeBandwidth:       400 << 20,
-		TaskOverhead:           8 * time.Millisecond,
 		GroupPartitionOverhead: 3 * time.Millisecond,
 		GC:                     GC{Base: 0.05, Knee: 0.55, Max: 4.0, Power: 3},
 		SizeScale:              1.0,
@@ -112,7 +108,8 @@ type Execution struct {
 // failures, and speculative re-execution of stragglers.
 type Recovery struct {
 	// MaxTaskRetries bounds re-launches of a failed task beyond its first
-	// attempt; exhausting it fails the job (spark.task.maxFailures - 1).
+	// attempt; exhausting it fails the job (spark.task.maxFailures - 1), so
+	// 0 fails a job on its first task failure.
 	MaxTaskRetries int
 	// RetryBackoff is the virtual-time delay before the first retry; it
 	// doubles per subsequent attempt.
@@ -150,36 +147,23 @@ func DefaultRecovery() Recovery {
 
 // Heartbeat configures driver-side failure detection. When disabled (the
 // zero value) the driver learns of executor failures omnisciently, exactly
-// when they happen — the pre-network behaviour. When enabled, executors
-// send heartbeats over the simulated network every Interval; the driver
-// moves an executor alive → suspected when no heartbeat arrived for
-// SuspectAfter (excluding it from scheduling) and suspected → dead after
-// DeadAfter (bumping its epoch, resubmitting its tasks, and rejecting any
-// stale-epoch results it later delivers). A heartbeat from a suspected
-// executor clears the suspicion; one from a declared-dead executor rejoins
-// it under the new epoch.
+// when they happen — the pre-network behaviour. Any other value enables it
+// and must satisfy 0 < Interval <= SuspectAfter < DeadAfter: executors send
+// heartbeats over the simulated network every Interval; the driver moves an
+// executor alive → suspected when no heartbeat arrived for SuspectAfter
+// (excluding it from scheduling) and suspected → dead after DeadAfter
+// (bumping its epoch, resubmitting its tasks, and rejecting any stale-epoch
+// results it later delivers). A heartbeat from a suspected executor clears
+// the suspicion; one from a declared-dead executor rejoins it under the new
+// epoch.
 type Heartbeat struct {
-	Enabled bool
 	// Interval is the executor heartbeat period (also the detector's scan
 	// period).
 	Interval time.Duration
 	// SuspectAfter is the missed-heartbeat window before suspicion.
 	SuspectAfter time.Duration
-	// DeadAfter is the missed-heartbeat window before a dead declaration;
-	// must exceed SuspectAfter.
+	// DeadAfter is the missed-heartbeat window before a dead declaration.
 	DeadAfter time.Duration
-}
-
-// DefaultHeartbeat returns the detection timeouts used when WithHeartbeat
-// leaves them zero: tight enough that detection plus re-execution stays
-// well inside typical checkpoint bounds, loose enough that one delayed
-// heartbeat only causes a transient suspicion.
-func DefaultHeartbeat() Heartbeat {
-	return Heartbeat{
-		Interval:     100 * time.Millisecond,
-		SuspectAfter: 300 * time.Millisecond,
-		DeadAfter:    800 * time.Millisecond,
-	}
 }
 
 // Scheduler configures task scheduling policy.
@@ -222,7 +206,7 @@ func (c Cluster) ComputeTime(bytes int64, factor float64) time.Duration {
 	if bytes <= 0 {
 		return 0
 	}
-	sec := float64(bytes) * factor / float64(c.ComputeBandwidth)
+	sec := float64(bytes) * factor / computeBandwidth
 	return time.Duration(sec * float64(time.Second))
 }
 
@@ -231,7 +215,7 @@ func (c Cluster) DiskReadTime(bytes int64) time.Duration {
 	if bytes <= 0 {
 		return 0
 	}
-	return c.DiskLatency + time.Duration(float64(bytes)/float64(c.DiskBandwidth)*float64(time.Second))
+	return diskLatency + time.Duration(float64(bytes)/float64(c.DiskBandwidth)*float64(time.Second))
 }
 
 // DiskWriteTime is the time to sequentially write bytes to local disk.
@@ -245,5 +229,5 @@ func (c Cluster) NetTime(bytes int64) time.Duration {
 	if bytes <= 0 {
 		return 0
 	}
-	return c.NetLatency + time.Duration(float64(bytes)/float64(c.NetBandwidth)*float64(time.Second))
+	return netLatency + time.Duration(float64(bytes)/float64(c.NetBandwidth)*float64(time.Second))
 }

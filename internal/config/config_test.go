@@ -43,11 +43,10 @@ func TestGCFactorMonotone(t *testing.T) {
 
 func TestComputeTime(t *testing.T) {
 	c := Default()
-	c.ComputeBandwidth = 100 << 20
-	if d := c.ComputeTime(100<<20, 1.0); d != time.Second {
+	if d := c.ComputeTime(computeBandwidth, 1.0); d != time.Second {
 		t.Errorf("ComputeTime = %v, want 1s", d)
 	}
-	if d := c.ComputeTime(100<<20, 2.0); d != 2*time.Second {
+	if d := c.ComputeTime(computeBandwidth, 2.0); d != 2*time.Second {
 		t.Errorf("ComputeTime(x2) = %v, want 2s", d)
 	}
 	if d := c.ComputeTime(0, 1); d != 0 {
@@ -57,10 +56,10 @@ func TestComputeTime(t *testing.T) {
 
 func TestIOTimesIncludeLatency(t *testing.T) {
 	c := Default()
-	if d := c.DiskReadTime(1); d <= c.DiskLatency {
+	if d := c.DiskReadTime(1); d <= diskLatency {
 		t.Errorf("DiskReadTime(1) = %v", d)
 	}
-	if d := c.NetTime(1); d <= c.NetLatency {
+	if d := c.NetTime(1); d <= netLatency {
 		t.Errorf("NetTime(1) = %v", d)
 	}
 	if c.DiskReadTime(0) != 0 || c.NetTime(0) != 0 {

@@ -45,7 +45,7 @@ func (v viewState) String() string {
 // every executor the driver does not consider dead, so idle gaps between
 // jobs never count as missed heartbeats.
 func (e *Engine) ensureHeartbeats() {
-	if !e.hb.Enabled || e.activeJobs <= 0 || e.driverDown {
+	if e.hb.Interval <= 0 || e.activeJobs <= 0 || e.driverDown {
 		return
 	}
 	if !e.detectorArmed {
@@ -66,7 +66,7 @@ func (e *Engine) ensureHeartbeats() {
 // armBeat starts an executor's heartbeat chain if it is not already
 // beating. The first beat goes out immediately.
 func (e *Engine) armBeat(id int) {
-	if !e.hb.Enabled || e.beatArmed[id] || e.activeJobs <= 0 || e.cl.Executor(id).Dead() {
+	if e.hb.Interval <= 0 || e.beatArmed[id] || e.activeJobs <= 0 || e.cl.Executor(id).Dead() {
 		return
 	}
 	e.beatArmed[id] = true

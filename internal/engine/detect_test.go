@@ -15,7 +15,6 @@ func hbConfig() Config {
 	cfg := testConfig()
 	cfg.Network = netsim.Config{BaseDelay: 50 * time.Microsecond}
 	cfg.Heartbeat = config.Heartbeat{
-		Enabled:      true,
 		Interval:     2 * time.Millisecond,
 		SuspectAfter: 6 * time.Millisecond,
 		DeadAfter:    15 * time.Millisecond,

@@ -191,37 +191,6 @@ func TestCrashDriverWithoutRecoveryPanics(t *testing.T) {
 	e.CrashDriver(0)
 }
 
-// TestHeartbeatValidation: a user-supplied death timeout at or below the
-// suspicion timeout is a configuration error from Validate and a panic from
-// New; omitted timeouts still default.
-func TestHeartbeatValidation(t *testing.T) {
-	cfg := testConfig()
-	cfg.Heartbeat.Enabled = true
-	cfg.Heartbeat.Interval = 10 * time.Millisecond
-	cfg.Heartbeat.SuspectAfter = 30 * time.Millisecond
-	cfg.Heartbeat.DeadAfter = 30 * time.Millisecond // == SuspectAfter: invalid
-	if err := Validate(cfg); err == nil {
-		t.Fatal("Validate accepted DeadAfter == SuspectAfter")
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("New accepted DeadAfter == SuspectAfter")
-			}
-		}()
-		New(cfg)
-	}()
-
-	cfg.Heartbeat.DeadAfter = 0 // defaulted: valid
-	if err := Validate(cfg); err != nil {
-		t.Fatalf("Validate rejected defaulted DeadAfter: %v", err)
-	}
-	cfg.Heartbeat.DeadAfter = 90 * time.Millisecond
-	if err := Validate(cfg); err != nil {
-		t.Fatalf("Validate rejected DeadAfter > SuspectAfter: %v", err)
-	}
-}
-
 func sortRecs(rs []record.Record) {
 	sort.Slice(rs, func(a, b int) bool {
 		if rs[a].Key != rs[b].Key {

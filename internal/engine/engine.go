@@ -72,8 +72,6 @@ type Config struct {
 	Features   config.Features
 	Groups     group.Config
 	Checkpoint CheckpointConfig
-	// Replication bounds contention-aware replication of collection units.
-	Replication replication.Config
 	// Recovery is the failure-handling policy: task retry, executor
 	// blacklisting, stage resubmission bounds, and speculation.
 	Recovery config.Recovery
@@ -83,8 +81,9 @@ type Config struct {
 	// Network parameterizes the simulated control-plane transport; the zero
 	// value is a perfect network that delivers synchronously.
 	Network netsim.Config
-	// Heartbeat enables driver-side failure detection over the transport;
-	// the zero value keeps the omniscient failure model.
+	// Heartbeat enables driver-side failure detection over the transport
+	// when its Interval is positive; the zero value keeps the omniscient
+	// failure model.
 	Heartbeat config.Heartbeat
 	// Seed drives the scheduler's randomized remote offers; runs with equal
 	// seeds are bit-identical.
@@ -114,13 +113,6 @@ func DefaultConfig() Config {
 			Mode:  CheckpointOff,
 			Bound: 60 * time.Second,
 			Relax: 1,
-		},
-		Replication: replication.Config{
-			// One remote launch is enough evidence to adopt a replica, like
-			// stock delay scheduling's incidental replication, but bounded.
-			MaxReplicas:      6,
-			HalfLife:         30 * time.Second,
-			DemandPerReplica: 2,
 		},
 		Recovery: config.DefaultRecovery(),
 	}
@@ -188,7 +180,7 @@ type Engine struct {
 
 	// Control-plane transport and failure detection (detect.go). The
 	// network exists even when perfect, so launch/result routing is uniform;
-	// detection state is only consulted when hb.Enabled.
+	// detection state is only consulted when hb.Interval > 0.
 	net *netsim.Network
 	hb  config.Heartbeat
 	// activeJobs gates the heartbeat and detector timers: with no job in
@@ -243,15 +235,12 @@ func New(cfg Config) *Engine {
 		cfg.Checkpoint.Relax = 1
 	}
 	normalizeRecovery(&cfg.Recovery)
-	if err := normalizeHeartbeat(&cfg.Heartbeat); err != nil {
+	if err := validateHeartbeat(cfg.Heartbeat); err != nil {
 		panic(err) // misconfiguration; Validate offers the error-returning path
 	}
 	seed := cfg.Seed
 	if seed == 0 {
 		seed = 1
-	}
-	if cfg.Network.Seed == 0 {
-		cfg.Network.Seed = seed ^ 0x6e65747 // decorrelate from scheduler draws
 	}
 	e := &Engine{
 		cfg:          cfg,
@@ -259,7 +248,7 @@ func New(cfg Config) *Engine {
 		cl:           cluster.New(cfg.Cluster),
 		store:        storage.NewStore(),
 		graph:        rdd.NewGraph(),
-		repl:         replication.NewPolicy(cfg.Replication),
+		repl:         replication.NewPolicy(replication.DefaultConfig()),
 		driverMemory: newDriverMemory(cfg),
 		nsIDs:        make(map[string]int),
 		jobTab:       make(map[int]*job),
@@ -276,7 +265,7 @@ func New(cfg Config) *Engine {
 		e.par = runtime.GOMAXPROCS(0)
 	}
 	e.loop.SetPostStep(e.postStep)
-	e.net = netsim.New(cfg.Network, e.loop)
+	e.net = netsim.New(cfg.Network, seed^0x6e65747, e.loop) // decorrelated from scheduler draws
 	e.hb = cfg.Heartbeat
 	n := e.cl.NumExecutors()
 	e.beatArmed = make([]bool, n)
@@ -294,7 +283,7 @@ func New(cfg Config) *Engine {
 	if !cfg.Faults.Empty() {
 		e.inj = fault.New(cfg.Faults)
 		e.store.SetFaultHook(func(op storage.Op) error { return e.inj.StorageOp(string(op)) })
-		e.net.SetFaultHook(func(k netsim.Kind) bool { return e.inj.MessageOp(k.String()) })
+		e.net.SetFaultHook(func(netsim.Kind) bool { return e.inj.MessageOp() })
 		e.inj.Arm(e.loop, e)
 	}
 	return e
@@ -311,34 +300,18 @@ func sortedIDs[V any](m map[int]V) []int {
 	return ids
 }
 
-// normalizeHeartbeat fills zero timeouts with defaults and enforces
-// Interval <= SuspectAfter < DeadAfter. A user-supplied death timeout at or
-// below the (possibly defaulted) suspicion timeout is a configuration
-// error: executors would be declared dead without ever passing through the
-// suspected state, which silently disables the suspicion machinery.
-func normalizeHeartbeat(hb *config.Heartbeat) error {
-	if !hb.Enabled {
+// validateHeartbeat accepts the zero config (detection off) and otherwise
+// requires 0 < Interval <= SuspectAfter < DeadAfter. A death timeout at or
+// below the suspicion timeout would declare executors dead without ever
+// passing through the suspected state, silently disabling the suspicion
+// machinery.
+func validateHeartbeat(hb config.Heartbeat) error {
+	if hb == (config.Heartbeat{}) {
 		return nil
 	}
-	d := config.DefaultHeartbeat()
-	if hb.Interval <= 0 {
-		hb.Interval = d.Interval
-	}
-	if hb.SuspectAfter <= 0 {
-		hb.SuspectAfter = d.SuspectAfter
-	}
-	if hb.SuspectAfter < hb.Interval {
-		hb.SuspectAfter = hb.Interval
-	}
-	if hb.DeadAfter < 0 {
-		hb.DeadAfter = 0
-	}
-	if hb.DeadAfter > 0 && hb.DeadAfter <= hb.SuspectAfter {
-		return fmt.Errorf("engine: heartbeat DeadAfter (%v) must exceed SuspectAfter (%v): executors would skip suspicion and be declared dead outright",
-			hb.DeadAfter, hb.SuspectAfter)
-	}
-	if hb.DeadAfter == 0 {
-		hb.DeadAfter = 2*hb.SuspectAfter + hb.Interval
+	if hb.Interval <= 0 || hb.SuspectAfter < hb.Interval || hb.DeadAfter <= hb.SuspectAfter {
+		return fmt.Errorf("engine: heartbeat timeouts need 0 < Interval (%v) <= SuspectAfter (%v) < DeadAfter (%v)",
+			hb.Interval, hb.SuspectAfter, hb.DeadAfter)
 	}
 	return nil
 }
@@ -350,30 +323,13 @@ func Validate(cfg Config) error {
 	if err := validateCachePolicy(cfg.CachePolicy); err != nil {
 		return err
 	}
-	return normalizeHeartbeat(&cfg.Heartbeat)
+	return validateHeartbeat(cfg.Heartbeat)
 }
 
-// normalizeRecovery fills zero-valued policy fields with defaults;
-// negative MaxTaskRetries / BlacklistThreshold explicitly disable retry and
-// blacklisting.
+// normalizeRecovery clamps WithSpeculation's arguments into range: a
+// multiplier must exceed 1 and a quantile lie in (0, 1].
 func normalizeRecovery(rc *config.Recovery) {
 	d := config.DefaultRecovery()
-	if rc.MaxTaskRetries == 0 {
-		rc.MaxTaskRetries = d.MaxTaskRetries
-	} else if rc.MaxTaskRetries < 0 {
-		rc.MaxTaskRetries = 0
-	}
-	if rc.RetryBackoff <= 0 {
-		rc.RetryBackoff = d.RetryBackoff
-	}
-	if rc.BlacklistThreshold == 0 {
-		rc.BlacklistThreshold = d.BlacklistThreshold
-	} else if rc.BlacklistThreshold < 0 {
-		rc.BlacklistThreshold = 0
-	}
-	if rc.BlacklistExpiry <= 0 {
-		rc.BlacklistExpiry = d.BlacklistExpiry
-	}
 	if rc.SpeculationMultiplier <= 1 {
 		rc.SpeculationMultiplier = d.SpeculationMultiplier
 	}

@@ -11,6 +11,7 @@ import (
 	"stark/internal/partition"
 	"stark/internal/rdd"
 	"stark/internal/record"
+	"stark/internal/replication"
 )
 
 func TestEmptyRDDJob(t *testing.T) {
@@ -149,8 +150,6 @@ func TestReplicationAdoptsHotUnit(t *testing.T) {
 	cfg := nsConfig()
 	cfg.Sched.LocalityWait = 10 * time.Millisecond
 	cfg.Cluster.SlotsPerExecutor = 1
-	cfg.Replication.DemandPerReplica = 1
-	cfg.Replication.MaxReplicas = 4
 	e := New(cfg)
 	g := e.Graph()
 	p := partition.NewHash(2)
@@ -175,7 +174,7 @@ func TestReplicationAdoptsHotUnit(t *testing.T) {
 	}
 	after := len(e.Locality().Preferred("hot", 0)) + len(e.Locality().Preferred("hot", 1))
 	if after <= before {
-		t.Skip("no replication occurred; acceptable when slots never contend")
+		t.Fatalf("preferred executors %d -> %d: contended remote launches adopted no replica", before, after)
 	}
 }
 
@@ -239,7 +238,7 @@ func TestDeReplicationDropsEveryUnitBlock(t *testing.T) {
 		t.Fatalf("replica executor %d owns no unit of its own", victim)
 	}
 
-	e.Loop().RunUntil(e.Loop().Now() + 5*cfg.Replication.HalfLife)
+	e.Loop().RunUntil(e.Loop().Now() + 5*replication.DefaultConfig().HalfLife)
 	if _, _, err := e.Count(g.Filter(cg, "q", func(record.Record) bool { return true })); err != nil {
 		t.Fatal(err)
 	}

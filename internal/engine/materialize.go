@@ -13,6 +13,10 @@ import (
 	"stark/internal/storage"
 )
 
+// taskOverhead is the fixed scheduling + launch + result-report cost charged
+// per task; it produces the right side of the Fig. 7 U-shape.
+const taskOverhead = 8 * time.Millisecond
+
 // costAcc accumulates one task's modeled time and bytes.
 type costAcc struct {
 	compute     time.Duration
@@ -95,7 +99,7 @@ func (e *Engine) runPlane(be *batchEntry) {
 	t.tm.BytesInput = px.acc.bytesInput
 	t.tm.BytesShuffle = px.acc.bytesShuffle
 
-	overhead := e.cfg.Cluster.TaskOverhead
+	overhead := taskOverhead
 	if t.group {
 		overhead += time.Duration(len(t.partitions)) * e.cfg.Cluster.GroupPartitionOverhead
 	}

@@ -66,7 +66,7 @@ func (e *Engine) schedulable(id int) bool {
 	if id < 0 || id >= e.cl.NumExecutors() || e.cl.Executor(id).Dead() {
 		return false
 	}
-	if e.hb.Enabled && e.execView[id] != viewAlive {
+	if e.hb.Interval > 0 && e.execView[id] != viewAlive {
 		return false
 	}
 	if until, ok := e.blacklistUntil[id]; ok && until > e.loop.Now() {

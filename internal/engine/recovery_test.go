@@ -78,6 +78,62 @@ func TestTaskRetryExhaustionFailsJob(t *testing.T) {
 	}
 }
 
+// TestZeroTaskRetriesFailsOnFirstFailure: MaxTaskRetries = 0 means no
+// retry, so one transient write error fails the job outright.
+func TestZeroTaskRetriesFailsOnFirstFailure(t *testing.T) {
+	cfg := testConfig()
+	cfg.Recovery.MaxTaskRetries = 0
+	e := New(cfg)
+	failOnce := true
+	e.Store().SetFaultHook(func(op storage.Op) error {
+		if op == storage.OpMapOutputWrite && failOnce {
+			failOnce = false
+			return errors.New("transient write glitch")
+		}
+		return nil
+	})
+	g := e.Graph()
+	pb := g.PartitionBy(g.Source("src", dataset(400, 8), true), "pb", partition.NewHash(8))
+	if _, _, err := e.Count(pb); !errors.Is(err, ErrStorage) {
+		t.Fatalf("err = %v, want the first failure's ErrStorage", err)
+	}
+	if rec := e.Recovery(); rec.TaskFailures != 1 || rec.TaskRetries != 0 {
+		t.Fatalf("failures/retries = %d/%d, want 1/0", rec.TaskFailures, rec.TaskRetries)
+	}
+}
+
+// TestZeroBlacklistThresholdNeverBlacklists: BlacklistThreshold = 0 turns
+// blacklisting off, however often one executor fails.
+func TestZeroBlacklistThresholdNeverBlacklists(t *testing.T) {
+	cfg := testConfig()
+	cfg.Cluster.NumExecutors = 1
+	cfg.Recovery.MaxTaskRetries = 10
+	cfg.Recovery.BlacklistThreshold = 0
+	e := New(cfg)
+	for i := 0; i < 10; i++ {
+		e.noteExecutorFailure(0)
+	}
+	fails := 6
+	e.Store().SetFaultHook(func(op storage.Op) error {
+		if op == storage.OpMapOutputWrite && fails > 0 {
+			fails--
+			return errors.New("bad disk")
+		}
+		return nil
+	})
+	g := e.Graph()
+	pb := g.PartitionBy(g.Source("src", dataset(400, 8), true), "pb", partition.NewHash(8))
+	n, _, err := e.Count(pb)
+	if err != nil || n != 400 {
+		t.Fatalf("count = %d, %v; want 400 on the failing executor", n, err)
+	}
+	rec := e.Recovery()
+	if rec.TaskFailures != 6 || rec.ExecutorBlacklists != 0 || len(e.Blacklisted()) != 0 {
+		t.Fatalf("failures %d, blacklists %d, blacklisted %v; want 6, 0, []",
+			rec.TaskFailures, rec.ExecutorBlacklists, e.Blacklisted())
+	}
+}
+
 // TestFetchFailureResubmitsStage: a map output vanishes after the shuffle
 // completed but before every reduce task read it. The late reducers hit a
 // fetch failure, the producing stage is resubmitted for just the missing

@@ -494,7 +494,7 @@ func (e *Engine) KillExecutor(id int) {
 		// resubmission re-covers its lost work.
 		return
 	}
-	if e.hb.Enabled {
+	if e.hb.Interval > 0 {
 		return
 	}
 	e.execEpoch[id]++
@@ -554,7 +554,7 @@ func (e *Engine) RestartExecutor(id int) {
 		// handshake (RestartDriver) records its incarnation.
 		return
 	}
-	if e.hb.Enabled {
+	if e.hb.Interval > 0 {
 		e.armBeat(id)
 		e.ensureHeartbeats()
 		return

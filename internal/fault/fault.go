@@ -478,7 +478,7 @@ func (in *Injector) StorageOp(op string) error {
 // MessageOp rolls the message-drop probability for one control-plane
 // message, reporting whether it is lost. The engine installs it as the
 // network's fault hook.
-func (in *Injector) MessageOp(kind string) bool {
+func (in *Injector) MessageOp() bool {
 	if in.sched.MsgDropProb <= 0 {
 		return false
 	}
@@ -489,7 +489,6 @@ func (in *Injector) MessageOp(kind string) bool {
 			s.MsgDrops++
 		}
 	})
-	_ = kind
 	return hit
 }
 

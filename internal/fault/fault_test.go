@@ -285,7 +285,7 @@ func TestMessageOpDeterministicAndIndependentOfStorageRolls(t *testing.T) {
 		msgs := make([]bool, 100)
 		stores := make([]bool, 100)
 		for i := range msgs {
-			msgs[i] = in.MessageOp("heartbeat")
+			msgs[i] = in.MessageOp()
 			stores[i] = in.StorageOp("shuffle-read") != nil
 		}
 		return msgs, stores

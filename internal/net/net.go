@@ -4,9 +4,9 @@
 // task results in this model — the data plane charges transfer time through
 // the cost model, the control plane decides *whether* the driver learns of
 // it.) The network runs on the virtual clock and is seed-deterministic:
-// delay jitter and message drops come from a private RNG, partitions are
-// explicit state flipped by the fault injector, so two runs with equal seeds
-// see byte-identical delivery orders.
+// delay jitter comes from a private RNG, while message drops (through the
+// fault hook) and partitions are decided by the fault injector, so two runs
+// with equal seeds see byte-identical delivery orders.
 //
 // The zero-value Config is the "perfect" network: no delay, no jitter, no
 // drops. A perfect, partition-free send delivers synchronously in the same
@@ -35,7 +35,7 @@ const (
 	Heartbeat
 )
 
-// String names the kind for traces and fault-hook dispatch.
+// String names the kind for traces.
 func (k Kind) String() string {
 	switch k {
 	case TaskLaunch:
@@ -54,29 +54,21 @@ type Config struct {
 	// adds a uniform random extra in [0, Jitter).
 	BaseDelay time.Duration
 	Jitter    time.Duration
-	// DropProb is the per-attempt probability that a message is lost in
-	// flight (independent of partitions).
-	DropProb float64
-	// RetransmitTimeout is the initial retransmission timeout for reliable
-	// messages; it doubles per attempt. Zero derives a default from
-	// BaseDelay and Jitter.
-	RetransmitTimeout time.Duration
-	// MaxRetransmits bounds retransmission attempts of a reliable message;
-	// zero defaults to 12, enough doubling RTOs to ride out any partition
-	// the chaos schedules generate.
-	MaxRetransmits int
-	// Seed drives jitter and drop rolls; zero is replaced by 1.
-	Seed int64
 }
+
+// maxRetransmits bounds retransmission attempts of a reliable message:
+// enough doubling timeouts to ride out any partition the chaos schedules
+// generate.
+const maxRetransmits = 12
 
 // Stats counts transport activity.
 type Stats struct {
 	Sent           int // send attempts, including retransmissions
 	Delivered      int
-	Dropped        int // random (DropProb or fault-hook) losses
+	Dropped        int // fault-hook losses
 	PartitionDrops int // losses because an endpoint was partitioned
 	Retransmits    int
-	Expired        int // reliable messages abandoned after MaxRetransmits
+	Expired        int // reliable messages abandoned after maxRetransmits
 }
 
 // Network is the simulated transport. It is driven entirely from the
@@ -84,35 +76,29 @@ type Stats struct {
 type Network struct {
 	cfg  Config
 	loop *vtime.Loop
-	rng  *rand.Rand
+	// rto is the initial retransmission timeout for reliable messages; it
+	// doubles per attempt.
+	rto time.Duration
+	// rng draws delay jitter.
+	rng *rand.Rand
 	// part holds the executors currently partitioned from the driver
 	// (bidirectionally: traffic both ways is blocked).
 	part map[int]bool
 	// extra is a fault-injected delay added to every delivered message
 	// (delayed-heartbeat windows).
 	extra time.Duration
-	// hook, when set, may drop a message attempt (fault injection); it is
-	// consulted before the config's DropProb roll.
+	// hook, when set, may drop a message attempt (fault injection).
 	hook  func(Kind) bool
 	stats Stats
 }
 
-// New builds a network on the loop. A nil-safe zero Config yields a perfect
-// network.
-func New(cfg Config, loop *vtime.Loop) *Network {
-	if cfg.RetransmitTimeout <= 0 {
-		cfg.RetransmitTimeout = 2*(cfg.BaseDelay+cfg.Jitter) + time.Millisecond
-	}
-	if cfg.MaxRetransmits <= 0 {
-		cfg.MaxRetransmits = 12
-	}
-	seed := cfg.Seed
-	if seed == 0 {
-		seed = 1
-	}
+// New builds a network on the loop whose jitter draws come from seed. A
+// zero Config yields a perfect network.
+func New(cfg Config, seed int64, loop *vtime.Loop) *Network {
 	return &Network{
 		cfg:  cfg,
 		loop: loop,
+		rto:  2*(cfg.BaseDelay+cfg.Jitter) + time.Millisecond,
 		rng:  rand.New(rand.NewSource(seed)),
 		part: make(map[int]bool),
 	}
@@ -157,12 +143,6 @@ func (n *Network) send(from, to int, kind Kind, reliable bool, attempt int, deli
 	if !dropped && n.hook != nil && n.hook(kind) {
 		dropped = true
 	}
-	// Skip the RNG entirely when no probabilistic faults are configured so
-	// the draw sequence — and with it determinism across configurations —
-	// only depends on features actually in use.
-	if !dropped && n.cfg.DropProb > 0 && n.rng.Float64() < n.cfg.DropProb {
-		dropped = true
-	}
 	if dropped {
 		if blocked {
 			n.stats.PartitionDrops++
@@ -172,17 +152,12 @@ func (n *Network) send(from, to int, kind Kind, reliable bool, attempt int, deli
 		if !reliable {
 			return
 		}
-		if attempt >= n.cfg.MaxRetransmits {
+		if attempt >= maxRetransmits {
 			n.stats.Expired++
 			return
 		}
-		shift := uint(attempt)
-		if shift > 16 {
-			shift = 16
-		}
-		rto := n.cfg.RetransmitTimeout << shift
 		n.stats.Retransmits++
-		n.loop.After(rto, func() { n.send(from, to, kind, reliable, attempt+1, deliver) })
+		n.loop.After(n.rto<<uint(attempt), func() { n.send(from, to, kind, reliable, attempt+1, deliver) })
 		return
 	}
 	d := n.cfg.BaseDelay + n.extra

@@ -1,6 +1,7 @@
 package net
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
@@ -9,7 +10,7 @@ import (
 
 func TestPerfectNetworkDeliversSynchronously(t *testing.T) {
 	loop := vtime.NewLoop()
-	n := New(Config{}, loop)
+	n := New(Config{}, 1, loop)
 	delivered := false
 	n.Send(Driver, 2, TaskLaunch, true, func() { delivered = true })
 	if !delivered {
@@ -22,7 +23,7 @@ func TestPerfectNetworkDeliversSynchronously(t *testing.T) {
 
 func TestDelayedDeliveryOnTheClock(t *testing.T) {
 	loop := vtime.NewLoop()
-	n := New(Config{BaseDelay: 3 * time.Millisecond}, loop)
+	n := New(Config{BaseDelay: 3 * time.Millisecond}, 1, loop)
 	var at time.Duration = -1
 	n.Send(0, Driver, TaskResult, true, func() { at = loop.Now() })
 	if at != -1 {
@@ -36,7 +37,7 @@ func TestDelayedDeliveryOnTheClock(t *testing.T) {
 
 func TestPartitionBlocksAndReliableRetransmitSurvivesHeal(t *testing.T) {
 	loop := vtime.NewLoop()
-	n := New(Config{}, loop)
+	n := New(Config{}, 1, loop)
 	n.Partition(1)
 
 	hbDelivered := false
@@ -63,7 +64,7 @@ func TestPartitionBlocksAndReliableRetransmitSurvivesHeal(t *testing.T) {
 
 func TestReliableSendExpiresUnderPermanentPartition(t *testing.T) {
 	loop := vtime.NewLoop()
-	n := New(Config{MaxRetransmits: 3}, loop)
+	n := New(Config{}, 1, loop)
 	n.Partition(4)
 	delivered := false
 	n.Send(Driver, 4, TaskLaunch, true, func() { delivered = true })
@@ -71,15 +72,21 @@ func TestReliableSendExpiresUnderPermanentPartition(t *testing.T) {
 	if delivered {
 		t.Fatal("message delivered through a permanent partition")
 	}
-	if st := n.Stats(); st.Expired != 1 || st.Retransmits != 3 {
-		t.Fatalf("stats = %+v, want 3 retransmits then 1 expiry", st)
+	if st := n.Stats(); st.Expired != 1 || st.Retransmits != maxRetransmits || st.PartitionDrops != maxRetransmits+1 {
+		t.Fatalf("stats = %+v, want %d retransmits then 1 expiry", st, maxRetransmits)
+	}
+	// The doubling timeouts sum to (2^12 - 1) initial RTOs of 1ms each.
+	if want := time.Duration(1<<maxRetransmits-1) * time.Millisecond; loop.Now() != want {
+		t.Fatalf("expired at %v, want %v", loop.Now(), want)
 	}
 }
 
 func TestDropAndJitterAreSeedDeterministic(t *testing.T) {
 	runOnce := func() ([]time.Duration, Stats) {
 		loop := vtime.NewLoop()
-		n := New(Config{BaseDelay: time.Millisecond, Jitter: 2 * time.Millisecond, DropProb: 0.3, Seed: 99}, loop)
+		n := New(Config{BaseDelay: time.Millisecond, Jitter: 2 * time.Millisecond}, 99, loop)
+		drops := rand.New(rand.NewSource(7))
+		n.SetFaultHook(func(Kind) bool { return drops.Float64() < 0.3 })
 		var arrivals []time.Duration
 		for i := 0; i < 40; i++ {
 			n.Send(Driver, i%4, TaskLaunch, false, func() {
@@ -103,13 +110,13 @@ func TestDropAndJitterAreSeedDeterministic(t *testing.T) {
 		}
 	}
 	if s1.Dropped == 0 {
-		t.Fatal("expected some random drops at DropProb=0.3")
+		t.Fatal("expected some drops from a 0.3 drop hook")
 	}
 }
 
 func TestExtraDelayWindow(t *testing.T) {
 	loop := vtime.NewLoop()
-	n := New(Config{}, loop)
+	n := New(Config{}, 1, loop)
 	n.SetExtraDelay(7 * time.Millisecond)
 	var at time.Duration = -1
 	n.Send(0, Driver, Heartbeat, false, func() { at = loop.Now() })

@@ -37,12 +37,14 @@ type Config struct {
 	DemandPerReplica float64
 }
 
-// DefaultConfig returns moderate bounds.
+// DefaultConfig returns the bounds the engine runs: one remote launch is
+// enough evidence to adopt a replica, like stock delay scheduling's
+// incidental replication, but bounded.
 func DefaultConfig() Config {
 	return Config{
-		MaxReplicas:      4,
+		MaxReplicas:      6,
 		HalfLife:         30 * time.Second,
-		DemandPerReplica: 8,
+		DemandPerReplica: 2,
 	}
 }
 
@@ -60,19 +62,9 @@ type Policy struct {
 	units map[cluster.UnitID]*unitState
 }
 
-// NewPolicy builds a policy; zero-valued config fields fall back to
-// defaults.
+// NewPolicy builds a policy with the given bounds; every field must be
+// positive.
 func NewPolicy(cfg Config) *Policy {
-	def := DefaultConfig()
-	if cfg.MaxReplicas <= 0 {
-		cfg.MaxReplicas = def.MaxReplicas
-	}
-	if cfg.HalfLife <= 0 {
-		cfg.HalfLife = def.HalfLife
-	}
-	if cfg.DemandPerReplica <= 0 {
-		cfg.DemandPerReplica = def.DemandPerReplica
-	}
 	return &Policy{cfg: cfg, units: make(map[cluster.UnitID]*unitState)}
 }
 

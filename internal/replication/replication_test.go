@@ -17,15 +17,17 @@ func unit(p *Policy, k cluster.UnitID, now time.Duration) *unitState {
 	return st
 }
 
+// TestDefaultsApplied pins the engine's replication bounds: DefaultConfig is
+// their only definition.
 func TestDefaultsApplied(t *testing.T) {
-	p := NewPolicy(Config{})
-	if p.cfg.MaxReplicas != 4 || p.cfg.HalfLife != 30*time.Second || p.cfg.DemandPerReplica != 8 {
+	p := NewPolicy(DefaultConfig())
+	if p.cfg.MaxReplicas != 6 || p.cfg.HalfLife != 30*time.Second || p.cfg.DemandPerReplica != 2 {
 		t.Fatalf("defaults not applied: %+v", p.cfg)
 	}
 }
 
 func TestColdUnitHasOneReplica(t *testing.T) {
-	p := NewPolicy(Config{})
+	p := NewPolicy(DefaultConfig())
 	if got := p.TargetLocked(unit(p, k, 0)); got != 1 {
 		t.Fatalf("target = %d", got)
 	}
@@ -35,7 +37,7 @@ func TestColdUnitHasOneReplica(t *testing.T) {
 }
 
 func TestRemoteLaunchesGrowReplicas(t *testing.T) {
-	p := NewPolicy(Config{DemandPerReplica: 4, MaxReplicas: 3})
+	p := NewPolicy(Config{DemandPerReplica: 4, MaxReplicas: 3, HalfLife: 30 * time.Second})
 	adopted := 0
 	for i := 0; i < 10; i++ {
 		if p.OnRemoteLaunch(k, time.Duration(i)*time.Millisecond) {
@@ -55,7 +57,7 @@ func TestRemoteLaunchesGrowReplicas(t *testing.T) {
 }
 
 func TestDemandDecays(t *testing.T) {
-	p := NewPolicy(Config{HalfLife: time.Second, DemandPerReplica: 4})
+	p := NewPolicy(Config{HalfLife: time.Second, DemandPerReplica: 4, MaxReplicas: 4})
 	for i := 0; i < 8; i++ {
 		p.OnLocalLaunch(k, 0)
 	}

@@ -8,7 +8,7 @@ import (
 
 // Deficit round-robin dispatch: tenants form a ring in registration order;
 // each visit to a tenant with queued work credits its deficit by
-// quota*Quantum, and the head entry runs once the deficit covers its cost
+// quota*quantum, and the head entry runs once the deficit covers its cost
 // (result-stage task count). Over any busy interval each tenant's served
 // cost converges to its quota share, independent of job sizes — the
 // fair-scheduling half of the tenant-isolation invariant. All state is
@@ -33,7 +33,7 @@ func (s *Server) dispatch() {
 }
 
 // pickDRR pops the next entry to run. Every full ring pass credits each
-// backlogged tenant at least Quantum cost units, so the visit bound below
+// backlogged tenant at least quantum cost units, so the visit bound below
 // covers the largest head cost; nil only when every queue is empty.
 func (s *Server) pickDRR() *entry {
 	n := len(s.tenants)
@@ -46,7 +46,7 @@ func (s *Server) pickDRR() *entry {
 			maxHead = t.queue[0].cost
 		}
 	}
-	limit := n * (maxHead/s.cfg.Quantum + 2)
+	limit := n * (maxHead/quantum + 2)
 	for visit := 0; visit < limit; visit++ {
 		t := s.tenants[s.rr%n]
 		if len(t.queue) == 0 {
@@ -57,10 +57,10 @@ func (s *Server) pickDRR() *entry {
 			continue
 		}
 		// One quantum per visit: arriving at a backlogged tenant credits it
-		// quota*Quantum exactly once; it then serves heads while the deficit
+		// quota*quantum exactly once; it then serves heads while the deficit
 		// lasts and yields the ring when the next head no longer fits.
 		if !s.credited {
-			t.deficit += t.quota * s.cfg.Quantum
+			t.deficit += t.quota * quantum
 			s.credited = true
 		}
 		head := t.queue[0]

@@ -42,13 +42,10 @@ type Config struct {
 	// (default 128).
 	MaxQueuedTotal int
 	// MemoryBudget bounds the admission pin ledger in bytes (0 = unlimited):
-	// every queued or running entry pins Parts*BytesPerPartition until it
+	// every queued or running entry pins Parts*bytesPerPartition until it
 	// reaches a terminal state, modeling the cache footprint an admitted
 	// job may occupy.
 	MemoryBudget int64
-	// BytesPerPartition is the per-partition admission charge
-	// (default 1 MiB).
-	BytesPerPartition int64
 	// TrackClusterMemory couples the ledger to the cluster's live,
 	// pressure-shrunk cache capacity: the effective budget becomes
 	// min(MemoryBudget, TotalEffectiveCapacity()), so MemPressure windows
@@ -56,10 +53,15 @@ type Config struct {
 	// server sheds with ErrOverload instead of admitting work the squeezed
 	// cluster cannot hold.
 	TrackClusterMemory bool
-	// Quantum is the deficit-round-robin quantum in partition-cost units
-	// credited per visit, multiplied by the tenant's quota (default 8).
-	Quantum int
 }
+
+const (
+	// bytesPerPartition is the per-partition admission charge.
+	bytesPerPartition = 1 << 20
+	// quantum is the deficit-round-robin quantum in partition-cost units
+	// credited per visit, multiplied by the tenant's quota.
+	quantum = 8
+)
 
 // DefaultConfig returns the documented defaults.
 func DefaultConfig() Config {
@@ -67,8 +69,6 @@ func DefaultConfig() Config {
 		MaxActive:          4,
 		MaxQueuedPerTenant: 32,
 		MaxQueuedTotal:     128,
-		BytesPerPartition:  1 << 20,
-		Quantum:            8,
 	}
 }
 
@@ -82,12 +82,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxQueuedTotal <= 0 {
 		c.MaxQueuedTotal = d.MaxQueuedTotal
-	}
-	if c.BytesPerPartition <= 0 {
-		c.BytesPerPartition = d.BytesPerPartition
-	}
-	if c.Quantum <= 0 {
-		c.Quantum = d.Quantum
 	}
 	return c
 }
@@ -335,7 +329,7 @@ func (t *Tenant) Submit(final *rdd.RDD, action engine.Action, opts SubmitOptions
 		return j
 	}
 
-	charge := int64(final.Parts) * s.cfg.BytesPerPartition
+	charge := int64(final.Parts) * bytesPerPartition
 	if !s.admit(t, j, charge) {
 		return j
 	}

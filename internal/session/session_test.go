@@ -289,7 +289,6 @@ func TestMemoryBudgetSheds(t *testing.T) {
 	e := engine.New(testConfig())
 	cfg := DefaultConfig()
 	cfg.MemoryBudget = 2 << 20
-	cfg.BytesPerPartition = 1 << 20
 	s := Open(e, cfg)
 	a := s.RegisterTenant("a", 1)
 
@@ -354,7 +353,6 @@ func TestTrackClusterMemorySheds(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MemoryBudget = 1 << 40 // effectively unlimited static budget
 	cfg.TrackClusterMemory = true
-	cfg.BytesPerPartition = 1 << 20
 	s := Open(e, cfg)
 	a := s.RegisterTenant("a", 1)
 

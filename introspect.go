@@ -53,5 +53,8 @@ func (c *Context) CheckClusterConsistency() error {
 // rate, bytes shuffled, compute and GC time.
 type EngineStats = engine.Stats
 
-// Stats snapshots the engine-lifetime counters.
+// Stats snapshots the engine-lifetime counters. The counters are not
+// synchronised: call it only from the goroutine that runs jobs, between
+// actions. RecoveryStats, CacheStats, FaultStats and Blacklisted are the
+// accessors safe from any goroutine.
 func (c *Context) Stats() EngineStats { return c.eng.Stats() }
