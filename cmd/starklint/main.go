@@ -10,17 +10,13 @@
 //
 // Packages default to ./... and use go-list pattern syntax. Non-test Go
 // files of every matched package are parsed and type-checked (against
-// build-cache export data, so the tree must compile), then run through the
-// per-package analyzers:
+// build-cache export data, so the tree must compile), a call graph is built
+// across every loaded package, and all of them run through one suite:
 //
 //	wallclock   — no time.Now/Since/Sleep/... in deterministic packages
 //	globalrand  — no package-level math/rand draws; seeded *rand.Rand only
 //	mapiter     — no map-range loops feeding ordered state without a sort
 //	cowpurity   — no mutation of copy-on-write records in transform closures
-//
-// and, over the module-wide call graph built across every loaded package,
-// the interprocedural analyzers:
-//
 //	planetaint  — no transitive control-plane mutation from data-plane
 //	              roots (runPlane, planeCtx methods, hotpath kernels);
 //	              buffer the effect in the planeCtx instead
@@ -65,9 +61,6 @@ func main() {
 		for _, a := range lint.Analyzers() {
 			fmt.Printf("%-12s %s\n", a.Name, a.Doc)
 		}
-		for _, a := range lint.ModuleAnalyzers() {
-			fmt.Printf("%-12s %s (module-wide)\n", a.Name, a.Doc)
-		}
 		return
 	}
 
@@ -81,12 +74,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	cfg := lint.DefaultConfig()
-	var diags []lint.Diagnostic
-	for _, pkg := range pkgs {
-		diags = append(diags, lint.Run(pkg, cfg, lint.Analyzers())...)
-	}
-	diags = append(diags, lint.RunModule(pkgs, cfg, lint.ModuleAnalyzers())...)
+	diags := lint.Run(pkgs, lint.DefaultConfig(), lint.Analyzers())
 
 	enc := json.NewEncoder(os.Stdout)
 	for _, d := range diags {

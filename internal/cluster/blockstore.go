@@ -32,7 +32,7 @@ type blockEntry struct {
 // simulated bytes, with a pluggable eviction policy (LRU baseline). A
 // MemPressure fault can shrink the effective capacity by a factor in
 // (0, 1]; Capacity reports the shrunk bound so every consumer
-// (GC model, admission ledger, put path) sees the same squeezed world.
+// (GC model, put path) sees the same squeezed world.
 type BlockStore struct {
 	capacity int64
 	used     int64

@@ -177,19 +177,6 @@ func (c *Cluster) SetMemPressure(exec int, factor float64) {
 	c.executors[exec].Store.SetShrink(factor)
 }
 
-// TotalEffectiveCapacity sums the effective (pressure-shrunk) cache
-// capacity across live executors — the admission ledger's view of how
-// much memory the cluster can actually pin right now.
-func (c *Cluster) TotalEffectiveCapacity() int64 {
-	var total int64
-	for _, e := range c.executors {
-		if !e.dead {
-			total += e.Store.Capacity()
-		}
-	}
-	return total
-}
-
 // CacheGet reads a block from one executor's cache.
 func (c *Cluster) CacheGet(exec int, id BlockID) ([]record.Record, bool) {
 	e := c.executors[exec]

@@ -259,14 +259,24 @@ func TestClusterCachePutCheckedCountsAndDirectory(t *testing.T) {
 	if err := c.CheckConsistency(); err != nil {
 		t.Fatal(err)
 	}
-	// Pressure shrink propagates into the effective-capacity sum.
-	base := c.TotalEffectiveCapacity()
+	// Pressure shrink propagates into the live executors' effective
+	// capacities.
+	effective := func() (total int64) {
+		for _, id := range c.AliveExecutors() {
+			total += c.Executor(id).Store.Capacity()
+		}
+		return total
+	}
+	base := effective()
 	c.SetMemPressure(1, 0.25)
-	if got := c.TotalEffectiveCapacity(); got != base-750 {
+	if got := c.Executor(1).Store.Capacity(); got != 250 {
+		t.Fatalf("executor 1 effective capacity = %d, want 250", got)
+	}
+	if got := effective(); got != base-750 {
 		t.Fatalf("effective capacity = %d, want %d", got, base-750)
 	}
 	c.Kill(1)
-	if got := c.TotalEffectiveCapacity(); got != base-1000 {
+	if got := effective(); got != base-1000 {
 		t.Fatalf("effective capacity after kill = %d, want %d", got, base-1000)
 	}
 }

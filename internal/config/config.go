@@ -11,13 +11,12 @@ import (
 
 // GC models garbage-collection overhead as a function of executor memory
 // pressure. Task compute time is multiplied by (1 + Factor(pressure)):
-// below Knee the overhead is the flat Base fraction; above it the overhead
-// grows polynomially toward Max at full memory. This reproduces the paper's
-// Fig. 12 observation that cogrouping six RDDs "consumes an excessive
-// amount of RAM, which leads to more frequent and expensive garbage
-// collections".
+// up to Knee the overhead is the flat gcBase fraction (5 %); above it the
+// overhead grows polynomially toward Max at full memory. This reproduces
+// the paper's Fig. 12 observation that cogrouping six RDDs "consumes an
+// excessive amount of RAM, which leads to more frequent and expensive
+// garbage collections".
 type GC struct {
-	Base  float64 // overhead fraction at low pressure
 	Knee  float64 // pressure where growth starts, in [0,1)
 	Max   float64 // overhead fraction at pressure 1.0
 	Power float64 // growth exponent beyond the knee
@@ -33,11 +32,14 @@ func (g GC) Factor(pressure float64) float64 {
 		pressure = 1
 	}
 	if pressure <= g.Knee {
-		return g.Base
+		return gcBase
 	}
 	x := (pressure - g.Knee) / (1 - g.Knee)
-	return g.Base + (g.Max-g.Base)*math.Pow(x, g.Power)
+	return gcBase + (g.Max-gcBase)*math.Pow(x, g.Power)
 }
+
+// gcBase is the GC overhead fraction at or below the knee.
+const gcBase = 0.05
 
 // Cluster configures the simulated cluster and its cost model. All byte
 // quantities are *simulated* bytes: real in-process record sizes are
@@ -85,7 +87,7 @@ func Default() Cluster {
 		DiskBandwidth:          150 << 20,
 		NetBandwidth:           110 << 20,
 		GroupPartitionOverhead: 3 * time.Millisecond,
-		GC:                     GC{Base: 0.05, Knee: 0.55, Max: 4.0, Power: 3},
+		GC:                     GC{Knee: 0.55, Max: 4.0, Power: 3},
 		SizeScale:              1.0,
 	}
 }

@@ -8,11 +8,11 @@ import (
 
 func TestGCFactorShape(t *testing.T) {
 	g := Default().GC
-	if f := g.Factor(0); f != g.Base {
-		t.Errorf("Factor(0) = %v, want %v", f, g.Base)
+	if f := g.Factor(0); f != gcBase {
+		t.Errorf("Factor(0) = %v, want %v", f, gcBase)
 	}
-	if f := g.Factor(g.Knee); f != g.Base {
-		t.Errorf("Factor(knee) = %v, want %v", f, g.Base)
+	if f := g.Factor(g.Knee); f != gcBase {
+		t.Errorf("Factor(knee) = %v, want %v", f, gcBase)
 	}
 	if f := g.Factor(1); f != g.Max {
 		t.Errorf("Factor(1) = %v, want %v", f, g.Max)
@@ -20,8 +20,8 @@ func TestGCFactorShape(t *testing.T) {
 	if f := g.Factor(2); f != g.Max {
 		t.Errorf("Factor(2) = %v, want clamp to %v", f, g.Max)
 	}
-	if f := g.Factor(-1); f != g.Base {
-		t.Errorf("Factor(-1) = %v, want %v", f, g.Base)
+	if f := g.Factor(-1); f != gcBase {
+		t.Errorf("Factor(-1) = %v, want %v", f, gcBase)
 	}
 }
 

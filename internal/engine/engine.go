@@ -495,7 +495,9 @@ func (e *Engine) SubmitJob(final *rdd.RDD, action Action, cb func(JobResult)) in
 	e.journalJobSubmit(j)
 	e.startJob(j)
 	// A submission from outside the event loop has no post-step boundary;
-	// drain the dispatched work now (no-op when called from inside an event).
+	// drain the dispatched work now. A submission from inside an event
+	// drains here too, together with the event's earlier dispatches, unless
+	// a drain is already running.
 	e.drainBatch()
 	return j.id
 }

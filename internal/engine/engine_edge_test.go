@@ -261,6 +261,57 @@ func TestDeReplicationDropsEveryUnitBlock(t *testing.T) {
 	}
 }
 
+// TestDeReplicationAfterReplicaLost kills a unit's adopted replica: once
+// the unit cools, its next completion finds one preferred executor, drops
+// nothing and must still bring the policy's replica count down, or every
+// later completion asks to de-replicate again.
+func TestDeReplicationAfterReplicaLost(t *testing.T) {
+	cfg := nsConfig()
+	cfg.Cluster.SlotsPerExecutor = 1
+	e := New(cfg)
+	g := e.Graph()
+	p := partition.NewHash(4)
+	if err := e.RegisterNamespace("ns", p, 1); err != nil {
+		t.Fatal(err)
+	}
+	lp := g.LocalityPartitionBy(g.Source("s", dataset(80, 2), false), "step", p, "ns")
+	lp.CacheFlag = true
+	if _, _, err := e.Count(lp); err != nil {
+		t.Fatal(err)
+	}
+	home := e.Locality().Preferred("ns", 0)[0]
+	e.Cluster().Executor(home).Acquire()
+	if _, _, err := e.Count(g.Filter(lp, "adopt", func(record.Record) bool { return true })); err != nil {
+		t.Fatal(err)
+	}
+	e.Cluster().Executor(home).Release()
+	pref := e.Locality().Preferred("ns", 0)
+	if len(pref) != 2 {
+		t.Fatalf("preferred = %v after a remote launch, want a second replica", pref)
+	}
+	drops := 0
+	e.SetTracer(func(ev TraceEvent) {
+		if ev.Kind == "replica-drop" {
+			drops++
+		}
+	})
+	e.KillExecutor(pref[1])
+	if pref := e.Locality().Preferred("ns", 0); len(pref) != 1 {
+		t.Fatalf("preferred = %v after killing the replica, want one executor", pref)
+	}
+
+	e.Loop().RunUntil(e.Loop().Now() + 5*replication.DefaultConfig().HalfLife)
+	if _, _, err := e.Count(g.Filter(lp, "q", func(record.Record) bool { return true })); err != nil {
+		t.Fatal(err)
+	}
+	if e.repl.ShouldDeReplicate(e.unitID("ns", 0), e.Loop().Now()) {
+		t.Fatal("policy still counts the lost replica after the unit's task completed")
+	}
+	if drops != 0 {
+		t.Fatalf("replica-drop traced %d times for a replica locality had already lost", drops)
+	}
+}
+
 func TestDeterminismWithFailure(t *testing.T) {
 	run := func() time.Duration {
 		e := New(testConfig())

@@ -512,8 +512,8 @@ func (e *Engine) SetStraggler(id int, factor float64) {
 
 // SetMemPressure shrinks (factor < 1) or restores (factor >= 1) an
 // executor's effective cache capacity — the MemPressure fault. The GC
-// pressure model, the put path, and the admission ledger all read the
-// effective capacity, so the squeeze shows up everywhere at once; cached
+// pressure model and the put path both read the effective capacity, so
+// the squeeze shows up in both at once; cached
 // blocks above the shrunk bound are not evicted eagerly, the next put pays.
 func (e *Engine) SetMemPressure(id int, factor float64) {
 	e.cl.SetMemPressure(id, factor)

@@ -454,14 +454,17 @@ func (e *Engine) onTaskResult(t *task) {
 
 // deReplicate retires the unit's most recently added replica: drops its
 // cached blocks — every one the cluster's unit index counts under the unit
-// there — and removes it from the preferred-executor list.
+// there — and removes it from the preferred-executor list. When locality
+// already lost the replica (its executor died), only the policy's count
+// catches up.
 func (e *Engine) deReplicate(ns string, unit int) {
+	key := e.unitID(ns, unit)
 	execs := e.loc.Preferred(ns, unit)
 	if len(execs) < 2 {
+		e.repl.Dropped(key)
 		return
 	}
 	victim := execs[len(execs)-1]
-	key := e.unitID(ns, unit)
 	e.cl.DropUnit(victim, key)
 	e.loc.RemoveReplica(ns, unit, victim)
 	e.repl.Dropped(key)

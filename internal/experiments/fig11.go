@@ -20,7 +20,6 @@ type Fig11Config struct {
 	MemoryPerExec  int64
 	NetBandwidth   int64
 	DiskBandwidth  int64
-	GCBase         float64
 	GCKnee         float64
 	GCMax          float64
 	GCPower        float64
@@ -40,7 +39,6 @@ func DefaultFig11() Fig11Config {
 		MemoryPerExec:  3 << 30,
 		NetBandwidth:   45 << 20, // shared 1 GbE under reducer contention
 		DiskBandwidth:  110 << 20,
-		GCBase:         0.05,
 		GCKnee:         0.65,
 		GCMax:          6,
 		GCPower:        2,
@@ -90,7 +88,7 @@ func RunFig11(cfg Fig11Config) (Fig11Result, error) {
 		cc.SizeScale = cfg.SizeScale
 		ctx := stark.NewContext(contextOptions(sys, nil,
 			stark.WithClusterConfig(cc),
-			stark.WithGC(cfg.GCBase, cfg.GCKnee, cfg.GCMax, cfg.GCPower),
+			stark.WithGC(cfg.GCKnee, cfg.GCMax, cfg.GCPower),
 			stark.WithSeed(cfg.Seed),
 		)...)
 		c, err := newCollection(ctx, sys, "wiki", stark.NewHashPartitioner(8), 1)

@@ -9,8 +9,9 @@ import (
 	"strings"
 )
 
-// This file builds the module-wide static call graph that the module
-// analyzers (planetaint, hotalloc, errwrap, unreachable) run on. The graph
+// This file builds the module-wide static call graph that the
+// interprocedural analyzers (planetaint, hotalloc, errwrap, unreachable)
+// run on. The graph
 // is conservative in the direction the analyzers need: it over-approximates
 // what a function may reach, never under-approximates.
 //

@@ -25,13 +25,6 @@ type Config struct {
 	// mutator registration. Kernel packages (record, arena, partition, ...)
 	// are excluded: their types are plane-owned working state.
 	ControlPlanePkg func(path string) bool
-
-	// PlaneLocalTypes names engine types that, despite living in a
-	// control-plane package, are owned by exactly one plane execution and
-	// are therefore safe to mutate from worker goroutines: the planeCtx
-	// overlay itself, the batch entry and task being executed, and the
-	// per-plane cost accumulator.
-	PlaneLocalTypes map[string]bool
 }
 
 // DefaultConfig returns the Stark repo policy.
@@ -54,7 +47,6 @@ func DefaultConfig() *Config {
 			return false
 		},
 		ControlPlanePkg: defaultControlPlanePkg,
-		PlaneLocalTypes: defaultPlaneLocalTypes(),
 	}
 }
 
@@ -84,15 +76,4 @@ func defaultControlPlanePkg(path string) bool {
 		return true
 	}
 	return false
-}
-
-// defaultPlaneLocalTypes returns the engine types exempt from planetaint's
-// control-plane store detection because a single plane execution owns them.
-func defaultPlaneLocalTypes() map[string]bool {
-	return map[string]bool{
-		"planeCtx":   true,
-		"batchEntry": true,
-		"task":       true,
-		"costAcc":    true,
-	}
 }

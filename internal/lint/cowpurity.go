@@ -30,66 +30,68 @@ var CowpurityAnalyzer = &Analyzer{
 }
 
 func runCowpurity(pass *Pass) {
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			fn := calleeFunc(pass.Info, call)
-			if fn == nil || !cowTransforms[fn.Name()] {
-				return true
-			}
-			sig, ok := fn.Type().(*types.Signature)
-			if !ok || sig.Recv() == nil {
-				return true
-			}
-			switch namedTypeName(sig.Recv().Type()) {
-			case "RDD", "Graph":
-			default:
-				return true
-			}
-			for _, arg := range call.Args {
-				if lit, ok := arg.(*ast.FuncLit); ok {
-					pass.checkTransformClosure(fn.Name(), lit)
+	for _, pkg := range pass.Pkgs {
+		for _, f := range pkg.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
 				}
-			}
-			return true
-		})
+				fn := calleeFunc(pkg.Info, call)
+				if fn == nil || !cowTransforms[fn.Name()] {
+					return true
+				}
+				sig, ok := fn.Type().(*types.Signature)
+				if !ok || sig.Recv() == nil {
+					return true
+				}
+				switch namedTypeName(sig.Recv().Type()) {
+				case "RDD", "Graph":
+				default:
+					return true
+				}
+				for _, arg := range call.Args {
+					if lit, ok := arg.(*ast.FuncLit); ok {
+						checkTransformClosure(pass, pkg.Info, fn.Name(), lit)
+					}
+				}
+				return true
+			})
+		}
 	}
 }
 
-func (pass *Pass) checkTransformClosure(transform string, lit *ast.FuncLit) {
+func checkTransformClosure(pass *Pass, info *types.Info, transform string, lit *ast.FuncLit) {
 	params := map[types.Object]bool{}
 	for _, field := range lit.Type.Params.List {
 		for _, name := range field.Names {
-			if obj := pass.Info.Defs[name]; obj != nil {
+			if obj := info.Defs[name]; obj != nil {
 				params[obj] = true
 			}
 		}
 	}
 	rootedAtParam := func(e ast.Expr) bool {
-		obj := rootObject(pass.Info, e)
+		obj := rootObject(info, e)
 		return obj != nil && params[obj]
 	}
 	ast.Inspect(lit.Body, func(n ast.Node) bool {
 		switch st := n.(type) {
 		case *ast.AssignStmt:
 			for _, lhs := range st.Lhs {
-				pass.checkCowWrite(transform, lhs, rootedAtParam)
+				checkCowWrite(pass, info, transform, lhs, rootedAtParam)
 			}
 		case *ast.IncDecStmt:
-			pass.checkCowWrite(transform, st.X, rootedAtParam)
+			checkCowWrite(pass, info, transform, st.X, rootedAtParam)
 		case *ast.UnaryExpr:
 			if st.Op.String() == "&" {
 				if ix, ok := ast.Unparen(st.X).(*ast.IndexExpr); ok &&
-					isRecordSlice(pass.Info.TypeOf(ix.X)) && rootedAtParam(ix.X) {
+					isRecordSlice(info.TypeOf(ix.X)) && rootedAtParam(ix.X) {
 					pass.Reportf(st.Pos(), "%s closure takes the address of an element of its copy-on-write input slice", transform)
 				}
 			}
 		case *ast.CallExpr:
-			if isBuiltinAppend(pass.Info, st) && len(st.Args) > 0 &&
-				isRecordSlice(pass.Info.TypeOf(st.Args[0])) && rootedAtParam(st.Args[0]) {
+			if isBuiltinAppend(info, st) && len(st.Args) > 0 &&
+				isRecordSlice(info.TypeOf(st.Args[0])) && rootedAtParam(st.Args[0]) {
 				pass.Reportf(st.Pos(), "%s closure appends to its copy-on-write input slice (writes into shared backing capacity)", transform)
 			}
 		}
@@ -100,14 +102,14 @@ func (pass *Pass) checkTransformClosure(transform string, lit *ast.FuncLit) {
 // checkCowWrite flags lhs when it stores through a closure parameter into
 // copy-on-write record data: a field of a record.Record parameter or an
 // element of a []record.Record parameter.
-func (pass *Pass) checkCowWrite(transform string, lhs ast.Expr, rootedAtParam func(ast.Expr) bool) {
+func checkCowWrite(pass *Pass, info *types.Info, transform string, lhs ast.Expr, rootedAtParam func(ast.Expr) bool) {
 	switch x := ast.Unparen(lhs).(type) {
 	case *ast.SelectorExpr:
-		if isRecordType(pass.Info.TypeOf(x.X)) && rootedAtParam(x) {
+		if isRecordType(info.TypeOf(x.X)) && rootedAtParam(x) {
 			pass.Reportf(lhs.Pos(), "%s closure writes %s field of its input record; records are copy-on-write — build a new record instead", transform, x.Sel.Name)
 		}
 	case *ast.IndexExpr:
-		if isRecordSlice(pass.Info.TypeOf(x.X)) && rootedAtParam(x) {
+		if isRecordSlice(info.TypeOf(x.X)) && rootedAtParam(x) {
 			pass.Reportf(lhs.Pos(), "%s closure assigns into its copy-on-write input slice; build a new slice instead", transform)
 		}
 	}

@@ -27,13 +27,13 @@ import (
 // Sentinels are inferred, not listed: every package-level `var ErrX = ...`
 // whose type implements error counts, so new sentinels are covered the day
 // they are declared.
-var ErrwrapAnalyzer = &ModuleAnalyzer{
+var ErrwrapAnalyzer = &Analyzer{
 	Name: "errwrap",
 	Doc:  "flags error wrapping that severs errors.Is/Unwrap reachability of the typed sentinels",
 	Run:  runErrwrap,
 }
 
-func runErrwrap(p *ModulePass) {
+func runErrwrap(p *Pass) {
 	sentinels := collectSentinels(p)
 	carriers := solveCarriers(p, sentinels)
 	checkErrorfCalls(p, carriers)
@@ -43,7 +43,7 @@ func runErrwrap(p *ModulePass) {
 // collectSentinels finds every package-level error-typed var named Err*
 // across the loaded packages, keyed by "pkgpath.Name" so the same sentinel
 // unifies across source-checked and export-data views.
-func collectSentinels(p *ModulePass) map[string]string {
+func collectSentinels(p *Pass) map[string]string {
 	out := map[string]string{}
 	for _, pkg := range p.Pkgs {
 		scope := pkg.Types.Scope()
@@ -74,7 +74,7 @@ func sentinelUse(sentinels map[string]string, info *types.Info, id *ast.Ident) s
 // solveCarriers computes, per function, the set of sentinel names its error
 // results may carry: seeded with direct sentinel references, propagated
 // backwards through calls to error-returning functions.
-func solveCarriers(p *ModulePass, sentinels map[string]string) map[*Node]map[string]bool {
+func solveCarriers(p *Pass, sentinels map[string]string) map[*Node]map[string]bool {
 	carriers := map[*Node]map[string]bool{}
 	nodes := p.Graph.Nodes()
 	for _, n := range nodes {
@@ -140,7 +140,7 @@ func returnsError(fn *types.Func) bool {
 
 // checkErrorfCalls enforces rule 1: error-typed operands of fmt.Errorf must
 // use the %w verb.
-func checkErrorfCalls(p *ModulePass, carriers map[*Node]map[string]bool) {
+func checkErrorfCalls(p *Pass, carriers map[*Node]map[string]bool) {
 	for _, n := range p.Graph.Nodes() {
 		if n.Decl == nil || n.Decl.Body == nil || n.Pkg == nil {
 			continue
@@ -203,7 +203,7 @@ func carriedNames(set map[string]bool) string {
 
 // checkUnwrapMethods enforces rule 2: every module struct type that
 // implements error and stores an error field must expose Unwrap.
-func checkUnwrapMethods(p *ModulePass) {
+func checkUnwrapMethods(p *Pass) {
 	for _, pkg := range p.Pkgs {
 		scope := pkg.Types.Scope()
 		for _, name := range scope.Names() {

@@ -15,7 +15,6 @@ func PermissiveConfig() *Config {
 		DeterministicPkg: all,
 		OrderedPkg:       all,
 		ControlPlanePkg:  all,
-		PlaneLocalTypes:  defaultPlaneLocalTypes(),
 	}
 }
 

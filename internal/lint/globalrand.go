@@ -1,9 +1,5 @@
 package lint
 
-import (
-	"go/ast"
-)
-
 // globalrandBanned lists the math/rand (and math/rand/v2) package-level
 // functions that draw from the process-global generator. Constructors stay
 // legal: rand.New(rand.NewSource(seed)) is exactly how seeded randomness is
@@ -32,23 +28,6 @@ var GlobalrandAnalyzer = &Analyzer{
 }
 
 func runGlobalrand(pass *Pass) {
-	if !pass.Config.DeterministicPkg(pass.Path) {
-		return
-	}
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			sel, ok := n.(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			obj := pass.Info.Uses[sel.Sel]
-			if obj == nil || !globalrandBanned[sel.Sel.Name] {
-				return true
-			}
-			if isPkgFunc(obj, "math/rand", sel.Sel.Name) || isPkgFunc(obj, "math/rand/v2", sel.Sel.Name) {
-				pass.Reportf(sel.Pos(), "rand.%s draws from the process-global generator; thread a seeded *rand.Rand instead", sel.Sel.Name)
-			}
-			return true
-		})
-	}
+	reportBannedFuncs(pass, globalrandBanned, []string{"math/rand", "math/rand/v2"},
+		"rand.%s draws from the process-global generator; thread a seeded *rand.Rand instead")
 }

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 )
 
 // HotallocAnalyzer is the static twin of the testing.AllocsPerRun allocs/op
@@ -23,13 +24,13 @@ import (
 // kernels' own idiom, and the runtime budget catches an oversized one.
 // Arguments to fmt/errors functions are exempt from the boxing check —
 // error construction is off the success path the budget measures.
-var HotallocAnalyzer = &ModuleAnalyzer{
+var HotallocAnalyzer = &Analyzer{
 	Name: "hotalloc",
 	Doc:  "flags allocation-inducing constructs reachable from //starklint:hotpath kernels",
 	Run:  runHotalloc,
 }
 
-func runHotalloc(p *ModulePass) {
+func runHotalloc(p *Pass) {
 	seen := map[*Node]bool{}
 	var visit func(n *Node)
 	visit = func(n *Node) {
@@ -49,7 +50,21 @@ func runHotalloc(p *ModulePass) {
 	}
 }
 
-func checkHotBody(p *ModulePass, n *Node) {
+// hotpathAnnotated reports whether fd carries a //starklint:hotpath line in
+// its doc comment, marking it a hot-path allocation-budget root.
+func hotpathAnnotated(fd *ast.FuncDecl) bool {
+	if fd == nil || fd.Doc == nil {
+		return false
+	}
+	for _, c := range fd.Doc.List {
+		if strings.TrimRight(c.Text, " \t\r") == "//starklint:hotpath" {
+			return true
+		}
+	}
+	return false
+}
+
+func checkHotBody(p *Pass, n *Node) {
 	info := n.Pkg.Info
 	empty := emptySliceVars(info, n.Decl.Body)
 	walkStack(n.Decl.Body, func(node ast.Node, stack []ast.Node) bool {
@@ -95,7 +110,7 @@ func checkHotBody(p *ModulePass, n *Node) {
 
 // checkHotCall flags make(map)/make(chan), the allocating fmt helpers, and
 // interface boxing of concrete arguments at statically resolved call sites.
-func checkHotCall(p *ModulePass, info *types.Info, call *ast.CallExpr) {
+func checkHotCall(p *Pass, info *types.Info, call *ast.CallExpr) {
 	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
 		if _, isBuiltin := info.Uses[id].(*types.Builtin); isBuiltin && id.Name == "make" && len(call.Args) > 0 {
 			t := info.TypeOf(call.Args[0])
@@ -165,7 +180,7 @@ func checkHotCall(p *ModulePass, info *types.Info, call *ast.CallExpr) {
 
 // checkHotAppend flags `x = append(x, ...)` where x was declared as a nil
 // or zero-capacity slice in the same body: every growth reallocates.
-func checkHotAppend(p *ModulePass, info *types.Info, as *ast.AssignStmt, empty map[types.Object]bool) {
+func checkHotAppend(p *Pass, info *types.Info, as *ast.AssignStmt, empty map[types.Object]bool) {
 	if len(empty) == 0 || len(as.Rhs) != 1 {
 		return
 	}

@@ -8,14 +8,15 @@
 // paths, no mutation of copy-on-write record slices inside transform
 // closures.
 //
-// On top of the per-package analyzers, four interprocedural analyzers run
-// over a module-wide static call graph (see callgraph.go and DESIGN.md
-// section 16): planetaint flags data-plane code transitively reaching a
+// Every analyzer sees every loaded package and a module-wide static call
+// graph (see callgraph.go and DESIGN.md section 16). Four of them walk the
+// packages one at a time under a Config scope predicate; the other four are
+// interprocedural: planetaint flags data-plane code transitively reaching a
 // control-plane mutation (the remedy is always to buffer the effect in the
-// planeCtx), hotalloc flags allocation-inducing constructs reachable from //starklint:hotpath
-// kernels, errwrap flags error wrapping that severs errors.Is/Unwrap
-// reachability of the typed sentinels, and unreachable flags functions
-// that only tests reach.
+// planeCtx), hotalloc flags allocation-inducing constructs reachable from
+// //starklint:hotpath kernels, errwrap flags error wrapping that severs
+// errors.Is/Unwrap reachability of the typed sentinels, and unreachable
+// flags functions that only tests reach.
 //
 // The suite is built on the standard library only (go/parser + go/types,
 // with export data served from the build cache via `go list -export`), so
@@ -33,7 +34,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
-	"go/types"
+	"sort"
 )
 
 // Diagnostic is one finding, resolved to a file position.
@@ -59,26 +60,27 @@ func (d Diagnostic) MarshalJSON() ([]byte, error) {
 	}{d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message})
 }
 
-// Analyzer is one named check. Run inspects the package held by the pass
-// and reports findings through pass.Reportf.
+// Analyzer is one named check. Run inspects the packages held by the pass
+// — one at a time under the analyzer's scope predicate, or all at once over
+// the call graph — and reports findings through pass.Reportf.
 type Analyzer struct {
 	Name string
 	Doc  string
 	Run  func(*Pass)
 }
 
-// Pass carries one analyzer's view of one type-checked package.
+// Pass carries one analyzer's view of every loaded package plus the call
+// graph built over them.
 type Pass struct {
 	Analyzer *Analyzer
 	Config   *Config
 
-	Path  string // import path of the package under analysis
 	Fset  *token.FileSet
-	Files []*ast.File
-	Types *types.Package
-	Info  *types.Info
+	Pkgs  []*Package
+	Graph *CallGraph
 
 	diags *[]Diagnostic
+	sup   *suppressionSet // every in-source directive of the loaded packages
 }
 
 // Reportf records a finding at pos.
@@ -90,26 +92,24 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// Analyzers returns the per-package starklint suite in stable order. The
-// interprocedural analyzers live in ModuleAnalyzers.
+// Analyzers returns the starklint suite in stable order.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		WallclockAnalyzer,
 		GlobalrandAnalyzer,
 		MapiterAnalyzer,
 		CowpurityAnalyzer,
+		PlanetaintAnalyzer,
+		HotallocAnalyzer,
+		ErrwrapAnalyzer,
+		UnreachableAnalyzer,
 	}
 }
 
-// knownAnalyzer reports whether name is a member of the suite — per-package
-// or module-wide (used to validate suppression directives).
+// knownAnalyzer reports whether name is a member of the suite (used to
+// validate suppression directives).
 func knownAnalyzer(name string) bool {
 	for _, a := range Analyzers() {
-		if a.Name == name {
-			return true
-		}
-	}
-	for _, a := range ModuleAnalyzers() {
 		if a.Name == name {
 			return true
 		}
@@ -117,27 +117,34 @@ func knownAnalyzer(name string) bool {
 	return false
 }
 
-// Run executes the given analyzers over one loaded package, applies
+// Run executes the given analyzers over the loaded packages, applies
 // in-source suppression directives, and returns the surviving diagnostics
 // sorted by position. Malformed directives (missing reason, unknown
 // analyzer) surface as diagnostics under the reserved analyzer name
 // "starklint" and cannot be suppressed.
-func Run(pkg *Package, cfg *Config, analyzers []*Analyzer) []Diagnostic {
+func Run(pkgs []*Package, cfg *Config, analyzers []*Analyzer) []Diagnostic {
+	if len(pkgs) == 0 {
+		return nil
+	}
+	fset := pkgs[0].Fset
+	var files []*ast.File
+	for _, pkg := range pkgs {
+		files = append(files, pkg.Files...)
+	}
+	sup, bad := collectSuppressions(fset, files)
+	graph := BuildCallGraph(pkgs)
 	var diags []Diagnostic
 	for _, a := range analyzers {
-		pass := &Pass{
+		a.Run(&Pass{
 			Analyzer: a,
 			Config:   cfg,
-			Path:     pkg.ImportPath,
-			Fset:     pkg.Fset,
-			Files:    pkg.Files,
-			Types:    pkg.Types,
-			Info:     pkg.Info,
+			Fset:     fset,
+			Pkgs:     pkgs,
+			Graph:    graph,
 			diags:    &diags,
-		}
-		a.Run(pass)
+			sup:      sup,
+		})
 	}
-	sup, bad := collectSuppressions(pkg.Fset, pkg.Files)
 	kept := diags[:0]
 	for _, d := range diags {
 		if !sup.suppresses(d) {
@@ -145,6 +152,18 @@ func Run(pkg *Package, cfg *Config, analyzers []*Analyzer) []Diagnostic {
 		}
 	}
 	kept = append(kept, bad...)
-	sortDiagnostics(kept)
+	sort.Slice(kept, func(i, j int) bool {
+		a, b := kept[i].Pos, kept[j].Pos
+		if a.Filename != b.Filename {
+			return a.Filename < b.Filename
+		}
+		if a.Line != b.Line {
+			return a.Line < b.Line
+		}
+		if a.Column != b.Column {
+			return a.Column < b.Column
+		}
+		return kept[i].Analyzer < kept[j].Analyzer
+	})
 	return kept
 }

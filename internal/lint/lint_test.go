@@ -125,14 +125,20 @@ func diffFindings(t *testing.T, want, got []string, diags []lint.Diagnostic) {
 	}
 }
 
-// TestAnalyzerFixtures runs every analyzer over its golden fixture package:
-// positives must fire, negatives must stay silent, suppressed sites must be
-// silenced by their reasoned directives.
+// lintPkgs runs the whole suite over pkgs under cfg.
+func lintPkgs(cfg *lint.Config, pkgs ...*lint.Package) []lint.Diagnostic {
+	return lint.Run(pkgs, cfg, lint.Analyzers())
+}
+
+// TestAnalyzerFixtures runs the whole suite over each analyzer's golden
+// fixture package: positives must fire, negatives must stay silent,
+// suppressed sites must be silenced by their reasoned directives, and no
+// other analyzer may fire outside the fixture's annotations.
 func TestAnalyzerFixtures(t *testing.T) {
 	for _, a := range lint.Analyzers() {
 		t.Run(a.Name, func(t *testing.T) {
 			pkg := loadFixture(t, filepath.Join("testdata", a.Name), "fixture/"+a.Name)
-			diags := lint.Run(pkg, lint.PermissiveConfig(), lint.Analyzers())
+			diags := lintPkgs(lint.PermissiveConfig(), pkg)
 			want := wantedFindings(pkg)
 			if len(want) == 0 {
 				t.Fatalf("fixture for %s declares no expected findings", a.Name)
@@ -157,7 +163,7 @@ func TestAnalyzerFixtures(t *testing.T) {
 // underlying wallclock finding.
 func TestDirectiveHygiene(t *testing.T) {
 	pkg := loadFixture(t, filepath.Join("testdata", "directive"), "fixture/directive")
-	diags := lint.Run(pkg, lint.PermissiveConfig(), lint.Analyzers())
+	diags := lintPkgs(lint.PermissiveConfig(), pkg)
 
 	src, err := os.ReadFile(filepath.Join("testdata", "directive", "directive.go"))
 	if err != nil {
@@ -178,7 +184,7 @@ func TestDirectiveHygiene(t *testing.T) {
 }
 
 // checkSource type-checks an in-memory file as the given import path and
-// runs the full suite under the repo's DefaultConfig — the same policy
+// runs the suite under the repo's DefaultConfig — the same policy
 // cmd/starklint applies.
 func checkSource(t *testing.T, path, src string) []lint.Diagnostic {
 	t.Helper()
@@ -191,7 +197,7 @@ func checkSource(t *testing.T, path, src string) []lint.Diagnostic {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return lint.Run(pkg, lint.DefaultConfig(), lint.Analyzers())
+	return lintPkgs(lint.DefaultConfig(), pkg)
 }
 
 // TestSeededWallclockInEngine pins the acceptance criterion: a deliberate
@@ -341,5 +347,130 @@ func deadlineAt(admitted, deadline time.Duration) time.Duration {
 `
 	if diags := checkSource(t, "stark/internal/session", goodSrc); len(diags) != 0 {
 		t.Fatalf("session idioms must lint clean in the ordered scope, got %v", diags)
+	}
+}
+
+// TestSuppressionSpansMultiLineExpr pins the directive-matching fix: a
+// directive trailing part of a wrapped expression suppresses the finding
+// at the expression's start line, but a directive inside a closure must
+// not leak to the enclosing call.
+func TestSuppressionSpansMultiLineExpr(t *testing.T) {
+	pkg := loadFixture(t, filepath.Join("testdata", "suppressspan"), "fixture/suppressspan")
+	diags := lintPkgs(lint.PermissiveConfig(), pkg)
+	want := wantedFindings(pkg)
+	diffFindings(t, want, gotFindings(diags), diags)
+}
+
+// TestUnreachableSilentOnPartialLoad pins the whole-module rule: a load of
+// one package leaves its callers out, so unreachable must report nothing.
+func TestUnreachableSilentOnPartialLoad(t *testing.T) {
+	if testing.Short() {
+		t.Skip("shells out to go list; skipped in -short")
+	}
+	pkgs, err := lint.Load(moduleRoot(t), "./internal/engine")
+	if err != nil {
+		t.Fatalf("loading packages: %v", err)
+	}
+	for _, d := range lintPkgs(lint.DefaultConfig(), pkgs...) {
+		if d.Analyzer == "unreachable" {
+			t.Errorf("partial load: %s", d)
+		}
+	}
+}
+
+// TestSeededUnbufferedEffectInEngine pins the acceptance criterion: a
+// planeCtx side-effect site in stark/internal/engine that applies its effect
+// instead of buffering it must fail the lint under the default policy, and
+// the buffering twin must pass with zero findings and zero suppressions.
+func TestSeededUnbufferedEffectInEngine(t *testing.T) {
+	const prelude = `package engine
+
+type Cluster struct{ recency []int }
+
+func (c *Cluster) CachePut(id int) { c.recency = append(c.recency, id) }
+
+type Engine struct{ cl *Cluster }
+
+type planeCtx struct {
+	e   *Engine
+	ops []int
+}
+`
+	const unbuffered = prelude + `
+func (px *planeCtx) cachePut(id int) { px.e.cl.CachePut(id) }
+`
+	diags := checkSource(t, "stark/internal/engine", unbuffered)
+	if len(diags) != 1 || diags[0].Analyzer != "planetaint" {
+		t.Fatalf("want exactly one planetaint finding for the unbuffered effect, got %v", diags)
+	}
+
+	const buffered = prelude + `
+func (px *planeCtx) cachePut(id int) { px.ops = append(px.ops, id) }
+`
+	if diags := checkSource(t, "stark/internal/engine", buffered); len(diags) != 0 {
+		t.Fatalf("buffered side effect must lint clean, got %v", diags)
+	}
+}
+
+// TestSeededSentinelFlattenInEngine pins the second acceptance criterion:
+// re-wrapping a typed sentinel with %v instead of %w in the engine scope
+// must fail the lint, with the lost sentinel named in the message.
+func TestSeededSentinelFlattenInEngine(t *testing.T) {
+	const src = `package engine
+
+import (
+	"errors"
+	"fmt"
+)
+
+var ErrOOM = errors.New("engine: out of cache memory")
+
+func admit(ok bool) error {
+	if !ok {
+		return ErrOOM
+	}
+	return nil
+}
+
+func wrapStep(id int) error {
+	if err := admit(false); err != nil {
+		return fmt.Errorf("step %d: %v", id, err)
+	}
+	return nil
+}
+`
+	diags := checkSource(t, "stark/internal/engine", src)
+	if len(diags) != 1 || diags[0].Analyzer != "errwrap" {
+		t.Fatalf("want exactly one errwrap finding for the %%v flatten, got %v", diags)
+	}
+	if !strings.Contains(diags[0].Message, "ErrOOM") {
+		t.Fatalf("finding must name the sentinel whose identity is lost, got: %s", diags[0].Message)
+	}
+
+	const fixed = `package engine
+
+import (
+	"errors"
+	"fmt"
+)
+
+var ErrOOM = errors.New("engine: out of cache memory")
+
+func admit(ok bool) error {
+	if !ok {
+		return ErrOOM
+	}
+	return nil
+}
+
+func wrapStep(id int) error {
+	if err := admit(false); err != nil {
+		return fmt.Errorf("step %d: %w", id, err)
+	}
+	return nil
+}
+`
+	if diags := checkSource(t, "stark/internal/engine", fixed); len(diags) != 0 {
+		t.Fatalf("%%w wrapping must lint clean, got %v", diags)
 	}
 }

@@ -24,25 +24,27 @@ var MapiterAnalyzer = &Analyzer{
 }
 
 func runMapiter(pass *Pass) {
-	if !pass.Config.OrderedPkg(pass.Path) {
-		return
-	}
-	for _, f := range pass.Files {
-		walkStack(f, func(n ast.Node, stack []ast.Node) bool {
-			rs, ok := n.(*ast.RangeStmt)
-			if !ok {
+	for _, pkg := range pass.Pkgs {
+		if !pass.Config.OrderedPkg(pkg.ImportPath) {
+			continue
+		}
+		for _, f := range pkg.Files {
+			walkStack(f, func(n ast.Node, stack []ast.Node) bool {
+				rs, ok := n.(*ast.RangeStmt)
+				if !ok {
+					return true
+				}
+				tv, ok := pkg.Info.Types[rs.X]
+				if !ok {
+					return true
+				}
+				if _, isMap := tv.Type.Underlying().(*types.Map); !isMap {
+					return true
+				}
+				checkMapRange(pass, pkg.Info, rs, enclosingFuncBody(stack))
 				return true
-			}
-			tv, ok := pass.Info.Types[rs.X]
-			if !ok {
-				return true
-			}
-			if _, isMap := tv.Type.Underlying().(*types.Map); !isMap {
-				return true
-			}
-			pass.checkMapRange(rs, enclosingFuncBody(stack))
-			return true
-		})
+			})
+		}
 	}
 }
 
@@ -60,7 +62,7 @@ func enclosingFuncBody(stack []ast.Node) *ast.BlockStmt {
 	return nil
 }
 
-func (pass *Pass) checkMapRange(rs *ast.RangeStmt, fnBody *ast.BlockStmt) {
+func checkMapRange(pass *Pass, info *types.Info, rs *ast.RangeStmt, fnBody *ast.BlockStmt) {
 	declaredInLoop := func(obj types.Object) bool {
 		return obj != nil && obj.Pos() >= rs.Pos() && obj.Pos() < rs.End()
 	}
@@ -75,21 +77,21 @@ func (pass *Pass) checkMapRange(rs *ast.RangeStmt, fnBody *ast.BlockStmt) {
 						break
 					}
 					call, ok := ast.Unparen(rhs).(*ast.CallExpr)
-					if !ok || !isBuiltinAppend(pass.Info, call) {
+					if !ok || !isBuiltinAppend(info, call) {
 						continue
 					}
 					id, ok := st.Lhs[i].(*ast.Ident)
 					if !ok {
 						continue // keyed appends (m[k] = append(m[k], ...)) commute per key
 					}
-					obj := pass.Info.Uses[id]
+					obj := info.Uses[id]
 					if obj == nil {
-						obj = pass.Info.Defs[id]
+						obj = info.Defs[id]
 					}
 					if obj == nil || declaredInLoop(obj) {
 						continue
 					}
-					if sortedAfter(pass.Info, fnBody, rs.End(), obj) {
+					if sortedAfter(info, fnBody, rs.End(), obj) {
 						continue
 					}
 					pass.Reportf(st.Pos(), "append to %s inside map-range loop without a following sort; map order is nondeterministic", id.Name)
@@ -97,11 +99,11 @@ func (pass *Pass) checkMapRange(rs *ast.RangeStmt, fnBody *ast.BlockStmt) {
 				return true
 			}
 			// Compound assignment: order-sensitive accumulators only.
-			if len(st.Lhs) == 1 && orderSensitiveAccum(pass.Info, st.Tok, st.Lhs[0]) {
-				obj := rootObject(pass.Info, st.Lhs[0])
+			if len(st.Lhs) == 1 && orderSensitiveAccum(info, st.Tok, st.Lhs[0]) {
+				obj := rootObject(info, st.Lhs[0])
 				if obj != nil && !declaredInLoop(obj) {
 					pass.Reportf(st.Pos(), "order-sensitive accumulation into %s inside map-range loop (%s on %s)",
-						exprString(st.Lhs[0]), st.Tok, pass.Info.TypeOf(st.Lhs[0]))
+						exprString(st.Lhs[0]), st.Tok, info.TypeOf(st.Lhs[0]))
 				}
 			}
 		}

@@ -26,13 +26,25 @@ import (
 //     reported at the frontier call site with a witness chain down to the
 //     actual store.
 //
-// Types in Config.PlaneLocalTypes (planeCtx, batchEntry, task, ...) are
-// exempt destinations: a single plane execution owns them, so worker-side
-// stores are the buffered-side-effect design working as intended.
-var PlanetaintAnalyzer = &ModuleAnalyzer{
+// Types in planeLocalTypes (planeCtx, batchEntry, task, ...) are exempt
+// destinations: a single plane execution owns them, so worker-side stores
+// are the buffered-side-effect design working as intended.
+var PlanetaintAnalyzer = &Analyzer{
 	Name: "planetaint",
 	Doc:  "flags data-plane code transitively reaching a control-plane mutation",
 	Run:  runPlanetaint,
+}
+
+// planeLocalTypes names engine types that, despite living in a
+// control-plane package, are owned by exactly one plane execution and are
+// therefore safe to mutate from worker goroutines: the planeCtx overlay
+// itself, the batch entry and task being executed, and the per-plane cost
+// accumulator.
+var planeLocalTypes = map[string]bool{
+	"planeCtx":   true,
+	"batchEntry": true,
+	"task":       true,
+	"costAcc":    true,
 }
 
 // planeStore is one offending store found in a function body.
@@ -48,7 +60,7 @@ type mutWitness struct {
 	via   *Node
 }
 
-func runPlanetaint(p *ModulePass) {
+func runPlanetaint(p *Pass) {
 	stores := collectPlaneStores(p)
 	mut := solveMutators(p, stores)
 	roots := dataPlaneRoots(p)
@@ -95,7 +107,7 @@ func runPlanetaint(p *ModulePass) {
 // kernels) is not a plane root: it mutates its own package's state under
 // that package's own locking contract, and plane reachability into it is
 // judged at its call sites.
-func dataPlaneRoots(p *ModulePass) map[*Node]bool {
+func dataPlaneRoots(p *Pass) map[*Node]bool {
 	roots := map[*Node]bool{}
 	for _, n := range p.Graph.Nodes() {
 		if n.Decl == nil || n.Pkg == nil {
@@ -134,7 +146,7 @@ func isDataPlaneDecl(info *types.Info, fd *ast.FuncDecl) bool {
 // collectPlaneStores finds, for every function with source, the stores
 // whose destination chain passes through control-plane state: assignments,
 // ++/--, delete(...), and channel sends.
-func collectPlaneStores(p *ModulePass) map[*Node][]planeStore {
+func collectPlaneStores(p *Pass) map[*Node][]planeStore {
 	out := map[*Node][]planeStore{}
 	for _, n := range p.Graph.Nodes() {
 		if n.Decl == nil || n.Decl.Body == nil || n.Pkg == nil {
@@ -252,14 +264,14 @@ func controlPlanePtr(cfg *Config, t types.Type) bool {
 	if obj.Pkg() == nil || !cfg.ControlPlanePkg(obj.Pkg().Path()) {
 		return false
 	}
-	return !cfg.PlaneLocalTypes[obj.Name()]
+	return !planeLocalTypes[obj.Name()]
 }
 
 // solveMutators computes the fixed point of "mutates control-plane state":
 // seeded with every function holding an offending store, then propagated
 // backwards across call/ref edges. Each mutator keeps one
 // deterministic witness (first found in sorted node order) for rendering.
-func solveMutators(p *ModulePass, stores map[*Node][]planeStore) map[*Node]*mutWitness {
+func solveMutators(p *Pass, stores map[*Node][]planeStore) map[*Node]*mutWitness {
 	mut := map[*Node]*mutWitness{}
 	nodes := p.Graph.Nodes()
 	for _, n := range nodes {

@@ -23,21 +23,11 @@ func TestRepoIsClean(t *testing.T) {
 	if len(pkgs) < 20 {
 		t.Fatalf("suspiciously few packages loaded (%d); loader is likely broken", len(pkgs))
 	}
-	cfg := lint.DefaultConfig()
-	clean := true
-	for _, pkg := range pkgs {
-		for _, d := range lint.Run(pkg, cfg, lint.Analyzers()) {
-			clean = false
-			t.Errorf("%s", d)
-		}
-	}
-	// The interprocedural analyzers (planetaint, hotalloc, errwrap) run over
-	// the module-wide call graph built across every loaded package.
-	for _, d := range lint.RunModule(pkgs, cfg, lint.ModuleAnalyzers()) {
-		clean = false
+	diags := lintPkgs(lint.DefaultConfig(), pkgs...)
+	for _, d := range diags {
 		t.Errorf("%s", d)
 	}
-	if !clean {
+	if len(diags) > 0 {
 		t.Log("fix the finding or add //starklint:ignore <analyzer> <reason> with a real justification")
 	}
 }

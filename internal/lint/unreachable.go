@@ -15,7 +15,7 @@ import (
 // on a function the roots reach anyway is reported as stale. The analyzer
 // stays silent unless the load covers the whole module: on a partial load
 // every function whose callers were left out would read as dead.
-var UnreachableAnalyzer = &ModuleAnalyzer{
+var UnreachableAnalyzer = &Analyzer{
 	Name: "unreachable",
 	Doc:  "flags functions and methods that no main, init, var initialiser or exported root-package API reaches",
 	Run:  runUnreachable,
@@ -33,7 +33,7 @@ var runtimeIfaces = [][]string{
 	{"Len ( ) int", "Less ( int int ) bool", "Swap ( int int )", "Push ( any )", "Pop ( ) any"},
 }
 
-func runUnreachable(p *ModulePass) {
+func runUnreachable(p *Pass) {
 	if !wholeModule(p.Pkgs) {
 		return
 	}

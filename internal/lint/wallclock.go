@@ -31,23 +31,31 @@ var WallclockAnalyzer = &Analyzer{
 }
 
 func runWallclock(pass *Pass) {
-	if !pass.Config.DeterministicPkg(pass.Path) {
-		return
-	}
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			sel, ok := n.(*ast.SelectorExpr)
-			if !ok {
+	reportBannedFuncs(pass, wallclockBanned, []string{"time"},
+		"time.%s reads the wall clock; deterministic code must use the virtual clock (vtime.Loop)")
+}
+
+// reportBannedFuncs reports, in every deterministic package of the pass,
+// each reference (call or value use) to a package-level function of
+// pkgPaths that banned names.
+func reportBannedFuncs(pass *Pass, banned map[string]bool, pkgPaths []string, format string) {
+	for _, pkg := range pass.Pkgs {
+		if !pass.Config.DeterministicPkg(pkg.ImportPath) {
+			continue
+		}
+		for _, f := range pkg.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				sel, ok := n.(*ast.SelectorExpr)
+				if !ok || !banned[sel.Sel.Name] {
+					return true
+				}
+				for _, path := range pkgPaths {
+					if isPkgFunc(pkg.Info.Uses[sel.Sel], path, sel.Sel.Name) {
+						pass.Reportf(sel.Pos(), format, sel.Sel.Name)
+					}
+				}
 				return true
-			}
-			obj := pass.Info.Uses[sel.Sel]
-			if obj == nil || !wallclockBanned[sel.Sel.Name] {
-				return true
-			}
-			if isPkgFunc(obj, "time", sel.Sel.Name) {
-				pass.Reportf(sel.Pos(), "time.%s reads the wall clock; deterministic code must use the virtual clock (vtime.Loop)", sel.Sel.Name)
-			}
-			return true
-		})
+			})
+		}
 	}
 }

@@ -150,13 +150,14 @@ func (m *Manager) RemoveReplica(ns string, unit, exec int) {
 
 // DropExecutor removes a failed executor from every unit's list; units whose
 // whole list died are reassigned to the given fallback executors
-// round-robin.
+// round-robin in ascending unit order.
 func (m *Manager) DropExecutor(exec int, fallback []int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for _, st := range m.namespaces {
 		i := 0
-		for u, execs := range st.units {
+		for _, u := range st.unitIDs() {
+			execs := st.units[u]
 			kept := execs[:0]
 			for _, e := range execs {
 				if e != exec {
@@ -231,6 +232,11 @@ func (m *Manager) Units(ns string) []int {
 	if !ok {
 		return nil
 	}
+	return st.unitIDs()
+}
+
+// unitIDs returns the namespace's unit ids, ascending.
+func (st *namespaceState) unitIDs() []int {
 	out := make([]int, 0, len(st.units))
 	for u := range st.units {
 		out = append(out, u)

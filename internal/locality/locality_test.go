@@ -171,6 +171,25 @@ func TestDropExecutor(t *testing.T) {
 	}
 }
 
+// TestDropExecutorReassignsInUnitOrder pins the fallback round-robin to
+// ascending unit order: map iteration order must not pick which orphaned
+// unit gets which fallback executor.
+func TestDropExecutorReassignsInUnitOrder(t *testing.T) {
+	want := map[int]int{0: 1, 1: 1, 2: 2, 3: 1, 4: 3, 5: 1, 6: 1, 7: 1}
+	for run := 0; run < 20; run++ {
+		m := NewManager()
+		if err := m.Register("ns", partition.NewHash(8), units(8), []int{0, 1}); err != nil {
+			t.Fatal(err)
+		}
+		m.DropExecutor(0, []int{1, 2, 3})
+		for u := 0; u < 8; u++ {
+			if got := m.Preferred("ns", u); len(got) != 1 || got[0] != want[u] {
+				t.Fatalf("run %d: unit %d preferred %v, want [%d]", run, u, got, want[u])
+			}
+		}
+	}
+}
+
 func TestAssignmentsPerExecutor(t *testing.T) {
 	m := NewManager()
 	if err := m.Register("a", partition.NewHash(2), units(2), []int{1}); err != nil {

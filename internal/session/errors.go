@@ -8,8 +8,8 @@ import "errors"
 // ErrJobCancelled when an already-running job was unwound), so callers
 // branch on error identity, never on message text.
 var (
-	// ErrOverload marks a submission shed by admission control: the queue
-	// or memory budget was exceeded and this job was (or displaced) the
+	// ErrOverload marks a submission shed by admission control: a queue
+	// bound was exceeded and this job was (or displaced) the
 	// lowest-priority queued work. Shed jobs fail fast — they never consume
 	// cluster time.
 	ErrOverload = errors.New("session: overload, job shed")

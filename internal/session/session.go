@@ -1,8 +1,8 @@
 // Package session is the multi-tenant job-submission layer over the engine:
 // N tenant sessions submit actions against shared namespaces through an
-// admission controller with bounded queues and a memory-budget pin ledger,
-// a deficit-round-robin dispatcher weighted by tenant quota, per-job
-// deadlines with cooperative cancellation, and explicit overload behavior —
+// admission controller with bounded queues, a deficit-round-robin
+// dispatcher weighted by tenant quota, per-job deadlines with cooperative
+// cancellation, and explicit overload behavior —
 // when a bound is exceeded, the lowest-priority queued job is shed fast
 // with a typed ErrOverload instead of degrading every tenant.
 //
@@ -41,27 +41,11 @@ type Config struct {
 	// MaxQueuedTotal bounds the queued entries across all tenants
 	// (default 128).
 	MaxQueuedTotal int
-	// MemoryBudget bounds the admission pin ledger in bytes (0 = unlimited):
-	// every queued or running entry pins Parts*bytesPerPartition until it
-	// reaches a terminal state, modeling the cache footprint an admitted
-	// job may occupy.
-	MemoryBudget int64
-	// TrackClusterMemory couples the ledger to the cluster's live,
-	// pressure-shrunk cache capacity: the effective budget becomes
-	// min(MemoryBudget, TotalEffectiveCapacity()), so MemPressure windows
-	// and executor deaths shrink admission headroom immediately and the
-	// server sheds with ErrOverload instead of admitting work the squeezed
-	// cluster cannot hold.
-	TrackClusterMemory bool
 }
 
-const (
-	// bytesPerPartition is the per-partition admission charge.
-	bytesPerPartition = 1 << 20
-	// quantum is the deficit-round-robin quantum in partition-cost units
-	// credited per visit, multiplied by the tenant's quota.
-	quantum = 8
-)
+// quantum is the deficit-round-robin quantum in partition-cost units
+// credited per visit, multiplied by the tenant's quota.
+const quantum = 8
 
 // DefaultConfig returns the documented defaults.
 func DefaultConfig() Config {
@@ -120,7 +104,6 @@ type Job struct {
 	priority int
 	cb       func(Result)
 	ent      *entry
-	pinned   int64
 	admitted time.Duration
 	done     bool
 	res      Result
@@ -218,7 +201,6 @@ type Server struct {
 	running map[int]*entry      // running entries, by engine job id
 	queued  int
 	active  int
-	pinned  int64
 	seq     int
 	closed  bool
 
@@ -329,8 +311,7 @@ func (t *Tenant) Submit(final *rdd.RDD, action engine.Action, opts SubmitOptions
 		return j
 	}
 
-	charge := int64(final.Parts) * bytesPerPartition
-	if !s.admit(t, j, charge) {
+	if !s.admit(t, j) {
 		return j
 	}
 
@@ -345,8 +326,6 @@ func (t *Tenant) Submit(final *rdd.RDD, action engine.Action, opts SubmitOptions
 		state:    stateQueued,
 	}
 	j.ent = en
-	j.pinned = charge
-	s.pinned += charge
 	t.queue = append(t.queue, en)
 	s.queued++
 	s.work[key] = en
@@ -362,43 +341,23 @@ func (t *Tenant) Submit(final *rdd.RDD, action engine.Action, opts SubmitOptions
 	return j
 }
 
-// admit enforces the bounded queues and the memory budget, shedding
-// lower-priority queued work to make room when the incoming job outranks
-// it. Reports whether j may be queued; on false, j has already failed with
-// ErrOverload.
-func (s *Server) admit(t *Tenant, j *Job, charge int64) bool {
-	budget := s.effectiveBudget()
-	if budget > 0 && charge > budget {
-		s.shedJob(j) // larger than the whole budget: never admissible
-		return false
-	}
+// admit enforces the bounded queues, shedding lower-priority queued work to
+// make room when the incoming job outranks it. Reports whether j may be
+// queued; on false, j has already failed with ErrOverload.
+func (s *Server) admit(t *Tenant, j *Job) bool {
 	for len(t.queue) >= s.cfg.MaxQueuedPerTenant {
 		if !s.shedFrom([]*Tenant{t}, j.priority) {
 			s.shedJob(j)
 			return false
 		}
 	}
-	for s.queued >= s.cfg.MaxQueuedTotal ||
-		(budget > 0 && s.pinned+charge > budget) {
+	for s.queued >= s.cfg.MaxQueuedTotal {
 		if !s.shedFrom(s.tenants, j.priority) {
 			s.shedJob(j)
 			return false
 		}
 	}
 	return true
-}
-
-// effectiveBudget resolves the ledger bound for this instant: the static
-// MemoryBudget, optionally clamped to the cluster's current effective cache
-// capacity (TrackClusterMemory), which mem-pressure faults shrink.
-func (s *Server) effectiveBudget() int64 {
-	b := s.cfg.MemoryBudget
-	if s.cfg.TrackClusterMemory {
-		if c := s.eng.Cluster().TotalEffectiveCapacity(); b <= 0 || c < b {
-			b = c
-		}
-	}
-	return b
 }
 
 // shedFrom sheds the lowest-priority queued entry across the given tenants
@@ -495,13 +454,12 @@ func (s *Server) detach(en *entry, j *Job) {
 	}
 }
 
-// fail delivers a terminal error to one submission and releases its pin.
+// fail delivers a terminal error to one submission.
 func (s *Server) fail(j *Job, err error) {
 	if j.done {
 		return
 	}
 	j.done = true
-	s.releasePin(j)
 	j.res = Result{
 		JobResult: engine.JobResult{JobID: j.id, Err: err},
 		Tenant:    j.tenant.name,
@@ -510,12 +468,6 @@ func (s *Server) fail(j *Job, err error) {
 	if j.cb != nil {
 		j.cb(j.res)
 	}
-}
-
-// releasePin returns the job's admission charge to the memory budget.
-func (s *Server) releasePin(j *Job) {
-	s.pinned -= j.pinned
-	j.pinned = 0
 }
 
 // onEngineDone routes one engine completion to every attached submission
@@ -535,7 +487,6 @@ func (s *Server) onEngineDone(en *entry, r engine.JobResult) {
 			continue
 		}
 		j.done = true
-		s.releasePin(j)
 		shared := i > 0 // first attachment is the originating submission
 		qd := time.Duration(0)
 		if !shared {

@@ -285,28 +285,6 @@ func TestOverloadShedsLowestPriority(t *testing.T) {
 	}
 }
 
-func TestMemoryBudgetSheds(t *testing.T) {
-	e := engine.New(testConfig())
-	cfg := DefaultConfig()
-	cfg.MemoryBudget = 2 << 20
-	s := Open(e, cfg)
-	a := s.RegisterTenant("a", 1)
-
-	var r Result
-	big := countJob(e.Graph(), "big", 8) // pins 8 MiB > 2 MiB budget
-	a.Submit(big, engine.ActionCount, SubmitOptions{OnDone: func(res Result) { r = res }})
-	if !errors.Is(r.Err, ErrOverload) {
-		t.Fatalf("over-budget submission err = %v, want ErrOverload", r.Err)
-	}
-	small := countJob(e.Graph(), "small", 2)
-	var r2 Result
-	a.Submit(small, engine.ActionCount, SubmitOptions{OnDone: func(res Result) { r2 = res }})
-	e.Loop().Run()
-	if r2.Err != nil {
-		t.Fatalf("within-budget submission failed: %v", r2.Err)
-	}
-}
-
 // Shed reports whether the result carries ErrOverload (test helper).
 func (r Result) Shed() bool { return errors.Is(r.Err, ErrOverload) }
 
@@ -340,51 +318,5 @@ func TestCloseFailsQueuedAndCancelsRunning(t *testing.T) {
 	e.Loop().Run() // must not wedge or double-deliver
 	if !s.Closed() {
 		t.Fatal("Closed() = false")
-	}
-}
-
-// TestTrackClusterMemorySheds couples the admission ledger to the cluster's
-// live effective capacity: a job that fits the static budget is shed once a
-// MemPressure window shrinks the executors underneath it.
-func TestTrackClusterMemorySheds(t *testing.T) {
-	ecfg := testConfig()
-	ecfg.Cluster.MemoryPerExecutor = 1 << 19 // 4 executors -> 2 MiB total
-	e := engine.New(ecfg)
-	cfg := DefaultConfig()
-	cfg.MemoryBudget = 1 << 40 // effectively unlimited static budget
-	cfg.TrackClusterMemory = true
-	s := Open(e, cfg)
-	a := s.RegisterTenant("a", 1)
-
-	var r Result
-	fits := countJob(e.Graph(), "fits", 2) // pins 2 MiB = capacity
-	a.Submit(fits, engine.ActionCount, SubmitOptions{OnDone: func(res Result) { r = res }})
-	e.Loop().Run()
-	if r.Err != nil {
-		t.Fatalf("capacity-fitting submission failed: %v", r.Err)
-	}
-
-	// Squeeze every executor to a quarter capacity: the same shape of job
-	// now exceeds the cluster's effective memory and must shed up front.
-	for i := 0; i < 4; i++ {
-		e.SetMemPressure(i, 0.25)
-	}
-	var r2 Result
-	again := countJob(e.Graph(), "again", 2)
-	a.Submit(again, engine.ActionCount, SubmitOptions{OnDone: func(res Result) { r2 = res }})
-	if !errors.Is(r2.Err, ErrOverload) {
-		t.Fatalf("submission under mem pressure err = %v, want ErrOverload", r2.Err)
-	}
-
-	// Releasing the pressure restores admission.
-	for i := 0; i < 4; i++ {
-		e.SetMemPressure(i, 1)
-	}
-	var r3 Result
-	after := countJob(e.Graph(), "after", 2)
-	a.Submit(after, engine.ActionCount, SubmitOptions{OnDone: func(res Result) { r3 = res }})
-	e.Loop().Run()
-	if r3.Err != nil {
-		t.Fatalf("submission after pressure release failed: %v", r3.Err)
 	}
 }

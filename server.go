@@ -8,10 +8,10 @@ import (
 
 // JobServer is the multi-tenant job-submission layer: tenant sessions
 // submit actions against shared namespaces through an admission controller
-// with bounded queues and a memory budget, a quota-weighted deficit-round-
-// robin dispatcher, per-job deadlines with cooperative cancellation, and
-// typed overload shedding (ErrOverload). Identical concurrent submissions
-// are computed once and shared. Create with Context.NewJobServer.
+// with bounded queues, a quota-weighted deficit-round-robin dispatcher,
+// per-job deadlines with cooperative cancellation, and typed overload
+// shedding (ErrOverload). Identical concurrent submissions are computed
+// once and shared. Create with Context.NewJobServer.
 type JobServer = session.Server
 
 // TenantSession is one tenant's session against a JobServer.

@@ -21,7 +21,6 @@ var settings = []string{
 	"Checkpoint.Mode",
 	"Checkpoint.Relax",
 	"Cluster.DiskBandwidth",
-	"Cluster.GC.Base",
 	"Cluster.GC.Knee",
 	"Cluster.GC.Max",
 	"Cluster.GC.Power",
@@ -57,8 +56,6 @@ var settings = []string{
 	"session.MaxActive",
 	"session.MaxQueuedPerTenant",
 	"session.MaxQueuedTotal",
-	"session.MemoryBudget",
-	"session.TrackClusterMemory",
 }
 
 // TestSettingsInventory pins the settable surface. A new configuration

@@ -189,12 +189,12 @@ func WithParallelism(n int) Option {
 	return func(c *engine.Config) { c.Execution.Parallelism = n }
 }
 
-// WithGC tunes the garbage-collection pressure model: base overhead
-// fraction below the knee, growing with the given power to max at full
-// memory.
-func WithGC(base, knee, max, power float64) Option {
+// WithGC tunes the garbage-collection pressure model: the overhead stays
+// at the fixed 5 % base up to the knee, then grows with the given power to
+// max at full memory.
+func WithGC(knee, max, power float64) Option {
 	return func(c *engine.Config) {
-		c.Cluster.GC = config.GC{Base: base, Knee: knee, Max: max, Power: power}
+		c.Cluster.GC = config.GC{Knee: knee, Max: max, Power: power}
 	}
 }
 
