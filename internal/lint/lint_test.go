@@ -157,6 +157,26 @@ func TestAnalyzerFixtures(t *testing.T) {
 	}
 }
 
+// TestModuleAnalyzerFixtures runs each analyzer alone over its golden
+// fixture package: the one suppression scan Run shares across the suite
+// must leave an analyzer's findings, and the stale-directive findings it
+// reports itself, the same whichever other analyzers run beside it.
+func TestModuleAnalyzerFixtures(t *testing.T) {
+	for _, a := range lint.Analyzers() {
+		t.Run(a.Name, func(t *testing.T) {
+			pkg := loadFixture(t, filepath.Join("testdata", a.Name), "fixture/"+a.Name)
+			diags := lint.Run([]*lint.Package{pkg}, lint.PermissiveConfig(), []*lint.Analyzer{a})
+			var want []string
+			for _, w := range wantedFindings(pkg) {
+				if strings.HasSuffix(w, ":"+a.Name) || strings.HasSuffix(w, ":starklint") {
+					want = append(want, w)
+				}
+			}
+			diffFindings(t, want, gotFindings(diags), diags)
+		})
+	}
+}
+
 // TestDirectiveHygiene checks that malformed suppressions are findings in
 // their own right and register no suppression: every time.Now line in the
 // fixture must surface both a starklint directive finding and the
