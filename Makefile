@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-json loc test test-short test-race chaos chaos-nightly multitenant cachepolicy shuffle bench-engine bench-smoke examples experiments clean
+.PHONY: all build vet lint lint-json loc test test-short test-race chaos chaos-nightly multitenant cachepolicy shuffle bench-engine bench-smoke examples experiments results clean
 
 all: build lint test
 
@@ -102,6 +102,14 @@ examples:
 
 experiments:
 	$(GO) run ./cmd/starkbench -experiment all -quick
+
+# Regenerate results/*.txt, the full-profile output EXPERIMENTS.md quotes
+# (~2 min). Figures 1 to 18 share one file and the other experiments get one
+# each; the robustness suites (chaos, multitenant, cachepolicy) have none.
+# Run it with any change that moves virtual time.
+results:
+	for x in fig1 fig7 fig11 fig12 fig13 fig17 fig18; do $(GO) run ./cmd/starkbench -experiment $$x || exit 1; done > results/fig01_to_fig18.txt
+	for x in fig19 fig20 recovery churn ablations; do $(GO) run ./cmd/starkbench -experiment $$x > results/$$x.txt || exit 1; done
 
 clean:
 	$(GO) clean ./...

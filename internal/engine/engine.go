@@ -264,7 +264,7 @@ func New(cfg Config) *Engine {
 	if e.par <= 0 {
 		e.par = runtime.GOMAXPROCS(0)
 	}
-	e.loop.SetPostStep(e.postStep)
+	e.loop.SetPostStep(e.drainBatch)
 	e.net = netsim.New(cfg.Network, seed^0x6e65747, e.loop) // decorrelated from scheduler draws
 	e.hb = cfg.Heartbeat
 	n := e.cl.NumExecutors()

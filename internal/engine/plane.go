@@ -17,8 +17,9 @@ import (
 // per-partition compute inside a task (user transforms, shuffle bucketing,
 // integrity verification) — is deferred: execTask appends the task to a
 // batch instead of running it inline, and drainBatch runs the batch at the
-// event boundary, optionally on a worker pool, then joins results back into
-// the control plane in dispatch order.
+// end of the event that dispatched it, optionally on a worker pool, then
+// joins results back into the control plane in dispatch order before the
+// next event runs.
 //
 // Determinism argument: planes touch no shared mutable state. Cache reads go
 // through a non-mutating Peek plus a per-plane overlay of the task's own
@@ -212,30 +213,11 @@ func (px *planeCtx) dropCorrupt(checkpoint bool, a, b int, detail string) {
 	px.drops = append(px.drops, deferredDrop{checkpoint: checkpoint, a: a, b: b, detail: detail})
 }
 
-// postStep is the loop's event-boundary hook: it drains the deferred batch
-// unless fusion applies. The batch keeps accumulating while the next pending
-// event runs at the *same* virtual instant — a wave of task launches
-// scheduled for one timestamp (a stage epoch) then executes as one coarse
-// batch on the worker pool instead of many per-event slivers.
-// Fusion is deterministic: the decision depends only on the event queue's
-// timestamps, never on worker count or wall-clock, so parallelism 1 and N
-// see identical batches. Liveness holds because the batch always drains
-// before the clock advances (and drainBatch-at-join re-runs schedule at the
-// same instant), so no completion event is ever stranded.
-func (e *Engine) postStep() {
-	if len(e.batch) > 0 {
-		if at, ok := e.loop.NextAt(); ok && at == e.loop.Now() {
-			return
-		}
-	}
-	e.drainBatch()
-}
-
 // drainBatch is the event boundary: it executes every deferred task batch,
-// joins the results back in dispatch order, and reschedules. The loop's
-// post-step hook calls it after every event (modulo same-instant fusion);
-// SubmitJob, KillExecutor and RestartExecutor call it explicitly for work
-// dispatched outside the loop.
+// joins the results back in dispatch order, and reschedules. New installs it
+// as the loop's post-step hook, so every event's planes join before the next
+// event runs, as inline execution would; SubmitJob, KillExecutor and
+// RestartExecutor call it explicitly for work dispatched outside the loop.
 // Joins only replay buffered effects and schedule completion events — no
 // user callbacks run here — so re-entry cannot occur through job code; the
 // draining guard makes that assumption explicit.
@@ -268,15 +250,16 @@ func (e *Engine) drainBatch() {
 // order (StorageOp is draw-free at probability zero, so every other fault
 // kind — crashes, stragglers, block loss/corruption, net faults, driver
 // crashes, tenant storms — keeps the pool engaged). TestPoolEligibility
-// pins this contract so batch coarsening can never silently serialize chaos
-// runs.
+// pins this contract so chaos runs can never silently go sequential.
 func (e *Engine) poolEligible(n int) bool {
 	return e.par > 1 && n > 1 && (e.inj == nil || e.inj.Schedule().StorageErrorProb <= 0)
 }
 
 // runPlanes executes a batch's data planes, on the worker pool when
-// poolEligible allows. Sequential fallback still defers, so scheduling
-// semantics are identical either way.
+// poolEligible allows; each worker claims one plane per atomic add. A
+// batch is one event's dispatches (batch-join's are 16 planes), so
+// per-plane claiming does not contend. Sequential fallback still defers,
+// so scheduling semantics are identical either way.
 func (e *Engine) runPlanes(batch []*batchEntry) {
 	for _, be := range batch {
 		be.px = e.newPlaneCtx(be.exec)
@@ -289,39 +272,26 @@ func (e *Engine) runPlanes(batch []*batchEntry) {
 		if workers > len(batch) {
 			workers = len(batch)
 		}
-		// Workers claim contiguous chunks instead of single planes: one
-		// atomic per chunk, and neighboring planes (which tend to touch
-		// neighboring partitions) stay on one core. Fused event batches can
-		// run to hundreds of planes, where per-plane claiming contends.
-		chunk := len(batch) / (workers * 4)
-		if chunk < 1 {
-			chunk = 1
-		}
-		var next int64
+		var next atomic.Int64
 		var wg sync.WaitGroup
 		wg.Add(workers)
 		for w := 0; w < workers; w++ {
 			go func() {
 				defer wg.Done()
 				for {
-					lo := int(atomic.AddInt64(&next, int64(chunk))) - chunk
-					if lo >= len(batch) {
+					i := int(next.Add(1)) - 1
+					if i >= len(batch) {
 						return
 					}
-					hi := lo + chunk
-					if hi > len(batch) {
-						hi = len(batch)
-					}
-					for _, be := range batch[lo:hi] {
-						func() {
-							defer func() {
-								if r := recover(); r != nil {
-									be.panicked = r
-								}
-							}()
-							e.runPlane(be)
+					be := batch[i]
+					func() {
+						defer func() {
+							if r := recover(); r != nil {
+								be.panicked = r
+							}
 						}()
-					}
+						e.runPlane(be)
+					}()
 				}
 			}()
 		}

@@ -5,14 +5,16 @@ package engine
 // its per-operation RNG draws must happen in dispatch order. Every other
 // fault kind is either scheduled at virtual times (draw-free during plane
 // execution) or rolls on control-plane RNG streams, so the worker pool
-// stays engaged and batch coarsening can never silently serialize chaos
-// runs. This test pins that predicate.
+// stays engaged and chaos runs can never silently go sequential. This test
+// pins that predicate.
 
 import (
 	"testing"
 	"time"
 
 	"stark/internal/fault"
+	"stark/internal/partition"
+	"stark/internal/record"
 )
 
 func TestPoolEligibility(t *testing.T) {
@@ -58,5 +60,48 @@ func TestPoolEligibility(t *testing.T) {
 	cfg.Execution.Parallelism = 1
 	if New(cfg).poolEligible(8) {
 		t.Fatal("parallelism 1 must not pool")
+	}
+}
+
+// TestEveryEventJoinsItsPlanes pins the event boundary: the planes an event
+// dispatches run and join before the next event, even one at the same
+// virtual instant. The last map task's finish starts the reduce stage; a
+// probe scheduled at that instant must find the reduce planes already
+// joined, as inline execution would leave them.
+func TestEveryEventJoinsItsPlanes(t *testing.T) {
+	cfg := testConfig()
+	cfg.Execution.Parallelism = 1
+	e := New(cfg)
+	g := e.Graph()
+	src := g.Source("src", dataset(400, 4), false)
+	rbk := g.ReduceByKey(src, "sum", partition.NewHash(4), func(a, b any) any {
+		x, _ := record.AsInt64(a)
+		y, _ := record.AsInt64(b)
+		return x + y
+	})
+	probes, pending := 0, 0
+	e.SetTracer(func(ev TraceEvent) {
+		if ev.Kind != "task-finish" {
+			return
+		}
+		e.Loop().At(e.Now(), func() {
+			probes++
+			if len(e.batch) > 0 {
+				pending++
+			}
+		})
+	})
+	n, _, err := e.Count(rbk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != 400 {
+		t.Fatalf("count = %d, want 400", n)
+	}
+	if probes == 0 {
+		t.Fatal("no probe ran")
+	}
+	if pending > 0 {
+		t.Fatalf("%d of %d same-instant probes saw dispatched planes not yet joined", pending, probes)
 	}
 }

@@ -16,14 +16,15 @@ var update = flag.Bool("update", false, "rewrite testdata/harness_quick.golden f
 type printer interface{ Print(io.Writer) }
 
 // TestHarnessOutputUnchanged pins the harness's own output: every
-// experiment except fig19 and fig20 at starkbench's -quick profile, the
-// Print bytes (and WriteTSV bytes, where the figure has series data) of each
-// concatenated and compared with testdata/harness_quick.golden. The numbers
+// experiment except fig20 at starkbench's -quick profile (fig19 only at its
+// Spark-R 56 jobs/s row, about 1 s of its sweep), the Print bytes (and
+// WriteTSV bytes, where the figure has series data) of each concatenated
+// and compared with testdata/harness_quick.golden. The numbers
 // are virtual time, so a diff is a virtual-time change and must be explained
 // like a bench/golden.json change; -update regenerates the file.
 func TestHarnessOutputUnchanged(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs the whole -quick harness (~5 s)")
+		t.Skip("runs the whole -quick harness (~7 s)")
 	}
 	var out bytes.Buffer
 	steps := []struct {
@@ -51,6 +52,12 @@ func TestHarnessOutputUnchanged(t *testing.T) {
 		{"cachepolicy", func() (printer, error) { return RunCachePolicy(DefaultCachePolicy().Quick()) }},
 		{"churn", func() (printer, error) { return RunChurn(DefaultChurn()) }},
 		{"ablations", func() (printer, error) { return RunAblations() }},
+		{"fig19", func() (printer, error) {
+			cfg := DefaultThroughput().Quick()
+			cfg.Systems = []System{SparkR}
+			cfg.Rates = []float64{56}
+			return RunFig19(cfg)
+		}},
 	}
 	for _, s := range steps {
 		fprintf(&out, "== %s ==\n", s.name)

@@ -49,8 +49,9 @@ type Loop struct {
 	pq  eventHeap
 	seq uint64
 	// postStep, when set, runs after every executed event, still at the
-	// event's virtual time. The engine uses it as the event boundary where
-	// deferred data-plane work joins back into the control plane.
+	// event's virtual time and before the next event, even one due at the
+	// same instant. The engine uses it as the event boundary where deferred
+	// data-plane work joins back into the control plane.
 	postStep func()
 }
 
@@ -64,17 +65,6 @@ func NewLoop() *Loop { return &Loop{} }
 
 // Now reports the current virtual time.
 func (l *Loop) Now() time.Duration { return l.now }
-
-// NextAt peeks at the earliest pending event's deadline without running it;
-// ok is false when the queue is empty. The engine's event-fusion path uses
-// it to keep deferred data-plane batches accumulating while further events
-// remain at the current instant.
-func (l *Loop) NextAt() (time.Duration, bool) {
-	if len(l.pq) == 0 {
-		return 0, false
-	}
-	return l.pq[0].at, true
-}
 
 // At schedules fn to run at absolute virtual time t. Scheduling in the past
 // clamps to the current time (the event runs next, after already-due events
