@@ -82,6 +82,8 @@ func (e *Engine) releaseEpoch(t *task) {
 	if ep.pending == 0 && ep != e.resumeEpoch {
 		d := e.loop.Now() - ep.start
 		e.recUpdate(func(r *recMetrics) { r.RecoveryDelays = append(r.RecoveryDelays, d) })
-		e.trace("recovery-complete", -1, -1, -1, -1, fmt.Sprintf("delay=%v", d))
+		if e.tracer != nil {
+			e.trace("recovery-complete", -1, -1, -1, -1, fmt.Sprintf("delay=%v", d))
+		}
 	}
 }

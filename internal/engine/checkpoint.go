@@ -74,15 +74,19 @@ func (e *Engine) ForceCheckpoint(r *rdd.RDD) {
 			err = e.store.WriteCheckpoint(r.ID, p, data, cpBytes)
 		}
 		if err != nil {
-			e.trace("checkpoint-abort", -1, -1, -1, -1,
-				fmt.Sprintf("%s[%d]: %v", r, p, err))
+			if e.tracer != nil {
+				e.trace("checkpoint-abort", -1, -1, -1, -1,
+					fmt.Sprintf("%s[%d]: %v", r, p, err))
+			}
 			return
 		}
 	}
 	r.Checkpointed = true
 	e.invalidateStageChains()
 	e.journalAppend(journal.Record{Kind: journal.KindCheckpoint, A: int64(r.ID)})
-	e.trace("checkpoint", -1, -1, -1, -1, r.String())
+	if e.tracer != nil {
+		e.trace("checkpoint", -1, -1, -1, -1, r.String())
+	}
 }
 
 // invalidateStageChains drops every live stage's memoized NarrowChain.
@@ -111,7 +115,9 @@ func (e *Engine) deferCheckpoint(r *rdd.RDD) {
 	}
 	e.pendingCP = append(e.pendingCP, r)
 	e.recUpdate(func(r *recMetrics) { r.CheckpointDeferrals++ })
-	e.trace("checkpoint-defer", -1, -1, -1, -1, r.String())
+	if e.tracer != nil {
+		e.trace("checkpoint-defer", -1, -1, -1, -1, r.String())
+	}
 }
 
 // drainDeferredCheckpoints retries checkpoints parked for lack of live

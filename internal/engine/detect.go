@@ -120,8 +120,10 @@ func (e *Engine) detect() {
 func (e *Engine) suspect(id int) {
 	e.execView[id] = viewSuspected
 	e.recUpdate(func(r *recMetrics) { r.Suspicions++ })
-	e.trace("executor-suspect", -1, -1, -1, id,
-		fmt.Sprintf("silent=%v", e.loop.Now()-e.lastBeat[id]))
+	if e.tracer != nil {
+		e.trace("executor-suspect", -1, -1, -1, id,
+			fmt.Sprintf("silent=%v", e.loop.Now()-e.lastBeat[id]))
+	}
 }
 
 // declareDead gives up on an executor: its epoch bumps (fencing any result
@@ -137,8 +139,10 @@ func (e *Engine) declareDead(id int) {
 		r.DeadDeclarations++
 		r.DetectionDelays = append(r.DetectionDelays, det)
 	})
-	e.trace("executor-dead", -1, -1, -1, id,
-		fmt.Sprintf("detect=%v epoch=%d", det, e.execEpoch[id]))
+	if e.tracer != nil {
+		e.trace("executor-dead", -1, -1, -1, id,
+			fmt.Sprintf("detect=%v epoch=%d", det, e.execEpoch[id]))
+	}
 	e.loc.DropExecutor(id, e.viewAliveExecutors(id))
 	e.resubmitLostTasks(id, e.lastBeat[id])
 	e.schedule()
@@ -159,7 +163,9 @@ func (e *Engine) onHeartbeat(id, incarnation int) {
 	case viewDead:
 		e.execView[id] = viewAlive
 		e.recUpdate(func(r *recMetrics) { r.Rejoins++ })
-		e.trace("executor-rejoin", -1, -1, -1, id, fmt.Sprintf("epoch=%d", e.execEpoch[id]))
+		if e.tracer != nil {
+			e.trace("executor-rejoin", -1, -1, -1, id, fmt.Sprintf("epoch=%d", e.execEpoch[id]))
+		}
 		e.lastBeat[id] = e.loop.Now()
 		e.schedule()
 	case viewSuspected:
@@ -182,7 +188,9 @@ func (e *Engine) onHeartbeat(id, incarnation int) {
 // reduces to the epoch bump (its tasks were resubmitted at declaration).
 func (e *Engine) observeRestart(id int) {
 	e.execEpoch[id]++
-	e.trace("executor-new-incarnation", -1, -1, -1, id, fmt.Sprintf("epoch=%d", e.execEpoch[id]))
+	if e.tracer != nil {
+		e.trace("executor-new-incarnation", -1, -1, -1, id, fmt.Sprintf("epoch=%d", e.execEpoch[id]))
+	}
 	e.loc.DropExecutor(id, e.viewAliveExecutors(id))
 	e.recMu.Lock()
 	delete(e.blacklistUntil, id)
@@ -224,6 +232,8 @@ func (e *Engine) HealExecutor(id int) {
 // SetNetDelay adds extra latency to every control message (0 restores
 // normal latency) — the delayed-heartbeat fault.
 func (e *Engine) SetNetDelay(extra time.Duration) {
-	e.trace("net-delay", -1, -1, -1, -1, fmt.Sprintf("extra=%v", extra))
+	if e.tracer != nil {
+		e.trace("net-delay", -1, -1, -1, -1, fmt.Sprintf("extra=%v", extra))
+	}
 	e.net.SetExtraDelay(extra)
 }

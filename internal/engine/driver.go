@@ -226,8 +226,10 @@ func (e *Engine) CrashDriver(tearTail int) {
 	if e.driverDown || e.closed {
 		return
 	}
-	e.trace("driver-crash", -1, -1, -1, -1,
-		fmt.Sprintf("tearTail=%d journal=%dB/%drec", tearTail, e.jrn.Size(), e.jrn.Len()))
+	if e.tracer != nil {
+		e.trace("driver-crash", -1, -1, -1, -1,
+			fmt.Sprintf("tearTail=%d journal=%dB/%drec", tearTail, e.jrn.Size(), e.jrn.Len()))
+	}
 	e.driverDown = true
 	e.driverGen++
 	e.recUpdate(func(r *recMetrics) { r.DriverCrashes++ })
@@ -281,8 +283,10 @@ func (e *Engine) RestartDriver() {
 	}
 
 	recs, torn := e.jrn.ReplayLog()
-	e.trace("driver-restart", -1, -1, -1, -1,
-		fmt.Sprintf("replay=%drec torn=%dB", len(recs), torn))
+	if e.tracer != nil {
+		e.trace("driver-restart", -1, -1, -1, -1,
+			fmt.Sprintf("replay=%drec torn=%dB", len(recs), torn))
+	}
 	e.recUpdate(func(r *recMetrics) {
 		r.DriverRestarts++
 		r.JournalRecordsReplayed += len(recs)
@@ -316,7 +320,9 @@ func (e *Engine) RestartDriver() {
 		if ep.pending == 0 {
 			d := e.loop.Now() - ep.start
 			e.recUpdate(func(r *recMetrics) { r.RecoveryDelays = append(r.RecoveryDelays, d) })
-			e.trace("recovery-complete", -1, -1, -1, -1, fmt.Sprintf("delay=%v", d))
+			if e.tracer != nil {
+				e.trace("recovery-complete", -1, -1, -1, -1, fmt.Sprintf("delay=%v", d))
+			}
 		}
 	}
 	e.ensureHeartbeats()
@@ -413,7 +419,7 @@ func (e *Engine) reconcileStore(journaledMap map[[2]int]bool, journaledCP map[in
 			dropped++
 		}
 	}
-	if dropped > 0 {
+	if dropped > 0 && e.tracer != nil {
 		e.trace("driver-reconcile", -1, -1, -1, -1, fmt.Sprintf("unjournaled blocks dropped=%d", dropped))
 	}
 }
@@ -482,7 +488,9 @@ func (e *Engine) resubmitJobs(liveJobs map[int]bool) {
 		j.count = 0
 		j.parts = make([][]record.Record, j.final.Parts)
 		j.tasks = nil
-		e.trace("job-resume", j.id, -1, -1, -1, fmt.Sprintf("final=%s", j.final.Name))
+		if e.tracer != nil {
+			e.trace("job-resume", j.id, -1, -1, -1, fmt.Sprintf("final=%s", j.final.Name))
+		}
 		e.startJob(j)
 	}
 	pending := e.pendingJobs

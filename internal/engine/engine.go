@@ -515,7 +515,9 @@ func (e *Engine) startJob(j *job) {
 		}
 		e.chargeStage(sr)
 	}
-	e.trace("job-submit", j.id, -1, -1, -1, fmt.Sprintf("final=%s action=%d stages=%d", j.final.Name, j.action, len(j.stages)))
+	if e.tracer != nil {
+		e.trace("job-submit", j.id, -1, -1, -1, fmt.Sprintf("final=%s action=%d stages=%d", j.final.Name, j.action, len(j.stages)))
+	}
 	for _, sr := range j.stages {
 		e.maybeStartStage(sr)
 	}
@@ -615,7 +617,9 @@ func (e *Engine) maybeStartStage(sr *stageRun) {
 		e.registerShuffleStage(sr.st)
 	}
 	sr.started = true
-	e.trace("stage-start", sr.job.id, sr.st.ID, -1, -1, fmt.Sprintf("output=%s shuffleMap=%v", sr.st.Output.Name, sr.st.ShuffleMap))
+	if e.tracer != nil {
+		e.trace("stage-start", sr.job.id, sr.st.ID, -1, -1, fmt.Sprintf("output=%s shuffleMap=%v", sr.st.Output.Name, sr.st.ShuffleMap))
+	}
 	e.enqueueTasks(sr)
 }
 
@@ -812,8 +816,10 @@ func (e *Engine) onStageComplete(sr *stageRun) {
 			if !e.bumpResubmit(sr.job, sr.st.ShuffleID) {
 				return
 			}
-			e.trace("stage-resubmit", sr.job.id, sr.st.ID, -1, -1,
-				fmt.Sprintf("shuffle=%d missing=%d", sr.st.ShuffleID, len(missing)))
+			if e.tracer != nil {
+				e.trace("stage-resubmit", sr.job.id, sr.st.ID, -1, -1,
+					fmt.Sprintf("shuffle=%d missing=%d", sr.st.ShuffleID, len(missing)))
+			}
 			e.enqueueMissing(sr, missing)
 			return
 		}
@@ -857,7 +863,9 @@ func (e *Engine) finishJob(j *job) {
 		Tasks:     j.tasks,
 	}
 	e.completed = append(e.completed, jm)
-	e.trace("job-finish", j.id, -1, -1, -1, fmt.Sprintf("makespan=%v tasks=%d err=%v", jm.Makespan(), len(jm.Tasks), j.err))
+	if e.tracer != nil {
+		e.trace("job-finish", j.id, -1, -1, -1, fmt.Sprintf("makespan=%v tasks=%d err=%v", jm.Makespan(), len(jm.Tasks), j.err))
+	}
 	res := JobResult{
 		JobID:      j.id,
 		Count:      j.count,

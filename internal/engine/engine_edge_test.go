@@ -475,6 +475,32 @@ func TestTracerEmitsLifecycleEvents(t *testing.T) {
 	}
 }
 
+// TestUntracedRunFormatsNoDetails pins tracing's cost when off: every event
+// formats its detail only once a tracer is installed, so one job run with a
+// counting tracer allocates at least one object more per event (the detail
+// string) than the same job run untraced. A one-task job keeps the job and
+// stage events, which run on every job, from hiding behind the task events.
+func TestUntracedRunFormatsNoDetails(t *testing.T) {
+	e := New(testConfig())
+	src := e.Graph().Source("src", dataset(4, 1), false)
+	count := func() {
+		if _, _, err := e.Count(src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	off := testing.AllocsPerRun(20, count)
+	events := 0
+	e.SetTracer(func(TraceEvent) { events++ })
+	on := testing.AllocsPerRun(20, count)
+	perRun := float64(events) / 21 // AllocsPerRun's warm-up run counts too
+	if perRun < 5 {
+		t.Fatalf("%.1f trace events per job, want job-submit, stage-start, task-launch, task-finish and job-finish", perRun)
+	}
+	if off > on-perRun {
+		t.Fatalf("untraced job: %.0f allocs, traced %.0f with %.0f events: a detail is formatted with no tracer installed", off, on, perRun)
+	}
+}
+
 func TestMapOutputsSurviveExecutorDeath(t *testing.T) {
 	// Shuffle map outputs live in persistent storage (paper Sec. II-A), so
 	// killing every executor that ran map tasks must not force the map

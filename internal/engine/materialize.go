@@ -250,7 +250,7 @@ func (px *planeCtx) materialize(r *rdd.RDD, p int) ([]record.Record, error) {
 		var inputBytes int64
 		for i, d := range r.Deps {
 			if d.Shuffle {
-				//starklint:ignore planetaint ReadReduce's lazy index build, which also transposes the shuffle reduce-major (kept for one-plane batches and standalone callers such as the bench drivers), only runs when the shuffle is complete and dirty, and PrepareShuffleReads builds every such index on the event loop before parallel dispatch; the worker-side call only reads shared rows at runtime
+				//starklint:ignore planetaint ReadReduce's lazy index build, which also transposes the shuffle reduce-major at width 1 (kept for one-plane batches and standalone callers such as the bench drivers), only runs when the shuffle is complete and dirty, and PrepareShuffleReads builds every such index from the event loop before parallel dispatch, its ranges on goroutines it joins before returning; the worker-side call only reads shared rows at runtime
 				recs, bytes, err := e.store.ReadReduce(d.ShuffleID, p)
 				if err != nil {
 					var ce *storage.CorruptError

@@ -22,7 +22,8 @@ import (
 )
 
 // parallelWorkloadTranscript builds a multi-stage workload (cached sources,
-// narrow chains, shuffles, cogroup, join, sort), runs several jobs plus an
+// narrow chains, shuffles, one large enough to split its index build,
+// cogroup, join, sort), runs several jobs plus an
 // executor kill/restart, and renders everything observable into one string.
 func parallelWorkloadTranscript(t *testing.T, par int, seed int64, faults fault.Schedule) string {
 	t.Helper()
@@ -73,6 +74,13 @@ func parallelWorkloadTranscript(t *testing.T, par int, seed int64, faults fault.
 	cg := g.CoGroup("cg", p8, pb1, rbk)
 	jn := g.Join("join", p8, pb1, rbk)
 	sorted := g.SortByKey(rbk, "sorted", []string{"b-020", "b-050", "b-080"}, 4)
+	// 12 800 rows: enough for a pooled reduce stage to split the shuffle's
+	// index build over up to three goroutines (storage's minRangeRows).
+	big := g.ReduceByKey(g.Source("src3", mkParts("c", 16, 800), false), "rbk-big", p8, func(a, b any) any {
+		x, _ := record.AsInt64(a)
+		y, _ := record.AsInt64(b)
+		return x + y
+	})
 
 	run("warm-pb1", pb1, ActionCount)
 	run("cogroup", cg, ActionCollect)
@@ -86,6 +94,7 @@ func parallelWorkloadTranscript(t *testing.T, par int, seed int64, faults fault.
 	}
 	run("sorted", sorted, ActionCollect)
 	run("cogroup-again", cg, ActionCount)
+	run("big", big, ActionCollect)
 
 	note("stats: %+v", e.Stats())
 	note("recovery: %+v", e.Recovery())

@@ -258,16 +258,19 @@ func (e *Engine) poolEligible(n int) bool {
 // runPlanes executes a batch's data planes, on the worker pool when
 // poolEligible allows; each worker claims one plane per atomic add. A
 // batch is one event's dispatches (batch-join's are 16 planes), so
-// per-plane claiming does not contend. Sequential fallback still defers,
-// so scheduling semantics are identical either way.
+// per-plane claiming does not contend. Before a pooled batch, every stale
+// shuffle index is built at the pool's width, so the transposition between
+// a map stage and its reduce stage runs on all cores too. Sequential
+// fallback still defers, so scheduling semantics are identical either way.
 func (e *Engine) runPlanes(batch []*batchEntry) {
 	for _, be := range batch {
 		be.px = e.newPlaneCtx(be.exec)
 	}
 	if e.poolEligible(len(batch)) {
-		// A shuffle read builds a stale per-reduce index lazily; build
-		// them now so concurrent planes only ever read.
-		e.store.PrepareShuffleReads()
+		// A shuffle read builds a stale per-reduce index lazily and
+		// serially; build them now, split over the pool's width, so
+		// concurrent planes only ever read.
+		e.store.PrepareShuffleReads(e.par)
 		workers := e.par
 		if workers > len(batch) {
 			workers = len(batch)
@@ -373,13 +376,17 @@ func (e *Engine) applyEffects(exec int, fx *planeEffects, t *task) (oomFailed bo
 		if oomWindow {
 			oomFailed = true
 			e.cacheUpdate(func(m *cacheMetrics) { m.OOMTaskFailures++ })
-			e.trace("task-oom", jobID, stageID, taskID, exec,
-				fmt.Sprintf("block=%v status=%v", op.id, st))
+			if e.tracer != nil {
+				e.trace("task-oom", jobID, stageID, taskID, exec,
+					fmt.Sprintf("block=%v status=%v", op.id, st))
+			}
 			continue
 		}
 		e.countRefusal(st)
-		e.trace("cache-refuse", jobID, stageID, taskID, exec,
-			fmt.Sprintf("block=%v status=%v", op.id, st))
+		if e.tracer != nil {
+			e.trace("cache-refuse", jobID, stageID, taskID, exec,
+				fmt.Sprintf("block=%v status=%v", op.id, st))
+		}
 	}
 	for _, d := range fx.drops {
 		if d.checkpoint {

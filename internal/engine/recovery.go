@@ -124,8 +124,10 @@ func (t *task) detachPartner() bool {
 func (e *Engine) onTaskFailure(t *task) {
 	err := t.failErr
 	e.recUpdate(func(r *recMetrics) { r.TaskFailures++ })
-	e.trace("task-fail", t.sr.job.id, t.sr.st.ID, t.id, t.exec,
-		fmt.Sprintf("attempt=%d err=%v", t.attempt, err))
+	if e.tracer != nil {
+		e.trace("task-fail", t.sr.job.id, t.sr.st.ID, t.id, t.exec,
+			fmt.Sprintf("attempt=%d err=%v", t.attempt, err))
+	}
 	if t.detachPartner() {
 		// The speculative partner is still running; it is the live attempt.
 		return
@@ -152,8 +154,10 @@ func (e *Engine) onTaskFailure(t *task) {
 	}
 	backoff := e.cfg.Recovery.RetryBackoff << shift
 	clone := e.cloneTask(t, t.attempt+1)
-	e.trace("task-retry", t.sr.job.id, t.sr.st.ID, clone.id, -1,
-		fmt.Sprintf("of=%d attempt=%d backoff=%v", t.id, clone.attempt, backoff))
+	if e.tracer != nil {
+		e.trace("task-retry", t.sr.job.id, t.sr.st.ID, clone.id, -1,
+			fmt.Sprintf("of=%d attempt=%d backoff=%v", t.id, clone.attempt, backoff))
+	}
 	gen := e.driverGen
 	e.loop.After(backoff, func() {
 		if clone.sr.job.done || gen != e.driverGen {
@@ -192,8 +196,10 @@ func (e *Engine) noteExecutorFailure(exec int) {
 	e.rec.ExecutorBlacklists++
 	e.recMu.Unlock()
 	e.journalAppend(journal.Record{Kind: journal.KindBlacklist, A: int64(exec), B: int64(until)})
-	e.trace("executor-blacklist", -1, -1, -1, exec,
-		fmt.Sprintf("failures=%d until=%v", e.execFailures[exec], until))
+	if e.tracer != nil {
+		e.trace("executor-blacklist", -1, -1, -1, exec,
+			fmt.Sprintf("failures=%d until=%v", e.execFailures[exec], until))
+	}
 	// Re-run scheduling when the window expires so probation can begin.
 	e.loop.At(until+time.Millisecond, func() { e.schedule() })
 }
@@ -222,14 +228,18 @@ func (e *Engine) noteExecutorSuccess(exec int) {
 func (e *Engine) noteTaskSuccess(t *task) {
 	if p := t.spec; p != nil && !p.aborted {
 		e.cancelTask(p)
-		e.trace("task-speculate-lose", t.sr.job.id, t.sr.st.ID, p.id, p.exec,
-			fmt.Sprintf("original %d won", t.id))
+		if e.tracer != nil {
+			e.trace("task-speculate-lose", t.sr.job.id, t.sr.st.ID, p.id, p.exec,
+				fmt.Sprintf("original %d won", t.id))
+		}
 	}
 	if o := t.specOf; o != nil && !o.aborted {
 		e.cancelTask(o)
 		e.recUpdate(func(r *recMetrics) { r.SpeculativeWins++ })
-		e.trace("task-speculate-win", t.sr.job.id, t.sr.st.ID, t.id, t.exec,
-			fmt.Sprintf("beat original %d", o.id))
+		if e.tracer != nil {
+			e.trace("task-speculate-win", t.sr.job.id, t.sr.st.ID, t.id, t.exec,
+				fmt.Sprintf("beat original %d", o.id))
+		}
 	}
 	e.noteExecutorSuccess(t.exec)
 	e.releaseEpoch(t)
@@ -259,7 +269,9 @@ func (e *Engine) failJob(j *job, err error) {
 		return
 	}
 	j.err = err
-	e.trace("job-fail", j.id, -1, -1, -1, err.Error())
+	if e.tracer != nil {
+		e.trace("job-fail", j.id, -1, -1, -1, err.Error())
+	}
 	e.finishJob(j)
 	e.releaseJobShuffles(j)
 }
@@ -327,8 +339,10 @@ func (e *Engine) rebuildShuffle(j *job, shuffleID int) {
 	e.chargeStage(sr)
 	e.shuffleRunning[shuffleID] = true
 	e.shuffleOwner[shuffleID] = j
-	e.trace("stage-resubmit", j.id, st.ID, -1, -1,
-		fmt.Sprintf("shuffle=%d missing=%d", shuffleID, len(missing)))
+	if e.tracer != nil {
+		e.trace("stage-resubmit", j.id, st.ID, -1, -1,
+			fmt.Sprintf("shuffle=%d missing=%d", shuffleID, len(missing)))
+	}
 	e.enqueueMissing(sr, missing)
 }
 
@@ -462,8 +476,10 @@ func (e *Engine) maybeSpeculate(sr *stageRun) {
 		clone.specOf = t
 		t.spec = clone
 		e.recUpdate(func(r *recMetrics) { r.SpeculativeLaunches++ })
-		e.trace("task-speculate", sr.job.id, sr.st.ID, clone.id, exec,
-			fmt.Sprintf("of=%d expected=%v median=%v", t.id, t.expectedEnd-t.tm.Started, med))
+		if e.tracer != nil {
+			e.trace("task-speculate", sr.job.id, sr.st.ID, clone.id, exec,
+				fmt.Sprintf("of=%d expected=%v median=%v", t.id, t.expectedEnd-t.tm.Started, med))
+		}
 		e.launch(clone, exec, metrics.Remote)
 	}
 }
@@ -507,7 +523,9 @@ func (e *Engine) registerShuffleStage(st *sched.Stage) {
 // new task launches there take factor times their modeled duration.
 func (e *Engine) SetStraggler(id int, factor float64) {
 	e.cl.SetSlowdown(id, factor)
-	e.trace("executor-straggle", -1, -1, -1, id, fmt.Sprintf("factor=%.2f", factor))
+	if e.tracer != nil {
+		e.trace("executor-straggle", -1, -1, -1, id, fmt.Sprintf("factor=%.2f", factor))
+	}
 }
 
 // SetMemPressure shrinks (factor < 1) or restores (factor >= 1) an
@@ -517,7 +535,9 @@ func (e *Engine) SetStraggler(id int, factor float64) {
 // blocks above the shrunk bound are not evicted eagerly, the next put pays.
 func (e *Engine) SetMemPressure(id int, factor float64) {
 	e.cl.SetMemPressure(id, factor)
-	e.trace("executor-mem-pressure", -1, -1, -1, id, fmt.Sprintf("factor=%.2g", factor))
+	if e.tracer != nil {
+		e.trace("executor-mem-pressure", -1, -1, -1, id, fmt.Sprintf("factor=%.2g", factor))
+	}
 }
 
 // SetOOMWindow arms or disarms an ExecutorOOM window: while armed, a cache
@@ -529,7 +549,9 @@ func (e *Engine) SetOOMWindow(id int, armed bool) {
 	} else {
 		delete(e.oomArmed, id)
 	}
-	e.trace("executor-oom-window", -1, -1, -1, id, fmt.Sprintf("armed=%v", armed))
+	if e.tracer != nil {
+		e.trace("executor-oom-window", -1, -1, -1, id, fmt.Sprintf("armed=%v", armed))
+	}
 }
 
 // LoseBlock deletes the pick-th committed shuffle map output, or checkpoint
@@ -564,6 +586,8 @@ func (e *Engine) faultBlock(kind string, checkpoint bool, pick int, onShuffle, o
 	if !op(b[0], b[1]) {
 		return false
 	}
-	e.trace(kind, -1, -1, -1, -1, fmt.Sprintf(detail, b[0], b[1]))
+	if e.tracer != nil {
+		e.trace(kind, -1, -1, -1, -1, fmt.Sprintf(detail, b[0], b[1]))
+	}
 	return true
 }

@@ -385,8 +385,10 @@ func (e *Engine) onTaskResult(t *task) {
 	if t.aborted || t.fence != e.execEpoch[t.exec] {
 		if t.fence != e.execEpoch[t.exec] {
 			e.recUpdate(func(r *recMetrics) { r.StaleEpochRejections++ })
-			e.trace("stale-result", t.sr.job.id, t.sr.st.ID, t.id, t.exec,
-				fmt.Sprintf("fence=%d epoch=%d", t.fence, e.execEpoch[t.exec]))
+			if e.tracer != nil {
+				e.trace("stale-result", t.sr.job.id, t.sr.st.ID, t.id, t.exec,
+					fmt.Sprintf("fence=%d epoch=%d", t.fence, e.execEpoch[t.exec]))
+			}
 		}
 		// The fenced attempt's slot freed executor-side at completion; after
 		// a driver restart the resubmitted stages may be waiting on exactly
@@ -433,7 +435,9 @@ func (e *Engine) onTaskResult(t *task) {
 		case metrics.Remote:
 			if e.repl.OnRemoteLaunch(key, now) {
 				e.loc.AddReplica(t.ns, t.unit, t.exec)
-				e.trace("replica-add", t.sr.job.id, -1, -1, t.exec, fmt.Sprintf("unit=%s/%d", t.ns, t.unit))
+				if e.tracer != nil {
+					e.trace("replica-add", t.sr.job.id, -1, -1, t.exec, fmt.Sprintf("unit=%s/%d", t.ns, t.unit))
+				}
 			}
 		case metrics.NodeLocal:
 			e.repl.OnLocalLaunch(key, now)
@@ -468,7 +472,9 @@ func (e *Engine) deReplicate(ns string, unit int) {
 	e.cl.DropUnit(victim, key)
 	e.loc.RemoveReplica(ns, unit, victim)
 	e.repl.Dropped(key)
-	e.trace("replica-drop", -1, -1, -1, victim, fmt.Sprintf("unit=%s/%d", ns, unit))
+	if e.tracer != nil {
+		e.trace("replica-drop", -1, -1, -1, victim, fmt.Sprintf("unit=%s/%d", ns, unit))
+	}
 }
 
 // KillExecutor fails an executor process at the current virtual time:
@@ -536,8 +542,10 @@ func (e *Engine) resubmitLostTasks(id int, epochStart time.Duration) {
 			ep.pending++
 		}
 		clone := e.cloneTask(t, t.attempt)
-		e.trace("task-resubmit", t.sr.job.id, t.sr.st.ID, clone.id, -1,
-			fmt.Sprintf("of=%d killed exec=%d", t.id, id))
+		if e.tracer != nil {
+			e.trace("task-resubmit", t.sr.job.id, t.sr.st.ID, clone.id, -1,
+				fmt.Sprintf("of=%d killed exec=%d", t.id, id))
+		}
 		e.enqueue(clone)
 	}
 }

@@ -56,6 +56,9 @@ func (ev TraceEvent) String() string {
 // synchronously from the event loop, so it must be cheap.
 func (e *Engine) SetTracer(sink func(TraceEvent)) { e.tracer = sink }
 
+// trace emits one event to the installed sink, if any. A caller whose detail
+// costs anything to build (a Sprintf, a String or Error call) checks
+// e.tracer first, so an untraced run formats nothing.
 func (e *Engine) trace(kind string, job, stage, taskID, exec int, detail string) {
 	if e.tracer == nil {
 		return

@@ -39,9 +39,9 @@ func partitionByHash(data []record.Record, p partition.Hash, scr *record.Scratch
 // shuffleRoundTrip runs the full store round trip on the production path:
 // route each map output into a bucket-major permutation and summed spans,
 // commit it with WriteMapOutputBatch (one checksum per span, copied), build
-// the reduce-major index once, then read every reduce partition back through
-// ReadReduce (every bucket verified, a view returned).
-func shuffleRoundTrip(tb testing.TB, mapData [][]record.Record, reduces int, scr *record.Scratch) {
+// the reduce-major index once over width workers, then read every reduce
+// partition back through ReadReduce (every bucket verified, a view returned).
+func shuffleRoundTrip(tb testing.TB, mapData [][]record.Record, reduces, width int, scr *record.Scratch) {
 	p := partition.NewHash(reduces)
 	s := NewStore()
 	if err := s.RegisterShuffle(1, len(mapData), reduces); err != nil {
@@ -55,7 +55,7 @@ func shuffleRoundTrip(tb testing.TB, mapData [][]record.Record, reduces int, scr
 		scr.Reset()
 		want += len(data)
 	}
-	s.PrepareShuffleReads()
+	s.PrepareShuffleReads(width)
 	got := 0
 	for r := 0; r < reduces; r++ {
 		rs, _, err := s.ReadReduce(1, r)
@@ -78,7 +78,7 @@ func BenchmarkShuffleReadWrite(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		shuffleRoundTrip(b, mapData, rwReduces, &scr)
+		shuffleRoundTrip(b, mapData, rwReduces, 1, &scr)
 	}
 }
 
@@ -87,17 +87,22 @@ func BenchmarkShuffleReadWrite(b *testing.B) {
 // whole 8x16 round trip measures 39 allocations: the store and its shuffle
 // table, three per partitioned batch (permutation, spans, header — the rows
 // are the task's own, adopted), one checksum slice per write, five for the
-// index and its reduce-major transposition, none per read. The ceiling leaves ~25% headroom; the store that gathered a
-// fresh slice per read over map-side key columns took 92, the boxed-bucket
-// store before it 226, the per-record path before that 1512, so
-// re-introducing per-record, per-bucket or per-read allocation fails here.
+// index and its reduce-major transposition, none per read. The ceiling
+// leaves ~25% headroom; the store that gathered a fresh slice per read over
+// map-side key columns took 92, the boxed-bucket store before it 226, the
+// per-record path before that 1512, so re-introducing per-record, per-bucket
+// or per-read allocation fails here. Building the index over two workers
+// costs four more (the range bounds, the join, the goroutine's closure and
+// the second range's key slab), and its ceiling is four more.
 func TestShuffleReadWriteAllocs(t *testing.T) {
 	const ceiling = 50
 	mapData := shuffleInput()
 	var scr record.Scratch
-	got := testing.AllocsPerRun(5, func() { shuffleRoundTrip(t, mapData, rwReduces, &scr) })
-	if got > ceiling {
-		t.Fatalf("shuffle write+read round trip: %.0f allocs/op, ceiling %d", got, ceiling)
+	for width, ceiling := range map[int]float64{1: ceiling, 2: ceiling + 4} {
+		got := testing.AllocsPerRun(5, func() { shuffleRoundTrip(t, mapData, rwReduces, width, &scr) })
+		if got > ceiling {
+			t.Errorf("shuffle write+read round trip, index built at width %d: %.0f allocs/op, ceiling %.0f", width, got, ceiling)
+		}
 	}
 }
 
@@ -127,7 +132,7 @@ func BenchmarkShuffleWide(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		shuffleRoundTrip(b, mapData, wideReduces, &scr)
+		shuffleRoundTrip(b, mapData, wideReduces, 1, &scr)
 	}
 }
 
@@ -139,8 +144,10 @@ func BenchmarkShuffleWide(b *testing.B) {
 // the span count (the boxed-bucket store took 46 at this shape); an index
 // build with its transposition is five arrays whatever the shuffle holds
 // (per-reduce starts and bytes, entries, rows, key slab; the per-partition
-// fingerprints make six under STARK_CHECK_COW=1); a read on a built index
-// is a view and allocates nothing.
+// fingerprints make six under STARK_CHECK_COW=1), and building it over two
+// workers adds four (the range bounds, the join, the goroutine's closure and
+// the second range's key slab); a read on a built index is a view and
+// allocates nothing.
 func TestWideShuffleAllocs(t *testing.T) {
 	mapData := wideInput()
 	p := partition.NewHash(wideReduces)
@@ -178,15 +185,17 @@ func TestWideShuffleAllocs(t *testing.T) {
 	if record.CowCheckEnabled() {
 		buildCeiling++
 	}
-	rebuild := testing.AllocsPerRun(5, func() {
-		// Two flips leave the checksums intact and the index stale.
-		if !s.CorruptMapOutput(1, 0) || !s.CorruptMapOutput(1, 0) {
-			t.Fatal("map output 0 missing")
+	for width, ceiling := range map[int]float64{1: buildCeiling, 2: buildCeiling + 4} {
+		rebuild := testing.AllocsPerRun(5, func() {
+			// Two flips leave the checksums intact and the index stale.
+			if !s.CorruptMapOutput(1, 0) || !s.CorruptMapOutput(1, 0) {
+				t.Fatal("map output 0 missing")
+			}
+			s.PrepareShuffleReads(width)
+		})
+		if rebuild > ceiling {
+			t.Errorf("index build over %d spans at width %d: %.0f allocs/op, ceiling %.0f", wideMaps*len(pb.Spans), width, rebuild, ceiling)
 		}
-		s.PrepareShuffleReads()
-	})
-	if rebuild > buildCeiling {
-		t.Errorf("index build over %d spans: %.0f allocs/op, ceiling %.0f", wideMaps*len(pb.Spans), rebuild, buildCeiling)
 	}
 	read := testing.AllocsPerRun(5, func() {
 		for _, sp := range pb.Spans {
@@ -197,5 +206,48 @@ func TestWideShuffleAllocs(t *testing.T) {
 	})
 	if read > 0 {
 		t.Errorf("ReadReduce on a built index: %.0f allocs per %d reads, want 0", read, len(pb.Spans))
+	}
+}
+
+// BenchmarkShuffleBuild measures the reduce-major index build alone, at
+// widths 1 and 2, on two shapes: one side of bench/'s batch-join (16 map
+// tasks of 25000 records into 16 reduce partitions, so every bucket is fat)
+// and bench/'s wide-shuffle (8000 map tasks of 64 records into 8000, so
+// nearly every bucket holds one record). Each iteration stales the index
+// with two checksum flips, which cancel, and rebuilds it.
+func BenchmarkShuffleBuild(b *testing.B) {
+	for _, shape := range []struct {
+		name                      string
+		maps, reduces, perMap, nk int
+	}{
+		{"join", 16, 16, 25000, 1 << 20},
+		{"wide", 8000, 8000, 64, 1 << 40},
+	} {
+		rng := rand.New(rand.NewSource(1))
+		p := partition.NewHash(shape.reduces)
+		s := NewStore()
+		if err := s.RegisterShuffle(1, shape.maps, shape.reduces); err != nil {
+			b.Fatal(err)
+		}
+		for m := 0; m < shape.maps; m++ {
+			rs := make([]record.Record, shape.perMap)
+			for i := range rs {
+				rs[i] = record.Pair(fmt.Sprintf("u%d", rng.Int63n(int64(shape.nk))), i)
+			}
+			var scr record.Scratch
+			if err := s.WriteMapOutputBatch(1, m, partitionByHash(rs, p, &scr)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		for _, width := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%s/width=%d", shape.name, width), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					s.CorruptMapOutput(1, 0)
+					s.CorruptMapOutput(1, 0)
+					s.PrepareShuffleReads(width)
+				}
+			})
+		}
 	}
 }

@@ -120,21 +120,50 @@ func (md *shuffleModel) check(t *testing.T, s *Store, id int, where string) {
 			t.Fatalf("%s: the view read at %s changed under its holder: %v, was %v", where, h.where, h.view, h.then)
 		}
 	}
-	md.held = md.held[max(0, len(md.held)-64):]
+	// Five rounds of reads a check (see below) fill this window.
+	md.held = md.held[max(0, len(md.held)-320):]
 	for _, g := range md.given {
 		if !slices.Equal(g.pb.Rows, g.then.Rows) || !slices.Equal(g.pb.Perm, g.then.Perm) || !slices.Equal(g.pb.Spans, g.then.Spans) {
 			t.Fatalf("%s: the store wrote into the rows, permutation or spans written at %s", where, g.where)
 		}
 	}
 	md.given = md.given[max(0, len(md.given)-64):]
-	for r := 0; r < md.numReduces; r++ {
-		data, bytes, err := s.ReadReduce(id, r)
-		if !complete {
-			if err == nil || errors.Is(err, ErrCorrupt) || data != nil {
+	if !complete {
+		for r := 0; r < md.numReduces; r++ {
+			if data, _, err := s.ReadReduce(id, r); err == nil || errors.Is(err, ErrCorrupt) || data != nil {
 				t.Fatalf("%s: read %d of an incomplete shuffle = %v, %v", where, r, data, err)
 			}
-			continue
 		}
+		return
+	}
+	// Reads go through whatever index the sequence left (lazily built, or
+	// prebuilt at the width the last check ended on); then the index is
+	// rebuilt at every width, which must give the same index and the same
+	// reads, the model's.
+	md.checkReads(t, s, id, where)
+	st := s.shuffles[id]
+	at, entries, rows, bytes, fps := st.at, st.entries, st.rows, st.bytes, st.fps
+	for _, w := range buildWidths(md.numReduces) {
+		st.dirty = true
+		s.PrepareShuffleReads(w)
+		if !slices.Equal(st.at, at) || !slices.Equal(st.entries, entries) || !slices.Equal(st.rows, rows) ||
+			!slices.Equal(st.bytes, bytes) || !slices.Equal(st.fps, fps) {
+			t.Fatalf("%s: the index built at width %d differs from the one read before", where, w)
+		}
+		md.checkReads(t, s, id, fmt.Sprintf("%s width %d", where, w))
+	}
+}
+
+// buildWidths are the widths every complete shuffle's index is rebuilt at:
+// serial, two and three ranges, and more workers than partitions.
+func buildWidths(numReduces int) []int { return []int{1, 2, 3, numReduces + 2} }
+
+// checkReads reads every reduce partition of a complete shuffle and compares
+// it with the model.
+func (md *shuffleModel) checkReads(t *testing.T, s *Store, id int, where string) {
+	t.Helper()
+	for r := 0; r < md.numReduces; r++ {
+		data, bytes, err := s.ReadReduce(id, r)
 		// Map order, then input order; the lowest corrupt map partition that
 		// feeds r is the one a failed read must name.
 		var want []record.Record
@@ -176,11 +205,14 @@ func (md *shuffleModel) check(t *testing.T, s *Store, id int, where string) {
 // operation against the store and a naive model, comparing all observables
 // after every step. Reads go through the lazy index build or, when the
 // sequence happened to call PrepareShuffleReads first, the prebuilt one;
-// every view a read returned is held across the overwrites, drops, rewrites,
-// corruptions and heals that follow and must keep its rows, and every batch
-// the store adopted — rows (some a sub-slice of a larger array, some shared
-// by two routings), permutation and spans — must keep its contents.
+// every complete shuffle's index is then rebuilt at every width in
+// buildWidths and read again. Every view a read returned is held across the
+// overwrites, drops, rewrites, corruptions and heals that follow and must
+// keep its rows, and every batch the store adopted — rows (some a sub-slice
+// of a larger array, some shared by two routings), permutation and spans —
+// must keep its contents.
 func TestShuffleStoreMatchesNaiveModel(t *testing.T) {
+	splitSmallBuilds(t)
 	const id = 7
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -253,7 +285,7 @@ func TestShuffleStoreMatchesNaiveModel(t *testing.T) {
 					md.corrupt[m] = true
 				}
 			default:
-				s.PrepareShuffleReads()
+				s.PrepareShuffleReads(1)
 			}
 			md.check(t, s, id, where)
 		}
@@ -262,7 +294,7 @@ func TestShuffleStoreMatchesNaiveModel(t *testing.T) {
 			pb, _ := randomOutput(rng, md.numReduces, &serial)
 			write(m, pb)
 		}
-		s.PrepareShuffleReads()
+		s.PrepareShuffleReads(1)
 		if allocs := testing.AllocsPerRun(10, func() {
 			for r := 0; r < md.numReduces; r++ {
 				if _, _, err := s.ReadReduce(id, r); err != nil {

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
 	"stark/internal/record"
 )
@@ -113,14 +114,29 @@ type shuffleState struct {
 
 func (st *shuffleState) complete() bool { return st.committed == st.numMaps }
 
+// minRangeRows is the fewest rows per range a split index build is cut into:
+// below about that, starting and joining a goroutine costs what the range's
+// share of the gather saves (taxi-window's 256-partition shuffles of ~1000
+// rows, split in two, read 4 % slower in 4 of 5 pairs). Tests lower it to
+// split small shuffles.
+var minRangeRows = 4096
+
 // buildIndex transposes the committed map outputs of shuffle id: a counting
-// sort of their spans by reduce partition, stable in map-partition order,
-// that gathers each span's rows straight from the output's adopted rows
-// through its permutation — the one copy a shuffled row gets — and writes
-// the index entries, then a gather of every key into one slab. O(rows +
-// spans + numReduces) time, five allocations. Every array is fresh: views
-// ReadReduce handed out (cached blocks hold them) outlive a rebuild.
-func (st *shuffleState) buildIndex(id int) {
+// sort of their spans by reduce partition, stable in map-partition order. The
+// serial part counts each partition's entries, rows and bytes and cuts the
+// partitions into contiguous ranges of about equal rows, at most workers of
+// them and at most one per minRangeRows rows. Each range then gathers its
+// rows straight from the outputs' adopted rows through their permutations —
+// the one copy a shuffled row gets —, writes its index entries and lays its
+// keys into a slab of its own (gatherRange), on a goroutine of its own but
+// the last, which the caller runs. O(rows + numReduces + spans + outputs ×
+// ranges × log spans) time; one range makes five allocations, and more add a
+// slab and a goroutine each and, once, the bounds and the join. A range
+// writes only its own partitions' cursors, entries and rows, so the index is
+// the same at every width but for how many slabs the keys share, and a
+// partition's keys stay contiguous. Every array is fresh: views ReadReduce
+// handed out (cached blocks hold them) outlive a rebuild.
+func (st *shuffleState) buildIndex(id, workers int) {
 	// An adopted row slice that changed since its write would be gathered as
 	// it is now and read as a corrupt block, which a stage resubmit heals,
 	// hiding the purity bug.
@@ -131,8 +147,9 @@ func (st *shuffleState) buildIndex(id int) {
 			}
 		}
 	}
-	at := make([]reduceStart, st.numReduces+1)
-	bytes := make([]int64, st.numReduces)
+	n := st.numReduces
+	at := make([]reduceStart, n+1)
+	bytes := make([]int64, n)
 	for m := range st.outputs {
 		for _, sp := range st.outputs[m].spans {
 			at[sp.Part+1].entry++
@@ -140,18 +157,68 @@ func (st *shuffleState) buildIndex(id int) {
 			bytes[sp.Part] += sp.Bytes
 		}
 	}
-	for r := 0; r < st.numReduces; r++ {
+	for r := 0; r < n; r++ {
 		at[r+1].entry += at[r].entry
 		at[r+1].row += at[r].row
 	}
 	// at[r] doubles as reduce partition r's fill cursor, which leaves it at
 	// r's end — the next partition's start; shifting right restores it.
-	entries := make([]indexEntry, at[st.numReduces].entry)
-	rows := make([]record.Record, at[st.numReduces].row)
+	entries := make([]indexEntry, at[n].entry)
+	rows := make([]record.Record, at[n].row)
+	if w := min(workers, n, len(rows)/minRangeRows); w <= 1 {
+		st.gatherRange(at, entries, rows, 0, n)
+	} else {
+		// Range k is partitions [bounds[k], bounds[k+1]), cut where the rows
+		// before a partition reach k/w of the total. Every bound is read off
+		// at before any range moves a cursor in it.
+		bounds := make([]int, w+1)
+		for k := 1; k < w; k++ {
+			target := len(rows) * k / w
+			bounds[k] = sort.Search(n, func(r int) bool { return at[r].row >= target })
+		}
+		bounds[w] = n
+		var wg sync.WaitGroup
+		wg.Add(w - 1)
+		for k := 0; k < w-1; k++ {
+			lo, hi := bounds[k], bounds[k+1]
+			go func() {
+				defer wg.Done()
+				st.gatherRange(at, entries, rows, lo, hi)
+			}()
+		}
+		st.gatherRange(at, entries, rows, bounds[w-1], n)
+		wg.Wait()
+	}
+	copy(at[1:], at[:n])
+	at[0] = reduceStart{}
+
+	var fps []uint64
+	if st.cow {
+		fps = make([]uint64, n)
+		for r := range fps {
+			fps[r] = record.Fingerprint(rows[at[r].row:at[r+1].row])
+		}
+	}
+	st.at, st.entries, st.rows, st.bytes, st.fps, st.dirty = at, entries, rows, bytes, fps, false
+}
+
+// gatherRange fills reduce partitions [lo, hi) of a build: every output's
+// spans for them, the first found by binary search, are gathered through the
+// output's permutation at the partitions' cursors in at, which it leaves at
+// each partition's end, with one index entry each; then the range's keys are
+// laid into one slab and re-pointed at it. It touches no other partition's
+// cursor, entries or rows.
+func (st *shuffleState) gatherRange(at []reduceStart, entries []indexEntry, rows []record.Record, lo, hi int) {
+	if lo == hi {
+		return
+	}
+	first := at[lo].row
 	for m := range st.outputs {
 		out := &st.outputs[m]
-		src, perm := out.rows, out.perm
-		for i, sp := range out.spans {
+		src, perm, spans := out.rows, out.perm, out.spans
+		i := sort.Search(len(spans), func(i int) bool { return int(spans[i].Part) >= lo })
+		for ; i < len(spans) && int(spans[i].Part) < hi; i++ {
+			sp := &spans[i]
 			c := &at[sp.Part]
 			dst := rows[c.row : c.row+int(sp.Hi-sp.Lo)]
 			for k, j := range perm[sp.Lo:sp.Hi] {
@@ -162,35 +229,25 @@ func (st *shuffleState) buildIndex(id int) {
 			c.row += len(dst)
 		}
 	}
-	copy(at[1:], at[:st.numReduces])
-	at[0] = reduceStart{}
+	keyed := rows[first:at[hi-1].row]
 
 	// The slab is gathered in a loop of its own: every copy reads a key string
 	// somewhere on the heap, and with nothing else in the loop those misses
 	// overlap.
 	keyBytes := 0
-	for i := range rows {
-		keyBytes += len(rows[i].Key)
+	for i := range keyed {
+		keyBytes += len(keyed[i].Key)
 	}
 	var sb strings.Builder
 	sb.Grow(keyBytes)
-	for i := range rows {
-		sb.WriteString(rows[i].Key)
+	for i := range keyed {
+		sb.WriteString(keyed[i].Key)
 	}
 	slab := sb.String()
-	for i := range rows {
-		n := len(rows[i].Key)
-		rows[i].Key, slab = slab[:n], slab[n:]
+	for i := range keyed {
+		n := len(keyed[i].Key)
+		keyed[i].Key, slab = slab[:n], slab[n:]
 	}
-
-	var fps []uint64
-	if st.cow {
-		fps = make([]uint64, st.numReduces)
-		for r := range fps {
-			fps[r] = record.Fingerprint(rows[at[r].row:at[r+1].row])
-		}
-	}
-	st.at, st.entries, st.rows, st.bytes, st.fps, st.dirty = at, entries, rows, bytes, fps, false
 }
 
 type checkpointKey struct {
@@ -265,10 +322,12 @@ func (s *Store) RegisterShuffle(id, numMaps, numReduces int) error {
 // rows, permutation and spans — is adopted as it is, and the store copies
 // each span's Sum, computed by the task, into checksums of its own; it hashes
 // no key. Every span's partition and position range is checked against the
-// permutation, and the permutation's length against the rows; its entries
-// are the partition kernel's and are trusted. A write that fails a check
-// mutates nothing. Overwrites (speculative or recomputed tasks) replace the
-// whole output at once and are idempotent in effect.
+// permutation, the spans' order against ascending partitions (an index build
+// finds a range's first span by binary search), and the permutation's length
+// against the rows; its entries are the partition kernel's and are trusted. A
+// write that fails a check mutates nothing. Overwrites (speculative or
+// recomputed tasks) replace the whole output at once and are idempotent in
+// effect.
 //
 //starklint:hotpath
 func (s *Store) WriteMapOutputBatch(id, mapPart int, pb *record.PartitionedBatch) error {
@@ -290,6 +349,9 @@ func (s *Store) WriteMapOutputBatch(id, mapPart int, pb *record.PartitionedBatch
 		if sp.Part < 0 || int(sp.Part) >= st.numReduces || sp.Lo < 0 || sp.Lo > sp.Hi || int(sp.Hi) > len(pb.Perm) {
 			return fmt.Errorf("storage: shuffle %d map partition %d: span for reduce partition %d, positions [%d,%d), outside [0,%d) partitions or the output's %d rows",
 				id, mapPart, sp.Part, sp.Lo, sp.Hi, st.numReduces, len(pb.Perm))
+		}
+		if i > 0 && sp.Part < pb.Spans[i-1].Part {
+			return fmt.Errorf("storage: shuffle %d map partition %d: span for reduce partition %d follows one for %d; spans ascend by partition", id, mapPart, sp.Part, pb.Spans[i-1].Part)
 		}
 		sums[i] = sp.Sum
 	}
@@ -342,14 +404,15 @@ func (s *Store) MissingMapOutputs(id int) []int {
 }
 
 // PrepareShuffleReads builds the index of every complete shuffle whose index
-// is stale, so subsequent ReadReduce calls are pure reads. The engine calls
-// it on the event loop before dispatching a parallel batch: without it, the
-// first reader of a dirty shuffle would transpose it while other goroutines
-// read it. An incomplete shuffle cannot be read and is skipped.
-func (s *Store) PrepareShuffleReads() {
+// is stale, so subsequent ReadReduce calls are pure reads, splitting each
+// build over up to workers goroutines. The engine calls it on the event loop
+// before dispatching a parallel batch, at the batch's parallelism: without it,
+// the first reader of a dirty shuffle would transpose it while other
+// goroutines read it. An incomplete shuffle cannot be read and is skipped.
+func (s *Store) PrepareShuffleReads(workers int) {
 	for id, st := range s.shuffles {
 		if st.dirty && st.complete() {
-			st.buildIndex(id)
+			st.buildIndex(id, workers)
 		}
 	}
 }
@@ -377,7 +440,7 @@ func (s *Store) ReadReduce(id, reducePart int) ([]record.Record, int64, error) {
 		return nil, 0, fmt.Errorf("storage: shuffle %d incomplete: %d/%d map outputs", id, st.committed, st.numMaps)
 	}
 	if st.dirty {
-		st.buildIndex(id)
+		st.buildIndex(id, 1)
 	}
 	lo, hi := st.at[reducePart], st.at[reducePart+1]
 	view := st.rows[lo.row:hi.row:hi.row]

@@ -3,11 +3,13 @@ package storage
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"slices"
 	"sort"
 	"strings"
 	"testing"
 
+	"stark/internal/partition"
 	"stark/internal/record"
 )
 
@@ -154,6 +156,15 @@ func TestShuffleValidation(t *testing.T) {
 			t.Fatalf("write rejected for %s wrote into its output", name)
 		}
 	}
+	// Spans out of partition order are rejected like a bad span: an index
+	// build looks a range's first span up by binary search.
+	if err := s.RegisterShuffle(5, 1, 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.WriteMapOutputBatch(5, 0, &record.PartitionedBatch{Rows: ab, Perm: []int32{0, 1},
+		Spans: []record.Span{{Part: 1, Lo: 0, Hi: 1}, {Part: 0, Lo: 1, Hi: 2}}}); err == nil || hasMapOutput(s, 5, 0) {
+		t.Fatalf("output with descending spans: %v, committed %v", err, hasMapOutput(s, 5, 0))
+	}
 	if err := s.WriteMapOutputBatch(2, 0, mapOutputOf(map[int][]record.Record{0: {record.Pair("a", 1)}})); err != nil {
 		t.Fatal(err)
 	}
@@ -280,6 +291,123 @@ func TestCorruptMapOutputDetectedAndHealedByOverwrite(t *testing.T) {
 	}
 }
 
+// TestBuildIndexSameAtEveryWidth builds each shape's index serially and then
+// split over 2, 3 and more workers than partitions, and requires the same
+// index every time — starts, entries, rows, bytes and fingerprints — and the
+// same reads, including the first corrupt map output in map order. The shapes
+// are bench/'s two (a join side of fat buckets; a wide shuffle of one-record
+// buckets over more partitions than rows), one whose rows skip most
+// partitions (empty ones at both ends and between any two ranges), one whose
+// rows all land in one partition, and one with no rows at all.
+func TestBuildIndexSameAtEveryWidth(t *testing.T) {
+	splitSmallBuilds(t)
+	for _, shape := range []struct {
+		name                  string
+		maps, reduces, perMap int
+		route                 func(m, i int) int
+	}{
+		{"join", 6, 4, 900, nil},
+		{"wide", 40, 600, 8, nil},
+		{"sparse", 5, 11, 300, func(m, i int) int { return 2 + 3*((m+i)%3) }},
+		{"skewed", 4, 6, 500, func(int, int) int { return 4 }},
+		{"empty", 3, 5, 0, nil},
+	} {
+		t.Run(shape.name, func(t *testing.T) {
+			for _, cow := range []bool{false, true} {
+				prev := record.SetCowCheckForTesting(cow)
+				defer record.SetCowCheckForTesting(prev)
+				s := NewStore()
+				if err := s.RegisterShuffle(1, shape.maps, shape.reduces); err != nil {
+					t.Fatal(err)
+				}
+				p := partition.NewHash(shape.reduces)
+				var scr record.Scratch
+				for m := 0; m < shape.maps; m++ {
+					rows := make([]record.Record, shape.perMap)
+					for i := range rows {
+						rows[i] = record.Pair(fmt.Sprintf("k%d-%d", m, i), m*shape.perMap+i)
+					}
+					var pb *record.PartitionedBatch
+					if shape.route == nil {
+						pb = partitionByHash(rows, p, &scr)
+					} else {
+						idx := make([]int32, len(rows))
+						for i := range idx {
+							idx[i] = int32(shape.route(m, i))
+						}
+						pb = record.PartitionRows(rows, idx, shape.reduces, &scr)
+					}
+					if err := s.WriteMapOutputBatch(1, m, pb); err != nil {
+						t.Fatal(err)
+					}
+					scr.Reset()
+				}
+				// Two corrupt outputs: a partition both feed names the lower,
+				// map order.
+				if shape.perMap > 0 && (!s.CorruptMapOutput(1, 2) || !s.CorruptMapOutput(1, 1)) {
+					t.Fatal("corrupting a committed output reported no block")
+				}
+				st := s.shuffles[1]
+				var serial shuffleState
+				var want []readResult
+				for _, w := range buildWidths(shape.reduces) {
+					st.dirty = true
+					s.PrepareShuffleReads(w)
+					got := readAll(s, 1, shape.reduces)
+					if w == 1 {
+						serial, want = *st, got
+						continue
+					}
+					if !slices.Equal(st.at, serial.at) || !slices.Equal(st.entries, serial.entries) || !slices.Equal(st.rows, serial.rows) ||
+						!slices.Equal(st.bytes, serial.bytes) || !slices.Equal(st.fps, serial.fps) {
+						t.Fatalf("cow=%v: the index built at width %d differs from the serial one", cow, w)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("cow=%v: reads at width %d = %v, serial %v", cow, w, got, want)
+					}
+				}
+				if shape.perMap == 0 {
+					continue
+				}
+				for r, rr := range want {
+					first := -1
+					for _, m := range []int{2, 1} {
+						for _, sp := range st.outputs[m].spans {
+							if int(sp.Part) == r {
+								first = m
+							}
+						}
+					}
+					got := -1
+					var ce *CorruptError
+					if errors.As(rr.err, &ce) && ce.Shuffle == 1 {
+						got = ce.MapPart
+					}
+					if got != first || (first < 0 && rr.err != nil) {
+						t.Fatalf("cow=%v: read %d = %v, want the first corrupt map output feeding it (-1: none), %d", cow, r, rr.err, first)
+					}
+				}
+			}
+		})
+	}
+}
+
+// readResult is what one ReadReduce returned, view copied.
+type readResult struct {
+	rows  []record.Record
+	bytes int64
+	err   error
+}
+
+func readAll(s *Store, id, reduces int) []readResult {
+	out := make([]readResult, reduces)
+	for r := range out {
+		rows, bytes, err := s.ReadReduce(id, r)
+		out[r] = readResult{slices.Clone(rows), bytes, err}
+	}
+	return out
+}
+
 func TestCorruptCheckpointDetected(t *testing.T) {
 	s := NewStore()
 	s.WriteCheckpoint(3, 0, []record.Record{record.Pair("k", 1)}, 100)
@@ -333,40 +461,91 @@ func TestDropShuffle(t *testing.T) {
 // task's input rows, so a later write into that slice is picked up by the
 // next index build. Without the debug mode the read fails as a corrupt block
 // (which a stage resubmit would silently heal); with STARK_CHECK_COW=1 the
-// build panics naming the shuffle and map partition.
+// build panics naming the shuffle and map partition. Both hold at every
+// build width.
 func TestCowCheckDetectsMapOutputMutation(t *testing.T) {
+	splitSmallBuilds(t)
 	for _, cow := range []bool{false, true} {
 		t.Run(fmt.Sprintf("cow=%v", cow), func(t *testing.T) {
 			prev := record.SetCowCheckForTesting(cow)
 			defer record.SetCowCheckForTesting(prev)
-			s := NewStore()
-			if err := s.RegisterShuffle(4, 2, 2); err != nil {
-				t.Fatal(err)
-			}
-			input := []record.Record{record.Pair("a", 1), record.Pair("b", 2), record.Pair("c", 3)}
-			var scr record.Scratch
-			for m := 0; m < 2; m++ {
-				rows := input[m : m+2]
-				if err := s.WriteMapOutputBatch(4, m, record.PartitionRows(rows, []int32{1, 0}, 2, &scr)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			input[2].Key = "mutated" // map output 1's rows, after commit
-			defer func() {
-				msg := fmt.Sprint(recover())
-				if cow != strings.Contains(msg, "shuffle 4 map output 1") {
-					t.Fatalf("cow=%v: PrepareShuffleReads panic %q", cow, msg)
-				}
-			}()
-			s.PrepareShuffleReads()
-			_, _, err := s.ReadReduce(4, 0)
-			var ce *CorruptError
-			if !errors.As(err, &ce) || ce.Shuffle != 4 || ce.MapPart != 1 {
-				t.Fatalf("read of a mutated output = %v, want CorruptError for map output 1", err)
-			}
-			if _, _, err := s.ReadReduce(4, 1); err != nil {
-				t.Fatalf("read of the partitions the mutation missed: %v", err)
+			for _, w := range buildWidths(2) {
+				t.Run(fmt.Sprintf("width=%d", w), func(t *testing.T) {
+					s := NewStore()
+					if err := s.RegisterShuffle(4, 2, 2); err != nil {
+						t.Fatal(err)
+					}
+					input := []record.Record{record.Pair("a", 1), record.Pair("b", 2), record.Pair("c", 3)}
+					var scr record.Scratch
+					for m := 0; m < 2; m++ {
+						rows := input[m : m+2]
+						if err := s.WriteMapOutputBatch(4, m, record.PartitionRows(rows, []int32{1, 0}, 2, &scr)); err != nil {
+							t.Fatal(err)
+						}
+					}
+					input[2].Key = "mutated" // map output 1's rows, after commit
+					defer func() {
+						msg := fmt.Sprint(recover())
+						if cow != strings.Contains(msg, "shuffle 4 map output 1") {
+							t.Fatalf("cow=%v: PrepareShuffleReads panic %q", cow, msg)
+						}
+					}()
+					s.PrepareShuffleReads(w)
+					_, _, err := s.ReadReduce(4, 0)
+					var ce *CorruptError
+					if !errors.As(err, &ce) || ce.Shuffle != 4 || ce.MapPart != 1 {
+						t.Fatalf("read of a mutated output = %v, want CorruptError for map output 1", err)
+					}
+					if _, _, err := s.ReadReduce(4, 1); err != nil {
+						t.Fatalf("read of the partitions the mutation missed: %v", err)
+					}
+				})
 			}
 		})
 	}
+}
+
+// TestCowCheckDetectsReduceViewMutation: every reader of a reduce partition
+// gets the store's own rows, so under STARK_CHECK_COW=1 a write into a view
+// panics on the next read naming the shuffle and reduce partition, whatever
+// width the index was built at.
+func TestCowCheckDetectsReduceViewMutation(t *testing.T) {
+	splitSmallBuilds(t)
+	prev := record.SetCowCheckForTesting(true)
+	defer record.SetCowCheckForTesting(prev)
+	for _, w := range buildWidths(3) {
+		t.Run(fmt.Sprintf("width=%d", w), func(t *testing.T) {
+			s := NewStore()
+			if err := s.RegisterShuffle(4, 2, 3); err != nil {
+				t.Fatal(err)
+			}
+			for m := 0; m < 2; m++ {
+				if err := s.WriteMapOutputBatch(4, m, mapOutputOf(map[int][]record.Record{
+					0: {record.Pair("a", m)}, 1: {record.Pair("b", m)}, 2: {record.Pair("c", m)},
+				})); err != nil {
+					t.Fatal(err)
+				}
+			}
+			s.PrepareShuffleReads(w)
+			view, _, err := s.ReadReduce(4, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			view[1].Key = "mutated"
+			defer func() {
+				if msg := fmt.Sprint(recover()); !strings.Contains(msg, "shuffle 4 reduce partition 1 mutated") {
+					t.Fatalf("read after a write into its view: panic %q", msg)
+				}
+			}()
+			_, _, _ = s.ReadReduce(4, 1)
+		})
+	}
+}
+
+// splitSmallBuilds lets the test's index builds split shuffles of any size
+// (see minRangeRows).
+func splitSmallBuilds(t *testing.T) {
+	prev := minRangeRows
+	minRangeRows = 1
+	t.Cleanup(func() { minRangeRows = prev })
 }
