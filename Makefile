@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-json loc test test-short test-race chaos chaos-nightly multitenant cachepolicy shuffle bench-engine bench-smoke examples experiments results clean
+.PHONY: all build vet lint lint-json loc test test-short test-race chaos chaos-nightly multitenant cachepolicy shuffle fuzz bench-engine bench-smoke examples experiments results clean
 
 all: build lint test
 
@@ -77,6 +77,15 @@ cachepolicy:
 shuffle:
 	$(GO) test -race -cpu 1,4 ./internal/storage/ ./internal/engine/ ./internal/record/ ./internal/rdd/
 	STARK_CHECK_COW=1 $(GO) test ./internal/storage/ ./internal/engine/ ./internal/rdd/ ./internal/record/ .
+
+# Fuzz every fuzz target for 30 s each (go test -fuzz takes one target in
+# one package per run). Tier-1 replays only their seed corpora; a failing
+# input lands in the package's testdata/fuzz/ and joins the corpus once
+# committed.
+fuzz:
+	$(GO) test ./internal/journal/ -run '^$$' -fuzz '^FuzzReplay$$' -fuzztime 30s
+	$(GO) test ./internal/record/ -run '^$$' -fuzz '^FuzzCoGroupKernel$$' -fuzztime 30s
+	$(GO) test ./internal/record/ -run '^$$' -fuzz '^FuzzPartitionRows$$' -fuzztime 30s
 
 # Engine/record/storage/cluster hot-path benchmarks (GroupByKeySorted,
 # bucketing, the shuffle store round trip at the fat and wide shapes, the

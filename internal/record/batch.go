@@ -1,21 +1,26 @@
 package record
 
 import (
-	"slices"
+	"math/bits"
 	"strings"
 
 	"stark/internal/arena"
 )
 
-// FNV-1a constants shared by the key hashers. They must track hash/fnv
-// exactly: partition.Hash uses fnv.New32a and storage block checksums use
-// fnv.New64a, and the allocation-free loops here have to be bit-identical to
-// what those produce.
+// FNV-1a constants for the hashes that must track hash/fnv exactly:
+// Hash32 is the FNV-32a partition.Hash routes on (fnv.New32a), and
+// Fingerprint's FNV-64a is the copy-on-write check and the bench digest.
 const (
 	fnvOffset32 = 2166136261
 	fnvPrime32  = 16777619
 	fnvOffset64 = 14695981039346656037
 	fnvPrime64  = 1099511628211
+)
+
+// KeySum64's word fold: a seed and an odd, bit-dense multiplier (2^64/φ).
+const (
+	sumSeed  = fnvOffset64
+	sumPrime = 0x9e3779b97f4a7c15
 )
 
 // mixInt64 folds n into h as 8 little-endian bytes, one FNV-64a step each.
@@ -37,24 +42,55 @@ func Hash32(s string) uint32 {
 	return h
 }
 
-// KeySum64 is the allocation-free twin of the storage package's block
-// checksum: FNV-64a over every key followed by a 0xff separator, then the
-// record count as 8 little-endian bytes. storage delegates here so the
-// per-record, batch-slab and partition-kernel paths can never drift.
+// KeySum64 is the storage block checksum, and its one implementation: the
+// partition kernel stamps every shuffle bucket with it, the store verifies
+// every bucket and checkpoint block with it, and Batch.KeySumRange computes
+// it off a key slab. It folds every key eight bytes a step (see mixKey),
+// then the record count in one step.
+//
+// Every step maps the state through a bijection (xor a word, multiply by an
+// odd constant, rotate), and each step's word is an injective encoding of
+// its bytes, so any single changed key byte, and any key-length change that
+// keeps the number of whole words, always changes the sum. The sum catches
+// injected corruption deterministically; it is not built to survive
+// adversarial collisions.
 func KeySum64(rs []Record) uint64 {
-	h := uint64(fnvOffset64)
-	for _, r := range rs {
-		h = mixKey(h, r.Key)
+	h := uint64(sumSeed)
+	for i := range rs {
+		h = mixKey(h, rs[i].Key)
 	}
-	return mixInt64(h, len(rs))
+	return sumStep(h, uint64(len(rs)))
 }
 
-// mixKey folds one key and its 0xff separator into a KeySum64 state.
+// sumStep folds one 64-bit word into a KeySum64 state.
+func sumStep(h, w uint64) uint64 {
+	return bits.RotateLeft64((h^w)*sumPrime, 31)
+}
+
+// mixKey folds one key into a KeySum64 state: one step per whole 8-byte
+// little-endian word, then one for the tail, whose up to 7 bytes load in at
+// most three pieces (4, 2, 1) under the key's length in the top byte. The
+// tail step always runs, so it also ends the key: "ab","c" and "a","bc" fold
+// different words.
 func mixKey(h uint64, key string) uint64 {
-	for i := 0; i < len(key); i++ {
-		h = (h ^ uint64(key[i])) * fnvPrime64
+	w := uint64(len(key)) << 56
+	for ; len(key) >= 8; key = key[8:] {
+		h = sumStep(h, uint64(key[0])|uint64(key[1])<<8|uint64(key[2])<<16|uint64(key[3])<<24|
+			uint64(key[4])<<32|uint64(key[5])<<40|uint64(key[6])<<48|uint64(key[7])<<56)
 	}
-	return (h ^ 0xff) * fnvPrime64
+	var shift uint
+	if len(key) >= 4 {
+		w |= uint64(key[0]) | uint64(key[1])<<8 | uint64(key[2])<<16 | uint64(key[3])<<24
+		key, shift = key[4:], 32
+	}
+	if len(key) >= 2 {
+		w |= (uint64(key[0]) | uint64(key[1])<<8) << shift
+		key, shift = key[2:], shift+16
+	}
+	if len(key) == 1 {
+		w |= uint64(key[0]) << shift
+	}
+	return sumStep(h, w)
 }
 
 // Batch is the slab/offset/hash view of one partition's rows that the layer
@@ -114,15 +150,11 @@ func (b *Batch) Hash32(i int) uint32 { return b.hash[i] }
 //
 //starklint:ignore unreachable bench/layers.go (record.keysum_ns_op)
 func (b *Batch) KeySumRange(lo, hi int) uint64 {
-	keys, offs := b.keys, b.offs
-	h := uint64(fnvOffset64)
+	h := uint64(sumSeed)
 	for i := lo; i < hi; i++ {
-		for j := offs[i]; j < offs[i+1]; j++ {
-			h = (h ^ uint64(keys[j])) * fnvPrime64
-		}
-		h = (h ^ 0xff) * fnvPrime64
+		h = mixKey(h, b.keys[b.offs[i]:b.offs[i+1]])
 	}
-	return mixInt64(h, hi-lo)
+	return sumStep(h, uint64(hi-lo))
 }
 
 // Scratch bundles the arena pools the batch kernels carve their transient
@@ -130,14 +162,12 @@ func (b *Batch) KeySumRange(lo, hi int) uint64 {
 // at the batch boundary; standalone callers may use a zero Scratch.
 type Scratch struct {
 	I32 arena.Pool[int32]
-	I64 arena.Pool[int64]
 	U32 arena.Pool[uint32]
 }
 
 // Reset reclaims all scratch memory taken since the last reset.
 func (s *Scratch) Reset() {
 	s.I32.Reset()
-	s.I64.Reset()
 	s.U32.Reset()
 }
 
@@ -167,11 +197,15 @@ type PartitionedBatch struct {
 	Spans []Span
 }
 
-// sparsePartitionThreshold mirrors the dense/sparse split the shuffle
-// bucketer has used since PR 3: with far more target partitions than
-// records, per-partition counting arrays cost more than sorting the handful
-// of occupied buckets.
-const sparsePartitionThreshold = 4096
+// A routing sorts in one counting pass over an nparts-entry table unless it
+// has more than onePassParts partitions and fewer rows than half of them;
+// then it sorts in passes of at most maxDigitBits-bit digits, so a wide
+// shuffle's map task (64 rows over 8000 partitions) takes two passes over
+// 128-entry tables instead of touching 8000 counters.
+const (
+	onePassParts = 4096
+	maxDigitBits = 8
+)
 
 // HashKeys returns the FNV-32a hash of every row's key — the bits
 // partition.Hash.PartitionForHash routes on and Batch.Hash32 reports — in
@@ -206,48 +240,13 @@ func (b *Batch) PartitionStable(idx []int32, nparts int, scr *Scratch) *Partitio
 //
 //starklint:hotpath
 func PartitionRows(rs []Record, idx []int32, nparts int, scr *Scratch) *PartitionedBatch {
-	n := len(rs)
-	// perm[j] = source row of bucket-major position j; buckets contiguous and
-	// ascending.
-	perm := make([]int32, n)
-	var occupied int
-	if nparts > sparsePartitionThreshold && nparts > 2*n {
-		// Sparse: sort packed part<<32|row integers instead of touching
-		// O(nparts) counting arrays. The row number in the low word makes
-		// every element distinct, so the order is stable by construction.
-		packed := scr.I64.Take(n)
-		for i, p := range idx {
-			packed[i] = int64(p)<<32 | int64(i)
-		}
-		slices.Sort(packed)
-		for j, v := range packed {
-			perm[j] = int32(v) // low word: the row
-			if j == 0 || v>>32 != packed[j-1]>>32 {
-				occupied++
-			}
-		}
-	} else {
-		starts := scr.I32.Take(nparts + 1)
-		for _, p := range idx {
-			starts[p+1]++
-		}
-		for p := 0; p < nparts; p++ {
-			if starts[p+1] > 0 {
-				occupied++
-			}
-			starts[p+1] += starts[p]
-		}
-		for i, p := range idx {
-			perm[starts[p]] = int32(i)
-			starts[p]++
-		}
-	}
-
+	perm := make([]int32, len(rs))
+	occupied := routeRows(perm, idx, nparts, scr)
 	spans := make([]Span, 0, occupied)
 	for j, i := range perm {
 		r := &rs[i]
 		if p := idx[i]; len(spans) == 0 || spans[len(spans)-1].Part != p {
-			spans = append(spans, Span{Part: p, Lo: int32(j), Sum: fnvOffset64})
+			spans = append(spans, Span{Part: p, Lo: int32(j), Sum: sumSeed})
 		}
 		sp := &spans[len(spans)-1]
 		sp.Hi = int32(j + 1)
@@ -255,7 +254,69 @@ func PartitionRows(rs []Record, idx []int32, nparts int, scr *Scratch) *Partitio
 		sp.Sum = mixKey(sp.Sum, r.Key)
 	}
 	for s := range spans {
-		spans[s].Sum = mixInt64(spans[s].Sum, int(spans[s].Hi-spans[s].Lo))
+		spans[s].Sum = sumStep(spans[s].Sum, uint64(spans[s].Hi-spans[s].Lo))
 	}
 	return &PartitionedBatch{Rows: rs, Perm: perm, Spans: spans}
+}
+
+// routeRows fills perm with the stable bucket-major order of idx's rows
+// (perm[j] = source row of position j; buckets contiguous and ascending) and
+// returns the number of non-empty buckets. It is an LSD radix sort on the
+// partition id: each pass is a stable counting sort on one digit, read from
+// the previous pass's order, and the last pass lands in perm. Its tables
+// come from scr.
+func routeRows(perm, idx []int32, nparts int, scr *Scratch) (occupied int) {
+	n := len(idx)
+	width := bits.Len(uint(max(nparts, 1) - 1))
+	passes := 1
+	if nparts > onePassParts && nparts > 2*n {
+		passes = (width + maxDigitBits - 1) / maxDigitBits
+		width = (width + passes - 1) / passes
+	}
+	mask := int32(1)<<width - 1
+	bufs := [2][]int32{perm, perm}
+	if passes > 1 {
+		bufs[1] = scr.I32.Take(n)
+	}
+	var src []int32 // nil: input order
+	for pass := 0; pass < passes; pass++ {
+		shift := pass * width
+		dst := bufs[(passes-1-pass)%2]
+		size := min(1<<width, (nparts-1)>>shift+1)
+		starts := scr.I32.Take(size + 1)
+		for _, p := range idx {
+			starts[p>>shift&mask+1]++
+		}
+		occupied = 0
+		for d := 0; d < size; d++ {
+			if starts[d+1] > 0 {
+				occupied++
+			}
+			starts[d+1] += starts[d]
+		}
+		if src == nil {
+			for i, p := range idx {
+				d := p >> shift & mask
+				dst[starts[d]] = int32(i)
+				starts[d]++
+			}
+		} else {
+			for _, i := range src {
+				d := idx[i] >> shift & mask
+				dst[starts[d]] = i
+				starts[d]++
+			}
+		}
+		src = dst
+	}
+	if passes > 1 {
+		// The last pass counted top digits, not partitions.
+		occupied = 0
+		for j, i := range perm {
+			if j == 0 || idx[i] != idx[perm[j-1]] {
+				occupied++
+			}
+		}
+	}
+	return occupied
 }

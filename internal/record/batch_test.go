@@ -3,6 +3,7 @@ package record_test
 import (
 	"fmt"
 	"hash/fnv"
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -128,114 +129,262 @@ func TestBatchMatchesRowPaths(t *testing.T) {
 	}
 }
 
+// TestKeySum64DetectsEveryChange holds the bucket checksum to what the
+// store relies on it for. Over seeded buckets whose keys are 0–17 bytes long
+// (every tail size, below, at and past the 8-byte word), each of these must
+// change the sum: flipping any bit of any key byte, moving a byte across a
+// key boundary ("ab","c" against "a","bc"), growing or shrinking a key by a
+// zero byte at its end, and dropping the last record. KeySumRange over the
+// bucket's slab agrees with KeySum64 on every sub-range.
+func TestKeySum64DetectsEveryChange(t *testing.T) {
+	rng := rand.New(rand.NewSource(36))
+	key := func(n int) string {
+		b := make([]byte, n)
+		rng.Read(b)
+		return string(b)
+	}
+	var buckets [][]string
+	for n := 0; n <= 17; n++ {
+		// A bucket of one key length, and one mixing it with its neighbours.
+		buckets = append(buckets,
+			[]string{key(n), key(n), key(n)},
+			[]string{key(n), key((n + 1) % 18), key(n), key(17 - n)})
+	}
+	for _, keys := range buckets {
+		rs := recordsOf(keys)
+		sum := record.KeySum64(rs)
+		changed := func(what string, edit func(keys []string)) {
+			t.Helper()
+			cp := slices.Clone(keys)
+			edit(cp)
+			if record.KeySum64(recordsOf(cp)) == sum {
+				t.Fatalf("keys %q: %s leaves the sum at %#x", keys, what, sum)
+			}
+		}
+		for r, k := range keys {
+			for j := 0; j < len(k); j++ {
+				for bit := 0; bit < 8; bit++ {
+					changed(fmt.Sprintf("flipping bit %d of key %d byte %d", bit, r, j), func(cp []string) {
+						b := []byte(k)
+						b[j] ^= 1 << bit
+						cp[r] = string(b)
+					})
+				}
+			}
+			changed(fmt.Sprintf("appending a zero byte to key %d", r), func(cp []string) { cp[r] += "\x00" })
+			if k != "" {
+				changed(fmt.Sprintf("dropping key %d's last byte", r), func(cp []string) { cp[r] = k[:len(k)-1] })
+			}
+			if r+1 == len(keys) {
+				continue
+			}
+			if next := keys[r+1]; k != "" {
+				changed(fmt.Sprintf("moving key %d's last byte to key %d", r, r+1), func(cp []string) {
+					cp[r], cp[r+1] = k[:len(k)-1], k[len(k)-1:]+next
+				})
+			}
+			if next := keys[r+1]; next != "" {
+				changed(fmt.Sprintf("moving key %d's first byte to key %d", r+1, r), func(cp []string) {
+					cp[r], cp[r+1] = k+next[:1], next[1:]
+				})
+			}
+		}
+		if record.KeySum64(rs[:len(rs)-1]) == sum {
+			t.Fatalf("keys %q: dropping the last record leaves the sum at %#x", keys, sum)
+		}
+		b := record.FromRecords(rs)
+		for lo := 0; lo <= len(rs); lo++ {
+			for hi := lo; hi <= len(rs); hi++ {
+				if got, want := b.KeySumRange(lo, hi), record.KeySum64(rs[lo:hi]); got != want {
+					t.Fatalf("keys %q: KeySumRange(%d,%d) = %#x, want %#x", keys, lo, hi, got, want)
+				}
+			}
+		}
+	}
+	// The boundary case spelled out, and empty keys: one "" and two differ.
+	for _, pair := range [][2][]string{{{"ab", "c"}, {"a", "bc"}}, {{""}, {"", ""}}, {{"", "a"}, {"a", ""}}} {
+		if record.KeySum64(recordsOf(pair[0])) == record.KeySum64(recordsOf(pair[1])) {
+			t.Fatalf("keys %q and %q sum alike", pair[0], pair[1])
+		}
+	}
+}
+
+func recordsOf(keys []string) []record.Record {
+	rs := make([]record.Record, len(keys))
+	for i, k := range keys {
+		rs[i] = record.Record{Key: k}
+	}
+	return rs
+}
+
+// TestPartitionStableMatchesNaive holds the partition kernel to a naive
+// stable append-bucketing on every pass count its radix sort can take: a
+// routing with parts <= 4096, or with at least parts/2 rows, sorts in one
+// counting pass; any other in passes of at most 8-bit digits (8000 and 65536
+// parts in two, 65537 in three, 1<<24+1 in four). Each parts value runs with
+// n on both sides of parts/2, except 1<<24+1, whose one-pass side would need
+// 8 M rows.
 func TestPartitionStableMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	var scr record.Scratch
 	// Routings: "hash" scatters by key hash; "descending" sends runs of
 	// consecutive rows to ever lower partitions, so buckets are first seen in
 	// the reverse of their output order; "last" sends every row to the last
-	// partition (one bucket).
-	for _, tc := range []struct {
+	// partition (one bucket); "ends" alternates the first and last partition,
+	// so every digit of the partition id differs between the two buckets.
+	cases := []struct {
 		n, parts int
 		route    string
 	}{
 		{0, 4, "hash"}, {1, 1, "hash"}, {64, 8, "hash"}, {500, 3, "hash"}, {64, 8, "descending"}, {500, 3, "last"},
-		// The sparse path (parts > 4096 and parts > 2n), a few rows and many
-		// rows per bucket.
 		{0, 10000, "hash"}, {40, 10000, "hash"}, {3, 5000, "hash"}, {5000, 20000, "hash"}, {5000, 20000, "descending"},
 		{2047, 4097, "hash"}, {2047, 4097, "descending"}, {2047, 4097, "last"}, {5000, 20000, "last"},
-	} {
-		name := fmt.Sprintf("n=%d parts=%d %s", tc.n, tc.parts, tc.route)
+		{64, 1<<24 + 1, "hash"}, {3000, 1<<24 + 1, "descending"}, {64, 1<<24 + 1, "ends"},
+	}
+	for _, parts := range []int{256, 257, 4096, 4097, 8000, 65536, 65537} {
+		for _, n := range []int{64, parts/2 - 1, parts/2 + 1, 2 * parts} {
+			for _, route := range []string{"hash", "descending", "ends"} {
+				cases = append(cases, struct {
+					n, parts int
+					route    string
+				}{n, parts, route})
+			}
+		}
+	}
+	for _, tc := range cases {
 		rs := make([]record.Record, tc.n)
 		for i := range rs {
 			rs[i] = record.Record{Key: fmt.Sprintf("k%04d", rng.Intn(200)), Value: int64(i)}
 		}
-		input := slices.Clone(rs)
-		b := record.FromRecords(rs)
 		idx := make([]int32, tc.n)
 		for i := range idx {
 			switch tc.route {
 			case "hash":
-				idx[i] = int32(int(b.Hash32(i)) % tc.parts)
+				idx[i] = int32(int(record.Hash32(rs[i].Key)) % tc.parts)
 			case "descending":
-				idx[i] = int32(tc.parts - 1 - i/37)
+				idx[i] = int32(max(tc.parts-1-i/37, 0))
 			case "last":
 				idx[i] = int32(tc.parts - 1)
+			case "ends":
+				idx[i] = int32(i % 2 * (tc.parts - 1))
 			}
 		}
-		pb := b.PartitionStable(idx, tc.parts, &scr)
-		for i, h := range record.HashKeys(rs, &scr) {
-			if h != b.Hash32(i) {
-				t.Fatalf("%s: HashKeys[%d] diverges from the batch's hash column", name, i)
-			}
-		}
-		scr.Reset()
-		if !slices.Equal(rs, input) {
-			t.Fatalf("%s: the kernel mutated its input rows", name)
-		}
-		// The output adopts the input: no row is copied.
-		if len(pb.Rows) != tc.n || (tc.n > 0 && &pb.Rows[0] != &rs[0]) {
-			t.Fatalf("%s: %d output rows, not the %d input rows adopted", name, len(pb.Rows), tc.n)
-		}
-		if len(pb.Perm) != tc.n || pb.Perm == nil {
-			t.Fatalf("%s: permutation of %d positions (nil %v) over %d rows", name, len(pb.Perm), pb.Perm == nil, tc.n)
-		}
+		checkPartitionRows(t, fmt.Sprintf("n=%d parts=%d %s", tc.n, tc.parts, tc.route), rs, idx, tc.parts, &scr)
+	}
+}
 
-		// Naive reference: stable bucketing by append.
-		naive := make(map[int][]record.Record)
-		for i, r := range rs {
-			naive[int(idx[i])] = append(naive[int(idx[i])], r)
+// FuzzPartitionRows holds the partition kernel to the naive stable
+// append-bucketing on random rows, part counts and routings. The routing
+// draws each row's partition from `distinct` partitions picked uniformly
+// from [0, parts), so buckets hold one row or many; parts reaches past
+// 1<<30, which takes four 8-bit passes.
+func FuzzPartitionRows(f *testing.F) {
+	f.Add(int64(1), uint16(64), uint32(8000), uint8(255))
+	f.Add(int64(2), uint16(64), uint32(8000), uint8(3))
+	f.Add(int64(3), uint16(2049), uint32(4097), uint8(200))
+	f.Add(int64(4), uint16(2048), uint32(4097), uint8(200))
+	f.Add(int64(5), uint16(32768), uint32(65537), uint8(255))
+	f.Add(int64(6), uint16(100), uint32(math.MaxInt32-1), uint8(7))
+	f.Add(int64(7), uint16(0), uint32(1), uint8(0))
+	f.Add(int64(8), uint16(500), uint32(256), uint8(40))
+	f.Fuzz(func(t *testing.T, seed int64, n uint16, parts uint32, distinct uint8) {
+		nparts := 1 + int(parts%math.MaxInt32)
+		if nparts <= 2*int(n) && nparts > 1<<17 {
+			t.Skip("one counting pass over more than 128 Ki partitions")
 		}
-		var parts []int
-		for p := range naive {
-			parts = append(parts, p)
+		rng := rand.New(rand.NewSource(seed))
+		targets := make([]int32, 1+int(distinct))
+		for i := range targets {
+			targets[i] = int32(rng.Intn(nparts))
 		}
-		sort.Ints(parts)
-		if len(pb.Spans) != len(parts) {
-			t.Fatalf("%s: %d spans, want %d", name, len(pb.Spans), len(parts))
+		rs := make([]record.Record, n)
+		idx := make([]int32, n)
+		for i := range rs {
+			rs[i] = record.Record{Key: fmt.Sprintf("k%d", rng.Intn(1+int(n))), Value: int64(i)}
+			idx[i] = targets[rng.Intn(len(targets))]
 		}
-		ref := record.FromRecords(input) // the slab twin of the store's checksum
-		next := int32(0)                 // spans tile [0, n): buckets are disjoint and gap-free
-		for si, p := range parts {
-			sp := pb.Spans[si]
-			if int(sp.Part) != p || sp.Lo != next || sp.Hi <= sp.Lo {
-				t.Fatalf("%s: span %d = %+v, want part %d starting at position %d", name, si, sp, p, next)
-			}
-			next = sp.Hi
-			// Read through the permutation, the bucket equals the naive one
-			// element by element: input order survives inside the bucket
-			// (values are the input positions).
-			got := make([]record.Record, 0, sp.Hi-sp.Lo)
-			for _, i := range pb.Perm[sp.Lo:sp.Hi] {
-				got = append(got, pb.Rows[i])
-			}
-			if !reflect.DeepEqual(got, naive[p]) {
-				t.Fatalf("%s: bucket %d rows differ", name, p)
-			}
-			var raw int64
-			for _, r := range naive[p] {
-				raw += record.SizeOfRecord(r)
-			}
-			if sp.Bytes != raw {
-				t.Fatalf("%s: bucket %d Bytes = %d, want %d", name, p, sp.Bytes, raw)
-			}
-			// The checksum the store stamps the bucket with.
-			if want := record.KeySum64(naive[p]); sp.Sum != want || record.KeySum64(got) != want {
-				t.Fatalf("%s: bucket %d Sum = %#x, want %#x", name, p, sp.Sum, want)
-			}
-			// Where a bucket is a contiguous run of the input (one bucket, or
-			// runs of a descending routing), the slab path agrees too. Input
-			// positions ascend inside a bucket, so its first and last bound
-			// such a run exactly when they are len-1 apart.
-			if lo := int(pb.Perm[sp.Lo]); int(pb.Perm[sp.Hi-1]) == lo+int(sp.Hi-sp.Lo)-1 {
-				if ref.KeySumRange(lo, lo+int(sp.Hi-sp.Lo)) != sp.Sum {
-					t.Fatalf("%s: bucket %d Sum diverges from the slab checksum", name, p)
-				}
+		var scr record.Scratch
+		checkPartitionRows(t, fmt.Sprintf("seed=%d n=%d parts=%d", seed, n, nparts), rs, idx, nparts, &scr)
+	})
+}
+
+// checkPartitionRows runs the kernel over rs routed by idx and holds the
+// result to a naive stable append-bucketing, which shares no code with it:
+// the permutation, every span's bounds, raw bytes and checksum, the input
+// left untouched and adopted rather than copied.
+func checkPartitionRows(t *testing.T, name string, rs []record.Record, idx []int32, parts int, scr *record.Scratch) {
+	t.Helper()
+	n := len(rs)
+	input := slices.Clone(rs)
+	b := record.FromRecords(rs)
+	pb := b.PartitionStable(idx, parts, scr)
+	for i, h := range record.HashKeys(rs, scr) {
+		if h != b.Hash32(i) {
+			t.Fatalf("%s: HashKeys[%d] diverges from the batch's hash column", name, i)
+		}
+	}
+	scr.Reset()
+	if !slices.Equal(rs, input) {
+		t.Fatalf("%s: the kernel mutated its input rows", name)
+	}
+	// The output adopts the input: no row is copied.
+	if len(pb.Rows) != n || (n > 0 && &pb.Rows[0] != &rs[0]) {
+		t.Fatalf("%s: %d output rows, not the %d input rows adopted", name, len(pb.Rows), n)
+	}
+	if len(pb.Perm) != n || pb.Perm == nil {
+		t.Fatalf("%s: permutation of %d positions (nil %v) over %d rows", name, len(pb.Perm), pb.Perm == nil, n)
+	}
+
+	// Naive reference: stable bucketing by append.
+	naive := make(map[int][]int32)
+	for i := range rs {
+		naive[int(idx[i])] = append(naive[int(idx[i])], int32(i))
+	}
+	var ps []int
+	for p := range naive {
+		ps = append(ps, p)
+	}
+	sort.Ints(ps)
+	if len(pb.Spans) != len(ps) {
+		t.Fatalf("%s: %d spans, want %d", name, len(pb.Spans), len(ps))
+	}
+	ref := record.FromRecords(input) // the slab twin of the store's checksum
+	next := int32(0)                 // spans tile [0, n): buckets are disjoint and gap-free
+	for si, p := range ps {
+		sp := pb.Spans[si]
+		if int(sp.Part) != p || sp.Lo != next || sp.Hi <= sp.Lo {
+			t.Fatalf("%s: span %d = %+v, want part %d starting at position %d", name, si, sp, p, next)
+		}
+		next = sp.Hi
+		// The bucket lists the naive one's rows in input order.
+		if !slices.Equal(pb.Perm[sp.Lo:sp.Hi], naive[p]) {
+			t.Fatalf("%s: bucket %d = rows %v, want %v", name, p, pb.Perm[sp.Lo:sp.Hi], naive[p])
+		}
+		bucket := make([]record.Record, 0, sp.Hi-sp.Lo)
+		var raw int64
+		for _, i := range naive[p] {
+			bucket = append(bucket, input[i])
+			raw += record.SizeOfRecord(input[i])
+		}
+		if sp.Bytes != raw {
+			t.Fatalf("%s: bucket %d Bytes = %d, want %d", name, p, sp.Bytes, raw)
+		}
+		// The checksum the store stamps the bucket with.
+		if want := record.KeySum64(bucket); sp.Sum != want {
+			t.Fatalf("%s: bucket %d Sum = %#x, want %#x", name, p, sp.Sum, want)
+		}
+		// Where a bucket is a contiguous run of the input (one bucket, or
+		// runs of a descending routing), the slab path agrees too. Input
+		// positions ascend inside a bucket, so its first and last bound
+		// such a run exactly when they are len-1 apart.
+		if lo := int(pb.Perm[sp.Lo]); int(pb.Perm[sp.Hi-1]) == lo+int(sp.Hi-sp.Lo)-1 {
+			if ref.KeySumRange(lo, lo+int(sp.Hi-sp.Lo)) != sp.Sum {
+				t.Fatalf("%s: bucket %d Sum diverges from the slab checksum", name, p)
 			}
 		}
-		if int(next) != tc.n {
-			t.Fatalf("%s: spans end at position %d of %d", name, next, tc.n)
-		}
+	}
+	if int(next) != n {
+		t.Fatalf("%s: spans end at position %d of %d", name, next, n)
 	}
 }
 

@@ -2,6 +2,7 @@ package record
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 )
 
@@ -80,6 +81,58 @@ func BenchmarkPartitionStable(b *testing.B) {
 	}
 }
 
+// wideMapTask is wide-shuffle's map task: 64 rows keyed "u<40-bit id>",
+// hash-routed over 8000 partitions.
+func wideMapTask() ([]Record, []int32) {
+	const n, parts = 64, 8000
+	rng := rand.New(rand.NewSource(1))
+	rs := make([]Record, n)
+	idx := make([]int32, n)
+	for i := range rs {
+		rs[i] = Pair(fmt.Sprintf("u%d", rng.Int63n(1<<40)), int64(i))
+		idx[i] = int32(Hash32(rs[i].Key) % parts)
+	}
+	return rs, idx
+}
+
+func BenchmarkPartitionRowsWide(b *testing.B) {
+	rs, idx := wideMapTask()
+	var scr Scratch
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if pb := PartitionRows(rs, idx, 8000, &scr); len(pb.Spans) == 0 {
+			b.Fatal("no spans")
+		}
+		scr.Reset()
+	}
+}
+
+// BenchmarkKeySum64 sums one batch-join source chunk (25 000 rows keyed
+// "j<id>", up to 7 bytes) and one wide-shuffle map task (64 rows keyed
+// "u<40-bit id>", up to 14 bytes).
+func BenchmarkKeySum64(b *testing.B) {
+	join := make([]Record, 25000)
+	rng := rand.New(rand.NewSource(1))
+	for i := range join {
+		join[i] = Pair(fmt.Sprintf("j%d", rng.Intn(400_000)), int64(i))
+	}
+	wide, _ := wideMapTask()
+	for _, shape := range []struct {
+		name string
+		rs   []Record
+	}{{"join", join}, {"wide", wide}} {
+		b.Run(shape.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sinkSum += KeySum64(shape.rs)
+			}
+		})
+	}
+}
+
+var sinkSum uint64
+
 func BenchmarkFingerprint(b *testing.B) {
 	data := benchData(20000, 1500)
 	b.ReportAllocs()
@@ -101,12 +154,16 @@ func BenchmarkSizeOfSlice(b *testing.B) {
 // (the map-of-slices path it replaced took 7578), the join a handful for its
 // ~53.3k output rows (one hash pass over both sides, one carved backing, the
 // output and the slab of pairs its Joined values point into; it took one box
-// per row before). A change that re-introduces per-record or per-group
-// allocation fails here; TestCoGroupAllocCeilings holds the cogroup entry
-// point the same way.
+// per row before). The wide map task's partition kernel, with warm scratch,
+// allocates exactly what escapes: the permutation, the span table and the
+// header; its radix tables come from the scratch. A change that
+// re-introduces per-record or per-group allocation fails here;
+// TestCoGroupAllocCeilings holds the cogroup entry point the same way.
 func TestKernelAllocCeilings(t *testing.T) {
 	group := benchData(20000, 1500)
 	left, right := benchData(8000, 1200), benchData(8000, 1200)
+	wide, wideIdx := wideMapTask()
+	var scr Scratch
 	for _, tc := range []struct {
 		name    string
 		ceiling float64
@@ -114,6 +171,7 @@ func TestKernelAllocCeilings(t *testing.T) {
 	}{
 		{"GroupByKeySorted", 16, func() { GroupByKeySorted(group) }},
 		{"JoinRecords", 16, func() { JoinRecords(left, right) }},
+		{"PartitionRowsWide", 3, func() { PartitionRows(wide, wideIdx, 8000, &scr); scr.Reset() }},
 	} {
 		if got := testing.AllocsPerRun(5, tc.run); got > tc.ceiling {
 			t.Errorf("%s: %.0f allocs/op, ceiling %.0f", tc.name, got, tc.ceiling)

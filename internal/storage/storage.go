@@ -55,12 +55,12 @@ type Bucket struct {
 func (b Bucket) verify() bool { return b.sum == sumRecords(b.Data) }
 
 // sumRecords computes the cheap integrity checksum stored with a persisted
-// block: FNV-64a over the record keys plus the record count. It exists to
-// catch *injected* corruption deterministically, not to survive adversarial
-// collisions, so hashing values is deliberately skipped (values are
-// arbitrary `any` and hashing them would dominate hot read paths). The hash
-// is record.KeySum64, the same one shuffle buckets are stamped and verified
-// with.
+// block: record.KeySum64, a word-at-a-time fold over the record keys, their
+// lengths and the record count, which any single changed key byte always
+// changes, and the same sum shuffle buckets are stamped and verified with.
+// It exists to catch *injected* corruption deterministically, not to survive
+// adversarial collisions, so hashing values is deliberately skipped (values
+// are arbitrary `any` and hashing them would dominate hot read paths).
 func sumRecords(data []record.Record) uint64 { return record.KeySum64(data) }
 
 // mapOutput is one committed map task's output as the task produced it: the
