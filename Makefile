@@ -87,13 +87,14 @@ fuzz:
 	$(GO) test ./internal/record/ -run '^$$' -fuzz '^FuzzCoGroupKernel$$' -fuzztime 30s
 	$(GO) test ./internal/record/ -run '^$$' -fuzz '^FuzzPartitionRows$$' -fuzztime 30s
 
-# Engine/record/storage/cluster hot-path benchmarks (GroupByKeySorted,
-# bucketing, the shuffle store round trip at the fat and wide shapes, the
-# parallel data plane's 1-vs-4 worker pair, MCF offer scoring and the unit
-# index against its reference recount). Same package list as the CI
-# "Hot-path benchmarks" step.
+# Engine/record/storage/cluster hot-path benchmarks (GroupByKeySorted, the
+# joins at the 1200-key, batch-join and shared-prefix shapes, bucketing, the
+# shuffle store round trip at the fat and wide shapes, the parallel data
+# plane's 1-vs-4 worker pair, MCF offer scoring and the unit index against
+# its reference recount), benchmarks only: the tests run elsewhere. Same
+# package list as the CI "Hot-path benchmarks" step.
 bench-engine: lint
-	$(GO) test -bench=. -benchmem -benchtime=3x ./internal/engine/ ./internal/record/ ./internal/storage/ ./internal/cluster/
+	$(GO) test -run '^$$' -bench=. -benchmem -benchtime=3x ./internal/engine/ ./internal/record/ ./internal/storage/ ./internal/cluster/
 
 # The reference benchmark (BENCHMARK.json, `bash bench/run.sh`) is its own
 # module, invisible to `go build ./...` and `go test ./...` here: vet and

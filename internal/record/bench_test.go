@@ -51,6 +51,93 @@ func BenchmarkJoin(b *testing.B) {
 	}
 }
 
+// joinPartition is one reduce partition of batch-join's join: 25 000 records
+// a side, drawn at random from the keys "j<id>" (id < 400 000) that hash to
+// partition 0 of 16, about 25 000 of them.
+func joinPartition() (left, right []Record) {
+	var keys []string
+	for id := 0; id < 400_000; id++ {
+		if k := fmt.Sprintf("j%d", id); Hash32(k)%16 == 0 {
+			keys = append(keys, k)
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	side := func() []Record {
+		rs := make([]Record, 25_000)
+		for i := range rs {
+			rs[i] = Pair(keys[rng.Intn(len(keys))], int64(i))
+		}
+		return rs
+	}
+	return side(), side()
+}
+
+func BenchmarkJoinBatchShape(b *testing.B) {
+	left, right := joinPartition()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if len(JoinRecords(left, right)) == 0 {
+			b.Fatal("empty join")
+		}
+	}
+}
+
+// BenchmarkJoinSharedPrefix joins keys that share their first 16 bytes, so
+// no key differs from another within its first 8.
+func BenchmarkJoinSharedPrefix(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	side := func() []Record {
+		rs := make([]Record, 8000)
+		for i := range rs {
+			rs[i] = Pair(fmt.Sprintf("tenant-0042/day-%d", rng.Intn(4000)), int64(i))
+		}
+		return rs
+	}
+	left, right := side(), side()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if len(JoinRecords(left, right)) == 0 {
+			b.Fatal("empty join")
+		}
+	}
+}
+
+// BenchmarkReduceRecordsHashPartition folds 20 000 unsorted records with
+// distinct keys through the hash pass twice: keys that all hash-route to
+// one partition of 16, as every key of one reduce partition does, and as
+// many keys drawn without regard to their hash.
+func BenchmarkReduceRecordsHashPartition(b *testing.B) {
+	const n = 20_000
+	var routed, plain []Record
+	for id := 0; len(routed) < n; id++ {
+		k := fmt.Sprintf("j%d", id)
+		if Hash32(k)%16 == 0 {
+			routed = append(routed, Pair(k, int64(id)))
+		}
+		if len(plain) < n {
+			plain = append(plain, Pair(k, int64(id)))
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	keep := func(acc, _ any) any { return acc }
+	for _, shape := range []struct {
+		name string
+		rs   []Record
+	}{{"partition", routed}, {"uncorrelated", plain}} {
+		rng.Shuffle(n, func(i, j int) { shape.rs[i], shape.rs[j] = shape.rs[j], shape.rs[i] })
+		b.Run(shape.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if len(ReduceRecords(shape.rs, keep)) != n {
+					b.Fatal("lost a key")
+				}
+			}
+		})
+	}
+}
+
 func BenchmarkFromRecords(b *testing.B) {
 	data := benchData(20000, 1500)
 	b.ReportAllocs()
@@ -151,17 +238,19 @@ func BenchmarkSizeOfSlice(b *testing.B) {
 
 // TestKernelAllocCeilings is the allocation gate on the record kernels, at
 // the shapes the benchmarks above use: sorted grouping measures ~5 allocs/op
-// (the map-of-slices path it replaced took 7578), the join a handful for its
-// ~53.3k output rows (one hash pass over both sides, one carved backing, the
-// output and the slab of pairs its Joined values point into; it took one box
-// per row before). The wide map task's partition kernel, with warm scratch,
-// allocates exactly what escapes: the permutation, the span table and the
-// header; its radix tables come from the scratch. A change that
+// (the map-of-slices path it replaced took 7578), and the join 2 at both its
+// shapes, ~53.3k output rows from 1200 shared keys and batch-join's
+// partition: the output and the slab of pairs its Joined values point into
+// (it took one box per row before); its sort entries and radix buffer come
+// from pooled scratch. The wide map task's partition kernel, with warm
+// scratch, allocates exactly what escapes: the permutation, the span table
+// and the header; its radix tables come from the scratch. A change that
 // re-introduces per-record or per-group allocation fails here;
 // TestCoGroupAllocCeilings holds the cogroup entry point the same way.
 func TestKernelAllocCeilings(t *testing.T) {
 	group := benchData(20000, 1500)
 	left, right := benchData(8000, 1200), benchData(8000, 1200)
+	batchLeft, batchRight := joinPartition()
 	wide, wideIdx := wideMapTask()
 	var scr Scratch
 	for _, tc := range []struct {
@@ -171,6 +260,7 @@ func TestKernelAllocCeilings(t *testing.T) {
 	}{
 		{"GroupByKeySorted", 16, func() { GroupByKeySorted(group) }},
 		{"JoinRecords", 16, func() { JoinRecords(left, right) }},
+		{"JoinRecords batch shape", 16, func() { JoinRecords(batchLeft, batchRight) }},
 		{"PartitionRowsWide", 3, func() { PartitionRows(wide, wideIdx, 8000, &scr); scr.Reset() }},
 	} {
 		if got := testing.AllocsPerRun(5, tc.run); got > tc.ceiling {
@@ -194,6 +284,36 @@ func TestReduceRecordsAllocCeilings(t *testing.T) {
 			if got := testing.AllocsPerRun(5, func() { ReduceRecords(rs, keep) }); got > ceiling {
 				t.Errorf("%s, %d records over %d keys: %.0f allocs/op, ceiling %d at any key count", name, len(rs), keys, got, ceiling)
 			}
+		}
+	}
+}
+
+// BenchmarkSortKeyEntries times the radix sort against the comparison sort
+// sortKeyEntries falls back to, at sizes around radixMin, on batch-join's
+// "j<id>" keys.
+func BenchmarkSortKeyEntries(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	for _, n := range []int{32, 64, 96, 128, 256} {
+		rs := make([]Record, n)
+		for i := range rs {
+			rs[i] = Pair(fmt.Sprintf("j%d", rng.Intn(400_000)), int64(i))
+		}
+		kl := keyList{rs: rs}
+		var sc groupScratch
+		for _, sorter := range []struct {
+			name string
+			sort func([]keyEntry, keyShape)
+		}{
+			{"radix", func(es []keyEntry, ks keyShape) { radixSort(es, ks.buf) }},
+			{"compare", func(es []keyEntry, ks keyShape) { compareSort(es, kl, ks.limit) }},
+		} {
+			b.Run(fmt.Sprintf("%s/%d", sorter.name, n), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					es, _, ks := sc.entries(kl, keyList{})
+					sorter.sort(es, ks)
+					sc.ent.Reset()
+				}
+			})
 		}
 	}
 }

@@ -2,7 +2,9 @@ package record
 
 import (
 	"cmp"
+	"math/bits"
 	"slices"
+	"strings"
 	"sync"
 
 	"stark/internal/arena"
@@ -10,8 +12,8 @@ import (
 
 // groupScratch is the per-call transient state of the co-group kernel: the
 // open-addressing hash table, the per-record and per-group index columns and
-// the sort entries, all pointer-free and carved from arenas so a
-// steady-state pass allocates only its escaping outputs.
+// the sort entries with their radix buffer, all pointer-free and carved from
+// arenas so a steady-state pass allocates only its escaping outputs.
 type groupScratch struct {
 	i32 arena.Pool[int32]
 	u64 arena.Pool[uint64]
@@ -30,36 +32,247 @@ func (sc *groupScratch) release() {
 	groupScratchPool.Put(sc)
 }
 
-// keyEntry stands for one key in a sort: the key's first 8 bytes as a
+// keyEntry stands for one key in a sort: 8 of the key's bytes as a
 // big-endian integer (zero-padded, so integer order never contradicts string
-// order) and the index of whatever carries the full key. Sorting these moves
-// 16 pointer-free bytes per swap and reads a key only to break a prefix tie.
+// order), the index of the key in its keyList and the key's length. Sorting
+// these moves 16 pointer-free bytes per entry and reads a key only to refine
+// a run of equal prefixes that holds keys longer than the prefix.
 type keyEntry struct {
 	prefix uint64
 	idx    int32
+	klen   int32
 }
 
+// keyPrefix returns k's first 8 bytes as a big-endian integer, zero-padded.
 func keyPrefix(k string) uint64 {
+	if len(k) >= 8 {
+		return uint64(k[0])<<56 | uint64(k[1])<<48 | uint64(k[2])<<40 | uint64(k[3])<<32 |
+			uint64(k[4])<<24 | uint64(k[5])<<16 | uint64(k[6])<<8 | uint64(k[7])
+	}
 	var p uint64
-	for i := 0; i < len(k) && i < 8; i++ {
-		p |= uint64(k[i]) << (56 - 8*uint(i))
+	shift := uint(56) // where the next byte's low bit goes
+	if len(k) >= 4 {
+		p = uint64(k[0])<<56 | uint64(k[1])<<48 | uint64(k[2])<<40 | uint64(k[3])<<32
+		k, shift = k[4:], 24
+	}
+	if len(k) >= 2 {
+		p |= (uint64(k[0])<<8 | uint64(k[1])) << (shift - 8)
+		k, shift = k[2:], shift-16
+	}
+	if len(k) == 1 {
+		p |= uint64(k[0]) << shift
 	}
 	return p
 }
 
-// sortKeyEntries orders es by the keys they stand for, ascending; entries
-// with equal keys keep ascending idx, which makes the sort stable for
-// callers that number their input in order.
-func sortKeyEntries(es []keyEntry, key func(idx int32) string) {
+// keyList is the keys a sort orders: key i is rs[i].Key, or rs[at[i]].Key
+// when at is set.
+type keyList struct {
+	rs []Record
+	at []int32
+}
+
+func (kl keyList) len() int {
+	if kl.at != nil {
+		return len(kl.at)
+	}
+	return len(kl.rs)
+}
+
+func (kl keyList) key(i int32) string {
+	if kl.at != nil {
+		i = kl.at[i]
+	}
+	return kl.rs[i].Key
+}
+
+// keyShape is what sorting the entries needs besides them: what building
+// them learned about their keys, and the radix buffer. Their prefixes start
+// past the bytes every key shares, so limit is that count plus 8: a key no
+// longer than limit ends inside its prefix. exact reports that every key
+// does and none ends in a zero byte, so equal prefixes mean equal keys.
+type keyShape struct {
+	limit int32
+	exact bool
+	buf   []keyEntry // as long as the longer list
+}
+
+// entries builds the sort entries of a's keys and b's (b may be empty) with
+// one shared skip, so entries of the two lists compare. One pass derives
+// every prefix from byte 0 and notes how the prefixes differ; only when some
+// key is longer than 8 bytes do the keys' shared leading bytes matter, and
+// then the prefixes are derived again past them. So short keys pay one pass,
+// and keys that share their first 8 bytes, like "tenant-0042/day-17", do not
+// tie on every prefix. The entries and the radix buffer are one arena take,
+// so a scratch the pool had to make anew grows once.
+func (sc *groupScratch) entries(a, b keyList) (ea, eb []keyEntry, ks keyShape) {
+	na, nb := a.len(), b.len()
+	all := sc.ent.Take(na + nb + max(na, nb))
+	ea, eb, buf := all[:na:na], all[na:na+nb:na+nb], all[na+nb:]
+	first := a.key(0)
+	f := keyPrefix(first)
+	var diff uint64
+	minLen, maxLen, nulEnd := len(first), 0, false
+	for _, side := range [2]struct {
+		es []keyEntry
+		kl keyList
+	}{{ea, a}, {eb, b}} {
+		for i := range side.es {
+			k := side.kl.key(int32(i))
+			p := keyPrefix(k)
+			side.es[i] = keyEntry{prefix: p, idx: int32(i), klen: int32(len(k))}
+			diff |= p ^ f
+			minLen, maxLen = min(minLen, len(k)), max(maxLen, len(k))
+			if len(k) > 0 && k[len(k)-1] == 0 {
+				nulEnd = true
+			}
+		}
+	}
+	skip := 0
+	if maxLen > 8 {
+		skip = min(bits.LeadingZeros64(diff)/8, minLen)
+		if skip == 8 { // every key starts with first's 8 bytes: find how many more they share
+			skip = minLen
+			for _, side := range [2]keyList{a, b} {
+				for i := 0; i < side.len() && skip > 8; i++ {
+					if k := side.key(int32(i)); k[:skip] != first[:skip] {
+						skip = 8
+						for k[skip] == first[skip] {
+							skip++
+						}
+					}
+				}
+			}
+		}
+		if skip > 0 {
+			rebase(ea, a, skip)
+			rebase(eb, b, skip)
+		}
+	}
+	return ea, eb, keyShape{limit: int32(skip + 8), exact: maxLen <= skip+8 && !nulEnd, buf: buf}
+}
+
+// rebase re-derives each entry's prefix from byte off of its key.
+func rebase(es []keyEntry, kl keyList, off int) {
+	for i := range es {
+		k := kl.key(es[i].idx)
+		es[i].prefix = keyPrefix(k[min(off, len(k)):])
+	}
+}
+
+// cmpTied compares the keys a (of list ka) and b (of list kb) stand for,
+// given equal prefixes. Those mean the keys agree up to limit, so a key that
+// ends there orders by length; only two longer keys are read.
+func cmpTied(a keyEntry, ka keyList, b keyEntry, kb keyList, limit int32) int {
+	if min(a.klen, b.klen) <= limit {
+		return cmp.Compare(a.klen, b.klen)
+	}
+	return strings.Compare(ka.key(a.idx), kb.key(b.idx))
+}
+
+// sameKey reports whether a and b, entries of one list, stand for the same
+// key.
+func sameKey(a, b keyEntry, kl keyList, limit int32) bool {
+	return a.prefix == b.prefix && a.klen == b.klen && (a.klen <= limit || kl.key(a.idx) == kl.key(b.idx))
+}
+
+// radixMin is the entry count below which a sort compares instead of
+// counting: BenchmarkSortKeyEntries' crossover.
+const radixMin = 96
+
+// sortKeyEntries orders es, built by entries over kl, by the keys they stand
+// for, ascending; entries with equal keys keep ascending idx, so the sort is
+// stable. It is an LSD radix sort over the prefix bytes that vary, then a
+// refinement of the runs of equal prefixes when ks says a prefix can stand
+// for more than one key.
+func sortKeyEntries(es []keyEntry, kl keyList, ks keyShape) {
+	if len(es) < radixMin {
+		compareSort(es, kl, ks.limit)
+		return
+	}
+	tmp := ks.buf[:len(es)]
+	radixSort(es, tmp)
+	if !ks.exact {
+		refine(es, tmp, kl, ks.limit)
+	}
+}
+
+// compareSort is sortKeyEntries for a handful of entries, whose prefixes
+// are the keys' bytes below limit: a comparison sort.
+func compareSort(es []keyEntry, kl keyList, limit int32) {
 	slices.SortFunc(es, func(a, b keyEntry) int {
 		if a.prefix != b.prefix {
 			return cmp.Compare(a.prefix, b.prefix)
 		}
-		if c := cmp.Compare(key(a.idx), key(b.idx)); c != 0 {
+		if c := cmpTied(a, kl, b, kl, limit); c != 0 {
 			return c
 		}
 		return cmp.Compare(a.idx, b.idx)
 	})
+}
+
+// radixSort stably orders es by prefix with one counting pass per byte that
+// varies across them, least significant first, through tmp.
+func radixSort(es, tmp []keyEntry) {
+	and, or := ^uint64(0), uint64(0)
+	for i := range es {
+		and &= es[i].prefix
+		or |= es[i].prefix
+	}
+	vary := and ^ or
+	src, dst := es, tmp
+	for shift := uint(0); shift < 64; shift += 8 {
+		if vary>>shift&0xff == 0 {
+			continue
+		}
+		var starts [257]int32
+		for i := range src {
+			starts[src[i].prefix>>shift&0xff+1]++
+		}
+		for d := 1; d < 256; d++ {
+			starts[d] += starts[d-1]
+		}
+		for i := range src {
+			d := src[i].prefix >> shift & 0xff
+			dst[starts[d]] = src[i]
+			starts[d]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &es[0] {
+		copy(es, src)
+	}
+}
+
+// refine orders every run of equal prefixes in es, whose prefixes are the
+// keys' bytes below limit. A run whose keys all end by limit orders by key
+// length: a shorter key is a zero-padded prefix of a longer one ("ab" <
+// "ab\x00"), and equal lengths are equal keys, already in idx order. A run
+// that holds longer keys is sorted again on the next 8 bytes, or compared if
+// it is short; its entries get their prefix back after.
+func refine(es, tmp []keyEntry, kl keyList, limit int32) {
+	for lo := 0; lo < len(es); {
+		hi, byLen, long := lo+1, true, es[lo].klen > limit
+		for ; hi < len(es) && es[hi].prefix == es[lo].prefix; hi++ {
+			byLen = byLen && es[hi].klen >= es[hi-1].klen
+			long = long || es[hi].klen > limit
+		}
+		run := es[lo:hi]
+		switch {
+		case len(run) == 1 || !long && byLen:
+		case !long || len(run) < radixMin:
+			compareSort(run, kl, limit)
+		default:
+			p := run[0].prefix
+			rebase(run, kl, int(limit))
+			radixSort(run, tmp[lo:hi])
+			refine(run, tmp[lo:hi], kl, limit+8)
+			for i := range run { // the merge compares at this level
+				run[i].prefix = p
+			}
+		}
+		lo = hi
+	}
 }
 
 // coGrouping is the result of the kernel's hash pass over one or more input
@@ -77,7 +290,11 @@ type coGrouping struct {
 
 // group runs the hash pass. Keys are FNV-hashed once into a table whose
 // slots hold hash and group id together, so a probe touches a record only
-// when the full hash matches.
+// when the full hash matches. A key's home slot folds the hash's high half
+// into its low half: partition.Hash routes on the hash modulo the partition
+// count, so every key of one reduce partition shares the hash's low bits,
+// and a slot of those alone would crowd a partition's keys into a fraction
+// of the table.
 func (sc *groupScratch) group(sides [][]Record) coGrouping {
 	n := 0
 	for _, side := range sides {
@@ -96,7 +313,7 @@ func (sc *groupScratch) group(sides [][]Record) coGrouping {
 		for j := range side {
 			key := side[j].Key
 			h := Hash32(key)
-			slot := uint64(h) & mask
+			slot := uint64(h^h>>16) & mask
 			for {
 				e := table[slot]
 				if e == 0 {
@@ -150,28 +367,26 @@ func (cg *coGrouping) ids() []int32 {
 	return ids
 }
 
-// sortByKey reorders the group ids into ascending key order.
-func (cg *coGrouping) sortByKey(ids []int32) {
-	es := cg.sc.ent.Take(len(ids))
-	for i, g := range ids {
-		es[i] = keyEntry{prefix: keyPrefix(cg.key(g)), idx: g}
-	}
-	sortKeyEntries(es, cg.key)
+// sortedIDs returns every group id in ascending key order. The grouping
+// must have one side, whose records first indexes.
+func (cg *coGrouping) sortedIDs() []int32 {
+	kl := keyList{rs: cg.sides[0], at: cg.first[:cg.ngroups]}
+	es, _, ks := cg.sc.entries(kl, keyList{})
+	sortKeyEntries(es, kl, ks)
+	ids := cg.sc.i32.Take(cg.ngroups)
 	for i := range es {
 		ids[i] = es[i].idx
 	}
+	return ids
 }
 
-// carve copies the values of the listed groups into one backing array —
-// groups in the listed order, a group's sides in side order, a side's values
-// in input order — and returns it with, per (group, side), the end of that
-// run. Values of groups not listed are not copied.
+// carve copies every group's values into one backing array — groups in the
+// given order, a permutation of the group ids; a group's sides in side
+// order; a side's values in input order — and returns it with, per (group,
+// side), the end of that run.
 func (cg *coGrouping) carve(order []int32) (backing []any, ends []int32) {
 	ns := len(cg.sides)
 	pos := cg.sc.i32.Take(cg.ngroups * ns)
-	for i := range pos {
-		pos[i] = -1
-	}
 	off := int32(0)
 	for _, g := range order {
 		for k := int(g) * ns; k < (int(g)+1)*ns; k++ {
@@ -183,10 +398,9 @@ func (cg *coGrouping) carve(order []int32) (backing []any, ends []int32) {
 	i := 0
 	for s, side := range cg.sides {
 		for j := range side {
-			if p := &pos[int(cg.gidOf[i])*ns+s]; *p >= 0 {
-				backing[*p] = side[j].Value
-				*p++
-			}
+			p := &pos[int(cg.gidOf[i])*ns+s]
+			backing[*p] = side[j].Value
+			*p++
 			i++
 		}
 	}
@@ -224,8 +438,7 @@ func GroupByKeySorted(rs []Record) []Grouped {
 	sc := getScratch()
 	sides := [1][]Record{rs}
 	cg := sc.group(sides[:])
-	order := cg.ids()
-	cg.sortByKey(order)
+	order := cg.sortedIDs()
 	backing, ends := cg.carve(order)
 	groups := make([]Grouped, len(order))
 	for i, g := range order {
@@ -292,8 +505,7 @@ func ReduceRecords(rs []Record, merge func(acc, v any) any) []Record {
 	sc := getScratch()
 	sides := [1][]Record{rs}
 	cg := sc.group(sides[:])
-	order := cg.ids()
-	cg.sortByKey(order)
+	order := cg.sortedIDs()
 	rank := sc.i32.Take(cg.ngroups) // per group: its slot in key order
 	for i, g := range order {
 		rank[g] = int32(i)
@@ -314,11 +526,12 @@ func ReduceRecords(rs []Record, merge func(acc, v any) any) []Record {
 
 // JoinRecords computes the inner join of two record slices: for every key
 // present on both sides, the cross-product of left and right values as
-// Joined pairs, keys ascending, left then right values in input order. One
-// hash pass groups both sides together; only the keys present on both are
-// sorted and only their values carved, so besides that one backing array the
-// allocations are the exact-size output slice and one slab of pairs the
-// Joined values point into.
+// Joined pairs, keys ascending, left then right values in input order. It
+// is a sort-merge join: each side's keys are radix-sorted as pointer-free
+// entries in scratch, the two sorted runs are merged, and every matched
+// key's pairs are read straight from the input rows. So the allocations are
+// the exact-size output slice and one slab of pairs the Joined values point
+// into.
 //
 //starklint:hotpath
 func JoinRecords(left, right []Record) []Record {
@@ -326,35 +539,53 @@ func JoinRecords(left, right []Record) []Record {
 		return nil
 	}
 	sc := getScratch()
-	sides := [2][]Record{left, right}
-	cg := sc.group(sides[:])
-	matched := sc.i32.Take(cg.ngroups)
+	lk, rk := keyList{rs: left}, keyList{rs: right}
+	le, re, ks := sc.entries(lk, rk)
+	sortKeyEntries(le, lk, ks)
+	sortKeyEntries(re, rk, ks)
+	// Each matched key leaves its run on both sides: [lo, hi) of le, then of re.
+	runs := sc.i32.Take(4 * min(len(le), len(re)))
 	m, total := 0, 0
-	for g := 0; g < cg.ngroups; g++ {
-		if l, r := cg.counts[2*g], cg.counts[2*g+1]; l > 0 && r > 0 {
-			matched[m] = int32(g)
-			m++
-			total += int(l) * int(r)
+	for i, j := 0, 0; i < len(le) && j < len(re); {
+		c := cmp.Compare(le[i].prefix, re[j].prefix)
+		if c == 0 {
+			c = cmpTied(le[i], lk, re[j], rk, ks.limit)
+		}
+		switch {
+		case c < 0:
+			i++
+		case c > 0:
+			j++
+		default:
+			i2, j2 := i+1, j+1
+			for i2 < len(le) && sameKey(le[i2], le[i], lk, ks.limit) {
+				i2++
+			}
+			for j2 < len(re) && sameKey(re[j2], re[j], rk, ks.limit) {
+				j2++
+			}
+			runs[m], runs[m+1], runs[m+2], runs[m+3] = int32(i), int32(i2), int32(j), int32(j2)
+			m += 4
+			total += (i2 - i) * (j2 - j)
+			i, j = i2, j2
 		}
 	}
 	if total == 0 {
 		sc.release()
 		return nil
 	}
-	matched = matched[:m]
-	cg.sortByKey(matched)
-	backing, ends := cg.carve(matched)
 	pairs := make([]JoinedPair, total)
 	out := make([]Record, total)
-	i := 0
-	for _, g := range matched {
-		key := cg.key(g)
-		rvs := cg.run(backing, ends, g, 1)
-		for _, lv := range cg.run(backing, ends, g, 0) {
-			for _, rv := range rvs {
-				pairs[i] = JoinedPair{Left: lv, Right: rv}
-				out[i] = Record{Key: key, Value: &pairs[i]}
-				i++
+	k := 0
+	for r := 0; r < m; r += 4 {
+		key := left[le[runs[r]].idx].Key
+		rights := re[runs[r+2]:runs[r+3]]
+		for _, l := range le[runs[r]:runs[r+1]] {
+			lv := left[l.idx].Value
+			for _, e := range rights {
+				pairs[k] = JoinedPair{Left: lv, Right: right[e.idx].Value}
+				out[k] = Record{Key: key, Value: &pairs[k]}
+				k++
 			}
 		}
 	}
@@ -398,11 +629,9 @@ func SortedByKey(rs []Record) []Record {
 		return nil
 	}
 	sc := getScratch()
-	es := sc.ent.Take(len(rs))
-	for i := range rs {
-		es[i] = keyEntry{prefix: keyPrefix(rs[i].Key), idx: int32(i)}
-	}
-	sortKeyEntries(es, func(i int32) string { return rs[i].Key })
+	kl := keyList{rs: rs}
+	es, _, ks := sc.entries(kl, keyList{})
+	sortKeyEntries(es, kl, ks)
 	out := make([]Record, len(rs))
 	for i, e := range es {
 		out[i] = rs[e.idx]

@@ -31,7 +31,9 @@ func naiveJoin(left, right []record.Record) []record.Record {
 
 // checkKernels holds every entry point of the kernel to its reference on the
 // given sides: CoGroupRecords over all of them, JoinRecords over each
-// adjacent pair, GroupByKeySorted and SortedByKey over each side.
+// adjacent pair and over each side with one record per its keys, both ways
+// round (so every key matches, whatever population the sides drew),
+// GroupByKeySorted and SortedByKey over each side.
 func checkKernels(t *testing.T, sides [][]record.Record) {
 	t.Helper()
 	snapshot := make([][]record.Record, len(sides))
@@ -49,11 +51,24 @@ func checkKernels(t *testing.T, sides [][]record.Record) {
 		}
 	}
 
-	for s := 0; s+1 < len(sides); s++ {
-		got, want := record.JoinRecords(sides[s], sides[s+1]), naiveJoin(sides[s], sides[s+1])
+	join := func(name string, left, right []record.Record) {
+		t.Helper()
+		got, want := record.JoinRecords(left, right), naiveJoin(left, right)
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("join of sides %d,%d: got %d records %v, want %d %v", s, s+1, len(got), got, len(want), want)
+			t.Fatalf("join of %s: got %d records %v, want %d %v", name, len(got), got, len(want), want)
 		}
+	}
+	for s := 0; s+1 < len(sides); s++ {
+		join(fmt.Sprintf("sides %d,%d", s, s+1), sides[s], sides[s+1])
+	}
+	for s, side := range sides {
+		_, keys := record.GroupByKey(side)
+		distinct := make([]record.Record, len(keys))
+		for i, k := range keys {
+			distinct[i] = record.Record{Key: k, Value: -i}
+		}
+		join(fmt.Sprintf("side %d with its keys", s), side, distinct)
+		join(fmt.Sprintf("side %d's keys with it", s), distinct, side)
 	}
 
 	for s, side := range sides {
@@ -88,13 +103,29 @@ func checkKernels(t *testing.T, sides [][]record.Record) {
 
 // kernelKeys are the key populations the sort and the table must get right:
 // shorter than the 8-byte prefix, sharing it, differing only past it or only
-// by trailing zero bytes, and carrying the extreme bytes.
+// by trailing zero bytes, differing only in their 8th byte, and carrying the
+// extreme bytes. The last holds
+// 17–40-byte keys that share their first 16 bytes and differ only past
+// them, by trailing zero bytes or by length, so the sort refines a run of
+// equal prefixes on a second and a third 8-byte chunk.
 var kernelKeys = [][]string{
 	{"", "a", "b", "ab", "abc", "b0", "zzzzzzz"},
 	{"prefix__", "prefix__a", "prefix__b", "prefix__ab", "prefix_", "prefix__\x00", "prefix__\xff"},
 	{"ab", "ab\x00", "ab\x00\x00", "ab\x00\x00\x00\x00\x00\x00", "ab\x00\x00\x00\x00\x00\x00\x00", "ab\x01"},
 	{"\x00", "\x00\x00", "\xff", "\xff\xff", "\xff\x00", "\x00\xff", "k\xffz", "k\x00z"},
+	{"abcdefg", "abcdefg\x00", "abcdefg0", "abcdefg1", "abcdefg\xff", "abcdefh"},
+	{
+		sharedPrefix + "a", sharedPrefix + "a\x00", sharedPrefix + "a\x00\x00", sharedPrefix + "b", sharedPrefix + "\x00",
+		sharedPrefix + "\xff", sharedPrefix + "abcdefgh", sharedPrefix + "abcdefgh\x00", sharedPrefix + "abcdefghi",
+		sharedPrefix + "abcdefgh\xff", sharedPrefix + "abcdefgh\x00\x00\x00\x00\x00\x00\x00\x00",
+		sharedPrefix + "abcdefgh\x00\x00\x00\x00\x00\x00\x00\x00\x00", sharedPrefix + "abcdefghijklmnopqrstuvwx",
+		sharedPrefix + "abcdefghijklmnopqrstuvw\x00", sharedPrefix + "abcdefghijklmnop",
+	},
 }
+
+// sharedPrefix is 16 bytes every key of the last kernelKeys population, and
+// of a FuzzCoGroupKernel input with mode bit 2 set, starts with.
+const sharedPrefix = "tenant-0042/day-"
 
 func genSide(rng *rand.Rand, side int) []record.Record {
 	var n int
@@ -117,7 +148,7 @@ func genSide(rng *rand.Rand, side int) []record.Record {
 		if pop == len(kernelKeys) {
 			space = 1 + rng.Intn(2*n+1)
 		}
-		width := []int{1, 3, 9, 12}[rng.Intn(4)]
+		width := []int{1, 3, 9, 12, 20}[rng.Intn(5)]
 		for k := 0; k < space; k++ {
 			keys = append(keys, fmt.Sprintf("%0*d", width, k))
 		}
@@ -161,19 +192,26 @@ func TestCoGroupKernelMatchesReference(t *testing.T) {
 }
 
 // FuzzCoGroupKernel decodes arbitrary bytes into 1–4 sides and holds the
-// kernel to the references. Byte 0 picks the side count; after it every
-// record is a header byte (side, key length 0–15) followed by the key bytes.
+// kernel to the references. Bits 0–1 of byte 0 pick the side count, and bit
+// 2 prepends sharedPrefix to every key, so keys tie on their first two
+// 8-byte chunks; after it every record is a header byte (side, key length
+// 0–15) followed by the key bytes.
 func FuzzCoGroupKernel(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 0x10, 'a', 0x10, 'a', 0x00})
 	f.Add([]byte{3, 0x21, 'a', 'b', 0x31, 'a', 'b', 0, 0x22, 'a', 'b', 0x90, 'p', 'r', 'e', 'f', 'i', 'x', '_', '_', 'x'})
 	f.Add([]byte{2, 0x80, 1, 2, 3, 4, 5, 6, 7, 8, 0x81, 1, 2, 3, 4, 5, 6, 7, 8, 0x90, 1, 2, 3, 4, 5, 6, 7, 8, 0xff})
+	f.Add([]byte{5, 0x10, 'a', 0x20, 'a', 0, 0x00, 0x11, 'a', 0x90, 'a', 'b', 'c', 'd', 'e', 'f', 'g', 'h', 0, 0x91, 'a', 'b', 'c', 'd', 'e', 'f', 'g', 'h', 'i'})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			checkKernels(t, [][]record.Record{nil})
 			return
 		}
 		sides := make([][]record.Record, 1+int(data[0])%4)
+		prefix := ""
+		if data[0]&4 != 0 {
+			prefix = sharedPrefix
+		}
 		data = data[1:]
 		for i := 0; len(data) > 0; i++ {
 			s, klen := int(data[0]&0x0f)%len(sides), int(data[0]>>4)
@@ -181,7 +219,7 @@ func FuzzCoGroupKernel(f *testing.F) {
 			if klen > len(data) {
 				klen = len(data)
 			}
-			sides[s] = append(sides[s], record.Record{Key: string(data[:klen]), Value: i})
+			sides[s] = append(sides[s], record.Record{Key: prefix + string(data[:klen]), Value: i})
 			data = data[klen:]
 		}
 		checkKernels(t, sides)
