@@ -260,7 +260,7 @@ func TestKernelAllocCeilings(t *testing.T) {
 	}{
 		{"GroupByKeySorted", 16, func() { GroupByKeySorted(group) }},
 		{"JoinRecords", 16, func() { JoinRecords(left, right) }},
-		{"JoinRecords batch shape", 16, func() { JoinRecords(batchLeft, batchRight) }},
+		{"JoinRecords batch shape", 4, func() { JoinRecords(batchLeft, batchRight) }},
 		{"PartitionRowsWide", 3, func() { PartitionRows(wide, wideIdx, 8000, &scr); scr.Reset() }},
 	} {
 		if got := testing.AllocsPerRun(5, tc.run); got > tc.ceiling {

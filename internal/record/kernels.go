@@ -190,15 +190,15 @@ func sortKeyEntries(es []keyEntry, kl keyList, ks keyShape) {
 		compareSort(es, kl, ks.limit)
 		return
 	}
-	tmp := ks.buf[:len(es)]
-	radixSort(es, tmp)
+	radixSort(es, ks.buf[:len(es)])
 	if !ks.exact {
-		refine(es, tmp, kl, ks.limit)
+		refine(es, kl, ks.limit)
 	}
 }
 
-// compareSort is sortKeyEntries for a handful of entries, whose prefixes
-// are the keys' bytes below limit: a comparison sort.
+// compareSort orders es like sortKeyEntries, by comparison: a handful of
+// entries, or a run refine cannot order by length. Their prefixes are the
+// keys' bytes below limit.
 func compareSort(es []keyEntry, kl keyList, limit int32) {
 	slices.SortFunc(es, func(a, b keyEntry) int {
 		if a.prefix != b.prefix {
@@ -245,31 +245,18 @@ func radixSort(es, tmp []keyEntry) {
 }
 
 // refine orders every run of equal prefixes in es, whose prefixes are the
-// keys' bytes below limit. A run whose keys all end by limit orders by key
-// length: a shorter key is a zero-padded prefix of a longer one ("ab" <
-// "ab\x00"), and equal lengths are equal keys, already in idx order. A run
-// that holds longer keys is sorted again on the next 8 bytes, or compared if
-// it is short; its entries get their prefix back after.
-func refine(es, tmp []keyEntry, kl keyList, limit int32) {
+// keys' bytes below limit. A run whose keys all end by limit and already
+// ascend by length is in order: a shorter key is then a zero-padded prefix
+// of a longer one ("ab" < "ab\x00"), and equal lengths are equal keys,
+// already in idx order. Any other run is compared.
+func refine(es []keyEntry, kl keyList, limit int32) {
 	for lo := 0; lo < len(es); {
-		hi, byLen, long := lo+1, true, es[lo].klen > limit
+		hi, byLen := lo+1, true
 		for ; hi < len(es) && es[hi].prefix == es[lo].prefix; hi++ {
-			byLen = byLen && es[hi].klen >= es[hi-1].klen
-			long = long || es[hi].klen > limit
+			byLen = byLen && es[hi].klen >= es[hi-1].klen && es[hi].klen <= limit
 		}
-		run := es[lo:hi]
-		switch {
-		case len(run) == 1 || !long && byLen:
-		case !long || len(run) < radixMin:
-			compareSort(run, kl, limit)
-		default:
-			p := run[0].prefix
-			rebase(run, kl, int(limit))
-			radixSort(run, tmp[lo:hi])
-			refine(run, tmp[lo:hi], kl, limit+8)
-			for i := range run { // the merge compares at this level
-				run[i].prefix = p
-			}
+		if !byLen {
+			compareSort(es[lo:hi], kl, limit)
 		}
 		lo = hi
 	}
@@ -578,12 +565,18 @@ func JoinRecords(left, right []Record) []Record {
 	out := make([]Record, total)
 	k := 0
 	for r := 0; r < m; r += 4 {
-		key := left[le[runs[r]].idx].Key
-		rights := re[runs[r+2]:runs[r+3]]
-		for _, l := range le[runs[r]:runs[r+1]] {
+		lefts, rights := le[runs[r]:runs[r+1]], re[runs[r+2]:runs[r+3]]
+		// The first left value's pairs read the right rows; the others copy
+		// the right values from those pairs, which are still in cache.
+		first := pairs[k : k+len(rights)]
+		for x, e := range rights {
+			first[x].Right = right[e.idx].Value
+		}
+		key := left[lefts[0].idx].Key
+		for _, l := range lefts {
 			lv := left[l.idx].Value
-			for _, e := range rights {
-				pairs[k] = JoinedPair{Left: lv, Right: right[e.idx].Value}
+			for x := range first {
+				pairs[k] = JoinedPair{Left: lv, Right: first[x].Right}
 				out[k] = Record{Key: key, Value: &pairs[k]}
 				k++
 			}

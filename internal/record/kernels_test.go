@@ -106,8 +106,8 @@ func checkKernels(t *testing.T, sides [][]record.Record) {
 // by trailing zero bytes, differing only in their 8th byte, and carrying the
 // extreme bytes. The last holds
 // 17–40-byte keys that share their first 16 bytes and differ only past
-// them, by trailing zero bytes or by length, so the sort refines a run of
-// equal prefixes on a second and a third 8-byte chunk.
+// them, by trailing zero bytes or by length, so the sort meets runs of equal
+// prefixes that it must compare past the prefix.
 var kernelKeys = [][]string{
 	{"", "a", "b", "ab", "abc", "b0", "zzzzzzz"},
 	{"prefix__", "prefix__a", "prefix__b", "prefix__ab", "prefix_", "prefix__\x00", "prefix__\xff"},
@@ -173,6 +173,18 @@ func genSide(rng *rand.Rand, side int) []record.Record {
 }
 
 func TestCoGroupKernelMatchesReference(t *testing.T) {
+	// Keys that tie on their 8-byte prefix, ascend by length in input order
+	// and descend past the prefix, in a side long enough to be radix-sorted:
+	// the run must still be compared, not taken as ordered by length.
+	var side []record.Record
+	for i := 0; i < 100; i++ {
+		side = append(side, record.Record{Key: fmt.Sprintf("f%03d", i), Value: i})
+	}
+	for i, k := range []string{"abcdefgh", "abcdefghb", "abcdefghaa"} {
+		side = append(side, record.Record{Key: k, Value: 100 + i})
+	}
+	checkKernels(t, [][]record.Record{side, side[90:]})
+
 	for seed := int64(0); seed < 50; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		for trial := 0; trial < 8; trial++ {
