@@ -48,6 +48,21 @@ func taxiShapeCluster() *Cluster {
 
 var unitsSink int
 
+// BenchmarkBlockStorePeekHit is the plane's cache-hit read: one packed-key
+// lookup in an executor's store.
+func BenchmarkBlockStorePeekHit(b *testing.B) {
+	c := taxiShapeCluster()
+	s := c.Executor(3).Store
+	ids := s.Blocks()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := s.Peek(ids[i%len(ids)]); ok {
+			unitsSink++
+		}
+	}
+}
+
 // BenchmarkUnitsCached is the scheduler's MCF score: one indexed read.
 func BenchmarkUnitsCached(b *testing.B) {
 	c := taxiShapeCluster()

@@ -21,6 +21,35 @@ type BlockID struct {
 
 func (b BlockID) String() string { return fmt.Sprintf("rdd%d[%d]", b.RDD, b.Partition) }
 
+// BlockKey is a BlockID packed into one word, RDD<<32 | Partition: the key
+// of every table indexed by block (the stores, the directory, the engine's
+// plane overlays and wake-up lists), so a lookup hashes one uint64 instead
+// of a two-int struct.
+type BlockKey uint64
+
+// packLimit bounds both halves of a packed key. Ids at or above it, and
+// negative ids, would alias another block's key, so Key refuses them.
+const packLimit = 1 << 31
+
+// Key packs the id. It panics on an RDD id or partition outside
+// [0, 2^31): such an id has no key of its own.
+func (b BlockID) Key() BlockKey {
+	if uint(b.RDD) >= packLimit || uint(b.Partition) >= packLimit {
+		panic(unpackableID(b))
+	}
+	return BlockKey(uint64(b.RDD)<<32 | uint64(b.Partition))
+}
+
+// ID unpacks the key.
+func (k BlockKey) ID() BlockID { return BlockID{RDD: int(k >> 32), Partition: int(k & (1<<32 - 1))} }
+
+// unpackableID is Key's panic value; its message is built only if read.
+type unpackableID BlockID
+
+func (u unpackableID) Error() string {
+	return fmt.Sprintf("cluster: block id %v does not pack into a 64-bit key: RDD and partition must lie in [0, 2^31)", BlockID(u))
+}
+
 type blockEntry struct {
 	id    BlockID
 	data  []record.Record
@@ -36,7 +65,7 @@ type blockEntry struct {
 type BlockStore struct {
 	capacity int64
 	used     int64
-	blocks   map[BlockID]*blockEntry
+	blocks   map[BlockKey]*blockEntry
 	lru      list.List // front = most recently used
 	policy   EvictionPolicy
 	// shrink is the mem-pressure capacity factor in (0, 1]; 1 = no
@@ -48,7 +77,7 @@ type BlockStore struct {
 func NewBlockStore(capacity int64) *BlockStore {
 	return &BlockStore{
 		capacity: capacity,
-		blocks:   make(map[BlockID]*blockEntry),
+		blocks:   make(map[BlockKey]*blockEntry),
 		policy:   lruPolicy{},
 		shrink:   1,
 	}
@@ -94,13 +123,15 @@ func (s *BlockStore) Len() int { return len(s.blocks) }
 
 // Contains reports whether the block is cached, without touching LRU order.
 func (s *BlockStore) Contains(id BlockID) bool {
-	_, ok := s.blocks[id]
+	_, ok := s.blocks[id.Key()]
 	return ok
 }
 
 // Get returns the cached data and marks the block most recently used.
+//
+//starklint:hotpath
 func (s *BlockStore) Get(id BlockID) ([]record.Record, bool) {
-	e, ok := s.blocks[id]
+	e, ok := s.blocks[id.Key()]
 	if !ok {
 		return nil, false
 	}
@@ -112,8 +143,10 @@ func (s *BlockStore) Get(id BlockID) ([]record.Record, bool) {
 // data plane reads through Peek so concurrent lookups never mutate the
 // store; recency updates are replayed later, in deterministic dispatch
 // order, via Get.
+//
+//starklint:hotpath
 func (s *BlockStore) Peek(id BlockID) ([]record.Record, bool) {
-	e, ok := s.blocks[id]
+	e, ok := s.blocks[id.Key()]
 	if !ok {
 		return nil, false
 	}
@@ -172,8 +205,9 @@ func (s *BlockStore) PutChecked(id BlockID, data []record.Record, bytes int64) (
 		// slip past the bound it could not enter through.
 		return nil, PutTooLarge
 	}
+	key := id.Key()
 	var current int64 // bytes already held by this id (re-put case)
-	if e, exists := s.blocks[id]; exists {
+	if e, exists := s.blocks[key]; exists {
 		current = e.bytes
 	}
 	var evicted []BlockID
@@ -186,13 +220,13 @@ func (s *BlockStore) PutChecked(id BlockID, data []record.Record, bytes int64) (
 			return nil, PutTooLarge
 		}
 		for _, vid := range plan.Victims {
-			if e, ok := s.blocks[vid]; ok && vid != id {
+			if e, ok := s.blocks[vid.Key()]; ok && vid != id {
 				s.removeEntry(e)
 				evicted = append(evicted, vid)
 			}
 		}
 	}
-	if e, exists := s.blocks[id]; exists {
+	if e, exists := s.blocks[key]; exists {
 		s.used += bytes - e.bytes
 		e.data, e.bytes = data, bytes
 		s.lru.MoveToFront(e.elem)
@@ -200,14 +234,14 @@ func (s *BlockStore) PutChecked(id BlockID, data []record.Record, bytes int64) (
 	}
 	e := &blockEntry{id: id, data: data, bytes: bytes}
 	e.elem = s.lru.PushFront(e)
-	s.blocks[id] = e
+	s.blocks[key] = e
 	s.used += bytes
 	return evicted, PutStored
 }
 
 // Remove drops a block if present, reporting whether it was cached.
 func (s *BlockStore) Remove(id BlockID) bool {
-	e, ok := s.blocks[id]
+	e, ok := s.blocks[id.Key()]
 	if !ok {
 		return false
 	}
@@ -217,7 +251,7 @@ func (s *BlockStore) Remove(id BlockID) bool {
 
 func (s *BlockStore) removeEntry(e *blockEntry) {
 	s.lru.Remove(e.elem)
-	delete(s.blocks, e.id)
+	delete(s.blocks, e.id.Key())
 	s.used -= e.bytes
 }
 
@@ -233,7 +267,7 @@ func (s *BlockStore) Blocks() []BlockID {
 // Clear drops every block (executor failure).
 func (s *BlockStore) Clear() []BlockID {
 	ids := s.Blocks()
-	s.blocks = make(map[BlockID]*blockEntry)
+	s.blocks = make(map[BlockKey]*blockEntry)
 	s.lru.Init()
 	s.used = 0
 	return ids

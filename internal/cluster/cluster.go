@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 
 	"stark/internal/config"
 	"stark/internal/record"
@@ -75,7 +76,9 @@ func (e *Executor) Release() {
 type Cluster struct {
 	Cfg       config.Cluster
 	executors []*Executor
-	directory map[BlockID]map[int]bool
+	// directory maps each cached block to the ids of the executors holding
+	// a replica, ascending and never empty.
+	directory map[BlockKey][]int
 	// unitOf is the installed block -> collection-unit mapping and
 	// unitVersion counts its announced changes (unitindex.go).
 	unitOf      func(BlockID) (UnitID, bool)
@@ -86,7 +89,7 @@ type Cluster struct {
 func New(cfg config.Cluster) *Cluster {
 	c := &Cluster{
 		Cfg:       cfg,
-		directory: make(map[BlockID]map[int]bool),
+		directory: make(map[BlockKey][]int),
 		unitOf:    func(BlockID) (UnitID, bool) { return UnitID{}, false },
 	}
 	for i := 0; i < cfg.NumExecutors; i++ {
@@ -147,13 +150,10 @@ func (c *Cluster) CachePutChecked(exec int, id BlockID, data []record.Record, by
 		c.dropLocation(ev, exec)
 	}
 	if st == PutStored {
-		locs, present := c.directory[id]
-		if !present {
-			locs = make(map[int]bool)
-			c.directory[id] = locs
-		}
-		if !locs[exec] { // a re-put of a held block changes neither books
-			locs[exec] = true
+		key := id.Key()
+		locs := c.directory[key]
+		if i, held := slices.BinarySearch(locs, exec); !held { // a re-put of a held block changes neither books
+			c.directory[key] = slices.Insert(locs, i, exec)
 			c.unitAdded(e, id)
 		}
 	}
@@ -178,6 +178,8 @@ func (c *Cluster) SetMemPressure(exec int, factor float64) {
 }
 
 // CacheGet reads a block from one executor's cache.
+//
+//starklint:hotpath
 func (c *Cluster) CacheGet(exec int, id BlockID) ([]record.Record, bool) {
 	e := c.executors[exec]
 	if e.dead {
@@ -188,6 +190,8 @@ func (c *Cluster) CacheGet(exec int, id BlockID) ([]record.Record, bool) {
 
 // CachePeek reads a block from one executor's cache without touching LRU
 // order; see BlockStore.Peek.
+//
+//starklint:hotpath
 func (c *Cluster) CachePeek(exec int, id BlockID) ([]record.Record, bool) {
 	e := c.executors[exec]
 	if e.dead {
@@ -196,23 +200,15 @@ func (c *Cluster) CachePeek(exec int, id BlockID) ([]record.Record, bool) {
 	return e.Store.Peek(id)
 }
 
-// Locations returns the executor ids caching a block, ascending.
-func (c *Cluster) Locations(id BlockID) []int {
-	locs := c.directory[id]
-	if len(locs) == 0 {
-		return nil
-	}
-	out := make([]int, 0, len(locs))
-	for i := range locs {
-		out = append(out, i)
-	}
-	// Insertion sort: location sets are tiny.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
+// Locations returns a copy of the executor ids caching a block, ascending;
+// nil when it is cached nowhere.
+func (c *Cluster) Locations(id BlockID) []int { return c.AppendLocations(nil, id) }
+
+// AppendLocations appends the executor ids caching a block, ascending, to
+// dst and returns the extended slice, so a caller with scratch room pays no
+// allocation.
+func (c *Cluster) AppendLocations(dst []int, id BlockID) []int {
+	return append(dst, c.directory[id.Key()]...)
 }
 
 // DropBlock removes a block replica from an executor (cache invalidation or
@@ -225,23 +221,31 @@ func (c *Cluster) DropBlock(exec int, id BlockID) {
 
 // DropReplicas removes every replica of a block the directory lists, in
 // ascending executor order, without allocating; a block cached nowhere costs
-// one directory lookup.
+// one directory lookup. Each step drops the first holder above the last one
+// dropped, re-reading the set that dropLocation shrinks in place.
 func (c *Cluster) DropReplicas(id BlockID) {
-	locs := c.directory[id] // dropLocation deletes from this same set
-	for exec := 0; exec < len(c.executors) && len(locs) > 0; exec++ {
-		if locs[exec] {
-			c.DropBlock(exec, id)
+	key := id.Key()
+	for next := 0; ; {
+		locs := c.directory[key]
+		i, _ := slices.BinarySearch(locs, next)
+		if i == len(locs) {
+			return
 		}
+		exec := locs[i]
+		c.DropBlock(exec, id)
+		next = exec + 1
 	}
 }
 
 // dropLocation forgets a replica that just left an executor's store: the
 // directory entry and the executor's unit refcount go together.
 func (c *Cluster) dropLocation(id BlockID, exec int) {
-	if locs, ok := c.directory[id]; ok {
-		delete(locs, exec)
-		if len(locs) == 0 {
-			delete(c.directory, id)
+	key := id.Key()
+	if i, held := slices.BinarySearch(c.directory[key], exec); held {
+		if locs := slices.Delete(c.directory[key], i, i+1); len(locs) > 0 {
+			c.directory[key] = locs
+		} else {
+			delete(c.directory, key)
 		}
 	}
 	c.unitRemoved(c.executors[exec], id)
@@ -285,11 +289,15 @@ func (c *Cluster) SetSlowdown(exec int, factor float64) {
 // index against a recount of the stores. It returns the first violation
 // found, or nil; tests call it after churn.
 func (c *Cluster) CheckConsistency() error {
-	for id, locs := range c.directory {
+	for key, locs := range c.directory {
+		id := key.ID()
 		if len(locs) == 0 {
 			return fmt.Errorf("cluster: %v has an empty directory entry", id)
 		}
-		for exec := range locs {
+		for i, exec := range locs {
+			if i > 0 && locs[i-1] >= exec {
+				return fmt.Errorf("cluster: %v directory entry %v is not strictly ascending", id, locs)
+			}
 			e := c.executors[exec]
 			if e.dead {
 				return fmt.Errorf("cluster: %v listed on dead executor %d", id, exec)
@@ -307,7 +315,7 @@ func (c *Cluster) CheckConsistency() error {
 			continue
 		}
 		for _, id := range e.Store.Blocks() {
-			if !c.directory[id][e.ID] {
+			if _, held := slices.BinarySearch(c.directory[id.Key()], e.ID); !held {
 				return fmt.Errorf("cluster: executor %d holds %v missing from directory", e.ID, id)
 			}
 		}

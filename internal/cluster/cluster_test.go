@@ -107,7 +107,7 @@ func TestBlockStoreCapacityInvariantQuick(t *testing.T) {
 		// Used must equal the sum of cached block sizes.
 		var sum int64
 		for _, id := range s.Blocks() {
-			sum += s.blocks[id].bytes
+			sum += s.blocks[id.Key()].bytes
 		}
 		return sum == s.Used()
 	}

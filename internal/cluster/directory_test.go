@@ -1,0 +1,177 @@
+package cluster
+
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"strings"
+	"testing"
+
+	"stark/internal/config"
+)
+
+// Ids at the edges of the packed key: partition 0, RDD ids and partitions
+// at and above 2^16, and the largest packable values. A narrower packing
+// (16-bit halves, or one that dropped the RDD's high bits) would alias some
+// of these with each other.
+var edgeRDDs = []int{0, 1, 1<<16 - 1, 1 << 16, 1<<16 + 1, 1<<31 - 1}
+var edgeParts = []int{0, 1, 1<<16 - 1, 1 << 16, 1<<31 - 1}
+
+// naiveLocations recounts the executors holding a block from their stores,
+// ascending: the reference Locations is checked against.
+func naiveLocations(c *Cluster, id BlockID) []int {
+	var out []int
+	for i := 0; i < c.NumExecutors(); i++ {
+		if c.Executor(i).Store.Contains(id) {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
+// TestDirectoryMatchesRecount is the model-based test of the directory:
+// seeded random puts, gets, drops, DropReplicas, kills and restarts over
+// edge-case ids, with every id's Locations compared against a naive
+// ascending recount of the stores, and CheckConsistency run, after every
+// step.
+func TestDirectoryMatchesRecount(t *testing.T) {
+	const execs = 5
+	var ids []BlockID
+	for _, r := range edgeRDDs {
+		for _, p := range edgeParts {
+			ids = append(ids, BlockID{RDD: r, Partition: p})
+		}
+	}
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		cfg := config.Default()
+		cfg.NumExecutors = execs
+		cfg.SlotsPerExecutor = 2
+		cfg.MemoryPerExecutor = 1500 // ~10 blocks: puts evict constantly
+		c := New(cfg)
+		if seed%2 == 0 {
+			dag := NewDAGPolicy()
+			dag.SetGroupFn(func(id BlockID) (UnitID, bool) { return UnitID{NS: 1, Unit: id.Partition % 3}, id.RDD%2 == 0 })
+			c.SetPolicy(dag)
+		}
+		c.SetUnitMapping(func(id BlockID) (UnitID, bool) { return UnitID{NS: 1 + id.RDD%2, Unit: id.Partition % 4}, true })
+		randBlock := func() BlockID { return ids[rng.Intn(len(ids))] }
+		for step := 0; step < 300; step++ {
+			exec := rng.Intn(execs)
+			var op string
+			switch k := rng.Intn(100); {
+			case k < 45:
+				op = "put"
+				c.CachePut(exec, randBlock(), nil, int64(50+rng.Intn(200)))
+			case k < 55:
+				op = "get"
+				c.CacheGet(exec, randBlock())
+			case k < 65:
+				op = "drop"
+				c.DropBlock(exec, randBlock())
+			case k < 80:
+				op = "drop replicas"
+				id := randBlock()
+				c.DropReplicas(id)
+				if locs := naiveLocations(c, id); len(locs) > 0 {
+					t.Fatalf("seed %d step %d: %v still on %v after DropReplicas", seed, step, id, locs)
+				}
+			case k < 90:
+				op = "kill"
+				c.Kill(exec)
+			default:
+				op = "restart"
+				if c.Executor(exec).Dead() {
+					c.Restart(exec)
+				}
+			}
+			for _, id := range ids {
+				got, want := c.Locations(id), naiveLocations(c, id)
+				if !slices.Equal(got, want) {
+					t.Fatalf("seed %d step %d (%s): Locations(%v) = %v, recount says %v", seed, step, op, id, got, want)
+				}
+			}
+			if err := c.CheckConsistency(); err != nil {
+				t.Fatalf("seed %d step %d (%s): %v", seed, step, op, err)
+			}
+		}
+	}
+}
+
+// TestBlockKeyPacking: every packable id round-trips through its key, edge
+// ids get pairwise distinct keys, and an id that cannot pack panics instead
+// of aliasing, whether keyed directly or through the store and directory.
+func TestBlockKeyPacking(t *testing.T) {
+	seen := make(map[BlockKey]BlockID)
+	for _, r := range edgeRDDs {
+		for _, p := range edgeParts {
+			id := BlockID{RDD: r, Partition: p}
+			k := id.Key()
+			if back := k.ID(); back != id {
+				t.Fatalf("%v packs to %#x, which unpacks to %v", id, uint64(k), back)
+			}
+			if prev, dup := seen[k]; dup {
+				t.Fatalf("%v and %v share key %#x", prev, id, uint64(k))
+			}
+			seen[k] = id
+		}
+	}
+
+	mustPanic := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			r := recover()
+			if r == nil {
+				t.Fatalf("%s did not panic", what)
+			}
+			if msg := fmt.Sprint(r); !strings.Contains(msg, "does not pack") {
+				t.Fatalf("%s panicked with %q, want the packing error", what, msg)
+			}
+		}()
+		f()
+	}
+	c := newTestCluster()
+	for _, id := range []BlockID{
+		{RDD: -1, Partition: 0},
+		{RDD: 0, Partition: -1},
+		{RDD: 1 << 31, Partition: 0},
+		{RDD: 0, Partition: 1 << 31},
+		{RDD: 1 << 40, Partition: 1 << 40},
+	} {
+		mustPanic(fmt.Sprintf("Key(%v)", id), func() { id.Key() })
+		mustPanic(fmt.Sprintf("CachePut(%v)", id), func() { c.CachePut(0, id, nil, 10) })
+		mustPanic(fmt.Sprintf("CachePeek(%v)", id), func() { c.CachePeek(0, id) })
+		mustPanic(fmt.Sprintf("Locations(%v)", id), func() { c.Locations(id) })
+	}
+	if err := c.CheckConsistency(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCacheHitAllocatesNothing is the runtime ceiling of the cache-hit read
+// path the planes take (CachePeek → BlockStore.Peek) and the join replays
+// (CacheGet → BlockStore.Get): no allocation per hit.
+func TestCacheHitAllocatesNothing(t *testing.T) {
+	c := taxiShapeCluster()
+	ids := c.Executor(3).Store.Blocks()
+	hits := 0
+	for name, read := range map[string]func(BlockID) bool{
+		"BlockStore.Peek":   func(id BlockID) bool { _, ok := c.Executor(3).Store.Peek(id); return ok },
+		"BlockStore.Get":    func(id BlockID) bool { _, ok := c.Executor(3).Store.Get(id); return ok },
+		"Cluster.CachePeek": func(id BlockID) bool { _, ok := c.CachePeek(3, id); return ok },
+		"Cluster.CacheGet":  func(id BlockID) bool { _, ok := c.CacheGet(3, id); return ok },
+	} {
+		if avg := testing.AllocsPerRun(100, func() {
+			for _, id := range ids {
+				if read(id) {
+					hits++
+				}
+			}
+		}); avg != 0 {
+			t.Errorf("%s allocates %.1f per sweep of hits, want 0", name, avg)
+		}
+	}
+	if hits == 0 {
+		t.Fatal("no read hit")
+	}
+}

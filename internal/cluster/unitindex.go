@@ -59,9 +59,9 @@ func (c *Cluster) UnitCached(exec int, u UnitID) bool {
 // block's directory entry, store entry and unit refcount, so the walk's
 // order does not matter.
 func (c *Cluster) DropUnit(exec int, u UnitID) {
-	for id := range c.executors[exec].Store.blocks {
-		if got, ok := c.unitOf(id); ok && got == u {
-			c.DropBlock(exec, id)
+	for _, be := range c.executors[exec].Store.blocks {
+		if got, ok := c.unitOf(be.id); ok && got == u {
+			c.DropBlock(exec, be.id)
 		}
 	}
 }
@@ -81,8 +81,8 @@ func (c *Cluster) freshUnits(e *Executor) *unitIndex {
 // countUnits tallies the executor's cached blocks per unit under the
 // installed mapping.
 func (c *Cluster) countUnits(e *Executor, refs map[UnitID]int) {
-	for id := range e.Store.blocks {
-		if u, ok := c.unitOf(id); ok {
+	for _, be := range e.Store.blocks {
+		if u, ok := c.unitOf(be.id); ok {
 			refs[u]++
 		}
 	}

@@ -66,11 +66,11 @@ func (e *Engine) ForceCheckpoint(r *rdd.RDD) {
 		// once. Checkpoint IO runs on a background thread, so the plane's
 		// modeled cost is not charged to any task.
 		px := e.newPlaneCtx(exec)
-		data, err := px.materialize(r, p)
+		data, bytes, err := px.materialize(r, p)
 		e.applyEffects(exec, &px.planeEffects, nil)
 		releasePlaneCtx(px)
 		if err == nil {
-			cpBytes := int64(float64(r.PartBytes[p]) * serializationRatio)
+			cpBytes := int64(float64(bytes) * serializationRatio)
 			err = e.store.WriteCheckpoint(r.ID, p, data, cpBytes)
 		}
 		if err != nil {

@@ -68,7 +68,7 @@ type driverMemory struct {
 	plainHead    int
 	// unarmed counts prefPending tasks without a locality-wait timer yet.
 	unarmed   int
-	wakeIndex map[cluster.BlockID][]*task
+	wakeIndex map[cluster.BlockKey][]*task
 	running   map[int]*task // by task id
 
 	// shuffleRunning marks shuffles whose map stage is currently executing;
@@ -109,7 +109,7 @@ type driverMemory struct {
 // for the first time or after a crash.
 func newDriverMemory(cfg Config) driverMemory {
 	m := driverMemory{
-		wakeIndex:      make(map[cluster.BlockID][]*task),
+		wakeIndex:      make(map[cluster.BlockKey][]*task),
 		running:        make(map[int]*task),
 		shuffleRunning: make(map[int]bool),
 		shuffleWaiters: make(map[int][]*stageRun),

@@ -285,6 +285,7 @@ func TestEveryEngineFieldIsClassified(t *testing.T) {
 		"taskSeq":        "id counter: post-restart tasks must not collide with results still in flight",
 		"offers":         "scratch, rebuilt in place by every remoteOffers call",
 		"offerUnits":     "scratch, rebuilt in place by every remoteOffers call",
+		"prefs":          "scratch, rebuilt in place by every preferredExecutors call",
 		"inj":            "the fault injector is the harness, armed on the loop",
 		"recMu":          "a lock",
 		"rec":            "recovery counters measure across crashes (DriverCrashes is one of them)",

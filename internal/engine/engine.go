@@ -158,6 +158,8 @@ type Engine struct {
 	// ids and, under MCF, their scores, rebuilt in place each call.
 	offers     []int
 	offerUnits []int
+	// prefs is preferredExecutors' scratch, rebuilt in place each call.
+	prefs []int
 
 	// inj is the fault injector when faults are armed.
 	inj *fault.Injector
@@ -176,7 +178,7 @@ type Engine struct {
 	// read-only while planes run, mutated only at join).
 	dagPol      *cluster.DAGPolicy
 	oomArmed    map[int]bool
-	evictedEver map[cluster.BlockID]bool
+	evictedEver map[cluster.BlockKey]bool
 
 	// Control-plane transport and failure detection (detect.go). The
 	// network exists even when perfect, so launch/result routing is uniform;
@@ -253,12 +255,13 @@ func New(cfg Config) *Engine {
 		nsIDs:        make(map[string]int),
 		jobTab:       make(map[int]*job),
 		oomArmed:     make(map[int]bool),
-		evictedEver:  make(map[cluster.BlockID]bool),
+		evictedEver:  make(map[cluster.BlockKey]bool),
 		rng:          rand.New(rand.NewSource(seed)),
 	}
 	e.cl.SetUnitMapping(e.unitIDOf)
 	e.offers = make([]int, 0, e.cl.NumExecutors())
 	e.offerUnits = make([]int, 0, e.cl.NumExecutors())
+	e.prefs = make([]int, 0, e.cl.NumExecutors())
 	e.installCachePolicy()
 	e.par = cfg.Execution.Parallelism
 	if e.par <= 0 {
@@ -719,8 +722,8 @@ func (e *Engine) enqueue(t *task) {
 				continue
 			}
 			for _, p := range t.partitions {
-				id := cluster.BlockID{RDD: r.ID, Partition: p}
-				e.wakeIndex[id] = append(e.wakeIndex[id], t)
+				key := cluster.BlockID{RDD: r.ID, Partition: p}.Key()
+				e.wakeIndex[key] = append(e.wakeIndex[key], t)
 			}
 		}
 	}
@@ -729,11 +732,12 @@ func (e *Engine) enqueue(t *task) {
 
 // wakeTasks promotes plain tasks whose watched block just got cached.
 func (e *Engine) wakeTasks(id cluster.BlockID) {
-	tasks, ok := e.wakeIndex[id]
+	key := id.Key()
+	tasks, ok := e.wakeIndex[key]
 	if !ok {
 		return
 	}
-	delete(e.wakeIndex, id)
+	delete(e.wakeIndex, key)
 	for _, t := range tasks {
 		if t.launched() || t.promoted {
 			continue

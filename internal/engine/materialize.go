@@ -48,7 +48,7 @@ func (e *Engine) runPlane(be *batchEntry) {
 	t, exec, px := be.t, be.exec, be.px
 	st := t.sr.st
 	for _, p := range t.partitions {
-		data, err := px.materialize(st.Output, p)
+		data, _, err := px.materialize(st.Output, p)
 		if err != nil {
 			px.err = err
 			break
@@ -172,26 +172,27 @@ func (e *Engine) commitMapOutputs(t *task) error {
 	return nil
 }
 
-// materialize produces partition p of r on the context's executor, honoring
-// the engine's Spark-faithful semantics: only the local cache is consulted
-// (a partition cached on a *different* executor is recomputed, never fetched
-// — the amplification co-locality removes), checkpoints and shuffle outputs
-// are read from persistent storage, and everything else recurses through
-// narrow parents. Storage failures surface as ErrStorage; a shuffle read
-// against an incomplete shuffle (lost map outputs) surfaces as a fetchError
-// so the recovery plane resubmits the producing stage.
-func (px *planeCtx) materialize(r *rdd.RDD, p int) ([]record.Record, error) {
+// materialize produces partition p of r on the context's executor, with the
+// simulated bytes it is priced at, honoring the engine's Spark-faithful
+// semantics: only the local cache is consulted (a partition cached on a
+// *different* executor is recomputed, never fetched — the amplification
+// co-locality removes), checkpoints and shuffle outputs are read from
+// persistent storage, and everything else recurses through narrow parents,
+// summing the bytes the recursion returns. Storage failures surface as
+// ErrStorage; a shuffle read against an incomplete shuffle (lost map
+// outputs) surfaces as a fetchError so the recovery plane resubmits the
+// producing stage.
+func (px *planeCtx) materialize(r *rdd.RDD, p int) ([]record.Record, int64, error) {
 	e := px.e
-	id := cluster.BlockID{RDD: r.ID, Partition: p}
-	if data, ok := px.cacheGet(id); ok {
+	if data, bytes, ok := px.cacheGet(r, p); ok {
 		px.cacheHit()
-		return data, nil
+		return data, bytes, nil
 	}
 	if r.CacheFlag {
 		// The block was requested from a cache-enabled RDD and missed: this
 		// is the recompute penalty the locality machinery exists to avoid.
 		px.cacheMiss()
-		if e.evictedEver[id] {
+		if e.evictedEver[cluster.BlockID{RDD: r.ID, Partition: p}.Key()] {
 			px.evictedRecompute()
 		}
 	}
@@ -203,12 +204,11 @@ func (px *planeCtx) materialize(r *rdd.RDD, p int) ([]record.Record, error) {
 				// recomputes the partition through lineage.
 				px.dropCorrupt(true, r.ID, p, fmt.Sprintf("checkpoint %s[%d]", r, p))
 			}
-			return nil, fmt.Errorf("%w: checkpoint read %s[%d]: %w", ErrStorage, r, p, err)
+			return nil, 0, fmt.Errorf("%w: checkpoint read %s[%d]: %w", ErrStorage, r, p, err)
 		}
 		px.acc.diskRead += e.cfg.Cluster.DiskReadTime(bytes)
 		px.acc.working += bytes
-		px.finishPartition(r, p, data, -1)
-		return data, nil
+		return data, px.finishPartition(r, p, data, px.measure(r, p, data)), nil
 	}
 
 	var data []record.Record
@@ -226,19 +226,15 @@ func (px *planeCtx) materialize(r *rdd.RDD, p int) ([]record.Record, error) {
 			}
 		}
 		// Source partitions are immutable after graph construction, so the
-		// size walk is memoized through the partition-size overlay instead of
-		// re-walking the slice on every recompute.
-		bytes := px.partBytesOf(r, p)
-		if bytes <= 0 {
-			bytes = e.cfg.Cluster.ScaleBytes(record.SizeOfSlice(data))
-		}
+		// size walk is memoized in rdd.PartBytes instead of re-walking the
+		// slice on every recompute.
+		bytes := px.measure(r, p, data)
 		if r.SourceFromDisk {
 			px.acc.diskRead += e.cfg.Cluster.DiskReadTime(bytes)
 		}
 		px.acc.working += bytes
 		px.acc.bytesInput += bytes
-		px.finishPartition(r, p, data, bytes)
-		return data, nil
+		return data, px.finishPartition(r, p, data, bytes), nil
 	default:
 		// This step's inputs are slots [base, base+len(r.Deps)) of the
 		// plane's header stack. A parent's recursion pushes above them and
@@ -259,12 +255,12 @@ func (px *planeCtx) materialize(r *rdd.RDD, p int) ([]record.Record, error) {
 						// a fetch failure so the producing stage resubmits.
 						px.dropCorrupt(false, ce.Shuffle, ce.MapPart,
 							fmt.Sprintf("shuffle=%d map=%d", ce.Shuffle, ce.MapPart))
-						return nil, &fetchError{shuffle: d.ShuffleID, err: err}
+						return nil, 0, &fetchError{shuffle: d.ShuffleID, err: err}
 					}
 					if !e.store.ShuffleComplete(d.ShuffleID) {
-						return nil, &fetchError{shuffle: d.ShuffleID, err: err}
+						return nil, 0, &fetchError{shuffle: d.ShuffleID, err: err}
 					}
-					return nil, fmt.Errorf("%w: shuffle read for %s[%d]: %w", ErrStorage, r, p, err)
+					return nil, 0, fmt.Errorf("%w: shuffle read for %s[%d]: %w", ErrStorage, r, p, err)
 				}
 				// Map outputs are spread across the cluster: all bytes come
 				// off disk, and on average (E-1)/E of them cross the network.
@@ -285,41 +281,33 @@ func (px *planeCtx) materialize(r *rdd.RDD, p int) ([]record.Record, error) {
 					}
 					pp = mapped
 				}
-				in, err := px.materialize(d.Parent, pp)
+				in, bytes, err := px.materialize(d.Parent, pp)
 				if err != nil {
-					return nil, err
+					return nil, 0, err
 				}
 				px.inputs[base+i] = in
-				inputBytes += px.partBytesOf(d.Parent, pp)
+				inputBytes += bytes
 			}
 		}
 		ct := e.cfg.Cluster.ComputeTime(inputBytes, r.CostFactor)
 		data = r.Transform(p, px.inputs[base:])
 		px.acc.compute += ct
 		px.acc.bytesInput += inputBytes
-		px.noteTransformTime(r, ct)
-	}
-	px.finishPartition(r, p, data, -1)
-	return data, nil
-}
-
-// finishPartition records the partition's size and caches it when requested.
-// knownBytes short-circuits the size walk when the caller already computed
-// it; otherwise a previously recorded size is reused (transforms are pure,
-// so a recompute always reproduces the same bytes) and only never-measured
-// partitions pay the SizeOfSlice walk.
-func (px *planeCtx) finishPartition(r *rdd.RDD, p int, data []record.Record, knownBytes int64) {
-	bytes := knownBytes
-	if bytes < 0 {
-		if b := px.partBytesOf(r, p); b > 0 {
-			bytes = b
-		} else {
-			bytes = px.e.cfg.Cluster.ScaleBytes(record.SizeOfSlice(data))
+		if ct > r.MaxTransformTime {
+			// Only the join raises MaxTransformTime, so a time at or below
+			// it now is still at or below it when this plane replays.
+			px.transforms = append(px.transforms, transformRec{r: r, ct: ct})
 		}
 	}
-	px.setPartBytes(r, p, bytes)
+	return data, px.finishPartition(r, p, data, px.measure(r, p, data)), nil
+}
+
+// finishPartition charges the partition's bytes to the working set, caches
+// it when requested, and returns the bytes.
+func (px *planeCtx) finishPartition(r *rdd.RDD, p int, data []record.Record, bytes int64) int64 {
 	px.acc.working += bytes
 	if r.CacheFlag {
 		px.cachePut(cluster.BlockID{RDD: r.ID, Partition: p}, data, bytes)
 	}
+	return bytes
 }

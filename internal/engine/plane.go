@@ -23,9 +23,10 @@ import (
 //
 // Determinism argument: planes touch no shared mutable state. Cache reads go
 // through a non-mutating Peek plus a per-plane overlay of the task's own
-// writes; cache puts, LRU touches, partition-size records, stats deltas,
-// block drops and traces are logged per plane and replayed by the join in
-// dispatch order, exactly as a sequential deferred run would apply them.
+// writes; cache puts, LRU touches, partition sizes, transform times, stats
+// deltas, block drops and traces are logged per plane and replayed by the
+// join in dispatch order, exactly as a sequential deferred run would apply
+// them.
 // Virtual timestamps, task ordering and RNG draws therefore do not depend on
 // the worker-pool size: parallelism 1 and N are byte-identical.
 
@@ -38,12 +39,6 @@ type batchEntry struct {
 	// at join time so plane panics (e.g. STARK_CHECK_COW violations) always
 	// surface on the event-loop goroutine where callers can recover them.
 	panicked any
-}
-
-// partKey addresses one partition-size overlay slot.
-type partKey struct {
-	r *rdd.RDD
-	p int
 }
 
 // cacheOp logs one deferred executor-cache operation in program order. Gets
@@ -63,15 +58,32 @@ type deferredDrop struct {
 	detail     string
 }
 
+// sizeRec logs a partition size the plane measured because rdd.PartBytes
+// had none yet.
+type sizeRec struct {
+	r     *rdd.RDD
+	p     int
+	bytes int64
+}
+
+// transformRec logs a narrow step's modeled transform time that exceeds the
+// RDD's recorded maximum.
+type transformRec struct {
+	r  *rdd.RDD
+	ct time.Duration
+}
+
 // planeEffects is the side-effect log one plane execution buffers for
-// applyEffects to replay on the control plane.
+// applyEffects to replay on the control plane. Every log is append-only and
+// keeps its capacity in the pooled context.
 type planeEffects struct {
 	ops   []cacheOp
 	drops []deferredDrop
-	// partBytes overlays rdd.PartBytes with this plane's own measurements.
-	partBytes map[partKey]int64
-	// maxTT accumulates per-RDD max transform time for a deferred max-merge.
-	maxTT        map[*rdd.RDD]time.Duration
+	// sizes are written into rdd.PartBytes and transforms max-merged into
+	// rdd.MaxTransformTime. Transforms are pure, so an entry the plane
+	// logs twice (a partition materialized twice) carries the same value.
+	sizes        []sizeRec
+	transforms   []transformRec
 	hits, misses int64
 	// recomputes counts cache misses on blocks a policy eviction previously
 	// dropped, merged into CacheStats at replay.
@@ -89,7 +101,7 @@ type planeCtx struct {
 	// local overlays the executor cache with this plane's own deferred puts,
 	// so a diamond-shaped narrow chain re-reading a partition it just cached
 	// hits, as it would inline.
-	local map[cluster.BlockID][]record.Record
+	local map[cluster.BlockKey]localBlock
 	planeEffects
 
 	// scr backs the plane's transient tables (shuffle bucketing indexes,
@@ -107,7 +119,22 @@ type planeCtx struct {
 	err error
 }
 
-var planeCtxPool = sync.Pool{New: func() any { return &planeCtx{} }}
+// localBlock is a block the plane put, with the bytes it was priced at.
+type localBlock struct {
+	data  []record.Record
+	bytes int64
+}
+
+// planeCtxPool hands out contexts whose logs keep their capacity across
+// uses. A fresh context's size and transform logs start with room for a
+// typical plane's entries, so a plane that logs a few does not grow them
+// entry by entry.
+var planeCtxPool = sync.Pool{New: func() any {
+	return &planeCtx{planeEffects: planeEffects{
+		sizes:      make([]sizeRec, 0, 8),
+		transforms: make([]transformRec, 0, 8),
+	}}
+}}
 
 func (e *Engine) newPlaneCtx(exec int) *planeCtx {
 	px := planeCtxPool.Get().(*planeCtx)
@@ -117,24 +144,14 @@ func (e *Engine) newPlaneCtx(exec int) *planeCtx {
 }
 
 func releasePlaneCtx(px *planeCtx) {
-	for k := range px.local {
-		delete(px.local, k)
-	}
-	for k := range px.partBytes {
-		delete(px.partBytes, k)
-	}
-	for k := range px.maxTT {
-		delete(px.maxTT, k)
-	}
-	for i := range px.ops {
-		px.ops[i] = cacheOp{}
-	}
-	for i := range px.drops {
-		px.drops[i] = deferredDrop{}
-	}
+	clear(px.local)
+	clear(px.ops)
+	clear(px.drops)
+	clear(px.sizes)
+	clear(px.transforms)
 	px.scr.Reset()
 	*px = planeCtx{local: px.local, scr: px.scr, inputs: px.inputs, planeEffects: planeEffects{
-		ops: px.ops[:0], drops: px.drops[:0], partBytes: px.partBytes, maxTT: px.maxTT}}
+		ops: px.ops[:0], drops: px.drops[:0], sizes: px.sizes[:0], transforms: px.transforms[:0]}}
 	planeCtxPool.Put(px)
 }
 
@@ -145,57 +162,54 @@ func (px *planeCtx) popInputs(n int) {
 	px.inputs = px.inputs[:n]
 }
 
-// cacheGet reads a block from the plane's executor cache without touching
-// LRU order; the recency update replays in applyEffects.
-func (px *planeCtx) cacheGet(id cluster.BlockID) ([]record.Record, bool) {
-	if data, ok := px.local[id]; ok {
+// cacheGet reads partition p of r from the plane's executor cache without
+// touching LRU order, with the bytes it is priced at; the recency update
+// replays in applyEffects. A block this plane put comes from the overlay
+// with the bytes it was put at. Any other block was put, and its size
+// written to rdd.PartBytes, by an earlier join.
+//
+//starklint:hotpath
+func (px *planeCtx) cacheGet(r *rdd.RDD, p int) ([]record.Record, int64, bool) {
+	id := cluster.BlockID{RDD: r.ID, Partition: p}
+	if b, ok := px.local[id.Key()]; ok {
 		px.ops = append(px.ops, cacheOp{id: id})
-		return data, true
+		return b.data, b.bytes, true
 	}
 	data, ok := px.e.cl.CachePeek(px.exec, id)
-	if ok {
-		px.ops = append(px.ops, cacheOp{id: id})
+	if !ok {
+		return nil, 0, false
 	}
-	return data, ok
+	px.ops = append(px.ops, cacheOp{id: id})
+	return data, partBytesOf(r, p), true
 }
 
 // cachePut logs a put to the plane's executor cache; the store, its
 // evictions and task wake-ups happen in applyEffects.
 func (px *planeCtx) cachePut(id cluster.BlockID, data []record.Record, bytes int64) {
 	if px.local == nil {
-		px.local = make(map[cluster.BlockID][]record.Record)
+		px.local = make(map[cluster.BlockKey]localBlock)
 	}
-	px.local[id] = data
+	px.local[id.Key()] = localBlock{data: data, bytes: bytes}
 	px.ops = append(px.ops, cacheOp{put: true, id: id, data: data, bytes: bytes})
 }
 
-// partBytesOf reads a recorded partition size through the overlay.
-func (px *planeCtx) partBytesOf(r *rdd.RDD, p int) int64 {
-	if b, ok := px.partBytes[partKey{r, p}]; ok {
-		return b
-	}
-	if r.PartBytes != nil && p < len(r.PartBytes) {
+// partBytesOf reads a recorded partition size, 0 when none is recorded.
+func partBytesOf(r *rdd.RDD, p int) int64 {
+	if p < len(r.PartBytes) {
 		return r.PartBytes[p]
 	}
 	return 0
 }
 
-// setPartBytes records a partition size, deferred through the overlay.
-func (px *planeCtx) setPartBytes(r *rdd.RDD, p int, bytes int64) {
-	if px.partBytes == nil {
-		px.partBytes = make(map[partKey]int64)
+// measure returns partition p's recorded size, or walks data for it and
+// logs the size for the join to record.
+func (px *planeCtx) measure(r *rdd.RDD, p int, data []record.Record) int64 {
+	if b := partBytesOf(r, p); b > 0 {
+		return b
 	}
-	px.partBytes[partKey{r, p}] = bytes
-}
-
-// noteTransformTime accumulates the per-RDD max transform time.
-func (px *planeCtx) noteTransformTime(r *rdd.RDD, ct time.Duration) {
-	if px.maxTT == nil {
-		px.maxTT = make(map[*rdd.RDD]time.Duration)
-	}
-	if ct > px.maxTT[r] {
-		px.maxTT[r] = ct
-	}
+	b := px.e.cfg.Cluster.ScaleBytes(record.SizeOfSlice(data))
+	px.sizes = append(px.sizes, sizeRec{r: r, p: p, bytes: b})
+	return b
 }
 
 // cacheHit / cacheMiss record cache-stat deltas.
@@ -398,16 +412,16 @@ func (e *Engine) applyEffects(exec int, fx *planeEffects, t *task) (oomFailed bo
 		e.trace("block-corrupt", -1, -1, -1, -1, d.detail)
 	}
 	// Partition sizes and transform times are idempotent across planes
-	// (transforms are pure), so overlay iteration order is immaterial.
-	for pk, b := range fx.partBytes {
-		if pk.r.PartBytes == nil {
-			pk.r.PartBytes = make([]int64, pk.r.Parts)
+	// (transforms are pure).
+	for _, s := range fx.sizes {
+		if s.r.PartBytes == nil {
+			s.r.PartBytes = make([]int64, s.r.Parts)
 		}
-		pk.r.PartBytes[pk.p] = b
+		s.r.PartBytes[s.p] = s.bytes
 	}
-	for r, v := range fx.maxTT {
-		if v > r.MaxTransformTime {
-			r.MaxTransformTime = v
+	for _, tr := range fx.transforms {
+		if tr.ct > tr.r.MaxTransformTime {
+			tr.r.MaxTransformTime = tr.ct
 		}
 	}
 	e.stats.CacheHits += fx.hits

@@ -199,17 +199,21 @@ func (t *task) launched() bool { return t.tm.Locality != 0 }
 // RDD that has any — for a cogroup that is effectively the first parent
 // branch, so the chosen executor is local for ONE branch and recomputes the
 // rest, the co-locality gap the paper measures (Sec. II-B).
+//
+// The result lives in the engine's scratch and is valid until the next
+// call: both schedule-loop callers consume it before calling again.
 func (e *Engine) preferredExecutors(t *task) []int {
 	if t.ns != "" {
-		return e.filterSchedulable(e.loc.Preferred(t.ns, t.unit))
+		e.prefs = e.loc.AppendPreferred(e.prefs[:0], t.ns, t.unit)
+		return e.keepSchedulable(e.prefs)
 	}
 	if len(t.partitions) != 1 {
 		return nil
 	}
 	p := t.partitions[0]
 	for _, r := range t.sr.st.NarrowChain() {
-		locs := e.filterSchedulable(e.cl.Locations(cluster.BlockID{RDD: r.ID, Partition: p}))
-		if len(locs) > 0 {
+		e.prefs = e.cl.AppendLocations(e.prefs[:0], cluster.BlockID{RDD: r.ID, Partition: p})
+		if locs := e.keepSchedulable(e.prefs); len(locs) > 0 {
 			return locs
 		}
 	}
@@ -226,10 +230,10 @@ func (e *Engine) filterAlive(execs []int) []int {
 	return out
 }
 
-// filterSchedulable keeps executors the scheduler may offer slots on: alive
-// and outside any blacklist exclusion window.
-func (e *Engine) filterSchedulable(execs []int) []int {
-	out := execs[:0:0]
+// keepSchedulable filters execs in place, keeping executors the scheduler
+// may offer slots on: alive and outside any blacklist exclusion window.
+func (e *Engine) keepSchedulable(execs []int) []int {
+	out := execs[:0]
 	for _, id := range execs {
 		if e.schedulable(id) {
 			out = append(out, id)

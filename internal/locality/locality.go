@@ -86,17 +86,19 @@ func (m *Manager) Registered(ns string) bool {
 
 // Preferred returns the ordered executor list of a unit (primary first),
 // empty when the namespace or unit is unknown. The slice is a copy.
-func (m *Manager) Preferred(ns string, unit int) []int {
+func (m *Manager) Preferred(ns string, unit int) []int { return m.AppendPreferred(nil, ns, unit) }
+
+// AppendPreferred appends a unit's ordered executor list (primary first) to
+// dst and returns the extended slice, so a caller with scratch room pays no
+// allocation; nothing is appended when the namespace or unit is unknown.
+func (m *Manager) AppendPreferred(dst []int, ns string, unit int) []int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	st, ok := m.namespaces[ns]
 	if !ok {
-		return nil
+		return dst
 	}
-	execs := st.units[unit]
-	out := make([]int, len(execs))
-	copy(out, execs)
-	return out
+	return append(dst, st.units[unit]...)
 }
 
 // Primary returns the head of a unit's executor list.
