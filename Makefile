@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-json loc test test-short test-race chaos chaos-nightly multitenant cachepolicy shuffle fuzz bench-engine bench-smoke examples experiments results clean
+.PHONY: all build vet lint lint-json loc test test-short test-race chaos chaos-nightly multitenant cachepolicy shuffle fuzz bench-engine bench-smoke examples experiments results results-check clean
 
 all: build lint test
 
@@ -120,6 +120,12 @@ experiments:
 results:
 	for x in fig1 fig7 fig11 fig12 fig13 fig17 fig18; do $(GO) run ./cmd/starkbench -experiment $$x || exit 1; done > results/fig01_to_fig18.txt
 	for x in fig19 fig20 recovery churn ablations; do $(GO) run ./cmd/starkbench -experiment $$x > results/$$x.txt || exit 1; done
+
+# Regenerate results/ and fail when any committed transcript no longer
+# matches the code; only the wall-clock "done in" lines may differ. The
+# nightly CI job runs it, so results cannot drift silently.
+results-check: results
+	git diff --exit-code -I 'done in .*\(wall\)' -- results/
 
 clean:
 	$(GO) clean ./...

@@ -66,7 +66,7 @@ func TestEvictionStormDereplicates(t *testing.T) {
 			}
 			for unit := 0; unit < p.NumPartitions(); unit++ {
 				for _, exec := range e.Locality().Preferred(ns, unit) {
-					if !e.unitCachedOn(ns, unit, exec) {
+					if !e.Cluster().UnitCached(exec, e.unitIDFor(ns, unit)) {
 						t.Errorf("unit %d lists replica on executor %d but caches no block there", unit, exec)
 					}
 				}

@@ -140,14 +140,8 @@ func (e *Engine) partitionHome(r *rdd.RDD, p int) (int, bool) {
 	if locs := e.filterAlive(e.cl.Locations(blockID(r.ID, p))); len(locs) > 0 {
 		return locs[0], true
 	}
-	if ns := e.activeNamespace(r); ns != "" {
-		unit := p
-		if e.cfg.Features.Extendable && e.grp.Registered(ns) {
-			if g, err := e.grp.GroupOf(ns, p); err == nil {
-				unit = g.ID
-			}
-		}
-		if primary, ok := e.loc.Primary(ns, unit); ok && !e.cl.Executor(primary).Dead() {
+	if c, u, ok := e.unitOf(r, p); ok {
+		if primary, ok := e.loc.Primary(c.name, u.Unit); ok && !e.cl.Executor(primary).Dead() {
 			return primary, true
 		}
 	}

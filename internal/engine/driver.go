@@ -9,7 +9,6 @@ import (
 	"stark/internal/group"
 	"stark/internal/journal"
 	"stark/internal/locality"
-	"stark/internal/partition"
 	"stark/internal/rdd"
 	"stark/internal/record"
 	"stark/internal/sched"
@@ -93,11 +92,11 @@ type driverMemory struct {
 	pendingCP      []*rdd.RDD
 
 	// Namespace state, re-registered by journal replay: preferred executors
-	// per collection unit, the Group Trees and per-namespace partition
-	// counts.
-	loc     *locality.Manager
-	grp     *group.Manager
-	nsParts map[string]int
+	// per collection unit, the Group Trees and the collections registered
+	// with both (records from Engine.collections).
+	loc        *locality.Manager
+	grp        *group.Manager
+	registered map[string]*collection
 	// streamSteps holds the stream step tables (nil unless DriverRecovery):
 	// stream name -> step -> RDD id.
 	streamSteps map[string]map[int]int
@@ -122,7 +121,7 @@ func newDriverMemory(cfg Config) driverMemory {
 		blacklistUntil: make(map[int]time.Duration),
 		loc:            locality.NewManager(),
 		grp:            group.NewManager(cfg.Groups),
-		nsParts:        make(map[string]int),
+		registered:     make(map[string]*collection),
 	}
 	if cfg.DriverRecovery {
 		m.streamSteps = make(map[string]map[int]int)
@@ -339,35 +338,29 @@ func (e *Engine) replayJournal(recs []journal.Record, journaledMap map[[2]int]bo
 	for _, rec := range recs {
 		switch rec.Kind {
 		case journal.KindNamespace:
-			p := e.nsPartitioners[rec.S]
-			if p == nil {
+			c := e.collections[rec.S]
+			if c == nil || c.part == nil {
 				continue // namespace never re-attached by the application
 			}
-			if err := e.registerNamespace(rec.S, p, int(rec.A)); err != nil {
+			if err := e.registerNamespace(rec.S, c.part, int(rec.A)); err != nil {
 				panic(fmt.Sprintf("engine: journal replay: namespace %q: %v", rec.S, err))
 			}
-		case journal.KindGroupSplit:
-			if !e.grp.Registered(rec.S) {
+		case journal.KindGroupSplit, journal.KindGroupMerge:
+			if e.registered[rec.S] == nil {
 				continue
 			}
-			if _, _, err := e.grp.ReplaySplit(rec.S, int(rec.A)); err != nil {
-				panic(fmt.Sprintf("engine: journal replay: split %q/%d: %v", rec.S, rec.A, err))
+			var err error
+			if rec.Kind == journal.KindGroupSplit {
+				_, _, err = e.grp.ReplaySplit(rec.S, int(rec.A))
+			} else {
+				_, err = e.grp.ReplayMerge(rec.S, int(rec.A))
 			}
-			if err := e.loc.ApplySplit(rec.S, int(rec.A), int(rec.B), int(rec.C), int(rec.D)); err != nil {
-				panic(fmt.Sprintf("engine: journal replay: split locality %q/%d: %v", rec.S, rec.A, err))
+			if err == nil {
+				err = e.applyGroupChange(rec)
 			}
-			e.cl.UnitMappingChanged()
-		case journal.KindGroupMerge:
-			if !e.grp.Registered(rec.S) {
-				continue
+			if err != nil {
+				panic(fmt.Sprintf("engine: journal replay: %v %q/%d: %v", rec.Kind, rec.S, rec.A, err))
 			}
-			if _, err := e.grp.ReplayMerge(rec.S, int(rec.A)); err != nil {
-				panic(fmt.Sprintf("engine: journal replay: merge %q/%d: %v", rec.S, rec.A, err))
-			}
-			if err := e.loc.ApplyMerge(rec.S, int(rec.A), int(rec.B), int(rec.C)); err != nil {
-				panic(fmt.Sprintf("engine: journal replay: merge locality %q/%d: %v", rec.S, rec.A, err))
-			}
-			e.cl.UnitMappingChanged()
 		case journal.KindMapOutput:
 			journaledMap[[2]int{int(rec.A), int(rec.B)}] = true
 		case journal.KindCheckpoint:
@@ -430,20 +423,19 @@ func (e *Engine) reconcileStore(journaledMap map[[2]int]bool, journaledCP map[in
 // walks namespaces, units, and executors in sorted order so the rebuilt
 // preference lists are deterministic.
 func (e *Engine) sweepCachedUnits() {
-	names := make([]string, 0, len(e.nsParts))
-	for ns := range e.nsParts {
+	names := make([]string, 0, len(e.registered))
+	for ns := range e.registered {
 		names = append(names, ns)
 	}
 	sort.Strings(names)
 	for _, ns := range names {
-		units := e.loc.Units(ns)
-		sort.Ints(units)
-		for _, u := range units {
+		c := e.registered[ns]
+		for _, u := range e.loc.Units(ns) {
 			for exec := 0; exec < e.cl.NumExecutors(); exec++ {
 				if e.cl.Executor(exec).Dead() {
 					continue
 				}
-				if e.unitCachedOn(ns, u, exec) {
+				if e.cl.UnitCached(exec, cluster.UnitID{NS: c.id, Unit: u}) {
 					e.loc.AddReplica(ns, u, exec)
 				}
 			}
@@ -529,38 +521,4 @@ func (e *Engine) Close() error {
 		e.closeErr = e.jrn.Close()
 	}
 	return e.closeErr
-}
-
-// registerNamespace is the journal-free core of RegisterNamespace; replay
-// reuses it.
-func (e *Engine) registerNamespace(ns string, p partition.Partitioner, initialGroups int) error {
-	// Blocks of the namespace's RDDs cached before this call join a unit.
-	e.cl.UnitMappingChanged()
-	if _, ok := e.nsIDs[ns]; !ok {
-		e.nsIDs[ns] = len(e.nsIDs) + 1
-	}
-	numParts := p.NumPartitions()
-	var units []int
-	if e.cfg.Features.Extendable {
-		if err := e.grp.Register(ns, numParts, initialGroups); err != nil {
-			return err
-		}
-		groups, err := e.grp.Groups(ns)
-		if err != nil {
-			return err
-		}
-		for _, g := range groups {
-			units = append(units, g.ID)
-		}
-	} else {
-		units = make([]int, numParts)
-		for i := range units {
-			units[i] = i
-		}
-	}
-	if err := e.loc.Register(ns, p, units, e.cl.AliveExecutors()); err != nil {
-		return err
-	}
-	e.nsParts[ns] = numParts
-	return nil
 }

@@ -274,51 +274,50 @@ func TestReplaySubmitOrderDeterminism(t *testing.T) {
 // it survives. A field added later fails this test until someone decides.
 func TestEveryEngineFieldIsClassified(t *testing.T) {
 	survives := map[string]string{
-		"cfg":            "configuration: the restarted driver starts from the same settings",
-		"loop":           "the simulation's clock and event queue, not a process's memory",
-		"cl":             "executors, their caches and their slots are other processes",
-		"store":          "persistent shuffle and checkpoint storage; reconcileStore squares it with the journal",
-		"graph":          "the lineage graph lives in the client application (DESIGN §12, client-side state)",
-		"repl":           "not reset at the parent either: its replica counts already drift from locality's (ROADMAP finding), resetting it moves virtual metrics",
-		"nsIDs":          "interned names keying the cluster's unit index and repl, both of which survive",
-		"jobSeq":         "id counter: post-restart jobs must not reuse the ids of client-held handles",
-		"taskSeq":        "id counter: post-restart tasks must not collide with results still in flight",
-		"offers":         "scratch, rebuilt in place by every remoteOffers call",
-		"offerUnits":     "scratch, rebuilt in place by every remoteOffers call",
-		"prefs":          "scratch, rebuilt in place by every preferredExecutors call",
-		"inj":            "the fault injector is the harness, armed on the loop",
-		"recMu":          "a lock",
-		"rec":            "recovery counters measure across crashes (DriverCrashes is one of them)",
-		"cacheRec":       "cache counters measure across crashes",
-		"dagPol":         "the policy object is installed in the executors' stores; CrashDriver resets its refcount table through ResetRefs",
-		"oomArmed":       "executor-side OOM windows, armed and disarmed by the injector",
-		"evictedEver":    "measurement: which blocks executor caches ever evicted, for the recompute counter",
-		"net":            "the network and the messages in flight on it",
-		"hb":             "normalized heartbeat configuration",
-		"activeJobs":     "counts the client-held in-flight jobs of jobTab, which survive",
-		"beatArmed":      "executor-side heartbeat timers keep firing while the driver is down",
-		"lastBeat":       "overwritten for every executor by RestartDriver's re-handshake",
-		"execView":       "overwritten for every executor by RestartDriver's re-handshake",
-		"execEpoch":      "the incarnation fence: bumped at restart, never reset, so pre-crash results are rejected",
-		"incSeen":        "refreshed at re-handshake for live executors; a dead one's last incarnation must be kept to notice its rebirth",
-		"jrn":            "the journal is what survives by design",
-		"driverDown":     "set by the crash itself",
-		"driverGen":      "bumped by the crash itself to void pre-crash timer closures",
-		"pendingJrn":     "filled during downtime, flushed at restart",
-		"pendingJobs":    "filled during downtime, submitted at restart",
-		"jobTab":         "client-held job handles (DESIGN §12, client-side state)",
-		"closed":         "Close is terminal",
-		"closeErr":       "Close is terminal",
-		"nsPartitioners": "client-side partitioner objects replay re-attaches to",
-		"restartHooks":   "client-registered callbacks",
-		"resumeEpoch":    "opened by the crash itself",
-		"batch":          "data-plane work already dispatched runs executor-side and reports into the fence",
-		"draining":       "guards the drain of batch",
-		"par":            "worker-pool width, configuration",
-		"completed":      "measurement: finished jobs' metrics",
-		"stats":          "measurement",
-		"rng":            "the seeded scheduler stream continues; restarting it would replay draws",
-		"tracer":         "observer installed by the client",
+		"cfg":          "configuration: the restarted driver starts from the same settings",
+		"loop":         "the simulation's clock and event queue, not a process's memory",
+		"cl":           "executors, their caches and their slots are other processes",
+		"store":        "persistent shuffle and checkpoint storage; reconcileStore squares it with the journal",
+		"graph":        "the lineage graph lives in the client application (DESIGN §12, client-side state)",
+		"repl":         "not reset at the parent either: its replica counts already drift from locality's (ROADMAP finding), resetting it moves virtual metrics",
+		"collections":  "one record per namespace: the interned id keys the cluster's unit index and repl, which survive; the partitioner is the client-side object replay re-attaches",
+		"jobSeq":       "id counter: post-restart jobs must not reuse the ids of client-held handles",
+		"taskSeq":      "id counter: post-restart tasks must not collide with results still in flight",
+		"offers":       "scratch, rebuilt in place by every remoteOffers call",
+		"offerUnits":   "scratch, rebuilt in place by every remoteOffers call",
+		"prefs":        "scratch, rebuilt in place by every preferredExecutors call",
+		"inj":          "the fault injector is the harness, armed on the loop",
+		"recMu":        "a lock",
+		"rec":          "recovery counters measure across crashes (DriverCrashes is one of them)",
+		"cacheRec":     "cache counters measure across crashes",
+		"dagPol":       "the policy object is installed in the executors' stores; CrashDriver resets its refcount table through ResetRefs",
+		"oomArmed":     "executor-side OOM windows, armed and disarmed by the injector",
+		"evictedEver":  "measurement: which blocks executor caches ever evicted, for the recompute counter",
+		"net":          "the network and the messages in flight on it",
+		"hb":           "normalized heartbeat configuration",
+		"activeJobs":   "counts the client-held in-flight jobs of jobTab, which survive",
+		"beatArmed":    "executor-side heartbeat timers keep firing while the driver is down",
+		"lastBeat":     "overwritten for every executor by RestartDriver's re-handshake",
+		"execView":     "overwritten for every executor by RestartDriver's re-handshake",
+		"execEpoch":    "the incarnation fence: bumped at restart, never reset, so pre-crash results are rejected",
+		"incSeen":      "refreshed at re-handshake for live executors; a dead one's last incarnation must be kept to notice its rebirth",
+		"jrn":          "the journal is what survives by design",
+		"driverDown":   "set by the crash itself",
+		"driverGen":    "bumped by the crash itself to void pre-crash timer closures",
+		"pendingJrn":   "filled during downtime, flushed at restart",
+		"pendingJobs":  "filled during downtime, submitted at restart",
+		"jobTab":       "client-held job handles (DESIGN §12, client-side state)",
+		"closed":       "Close is terminal",
+		"closeErr":     "Close is terminal",
+		"restartHooks": "client-registered callbacks",
+		"resumeEpoch":  "opened by the crash itself",
+		"batch":        "data-plane work already dispatched runs executor-side and reports into the fence",
+		"draining":     "guards the drain of batch",
+		"par":          "worker-pool width, configuration",
+		"completed":    "measurement: finished jobs' metrics",
+		"stats":        "measurement",
+		"rng":          "the seeded scheduler stream continues; restarting it would replay draws",
+		"tracer":       "observer installed by the client",
 	}
 	memory := reflect.TypeOf(driverMemory{})
 	engine := reflect.TypeOf((*Engine)(nil)).Elem()
@@ -372,7 +371,7 @@ func TestCrashDriverForgetsDriverMemory(t *testing.T) {
 		}
 		queued := len(e.prefPending) + len(e.plainPending) - e.plainHead
 		if queued == 0 || len(e.running) == 0 || len(e.shuffleStages) == 0 ||
-			len(e.Blacklisted()) != 1 || !e.loc.Registered("ns") || e.nsParts["ns"] != 8 {
+			len(e.Blacklisted()) != 1 || e.registered["ns"] == nil || e.registered["ns"].parts != 8 {
 			t.Errorf("driver not busy before the crash: queued=%d running=%d shuffles=%d blacklisted=%v",
 				queued, len(e.running), len(e.shuffleStages), e.Blacklisted())
 		}

@@ -25,7 +25,6 @@ import (
 	"stark/internal/locality"
 	"stark/internal/metrics"
 	netsim "stark/internal/net"
-	"stark/internal/partition"
 	"stark/internal/rdd"
 	"stark/internal/record"
 	"stark/internal/replication"
@@ -146,10 +145,11 @@ type Engine struct {
 	// embedded so e.running, e.loc, e.blacklist … select through it.
 	driverMemory
 
-	// nsIDs interns namespace names for cluster.UnitID, from 1 so an
-	// unknown name maps to an id no block is counted under. Ids are names,
-	// not driver state: they survive a driver crash.
-	nsIDs map[string]int
+	// collections holds one record per namespace the application ever
+	// registered, by name (namespace.go). Ids and partitioners are not
+	// driver state: they survive a driver crash; which collections are
+	// registered is driverMemory.registered.
+	collections map[string]*collection
 
 	jobSeq  int
 	taskSeq int
@@ -198,9 +198,8 @@ type Engine struct {
 	// DriverRecovery), whether the driver is currently crashed, the driver
 	// generation (bumped per crash, invalidating pre-crash timer closures),
 	// journal appends and job submissions buffered during downtime, the
-	// client-held job handles and namespace partitioners re-attached at
-	// restart, restart hooks, and the open recovery epoch spanning crash
-	// through first resumed completions.
+	// client-held job handles re-attached at restart, restart hooks, and the
+	// open recovery epoch spanning crash through first resumed completions.
 	jrn         *journal.Log
 	driverDown  bool
 	driverGen   int
@@ -212,11 +211,10 @@ type Engine struct {
 	jobTab map[int]*job
 	// closed marks a driver shut down for good via Close; closeErr remembers
 	// the first close's outcome so repeated Close calls are idempotent.
-	closed         bool
-	closeErr       error
-	nsPartitioners map[string]partition.Partitioner
-	restartHooks   []func()
-	resumeEpoch    *recoveryEpoch
+	closed       bool
+	closeErr     error
+	restartHooks []func()
+	resumeEpoch  *recoveryEpoch
 
 	// Data-plane batching (plane.go): tasks dispatched during an event
 	// accumulate in batch and execute at the event boundary on up to par
@@ -252,7 +250,7 @@ func New(cfg Config) *Engine {
 		graph:        rdd.NewGraph(),
 		repl:         replication.NewPolicy(replication.DefaultConfig()),
 		driverMemory: newDriverMemory(cfg),
-		nsIDs:        make(map[string]int),
+		collections:  make(map[string]*collection),
 		jobTab:       make(map[int]*job),
 		oomArmed:     make(map[int]bool),
 		evictedEver:  make(map[cluster.BlockKey]bool),
@@ -281,7 +279,6 @@ func New(cfg Config) *Engine {
 	}
 	if cfg.DriverRecovery {
 		e.jrn = &journal.Log{}
-		e.nsPartitioners = make(map[string]partition.Partitioner)
 	}
 	if !cfg.Faults.Empty() {
 		e.inj = fault.New(cfg.Faults)
@@ -415,11 +412,13 @@ type task struct {
 	id         int
 	sr         *stageRun
 	partitions []int
-	ns         string
-	unit       int // collection unit (partition or group id); -1 when none
-	group      bool
-	prefCap    bool
-	promoted   bool
+	// coll and unit name the collection unit the task computes; coll is
+	// nil for a plain task.
+	coll     *collection
+	unit     cluster.UnitID
+	group    bool
+	prefCap  bool
+	promoted bool
 	// counted marks tasks included in the engine's unarmed-timer counter.
 	counted   bool
 	submitted time.Duration
@@ -630,22 +629,22 @@ func (e *Engine) maybeStartStage(sr *stageRun) {
 // belongs to an extendable namespace, per-partition tasks otherwise.
 func (e *Engine) enqueueTasks(sr *stageRun) {
 	out := sr.st.Output
-	ns := e.activeNamespace(out)
-	specs := e.taskSpecs(out, ns)
+	c := e.collectionOf(out)
+	specs := e.taskSpecs(out, c)
 	sr.remaining = len(specs)
 	if len(specs) == 0 {
 		e.onStageComplete(sr)
 		return
 	}
-	e.enqueueSpecs(sr, specs, e.stagePrefCap(sr, ns))
+	e.enqueueSpecs(sr, specs, e.stagePrefCap(sr, c))
 }
 
 // stagePrefCap reports whether the stage's tasks can ever gain a locality
-// preference: a task without a namespace can only become NODE_LOCAL through
-// cached blocks of its narrow chain; if nothing in the chain is cacheable
-// it goes straight to the fast FIFO queue.
-func (e *Engine) stagePrefCap(sr *stageRun, ns string) bool {
-	if ns != "" {
+// preference: a task outside a collection can only become NODE_LOCAL
+// through cached blocks of its narrow chain; if nothing in the chain is
+// cacheable it goes straight to the fast FIFO queue.
+func (e *Engine) stagePrefCap(sr *stageRun, c *collection) bool {
+	if c != nil {
 		return true
 	}
 	for _, r := range sr.st.NarrowChain() {
@@ -668,9 +667,9 @@ func (e *Engine) enqueueSpecs(sr *stageRun, specs []taskSpec, prefCap bool) {
 			id:         e.taskSeq,
 			sr:         sr,
 			partitions: sp.partitions,
-			ns:         sp.ns,
+			coll:       sp.coll,
 			unit:       sp.unit,
-			group:      sp.group,
+			group:      sp.coll != nil && sp.coll.tree,
 			prefCap:    prefCap,
 			submitted:  e.loop.Now(),
 		}
@@ -696,7 +695,7 @@ func (e *Engine) enqueueSpecs(sr *stageRun, specs []taskSpec, prefCap bool) {
 // chain block go to the scanned preference queue; the rest go to the plain
 // FIFO, with wake registrations so a later cache fill promotes them.
 func (e *Engine) enqueue(t *task) {
-	if t.ns != "" {
+	if t.coll != nil {
 		e.prefPending = append(e.prefPending, t)
 		t.counted = true
 		e.unarmed++
@@ -753,53 +752,37 @@ func (e *Engine) wakeTasks(id cluster.BlockID) {
 
 type taskSpec struct {
 	partitions []int
-	ns         string
-	unit       int
-	group      bool
+	coll       *collection
+	unit       cluster.UnitID
 }
 
-// activeNamespace returns the RDD's namespace when co-locality is enabled
-// and the namespace is registered.
-func (e *Engine) activeNamespace(r *rdd.RDD) string {
-	if !e.cfg.Features.CoLocality || r.Namespace == "" {
-		return ""
-	}
-	if !e.loc.Registered(r.Namespace) {
-		return ""
-	}
-	if n, ok := e.nsParts[r.Namespace]; !ok || n != r.Parts {
-		return ""
-	}
-	return r.Namespace
-}
-
-func (e *Engine) taskSpecs(out *rdd.RDD, ns string) []taskSpec {
-	if ns != "" && e.cfg.Features.Extendable && e.grp.Registered(ns) {
-		groups, err := e.grp.Groups(ns)
-		if err == nil {
-			specs := make([]taskSpec, 0, len(groups))
-			for _, g := range groups {
-				parts := make([]int, 0, g.Width())
-				for p := g.Lo; p < g.Hi && p < out.Parts; p++ {
-					parts = append(parts, p)
-				}
-				if len(parts) == 0 {
-					continue
-				}
-				specs = append(specs, taskSpec{partitions: parts, ns: ns, unit: g.ID, group: true})
-			}
-			return specs
+// taskSpecs builds a stage's work: one group task per Group Tree leaf when
+// the output RDD is a member of a collection with a tree, one task per
+// partition otherwise — tied to the partition's unit when the RDD is a
+// member, plain when it is not.
+func (e *Engine) taskSpecs(out *rdd.RDD, c *collection) []taskSpec {
+	if c != nil && c.tree {
+		groups, err := e.grp.Groups(c.name)
+		if err != nil {
+			panic(err) // a registered collection with a tree always has one
 		}
+		specs := make([]taskSpec, 0, len(groups))
+		for _, g := range groups {
+			parts := make([]int, 0, g.Width())
+			for p := g.Lo; p < g.Hi; p++ {
+				parts = append(parts, p)
+			}
+			specs = append(specs, taskSpec{partitions: parts, coll: c, unit: cluster.UnitID{NS: c.id, Unit: g.ID}})
+		}
+		return specs
 	}
 	specs := make([]taskSpec, 0, out.Parts)
 	for p := 0; p < out.Parts; p++ {
-		unit := -1
-		tns := ""
-		if ns != "" {
-			unit = p
-			tns = ns
+		sp := taskSpec{partitions: []int{p}}
+		if c != nil {
+			sp.coll, sp.unit = c, cluster.UnitID{NS: c.id, Unit: p}
 		}
-		specs = append(specs, taskSpec{partitions: []int{p}, ns: tns, unit: unit})
+		specs = append(specs, sp)
 	}
 	return specs
 }

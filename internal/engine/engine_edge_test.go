@@ -222,7 +222,7 @@ func TestDeReplicationDropsEveryUnitBlock(t *testing.T) {
 	if len(pref) != 2 {
 		t.Fatalf("preferred = %v after a remote launch, want a second replica", pref)
 	}
-	victim, u := pref[1], e.unitID("ns", 0)
+	victim, u := pref[1], e.unitIDFor("ns", 0)
 	for _, r := range []*rdd.RDD{steps[0], steps[1], cg} {
 		if !e.Cluster().Executor(victim).Store.Contains(blockID(r.ID, 0)) {
 			t.Fatalf("replica executor %d does not cache %s[0]", victim, r)
@@ -252,7 +252,7 @@ func TestDeReplicationDropsEveryUnitBlock(t *testing.T) {
 		t.Fatalf("replica-drop traced %d times, want 1", drops)
 	}
 	for _, unit := range victimUnits {
-		if !e.Cluster().UnitCached(victim, e.unitID("ns", unit)) {
+		if !e.Cluster().UnitCached(victim, e.unitIDFor("ns", unit)) {
 			t.Fatalf("de-replicating unit 0 dropped executor %d's own unit %d", victim, unit)
 		}
 	}
@@ -304,7 +304,7 @@ func TestDeReplicationAfterReplicaLost(t *testing.T) {
 	if _, _, err := e.Count(g.Filter(lp, "q", func(record.Record) bool { return true })); err != nil {
 		t.Fatal(err)
 	}
-	if e.repl.ShouldDeReplicate(e.unitID("ns", 0), e.Loop().Now()) {
+	if e.repl.ShouldDeReplicate(e.unitIDFor("ns", 0), e.Loop().Now()) {
 		t.Fatal("policy still counts the lost replica after the unit's task completed")
 	}
 	if drops != 0 {

@@ -16,22 +16,34 @@ import (
 // naiveUnitKey re-derives a block's collection unit from the public
 // managers, independently of the engine's unitOf/unitIDOf and of the
 // cluster's unit index: namespace from the lineage graph, registration
-// from the LocalityManager, group from the Group Tree.
+// and partition count from the LocalityManager's units (plain co-locality:
+// one unit per partition) or the Group Tree's leaves (extendable: the last
+// leaf ends at the partition count), group from the Group Tree.
 func naiveUnitKey(e *Engine) func(cluster.BlockID) string {
 	return func(id cluster.BlockID) string {
 		r := e.Graph().ByID(id.RDD)
-		if r == nil || r.Namespace == "" || !e.Locality().Registered(r.Namespace) {
+		if r == nil || r.Namespace == "" {
 			return ""
 		}
-		unit := id.Partition
-		if e.cfg.Features.Extendable && e.Groups().Registered(r.Namespace) {
-			g, err := e.Groups().GroupOf(r.Namespace, id.Partition)
-			if err != nil {
+		units := e.Locality().Units(r.Namespace)
+		if len(units) == 0 {
+			return ""
+		}
+		if !e.cfg.Features.Extendable {
+			if r.Parts != len(units) {
 				return ""
 			}
-			unit = g.ID
+			return fmt.Sprintf("%s/%d", r.Namespace, id.Partition)
 		}
-		return fmt.Sprintf("%s/%d", r.Namespace, unit)
+		groups, err := e.Groups().Groups(r.Namespace)
+		if err != nil || r.Parts != groups[len(groups)-1].Hi {
+			return ""
+		}
+		g, err := e.Groups().GroupOf(r.Namespace, id.Partition)
+		if err != nil {
+			return ""
+		}
+		return fmt.Sprintf("%s/%d", r.Namespace, g.ID)
 	}
 }
 

@@ -10,12 +10,80 @@ import (
 	"stark/internal/rdd"
 )
 
+// collection is one registered dataset collection (the paper's namespace):
+// every fact the engine keeps about it, in one record. Engine.collections
+// holds a record per name the application ever registered and survives a
+// driver crash — the interned id keys the cluster's unit index and the
+// replication policy, which survive too, and the partitioner is the
+// client-side object replay re-attaches. driverMemory.registered holds the
+// records live in this driver's locality and group managers; a crash
+// forgets it and journal replay rebuilds it.
+type collection struct {
+	name string
+	// id interns name for cluster.UnitID, from 1 so the zero UnitID names
+	// no unit.
+	id    int
+	part  partition.Partitioner
+	parts int
+	// tree is whether the collection's units are Group Tree leaves
+	// (extendable mode) rather than partitions.
+	tree bool
+}
+
+// collectionOf is the one membership rule: r belongs to a collection when
+// its namespace is registered and r has the namespace's partition count.
+// Any other RDD — one that inherited the namespace's name through a
+// differently sized cogroup, say — is no member: its tasks are plain and
+// its blocks count under no unit.
+func (e *Engine) collectionOf(r *rdd.RDD) *collection {
+	c := e.registered[r.Namespace]
+	if c == nil || c.parts != r.Parts {
+		return nil
+	}
+	return c
+}
+
+// unitOf maps partition p of r to its collection and collection unit — the
+// Group Tree leaf holding p when the collection has a tree, p otherwise —
+// or ok=false when r is no member. Task specs, the cluster's unit index,
+// checkpoint placement, eviction de-replication and Unpersist all read it,
+// so whatever changes its answer — registration, Group Tree geometry —
+// must call Cluster.UnitMappingChanged.
+func (e *Engine) unitOf(r *rdd.RDD, p int) (*collection, cluster.UnitID, bool) {
+	c := e.collectionOf(r)
+	if c == nil {
+		return nil, cluster.UnitID{}, false
+	}
+	unit := p
+	if c.tree {
+		g, err := e.grp.GroupOf(c.name, p)
+		if err != nil {
+			return nil, cluster.UnitID{}, false
+		}
+		unit = g.ID
+	}
+	return c, cluster.UnitID{NS: c.id, Unit: unit}, true
+}
+
+// unitIDOf is unitOf for a block: the mapping installed into the unit index
+// and, under the dag policy, the peer-group function.
+func (e *Engine) unitIDOf(id cluster.BlockID) (cluster.UnitID, bool) {
+	r := e.graph.ByID(id.RDD)
+	if r == nil {
+		return cluster.UnitID{}, false
+	}
+	_, u, ok := e.unitOf(r, id.Partition)
+	return u, ok
+}
+
 // RegisterNamespace declares a locality namespace for RDDs created with
 // rdd.Graph.LocalityPartitionBy: the LocalityManager pins the collection's
 // partitions (or partition groups, in extendable mode) to executors. The
 // partitioner fixes the collection's partition count; initialGroups sizes
 // the Group Tree when extendable partitioning is enabled (both the
-// partition count and initialGroups must then be powers of two).
+// partition count and initialGroups must then be powers of two). An RDD
+// carrying the namespace with a different partition count is not a member:
+// its tasks are plain and its blocks count under no unit.
 // Registration is idempotent for an agreeing partitioner.
 func (e *Engine) RegisterNamespace(ns string, p partition.Partitioner, initialGroups int) error {
 	if !e.cfg.Features.CoLocality {
@@ -23,20 +91,53 @@ func (e *Engine) RegisterNamespace(ns string, p partition.Partitioner, initialGr
 		// the same application code runs under every configuration.
 		return nil
 	}
-	_, known := e.nsParts[ns]
+	known := e.registered[ns] != nil
 	if err := e.registerNamespace(ns, p, initialGroups); err != nil {
 		return err
 	}
-	if e.jrn != nil {
+	if !known {
 		// The partitioner is a client-side object: it cannot be serialized,
-		// so the journal records the registration and the application's
-		// re-registration call (or this retained reference) re-supplies the
-		// closure at replay time.
-		e.nsPartitioners[ns] = p
-		if !known {
-			e.journalAppend(journal.Record{Kind: journal.KindNamespace, S: ns, A: int64(initialGroups)})
+		// so the journal records the registration and replay re-supplies the
+		// partitioner from the collection's record.
+		e.journalAppend(journal.Record{Kind: journal.KindNamespace, S: ns, A: int64(initialGroups)})
+	}
+	return nil
+}
+
+// registerNamespace is the journal-free core of RegisterNamespace; replay
+// reuses it.
+func (e *Engine) registerNamespace(ns string, p partition.Partitioner, initialGroups int) error {
+	// Blocks of the namespace's RDDs cached before this call join a unit.
+	e.cl.UnitMappingChanged()
+	c := e.collections[ns]
+	if c == nil {
+		c = &collection{name: ns, id: len(e.collections) + 1, tree: e.cfg.Features.Extendable}
+		e.collections[ns] = c
+	}
+	numParts := p.NumPartitions()
+	var units []int
+	if c.tree {
+		if err := e.grp.Register(ns, numParts, initialGroups); err != nil {
+			return err
+		}
+		groups, err := e.grp.Groups(ns)
+		if err != nil {
+			return err
+		}
+		for _, g := range groups {
+			units = append(units, g.ID)
+		}
+	} else {
+		units = make([]int, numParts)
+		for i := range units {
+			units[i] = i
 		}
 	}
+	if err := e.loc.Register(ns, p, units, e.cl.AliveExecutors()); err != nil {
+		return err
+	}
+	c.part, c.parts = p, numParts
+	e.registered[ns] = c
 	return nil
 }
 
@@ -45,45 +146,51 @@ func (e *Engine) RegisterNamespace(ns string, p partition.Partitioner, initialGr
 // triggered splits or merges, rewiring the LocalityManager accordingly.
 // It returns the changes performed.
 func (e *Engine) ReportRDD(r *rdd.RDD) ([]group.Change, error) {
-	ns := r.Namespace
-	if ns == "" {
+	if r.Namespace == "" {
 		return nil, fmt.Errorf("engine: RDD %s has no namespace", r)
 	}
-	if !e.cfg.Features.Extendable || !e.grp.Registered(ns) {
+	c := e.registered[r.Namespace]
+	if c == nil || !c.tree {
 		return nil, nil
 	}
 	if r.PartBytes == nil {
 		return nil, fmt.Errorf("engine: RDD %s not materialized", r)
 	}
-	if err := e.grp.ReportRDD(ns, r.PartBytes); err != nil {
+	// A non-member's size vector has the wrong length: the GroupManager
+	// rejects it.
+	if err := e.grp.ReportRDD(c.name, r.PartBytes); err != nil {
 		return nil, err
 	}
-	changes, err := e.grp.Rebalance(ns)
-	if len(changes) > 0 {
-		// Every split or merge moves partitions between units.
-		e.cl.UnitMappingChanged()
-	}
-	if err != nil {
-		return nil, err
-	}
+	changes, err := e.grp.Rebalance(c.name)
 	for _, ch := range changes {
-		switch ch.Kind {
-		case group.ChangeSplit:
-			newExec := e.leastLoadedExecutor()
-			if err := e.loc.ApplySplit(ns, ch.Before[0].ID, ch.After[0].ID, ch.After[1].ID, newExec); err != nil {
-				return changes, err
-			}
-			e.journalAppend(journal.Record{Kind: journal.KindGroupSplit, S: ns,
-				A: int64(ch.Before[0].ID), B: int64(ch.After[0].ID), C: int64(ch.After[1].ID), D: int64(newExec)})
-		case group.ChangeMerge:
-			if err := e.loc.ApplyMerge(ns, ch.Before[0].ID, ch.Before[1].ID, ch.After[0].ID); err != nil {
-				return changes, err
-			}
-			e.journalAppend(journal.Record{Kind: journal.KindGroupMerge, S: ns,
-				A: int64(ch.Before[0].ID), B: int64(ch.Before[1].ID), C: int64(ch.After[0].ID)})
+		var rec journal.Record
+		if ch.Kind == group.ChangeSplit {
+			rec = journal.Record{Kind: journal.KindGroupSplit, S: c.name,
+				A: int64(ch.Before[0].ID), B: int64(ch.After[0].ID), C: int64(ch.After[1].ID), D: int64(e.leastLoadedExecutor())}
+		} else {
+			rec = journal.Record{Kind: journal.KindGroupMerge, S: c.name,
+				A: int64(ch.Before[0].ID), B: int64(ch.Before[1].ID), C: int64(ch.After[0].ID)}
 		}
+		if err := e.applyGroupChange(rec); err != nil {
+			return changes, err
+		}
+		e.journalAppend(rec)
 	}
-	return changes, nil
+	return changes, err
+}
+
+// applyGroupChange applies one Group Tree split or merge, in its journal
+// record form, to the LocalityManager and tells the unit index that units
+// moved. ReportRDD passes the record of a change the GroupManager just
+// made, before journaling it; replay passes the journaled record once it
+// has re-applied the change to the rebuilt tree — so a live and a replayed
+// change rewire locality the same way.
+func (e *Engine) applyGroupChange(rec journal.Record) error {
+	e.cl.UnitMappingChanged()
+	if rec.Kind == journal.KindGroupSplit {
+		return e.loc.ApplySplit(rec.S, int(rec.A), int(rec.B), int(rec.C), int(rec.D))
+	}
+	return e.loc.ApplyMerge(rec.S, int(rec.A), int(rec.B), int(rec.C))
 }
 
 // leastLoadedExecutor picks the live executor with the fewest locality
@@ -102,65 +209,19 @@ func (e *Engine) leastLoadedExecutor() int {
 	return best
 }
 
-// unitOf maps a block to its collection unit, or ok=false when the block's
-// RDD is outside any active namespace. The cluster's unit index counts
-// under this mapping (unitIDOf), so whatever changes its answer — namespace
-// registration, Group Tree geometry, the managers themselves — must call
-// Cluster.UnitMappingChanged.
-func (e *Engine) unitOf(id cluster.BlockID) (ns string, unit int, ok bool) {
-	r := e.graph.ByID(id.RDD)
-	if r == nil || r.Namespace == "" {
-		return "", 0, false
-	}
-	ns = r.Namespace
-	if !e.loc.Registered(ns) {
-		return "", 0, false
-	}
-	if e.cfg.Features.Extendable && e.grp.Registered(ns) {
-		g, err := e.grp.GroupOf(ns, id.Partition)
-		if err != nil {
-			return "", 0, false
-		}
-		return ns, g.ID, true
-	}
-	return ns, id.Partition, true
-}
-
-// unitID names a collection unit the one way every unit-keyed table does —
-// the cluster's unit index, the dag policy's peer groups, the replication
-// policy's demand counters.
-func (e *Engine) unitID(ns string, unit int) cluster.UnitID {
-	return cluster.UnitID{NS: e.nsIDs[ns], Unit: unit}
-}
-
-// unitIDOf is unitOf as a cluster.UnitID: the mapping installed into the
-// unit index and, under the dag policy, the peer-group function.
-func (e *Engine) unitIDOf(id cluster.BlockID) (cluster.UnitID, bool) {
-	ns, unit, ok := e.unitOf(id)
-	if !ok {
-		return cluster.UnitID{}, false
-	}
-	return e.unitID(ns, unit), true
-}
-
 // onEvictions de-replicates collection units whose last cached block on an
 // executor was just evicted.
 func (e *Engine) onEvictions(exec int, evicted []cluster.BlockID) {
 	for _, id := range evicted {
-		ns, unit, ok := e.unitOf(id)
-		if !ok {
+		r := e.graph.ByID(id.RDD)
+		if r == nil {
 			continue
 		}
-		if e.unitCachedOn(ns, unit, exec) {
+		c, u, ok := e.unitOf(r, id.Partition)
+		if !ok || e.cl.UnitCached(exec, u) {
 			continue
 		}
-		e.loc.RemoveReplica(ns, unit, exec)
-		e.repl.Dropped(e.unitID(ns, unit))
+		e.loc.RemoveReplica(c.name, u.Unit, exec)
+		e.repl.Dropped(u)
 	}
-}
-
-// unitCachedOn reports whether the executor still caches any block of the
-// unit: one refcount lookup in the cluster's unit index.
-func (e *Engine) unitCachedOn(ns string, unit, exec int) bool {
-	return e.cl.UnitCached(exec, e.unitID(ns, unit))
 }

@@ -82,7 +82,7 @@ func (e *Engine) cloneTask(t *task, attempt int) *task {
 		id:         e.taskSeq,
 		sr:         t.sr,
 		partitions: t.partitions,
-		ns:         t.ns,
+		coll:       t.coll,
 		unit:       t.unit,
 		group:      t.group,
 		prefCap:    t.prefCap,
@@ -363,13 +363,13 @@ func (e *Engine) bumpResubmit(j *job, shuffleID int) bool {
 // partitions (group tasks recompute any group containing one).
 func (e *Engine) enqueueMissing(sr *stageRun, missing []int) {
 	out := sr.st.Output
-	ns := e.activeNamespace(out)
+	c := e.collectionOf(out)
 	miss := make(map[int]bool, len(missing))
 	for _, m := range missing {
 		miss[m] = true
 	}
 	var chosen []taskSpec
-	for _, sp := range e.taskSpecs(out, ns) {
+	for _, sp := range e.taskSpecs(out, c) {
 		for _, p := range sp.partitions {
 			if miss[p] {
 				chosen = append(chosen, sp)
@@ -382,7 +382,7 @@ func (e *Engine) enqueueMissing(sr *stageRun, missing []int) {
 		e.onStageComplete(sr)
 		return
 	}
-	e.enqueueSpecs(sr, chosen, e.stagePrefCap(sr, ns))
+	e.enqueueSpecs(sr, chosen, e.stagePrefCap(sr, c))
 	e.schedule()
 }
 

@@ -203,8 +203,8 @@ func (t *task) launched() bool { return t.tm.Locality != 0 }
 // The result lives in the engine's scratch and is valid until the next
 // call: both schedule-loop callers consume it before calling again.
 func (e *Engine) preferredExecutors(t *task) []int {
-	if t.ns != "" {
-		e.prefs = e.loc.AppendPreferred(e.prefs[:0], t.ns, t.unit)
+	if t.coll != nil {
+		e.prefs = e.loc.AppendPreferred(e.prefs[:0], t.coll.name, t.unit.Unit)
 		return e.keepSchedulable(e.prefs)
 	}
 	if len(t.partitions) != 1 {
@@ -432,22 +432,21 @@ func (e *Engine) onTaskResult(t *task) {
 	// materialized the unit's chain in this executor's cache; the policy
 	// decides whether that copy is worth keeping as a replica, and whether
 	// a cooled-down unit should retire one.
-	if t.ns != "" {
-		key := e.unitID(t.ns, t.unit)
+	if c := t.coll; c != nil {
 		now := e.loop.Now()
 		switch t.tm.Locality {
 		case metrics.Remote:
-			if e.repl.OnRemoteLaunch(key, now) {
-				e.loc.AddReplica(t.ns, t.unit, t.exec)
+			if e.repl.OnRemoteLaunch(t.unit, now) {
+				e.loc.AddReplica(c.name, t.unit.Unit, t.exec)
 				if e.tracer != nil {
-					e.trace("replica-add", t.sr.job.id, -1, -1, t.exec, fmt.Sprintf("unit=%s/%d", t.ns, t.unit))
+					e.trace("replica-add", t.sr.job.id, -1, -1, t.exec, fmt.Sprintf("unit=%s/%d", c.name, t.unit.Unit))
 				}
 			}
 		case metrics.NodeLocal:
-			e.repl.OnLocalLaunch(key, now)
+			e.repl.OnLocalLaunch(t.unit, now)
 		}
-		if e.repl.ShouldDeReplicate(key, now) {
-			e.deReplicate(t.ns, t.unit)
+		if e.repl.ShouldDeReplicate(t.unit, now) {
+			e.deReplicate(c, t.unit)
 		}
 	}
 
@@ -465,19 +464,18 @@ func (e *Engine) onTaskResult(t *task) {
 // there — and removes it from the preferred-executor list. When locality
 // already lost the replica (its executor died), only the policy's count
 // catches up.
-func (e *Engine) deReplicate(ns string, unit int) {
-	key := e.unitID(ns, unit)
-	execs := e.loc.Preferred(ns, unit)
+func (e *Engine) deReplicate(c *collection, u cluster.UnitID) {
+	execs := e.loc.Preferred(c.name, u.Unit)
 	if len(execs) < 2 {
-		e.repl.Dropped(key)
+		e.repl.Dropped(u)
 		return
 	}
 	victim := execs[len(execs)-1]
-	e.cl.DropUnit(victim, key)
-	e.loc.RemoveReplica(ns, unit, victim)
-	e.repl.Dropped(key)
+	e.cl.DropUnit(victim, u)
+	e.loc.RemoveReplica(c.name, u.Unit, victim)
+	e.repl.Dropped(u)
 	if e.tracer != nil {
-		e.trace("replica-drop", -1, -1, -1, victim, fmt.Sprintf("unit=%s/%d", ns, unit))
+		e.trace("replica-drop", -1, -1, -1, victim, fmt.Sprintf("unit=%s/%d", c.name, u.Unit))
 	}
 }
 

@@ -102,14 +102,14 @@ func (e *Engine) Unpersist(r *rdd.RDD) {
 	r.CacheFlag = false
 	e.DropCached(r)
 	for p := 0; p < r.Parts; p++ {
-		ns, unit, ok := e.unitOf(cluster.BlockID{RDD: r.ID, Partition: p})
+		c, u, ok := e.unitOf(r, p)
 		if !ok {
 			continue
 		}
 		// Re-derive replica lists for the unit now that this RDD is gone.
-		for _, exec := range e.loc.Preferred(ns, unit) {
-			if !e.unitCachedOn(ns, unit, exec) {
-				e.loc.RemoveReplica(ns, unit, exec)
+		for _, exec := range e.loc.Preferred(c.name, u.Unit) {
+			if !e.cl.UnitCached(exec, u) {
+				e.loc.RemoveReplica(c.name, u.Unit, exec)
 			}
 		}
 	}

@@ -85,14 +85,6 @@ func (m *Manager) Register(ns string, numPartitions, initialGroups int) error {
 	return nil
 }
 
-// Registered reports whether a namespace exists.
-func (m *Manager) Registered(ns string) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	_, ok := m.namespaces[ns]
-	return ok
-}
-
 // ReportRDD feeds one RDD's per-partition byte sizes into the namespace's
 // sliding window (the reportRDD(rdd) API in the paper). The vector length
 // must match the namespace's partition count.

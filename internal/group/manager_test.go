@@ -21,8 +21,11 @@ func TestRegisterIdempotentAndConflict(t *testing.T) {
 	if err := m.Register("ns", 32, 4); err == nil {
 		t.Fatal("re-register different geometry succeeded")
 	}
-	if !m.Registered("ns") || m.Registered("other") {
-		t.Fatal("Registered wrong")
+	if _, err := m.Groups("ns"); err != nil {
+		t.Fatalf("registered namespace unknown: %v", err)
+	}
+	if _, err := m.Groups("other"); err == nil {
+		t.Fatal("unregistered namespace known")
 	}
 }
 

@@ -105,7 +105,7 @@ func TestCallGraphCrossPackage(t *testing.T) {
 
 	for _, c := range []struct{ caller, edge string }{
 		{"(*stark/internal/rdd.Graph).GroupByKey", "iface (stark/internal/partition.Hash).Equivalent"},
-		{"(*stark/internal/locality.Manager).Register", "iface (stark/internal/partition.Range).NumPartitions"},
+		{"(*stark/internal/locality.Manager).Register", "iface (stark/internal/partition.Range).Equivalent"},
 		{"stark/cmd/starkbench.profile", "iface (stark/internal/experiments.Fig20Config).Quick"},
 		{"stark/cmd/starkbench.init", "static stark/internal/experiments.RunFig20"},
 	} {

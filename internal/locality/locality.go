@@ -22,9 +22,8 @@ import (
 
 // Namespace is one registered dataset collection.
 type namespaceState struct {
-	partitioner   partition.Partitioner
-	numPartitions int
-	units         map[int][]int // unit id -> ordered executor ids
+	partitioner partition.Partitioner
+	units       map[int][]int // unit id -> ordered executor ids
 }
 
 // Manager tracks namespaces and their unit→executor maps. It is safe for
@@ -62,9 +61,8 @@ func (m *Manager) Register(ns string, p partition.Partitioner, units []int, exec
 		return fmt.Errorf("locality: namespace %q registered with no executors", ns)
 	}
 	st := &namespaceState{
-		partitioner:   p,
-		numPartitions: p.NumPartitions(),
-		units:         make(map[int][]int, len(units)),
+		partitioner: p,
+		units:       make(map[int][]int, len(units)),
 	}
 	sorted := make([]int, len(units))
 	copy(sorted, units)
@@ -74,14 +72,6 @@ func (m *Manager) Register(ns string, p partition.Partitioner, units []int, exec
 	}
 	m.namespaces[ns] = st
 	return nil
-}
-
-// Registered reports whether ns exists.
-func (m *Manager) Registered(ns string) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	_, ok := m.namespaces[ns]
-	return ok
 }
 
 // Preferred returns the ordered executor list of a unit (primary first),

@@ -64,8 +64,8 @@ func TestPartitionerLookup(t *testing.T) {
 	if got := m.namespaces["ns"].partitioner; !got.Equivalent(p) {
 		t.Fatal("Partitioner lookup wrong")
 	}
-	if !m.Registered("ns") || m.Registered("nope") {
-		t.Fatal("Registered wrong")
+	if len(m.Units("ns")) != 2 || m.Units("nope") != nil {
+		t.Fatal("Units wrong")
 	}
 }
 

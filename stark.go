@@ -235,7 +235,10 @@ func (c *Context) NumExecutors() int { return c.eng.Cluster().NumExecutors() }
 // RegisterNamespace declares a locality namespace: RDDs created with
 // LocalityPartitionBy(p, ns) share the partitioner and their collection
 // partitions are co-located. initialGroups sizes the Group Tree in
-// extendable mode (power of two; so must be the partition count).
+// extendable mode (power of two; so must be the partition count). An RDD
+// that carries the namespace with a different partition count — a cogroup
+// of members under a wider or narrower partitioner — is not a member: its
+// tasks are plain and its cached blocks count under no collection unit.
 func (c *Context) RegisterNamespace(ns string, p Partitioner, initialGroups int) error {
 	return c.eng.RegisterNamespace(ns, p, initialGroups)
 }
