@@ -179,9 +179,9 @@ func TestCowCheckDetectsSourceMutation(t *testing.T) {
 
 // TestCowCheckDetectsShuffleViewMutation proves the debug mode catches a
 // transform that writes a key into its shuffle input. ReadReduce hands every
-// reader the store's own reduce-major rows, so without the check the next
-// read would see a checksum mismatch, drop the "corrupt" map output and let a
-// stage resubmit heal it — hiding the purity bug behind a recovery.
+// reader the store's own reduce-major rows and verifies checksums only when
+// it builds them, so without the check the next read would return the
+// rewritten key as if the map tasks had produced it.
 func TestCowCheckDetectsShuffleViewMutation(t *testing.T) {
 	prev := record.SetCowCheckForTesting(true)
 	defer record.SetCowCheckForTesting(prev)

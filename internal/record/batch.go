@@ -1,6 +1,9 @@
 package record
 
 import (
+	"errors"
+	"fmt"
+	"math"
 	"math/bits"
 	"strings"
 
@@ -97,10 +100,10 @@ func mixKey(h uint64, key string) uint64 {
 // benchmark times: its only caller outside tests is bench/layers.go, which
 // compiles against exactly FromRecords, Len, Hash32, KeySumRange and
 // PartitionStable. The engine's data plane is rows end to end — a map task
-// hashes with HashKeys and routes with PartitionRows, which also sums each
-// bucket with KeySum64; the store verifies those sums over its reduce-major
-// rows — so nothing here is on a production path, and the tests hold each
-// method bit-equal to the row function the engine does call.
+// hashes with HashKeys and routes with PartitionRows, which also sums and
+// lays out each bucket's keys; the store verifies the sums as it builds its
+// reduce-major rows — so nothing here is on a production path, and the tests
+// hold each method bit-equal to the row function the engine does call.
 type Batch struct {
 	keys string   // concatenated key bytes
 	offs []int32  // len n+1; key i is keys[offs[i]:offs[i+1]]
@@ -173,13 +176,15 @@ func (s *Scratch) Reset() {
 
 // Span describes one shuffle bucket of a partitioned batch: the rows
 // Rows[Perm[Lo]], ..., Rows[Perm[Hi-1]] belong to reduce partition Part, in
-// that order. The kernel sets Bytes to the unscaled sum of SizeOfRecord over
-// them, which the engine then prices in place (cluster byte scaling plus
-// slice overhead), and Sum to their KeySum64 — the checksum the store stamps
-// the bucket with. 32 B, no pointers.
+// that order, their keys back to back in the batch's Keys from offset Key
+// on. The kernel sets Bytes to the unscaled sum of SizeOfRecord over them,
+// which the engine then prices in place (cluster byte scaling plus slice
+// overhead), and Sum to their KeySum64 — the checksum the store verifies the
+// bucket with. 32 B (Key sits in what would be padding), no pointers.
 type Span struct {
 	Part   int32
 	Lo, Hi int32
+	Key    int32
 	Bytes  int64
 	Sum    uint64
 }
@@ -187,15 +192,22 @@ type Span struct {
 // PartitionedBatch is one map task's shuffle output as a routing, not a
 // copy: Rows is the task's own row slice, adopted unwritten; Perm lists it
 // bucket-major (Perm[j] is the row at bucket-major position j, input order
-// kept inside each bucket); Spans describes each non-empty bucket. Storage
-// adopts all three as they are, so none may be written once committed —
-// Rows included, which makes a committed output pin whatever the task read
-// (a source partition, a cached block, an earlier shuffle's reduce view).
+// kept inside each bucket); Keys is every row's key in that same order, one
+// slab the store's reduce-side rows alias; Spans describes each non-empty
+// bucket. Storage adopts all four as they are, so none may be written once
+// committed — Rows included, which makes a committed output pin whatever the
+// task read (a source partition, a cached block, an earlier shuffle's reduce
+// view) besides its slab.
 type PartitionedBatch struct {
 	Rows  []Record
 	Perm  []int32
+	Keys  string
 	Spans []Span
 }
+
+// ErrKeySlabTooLarge is what PartitionRows panics with when a batch's key
+// bytes do not fit the int32 offsets of its spans.
+var ErrKeySlabTooLarge = errors.New("record: partitioned batch key bytes exceed MaxInt32")
 
 // A routing sorts in one counting pass over an nparts-entry table unless it
 // has more than onePassParts partitions and fewer rows than half of them;
@@ -232,31 +244,43 @@ func (b *Batch) PartitionStable(idx []int32, nparts int, scr *Scratch) *Partitio
 // and a routing (idx[i] = target partition of row i, in [0, nparts)), it
 // derives the stable bucket-major permutation and, in the same pass over it,
 // the span of every non-empty bucket in ascending partition order with its
-// raw Bytes and its KeySum64 — so the checksum is computed on the data plane,
-// where the task runs, and the store only copies it. The rows themselves are
-// neither copied nor written: the result adopts rs. All transient tables
-// come from scr; only Perm (4 B a row), the span table (32 B a bucket) and
-// the header escape.
+// raw Bytes and its KeySum64, and copies each key into the key slab in that
+// order — so the checksum and the reduce-side key layout are made on the
+// data plane, where the task runs and reads the keys anyway, and the store
+// only re-points rows at them. The rows are neither copied nor written: the
+// result adopts rs. All transient tables come from scr; only Perm (4 B a
+// row), the slab, the span table (32 B a bucket) and the header escape. It
+// panics with ErrKeySlabTooLarge if the key bytes exceed MaxInt32.
 //
 //starklint:hotpath
 func PartitionRows(rs []Record, idx []int32, nparts int, scr *Scratch) *PartitionedBatch {
+	keyBytes := 0
+	for i := range rs {
+		keyBytes += len(rs[i].Key)
+	}
+	if keyBytes > math.MaxInt32 {
+		panic(fmt.Errorf("%w: %d bytes in %d keys", ErrKeySlabTooLarge, keyBytes, len(rs)))
+	}
 	perm := make([]int32, len(rs))
 	occupied := routeRows(perm, idx, nparts, scr)
 	spans := make([]Span, 0, occupied)
+	var keys strings.Builder
+	keys.Grow(keyBytes)
 	for j, i := range perm {
 		r := &rs[i]
 		if p := idx[i]; len(spans) == 0 || spans[len(spans)-1].Part != p {
-			spans = append(spans, Span{Part: p, Lo: int32(j), Sum: sumSeed})
+			spans = append(spans, Span{Part: p, Lo: int32(j), Key: int32(keys.Len()), Sum: sumSeed})
 		}
 		sp := &spans[len(spans)-1]
 		sp.Hi = int32(j + 1)
 		sp.Bytes += SizeOfRecord(*r)
 		sp.Sum = mixKey(sp.Sum, r.Key)
+		keys.WriteString(r.Key)
 	}
 	for s := range spans {
 		spans[s].Sum = sumStep(spans[s].Sum, uint64(spans[s].Hi-spans[s].Lo))
 	}
-	return &PartitionedBatch{Rows: rs, Perm: perm, Spans: spans}
+	return &PartitionedBatch{Rows: rs, Perm: perm, Keys: keys.String(), Spans: spans}
 }
 
 // routeRows fills perm with the stable bucket-major order of idx's rows

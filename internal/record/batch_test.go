@@ -1,6 +1,7 @@
 package record_test
 
 import (
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"math"
@@ -9,6 +10,7 @@ import (
 	"runtime"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"stark/internal/record"
@@ -223,7 +225,7 @@ func recordsOf(keys []string) []record.Record {
 // counting pass; any other in passes of at most 8-bit digits (8000 and 65536
 // parts in two, 65537 in three, 1<<24+1 in four). Each parts value runs with
 // n on both sides of parts/2, except 1<<24+1, whose one-pass side would need
-// 8 M rows.
+// 8 M rows. Keys are kernelKey's, empty, NUL-ended and long ones among them.
 func TestPartitionStableMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	var scr record.Scratch
@@ -254,7 +256,7 @@ func TestPartitionStableMatchesNaive(t *testing.T) {
 	for _, tc := range cases {
 		rs := make([]record.Record, tc.n)
 		for i := range rs {
-			rs[i] = record.Record{Key: fmt.Sprintf("k%04d", rng.Intn(200)), Value: int64(i)}
+			rs[i] = record.Record{Key: kernelKey(rng, 200), Value: int64(i)}
 		}
 		idx := make([]int32, tc.n)
 		for i := range idx {
@@ -277,7 +279,7 @@ func TestPartitionStableMatchesNaive(t *testing.T) {
 // append-bucketing on random rows, part counts and routings. The routing
 // draws each row's partition from `distinct` partitions picked uniformly
 // from [0, parts), so buckets hold one row or many; parts reaches past
-// 1<<30, which takes four 8-bit passes.
+// 1<<30, which takes four 8-bit passes. Keys are kernelKey's.
 func FuzzPartitionRows(f *testing.F) {
 	f.Add(int64(1), uint16(64), uint32(8000), uint8(255))
 	f.Add(int64(2), uint16(64), uint32(8000), uint8(3))
@@ -300,7 +302,7 @@ func FuzzPartitionRows(f *testing.F) {
 		rs := make([]record.Record, n)
 		idx := make([]int32, n)
 		for i := range rs {
-			rs[i] = record.Record{Key: fmt.Sprintf("k%d", rng.Intn(1+int(n))), Value: int64(i)}
+			rs[i] = record.Record{Key: kernelKey(rng, 1+int(n)), Value: int64(i)}
 			idx[i] = targets[rng.Intn(len(targets))]
 		}
 		var scr record.Scratch
@@ -308,10 +310,27 @@ func FuzzPartitionRows(f *testing.F) {
 	})
 }
 
+// kernelKey draws one of n short keys, or one time in eight each an empty
+// key, a NUL-ended one or one longer than the checksum's 8-byte word.
+func kernelKey(rng *rand.Rand, n int) string {
+	k := fmt.Sprintf("k%d", rng.Intn(n))
+	switch rng.Intn(8) {
+	case 0:
+		return ""
+	case 1:
+		return k + "\x00"
+	case 2:
+		return k + "-past-one-word"
+	}
+	return k
+}
+
 // checkPartitionRows runs the kernel over rs routed by idx and holds the
 // result to a naive stable append-bucketing, which shares no code with it:
-// the permutation, every span's bounds, raw bytes and checksum, the input
-// left untouched and adopted rather than copied.
+// the permutation, every span's bounds, raw bytes and checksum, the key slab
+// (every bucket's keys in permutation order, from its span's Key on, the
+// buckets back to back), the input left untouched and adopted rather than
+// copied.
 func checkPartitionRows(t *testing.T, name string, rs []record.Record, idx []int32, parts int, scr *record.Scratch) {
 	t.Helper()
 	n := len(rs)
@@ -350,12 +369,23 @@ func checkPartitionRows(t *testing.T, name string, rs []record.Record, idx []int
 	}
 	ref := record.FromRecords(input) // the slab twin of the store's checksum
 	next := int32(0)                 // spans tile [0, n): buckets are disjoint and gap-free
+	key := 0                         // and their keys tile the slab the same way
 	for si, p := range ps {
 		sp := pb.Spans[si]
 		if int(sp.Part) != p || sp.Lo != next || sp.Hi <= sp.Lo {
 			t.Fatalf("%s: span %d = %+v, want part %d starting at position %d", name, si, sp, p, next)
 		}
 		next = sp.Hi
+		if int(sp.Key) != key {
+			t.Fatalf("%s: span %d's keys start at slab byte %d, want %d", name, si, sp.Key, key)
+		}
+		var keys strings.Builder
+		for _, i := range naive[p] {
+			keys.WriteString(input[i].Key)
+		}
+		if key += keys.Len(); key > len(pb.Keys) || pb.Keys[sp.Key:key] != keys.String() {
+			t.Fatalf("%s: bucket %d's keys are not the slab's bytes from %d on", name, p, sp.Key)
+		}
 		// The bucket lists the naive one's rows in input order.
 		if !slices.Equal(pb.Perm[sp.Lo:sp.Hi], naive[p]) {
 			t.Fatalf("%s: bucket %d = rows %v, want %v", name, p, pb.Perm[sp.Lo:sp.Hi], naive[p])
@@ -386,14 +416,46 @@ func checkPartitionRows(t *testing.T, name string, rs []record.Record, idx []int
 	if int(next) != n {
 		t.Fatalf("%s: spans end at position %d of %d", name, next, n)
 	}
+	if key != len(pb.Keys) || len(pb.Keys) != keyBytes(input) {
+		t.Fatalf("%s: spans' keys end at slab byte %d of %d, want %d bytes, the keys' sum", name, key, len(pb.Keys), keyBytes(input))
+	}
+}
+
+func keyBytes(rs []record.Record) int {
+	n := 0
+	for _, r := range rs {
+		n += len(r.Key)
+	}
+	return n
+}
+
+// TestPartitionRowsPanicsPastInt32KeyBytes: span key offsets are int32, so a
+// batch whose keys sum past MaxInt32 bytes is refused with a named error
+// before anything is allocated. The rows share one 1 MiB key, so the test
+// holds 2 GiB of key lengths in 1 MiB of memory.
+func TestPartitionRowsPanicsPastInt32KeyBytes(t *testing.T) {
+	key := strings.Repeat("k", 1<<20)
+	rs := make([]record.Record, (math.MaxInt32+1)/len(key))
+	for i := range rs {
+		rs[i].Key = key
+	}
+	defer func() {
+		if err, _ := recover().(error); !errors.Is(err, record.ErrKeySlabTooLarge) {
+			t.Fatalf("PartitionRows over %d key bytes: panic %v, want ErrKeySlabTooLarge", len(rs)*len(key), err)
+		}
+	}()
+	var scr record.Scratch
+	record.PartitionRows(rs, make([]int32, len(rs)), 1, &scr)
+	t.Fatal("PartitionRows accepted more key bytes than an int32 offset reaches")
 }
 
 // TestPartitionRowsCopiesNoRow caps the bytes one partition-kernel call
 // allocates at the batch-join shape (25 k rows over 16 partitions, warm
-// scratch): the permutation, 4 B a row, plus the span table, 32 B a bucket,
-// plus the header. A bucket-major copy of the rows would add 32 B a row. The
-// runtime charges an allocation past 32 KiB whole 8 KiB pages, so the
-// permutation's share is rounded up to one.
+// scratch): the permutation, 4 B a row, plus the key slab, the keys' bytes,
+// plus the span table, 32 B a bucket, plus the header. A bucket-major copy of
+// the rows would add 32 B a row. The runtime charges an allocation past 32 KiB
+// whole 8 KiB pages, so the permutation's and the slab's shares are each
+// rounded up to one.
 func TestPartitionRowsCopiesNoRow(t *testing.T) {
 	const n, parts, page = 25000, 16, 8192
 	rs := make([]record.Record, n)
@@ -405,7 +467,7 @@ func TestPartitionRowsCopiesNoRow(t *testing.T) {
 	var scr record.Scratch
 	record.PartitionRows(rs, idx, parts, &scr) // warm the scratch
 	scr.Reset()
-	ceiling := uint64((4*n+page-1)/page*page + 32*parts + 256)
+	ceiling := uint64((4*n+page-1)/page*page + (keyBytes(rs)+page-1)/page*page + 32*parts + 256)
 	best := ^uint64(0)
 	var before, after runtime.MemStats
 	for run := 0; run < 5; run++ {

@@ -182,13 +182,36 @@ func wideMapTask() ([]Record, []int32) {
 	return rs, idx
 }
 
+// joinMapTask is one batch-join map task: 25 000 rows keyed "j<id>",
+// hash-routed over 16 partitions, so every bucket is fat.
+func joinMapTask() ([]Record, []int32) {
+	const n, parts = 25_000, 16
+	rng := rand.New(rand.NewSource(1))
+	rs := make([]Record, n)
+	idx := make([]int32, n)
+	for i := range rs {
+		rs[i] = Pair(fmt.Sprintf("j%d", rng.Intn(400_000)), int64(i))
+		idx[i] = int32(Hash32(rs[i].Key) % parts)
+	}
+	return rs, idx
+}
+
 func BenchmarkPartitionRowsWide(b *testing.B) {
 	rs, idx := wideMapTask()
+	benchmarkPartitionRows(b, rs, idx, 8000)
+}
+
+func BenchmarkPartitionRowsJoin(b *testing.B) {
+	rs, idx := joinMapTask()
+	benchmarkPartitionRows(b, rs, idx, 16)
+}
+
+func benchmarkPartitionRows(b *testing.B, rs []Record, idx []int32, parts int) {
 	var scr Scratch
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if pb := PartitionRows(rs, idx, 8000, &scr); len(pb.Spans) == 0 {
+		if pb := PartitionRows(rs, idx, parts, &scr); len(pb.Spans) == 0 {
 			b.Fatal("no spans")
 		}
 		scr.Reset()
@@ -243,8 +266,8 @@ func BenchmarkSizeOfSlice(b *testing.B) {
 // partition: the output and the slab of pairs its Joined values point into
 // (it took one box per row before); its sort entries and radix buffer come
 // from pooled scratch. The wide map task's partition kernel, with warm
-// scratch, allocates exactly what escapes: the permutation, the span table
-// and the header; its radix tables come from the scratch. A change that
+// scratch, allocates exactly what escapes: the permutation, the key slab, the
+// span table and the header; its radix tables come from the scratch. A change that
 // re-introduces per-record or per-group allocation fails here;
 // TestCoGroupAllocCeilings holds the cogroup entry point the same way.
 func TestKernelAllocCeilings(t *testing.T) {
@@ -261,7 +284,7 @@ func TestKernelAllocCeilings(t *testing.T) {
 		{"GroupByKeySorted", 16, func() { GroupByKeySorted(group) }},
 		{"JoinRecords", 16, func() { JoinRecords(left, right) }},
 		{"JoinRecords batch shape", 4, func() { JoinRecords(batchLeft, batchRight) }},
-		{"PartitionRowsWide", 3, func() { PartitionRows(wide, wideIdx, 8000, &scr); scr.Reset() }},
+		{"PartitionRowsWide", 4, func() { PartitionRows(wide, wideIdx, 8000, &scr); scr.Reset() }},
 	} {
 		if got := testing.AllocsPerRun(5, tc.run); got > tc.ceiling {
 			t.Errorf("%s: %.0f allocs/op, ceiling %.0f", tc.name, got, tc.ceiling)

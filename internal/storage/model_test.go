@@ -17,8 +17,8 @@ import (
 // held is a window of views earlier reads returned, each with a private copy
 // of what it held then: whatever the store does afterwards, a published view
 // must not change (cached blocks hold them). given is a window of the batches
-// handed to the store, each with a private copy of its rows, permutation and
-// spans: the store adopts them and must never write into them.
+// handed to the store, each with a private copy of its rows, permutation,
+// keys and spans: the store adopts them and must never write into them.
 type shuffleModel struct {
 	numMaps, numReduces int
 	rows                map[int]map[int][]record.Record
@@ -53,13 +53,14 @@ func (md *shuffleModel) commit(m int, pb *record.PartitionedBatch, where string)
 	md.rows[m], md.bytes[m] = rows, bytes
 	delete(md.corrupt, m)
 	md.given = append(md.given, givenBatch{where: where, pb: pb, then: record.PartitionedBatch{
-		Rows: slices.Clone(pb.Rows), Perm: slices.Clone(pb.Perm), Spans: slices.Clone(pb.Spans)}})
+		Rows: slices.Clone(pb.Rows), Perm: slices.Clone(pb.Perm), Keys: pb.Keys, Spans: slices.Clone(pb.Spans)}})
 }
 
 // randomOutput routes fresh random rows through the production kernel and
 // prices every span, returning the partitioned batch and the rows it was
 // built from. One time in three the rows are a sub-slice of a larger array
-// whose other rows no output routes.
+// whose other rows no output routes. Some keys are empty and some longer
+// than the checksum's 8-byte word.
 func randomOutput(rng *rand.Rand, numReduces int, serial *int) (*record.PartitionedBatch, []record.Record) {
 	n, lo, extra := rng.Intn(12), 0, 0
 	if rng.Intn(3) == 0 {
@@ -68,7 +69,14 @@ func randomOutput(rng *rand.Rand, numReduces int, serial *int) (*record.Partitio
 	backing := make([]record.Record, lo+n+extra)
 	for i := range backing {
 		*serial++
-		backing[i] = record.Pair(fmt.Sprintf("k%d", rng.Intn(40)), *serial)
+		key := fmt.Sprintf("k%d", rng.Intn(40))
+		switch rng.Intn(8) {
+		case 0:
+			key = ""
+		case 1:
+			key = fmt.Sprintf("long-key-%d", rng.Intn(1<<20))
+		}
+		backing[i] = record.Pair(key, *serial)
 	}
 	rows := backing[lo : lo+n]
 	return routeOutput(rng, rows, numReduces), rows
@@ -123,8 +131,8 @@ func (md *shuffleModel) check(t *testing.T, s *Store, id int, where string) {
 	// Five rounds of reads a check (see below) fill this window.
 	md.held = md.held[max(0, len(md.held)-320):]
 	for _, g := range md.given {
-		if !slices.Equal(g.pb.Rows, g.then.Rows) || !slices.Equal(g.pb.Perm, g.then.Perm) || !slices.Equal(g.pb.Spans, g.then.Spans) {
-			t.Fatalf("%s: the store wrote into the rows, permutation or spans written at %s", where, g.where)
+		if !slices.Equal(g.pb.Rows, g.then.Rows) || !slices.Equal(g.pb.Perm, g.then.Perm) || g.pb.Keys != g.then.Keys || !slices.Equal(g.pb.Spans, g.then.Spans) {
+			t.Fatalf("%s: the store wrote into the rows, permutation, keys or spans written at %s", where, g.where)
 		}
 	}
 	md.given = md.given[max(0, len(md.given)-64):]
@@ -142,11 +150,11 @@ func (md *shuffleModel) check(t *testing.T, s *Store, id int, where string) {
 	// reads, the model's.
 	md.checkReads(t, s, id, where)
 	st := s.shuffles[id]
-	at, entries, rows, bytes, fps := st.at, st.entries, st.rows, st.bytes, st.fps
+	at, bad, rows, bytes, fps := st.at, st.bad, st.rows, st.bytes, st.fps
 	for _, w := range buildWidths(md.numReduces) {
 		st.dirty = true
 		s.PrepareShuffleReads(w)
-		if !slices.Equal(st.at, at) || !slices.Equal(st.entries, entries) || !slices.Equal(st.rows, rows) ||
+		if !slices.Equal(st.at, at) || !slices.Equal(st.bad, bad) || !slices.Equal(st.rows, rows) ||
 			!slices.Equal(st.bytes, bytes) || !slices.Equal(st.fps, fps) {
 			t.Fatalf("%s: the index built at width %d differs from the one read before", where, w)
 		}
@@ -209,8 +217,8 @@ func (md *shuffleModel) checkReads(t *testing.T, s *Store, id int, where string)
 // buildWidths and read again. Every view a read returned is held across the
 // overwrites, drops, rewrites, corruptions and heals that follow and must
 // keep its rows, and every batch the store adopted — rows (some a sub-slice
-// of a larger array, some shared by two routings), permutation and spans —
-// must keep its contents.
+// of a larger array, some shared by two routings, some keys empty or longer
+// than a word), permutation, keys and spans — must keep its contents.
 func TestShuffleStoreMatchesNaiveModel(t *testing.T) {
 	splitSmallBuilds(t)
 	const id = 7

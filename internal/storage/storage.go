@@ -10,7 +10,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 
 	"stark/internal/record"
@@ -64,52 +63,45 @@ func (b Bucket) verify() bool { return b.sum == sumRecords(b.Data) }
 func sumRecords(data []record.Record) uint64 { return record.KeySum64(data) }
 
 // mapOutput is one committed map task's output as the task produced it: the
-// task's own rows, the bucket-major permutation over them and the ascending
-// span table are adopted, never copied or written (one PartitionedBatch may
-// be committed under many map partitions, and two routings of one row slice
-// under two). The store owns only sums, one checksum per span copied from
-// the spans at write time — which is what CorruptMapOutput flips, so rot in
-// one output cannot reach another that shares the caller's spans.
+// task's own rows, the bucket-major permutation over them, the key slab in
+// the same order and the ascending span table are adopted, never copied or
+// written (one PartitionedBatch may be committed under many map partitions,
+// and two routings of one row slice under two). The store owns only rot: a
+// bucket is verified against its span's Sum ^ rot, and CorruptMapOutput
+// flips rot, so rot in one output cannot reach another that shares the
+// caller's spans, and a write allocates nothing.
 type mapOutput struct {
-	rows  []record.Record
-	perm  []int32
-	spans []record.Span
-	sums  []uint64 // non-nil once committed: made even for zero spans
-	fp    uint64   // record.Fingerprint(rows) at write time; STARK_CHECK_COW only
+	rows      []record.Record
+	perm      []int32
+	keys      string
+	spans     []record.Span
+	rot       uint64
+	fp        uint64 // record.Fingerprint(rows) at write time; STARK_CHECK_COW only
+	committed bool
 }
-
-// indexEntry is one bucket of a reduce partition: its next n rows, from map
-// partition mapPart, stamped sum at write time. Pointer-free: never traced.
-type indexEntry struct {
-	mapPart, n int32
-	sum        uint64
-}
-
-// reduceStart is where a reduce partition begins in the entries and the rows.
-type reduceStart struct{ entry, row int }
 
 // shuffleState is one shuffle: a fixed-length table of map outputs and, built
 // once it is complete and about to be read (PrepareShuffleReads on the event
 // loop, or lazily in ReadReduce), the same records transposed reduce-major.
-// Reduce partition r is rows[at[r].row:at[r+1].row] — buckets in
-// map-partition order, described by entries[at[r].entry:at[r+1].entry] —
-// every Key aliasing one key slab in the same order; bytes[r] is what reading
-// it costs. A read is O(buckets present), not O(numMaps): essential for the
-// partition-count sweep (Fig. 7) at 10^5 partitions. Writes, drops and
-// corruption do no index work, they only set dirty.
+// Reduce partition r is rows[at[r]:at[r+1]] — buckets in map-partition order,
+// every Key aliasing its map output's key slab; bad[r] is the first map
+// partition whose bucket in r failed its checksum at the build (-1: none),
+// and bytes[r] what reading r costs. A read is O(1), not O(numMaps):
+// essential for the partition-count sweep (Fig. 7) at 10^5 partitions.
+// Writes, drops and corruption do no index work, they only set dirty.
 type shuffleState struct {
 	numMaps    int
 	numReduces int
 	outputs    []mapOutput // indexed by map partition
-	committed  int         // outputs with sums
+	committed  int         // committed outputs
 	cow        bool        // STARK_CHECK_COW was on at RegisterShuffle
 
-	at      []reduceStart // numReduces+1
-	entries []indexEntry
-	rows    []record.Record
-	bytes   []int64
-	fps     []uint64 // record.Fingerprint of each reduce partition; STARK_CHECK_COW only
-	dirty   bool
+	at    []int // numReduces+1
+	rows  []record.Record
+	bytes []int64
+	bad   []int32
+	fps   []uint64 // record.Fingerprint of each reduce partition; STARK_CHECK_COW only
+	dirty bool
 }
 
 func (st *shuffleState) complete() bool { return st.committed == st.numMaps }
@@ -123,23 +115,23 @@ var minRangeRows = 4096
 
 // buildIndex transposes the committed map outputs of shuffle id: a counting
 // sort of their spans by reduce partition, stable in map-partition order. The
-// serial part counts each partition's entries, rows and bytes and cuts the
-// partitions into contiguous ranges of about equal rows, at most workers of
-// them and at most one per minRangeRows rows. Each range then gathers its
-// rows straight from the outputs' adopted rows through their permutations —
-// the one copy a shuffled row gets —, writes its index entries and lays its
-// keys into a slab of its own (gatherRange), on a goroutine of its own but
-// the last, which the caller runs. O(rows + numReduces + spans + outputs ×
-// ranges × log spans) time; one range makes five allocations, and more add a
-// slab and a goroutine each and, once, the bounds and the join. A range
-// writes only its own partitions' cursors, entries and rows, so the index is
-// the same at every width but for how many slabs the keys share, and a
-// partition's keys stay contiguous. Every array is fresh: views ReadReduce
-// handed out (cached blocks hold them) outlive a rebuild.
+// serial part counts each partition's rows and bytes and cuts the partitions
+// into contiguous ranges of about equal rows, at most workers of them and at
+// most one per minRangeRows rows. Each range then gathers its rows from the
+// outputs' adopted rows through their permutations — the one copy a shuffled
+// row gets, its key re-pointed into the map output's slab — and checks each
+// bucket once (gatherRange), on a goroutine of its own but the last, which the
+// caller runs. O(rows + numReduces + spans + outputs × ranges × log spans)
+// time; four allocations whatever the shuffle holds, and more ranges add a
+// goroutine each and, once, the bounds and the join. A range writes only its
+// own partitions' cursors, rows and bad entries, so the index is the same at
+// every width. Every array is fresh: views ReadReduce handed out (cached
+// blocks hold them) outlive a rebuild.
 func (st *shuffleState) buildIndex(id, workers int) {
 	// An adopted row slice that changed since its write would be gathered as
-	// it is now and read as a corrupt block, which a stage resubmit heals,
-	// hiding the purity bug.
+	// it is now: a key of another length reads as a corrupt block, which a
+	// stage resubmit heals, and one of the same length as committed beside
+	// the new value, hiding the purity bug either way.
 	if st.cow {
 		for m := range st.outputs {
 			if out := &st.outputs[m]; record.Fingerprint(out.rows) != out.fp {
@@ -148,25 +140,24 @@ func (st *shuffleState) buildIndex(id, workers int) {
 		}
 	}
 	n := st.numReduces
-	at := make([]reduceStart, n+1)
+	at := make([]int, n+1)
 	bytes := make([]int64, n)
+	bad := make([]int32, n)
 	for m := range st.outputs {
 		for _, sp := range st.outputs[m].spans {
-			at[sp.Part+1].entry++
-			at[sp.Part+1].row += int(sp.Hi - sp.Lo)
+			at[sp.Part+1] += int(sp.Hi - sp.Lo)
 			bytes[sp.Part] += sp.Bytes
 		}
 	}
 	for r := 0; r < n; r++ {
-		at[r+1].entry += at[r].entry
-		at[r+1].row += at[r].row
+		at[r+1] += at[r]
+		bad[r] = -1
 	}
 	// at[r] doubles as reduce partition r's fill cursor, which leaves it at
 	// r's end — the next partition's start; shifting right restores it.
-	entries := make([]indexEntry, at[n].entry)
-	rows := make([]record.Record, at[n].row)
+	rows := make([]record.Record, at[n])
 	if w := min(workers, n, len(rows)/minRangeRows); w <= 1 {
-		st.gatherRange(at, entries, rows, 0, n)
+		st.gatherRange(at, rows, bad, 0, n)
 	} else {
 		// Range k is partitions [bounds[k], bounds[k+1]), cut where the rows
 		// before a partition reach k/w of the total. Every bound is read off
@@ -174,7 +165,7 @@ func (st *shuffleState) buildIndex(id, workers int) {
 		bounds := make([]int, w+1)
 		for k := 1; k < w; k++ {
 			target := len(rows) * k / w
-			bounds[k] = sort.Search(n, func(r int) bool { return at[r].row >= target })
+			bounds[k] = sort.Search(n, func(r int) bool { return at[r] >= target })
 		}
 		bounds[w] = n
 		var wg sync.WaitGroup
@@ -183,70 +174,54 @@ func (st *shuffleState) buildIndex(id, workers int) {
 			lo, hi := bounds[k], bounds[k+1]
 			go func() {
 				defer wg.Done()
-				st.gatherRange(at, entries, rows, lo, hi)
+				st.gatherRange(at, rows, bad, lo, hi)
 			}()
 		}
-		st.gatherRange(at, entries, rows, bounds[w-1], n)
+		st.gatherRange(at, rows, bad, bounds[w-1], n)
 		wg.Wait()
 	}
 	copy(at[1:], at[:n])
-	at[0] = reduceStart{}
+	at[0] = 0
 
 	var fps []uint64
 	if st.cow {
 		fps = make([]uint64, n)
 		for r := range fps {
-			fps[r] = record.Fingerprint(rows[at[r].row:at[r+1].row])
+			fps[r] = record.Fingerprint(rows[at[r]:at[r+1]])
 		}
 	}
-	st.at, st.entries, st.rows, st.bytes, st.fps, st.dirty = at, entries, rows, bytes, fps, false
+	st.at, st.rows, st.bytes, st.bad, st.fps, st.dirty = at, rows, bytes, bad, fps, false
 }
 
 // gatherRange fills reduce partitions [lo, hi) of a build: every output's
 // spans for them, the first found by binary search, are gathered through the
 // output's permutation at the partitions' cursors in at, which it leaves at
-// each partition's end, with one index entry each; then the range's keys are
-// laid into one slab and re-pointed at it. It touches no other partition's
-// cursor, entries or rows.
-func (st *shuffleState) gatherRange(at []reduceStart, entries []indexEntry, rows []record.Record, lo, hi int) {
-	if lo == hi {
-		return
-	}
-	first := at[lo].row
+// each partition's end. A gathered row is the source row's value and, for
+// its key, the next len(Key) bytes of the output's slab from the span's Key on
+// (clamped to the slab): of a source row only the header is read. Each bucket
+// is then checked against its stored checksum (a source key whose length
+// changed after commit shifts the bucket and fails it too); the first map
+// partition that fails lands in its partition's bad entry. It touches no
+// other partition's cursor, rows or bad entry.
+func (st *shuffleState) gatherRange(at []int, rows []record.Record, bad []int32, lo, hi int) {
 	for m := range st.outputs {
 		out := &st.outputs[m]
 		src, perm, spans := out.rows, out.perm, out.spans
 		i := sort.Search(len(spans), func(i int) bool { return int(spans[i].Part) >= lo })
 		for ; i < len(spans) && int(spans[i].Part) < hi; i++ {
 			sp := &spans[i]
-			c := &at[sp.Part]
-			dst := rows[c.row : c.row+int(sp.Hi-sp.Lo)]
+			keys := out.keys[sp.Key:]
+			dst := rows[at[sp.Part] : at[sp.Part]+int(sp.Hi-sp.Lo)]
+			at[sp.Part] += len(dst)
 			for k, j := range perm[sp.Lo:sp.Hi] {
-				dst[k] = src[j]
+				n := min(len(src[j].Key), len(keys))
+				dst[k] = record.Record{Key: keys[:n], Value: src[j].Value}
+				keys = keys[n:]
 			}
-			entries[c.entry] = indexEntry{mapPart: int32(m), n: int32(len(dst)), sum: out.sums[i]}
-			c.entry++
-			c.row += len(dst)
+			if bad[sp.Part] < 0 && record.KeySum64(dst) != sp.Sum^out.rot {
+				bad[sp.Part] = int32(m)
+			}
 		}
-	}
-	keyed := rows[first:at[hi-1].row]
-
-	// The slab is gathered in a loop of its own: every copy reads a key string
-	// somewhere on the heap, and with nothing else in the loop those misses
-	// overlap.
-	keyBytes := 0
-	for i := range keyed {
-		keyBytes += len(keyed[i].Key)
-	}
-	var sb strings.Builder
-	sb.Grow(keyBytes)
-	for i := range keyed {
-		sb.WriteString(keyed[i].Key)
-	}
-	slab := sb.String()
-	for i := range keyed {
-		n := len(keyed[i].Key)
-		keyed[i].Key, slab = slab[:n], slab[n:]
 	}
 }
 
@@ -319,15 +294,16 @@ func (s *Store) RegisterShuffle(id, numMaps, numReduces int) error {
 }
 
 // WriteMapOutputBatch commits one map task's output: the partitioned batch —
-// rows, permutation and spans — is adopted as it is, and the store copies
-// each span's Sum, computed by the task, into checksums of its own; it hashes
-// no key. Every span's partition and position range is checked against the
-// permutation, the spans' order against ascending partitions (an index build
-// finds a range's first span by binary search), and the permutation's length
-// against the rows; its entries are the partition kernel's and are trusted. A
-// write that fails a check mutates nothing. Overwrites (speculative or
-// recomputed tasks) replace the whole output at once and are idempotent in
-// effect.
+// rows, permutation, key slab and spans — is adopted as it is; the store
+// hashes no key, copies nothing and allocates nothing. Every span's partition
+// and position range is checked against the permutation, its key offset
+// against the slab, the spans' order against ascending partitions (an index
+// build finds a range's first span by binary search) and key offsets, and the
+// permutation's length against the rows; its entries and the keys' lengths
+// are the kernel's and are trusted. A write that fails a check mutates
+// nothing.
+// Overwrites (speculative or recomputed tasks) replace the whole output at
+// once and are idempotent in effect.
 //
 //starklint:hotpath
 func (s *Store) WriteMapOutputBatch(id, mapPart int, pb *record.PartitionedBatch) error {
@@ -344,22 +320,21 @@ func (s *Store) WriteMapOutputBatch(id, mapPart int, pb *record.PartitionedBatch
 	if len(pb.Perm) != len(pb.Rows) {
 		return fmt.Errorf("storage: shuffle %d map partition %d: permutation of %d positions over %d rows", id, mapPart, len(pb.Perm), len(pb.Rows))
 	}
-	sums := make([]uint64, len(pb.Spans))
 	for i, sp := range pb.Spans {
-		if sp.Part < 0 || int(sp.Part) >= st.numReduces || sp.Lo < 0 || sp.Lo > sp.Hi || int(sp.Hi) > len(pb.Perm) {
-			return fmt.Errorf("storage: shuffle %d map partition %d: span for reduce partition %d, positions [%d,%d), outside [0,%d) partitions or the output's %d rows",
-				id, mapPart, sp.Part, sp.Lo, sp.Hi, st.numReduces, len(pb.Perm))
+		if sp.Part < 0 || int(sp.Part) >= st.numReduces || sp.Lo < 0 || sp.Lo > sp.Hi || int(sp.Hi) > len(pb.Perm) || sp.Key < 0 || int(sp.Key) > len(pb.Keys) {
+			return fmt.Errorf("storage: shuffle %d map partition %d: span for reduce partition %d, positions [%d,%d), keys from byte %d, outside [0,%d) partitions, the output's %d rows or its %d key bytes",
+				id, mapPart, sp.Part, sp.Lo, sp.Hi, sp.Key, st.numReduces, len(pb.Perm), len(pb.Keys))
 		}
-		if i > 0 && sp.Part < pb.Spans[i-1].Part {
-			return fmt.Errorf("storage: shuffle %d map partition %d: span for reduce partition %d follows one for %d; spans ascend by partition", id, mapPart, sp.Part, pb.Spans[i-1].Part)
+		if prev := pb.Spans[max(i-1, 0)]; sp.Part < prev.Part || sp.Key < prev.Key {
+			return fmt.Errorf("storage: shuffle %d map partition %d: span for reduce partition %d, keys from byte %d, follows one for %d from byte %d; spans ascend by partition and key offset",
+				id, mapPart, sp.Part, sp.Key, prev.Part, prev.Key)
 		}
-		sums[i] = sp.Sum
 	}
 	out := &st.outputs[mapPart]
-	if out.sums == nil {
+	if !out.committed {
 		st.committed++
 	}
-	*out = mapOutput{rows: pb.Rows, perm: pb.Perm, spans: pb.Spans, sums: sums}
+	*out = mapOutput{rows: pb.Rows, perm: pb.Perm, keys: pb.Keys, spans: pb.Spans, committed: true}
 	if st.cow {
 		out.fp = record.Fingerprint(pb.Rows)
 	}
@@ -372,7 +347,7 @@ func (s *Store) WriteMapOutputBatch(id, mapPart int, pb *record.PartitionedBatch
 // nothing is committed there.
 func (s *Store) committedOutput(id, mapPart int) (*shuffleState, *mapOutput) {
 	st, ok := s.shuffles[id]
-	if !ok || mapPart < 0 || mapPart >= st.numMaps || st.outputs[mapPart].sums == nil {
+	if !ok || mapPart < 0 || mapPart >= st.numMaps || !st.outputs[mapPart].committed {
 		return nil, nil
 	}
 	return st, &st.outputs[mapPart]
@@ -396,7 +371,7 @@ func (s *Store) MissingMapOutputs(id int) []int {
 	}
 	var missing []int
 	for m := range st.outputs {
-		if st.outputs[m].sums == nil {
+		if !st.outputs[m].committed {
 			missing = append(missing, m)
 		}
 	}
@@ -421,8 +396,11 @@ func (s *Store) PrepareShuffleReads(workers int) {
 // to it, in map-partition order with input order inside each bucket — and
 // the total bytes fetched. The records are a read-only view shared by every
 // reader, capped so an append cannot reach the next partition and unchanged
-// by whatever happens to the shuffle afterwards. It fails if the shuffle is
-// incomplete, because a real reducer would block.
+// by whatever happens to the shuffle afterwards; their keys alias the key
+// slabs of the map outputs they came from, which the view pins. The buckets
+// were checked once, when the index was built: a partition with a bucket
+// that failed is a CorruptError naming the first such map partition. It
+// fails if the shuffle is incomplete, because a real reducer would block.
 //
 //starklint:hotpath
 func (s *Store) ReadReduce(id, reducePart int) ([]record.Record, int64, error) {
@@ -443,20 +421,14 @@ func (s *Store) ReadReduce(id, reducePart int) ([]record.Record, int64, error) {
 		st.buildIndex(id, 1)
 	}
 	lo, hi := st.at[reducePart], st.at[reducePart+1]
-	view := st.rows[lo.row:hi.row:hi.row]
-	// A consumer that wrote a key into an earlier view would otherwise read
-	// as a corrupt block and be healed by a resubmit, hiding the purity bug.
+	view := st.rows[lo:hi:hi]
+	// A consumer that wrote a key into an earlier view would otherwise go
+	// unnoticed: the checksums were checked at the build, not on this read.
 	if st.fps != nil && record.Fingerprint(view) != st.fps[reducePart] {
 		panic(fmt.Errorf("storage: shuffle %d reduce partition %d mutated through a ReadReduce view (copy-on-write violation)", id, reducePart))
 	}
-	// Every bucket's checksum is recomputed off the key bytes before any data
-	// is returned; the error is the first corrupt one in map-partition order.
-	n := 0
-	for _, e := range st.entries[lo.entry:hi.entry] {
-		if record.KeySum64(view[n:n+int(e.n)]) != e.sum {
-			return nil, 0, &CorruptError{Shuffle: id, MapPart: int(e.mapPart)}
-		}
-		n += int(e.n)
+	if m := st.bad[reducePart]; m >= 0 {
+		return nil, 0, &CorruptError{Shuffle: id, MapPart: int(m)}
 	}
 	if len(view) == 0 {
 		return nil, st.bytes[reducePart], nil
@@ -548,7 +520,7 @@ func (s *Store) CommittedMapOutputs() [][2]int {
 	for _, id := range ids {
 		st := s.shuffles[id]
 		for m := range st.outputs {
-			if st.outputs[m].sums != nil {
+			if st.outputs[m].committed {
 				out = append(out, [2]int{id, m})
 			}
 		}
@@ -572,20 +544,19 @@ func (s *Store) CheckpointBlocks() [][2]int {
 	return out
 }
 
-// CorruptMapOutput flips the stored checksum of one committed map output
-// (simulated bit rot of a persisted shuffle block); the next ReadReduce
-// touching it fails with a CorruptError. It reports whether the output
-// existed. A later overwrite (recomputed map task) restores integrity.
+// CorruptMapOutput flips the stored checksums of one committed map output
+// (simulated bit rot of a persisted shuffle block) by XORing its rot word;
+// the next ReadReduce touching it fails with a CorruptError. It reports
+// whether the output existed. A later overwrite (recomputed map task)
+// restores integrity.
 func (s *Store) CorruptMapOutput(id, mapPart int) bool {
 	st, out := s.committedOutput(id, mapPart)
 	if out == nil {
 		return false
 	}
-	for i := range out.sums {
-		out.sums[i] ^= 0xdeadbeef
-	}
-	// The index carries a copy of every checksum; rebuild it so readers see
-	// the flipped ones.
+	out.rot ^= 0xdeadbeef
+	// The index holds what the last build's checks found; rebuild it so
+	// readers see this output fail.
 	st.dirty = true
 	return true
 }

@@ -21,8 +21,9 @@ func hasMapOutput(s *Store, id, mapPart int) bool {
 
 // mapOutputOf builds the map output WriteMapOutputBatch takes from
 // per-reduce row buckets: rows concatenated in ascending reduce order under
-// the identity permutation, one span per bucket (empty ones included) with
-// the bucket's raw size as Bytes and its real KeySum64 as Sum.
+// the identity permutation, their keys concatenated in the same order, one
+// span per bucket (empty ones included) with its first key's offset, the
+// bucket's raw size as Bytes and its real KeySum64 as Sum.
 func mapOutputOf(buckets map[int][]record.Record) *record.PartitionedBatch {
 	parts := make([]int, 0, len(buckets))
 	for p := range buckets {
@@ -30,18 +31,22 @@ func mapOutputOf(buckets map[int][]record.Record) *record.PartitionedBatch {
 	}
 	sort.Ints(parts)
 	var rows []record.Record
+	var keys strings.Builder
 	spans := make([]record.Span, 0, len(parts))
 	for _, p := range parts {
 		lo := len(rows)
 		rows = append(rows, buckets[p]...)
-		spans = append(spans, record.Span{Part: int32(p), Lo: int32(lo), Hi: int32(len(rows)),
+		spans = append(spans, record.Span{Part: int32(p), Lo: int32(lo), Hi: int32(len(rows)), Key: int32(keys.Len()),
 			Bytes: bucketBytes(buckets[p]), Sum: record.KeySum64(buckets[p])})
+		for _, r := range buckets[p] {
+			keys.WriteString(r.Key)
+		}
 	}
 	perm := make([]int32, len(rows))
 	for i := range perm {
 		perm[i] = int32(i)
 	}
-	return &record.PartitionedBatch{Rows: rows, Perm: perm, Spans: spans}
+	return &record.PartitionedBatch{Rows: rows, Perm: perm, Keys: keys.String(), Spans: spans}
 }
 
 func bucketBytes(rs []record.Record) int64 {
@@ -130,29 +135,33 @@ func TestShuffleValidation(t *testing.T) {
 		t.Fatal("rejected write left state behind")
 	}
 	// Span position ranges are checked like span partitions, against the
-	// permutation, and the permutation against the rows: a bad one would
-	// otherwise commit and panic in the index build. Nothing rejected is
-	// written into.
+	// permutation, and the permutation against the rows; key offsets against
+	// the key bytes and each other: a bad one would otherwise commit and
+	// panic in the index build. Nothing rejected is written into.
 	ab := []record.Record{record.Pair("a", 1), record.Pair("b", 2)}
 	for name, pb := range map[string]*record.PartitionedBatch{
-		"negative Lo":        {Rows: ab, Perm: []int32{0, 1}, Spans: []record.Span{{Part: 0, Lo: -1, Hi: 1}}},
-		"Lo > Hi":            {Rows: ab, Perm: []int32{0, 1}, Spans: []record.Span{{Part: 0, Lo: 2, Hi: 1}}},
-		"Hi past Perm":       {Rows: ab, Perm: []int32{0, 1}, Spans: []record.Span{{Part: 0, Lo: 0, Hi: 3}}},
-		"bad range, last":    {Rows: ab, Perm: []int32{0, 1}, Spans: []record.Span{{Part: 0, Lo: 0, Hi: 1}, {Part: 0, Lo: 1, Hi: 3}}},
-		"empty past the end": {Rows: ab, Perm: []int32{0, 1}, Spans: []record.Span{{Part: 0, Lo: 3, Hi: 3}}},
-		"short Perm":         {Rows: ab, Perm: []int32{1}, Spans: []record.Span{{Part: 0, Lo: 0, Hi: 1}}},
-		"long Perm":          {Rows: ab, Perm: []int32{1, 0, 1}, Spans: []record.Span{{Part: 0, Lo: 0, Hi: 2}}},
+		"negative Lo":        {Rows: ab, Perm: []int32{0, 1}, Keys: "ab", Spans: []record.Span{{Part: 0, Lo: -1, Hi: 1}}},
+		"Lo > Hi":            {Rows: ab, Perm: []int32{0, 1}, Keys: "ab", Spans: []record.Span{{Part: 0, Lo: 2, Hi: 1}}},
+		"Hi past Perm":       {Rows: ab, Perm: []int32{0, 1}, Keys: "ab", Spans: []record.Span{{Part: 0, Lo: 0, Hi: 3}}},
+		"bad range, last":    {Rows: ab, Perm: []int32{0, 1}, Keys: "ab", Spans: []record.Span{{Part: 0, Lo: 0, Hi: 1}, {Part: 0, Lo: 1, Hi: 3, Key: 1}}},
+		"empty past the end": {Rows: ab, Perm: []int32{0, 1}, Keys: "ab", Spans: []record.Span{{Part: 0, Lo: 3, Hi: 3, Key: 2}}},
+		"short Perm":         {Rows: ab, Perm: []int32{1}, Keys: "b", Spans: []record.Span{{Part: 0, Lo: 0, Hi: 1}}},
+		"long Perm":          {Rows: ab, Perm: []int32{1, 0, 1}, Keys: "bab", Spans: []record.Span{{Part: 0, Lo: 0, Hi: 2}}},
 		"nil Perm over rows": {Rows: ab, Spans: []record.Span{{Part: 0, Lo: 0, Hi: 0}}},
 		"Perm over no rows":  {Perm: []int32{0}},
+		"negative Key":       {Rows: ab, Perm: []int32{0, 1}, Keys: "ab", Spans: []record.Span{{Part: 0, Lo: 0, Hi: 2, Key: -1}}},
+		"Key past Keys":      {Rows: ab, Perm: []int32{0, 1}, Keys: "ab", Spans: []record.Span{{Part: 0, Lo: 0, Hi: 1}, {Part: 0, Lo: 1, Hi: 2, Key: 3}}},
+		"Key past no Keys":   {Rows: ab, Perm: []int32{0, 1}, Spans: []record.Span{{Part: 0, Lo: 0, Hi: 2, Key: 1}}},
+		"descending Key":     {Rows: ab, Perm: []int32{0, 1}, Keys: "ab", Spans: []record.Span{{Part: 0, Lo: 0, Hi: 1, Key: 1}, {Part: 0, Lo: 1, Hi: 2, Key: 0}}},
 	} {
-		then := record.PartitionedBatch{Rows: slices.Clone(pb.Rows), Perm: slices.Clone(pb.Perm), Spans: slices.Clone(pb.Spans)}
+		then := record.PartitionedBatch{Rows: slices.Clone(pb.Rows), Perm: slices.Clone(pb.Perm), Keys: pb.Keys, Spans: slices.Clone(pb.Spans)}
 		if err := s.WriteMapOutputBatch(2, 0, pb); err == nil {
 			t.Fatalf("output with %s accepted", name)
 		}
 		if hasMapOutput(s, 2, 0) || s.ShuffleComplete(2) || len(s.CommittedMapOutputs()) != 0 {
 			t.Fatalf("write rejected for %s left state behind", name)
 		}
-		if !slices.Equal(pb.Rows, then.Rows) || !slices.Equal(pb.Perm, then.Perm) || !slices.Equal(pb.Spans, then.Spans) {
+		if !slices.Equal(pb.Rows, then.Rows) || !slices.Equal(pb.Perm, then.Perm) || pb.Keys != then.Keys || !slices.Equal(pb.Spans, then.Spans) {
 			t.Fatalf("write rejected for %s wrote into its output", name)
 		}
 	}
@@ -161,9 +170,21 @@ func TestShuffleValidation(t *testing.T) {
 	if err := s.RegisterShuffle(5, 1, 2); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.WriteMapOutputBatch(5, 0, &record.PartitionedBatch{Rows: ab, Perm: []int32{0, 1},
-		Spans: []record.Span{{Part: 1, Lo: 0, Hi: 1}, {Part: 0, Lo: 1, Hi: 2}}}); err == nil || hasMapOutput(s, 5, 0) {
+	if err := s.WriteMapOutputBatch(5, 0, &record.PartitionedBatch{Rows: ab, Perm: []int32{0, 1}, Keys: "ab",
+		Spans: []record.Span{{Part: 1, Lo: 0, Hi: 1}, {Part: 0, Lo: 1, Hi: 2, Key: 1}}}); err == nil || hasMapOutput(s, 5, 0) {
 		t.Fatalf("output with descending spans: %v, committed %v", err, hasMapOutput(s, 5, 0))
+	}
+	// Equal key offsets are not descending: a bucket of empty keys takes no
+	// key bytes, and the span after it starts where it does.
+	empty := []record.Record{record.Pair("", 1), record.Pair("b", 2)}
+	if err := s.WriteMapOutputBatch(5, 0, &record.PartitionedBatch{Rows: empty, Perm: []int32{0, 1}, Keys: "b",
+		Spans: []record.Span{{Part: 0, Lo: 0, Hi: 1, Sum: record.KeySum64(empty[:1])}, {Part: 1, Lo: 1, Hi: 2, Sum: record.KeySum64(empty[1:])}}}); err != nil {
+		t.Fatalf("output with an empty-keyed bucket: %v", err)
+	}
+	for r, want := range empty {
+		if data, _, err := s.ReadReduce(5, r); err != nil || len(data) != 1 || data[0] != want {
+			t.Fatalf("ReadReduce(5, %d) = %v, %v; want [%v]", r, data, err, want)
+		}
 	}
 	if err := s.WriteMapOutputBatch(2, 0, mapOutputOf(map[int][]record.Record{0: {record.Pair("a", 1)}})); err != nil {
 		t.Fatal(err)
@@ -185,7 +206,7 @@ func TestShuffleValidation(t *testing.T) {
 	}
 	// A rejected overwrite is not an overwrite: the committed output stays,
 	// and the index built by the read above stays current.
-	if err := s.WriteMapOutputBatch(2, 0, &record.PartitionedBatch{Rows: ab, Perm: []int32{0, 1}, Spans: []record.Span{{Part: 0, Lo: 1, Hi: 0}}}); err == nil {
+	if err := s.WriteMapOutputBatch(2, 0, &record.PartitionedBatch{Rows: ab, Perm: []int32{0, 1}, Keys: "ab", Spans: []record.Span{{Part: 0, Lo: 1, Hi: 0}}}); err == nil {
 		t.Fatal("overwrite with Lo > Hi accepted")
 	}
 	if st := s.shuffles[2]; st.dirty || st.committed != 1 {
@@ -293,7 +314,8 @@ func TestCorruptMapOutputDetectedAndHealedByOverwrite(t *testing.T) {
 
 // TestBuildIndexSameAtEveryWidth builds each shape's index serially and then
 // split over 2, 3 and more workers than partitions, and requires the same
-// index every time — starts, entries, rows, bytes and fingerprints — and the
+// index every time — starts, rows, bytes, failed checks and fingerprints —
+// and the
 // same reads, including the first corrupt map output in map order. The shapes
 // are bench/'s two (a join side of fat buckets; a wide shuffle of one-record
 // buckets over more partitions than rows), one whose rows skip most
@@ -358,7 +380,7 @@ func TestBuildIndexSameAtEveryWidth(t *testing.T) {
 						serial, want = *st, got
 						continue
 					}
-					if !slices.Equal(st.at, serial.at) || !slices.Equal(st.entries, serial.entries) || !slices.Equal(st.rows, serial.rows) ||
+					if !slices.Equal(st.at, serial.at) || !slices.Equal(st.bad, serial.bad) || !slices.Equal(st.rows, serial.rows) ||
 						!slices.Equal(st.bytes, serial.bytes) || !slices.Equal(st.fps, serial.fps) {
 						t.Fatalf("cow=%v: the index built at width %d differs from the serial one", cow, w)
 					}
@@ -459,10 +481,11 @@ func TestDropShuffle(t *testing.T) {
 
 // TestCowCheckDetectsMapOutputMutation: a committed map output adopts the
 // task's input rows, so a later write into that slice is picked up by the
-// next index build. Without the debug mode the read fails as a corrupt block
-// (which a stage resubmit would silently heal); with STARK_CHECK_COW=1 the
-// build panics naming the shuffle and map partition. Both hold at every
-// build width.
+// next index build. Without the debug mode a key rewritten to another length
+// no longer fits its bucket's run of the output's key slab, and the read
+// fails as a corrupt block (which a stage resubmit would silently heal); with
+// STARK_CHECK_COW=1 the build panics naming the shuffle and map partition.
+// Both hold at every build width.
 func TestCowCheckDetectsMapOutputMutation(t *testing.T) {
 	splitSmallBuilds(t)
 	for _, cow := range []bool{false, true} {
