@@ -91,10 +91,11 @@ fuzz:
 # joins at the 1200-key, batch-join and shared-prefix shapes, bucketing, the
 # shuffle store round trip at the fat and wide shapes, the parallel data
 # plane's 1-vs-4 worker pair, MCF offer scoring and the unit index against
-# its reference recount), benchmarks only: the tests run elsewhere. Same
-# package list as the CI "Hot-path benchmarks" step.
+# its reference recount, and the event loop's schedule-and-step round trip),
+# benchmarks only: the tests run elsewhere. Same package list as the CI
+# "Hot-path benchmarks" step.
 bench-engine: lint
-	$(GO) test -run '^$$' -bench=. -benchmem -benchtime=3x ./internal/engine/ ./internal/record/ ./internal/storage/ ./internal/cluster/
+	$(GO) test -run '^$$' -bench=. -benchmem -benchtime=3x ./internal/engine/ ./internal/record/ ./internal/storage/ ./internal/cluster/ ./internal/vtime/
 
 # The reference benchmark (BENCHMARK.json, `bash bench/run.sh`) is its own
 # module, invisible to `go build ./...` and `go test ./...` here: vet and

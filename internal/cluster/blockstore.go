@@ -222,6 +222,7 @@ func (s *BlockStore) PutChecked(id BlockID, data []record.Record, bytes int64) (
 		for _, vid := range plan.Victims {
 			if e, ok := s.blocks[vid.Key()]; ok && vid != id {
 				s.removeEntry(e)
+				//starklint:ignore hotalloc only a put that must make room evicts, and the victim list is what it returns
 				evicted = append(evicted, vid)
 			}
 		}
@@ -233,6 +234,7 @@ func (s *BlockStore) PutChecked(id BlockID, data []record.Record, bytes int64) (
 		return evicted, PutStored
 	}
 	e := &blockEntry{id: id, data: data, bytes: bytes}
+	//starklint:ignore hotalloc a newly cached block needs its LRU element, one per block stored; the *blockEntry is pointer-shaped and boxes without allocating
 	e.elem = s.lru.PushFront(e)
 	s.blocks[key] = e
 	s.used += bytes

@@ -57,6 +57,7 @@ func (e *Executor) Dead() bool { return e.dead }
 // must only assign to free slots.
 func (e *Executor) Acquire() {
 	if e.FreeSlots() <= 0 {
+		//starklint:ignore hotalloc invariant panic: the scheduler only assigns free slots
 		panic(fmt.Sprintf("cluster: executor %d has no free slot", e.ID))
 	}
 	e.busy++
@@ -65,6 +66,7 @@ func (e *Executor) Acquire() {
 // Release frees one slot; it panics on release without acquire.
 func (e *Executor) Release() {
 	if e.busy <= 0 {
+		//starklint:ignore hotalloc invariant panic: every release follows an acquire
 		panic(fmt.Sprintf("cluster: executor %d release without acquire", e.ID))
 	}
 	e.busy--

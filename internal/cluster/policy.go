@@ -123,6 +123,7 @@ func (p *DAGPolicy) keyOf(id BlockID) (UnitID, bool) {
 func (p *DAGPolicy) Plan(s *BlockStore, need int64, keep BlockID) EvictionPlan {
 	var plan EvictionPlan
 	var freed int64
+	//starklint:ignore hotalloc the DAG policy plans only when a put must evict
 	chosen := make(map[BlockID]bool)
 	keepKey, keepGrouped := p.keyOf(keep)
 
@@ -130,6 +131,7 @@ func (p *DAGPolicy) Plan(s *BlockStore, need int64, keep BlockID) EvictionPlan {
 	// still referenced (pinned) — including the incoming keep block's
 	// group, whose peers must survive the put for the cache to stay
 	// effective.
+	//starklint:ignore hotalloc the DAG policy plans only when a put must evict
 	groupPinned := make(map[UnitID]bool)
 	pinnedOf := func(key UnitID) bool {
 		pinned, ok := groupPinned[key]

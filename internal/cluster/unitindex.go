@@ -113,6 +113,7 @@ func (c *Cluster) unitRemoved(e *Executor, id BlockID) {
 	case n == 1:
 		delete(e.units.refs, u)
 	default:
+		//starklint:ignore hotalloc invariant panic: the unit mapping changed without UnitMappingChanged
 		panic(fmt.Sprintf("cluster: unit index underflow for %v on executor %d: the unit mapping changed without UnitMappingChanged", id, e.ID))
 	}
 }

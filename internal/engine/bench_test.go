@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"runtime"
 	"testing"
 
 	"stark/internal/partition"
@@ -105,5 +106,60 @@ func BenchmarkRemoteOffersMCF(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		offersSink += len(e.remoteOffers())
+	}
+}
+
+// lifecycleAllocs counts the heap allocations of one PartitionBy(Hash(n))
+// Count over n one-row partitions: the job alone, with the engine and its
+// source built beforehand. It reports the least of three runs, so a
+// background allocation in one run cannot inflate the count.
+func lifecycleAllocs(t *testing.T, n, par int) uint64 {
+	t.Helper()
+	best := ^uint64(0)
+	for run := 0; run < 3; run++ {
+		cfg := testConfig()
+		cfg.Execution.Parallelism = par
+		e := New(cfg)
+		g := e.Graph()
+		pb := g.PartitionBy(g.Source("src", dataset(n, n), false), "pb", partition.NewHash(n))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		got, _, err := e.Count(pb)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != int64(n) {
+			t.Fatalf("count = %d, want %d", got, n)
+		}
+		best = min(best, after.Mallocs-before.Mallocs)
+	}
+	return best
+}
+
+// TestTaskLifecycleAllocs pins what a task's life allocates: every added
+// partition of a hash repartition adds one map task and one reduce task,
+// and between them they may allocate only what the wide map task's
+// partition kernel allocates (TestKernelAllocCeilings' PartitionRowsWide
+// ceiling, 4). Launch, executor receipt, the plane batch, the join, the
+// completion and the result report add nothing: their events are bound
+// handlers carrying the task, the batch entry and staged outputs live in the
+// task, and a stage's tasks share one slab. A closure or a per-task object
+// re-added anywhere on that path adds one allocation per task, two per
+// partition, and fails here. Like testing.AllocsPerRun, the average is
+// truncated to an integer: the engine's queues grow by doubling, a few
+// allocations per doubling of the job, which stays below one per partition.
+func TestTaskLifecycleAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector: among other things sync.Pool drops a quarter of its Puts, so pooled plane contexts are rebuilt")
+	}
+	const n, ceiling = 1000, 4
+	for _, par := range []int{1, 2} {
+		small, large := lifecycleAllocs(t, n, par), lifecycleAllocs(t, 2*n, par)
+		perPart := (int64(large) - int64(small)) / n
+		t.Logf("parallelism %d: %d allocs at %d partitions, %d at %d", par, small, n, large, 2*n)
+		if perPart > ceiling {
+			t.Errorf("parallelism %d: %d allocations per added partition (one map plus one reduce task), ceiling %d", par, perPart, ceiling)
+		}
 	}
 }

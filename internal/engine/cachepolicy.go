@@ -69,6 +69,7 @@ func (e *Engine) noteEvicted(evicted []cluster.BlockID) {
 
 // countRefusal folds one graceful cache refusal into the counters.
 func (e *Engine) countRefusal(st cluster.PutStatus) {
+	//starklint:ignore hotalloc cacheUpdate calls the closure before it returns, so the closure does not escape and stays on the stack
 	e.cacheUpdate(func(m *cacheMetrics) {
 		m.CacheRefusals++
 		if st == cluster.PutPinnedBlocked {

@@ -82,7 +82,7 @@ func (e *Engine) beat(id int) {
 		return
 	}
 	inc := e.cl.Executor(id).Incarnation()
-	e.net.Send(id, netsim.Driver, netsim.Heartbeat, false, func() { e.onHeartbeat(id, inc) })
+	e.net.Send(id, netsim.Driver, netsim.Heartbeat, false, func(any) { e.onHeartbeat(id, inc) }, nil)
 	e.loop.After(e.hb.Interval, func() { e.beat(id) })
 }
 

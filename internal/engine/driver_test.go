@@ -312,8 +312,13 @@ func TestEveryEngineFieldIsClassified(t *testing.T) {
 		"restartHooks": "client-registered callbacks",
 		"resumeEpoch":  "opened by the crash itself",
 		"batch":        "data-plane work already dispatched runs executor-side and reports into the fence",
+		"batchSpare":   "the empty second buffer drainBatch swaps with batch",
 		"draining":     "guards the drain of batch",
 		"par":          "worker-pool width, configuration",
+		"partIdx":      "the read-only ascending partition index task partition lists point into",
+		"onLaunch":     "a lifecycle handler bound in New; launch messages in flight carry it",
+		"onDone":       "a lifecycle handler bound in New; completion events already scheduled carry it",
+		"onResult":     "a lifecycle handler bound in New; result messages in flight carry it",
 		"completed":    "measurement: finished jobs' metrics",
 		"stats":        "measurement",
 		"rng":          "the seeded scheduler stream continues; restarting it would replay draws",

@@ -218,10 +218,24 @@ type Engine struct {
 
 	// Data-plane batching (plane.go): tasks dispatched during an event
 	// accumulate in batch and execute at the event boundary on up to par
-	// workers; draining guards against re-entrant drains.
-	batch    []*batchEntry
-	draining bool
-	par      int
+	// workers; draining guards against re-entrant drains. batchSpare is the
+	// second buffer drainBatch swaps in while it joins the first, so the
+	// two never alias and neither is reallocated in the steady state.
+	batch      []*task
+	batchSpare []*task
+	draining   bool
+	par        int
+
+	// partIdx is the ascending partition index 0, 1, 2, ...: a task's
+	// partition list is a capped subslice of it (partRange), never a
+	// slice of its own.
+	partIdx []int
+
+	// A task's lifecycle events carry the task as their argument to these
+	// handlers, bound once in New: launch delivery runs execTask, completion
+	// runs taskDone, result delivery runs onTaskResult. Launching, running
+	// and reporting a task therefore builds no closure.
+	onLaunch, onDone, onResult func(any)
 
 	completed []metrics.JobMetrics
 	stats     Stats
@@ -266,6 +280,9 @@ func New(cfg Config) *Engine {
 		e.par = runtime.GOMAXPROCS(0)
 	}
 	e.loop.SetPostStep(e.drainBatch)
+	e.onLaunch = func(t any) { e.execTask(t.(*task)) }
+	e.onDone = func(t any) { e.taskDone(t.(*task)) }
+	e.onResult = func(t any) { e.onTaskResult(t.(*task)) }
 	e.net = netsim.New(cfg.Network, seed^0x6e65747, e.loop) // decorrelated from scheduler draws
 	e.hb = cfg.Heartbeat
 	n := e.cl.NumExecutors()
@@ -450,18 +467,37 @@ type task struct {
 	launchInc int
 	fence     int
 
+	// batchEntry is the task's data-plane state between dispatch and join.
+	batchEntry
+
 	// Action results accumulate here during the data plane and are applied
 	// to the job only at result-accept time, so aborted and stale-epoch
 	// tasks leave no trace. Map-stage buckets are staged in mapOut on the
 	// executor and committed to the store only when the driver accepts the
-	// result (epoch-fenced shuffle registration).
+	// result (epoch-fenced shuffle registration). Each staging slice holds
+	// one entry per partition, in t.partitions order, and starts in the
+	// one-element array beside it (stageInto), so a single-partition task
+	// stages without allocating.
 	count     int64
-	collected map[int][]record.Record
-	mapOut    map[int]*record.PartitionedBatch
+	collected [][]record.Record
+	mapOut    []*record.PartitionedBatch
 	// collectedFP holds per-partition fingerprints taken when collect
 	// staging aliased the partition data (STARK_CHECK_COW=1 only); they are
 	// re-verified at result-accept to catch copy-on-write violations.
-	collectedFP map[int]uint64
+	collectedFP []uint64
+
+	collectedOne [1][]record.Record
+	mapOutOne    [1]*record.PartitionedBatch
+	fpOne        [1]uint64
+}
+
+// stageInto appends v to a per-partition staging slice whose first entry
+// lives in the task's one-element array one.
+func stageInto[T any](s []T, one *[1]T, v T) []T {
+	if s == nil {
+		s = one[:0]
+	}
+	return append(s, v)
 }
 
 // SubmitJob enqueues an action on final at the current virtual time; cb
@@ -655,15 +691,17 @@ func (e *Engine) stagePrefCap(sr *stageRun, c *collection) bool {
 	return false
 }
 
-// enqueueSpecs instantiates and enqueues one task per spec. Stage
-// resubmission reuses it to re-enqueue only the specs covering lost map
+// enqueueSpecs instantiates and enqueues one task per spec, all in one slab.
+// Stage resubmission reuses it to re-enqueue only the specs covering lost map
 // outputs.
 func (e *Engine) enqueueSpecs(sr *stageRun, specs []taskSpec, prefCap bool) {
 	// Every spec ends in one accepted result appended to the job's task
 	// metrics: grow once per stage instead of by doubling per task.
 	sr.job.tasks = slices.Grow(sr.job.tasks, len(specs))
-	for _, sp := range specs {
-		t := &task{
+	tasks := make([]task, len(specs))
+	for i, sp := range specs {
+		t := &tasks[i]
+		*t = task{
 			id:         e.taskSeq,
 			sr:         sr,
 			partitions: sp.partitions,
@@ -768,23 +806,34 @@ func (e *Engine) taskSpecs(out *rdd.RDD, c *collection) []taskSpec {
 		}
 		specs := make([]taskSpec, 0, len(groups))
 		for _, g := range groups {
-			parts := make([]int, 0, g.Width())
-			for p := g.Lo; p < g.Hi; p++ {
-				parts = append(parts, p)
-			}
-			specs = append(specs, taskSpec{partitions: parts, coll: c, unit: cluster.UnitID{NS: c.id, Unit: g.ID}})
+			specs = append(specs, taskSpec{partitions: e.partRange(g.Lo, g.Hi), coll: c, unit: cluster.UnitID{NS: c.id, Unit: g.ID}})
 		}
 		return specs
 	}
 	specs := make([]taskSpec, 0, out.Parts)
 	for p := 0; p < out.Parts; p++ {
-		sp := taskSpec{partitions: []int{p}}
+		sp := taskSpec{partitions: e.partRange(p, p+1)}
 		if c != nil {
 			sp.coll, sp.unit = c, cluster.UnitID{NS: c.id, Unit: p}
 		}
 		specs = append(specs, sp)
 	}
 	return specs
+}
+
+// partRange returns the partitions [lo, hi) as a capped subslice of the
+// engine's ascending partition index, growing the index when hi passes its
+// end. Earlier subslices keep the old array, whose values are the same.
+// Task partition lists are read-only, so every task shares the index.
+func (e *Engine) partRange(lo, hi int) []int {
+	if hi > len(e.partIdx) {
+		idx := make([]int, max(hi, 2*len(e.partIdx)))
+		for i := range idx {
+			idx[i] = i
+		}
+		e.partIdx = idx
+	}
+	return e.partIdx[lo:hi:hi]
 }
 
 // onStageComplete propagates stage completion: shuffle-map stages unblock

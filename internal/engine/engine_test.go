@@ -551,3 +551,80 @@ func TestJobMetricsRecorded(t *testing.T) {
 		}
 	}
 }
+
+// taskComponents sums the named parts of a task's time.
+func taskComponents(tm metrics.TaskMetrics) time.Duration {
+	return tm.Compute + tm.GC + tm.ShuffleRead + tm.DiskRead + tm.DiskWrite + tm.Net + tm.Overhead
+}
+
+// TestTaskComponentsSumToDuration: on the default zero-latency network with
+// no straggler, a task's slot time is exactly its named components — compute,
+// GC, shuffle read, disk read and write, network and the fixed overhead
+// (per-task, plus per partition for a group task). Checked for a plain
+// one-stage job, a shuffle job and a group-task job, at parallelism 1 and 2.
+func TestTaskComponentsSumToDuration(t *testing.T) {
+	sum := func(a, b any) any {
+		x, _ := record.AsInt64(a)
+		y, _ := record.AsInt64(b)
+		return x + y
+	}
+	for _, par := range []int{1, 2} {
+		for _, tc := range []struct {
+			name  string
+			cfg   Config
+			build func(e *Engine) *rdd.RDD
+			// groupWidth is the partitions per group task, 0 for none.
+			groupWidth int
+		}{
+			{"plain", testConfig(), func(e *Engine) *rdd.RDD {
+				g := e.Graph()
+				return g.Filter(g.Source("src", dataset(400, 8), true), "even", func(r record.Record) bool {
+					v, _ := record.AsInt64(r.Value)
+					return v%2 == 0
+				})
+			}, 0},
+			{"shuffle", testConfig(), func(e *Engine) *rdd.RDD {
+				g := e.Graph()
+				return g.ReduceByKey(g.Source("src", dataset(400, 8), false), "sum", partition.NewHash(4), sum)
+			}, 0},
+			{"group", mcfConfig(), func(e *Engine) *rdd.RDD {
+				p := partition.NewHash(8)
+				// Two initial groups of four partitions each.
+				if err := e.RegisterNamespace("ns", p, 2); err != nil {
+					t.Fatal(err)
+				}
+				g := e.Graph()
+				return g.LocalityPartitionBy(g.Source("src", dataset(400, 8), false), "lp", p, "ns")
+			}, 4},
+		} {
+			cfg := tc.cfg
+			cfg.Execution.Parallelism = par
+			e := New(cfg)
+			_, jm, err := e.Count(tc.build(e))
+			if err != nil {
+				t.Fatalf("%s, parallelism %d: %v", tc.name, par, err)
+			}
+			if len(jm.Tasks) == 0 {
+				t.Fatalf("%s, parallelism %d: no tasks", tc.name, par)
+			}
+			groupTasks := 0
+			for _, tm := range jm.Tasks {
+				if got := taskComponents(tm); got != tm.Duration() {
+					t.Errorf("%s, parallelism %d, task %d: components sum to %v, duration %v (overhead %v)",
+						tc.name, par, tm.TaskID, got, tm.Duration(), tm.Overhead)
+				}
+				want := taskOverhead
+				if tm.Overhead != want {
+					want += time.Duration(tc.groupWidth) * cfg.Cluster.GroupPartitionOverhead
+					groupTasks++
+				}
+				if tm.Overhead != want {
+					t.Errorf("%s, parallelism %d, task %d: overhead %v, want %v", tc.name, par, tm.TaskID, tm.Overhead, want)
+				}
+			}
+			if (groupTasks > 0) != (tc.groupWidth > 0) {
+				t.Errorf("%s, parallelism %d: %d of %d tasks carry a group overhead", tc.name, par, groupTasks, len(jm.Tasks))
+			}
+		}
+	}
+}

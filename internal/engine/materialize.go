@@ -44,8 +44,8 @@ var sliceOverheadBytes = record.SizeOfSlice(nil)
 // LRU touches, stats, drops) buffer in px for the join. A non-nil px.err
 // marks the attempt failed (storage error or fetch failure); the time
 // already accumulated is still charged — a failed attempt is not free.
-func (e *Engine) runPlane(be *batchEntry) {
-	t, exec, px := be.t, be.exec, be.px
+func (e *Engine) runPlane(t *task) {
+	exec, px := t.exec, t.px
 	st := t.sr.st
 	for _, p := range t.partitions {
 		data, _, err := px.materialize(st.Output, p)
@@ -61,19 +61,13 @@ func (e *Engine) runPlane(be *batchEntry) {
 		case ActionCount:
 			t.count += int64(len(data))
 		case ActionCollect:
-			if t.collected == nil {
-				t.collected = make(map[int][]record.Record)
-			}
 			// Copy-on-write: the staged slice aliases the computed (possibly
 			// cached) partition. Transforms are pure and the job result is
 			// read-only, so no consumer mutates it; STARK_CHECK_COW=1
 			// fingerprints the slice here and re-verifies at result-accept.
-			t.collected[p] = data
+			t.collected = stageInto(t.collected, &t.collectedOne, data)
 			if record.CowCheckEnabled() {
-				if t.collectedFP == nil {
-					t.collectedFP = make(map[int]uint64)
-				}
-				t.collectedFP[p] = record.Fingerprint(data)
+				t.collectedFP = stageInto(t.collectedFP, &t.fpOne, record.Fingerprint(data))
 			}
 		case ActionMaterialize:
 			// Materialization is its own reward.
@@ -99,11 +93,11 @@ func (e *Engine) runPlane(be *batchEntry) {
 	t.tm.BytesInput = px.acc.bytesInput
 	t.tm.BytesShuffle = px.acc.bytesShuffle
 
-	overhead := taskOverhead
+	t.tm.Overhead = taskOverhead
 	if t.group {
-		overhead += time.Duration(len(t.partitions)) * e.cfg.Cluster.GroupPartitionOverhead
+		t.tm.Overhead += time.Duration(len(t.partitions)) * e.cfg.Cluster.GroupPartitionOverhead
 	}
-	px.dur = overhead + px.acc.compute + px.acc.ioTotal() + gc
+	px.dur = t.tm.Overhead + px.acc.compute + px.acc.ioTotal() + gc
 }
 
 // bucketMapOutput buckets one computed map partition by the consumer's
@@ -140,10 +134,7 @@ func (e *Engine) bucketMapOutput(t *task, p int, data []record.Record, px *plane
 		sp.Bytes = e.cfg.Cluster.ScaleBytes(sliceOverheadBytes + sp.Bytes)
 		total += sp.Bytes
 	}
-	if t.mapOut == nil {
-		t.mapOut = make(map[int]*record.PartitionedBatch)
-	}
-	t.mapOut[p] = pb
+	t.mapOut = stageInto(t.mapOut, &t.mapOutOne, pb)
 	// Bucketing is a cheap pass over the data; the write hits disk.
 	px.acc.compute += e.cfg.Cluster.ComputeTime(total, 0.3)
 	px.acc.diskWrite += e.cfg.Cluster.DiskWriteTime(total)
@@ -153,21 +144,16 @@ func (e *Engine) bucketMapOutput(t *task, p int, data []record.Record, px *plane
 // at result-accept time, in partition order. A write failure (injected or
 // real) surfaces as ErrStorage for the retry path.
 func (e *Engine) commitMapOutputs(t *task) error {
-	if t.mapOut == nil {
-		return nil
-	}
 	st := t.sr.st
-	for _, p := range t.partitions {
-		out, ok := t.mapOut[p]
-		if !ok {
-			continue
-		}
+	for i, out := range t.mapOut {
+		p := t.partitions[i]
 		if err := e.store.WriteMapOutputBatch(st.ShuffleID, p, out); err != nil {
 			return fmt.Errorf("%w: map output write shuffle %d part %d: %w", ErrStorage, st.ShuffleID, p, err)
 		}
 		e.journalAppend(journal.Record{Kind: journal.KindMapOutput,
 			A: int64(st.ShuffleID), B: int64(p), C: int64(st.Output.Parts), D: int64(st.Consumer.Parts)})
 	}
+	clear(t.mapOut) // the store holds the outputs now; the task pins none
 	t.mapOut = nil
 	return nil
 }

@@ -30,11 +30,10 @@ import (
 // Virtual timestamps, task ordering and RNG draws therefore do not depend on
 // the worker-pool size: parallelism 1 and N are byte-identical.
 
-// batchEntry is one dispatched-but-not-yet-executed task.
+// batchEntry is a dispatched task's data-plane state, embedded in the task:
+// the plane context runPlanes hands it, released at its join.
 type batchEntry struct {
-	t    *task
-	exec int
-	px   *planeCtx
+	px *planeCtx
 	// panicked holds a panic value captured on a worker goroutine, rethrown
 	// at join time so plane panics (e.g. STARK_CHECK_COW violations) always
 	// surface on the event-loop goroutine where callers can recover them.
@@ -152,6 +151,7 @@ func releasePlaneCtx(px *planeCtx) {
 	px.scr.Reset()
 	*px = planeCtx{local: px.local, scr: px.scr, inputs: px.inputs, planeEffects: planeEffects{
 		ops: px.ops[:0], drops: px.drops[:0], sizes: px.sizes[:0], transforms: px.transforms[:0]}}
+	//starklint:ignore hotalloc a *planeCtx is pointer-shaped: the interface holds the pointer itself and nothing is allocated
 	planeCtxPool.Put(px)
 }
 
@@ -241,12 +241,16 @@ func (e *Engine) drainBatch() {
 	}
 	e.draining = true
 	for len(e.batch) > 0 {
+		// A dispatch while this batch runs or joins must not land in it, so
+		// e.batch takes the other buffer until the batch is joined.
 		batch := e.batch
-		e.batch = nil
+		e.batch = e.batchSpare[:0]
 		e.runPlanes(batch)
-		for _, be := range batch {
-			e.joinTask(be)
+		for _, t := range batch {
+			e.joinTask(t)
 		}
+		clear(batch)
+		e.batchSpare = batch
 		// Joined cache puts may have promoted plain tasks (wakeTasks), and
 		// the dispatching round saw pre-batch cache state; run another round
 		// so those launches happen at this event's virtual time, as inline
@@ -276,9 +280,9 @@ func (e *Engine) poolEligible(n int) bool {
 // shuffle index is built at the pool's width, so the transposition between
 // a map stage and its reduce stage runs on all cores too. Sequential
 // fallback still defers, so scheduling semantics are identical either way.
-func (e *Engine) runPlanes(batch []*batchEntry) {
-	for _, be := range batch {
-		be.px = e.newPlaneCtx(be.exec)
+func (e *Engine) runPlanes(batch []*task) {
+	for _, t := range batch {
+		t.px = e.newPlaneCtx(t.exec)
 	}
 	if e.poolEligible(len(batch)) {
 		// A shuffle read builds a stale per-reduce index lazily and
@@ -300,14 +304,14 @@ func (e *Engine) runPlanes(batch []*batchEntry) {
 					if i >= len(batch) {
 						return
 					}
-					be := batch[i]
+					t := batch[i]
 					func() {
 						defer func() {
 							if r := recover(); r != nil {
-								be.panicked = r
+								t.panicked = r
 							}
 						}()
-						e.runPlane(be)
+						e.runPlane(t)
 					}()
 				}
 			}()
@@ -315,20 +319,22 @@ func (e *Engine) runPlanes(batch []*batchEntry) {
 		wg.Wait()
 		return
 	}
-	for _, be := range batch {
-		e.runPlane(be)
+	for _, t := range batch {
+		e.runPlane(t)
 	}
 }
 
 // joinTask applies one plane's buffered effects on the control plane, in
 // dispatch order, and schedules the task's completion event — the deferred
 // twin of the tail of the old inline execTask.
-func (e *Engine) joinTask(be *batchEntry) {
-	if be.panicked != nil {
-		panic(be.panicked)
+//
+//starklint:hotpath
+func (e *Engine) joinTask(t *task) {
+	if t.panicked != nil {
+		panic(t.panicked)
 	}
-	t, px := be.t, be.px
-	be.px = nil
+	px := t.px
+	t.px = nil
 	defer releasePlaneCtx(px)
 	if t.aborted || t.lost {
 		// Cancelled between dispatch and join; inline execution would never
@@ -349,7 +355,8 @@ func (e *Engine) joinTask(be *batchEntry) {
 		dur = time.Duration(float64(dur) * f)
 	}
 	t.expectedEnd = e.loop.Now() + dur
-	e.loop.After(dur, func() { e.taskDone(t) })
+	//starklint:ignore hotalloc a *task is pointer-shaped: the interface holds the pointer itself and nothing is allocated
+	e.loop.AfterArg(dur, e.onDone, t)
 }
 
 // applyEffects replays one plane's buffered effects on the control plane:
@@ -392,14 +399,14 @@ func (e *Engine) applyEffects(exec int, fx *planeEffects, t *task) (oomFailed bo
 			e.cacheUpdate(func(m *cacheMetrics) { m.OOMTaskFailures++ })
 			if e.tracer != nil {
 				e.trace("task-oom", jobID, stageID, taskID, exec,
-					fmt.Sprintf("block=%v status=%v", op.id, st))
+					fmt.Sprintf("block=%v status=%v", op.id, st)) //starklint:ignore hotalloc formats only with a tracer installed
 			}
 			continue
 		}
 		e.countRefusal(st)
 		if e.tracer != nil {
 			e.trace("cache-refuse", jobID, stageID, taskID, exec,
-				fmt.Sprintf("block=%v status=%v", op.id, st))
+				fmt.Sprintf("block=%v status=%v", op.id, st)) //starklint:ignore hotalloc formats only with a tracer installed
 		}
 	}
 	for _, d := range fx.drops {
@@ -428,6 +435,7 @@ func (e *Engine) applyEffects(exec int, fx *planeEffects, t *task) (oomFailed bo
 	e.stats.CacheMisses += fx.misses
 	if fx.recomputes > 0 {
 		n := int(fx.recomputes)
+		//starklint:ignore hotalloc cacheUpdate calls the closure before it returns, so the closure does not escape and stays on the stack
 		e.cacheUpdate(func(m *cacheMetrics) { m.RecomputesAfterEviction += n })
 	}
 	return oomFailed

@@ -299,6 +299,8 @@ func (e *Engine) offersByContention() []int {
 // through transient partitions). Under the default zero-latency network the
 // command delivers synchronously and the data plane runs in this same
 // event, byte-identical to the pre-network engine.
+//
+//starklint:hotpath
 func (e *Engine) launch(t *task, exec int, loc metrics.Locality) {
 	ex := e.cl.Executor(exec)
 	ex.Acquire()
@@ -315,7 +317,8 @@ func (e *Engine) launch(t *task, exec int, loc metrics.Locality) {
 	}
 	e.running[t.id] = t
 	e.traceTaskLaunch(t, exec, loc)
-	e.net.Send(netsim.Driver, exec, netsim.TaskLaunch, true, func() { e.execTask(t, exec) })
+	//starklint:ignore hotalloc a *task is pointer-shaped: the interface holds the pointer itself and nothing is allocated
+	e.net.Send(netsim.Driver, exec, netsim.TaskLaunch, true, e.onLaunch, t)
 }
 
 // releaseSlot frees a task's reserved slot, but only while the slot
@@ -338,13 +341,16 @@ func (e *Engine) releaseSlot(t *task) {
 // event boundary (plane.go), where the batch accumulated during this event
 // executes — on the worker pool when safe — and joins back in dispatch
 // order. A command that arrives after the task was cancelled, or at a
-// process that has since died, does nothing.
-func (e *Engine) execTask(t *task, exec int) {
+// process that has since died, does nothing. The target is t.exec, which
+// only launch writes.
+//
+//starklint:hotpath
+func (e *Engine) execTask(t *task) {
 	if t.aborted || t.lost {
 		e.releaseSlot(t)
 		return
 	}
-	ex := e.cl.Executor(exec)
+	ex := e.cl.Executor(t.exec)
 	if ex.Dead() || ex.Incarnation() != t.launchInc {
 		// Delivered to a dead (or reborn) process: nothing runs and no
 		// result will come back. The driver re-learns via its failure path.
@@ -352,7 +358,7 @@ func (e *Engine) execTask(t *task, exec int) {
 		t.lost = true
 		return
 	}
-	e.batch = append(e.batch, &batchEntry{t: t, exec: exec})
+	e.batch = append(e.batch, t)
 }
 
 // taskDone is the executor-side completion: the slot frees and the result
@@ -361,6 +367,8 @@ func (e *Engine) execTask(t *task, exec int) {
 // same epoch is dropped executor-side. A cancelled task whose epoch moved
 // on (the driver declared this executor dead) still reports, so the driver
 // can exercise — and count — the stale-epoch rejection.
+//
+//starklint:hotpath
 func (e *Engine) taskDone(t *task) {
 	if t.lost {
 		return
@@ -370,7 +378,8 @@ func (e *Engine) taskDone(t *task) {
 		delete(e.running, t.id)
 		return
 	}
-	e.net.Send(t.exec, netsim.Driver, netsim.TaskResult, true, func() { e.onTaskResult(t) })
+	//starklint:ignore hotalloc a *task is pointer-shaped: the interface holds the pointer itself and nothing is allocated
+	e.net.Send(t.exec, netsim.Driver, netsim.TaskResult, true, e.onResult, t)
 }
 
 // onTaskResult is the driver-side receipt of a task result: epoch fencing
@@ -419,9 +428,10 @@ func (e *Engine) onTaskResult(t *task) {
 
 	// Apply action results now that the task is known to have survived.
 	t.sr.job.count += t.count
-	for p, data := range t.collected {
+	for i, data := range t.collected {
+		p := t.partitions[i]
 		if t.collectedFP != nil {
-			if got := record.Fingerprint(data); got != t.collectedFP[p] {
+			if got := record.Fingerprint(data); got != t.collectedFP[i] {
 				panic(fmt.Sprintf("engine: collected partition %d of task %d mutated between staging and accept (copy-on-write violation)", p, t.id))
 			}
 		}

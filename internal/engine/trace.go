@@ -75,7 +75,7 @@ func (e *Engine) traceTaskLaunch(t *task, exec int, loc metrics.Locality) {
 		return
 	}
 	e.trace("task-launch", t.sr.job.id, t.sr.st.ID, t.id, exec,
-		fmt.Sprintf("rdd=%s parts=%d locality=%s", t.sr.st.Output.Name, len(t.partitions), loc))
+		fmt.Sprintf("rdd=%s parts=%d locality=%s", t.sr.st.Output.Name, len(t.partitions), loc)) //starklint:ignore hotalloc formats only with a tracer installed
 }
 
 func (e *Engine) traceTaskFinish(t *task) {

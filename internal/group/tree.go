@@ -102,6 +102,7 @@ func (t *Tree) findGroup(id int) *node {
 // GroupOf reports the group containing partition p.
 func (t *Tree) GroupOf(p int) Group {
 	if p < 0 || p >= t.numPartitions {
+		//starklint:ignore hotalloc invariant panic: callers pass partitions of the tree's collection
 		panic(fmt.Sprintf("group: partition %d out of range [0,%d)", p, t.numPartitions))
 	}
 	n := t.findLeaf(p)

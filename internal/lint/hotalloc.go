@@ -18,7 +18,13 @@ import (
 //     interface parameter escapes to the heap);
 //   - per-call map/slice composite literals and make(map)/make(chan);
 //   - append growth from a nil/empty slice (no pre-sized capacity);
-//   - fmt.Sprintf/Sprint/Sprintln and non-constant string concatenation.
+//   - fmt.Sprintf/Sprint/Sprintln and non-constant string concatenation;
+//   - a function literal that captures variables, passed as a call argument:
+//     the callee may keep it (an event queue, a message transport), so the
+//     closure and its captured state escape to the heap on every call. A
+//     literal that captures nothing is a static value and stays silent, and
+//     so do the comparators and predicates handed to package sort and
+//     slices, which call them before returning.
 //
 // make([]T, n[, c]) is deliberately NOT flagged: explicit pre-sizing is the
 // kernels' own idiom, and the runtime budget catches an oversized one.
@@ -127,6 +133,15 @@ func checkHotCall(p *Pass, info *types.Info, call *ast.CallExpr) {
 		}
 	}
 	fn := calleeFunc(info, call)
+	if fn == nil || fn.Pkg() == nil || !callsBeforeReturn[fn.Pkg().Path()] {
+		for _, arg := range call.Args {
+			if lit, ok := ast.Unparen(arg).(*ast.FuncLit); ok {
+				if v := capturedVar(info, lit); v != nil {
+					p.Reportf(lit.Pos(), "func literal passed as an argument captures %s, so the closure escapes and allocates on the hot path; bind the handler once and pass its state as an argument", v.Name())
+				}
+			}
+		}
+	}
 	if fn == nil {
 		return
 	}
@@ -176,6 +191,35 @@ func checkHotCall(p *Pass, info *types.Info, call *ast.CallExpr) {
 		}
 		p.Reportf(arg.Pos(), "passing %s boxes a %s into an interface on the hot path; use a concrete-typed helper", exprString(arg), at.String())
 	}
+}
+
+// callsBeforeReturn names the standard packages whose function arguments
+// are called before the call returns and never kept.
+var callsBeforeReturn = map[string]bool{"sort": true, "slices": true}
+
+// capturedVar returns the first local variable lit refers to but does not
+// declare, nil when it captures nothing. Package-level variables and struct
+// fields are not captures.
+func capturedVar(info *types.Info, lit *ast.FuncLit) *types.Var {
+	var found *types.Var
+	ast.Inspect(lit.Body, func(n ast.Node) bool {
+		if found != nil {
+			return false
+		}
+		id, ok := n.(*ast.Ident)
+		if !ok {
+			return true
+		}
+		v, ok := info.Uses[id].(*types.Var)
+		if !ok || v.IsField() || v.Pkg() == nil || v.Parent() == v.Pkg().Scope() {
+			return true
+		}
+		if v.Pos() < lit.Pos() || v.Pos() >= lit.End() {
+			found = v
+		}
+		return true
+	})
+	return found
 }
 
 // checkHotAppend flags `x = append(x, ...)` where x was declared as a nil

@@ -12,3 +12,8 @@ type row struct {
 func sink(v any) {}
 
 func sinkConcrete(v int64) {}
+
+// queue keeps the callbacks handed to it, as an event loop does.
+type queue struct{ fns []func() }
+
+func (q *queue) push(fn func()) { q.fns = append(q.fns, fn) }

@@ -1,6 +1,9 @@
 package hotalloc
 
-import "strconv"
+import (
+	"sort"
+	"strconv"
+)
 
 // groupCold does everything the positive fixture does, unannotated: the
 // analyzer must stay silent off the hot path.
@@ -31,4 +34,19 @@ func sizedHot(rows []row) []int64 {
 	buf = strconv.AppendInt(buf, int64(len(rows)), 10)
 	_ = len(buf)
 	return keys
+}
+
+var pushed int64
+
+func onPush() { pushed++ }
+
+// scheduleBound hands the queue only values that capture nothing: a named
+// function, and a literal that touches package state alone. A capturing
+// predicate handed to package sort is called before Search returns.
+//
+//starklint:hotpath
+func scheduleBound(q *queue, keys []int64, k int64) int {
+	q.push(onPush)
+	q.push(func() { pushed += 2 })
+	return sort.Search(len(keys), func(i int) bool { return keys[i] >= k })
 }

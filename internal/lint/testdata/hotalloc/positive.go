@@ -46,3 +46,11 @@ func helper(n int) []int {
 
 //starklint:hotpath
 func reachHot(n int) []int { return helper(n) }
+
+// scheduleHot hands the queue a closure over its arguments: the closure
+// and the captured row escape on every call.
+//
+//starklint:hotpath
+func scheduleHot(q *queue, r row) {
+	q.push(func() { sinkConcrete(r.key) }) // want hotalloc
+}

@@ -48,6 +48,11 @@ type TaskMetrics struct {
 	DiskRead    time.Duration `json:"disk_read_ns"`    // checkpoint / source reads
 	DiskWrite   time.Duration `json:"disk_write_ns"`   // shuffle map output / checkpoint writes
 	Net         time.Duration `json:"net_ns"`          // non-shuffle network time
+	// Overhead is the fixed per-task scheduling, launch and result-report
+	// cost plus, for a group task, the per-partition group overhead. On a
+	// zero-latency network without a straggler, Overhead and the six times
+	// above sum to Duration exactly.
+	Overhead time.Duration `json:"overhead_ns"`
 
 	BytesInput   int64 `json:"bytes_input"`
 	BytesShuffle int64 `json:"bytes_shuffle"`

@@ -12,7 +12,7 @@ func TestPerfectNetworkDeliversSynchronously(t *testing.T) {
 	loop := vtime.NewLoop()
 	n := New(Config{}, 1, loop)
 	delivered := false
-	n.Send(Driver, 2, TaskLaunch, true, func() { delivered = true })
+	n.Send(Driver, 2, TaskLaunch, true, func(any) { delivered = true }, nil)
 	if !delivered {
 		t.Fatal("perfect network must deliver in the same event, without stepping the loop")
 	}
@@ -25,7 +25,7 @@ func TestDelayedDeliveryOnTheClock(t *testing.T) {
 	loop := vtime.NewLoop()
 	n := New(Config{BaseDelay: 3 * time.Millisecond}, 1, loop)
 	var at time.Duration = -1
-	n.Send(0, Driver, TaskResult, true, func() { at = loop.Now() })
+	n.Send(0, Driver, TaskResult, true, func(any) { at = loop.Now() }, nil)
 	if at != -1 {
 		t.Fatal("delayed message delivered synchronously")
 	}
@@ -41,10 +41,10 @@ func TestPartitionBlocksAndReliableRetransmitSurvivesHeal(t *testing.T) {
 	n.Partition(1)
 
 	hbDelivered := false
-	n.Send(1, Driver, Heartbeat, false, func() { hbDelivered = true })
+	n.Send(1, Driver, Heartbeat, false, func(any) { hbDelivered = true }, nil)
 
 	resultDelivered := false
-	n.Send(1, Driver, TaskResult, true, func() { resultDelivered = true })
+	n.Send(1, Driver, TaskResult, true, func(any) { resultDelivered = true }, nil)
 
 	// Heal after a few retransmission timeouts have elapsed.
 	loop.After(5*time.Millisecond, func() { n.Heal(1) })
@@ -67,7 +67,7 @@ func TestReliableSendExpiresUnderPermanentPartition(t *testing.T) {
 	n := New(Config{}, 1, loop)
 	n.Partition(4)
 	delivered := false
-	n.Send(Driver, 4, TaskLaunch, true, func() { delivered = true })
+	n.Send(Driver, 4, TaskLaunch, true, func(any) { delivered = true }, nil)
 	loop.Run()
 	if delivered {
 		t.Fatal("message delivered through a permanent partition")
@@ -89,9 +89,9 @@ func TestDropAndJitterAreSeedDeterministic(t *testing.T) {
 		n.SetFaultHook(func(Kind) bool { return drops.Float64() < 0.3 })
 		var arrivals []time.Duration
 		for i := 0; i < 40; i++ {
-			n.Send(Driver, i%4, TaskLaunch, false, func() {
+			n.Send(Driver, i%4, TaskLaunch, false, func(any) {
 				arrivals = append(arrivals, loop.Now())
-			})
+			}, nil)
 		}
 		loop.Run()
 		return arrivals, n.Stats()
@@ -119,14 +119,14 @@ func TestExtraDelayWindow(t *testing.T) {
 	n := New(Config{}, 1, loop)
 	n.SetExtraDelay(7 * time.Millisecond)
 	var at time.Duration = -1
-	n.Send(0, Driver, Heartbeat, false, func() { at = loop.Now() })
+	n.Send(0, Driver, Heartbeat, false, func(any) { at = loop.Now() }, nil)
 	loop.Run()
 	if at != 7*time.Millisecond {
 		t.Fatalf("delivered at %v, want the injected 7ms extra delay", at)
 	}
 	n.SetExtraDelay(0)
 	sync := false
-	n.Send(0, Driver, Heartbeat, false, func() { sync = true })
+	n.Send(0, Driver, Heartbeat, false, func(any) { sync = true }, nil)
 	if !sync {
 		t.Fatal("clearing the extra delay must restore synchronous delivery")
 	}

@@ -3,50 +3,40 @@
 // as time.Duration on this virtual timeline; no wall-clock sleeping is
 // involved, so experiments that simulate hours of cluster time finish in
 // milliseconds of real time.
+//
+// An event has one form: a handler and the argument it is called with. A
+// caller that binds its handler once and passes a pointer as the argument
+// schedules without allocating; At and After keep the closure form by
+// passing the closure itself as the argument.
 package vtime
 
-import (
-	"container/heap"
-	"time"
-)
+import "time"
 
-// Event is a scheduled callback on the virtual timeline.
+// event is one scheduled call of fn(arg). Events are held by value in the
+// loop's heap, so scheduling one allocates nothing once the heap has grown
+// to the loop's steady-state depth.
 type event struct {
 	at  time.Duration
 	seq uint64
-	fn  func()
+	fn  func(any)
+	arg any
 }
 
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// before orders events by deadline, ties by insertion order, so the
+// simulation is deterministic.
+func (ev *event) before(o *event) bool {
+	if ev.at != o.at {
+		return ev.at < o.at
 	}
-	// Ties break by insertion order so the simulation is deterministic.
-	return h[i].seq < h[j].seq
+	return ev.seq < o.seq
 }
 
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-
-func (h *eventHeap) Push(x any) { *h = append(*h, x.(*event)) }
-
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return ev
-}
-
-// Loop is a deterministic discrete-event loop over virtual time.
+// Loop is a deterministic discrete-event loop over virtual time: a binary
+// min-heap of events by value, ordered by (deadline, insertion sequence).
 // The zero value is ready to use, starting at virtual time zero.
 type Loop struct {
 	now time.Duration
-	pq  eventHeap
+	pq  []event
 	seq uint64
 	// postStep, when set, runs after every executed event, still at the
 	// event's virtual time and before the next event, even one due at the
@@ -66,39 +56,95 @@ func NewLoop() *Loop { return &Loop{} }
 // Now reports the current virtual time.
 func (l *Loop) Now() time.Duration { return l.now }
 
-// At schedules fn to run at absolute virtual time t. Scheduling in the past
+// AtArg schedules fn(arg) at absolute virtual time t. Scheduling in the past
 // clamps to the current time (the event runs next, after already-due events
-// scheduled earlier).
-func (l *Loop) At(t time.Duration, fn func()) {
+// scheduled earlier). A func or pointer argument is stored in the interface
+// without being copied, so a bound fn with a pointer argument allocates
+// nothing.
+func (l *Loop) AtArg(t time.Duration, fn func(any), arg any) {
 	if t < l.now {
 		t = l.now
 	}
 	l.seq++
-	heap.Push(&l.pq, &event{at: t, seq: l.seq, fn: fn})
+	l.pq = append(l.pq, event{at: t, seq: l.seq, fn: fn, arg: arg})
+	l.up(len(l.pq) - 1)
 }
 
-// After schedules fn to run d after the current virtual time. Negative d
+// AfterArg schedules fn(arg) d after the current virtual time. Negative d
 // clamps to zero.
-func (l *Loop) After(d time.Duration, fn func()) {
+func (l *Loop) AfterArg(d time.Duration, fn func(any), arg any) {
 	if d < 0 {
 		d = 0
 	}
-	l.At(l.now+d, fn)
+	l.AtArg(l.now+d, fn, arg)
 }
+
+// callClosure is the handler of At and After events: the argument is the
+// closure itself.
+func callClosure(fn any) { fn.(func())() }
+
+// At schedules fn to run at absolute virtual time t, clamped like AtArg.
+func (l *Loop) At(t time.Duration, fn func()) { l.AtArg(t, callClosure, fn) }
+
+// After schedules fn to run d after the current virtual time, clamped like
+// AfterArg.
+//
+//starklint:ignore hotalloc a func is pointer-shaped: the interface holds the closure itself and nothing is allocated
+func (l *Loop) After(d time.Duration, fn func()) { l.AfterArg(d, callClosure, fn) }
 
 // Step runs the earliest pending event, advancing the clock to its deadline.
 // It reports whether an event was run.
+//
+//starklint:hotpath
 func (l *Loop) Step() bool {
 	if len(l.pq) == 0 {
 		return false
 	}
-	ev := heap.Pop(&l.pq).(*event)
+	ev := l.pq[0]
+	last := len(l.pq) - 1
+	l.pq[0] = l.pq[last]
+	l.pq[last] = event{} // drop the handler and argument references
+	l.pq = l.pq[:last]
+	if last > 0 {
+		l.down(0)
+	}
 	l.now = ev.at
-	ev.fn()
+	ev.fn(ev.arg)
 	if l.postStep != nil {
 		l.postStep()
 	}
 	return true
+}
+
+// up restores the heap order from leaf i towards the root.
+func (l *Loop) up(i int) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if !l.pq[i].before(&l.pq[p]) {
+			return
+		}
+		l.pq[i], l.pq[p] = l.pq[p], l.pq[i]
+		i = p
+	}
+}
+
+// down restores the heap order from node i towards the leaves.
+func (l *Loop) down(i int) {
+	n := len(l.pq)
+	for {
+		c := 2*i + 1
+		if c >= n {
+			return
+		}
+		if r := c + 1; r < n && l.pq[r].before(&l.pq[c]) {
+			c = r
+		}
+		if !l.pq[c].before(&l.pq[i]) {
+			return
+		}
+		l.pq[i], l.pq[c] = l.pq[c], l.pq[i]
+		i = c
+	}
 }
 
 // Run processes events until none remain. Events may schedule further

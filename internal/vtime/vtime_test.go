@@ -1,6 +1,8 @@
 package vtime
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 )
@@ -101,5 +103,194 @@ func TestNegativeAfterClamps(t *testing.T) {
 	l.Run()
 	if !ran || l.Now() != 0 {
 		t.Fatalf("ran=%v now=%v", ran, l.Now())
+	}
+}
+
+// scheduler is the surface TestLoopMatchesNaiveOrder drives on both the
+// heap loop and the reference.
+type scheduler interface {
+	Now() time.Duration
+	At(t time.Duration, fn func())
+	After(d time.Duration, fn func())
+	AtArg(t time.Duration, fn func(any), arg any)
+	Step() bool
+	RunUntil(t time.Duration)
+}
+
+// naiveLoop is the reference: every Step stable-sorts the pending events by
+// (deadline, insertion sequence) and runs the first.
+type naiveLoop struct {
+	now     time.Duration
+	seq     uint64
+	pending []event
+}
+
+func (n *naiveLoop) Now() time.Duration { return n.now }
+
+func (n *naiveLoop) AtArg(t time.Duration, fn func(any), arg any) {
+	if t < n.now {
+		t = n.now
+	}
+	n.seq++
+	n.pending = append(n.pending, event{at: t, seq: n.seq, fn: fn, arg: arg})
+}
+
+func (n *naiveLoop) At(t time.Duration, fn func()) { n.AtArg(t, callClosure, fn) }
+
+func (n *naiveLoop) After(d time.Duration, fn func()) {
+	if d < 0 {
+		d = 0
+	}
+	n.At(n.now+d, fn)
+}
+
+func (n *naiveLoop) Step() bool {
+	if len(n.pending) == 0 {
+		return false
+	}
+	slices.SortStableFunc(n.pending, func(a, b event) int {
+		if a.at != b.at {
+			return int(a.at - b.at)
+		}
+		return int(a.seq) - int(b.seq)
+	})
+	ev := n.pending[0]
+	n.pending = n.pending[1:]
+	n.now = ev.at
+	ev.fn(ev.arg)
+	return true
+}
+
+func (n *naiveLoop) RunUntil(t time.Duration) {
+	for {
+		i := slices.IndexFunc(n.pending, func(ev event) bool { return ev.at <= t })
+		if i < 0 {
+			break
+		}
+		n.Step()
+	}
+	if n.now < t {
+		n.now = t
+	}
+}
+
+// fired is one executed event of a drive: which event, and when.
+type fired struct {
+	id int
+	at time.Duration
+}
+
+// drive runs one seeded random program against s: rounds of At, After,
+// AtArg and past-clamped scheduling over a few distinct deadlines (so most
+// events tie), handlers that schedule children at the current instant or
+// later, and interleaved Step and RunUntil calls, then drains. The RNG is
+// consumed in execution order, so any divergence in order compounds.
+func drive(s scheduler, seed int64) []fired {
+	rng := rand.New(rand.NewSource(seed))
+	var out []fired
+	next := 0
+	var spawn func(depth int)
+	onArg := func(a any) { a.(func())() }
+	spawn = func(depth int) {
+		id := next
+		next++
+		run := func() {
+			out = append(out, fired{id, s.Now()})
+			if depth < 3 {
+				for k := rng.Intn(3); k > 0; k-- {
+					spawn(depth + 1)
+				}
+			}
+		}
+		d := time.Duration(rng.Intn(3)) * time.Millisecond
+		switch rng.Intn(4) {
+		case 0:
+			s.At(s.Now()+d, run)
+		case 1:
+			s.After(d, run)
+		case 2:
+			s.AtArg(s.Now()+d, onArg, run)
+		default:
+			s.At(s.Now()-d, run) // in the past: clamps to now
+		}
+	}
+	for round := 0; round < 60; round++ {
+		for k := rng.Intn(5); k > 0; k-- {
+			spawn(0)
+		}
+		switch rng.Intn(3) {
+		case 0:
+			s.RunUntil(s.Now() + time.Duration(rng.Intn(3))*time.Millisecond)
+		case 1:
+			s.Step()
+		}
+	}
+	for s.Step() {
+	}
+	return out
+}
+
+// TestLoopMatchesNaiveOrder checks the heap loop against a reference that
+// stable-sorts its pending events by (deadline, insertion sequence) before
+// every step: over seeded random programs with many equal deadlines, nested
+// scheduling and RunUntil, both run the same events at the same times in
+// the same order.
+func TestLoopMatchesNaiveOrder(t *testing.T) {
+	for seed := int64(1); seed <= 200; seed++ {
+		got := drive(NewLoop(), seed)
+		want := drive(&naiveLoop{}, seed)
+		if !slices.Equal(got, want) {
+			for i := range min(len(got), len(want)) {
+				if got[i] != want[i] {
+					t.Fatalf("seed %d: event %d is %+v, reference runs %+v", seed, i, got[i], want[i])
+				}
+			}
+			t.Fatalf("seed %d: ran %d events, reference ran %d", seed, len(got), len(want))
+		}
+		if len(got) < 50 {
+			t.Fatalf("seed %d: only %d events ran; the program exercises too little", seed, len(got))
+		}
+	}
+}
+
+// TestStepAllocatesNothing: once the heap has grown, scheduling a bound
+// handler with a pointer argument and stepping it allocates nothing, at a
+// heap depth where every push and pop sifts.
+func TestStepAllocatesNothing(t *testing.T) {
+	l := NewLoop()
+	n := new(int)
+	h := func(a any) { *a.(*int)++ }
+	for i := 0; i < 64; i++ {
+		l.AfterArg(time.Duration(i)*time.Microsecond, h, n)
+	}
+	if avg := testing.AllocsPerRun(1000, func() {
+		l.AfterArg(time.Millisecond, h, n)
+		l.Step()
+	}); avg != 0 {
+		t.Fatalf("AfterArg + Step allocates %.2f/op, want 0", avg)
+	}
+	if *n == 0 {
+		t.Fatal("no handler ran")
+	}
+}
+
+var loopSink int
+
+// BenchmarkLoopAtStep measures one event's round trip, schedule plus step,
+// at a steady heap depth of 1024 pending events.
+func BenchmarkLoopAtStep(b *testing.B) {
+	l := NewLoop()
+	h := func(a any) { loopSink += *a.(*int) }
+	one := new(int)
+	*one = 1
+	for i := 0; i <= 1024; i++ {
+		l.AfterArg(time.Duration(i), h, one)
+	}
+	l.Step() // the heap keeps its grown capacity
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		l.AfterArg(time.Duration(1024+i%1024), h, one)
+		l.Step()
 	}
 }
