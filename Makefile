@@ -73,10 +73,11 @@ cachepolicy:
 # and publishes reduce views (it fingerprints every reduce partition). The
 # record and rdd kernels join them: every Join and CoGroup value of a
 # partition points into one slab, which a cached block hands to every plane
-# that reads it.
+# that reads it. The copy-on-write run is CI's "Test (copy-on-write checks)"
+# step: the same packages, also under the race detector.
 shuffle:
 	$(GO) test -race -cpu 1,4 ./internal/storage/ ./internal/engine/ ./internal/record/ ./internal/rdd/
-	STARK_CHECK_COW=1 $(GO) test ./internal/storage/ ./internal/engine/ ./internal/rdd/ ./internal/record/ .
+	STARK_CHECK_COW=1 $(GO) test -race ./internal/storage/ ./internal/engine/ ./internal/rdd/ ./internal/record/ ./internal/stream/ ./internal/workload/ .
 
 # Fuzz every fuzz target for 30 s each (go test -fuzz takes one target in
 # one package per run). Tier-1 replays only their seed corpora; a failing

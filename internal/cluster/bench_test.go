@@ -9,6 +9,7 @@ import (
 
 func BenchmarkBlockStorePutGet(b *testing.B) {
 	s := NewBlockStore(1 << 20)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		id := BlockID{RDD: i % 64, Partition: i % 16}

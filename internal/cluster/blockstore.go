@@ -7,7 +7,6 @@
 package cluster
 
 import (
-	"container/list"
 	"fmt"
 
 	"stark/internal/record"
@@ -50,23 +49,38 @@ func (u unpackableID) Error() string {
 	return fmt.Sprintf("cluster: block id %v does not pack into a 64-bit key: RDD and partition must lie in [0, 2^31)", BlockID(u))
 }
 
+// blockEntry is one slot of a store's block table. A held block's slot is
+// linked into the recency list through prev and next; a free slot is zero
+// apart from next, which links the free list.
 type blockEntry struct {
 	id    BlockID
 	data  []record.Record
 	bytes int64
-	elem  *list.Element
+	// prev points toward the most recently used end, next toward the least.
+	prev, next int32
 }
+
+// nilSlot ends a recency or free chain.
+const nilSlot int32 = -1
 
 // BlockStore is a per-executor cache of partition blocks, measured in
 // simulated bytes, with a pluggable eviction policy (LRU baseline). A
 // MemPressure fault can shrink the effective capacity by a factor in
 // (0, 1]; Capacity reports the shrunk bound so every consumer
 // (GC model, put path) sees the same squeezed world.
+//
+// The blocks live by value in one slot table: index maps a block to its
+// slot, the slots form an int32-linked recency list from head (most
+// recently used) to tail, and evicted slots go on a free list the next put
+// reuses, so caching a block allocates nothing once the table has grown.
 type BlockStore struct {
 	capacity int64
 	used     int64
-	blocks   map[BlockKey]*blockEntry
-	lru      list.List // front = most recently used
+	slots    []blockEntry
+	index    map[BlockKey]int32
+	head     int32
+	tail     int32
+	free     int32
 	policy   EvictionPolicy
 	// shrink is the mem-pressure capacity factor in (0, 1]; 1 = no
 	// pressure. Effective capacity = capacity * shrink.
@@ -77,7 +91,10 @@ type BlockStore struct {
 func NewBlockStore(capacity int64) *BlockStore {
 	return &BlockStore{
 		capacity: capacity,
-		blocks:   make(map[BlockKey]*blockEntry),
+		index:    make(map[BlockKey]int32),
+		head:     nilSlot,
+		tail:     nilSlot,
+		free:     nilSlot,
 		policy:   lruPolicy{},
 		shrink:   1,
 	}
@@ -119,11 +136,11 @@ func (s *BlockStore) Capacity() int64 {
 func (s *BlockStore) Used() int64 { return s.used }
 
 // Len reports the number of cached blocks.
-func (s *BlockStore) Len() int { return len(s.blocks) }
+func (s *BlockStore) Len() int { return len(s.index) }
 
 // Contains reports whether the block is cached, without touching LRU order.
 func (s *BlockStore) Contains(id BlockID) bool {
-	_, ok := s.blocks[id.Key()]
+	_, ok := s.index[id.Key()]
 	return ok
 }
 
@@ -131,12 +148,12 @@ func (s *BlockStore) Contains(id BlockID) bool {
 //
 //starklint:hotpath
 func (s *BlockStore) Get(id BlockID) ([]record.Record, bool) {
-	e, ok := s.blocks[id.Key()]
+	i, ok := s.index[id.Key()]
 	if !ok {
 		return nil, false
 	}
-	s.lru.MoveToFront(e.elem)
-	return e.data, true
+	s.touch(i)
+	return s.slots[i].data, true
 }
 
 // Peek returns the cached data without touching LRU order. The parallel
@@ -146,11 +163,11 @@ func (s *BlockStore) Get(id BlockID) ([]record.Record, bool) {
 //
 //starklint:hotpath
 func (s *BlockStore) Peek(id BlockID) ([]record.Record, bool) {
-	e, ok := s.blocks[id.Key()]
+	i, ok := s.index[id.Key()]
 	if !ok {
 		return nil, false
 	}
-	return e.data, true
+	return s.slots[i].data, true
 }
 
 // PutStatus classifies the outcome of a checked put.
@@ -207,8 +224,9 @@ func (s *BlockStore) PutChecked(id BlockID, data []record.Record, bytes int64) (
 	}
 	key := id.Key()
 	var current int64 // bytes already held by this id (re-put case)
-	if e, exists := s.blocks[key]; exists {
-		current = e.bytes
+	cur, exists := s.index[key]
+	if exists {
+		current = s.slots[cur].bytes
 	}
 	var evicted []BlockID
 	if need := s.used - current + bytes - cap; need > 0 {
@@ -220,48 +238,97 @@ func (s *BlockStore) PutChecked(id BlockID, data []record.Record, bytes int64) (
 			return nil, PutTooLarge
 		}
 		for _, vid := range plan.Victims {
-			if e, ok := s.blocks[vid.Key()]; ok && vid != id {
-				s.removeEntry(e)
+			if i, ok := s.index[vid.Key()]; ok && vid != id {
+				s.removeSlot(i)
 				//starklint:ignore hotalloc only a put that must make room evicts, and the victim list is what it returns
 				evicted = append(evicted, vid)
 			}
 		}
 	}
-	if e, exists := s.blocks[key]; exists {
+	if exists { // evictions never name id, so its slot has not moved
+		e := &s.slots[cur]
 		s.used += bytes - e.bytes
 		e.data, e.bytes = data, bytes
-		s.lru.MoveToFront(e.elem)
+		s.touch(cur)
 		return evicted, PutStored
 	}
-	e := &blockEntry{id: id, data: data, bytes: bytes}
-	//starklint:ignore hotalloc a newly cached block needs its LRU element, one per block stored; the *blockEntry is pointer-shaped and boxes without allocating
-	e.elem = s.lru.PushFront(e)
-	s.blocks[key] = e
+	i := s.alloc()
+	s.slots[i] = blockEntry{id: id, data: data, bytes: bytes}
+	s.pushFront(i)
+	s.index[key] = i
 	s.used += bytes
 	return evicted, PutStored
 }
 
 // Remove drops a block if present, reporting whether it was cached.
 func (s *BlockStore) Remove(id BlockID) bool {
-	e, ok := s.blocks[id.Key()]
+	i, ok := s.index[id.Key()]
 	if !ok {
 		return false
 	}
-	s.removeEntry(e)
+	s.removeSlot(i)
 	return true
 }
 
-func (s *BlockStore) removeEntry(e *blockEntry) {
-	s.lru.Remove(e.elem)
-	delete(s.blocks, e.id.Key())
-	s.used -= e.bytes
+// removeSlot unlinks a held slot, forgets its block and frees the slot.
+func (s *BlockStore) removeSlot(i int32) {
+	s.unlink(i)
+	delete(s.index, s.slots[i].id.Key())
+	s.used -= s.slots[i].bytes
+	// Zeroing drops the data reference: an evicted block pins nothing.
+	s.slots[i] = blockEntry{next: s.free}
+	s.free = i
+}
+
+// alloc takes a slot off the free list, growing the table when it is empty.
+func (s *BlockStore) alloc() int32 {
+	if i := s.free; i != nilSlot {
+		s.free = s.slots[i].next
+		return i
+	}
+	s.slots = append(s.slots, blockEntry{})
+	return int32(len(s.slots) - 1)
+}
+
+// pushFront links slot i in as the most recently used.
+func (s *BlockStore) pushFront(i int32) {
+	s.slots[i].prev, s.slots[i].next = nilSlot, s.head
+	if s.head != nilSlot {
+		s.slots[s.head].prev = i
+	} else {
+		s.tail = i
+	}
+	s.head = i
+}
+
+// unlink takes slot i out of the recency list.
+func (s *BlockStore) unlink(i int32) {
+	p, n := s.slots[i].prev, s.slots[i].next
+	if p != nilSlot {
+		s.slots[p].next = n
+	} else {
+		s.head = n
+	}
+	if n != nilSlot {
+		s.slots[n].prev = p
+	} else {
+		s.tail = p
+	}
+}
+
+// touch marks slot i most recently used.
+func (s *BlockStore) touch(i int32) {
+	if s.head != i {
+		s.unlink(i)
+		s.pushFront(i)
+	}
 }
 
 // Blocks returns the cached block ids, most recently used first.
 func (s *BlockStore) Blocks() []BlockID {
-	out := make([]BlockID, 0, len(s.blocks))
-	for el := s.lru.Front(); el != nil; el = el.Next() {
-		out = append(out, el.Value.(*blockEntry).id)
+	out := make([]BlockID, 0, len(s.index))
+	for i := s.head; i != nilSlot; i = s.slots[i].next {
+		out = append(out, s.slots[i].id)
 	}
 	return out
 }
@@ -269,8 +336,56 @@ func (s *BlockStore) Blocks() []BlockID {
 // Clear drops every block (executor failure).
 func (s *BlockStore) Clear() []BlockID {
 	ids := s.Blocks()
-	s.blocks = make(map[BlockKey]*blockEntry)
-	s.lru.Init()
+	clear(s.slots)
+	s.slots = s.slots[:0]
+	clear(s.index)
+	s.head, s.tail, s.free = nilSlot, nilSlot, nilSlot
 	s.used = 0
 	return ids
+}
+
+// check verifies the table against itself: the recency list and the free
+// list together cover every slot once, each listed slot is indexed under
+// its own block, a free slot holds no data, and used is the sum of the
+// held bytes.
+func (s *BlockStore) check() error {
+	var held int
+	var bytes int64
+	prev := nilSlot
+	for i := s.head; i != nilSlot; i = s.slots[i].next {
+		if held++; held > len(s.slots) {
+			return fmt.Errorf("cluster: recency list cycles")
+		}
+		e := &s.slots[i]
+		if e.prev != prev {
+			return fmt.Errorf("cluster: slot %d of %v links back to %d, not %d", i, e.id, e.prev, prev)
+		}
+		if j, ok := s.index[e.id.Key()]; !ok || j != i {
+			return fmt.Errorf("cluster: slot %d holds %v, which the index puts at %d (indexed %v)", i, e.id, j, ok)
+		}
+		bytes += e.bytes
+		prev = i
+	}
+	if prev != s.tail {
+		return fmt.Errorf("cluster: recency list ends at %d, tail is %d", prev, s.tail)
+	}
+	if held != len(s.index) {
+		return fmt.Errorf("cluster: recency list holds %d blocks, index %d", held, len(s.index))
+	}
+	if bytes != s.used {
+		return fmt.Errorf("cluster: held blocks sum to %d bytes, used is %d", bytes, s.used)
+	}
+	free := 0
+	for i := s.free; i != nilSlot; i = s.slots[i].next {
+		if free++; free > len(s.slots) {
+			return fmt.Errorf("cluster: free list cycles")
+		}
+		if s.slots[i].data != nil {
+			return fmt.Errorf("cluster: free slot %d still references its data", i)
+		}
+	}
+	if held+free != len(s.slots) {
+		return fmt.Errorf("cluster: %d held and %d free slots in a table of %d", held, free, len(s.slots))
+	}
+	return nil
 }

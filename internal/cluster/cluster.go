@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"slices"
 
 	"stark/internal/config"
 	"stark/internal/record"
@@ -78,9 +77,9 @@ func (e *Executor) Release() {
 type Cluster struct {
 	Cfg       config.Cluster
 	executors []*Executor
-	// directory maps each cached block to the ids of the executors holding
-	// a replica, ascending and never empty.
-	directory map[BlockKey][]int
+	// directory maps each cached block to the executors holding a replica
+	// (directory.go).
+	directory blockDirectory
 	// unitOf is the installed block -> collection-unit mapping and
 	// unitVersion counts its announced changes (unitindex.go).
 	unitOf      func(BlockID) (UnitID, bool)
@@ -91,7 +90,7 @@ type Cluster struct {
 func New(cfg config.Cluster) *Cluster {
 	c := &Cluster{
 		Cfg:       cfg,
-		directory: make(map[BlockKey][]int),
+		directory: newBlockDirectory(cfg.NumExecutors),
 		unitOf:    func(BlockID) (UnitID, bool) { return UnitID{}, false },
 	}
 	for i := 0; i < cfg.NumExecutors; i++ {
@@ -151,13 +150,8 @@ func (c *Cluster) CachePutChecked(exec int, id BlockID, data []record.Record, by
 	for _, ev := range evicted {
 		c.dropLocation(ev, exec)
 	}
-	if st == PutStored {
-		key := id.Key()
-		locs := c.directory[key]
-		if i, held := slices.BinarySearch(locs, exec); !held { // a re-put of a held block changes neither books
-			c.directory[key] = slices.Insert(locs, i, exec)
-			c.unitAdded(e, id)
-		}
+	if st == PutStored && c.directory.add(id.Key(), exec) { // a re-put of a held block changes neither books
+		c.unitAdded(e, id)
 	}
 	return evicted, st
 }
@@ -210,7 +204,7 @@ func (c *Cluster) Locations(id BlockID) []int { return c.AppendLocations(nil, id
 // dst and returns the extended slice, so a caller with scratch room pays no
 // allocation.
 func (c *Cluster) AppendLocations(dst []int, id BlockID) []int {
-	return append(dst, c.directory[id.Key()]...)
+	return c.directory.appendHolders(dst, id.Key())
 }
 
 // DropBlock removes a block replica from an executor (cache invalidation or
@@ -224,32 +218,18 @@ func (c *Cluster) DropBlock(exec int, id BlockID) {
 // DropReplicas removes every replica of a block the directory lists, in
 // ascending executor order, without allocating; a block cached nowhere costs
 // one directory lookup. Each step drops the first holder above the last one
-// dropped, re-reading the set that dropLocation shrinks in place.
+// dropped, re-reading the set that dropLocation shrinks (and may free).
 func (c *Cluster) DropReplicas(id BlockID) {
 	key := id.Key()
-	for next := 0; ; {
-		locs := c.directory[key]
-		i, _ := slices.BinarySearch(locs, next)
-		if i == len(locs) {
-			return
-		}
-		exec := locs[i]
+	for exec := nextHolder(c.directory.holders(key), 0); exec >= 0; exec = nextHolder(c.directory.holders(key), exec+1) {
 		c.DropBlock(exec, id)
-		next = exec + 1
 	}
 }
 
 // dropLocation forgets a replica that just left an executor's store: the
 // directory entry and the executor's unit refcount go together.
 func (c *Cluster) dropLocation(id BlockID, exec int) {
-	key := id.Key()
-	if i, held := slices.BinarySearch(c.directory[key], exec); held {
-		if locs := slices.Delete(c.directory[key], i, i+1); len(locs) > 0 {
-			c.directory[key] = locs
-		} else {
-			delete(c.directory, key)
-		}
-	}
+	c.directory.remove(id.Key(), exec)
 	c.unitRemoved(c.executors[exec], id)
 }
 
@@ -287,18 +267,55 @@ func (c *Cluster) SetSlowdown(exec int, factor float64) {
 
 // CheckConsistency verifies the directory against the executors' stores:
 // every directory entry must point at executors that actually hold the
-// block, and every cached block must be in the directory; then the unit
-// index against a recount of the stores. It returns the first violation
-// found, or nil; tests call it after churn.
+// block, and every cached block must be in the directory; then each store's
+// table against itself and the unit index against a recount of the stores.
+// It returns the first violation found, or nil; tests call it after churn.
 func (c *Cluster) CheckConsistency() error {
-	for key, locs := range c.directory {
-		id := key.ID()
-		if len(locs) == 0 {
-			return fmt.Errorf("cluster: %v has an empty directory entry", id)
+	if err := c.checkDirectory(); err != nil {
+		return err
+	}
+	for _, e := range c.executors {
+		if err := e.Store.check(); err != nil {
+			return fmt.Errorf("executor %d: %w", e.ID, err)
 		}
-		for i, exec := range locs {
-			if i > 0 && locs[i-1] >= exec {
-				return fmt.Errorf("cluster: %v directory entry %v is not strictly ascending", id, locs)
+		if e.dead {
+			if e.Store.Len() != 0 {
+				return fmt.Errorf("cluster: dead executor %d still holds %d blocks", e.ID, e.Store.Len())
+			}
+			continue
+		}
+		st := e.Store
+		for i := st.head; i != nilSlot; i = st.slots[i].next {
+			if id := st.slots[i].id; !c.directory.has(id.Key(), e.ID) {
+				return fmt.Errorf("cluster: executor %d holds %v missing from directory", e.ID, id)
+			}
+		}
+		if e.busy < 0 || e.busy > e.Slots {
+			return fmt.Errorf("cluster: executor %d busy=%d of %d slots", e.ID, e.busy, e.Slots)
+		}
+	}
+	return c.checkUnitIndex()
+}
+
+// checkDirectory walks the directory's slots: each held slot must be
+// indexed under its block and list only live executors that cache it, and
+// the held and free slots must account for the whole slab.
+func (c *Cluster) checkDirectory() error {
+	d := &c.directory
+	held := 0
+	for s, key := range d.keys {
+		h := d.slot(int32(s))
+		if isEmpty(h) {
+			continue
+		}
+		held++
+		id := key.ID()
+		if got, ok := d.index[key]; !ok || got != int32(s) {
+			return fmt.Errorf("cluster: directory slot %d lists %v, which the index puts at %d (indexed %v)", s, id, got, ok)
+		}
+		for exec := nextHolder(h, 0); exec >= 0; exec = nextHolder(h, exec+1) {
+			if exec >= len(c.executors) {
+				return fmt.Errorf("cluster: %v listed on executor %d of %d", id, exec, len(c.executors))
 			}
 			e := c.executors[exec]
 			if e.dead {
@@ -309,23 +326,13 @@ func (c *Cluster) CheckConsistency() error {
 			}
 		}
 	}
-	for _, e := range c.executors {
-		if e.dead {
-			if e.Store.Len() != 0 {
-				return fmt.Errorf("cluster: dead executor %d still holds %d blocks", e.ID, e.Store.Len())
-			}
-			continue
-		}
-		for _, id := range e.Store.Blocks() {
-			if _, held := slices.BinarySearch(c.directory[id.Key()], e.ID); !held {
-				return fmt.Errorf("cluster: executor %d holds %v missing from directory", e.ID, id)
-			}
-		}
-		if e.busy < 0 || e.busy > e.Slots {
-			return fmt.Errorf("cluster: executor %d busy=%d of %d slots", e.ID, e.busy, e.Slots)
-		}
+	if held != len(d.index) {
+		return fmt.Errorf("cluster: directory indexes %d blocks but %d slots list a holder: some entry is empty", len(d.index), held)
 	}
-	return c.checkUnitIndex()
+	if held+len(d.free) != len(d.keys) {
+		return fmt.Errorf("cluster: directory has %d held and %d free slots in a slab of %d", held, len(d.free), len(d.keys))
+	}
+	return nil
 }
 
 // UniqueKeysCached reports how many distinct keys the executor's cached

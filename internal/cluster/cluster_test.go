@@ -104,12 +104,13 @@ func TestBlockStoreCapacityInvariantQuick(t *testing.T) {
 			}
 			_ = i
 		}
-		// Used must equal the sum of cached block sizes.
+		// Used must equal the sum of cached block sizes, and the table
+		// must hold together.
 		var sum int64
 		for _, id := range s.Blocks() {
-			sum += s.blocks[id.Key()].bytes
+			sum += s.slots[s.index[id.Key()]].bytes
 		}
-		return sum == s.Used()
+		return sum == s.Used() && s.check() == nil
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -247,11 +248,41 @@ func TestCheckConsistencyCleanAndAfterChurn(t *testing.T) {
 }
 
 func TestCheckConsistencyDetectsDrift(t *testing.T) {
-	c := newTestCluster()
-	c.CachePut(0, BlockID{1, 0}, nil, 10)
-	// Tamper: remove from store behind the directory's back.
-	c.Executor(0).Store.Remove(BlockID{1, 0})
-	if err := c.CheckConsistency(); err == nil {
-		t.Fatal("tampered state passed consistency check")
+	for name, tamper := range map[string]func(c *Cluster){
+		// The store forgets a block behind the directory's back.
+		"store remove": func(c *Cluster) { c.Executor(0).Store.Remove(BlockID{1, 0}) },
+		// The directory forgets a replica behind the store's back.
+		"directory remove": func(c *Cluster) { c.directory.remove(BlockID{1, 0}.Key(), 0) },
+		// The directory lists a replica no store holds.
+		"directory add": func(c *Cluster) { c.directory.add(BlockID{1, 0}.Key(), 2) },
+		// A block's holder set empties without freeing its slot.
+		"empty entry": func(c *Cluster) {
+			s := c.directory.index[BlockID{2, 0}.Key()]
+			clear(c.directory.slot(s))
+		},
+		// The recency list skips a held block.
+		"recency link": func(c *Cluster) {
+			st := c.Executor(0).Store
+			st.slots[st.head].next = nilSlot
+		},
+		// A freed slot still references its block's data.
+		"freed data": func(c *Cluster) {
+			st := c.Executor(0).Store
+			st.Remove(BlockID{1, 0})
+			c.directory.remove(BlockID{1, 0}.Key(), 0)
+			st.slots[st.free].data = rec(1)
+		},
+	} {
+		c := newTestCluster()
+		c.CachePut(0, BlockID{1, 0}, rec(1), 10)
+		c.CachePut(0, BlockID{2, 0}, rec(1), 10)
+		c.CachePut(1, BlockID{2, 0}, rec(1), 10)
+		if err := c.CheckConsistency(); err != nil {
+			t.Fatalf("%s: untampered state: %v", name, err)
+		}
+		tamper(c)
+		if err := c.CheckConsistency(); err == nil {
+			t.Errorf("%s: tampered state passed consistency check", name)
+		}
 	}
 }

@@ -39,8 +39,8 @@ func NewLRUPolicy() EvictionPolicy { return lruPolicy{} }
 func (lruPolicy) Plan(s *BlockStore, need int64, keep BlockID) EvictionPlan {
 	var plan EvictionPlan
 	var freed int64
-	for el := s.lru.Back(); el != nil && freed < need; el = el.Prev() {
-		e := el.Value.(*blockEntry)
+	for i := s.tail; i != nilSlot && freed < need; i = s.slots[i].prev {
+		e := &s.slots[i]
 		if e.id == keep {
 			continue
 		}
@@ -141,8 +141,8 @@ func (p *DAGPolicy) Plan(s *BlockStore, need int64, keep BlockID) EvictionPlan {
 		if keepGrouped && key == keepKey {
 			pinned = true
 		} else {
-			for el := s.lru.Back(); el != nil; el = el.Prev() {
-				e := el.Value.(*blockEntry)
+			for i := s.tail; i != nilSlot; i = s.slots[i].prev {
+				e := &s.slots[i]
 				if k, grouped := p.keyOf(e.id); grouped && k == key && p.refs[e.id.RDD] > 0 {
 					pinned = true
 					break
@@ -163,8 +163,8 @@ func (p *DAGPolicy) Plan(s *BlockStore, need int64, keep BlockID) EvictionPlan {
 	}
 
 	// Pass 1: zero-reference blocks, whole peer groups at a time.
-	for el := s.lru.Back(); el != nil && freed < need; el = el.Prev() {
-		e := el.Value.(*blockEntry)
+	for i := s.tail; i != nilSlot && freed < need; i = s.slots[i].prev {
+		e := &s.slots[i]
 		if e.id == keep || chosen[e.id] {
 			continue
 		}
@@ -176,8 +176,8 @@ func (p *DAGPolicy) Plan(s *BlockStore, need int64, keep BlockID) EvictionPlan {
 			}
 			// All-zero-reference group: cascade to every cached member,
 			// in recency order, so no useless partial group lingers.
-			for gl := s.lru.Back(); gl != nil; gl = gl.Prev() {
-				ge := gl.Value.(*blockEntry)
+			for g := s.tail; g != nilSlot; g = s.slots[g].prev {
+				ge := &s.slots[g]
 				if gk, gg := p.keyOf(ge.id); gg && gk == key && ge.id != keep {
 					take(ge)
 				}
@@ -191,8 +191,8 @@ func (p *DAGPolicy) Plan(s *BlockStore, need int64, keep BlockID) EvictionPlan {
 
 	// Pass 2: referenced ungrouped blocks, LRU order — recompute later
 	// beats refusing the cache, but pinned groups stay untouchable.
-	for el := s.lru.Back(); el != nil && freed < need; el = el.Prev() {
-		e := el.Value.(*blockEntry)
+	for i := s.tail; i != nilSlot && freed < need; i = s.slots[i].prev {
+		e := &s.slots[i]
 		if e.id == keep || chosen[e.id] {
 			continue
 		}

@@ -55,14 +55,16 @@ func (c *Cluster) UnitCached(exec int, u UnitID) bool {
 
 // DropUnit drops from the executor's cache every block the installed
 // mapping sends to u — exactly the blocks its index counts under u — so
-// UnitCached(exec, u) is false afterwards. Each drop touches only that
-// block's directory entry, store entry and unit refcount, so the walk's
-// order does not matter.
+// UnitCached(exec, u) is false afterwards. The walk follows the store's
+// recency list, reading each slot's successor before the slot is dropped.
 func (c *Cluster) DropUnit(exec int, u UnitID) {
-	for _, be := range c.executors[exec].Store.blocks {
-		if got, ok := c.unitOf(be.id); ok && got == u {
-			c.DropBlock(exec, be.id)
+	st := c.executors[exec].Store
+	for i := st.head; i != nilSlot; {
+		id, next := st.slots[i].id, st.slots[i].next
+		if got, ok := c.unitOf(id); ok && got == u {
+			c.DropBlock(exec, id)
 		}
+		i = next
 	}
 }
 
@@ -81,8 +83,9 @@ func (c *Cluster) freshUnits(e *Executor) *unitIndex {
 // countUnits tallies the executor's cached blocks per unit under the
 // installed mapping.
 func (c *Cluster) countUnits(e *Executor, refs map[UnitID]int) {
-	for _, be := range e.Store.blocks {
-		if u, ok := c.unitOf(be.id); ok {
+	st := e.Store
+	for i := st.head; i != nilSlot; i = st.slots[i].next {
+		if u, ok := c.unitOf(st.slots[i].id); ok {
 			refs[u]++
 		}
 	}

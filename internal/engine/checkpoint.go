@@ -123,7 +123,7 @@ func (e *Engine) deferCheckpoint(r *rdd.RDD) {
 // drainDeferredCheckpoints retries checkpoints parked for lack of live
 // executors.
 func (e *Engine) drainDeferredCheckpoints() {
-	if len(e.pendingCP) == 0 || len(e.cl.AliveExecutors()) == 0 {
+	if len(e.pendingCP) == 0 || !e.anyProcessAlive() {
 		return
 	}
 	pending := e.pendingCP

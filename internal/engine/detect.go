@@ -56,7 +56,7 @@ func (e *Engine) ensureHeartbeats() {
 			}
 		}
 		e.detectorArmed = true
-		e.loop.After(e.hb.Interval, func() { e.detect() })
+		e.loop.AfterArg(e.hb.Interval, onDetect, e)
 	}
 	for id := 0; id < e.cl.NumExecutors(); id++ {
 		e.armBeat(id)
@@ -81,10 +81,32 @@ func (e *Engine) beat(id int) {
 		e.beatArmed[id] = false
 		return
 	}
-	inc := e.cl.Executor(id).Incarnation()
-	e.net.Send(id, netsim.Driver, netsim.Heartbeat, false, func(any) { e.onHeartbeat(id, inc) }, nil)
-	e.loop.After(e.hb.Interval, func() { e.beat(id) })
+	b := e.beats[id]
+	if inc := e.cl.Executor(id).Incarnation(); b == nil || b.inc != inc {
+		b = &beatRec{e: e, id: id, inc: inc}
+		e.beats[id] = b
+	}
+	e.net.Send(id, netsim.Driver, netsim.Heartbeat, false, onBeatMsg, b)
+	e.loop.AfterArg(e.hb.Interval, onBeat, b)
 }
+
+// beatRec is what an executor's heartbeat timer and its heartbeats carry:
+// the executor and the process incarnation the record was made under. A
+// new record replaces an executor's when its incarnation changes, so a
+// heartbeat already in flight still reports the incarnation it was sent
+// under.
+type beatRec struct {
+	e       *Engine
+	id, inc int
+}
+
+// The heartbeat and detector handlers are package functions that find
+// their engine in the event's argument, so a steady-state tick builds no
+// closure: onBeat runs an executor's next tick, onBeatMsg delivers a
+// heartbeat to the driver, and onDetect runs the detector's scan.
+func onBeat(b any)    { r := b.(*beatRec); r.e.beat(r.id) }
+func onBeatMsg(b any) { r := b.(*beatRec); r.e.onHeartbeat(r.id, r.inc) }
+func onDetect(e any)  { e.(*Engine).detect() }
 
 // detect is the driver's periodic missed-heartbeat scan.
 func (e *Engine) detect() {
@@ -109,11 +131,22 @@ func (e *Engine) detect() {
 	// Keep scanning only while some executor process is alive; with every
 	// process down (and no restart event pending) rescheduling forever would
 	// keep RunJob from detecting the wedge. Declarations above still ran.
-	if len(e.cl.AliveExecutors()) == 0 {
+	if !e.anyProcessAlive() {
 		e.detectorArmed = false
 		return
 	}
-	e.loop.After(e.hb.Interval, func() { e.detect() })
+	e.loop.AfterArg(e.hb.Interval, onDetect, e)
+}
+
+// anyProcessAlive reports whether some executor process is up, without
+// building the list AliveExecutors returns.
+func (e *Engine) anyProcessAlive() bool {
+	for id := 0; id < e.cl.NumExecutors(); id++ {
+		if !e.cl.Executor(id).Dead() {
+			return true
+		}
+	}
+	return false
 }
 
 // suspect excludes an executor from scheduling until a heartbeat arrives.

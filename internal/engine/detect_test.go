@@ -163,3 +163,47 @@ func TestCrashDetectedByMissedHeartbeats(t *testing.T) {
 		t.Fatalf("incarnation = %d, want %d after restart", got, inc0+1)
 	}
 }
+
+// TestHeartbeatTickAllocatesNothing: while a job is active, a heartbeat
+// interval — every executor's tick, the delivery of its heartbeat and the
+// detector's scan — allocates nothing once the event heap has grown.
+func TestHeartbeatTickAllocatesNothing(t *testing.T) {
+	e := New(hbConfig())
+	e.activeJobs = 1 // the timers run only while a job is active
+	e.ensureHeartbeats()
+	tick := func() { e.loop.RunUntil(e.loop.Now() + e.hb.Interval) }
+	tick()
+	sent := e.net.Stats().Sent
+	if avg := testing.AllocsPerRun(20, tick); avg != 0 {
+		t.Errorf("a heartbeat interval allocates %.1f, want 0", avg)
+	}
+	if beats := e.net.Stats().Sent - sent; beats < 20*e.cl.NumExecutors() {
+		t.Fatalf("%d heartbeats sent over 21 intervals of %d executors", beats, e.cl.NumExecutors())
+	}
+	for id, v := range e.execView {
+		if v != viewAlive {
+			t.Fatalf("executor %d is %v after steady heartbeats", id, v)
+		}
+	}
+}
+
+// TestHeartbeatInFlightKeepsItsIncarnation: a heartbeat sent before its
+// executor restarted reports the old incarnation when it lands after the
+// restart; only the next one reports the new incarnation.
+func TestHeartbeatInFlightKeepsItsIncarnation(t *testing.T) {
+	e := New(hbConfig())
+	e.activeJobs = 1
+	e.beat(0)
+	e.cl.Kill(0)
+	e.cl.Restart(0)
+	e.beat(0)
+	epoch := e.execEpoch[0]
+	e.loop.Step()
+	if e.execEpoch[0] != epoch {
+		t.Fatalf("the heartbeat sent before the restart bumped the epoch to %d: it reported the new incarnation", e.execEpoch[0])
+	}
+	e.loop.Step()
+	if e.execEpoch[0] != epoch+1 {
+		t.Fatalf("epoch = %d after the post-restart heartbeat, want %d", e.execEpoch[0], epoch+1)
+	}
+}

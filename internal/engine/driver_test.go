@@ -301,6 +301,7 @@ func TestEveryEngineFieldIsClassified(t *testing.T) {
 		"execView":     "overwritten for every executor by RestartDriver's re-handshake",
 		"execEpoch":    "the incarnation fence: bumped at restart, never reset, so pre-crash results are rejected",
 		"incSeen":      "refreshed at re-handshake for live executors; a dead one's last incarnation must be kept to notice its rebirth",
+		"beats":        "executor-side heartbeat records; heartbeats and ticks in flight carry them",
 		"jrn":          "the journal is what survives by design",
 		"driverDown":   "set by the crash itself",
 		"driverGen":    "bumped by the crash itself to void pre-crash timer closures",

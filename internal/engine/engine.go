@@ -193,6 +193,9 @@ type Engine struct {
 	execView   []viewState
 	execEpoch  []int
 	incSeen    []int
+	// beats holds each executor's heartbeat record (detect.go); nil while
+	// heartbeats are off.
+	beats []*beatRec
 
 	// Driver fault domain (driver.go): the write-ahead journal (nil unless
 	// DriverRecovery), whether the driver is currently crashed, the driver
@@ -291,6 +294,9 @@ func New(cfg Config) *Engine {
 	e.execView = make([]viewState, n)
 	e.execEpoch = make([]int, n)
 	e.incSeen = make([]int, n)
+	if e.hb.Interval > 0 {
+		e.beats = make([]*beatRec, n)
+	}
 	for i := 0; i < n; i++ {
 		e.incSeen[i] = e.cl.Executor(i).Incarnation()
 	}

@@ -151,7 +151,6 @@ func releasePlaneCtx(px *planeCtx) {
 	px.scr.Reset()
 	*px = planeCtx{local: px.local, scr: px.scr, inputs: px.inputs, planeEffects: planeEffects{
 		ops: px.ops[:0], drops: px.drops[:0], sizes: px.sizes[:0], transforms: px.transforms[:0]}}
-	//starklint:ignore hotalloc a *planeCtx is pointer-shaped: the interface holds the pointer itself and nothing is allocated
 	planeCtxPool.Put(px)
 }
 
@@ -355,7 +354,6 @@ func (e *Engine) joinTask(t *task) {
 		dur = time.Duration(float64(dur) * f)
 	}
 	t.expectedEnd = e.loop.Now() + dur
-	//starklint:ignore hotalloc a *task is pointer-shaped: the interface holds the pointer itself and nothing is allocated
 	e.loop.AfterArg(dur, e.onDone, t)
 }
 

@@ -317,7 +317,6 @@ func (e *Engine) launch(t *task, exec int, loc metrics.Locality) {
 	}
 	e.running[t.id] = t
 	e.traceTaskLaunch(t, exec, loc)
-	//starklint:ignore hotalloc a *task is pointer-shaped: the interface holds the pointer itself and nothing is allocated
 	e.net.Send(netsim.Driver, exec, netsim.TaskLaunch, true, e.onLaunch, t)
 }
 
@@ -378,7 +377,6 @@ func (e *Engine) taskDone(t *task) {
 		delete(e.running, t.id)
 		return
 	}
-	//starklint:ignore hotalloc a *task is pointer-shaped: the interface holds the pointer itself and nothing is allocated
 	e.net.Send(t.exec, netsim.Driver, netsim.TaskResult, true, e.onResult, t)
 }
 

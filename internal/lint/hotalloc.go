@@ -15,7 +15,9 @@ import (
 // allocation-inducing constructs:
 //
 //   - interface boxing at call sites (a concrete value passed to an
-//     interface parameter escapes to the heap);
+//     interface parameter escapes to the heap); a pointer-shaped value — a
+//     pointer, unsafe.Pointer, map, chan or func — is stored in the
+//     interface word itself and stays silent;
 //   - per-call map/slice composite literals and make(map)/make(chan);
 //   - append growth from a nil/empty slice (no pre-sized capacity);
 //   - fmt.Sprintf/Sprint/Sprintln and non-constant string concatenation;
@@ -189,8 +191,24 @@ func checkHotCall(p *Pass, info *types.Info, call *ast.CallExpr) {
 		if b, ok := at.Underlying().(*types.Basic); ok && b.Info()&types.IsUntyped != 0 {
 			continue // untyped nil / constants
 		}
+		if pointerShaped(at) {
+			continue
+		}
 		p.Reportf(arg.Pos(), "passing %s boxes a %s into an interface on the hot path; use a concrete-typed helper", exprString(arg), at.String())
 	}
+}
+
+// pointerShaped reports whether a value of type t is stored directly in an
+// interface's data word — a pointer, unsafe.Pointer, map, chan or func — so
+// boxing it allocates nothing.
+func pointerShaped(t types.Type) bool {
+	switch u := t.Underlying().(type) {
+	case *types.Pointer, *types.Map, *types.Chan, *types.Signature:
+		return true
+	case *types.Basic:
+		return u.Kind() == types.UnsafePointer
+	}
+	return false
 }
 
 // callsBeforeReturn names the standard packages whose function arguments

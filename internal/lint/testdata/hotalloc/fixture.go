@@ -17,3 +17,16 @@ func sinkConcrete(v int64) {}
 type queue struct{ fns []func() }
 
 func (q *queue) push(fn func()) { q.fns = append(q.fns, fn) }
+
+// sender delivers fn(arg) later, as the simulated network does.
+type sender struct {
+	fns  []func(any)
+	args []any
+}
+
+func (s *sender) send(fn func(any), arg any) {
+	s.fns = append(s.fns, fn)
+	s.args = append(s.args, arg)
+}
+
+func deliverRow(arg any) { sinkConcrete(arg.(*row).key) }

@@ -50,3 +50,13 @@ func scheduleBound(q *queue, keys []int64, k int64) int {
 	q.push(func() { pushed += 2 })
 	return sort.Search(len(keys), func(i int) bool { return keys[i] >= k })
 }
+
+// sendPointer boxes only pointer-shaped values: a *row, a map and a func
+// are stored in the interface word itself and allocate nothing.
+//
+//starklint:hotpath
+func sendPointer(s *sender, r *row, m map[int64]bool) {
+	s.send(deliverRow, r)
+	sink(m)
+	sink(deliverRow)
+}

@@ -54,3 +54,13 @@ func reachHot(n int) []int { return helper(n) }
 func scheduleHot(q *queue, r row) {
 	q.push(func() { sinkConcrete(r.key) }) // want hotalloc
 }
+
+// sendBoxed boxes a value that is not pointer-shaped, an int and a struct,
+// and beside a pointer argument hands over a capturing literal.
+//
+//starklint:hotpath
+func sendBoxed(s *sender, r *row, n int) {
+	s.send(deliverRow, n)                        // want hotalloc
+	s.send(deliverRow, *r)                       // want hotalloc
+	s.send(func(any) { sinkConcrete(r.key) }, r) // want hotalloc
+}

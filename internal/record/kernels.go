@@ -28,7 +28,6 @@ func (sc *groupScratch) release() {
 	sc.i32.Reset()
 	sc.u64.Reset()
 	sc.ent.Reset()
-	//starklint:ignore hotalloc sync.Pool.Put takes any but *groupScratch is a pointer, so the conversion stores the pointer in the interface word without allocating
 	groupScratchPool.Put(sc)
 }
 

@@ -88,8 +88,6 @@ func (l *Loop) At(t time.Duration, fn func()) { l.AtArg(t, callClosure, fn) }
 
 // After schedules fn to run d after the current virtual time, clamped like
 // AfterArg.
-//
-//starklint:ignore hotalloc a func is pointer-shaped: the interface holds the closure itself and nothing is allocated
 func (l *Loop) After(d time.Duration, fn func()) { l.AfterArg(d, callClosure, fn) }
 
 // Step runs the earliest pending event, advancing the clock to its deadline.

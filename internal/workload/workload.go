@@ -230,8 +230,13 @@ func DefaultTwitter() TwitterConfig {
 }
 
 // Tweet produces the i-th synthetic tweet text.
-func (c TwitterConfig) Tweet(i int) string {
-	rng := rand.New(rand.NewSource(c.Seed + int64(i)))
+func (c TwitterConfig) Tweet(i int) string { return c.tweet(rand.New(rand.NewSource(0)), i) }
+
+// tweet produces the i-th tweet with rng re-seeded to c.Seed + i: the same
+// draws as a fresh rand.New(rand.NewSource(c.Seed + i)), without building
+// a source per tweet.
+func (c TwitterConfig) tweet(rng *rand.Rand, i int) string {
+	rng.Seed(c.Seed + int64(i))
 	k1 := c.Keywords[rng.Intn(len(c.Keywords))]
 	k2 := c.Keywords[rng.Intn(len(c.Keywords))]
 	return fmt.Sprintf("tweet-%06d %s %s #nyc", i, k1, k2)
@@ -244,9 +249,10 @@ func MergedStep(taxi TaxiConfig, tw TwitterConfig, step int) []record.Record {
 	events := taxi.Step(step)
 	out := make([]record.Record, 0, 2*len(events))
 	base := step * 1_000_000
+	rng := rand.New(rand.NewSource(0))
 	for i, ev := range events {
 		out = append(out, ev)
-		out = append(out, record.Pair(ev.Key, tw.Tweet(base+i)))
+		out = append(out, record.Pair(ev.Key, tw.tweet(rng, base+i)))
 	}
 	return out
 }

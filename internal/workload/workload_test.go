@@ -268,6 +268,25 @@ func TestTweetDeterministic(t *testing.T) {
 	}
 }
 
+// TestTweetReseedMatchesFreshSource: one generator re-seeded per tweet, as
+// MergedStep runs it, draws what a fresh source per tweet drew.
+func TestTweetReseedMatchesFreshSource(t *testing.T) {
+	tw := DefaultTwitter()
+	shared := rand.New(rand.NewSource(0))
+	for _, i := range []int{0, 1, 42, 999_999, 3_000_017} {
+		fresh := rand.New(rand.NewSource(tw.Seed + int64(i)))
+		k1 := tw.Keywords[fresh.Intn(len(tw.Keywords))]
+		k2 := tw.Keywords[fresh.Intn(len(tw.Keywords))]
+		want := fmt.Sprintf("tweet-%06d %s %s #nyc", i, k1, k2)
+		if got := tw.tweet(shared, i); got != want {
+			t.Fatalf("tweet %d = %q, a fresh source gives %q", i, got, want)
+		}
+		if got := tw.Tweet(i); got != want {
+			t.Fatalf("Tweet(%d) = %q, a fresh source gives %q", i, got, want)
+		}
+	}
+}
+
 func TestSyslogIncidentRaisesErrors(t *testing.T) {
 	cfg := DefaultSyslog()
 	countErrors := func(service string, window int) int {
