@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-json loc test test-short test-race chaos chaos-nightly multitenant cachepolicy shuffle fuzz bench-engine bench-smoke examples experiments results results-check clean
+.PHONY: all build vet lint lint-json loc test test-short test-race chaos chaos-nightly multitenant cachepolicy shuffle fuzz bench-engine bench-smoke bench-pairs examples experiments results results-check clean
 
 all: build lint test
 
@@ -67,7 +67,8 @@ cachepolicy:
 
 # Shuffle store and pooled planes: reduce tasks on the worker pool read one
 # shared reduce-major copy of a shuffle, so both packages run under the race
-# detector at 1 and 4 procs, then with copy-on-write checking on. The store
+# detector at 1 and 4 procs (with the cluster's block tables: CI's "Shuffle
+# store and pooled planes" step), then with copy-on-write checking on. The store
 # shares rows on both sides: it adopts each map task's input rows (it
 # fingerprints every output at commit and re-checks before it transposes)
 # and publishes reduce views (it fingerprints every reduce partition). The
@@ -76,7 +77,7 @@ cachepolicy:
 # that reads it. The copy-on-write run is CI's "Test (copy-on-write checks)"
 # step: the same packages, also under the race detector.
 shuffle:
-	$(GO) test -race -cpu 1,4 ./internal/storage/ ./internal/engine/ ./internal/record/ ./internal/rdd/
+	$(GO) test -race -cpu 1,4 -count=1 ./internal/storage/ ./internal/engine/ ./internal/record/ ./internal/rdd/ ./internal/cluster/
 	STARK_CHECK_COW=1 $(GO) test -race ./internal/storage/ ./internal/engine/ ./internal/rdd/ ./internal/record/ ./internal/stream/ ./internal/workload/ .
 
 # Fuzz every fuzz target for 30 s each (go test -fuzz takes one target in
@@ -103,6 +104,20 @@ bench-engine: lint
 # test it so an internal-package refactor cannot break it silently.
 bench-smoke:
 	cd bench && $(GO) vet . && $(GO) test .
+
+# Alternated pairs of one benchmark workload at two revisions (the parent
+# and the change; the same revision twice is the A/A check): each side's
+# median and quartiles of every end-to-end metric and its win count. Each
+# revision is exported to .bench_build/pairs/ and every run is its own
+# BENCHMARK.json command (bench/run.sh, which builds and runs the benchmark)
+# with only --workload added. A pair of 25 s runs takes about a minute.
+REV_A ?= HEAD
+REV_B ?= HEAD
+WORKLOAD ?= taxi-window
+PAIRS ?= 10
+
+bench-pairs:
+	$(GO) run ./cmd/benchpairs -a $(REV_A) -b $(REV_B) -workload $(WORKLOAD) -pairs $(PAIRS)
 
 examples:
 	$(GO) run ./examples/quickstart

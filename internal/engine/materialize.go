@@ -222,70 +222,135 @@ func (px *planeCtx) materialize(r *rdd.RDD, p int) ([]record.Record, int64, erro
 		px.acc.bytesInput += bytes
 		return data, px.finishPartition(r, p, data, bytes), nil
 	default:
-		// This step's inputs are slots [base, base+len(r.Deps)) of the
-		// plane's header stack. A parent's recursion pushes above them and
-		// may move the stack, so slots are addressed by index until every
-		// parent is materialized.
+		if cg := px.fusableCoGroup(r, p); cg != nil {
+			return px.filterCoGroup(r, cg, p)
+		}
 		base := len(px.inputs)
-		px.inputs = append(px.inputs, make([][]record.Record, len(r.Deps))...)
 		defer px.popInputs(base)
-		var inputBytes int64
-		for i, d := range r.Deps {
-			if d.Shuffle {
-				//starklint:ignore planetaint ReadReduce's lazy index build, which also transposes the shuffle reduce-major at width 1 (kept for one-plane batches and standalone callers such as the bench drivers), only runs when the shuffle is complete and dirty, and PrepareShuffleReads builds every such index from the event loop before parallel dispatch, its ranges on goroutines it joins before returning; the worker-side call only reads shared rows at runtime
-				recs, bytes, err := e.store.ReadReduce(d.ShuffleID, p)
-				if err != nil {
-					var ce *storage.CorruptError
-					if errors.As(err, &ce) {
-						// Integrity failure on a map output: evict it and report
-						// a fetch failure so the producing stage resubmits.
-						px.dropCorrupt(false, ce.Shuffle, ce.MapPart,
-							fmt.Sprintf("shuffle=%d map=%d", ce.Shuffle, ce.MapPart))
-						return nil, 0, &fetchError{shuffle: d.ShuffleID, err: err}
-					}
-					if !e.store.ShuffleComplete(d.ShuffleID) {
-						return nil, 0, &fetchError{shuffle: d.ShuffleID, err: err}
-					}
-					return nil, 0, fmt.Errorf("%w: shuffle read for %s[%d]: %w", ErrStorage, r, p, err)
-				}
-				// Map outputs are spread across the cluster: all bytes come
-				// off disk, and on average (E-1)/E of them cross the network.
-				px.acc.shuffleRead += e.cfg.Cluster.DiskReadTime(bytes)
-				if n := e.cl.NumExecutors(); n > 1 {
-					remote := bytes * int64(n-1) / int64(n)
-					px.acc.shuffleRead += e.cfg.Cluster.NetTime(remote)
-				}
-				px.acc.bytesShuffle += bytes
-				px.inputs[base+i] = recs
-				inputBytes += bytes
-			} else {
-				pp := p
-				if d.Map != nil {
-					mapped, ok := d.Map(p)
-					if !ok {
-						continue // this parent contributes nothing here
-					}
-					pp = mapped
-				}
-				in, bytes, err := px.materialize(d.Parent, pp)
-				if err != nil {
-					return nil, 0, err
-				}
-				px.inputs[base+i] = in
-				inputBytes += bytes
-			}
+		inputs, inputBytes, err := px.readInputs(r, p)
+		if err != nil {
+			return nil, 0, err
 		}
-		ct := e.cfg.Cluster.ComputeTime(inputBytes, r.CostFactor)
-		data = r.Transform(p, px.inputs[base:])
-		px.acc.compute += ct
-		px.acc.bytesInput += inputBytes
-		if ct > r.MaxTransformTime {
-			// Only the join raises MaxTransformTime, so a time at or below
-			// it now is still at or below it when this plane replays.
-			px.transforms = append(px.transforms, transformRec{r: r, ct: ct})
-		}
+		data = r.Transform(p, inputs)
+		px.chargeTransform(r, inputBytes)
 	}
 	return data, px.finishPartition(r, p, data, px.measure(r, p, data)), nil
+}
+
+// readInputs materializes every dependency of r for partition p — a shuffle
+// read or a narrow parent's recursion — into slots [base, base+len(r.Deps))
+// of the plane's header stack, base being its length on entry, and returns
+// those slots with the bytes the inputs are priced at. The caller pops the
+// stack back to base. A parent's recursion pushes above the slots and may
+// move the stack, so slots are addressed by index until every parent is
+// materialized.
+func (px *planeCtx) readInputs(r *rdd.RDD, p int) ([][]record.Record, int64, error) {
+	e := px.e
+	base := len(px.inputs)
+	px.inputs = append(px.inputs, make([][]record.Record, len(r.Deps))...)
+	var inputBytes int64
+	for i, d := range r.Deps {
+		if d.Shuffle {
+			//starklint:ignore planetaint ReadReduce's lazy index build, which also transposes the shuffle reduce-major at width 1 (kept for one-plane batches and standalone callers such as the bench drivers), only runs when the shuffle is complete and dirty, and PrepareShuffleReads builds every such index from the event loop before parallel dispatch, its ranges on goroutines it joins before returning; the worker-side call only reads shared rows at runtime
+			recs, bytes, err := e.store.ReadReduce(d.ShuffleID, p)
+			if err != nil {
+				var ce *storage.CorruptError
+				if errors.As(err, &ce) {
+					// Integrity failure on a map output: evict it and report
+					// a fetch failure so the producing stage resubmits.
+					px.dropCorrupt(false, ce.Shuffle, ce.MapPart,
+						fmt.Sprintf("shuffle=%d map=%d", ce.Shuffle, ce.MapPart))
+					return nil, 0, &fetchError{shuffle: d.ShuffleID, err: err}
+				}
+				if !e.store.ShuffleComplete(d.ShuffleID) {
+					return nil, 0, &fetchError{shuffle: d.ShuffleID, err: err}
+				}
+				return nil, 0, fmt.Errorf("%w: shuffle read for %s[%d]: %w", ErrStorage, r, p, err)
+			}
+			// Map outputs are spread across the cluster: all bytes come
+			// off disk, and on average (E-1)/E of them cross the network.
+			px.acc.shuffleRead += e.cfg.Cluster.DiskReadTime(bytes)
+			if n := e.cl.NumExecutors(); n > 1 {
+				remote := bytes * int64(n-1) / int64(n)
+				px.acc.shuffleRead += e.cfg.Cluster.NetTime(remote)
+			}
+			px.acc.bytesShuffle += bytes
+			px.inputs[base+i] = recs
+			inputBytes += bytes
+		} else {
+			pp := p
+			if d.Map != nil {
+				mapped, ok := d.Map(p)
+				if !ok {
+					continue // this parent contributes nothing here
+				}
+				pp = mapped
+			}
+			in, bytes, err := px.materialize(d.Parent, pp)
+			if err != nil {
+				return nil, 0, err
+			}
+			px.inputs[base+i] = in
+			inputBytes += bytes
+		}
+	}
+	return px.inputs[base:], inputBytes, nil
+}
+
+// chargeTransform charges one step's transform over inputBytes of input:
+// its modeled compute time, its input bytes, and a transform time above the
+// RDD's recorded maximum for the join to record.
+func (px *planeCtx) chargeTransform(r *rdd.RDD, inputBytes int64) {
+	ct := px.e.cfg.Cluster.ComputeTime(inputBytes, r.CostFactor)
+	px.acc.compute += ct
+	px.acc.bytesInput += inputBytes
+	if ct > r.MaxTransformTime {
+		// Only the join raises MaxTransformTime, so a time at or below
+		// it now is still at or below it when this plane replays.
+		px.transforms = append(px.transforms, transformRec{r: r, ct: ct})
+	}
+}
+
+// fusableCoGroup returns r's parent when r is a Filter over a CoGroup that
+// materializing partition p would recompute anyway: not cached, not
+// checkpointed, and not held in its executor's cache (a block can outlive
+// its CacheFlag there after Unpersist). It returns nil otherwise. The
+// plane's overlay needs no lookup: it only holds blocks of cached RDDs.
+func (px *planeCtx) fusableCoGroup(r *rdd.RDD, p int) *rdd.RDD {
+	if r.FilterPred == nil {
+		return nil
+	}
+	cg := r.Deps[0].Parent
+	if cg.CoGroupKeep == nil || cg.CacheFlag || cg.Checkpointed {
+		return nil
+	}
+	if _, ok := px.e.cl.CachePeek(px.exec, cluster.BlockID{RDD: cg.ID, Partition: p}); ok {
+		return nil
+	}
+	return cg
+}
+
+// filterCoGroup computes partition p of the Filter f over the CoGroup cg as
+// one kernel call that builds only the groups f keeps. It charges what
+// materializing cg and then f charges: cg's inputs and transform, cg's size
+// (the kernel sums the full output's when none is recorded) to the working
+// set, then f's transform over those bytes and f's own partition.
+func (px *planeCtx) filterCoGroup(f, cg *rdd.RDD, p int) ([]record.Record, int64, error) {
+	base := len(px.inputs)
+	defer px.popInputs(base)
+	inputs, inputBytes, err := px.readInputs(cg, p)
+	if err != nil {
+		return nil, 0, err
+	}
+	cgBytes := partBytesOf(cg, p)
+	data, raw := cg.CoGroupKeep(inputs, f.FilterPred, cgBytes == 0)
+	px.chargeTransform(cg, inputBytes)
+	if cgBytes == 0 {
+		cgBytes = px.recordSize(cg, p, raw)
+	}
+	px.acc.working += cgBytes
+	px.chargeTransform(f, cgBytes)
+	return data, px.finishPartition(f, p, data, px.measure(f, p, data)), nil
 }
 
 // finishPartition charges the partition's bytes to the working set, caches

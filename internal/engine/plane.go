@@ -206,7 +206,13 @@ func (px *planeCtx) measure(r *rdd.RDD, p int, data []record.Record) int64 {
 	if b := partBytesOf(r, p); b > 0 {
 		return b
 	}
-	b := px.e.cfg.Cluster.ScaleBytes(record.SizeOfSlice(data))
+	return px.recordSize(r, p, record.SizeOfSlice(data))
+}
+
+// recordSize scales a partition's raw size and logs it for the join to
+// record.
+func (px *planeCtx) recordSize(r *rdd.RDD, p int, raw int64) int64 {
+	b := px.e.cfg.Cluster.ScaleBytes(raw)
 	px.sizes = append(px.sizes, sizeRec{r: r, p: p, bytes: b})
 	return b
 }

@@ -54,7 +54,7 @@ func sizeScenario(t *testing.T, par int) string {
 	selfCoGroup := func(in [][]record.Record) [][]record.Record {
 		out := make([][]record.Record, len(in))
 		for p, rows := range in {
-			out[p] = record.CoGroupRecords([][]record.Record{rows, rows})
+			out[p], _ = record.CoGroupRecords([][]record.Record{rows, rows}, nil, false)
 		}
 		return out
 	}

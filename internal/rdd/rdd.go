@@ -71,6 +71,15 @@ type RDD struct {
 	// have no Transform.
 	Transform func(part int, inputs [][]record.Record) []record.Record
 
+	// FilterPred is a Filter's predicate, nil on every other RDD. With
+	// CoGroupKeep it lets the engine compute a filter over a co-group it
+	// would recompute anyway as one step that builds only the kept groups.
+	FilterPred func(record.Record) bool
+	// CoGroupKeep is a CoGroup's transform with record.CoGroupRecords'
+	// keep and measure arguments, nil on every other RDD: Transform is
+	// CoGroupKeep(inputs, nil, false).
+	CoGroupKeep func(inputs [][]record.Record, keep func(record.Record) bool, measure bool) ([]record.Record, int64)
+
 	// CostFactor scales compute time per input byte relative to a plain
 	// map pass (1.0).
 	CostFactor float64
@@ -244,9 +253,12 @@ func (g *Graph) FlatMap(parent *RDD, name string, f func(record.Record) []record
 var keepPool = sync.Pool{New: func() any { return new([]int32) }}
 
 // Filter keeps records satisfying pred; partitioning is preserved. pred runs
-// once per record, in input order.
+// once per record, in input order. Like every transform it is pure (see the
+// package comment), and it must not retain the record or its value after it
+// returns: over a CoGroup the engine may hand it a view of scratch memory
+// that the next call reuses (see CoGroupKeep).
 func (g *Graph) Filter(parent *RDD, name string, pred func(record.Record) bool) *RDD {
-	return g.narrowChild(parent, name, true, 0.6,
+	r := g.narrowChild(parent, name, true, 0.6,
 		func(_ int, inputs [][]record.Record) []record.Record {
 			in := inputs[0]
 			kp := keepPool.Get().(*[]int32)
@@ -267,6 +279,8 @@ func (g *Graph) Filter(parent *RDD, name string, pred func(record.Record) bool) 
 			keepPool.Put(kp)
 			return out
 		})
+	r.FilterPred = pred
+	return r
 }
 
 // MapPartitions applies f to whole partitions. preservesPartitioning as in
@@ -377,6 +391,9 @@ func (g *Graph) CoGroup(name string, p partition.Partitioner, parents ...*RDD) *
 		panic("rdd: CoGroup needs at least one parent")
 	}
 	n := len(parents)
+	keepT := func(inputs [][]record.Record, keep func(record.Record) bool, measure bool) ([]record.Record, int64) {
+		return record.CoGroupRecords(inputs[:n], keep, measure)
+	}
 	return g.add(&RDD{
 		Name:        name,
 		Parts:       p.NumPartitions(),
@@ -385,9 +402,11 @@ func (g *Graph) CoGroup(name string, p partition.Partitioner, parents ...*RDD) *
 		Deps:        g.coGroupDeps(p, parents),
 		Namespace:   sharedNamespace(parents),
 		Transform: func(_ int, inputs [][]record.Record) []record.Record {
-			return record.CoGroupRecords(inputs[:n])
+			out, _ := keepT(inputs, nil, false)
+			return out
 		},
-		CostFactor: 2.0,
+		CoGroupKeep: keepT,
+		CostFactor:  2.0,
 	})
 }
 

@@ -259,6 +259,46 @@ func BenchmarkSizeOfSlice(b *testing.B) {
 	}
 }
 
+// taxiCoGroups are 64 co-group calls of taxi-window's query shape: 2–5
+// window steps of a fine partition, up to 64 rows in all, keyed by 16-digit
+// hex Z-codes (zorder.Key's format) drawn from 256 cells so a cell recurs
+// across steps. taxiKeep keeps the cells below 16, about 1/16 of the keys,
+// as the query's depth-2 region does.
+func taxiCoGroups() [][][]Record {
+	rng := rand.New(rand.NewSource(1))
+	calls := make([][][]Record, 64)
+	for c := range calls {
+		sides := make([][]Record, 2+rng.Intn(4))
+		for s := range sides {
+			sides[s] = make([]Record, rng.Intn(64/len(sides)+1))
+			for i := range sides[s] {
+				sides[s][i] = Pair(fmt.Sprintf("%016x", 4096*c+rng.Intn(256)), int64(i))
+			}
+		}
+		calls[c] = sides
+	}
+	return calls
+}
+
+func taxiKeep(r Record) bool { return r.Key[14] == '0' }
+
+// BenchmarkCoGroupTaxiShape runs the co-group kernel over taxiCoGroups,
+// one call per op: unfiltered, and keeping taxiKeep's 1/16.
+func BenchmarkCoGroupTaxiShape(b *testing.B) {
+	calls := taxiCoGroups()
+	for _, arm := range []struct {
+		name string
+		keep func(Record) bool
+	}{{"keep-all", nil}, {"keep-1/16", taxiKeep}} {
+		b.Run(arm.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				CoGroupRecords(calls[i%len(calls)], arm.keep, false)
+			}
+		})
+	}
+}
+
 // TestKernelAllocCeilings is the allocation gate on the record kernels, at
 // the shapes the benchmarks above use: sorted grouping measures ~5 allocs/op
 // (the map-of-slices path it replaced took 7578), and the join 2 at both its
@@ -267,7 +307,9 @@ func BenchmarkSizeOfSlice(b *testing.B) {
 // (it took one box per row before); its sort entries and radix buffer come
 // from pooled scratch. The wide map task's partition kernel, with warm
 // scratch, allocates exactly what escapes: the permutation, the key slab, the
-// span table and the header; its radix tables come from the scratch. A change that
+// span table and the header; its radix tables come from the scratch. A
+// co-group whose keep predicate rejects every group allocates nothing: its
+// carve and view live in the pooled scratch. A change that
 // re-introduces per-record or per-group allocation fails here;
 // TestCoGroupAllocCeilings holds the cogroup entry point the same way.
 func TestKernelAllocCeilings(t *testing.T) {
@@ -275,6 +317,7 @@ func TestKernelAllocCeilings(t *testing.T) {
 	left, right := benchData(8000, 1200), benchData(8000, 1200)
 	batchLeft, batchRight := joinPartition()
 	wide, wideIdx := wideMapTask()
+	taxi := taxiCoGroups()[0]
 	var scr Scratch
 	for _, tc := range []struct {
 		name    string
@@ -285,7 +328,11 @@ func TestKernelAllocCeilings(t *testing.T) {
 		{"JoinRecords", 16, func() { JoinRecords(left, right) }},
 		{"JoinRecords batch shape", 4, func() { JoinRecords(batchLeft, batchRight) }},
 		{"PartitionRowsWide", 4, func() { PartitionRows(wide, wideIdx, 8000, &scr); scr.Reset() }},
+		{"CoGroupRecords keeping no group", 0, func() { CoGroupRecords(taxi, func(Record) bool { return false }, true) }},
 	} {
+		if tc.ceiling == 0 && raceEnabled {
+			continue // sync.Pool drops a quarter of its Puts under the race detector, so the scratch is not always warm
+		}
 		if got := testing.AllocsPerRun(5, tc.run); got > tc.ceiling {
 			t.Errorf("%s: %.0f allocs/op, ceiling %.0f", tc.name, got, tc.ceiling)
 		}

@@ -18,6 +18,12 @@ type groupScratch struct {
 	i32 arena.Pool[int32]
 	u64 arena.Pool[uint64]
 	ent arena.Pool[keyEntry]
+
+	// vals is a filtered co-group's carve and view the value of the record
+	// its keep predicate sees, view.Groups pointing into vals. Both hold the
+	// caller's values, so the kernel clears them before release.
+	vals []any
+	view CoGroupedSides
 }
 
 var groupScratchPool = sync.Pool{New: func() any { return new(groupScratch) }}
@@ -366,11 +372,11 @@ func (cg *coGrouping) sortedIDs() []int32 {
 	return ids
 }
 
-// carve copies every group's values into one backing array — groups in the
-// given order, a permutation of the group ids; a group's sides in side
-// order; a side's values in input order — and returns it with, per (group,
-// side), the end of that run.
-func (cg *coGrouping) carve(order []int32) (backing []any, ends []int32) {
+// carve copies every group's values into backing, which must hold every
+// record of the sides — groups in the given order, a permutation of the
+// group ids; a group's sides in side order; a side's values in input order
+// — and returns, per (group, side), the end of that run.
+func (cg *coGrouping) carve(order []int32, backing []any) (ends []int32) {
 	ns := len(cg.sides)
 	pos := cg.sc.i32.Take(cg.ngroups * ns)
 	off := int32(0)
@@ -380,7 +386,6 @@ func (cg *coGrouping) carve(order []int32) (backing []any, ends []int32) {
 			off += cg.counts[k]
 		}
 	}
-	backing = make([]any, off)
 	i := 0
 	for s, side := range cg.sides {
 		for j := range side {
@@ -390,7 +395,7 @@ func (cg *coGrouping) carve(order []int32) (backing []any, ends []int32) {
 			i++
 		}
 	}
-	return backing, pos
+	return pos
 }
 
 // run returns side s of group g as carved: a cap-limited view of the
@@ -425,7 +430,8 @@ func GroupByKeySorted(rs []Record) []Grouped {
 	sides := [1][]Record{rs}
 	cg := sc.group(sides[:])
 	order := cg.sortedIDs()
-	backing, ends := cg.carve(order)
+	backing := make([]any, len(rs))
+	ends := cg.carve(order, backing)
 	groups := make([]Grouped, len(order))
 	for i, g := range order {
 		groups[i] = Grouped{Key: cg.key(g), Values: cg.run(backing, ends, g, 0)}
@@ -588,30 +594,160 @@ func JoinRecords(left, right []Record) []Record {
 // CoGroupRecords groups the sides' values by key into CoGrouped values, one
 // record per distinct key in first-seen order (sides in order, records in
 // order); Groups[s] holds side s's values in input order and is nil when the
-// side lacks the key. All value runs share one backing array, all Groups
-// headers another and all CoGrouped values point into a third, so a call
-// allocates the same handful of objects whatever its key count.
+// side lacks the key. A nil keep keeps every group; otherwise the output
+// holds only the groups keep accepts, in the same order, as if the full
+// output had been filtered by it. When measure is set, raw is SizeOfSlice of
+// the full, unfiltered output.
+//
+// Every group escapes when keep is nil, so the values are carved straight
+// into the output's backing array. Otherwise they are carved into pooled
+// scratch first, and keep runs once per group, in output order, on a record
+// whose value views that scratch: keep must not retain it (under
+// STARK_CHECK_COW=1 the view is poisoned after every call). Only then is the
+// output allocated. Either way it is one backing array for the value runs,
+// one for their Groups headers, one slab the CoGrouped values point into and
+// the records, so a call allocates the same handful of objects whatever its
+// key count, and none when keep accepts no group (it returns nil then).
 //
 //starklint:hotpath
-func CoGroupRecords(sides [][]Record) []Record {
+func CoGroupRecords(sides [][]Record, keep func(Record) bool, measure bool) (out []Record, raw int64) {
 	sc := getScratch()
 	cg := sc.group(sides)
-	order := cg.ids()
-	backing, ends := cg.carve(order)
-	ns := len(sides)
-	headers := make([][]any, cg.ngroups*ns)
-	slab := make([]CoGroupedSides, cg.ngroups)
-	out := make([]Record, cg.ngroups)
-	for _, g := range order {
-		groups := headers[int(g)*ns : (int(g)+1)*ns : (int(g)+1)*ns]
+	if measure {
+		raw = cg.rawSize()
+	}
+	ids := cg.ids()
+	n := len(cg.gidOf)
+	if keep == nil {
+		backing := make([]any, n)
+		out = cg.build(ids, backing, cg.carve(ids, backing), nil)
+	} else {
+		if cap(sc.vals) < n {
+			sc.vals = make([]any, max(n, 2*cap(sc.vals)))
+		}
+		carved := sc.vals[:n]
+		ends := cg.carve(ids, carved)
+		if kept, nvals := cg.choose(carved, ends, keep); len(kept) > 0 {
+			out = cg.build(kept, make([]any, nvals), ends, carved)
+		}
+		sc.dropValues(carved)
+	}
+	sc.release()
+	return out, raw
+}
+
+// rawSize is SizeOfSlice of the co-group's full output, summed from the
+// grouping without building it: per group a record with its key and a
+// CoGrouped of len(sides) value runs, plus every value once.
+func (cg *coGrouping) rawSize() int64 {
+	ns := int64(len(cg.sides))
+	s := int64(sliceOverhead)
+	for g := int32(0); g < int32(cg.ngroups); g++ {
+		s += recordOverhead + stringOverhead + int64(len(cg.key(g))) + (1+ns)*sliceOverhead
+	}
+	for _, side := range cg.sides {
+		for j := range side {
+			s += 8 + SizeOf(side[j].Value)
+		}
+	}
+	return s
+}
+
+// groupSpan returns where group g's values lie in a carve in id order: its
+// sides' runs back to back.
+func (cg *coGrouping) groupSpan(ends []int32, g int32) (lo, hi int32) {
+	ns := len(cg.sides)
+	k := int(g) * ns
+	return ends[k] - cg.counts[k], ends[k+ns-1]
+}
+
+// choose runs keep on every group of a carve in id order and returns the
+// ids of the groups it accepts, ascending, with their value count. The
+// record keep sees views the carve through sc.view; under STARK_CHECK_COW=1
+// its runs are replaced by poisonRun when keep returns.
+func (cg *coGrouping) choose(backing []any, ends []int32, keep func(Record) bool) (kept []int32, nvals int) {
+	sc := cg.sc
+	ns := len(cg.sides)
+	hdr := sc.view.Groups
+	if cap(hdr) < ns {
+		hdr = make([][]any, ns)
+	}
+	hdr = hdr[:ns]
+	sc.view.Groups = hdr
+	cow := CowCheckEnabled()
+	kept = sc.i32.Take(cg.ngroups)
+	m := 0
+	for g := int32(0); g < int32(cg.ngroups); g++ {
+		for s := range hdr {
+			hdr[s] = cg.run(backing, ends, g, s)
+		}
+		ok := keep(Record{Key: cg.key(g), Value: &sc.view})
+		if cow {
+			for s := range hdr {
+				hdr[s] = poisonRun
+			}
+		}
+		if ok {
+			kept[m] = g
+			m++
+			lo, hi := cg.groupSpan(ends, g)
+			nvals += int(hi - lo)
+		}
+	}
+	return kept[:m], nvals
+}
+
+// build returns the output of the kept groups (ascending ids) of a carve
+// in id order, their value runs in backing: the carve itself, or, when
+// carved is set, a backing sized for the kept groups' values, which build
+// moves there from carved.
+func (cg *coGrouping) build(kept []int32, backing []any, ends []int32, carved []any) []Record {
+	ns := len(cg.sides)
+	headers := make([][]any, len(kept)*ns)
+	slab := make([]CoGroupedSides, len(kept))
+	out := make([]Record, len(kept))
+	off := int32(0)
+	for i, g := range kept {
+		if carved != nil {
+			lo, hi := cg.groupSpan(ends, g)
+			copy(backing[off:], carved[lo:hi])
+			for k := int(g) * ns; k < (int(g)+1)*ns; k++ {
+				ends[k] += off - lo // the run now ends there in backing
+			}
+			off += hi - lo
+		}
+		groups := headers[i*ns : (i+1)*ns : (i+1)*ns]
 		for s := range groups {
 			groups[s] = cg.run(backing, ends, g, s)
 		}
-		slab[g] = CoGroupedSides{Groups: groups}
-		out[g] = Record{Key: cg.key(g), Value: &slab[g]}
+		slab[i] = CoGroupedSides{Groups: groups}
+		out[i] = Record{Key: cg.key(g), Value: &slab[i]}
 	}
-	sc.release()
 	return out
+}
+
+// cowPoisoned is what a keep predicate's view holds once keep has returned,
+// under STARK_CHECK_COW=1: a predicate that kept its argument reads it.
+type cowPoisoned struct{}
+
+func (cowPoisoned) String() string {
+	return "record: co-group view read after its keep predicate returned"
+}
+
+var poisonRun = []any{cowPoisoned{}}
+
+// dropValues clears the carve and the view's headers, so the pooled scratch
+// pins none of the caller's values; under STARK_CHECK_COW=1 the carve is
+// poisoned instead, so a run keep retained reads poisonRun's value too.
+func (sc *groupScratch) dropValues(carved []any) {
+	if CowCheckEnabled() {
+		for i := range carved {
+			carved[i] = poisonRun[0]
+		}
+		return // choose left the view's headers on poisonRun
+	}
+	clear(carved)
+	clear(sc.view.Groups)
 }
 
 // SortedByKey returns the records in ascending key order, records with

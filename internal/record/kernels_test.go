@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"stark/internal/record"
@@ -30,7 +31,8 @@ func naiveJoin(left, right []record.Record) []record.Record {
 }
 
 // checkKernels holds every entry point of the kernel to its reference on the
-// given sides: CoGroupRecords over all of them, JoinRecords over each
+// given sides: CoGroupRecords over all of them, unfiltered and through
+// checkCoGroupKeeps' predicates, JoinRecords over each
 // adjacent pair and over each side with one record per its keys, both ways
 // round (so every key matches, whatever population the sides drew),
 // GroupByKeySorted and SortedByKey over each side.
@@ -41,7 +43,8 @@ func checkKernels(t *testing.T, sides [][]record.Record) {
 		snapshot[s] = append([]record.Record(nil), sides[s]...)
 	}
 
-	got, want := record.CoGroupRecords(sides), record.CoGroupNaive(sides)
+	got, _ := record.CoGroupRecords(sides, nil, false)
+	want := record.CoGroupNaive(sides)
 	if len(got) != len(want) {
 		t.Fatalf("cogroup: %d keys, want %d", len(got), len(want))
 	}
@@ -50,6 +53,7 @@ func checkKernels(t *testing.T, sides [][]record.Record) {
 			t.Fatalf("cogroup: record %d = %#v, want %#v", i, got[i], want[i])
 		}
 	}
+	checkCoGroupKeeps(t, sides, got)
 
 	join := func(name string, left, right []record.Record) {
 		t.Helper()
@@ -97,6 +101,116 @@ func checkKernels(t *testing.T, sides [][]record.Record) {
 	for s := range sides {
 		if len(sides[s]) != len(snapshot[s]) || (len(sides[s]) > 0 && !reflect.DeepEqual(sides[s], snapshot[s])) {
 			t.Fatalf("a kernel mutated side %d", s)
+		}
+	}
+}
+
+// checkCoGroupKeeps holds CoGroupRecords with a keep predicate to the
+// unfiltered output full, filtered after the fact, for four predicates:
+// keep every group, keep none, keep a key range, and keep by the values.
+// Each result must equal the filtered output record for record (nil when
+// nothing is kept), the raw size must be SizeOfSlice(full), and keep must
+// be called once per group, in output order, on a record equal to the
+// output's.
+func checkCoGroupKeeps(t *testing.T, sides [][]record.Record, full []record.Record) {
+	t.Helper()
+	keys := make([]string, len(full))
+	for i, r := range full {
+		keys[i] = r.Key
+	}
+	sort.Strings(keys)
+	lo, hi := "", ""
+	if len(keys) > 0 {
+		lo, hi = keys[len(keys)/4], keys[len(keys)/2]
+	}
+	for _, tc := range []struct {
+		name string
+		keep func(record.Record) bool
+	}{
+		{"keep all", func(record.Record) bool { return true }},
+		{"keep none", func(record.Record) bool { return false }},
+		{"key range", func(r record.Record) bool { return r.Key >= lo && r.Key <= hi }},
+		{"by value", func(r record.Record) bool {
+			sum := 0
+			for _, g := range r.Value.(record.CoGrouped).Groups {
+				for _, v := range g {
+					sum += v.(int)
+				}
+			}
+			return sum%3 != 1
+		}},
+	} {
+		seen := 0
+		keep := func(r record.Record) bool {
+			if seen >= len(full) || !reflect.DeepEqual(r, full[seen]) {
+				t.Fatalf("%s: call %d of keep saw %#v, want output record %d of %d", tc.name, seen, r, seen, len(full))
+			}
+			seen++
+			return tc.keep(r)
+		}
+		got, raw := record.CoGroupRecords(sides, keep, true)
+		if seen != len(full) {
+			t.Fatalf("%s: keep called %d times, want once per group (%d)", tc.name, seen, len(full))
+		}
+		if want := record.SizeOfSlice(full); raw != want {
+			t.Fatalf("%s: raw size %d, the unfiltered output measures %d", tc.name, raw, want)
+		}
+		var want []record.Record
+		for _, r := range full {
+			if tc.keep(r) {
+				want = append(want, r)
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: got %d records %v, want %d %v", tc.name, len(got), got, len(want), want)
+		}
+		for i := range got {
+			for s, run := range got[i].Value.(record.CoGrouped).Groups {
+				if cap(run) != len(run) {
+					t.Fatalf("%s: key %q side %d can be appended into its neighbour", tc.name, got[i].Key, s)
+				}
+			}
+		}
+	}
+	if _, raw := record.CoGroupRecords(sides, nil, false); raw != 0 {
+		t.Fatalf("unmeasured call returned raw size %d", raw)
+	}
+}
+
+// TestCoGroupKeepViewIsPoisoned checks the copy-on-write guard on keep's
+// argument: with STARK_CHECK_COW=1, a predicate that retains the record, or
+// a value run it read, finds every value replaced by the poison once the
+// kernel returns, so a retaining predicate changes what its caller computes.
+func TestCoGroupKeepViewIsPoisoned(t *testing.T) {
+	prev := record.SetCowCheckForTesting(true)
+	defer record.SetCowCheckForTesting(prev)
+	sides := [][]record.Record{
+		{record.Pair("a", 1), record.Pair("b", 2)},
+		{record.Pair("a", 3)},
+	}
+	var kept []record.Record
+	var runs [][]any
+	out, _ := record.CoGroupRecords(sides, func(r record.Record) bool {
+		kept = append(kept, r)
+		runs = append(runs, r.Value.(record.CoGrouped).Groups[0])
+		return r.Key == "a"
+	}, false)
+	if len(out) != 1 || !reflect.DeepEqual(out[0].Value.(record.CoGrouped).Groups, [][]any{{1}, {3}}) {
+		t.Fatalf("output %v, want key a with [[1] [3]]", out)
+	}
+	poisoned := func(v any) bool {
+		return strings.Contains(fmt.Sprint(v), "after its keep predicate returned")
+	}
+	for _, r := range kept {
+		for _, run := range r.Value.(record.CoGrouped).Groups {
+			if len(run) != 1 || !poisoned(run[0]) {
+				t.Fatalf("retained view of %q reads %v after the call, want the poison", r.Key, run)
+			}
+		}
+	}
+	for i, run := range runs {
+		if len(run) != 1 || !poisoned(run[0]) {
+			t.Fatalf("retained run %d reads %v after the call, want the poison", i, run)
 		}
 	}
 }
@@ -319,14 +433,14 @@ func TestCoGroupAllocCeilings(t *testing.T) {
 	const ceiling = 16
 	for _, shape := range []struct{ perSide, keys int }{{6000, 1500}, {100_000, 100_000}} {
 		big := mk(3, shape.perSide, shape.keys)
-		if got := testing.AllocsPerRun(5, func() { record.CoGroupRecords(big) }); got > ceiling {
+		if got := testing.AllocsPerRun(5, func() { record.CoGroupRecords(big, nil, false) }); got > ceiling {
 			t.Errorf("3x%d records over %d keys: %.0f allocs/op, ceiling %d at any key count", shape.perSide, shape.keys, got, ceiling)
 		}
 	}
 	// The taxi-window shape: a handful of records a side. The arenas and the
 	// pool must not cost a tiny call more than the map cost it.
 	tiny := mk(4, 8, 12)
-	kernel := testing.AllocsPerRun(50, func() { record.CoGroupRecords(tiny) })
+	kernel := testing.AllocsPerRun(50, func() { record.CoGroupRecords(tiny, nil, false) })
 	naive := testing.AllocsPerRun(50, func() { record.CoGroupNaive(tiny) })
 	if kernel > naive {
 		t.Errorf("4x8 records: kernel %.0f allocs/op, the map version %.0f", kernel, naive)

@@ -50,7 +50,10 @@ func (r *RDD) FlatMap(f func(Record) []Record) *RDD {
 	return &RDD{ctx: r.ctx, r: r.ctx.eng.Graph().FlatMap(r.r, "flatMap", f)}
 }
 
-// Filter keeps records satisfying pred; partitioning is preserved.
+// Filter keeps records satisfying pred; partitioning is preserved. pred
+// must be pure and must not retain the record or its value after it
+// returns: over a CoGroup it may be handed a view that the next call
+// reuses.
 func (r *RDD) Filter(pred func(Record) bool) *RDD {
 	return &RDD{ctx: r.ctx, r: r.ctx.eng.Graph().Filter(r.r, "filter", pred)}
 }
