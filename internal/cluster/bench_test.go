@@ -47,12 +47,27 @@ func taxiShapeCluster() *Cluster {
 	return c
 }
 
+// taxiBlocksCluster is the taxi-window query's cache: 15 window-step RDDs
+// of 256 partitions each, partition p cached on executor p%8.
+func taxiBlocksCluster() *Cluster {
+	const execs, rdds, parts = 8, 15, 256
+	cfg := config.Default()
+	cfg.NumExecutors = execs
+	c := New(cfg)
+	for r := 0; r < rdds; r++ {
+		for p := 0; p < parts; p++ {
+			c.CachePut(p%execs, BlockID{RDD: 3 + 4*r, Partition: p}, nil, 1024)
+		}
+	}
+	return c
+}
+
 var unitsSink int
 
 // BenchmarkBlockStorePeekHit is the plane's cache-hit read: one packed-key
-// lookup in an executor's store.
+// lookup in an executor's store, over the taxi-window query's cache.
 func BenchmarkBlockStorePeekHit(b *testing.B) {
-	c := taxiShapeCluster()
+	c := taxiBlocksCluster()
 	s := c.Executor(3).Store
 	ids := s.Blocks()
 	b.ReportAllocs()

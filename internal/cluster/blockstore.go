@@ -69,15 +69,16 @@ const nilSlot int32 = -1
 // (0, 1]; Capacity reports the shrunk bound so every consumer
 // (GC model, put path) sees the same squeezed world.
 //
-// The blocks live by value in one slot table: index maps a block to its
-// slot, the slots form an int32-linked recency list from head (most
-// recently used) to tail, and evicted slots go on a free list the next put
-// reuses, so caching a block allocates nothing once the table has grown.
+// The blocks live by value in one slot table: index (a KeyTable) maps a
+// block to its slot, the slots form an int32-linked recency list from head
+// (most recently used) to tail, and evicted slots go on a free list the
+// next put reuses, so caching a block allocates nothing once the table has
+// grown.
 type BlockStore struct {
 	capacity int64
 	used     int64
 	slots    []blockEntry
-	index    map[BlockKey]int32
+	index    KeyTable
 	head     int32
 	tail     int32
 	free     int32
@@ -91,7 +92,6 @@ type BlockStore struct {
 func NewBlockStore(capacity int64) *BlockStore {
 	return &BlockStore{
 		capacity: capacity,
-		index:    make(map[BlockKey]int32),
 		head:     nilSlot,
 		tail:     nilSlot,
 		free:     nilSlot,
@@ -136,19 +136,18 @@ func (s *BlockStore) Capacity() int64 {
 func (s *BlockStore) Used() int64 { return s.used }
 
 // Len reports the number of cached blocks.
-func (s *BlockStore) Len() int { return len(s.index) }
+func (s *BlockStore) Len() int { return s.index.Len() }
 
 // Contains reports whether the block is cached, without touching LRU order.
 func (s *BlockStore) Contains(id BlockID) bool {
-	_, ok := s.index[id.Key()]
-	return ok
+	return s.index.Has(id.Key())
 }
 
 // Get returns the cached data and marks the block most recently used.
 //
 //starklint:hotpath
 func (s *BlockStore) Get(id BlockID) ([]record.Record, bool) {
-	i, ok := s.index[id.Key()]
+	i, ok := s.index.Get(id.Key())
 	if !ok {
 		return nil, false
 	}
@@ -163,7 +162,7 @@ func (s *BlockStore) Get(id BlockID) ([]record.Record, bool) {
 //
 //starklint:hotpath
 func (s *BlockStore) Peek(id BlockID) ([]record.Record, bool) {
-	i, ok := s.index[id.Key()]
+	i, ok := s.index.Get(id.Key())
 	if !ok {
 		return nil, false
 	}
@@ -224,7 +223,7 @@ func (s *BlockStore) PutChecked(id BlockID, data []record.Record, bytes int64) (
 	}
 	key := id.Key()
 	var current int64 // bytes already held by this id (re-put case)
-	cur, exists := s.index[key]
+	cur, exists := s.index.Get(key)
 	if exists {
 		current = s.slots[cur].bytes
 	}
@@ -238,7 +237,7 @@ func (s *BlockStore) PutChecked(id BlockID, data []record.Record, bytes int64) (
 			return nil, PutTooLarge
 		}
 		for _, vid := range plan.Victims {
-			if i, ok := s.index[vid.Key()]; ok && vid != id {
+			if i, ok := s.index.Get(vid.Key()); ok && vid != id {
 				s.removeSlot(i)
 				//starklint:ignore hotalloc only a put that must make room evicts, and the victim list is what it returns
 				evicted = append(evicted, vid)
@@ -255,14 +254,14 @@ func (s *BlockStore) PutChecked(id BlockID, data []record.Record, bytes int64) (
 	i := s.alloc()
 	s.slots[i] = blockEntry{id: id, data: data, bytes: bytes}
 	s.pushFront(i)
-	s.index[key] = i
+	s.index.Put(key, i)
 	s.used += bytes
 	return evicted, PutStored
 }
 
 // Remove drops a block if present, reporting whether it was cached.
 func (s *BlockStore) Remove(id BlockID) bool {
-	i, ok := s.index[id.Key()]
+	i, ok := s.index.Get(id.Key())
 	if !ok {
 		return false
 	}
@@ -273,7 +272,7 @@ func (s *BlockStore) Remove(id BlockID) bool {
 // removeSlot unlinks a held slot, forgets its block and frees the slot.
 func (s *BlockStore) removeSlot(i int32) {
 	s.unlink(i)
-	delete(s.index, s.slots[i].id.Key())
+	s.index.Delete(s.slots[i].id.Key())
 	s.used -= s.slots[i].bytes
 	// Zeroing drops the data reference: an evicted block pins nothing.
 	s.slots[i] = blockEntry{next: s.free}
@@ -326,7 +325,7 @@ func (s *BlockStore) touch(i int32) {
 
 // Blocks returns the cached block ids, most recently used first.
 func (s *BlockStore) Blocks() []BlockID {
-	out := make([]BlockID, 0, len(s.index))
+	out := make([]BlockID, 0, s.index.Len())
 	for i := s.head; i != nilSlot; i = s.slots[i].next {
 		out = append(out, s.slots[i].id)
 	}
@@ -338,17 +337,20 @@ func (s *BlockStore) Clear() []BlockID {
 	ids := s.Blocks()
 	clear(s.slots)
 	s.slots = s.slots[:0]
-	clear(s.index)
+	s.index.Clear()
 	s.head, s.tail, s.free = nilSlot, nilSlot, nilSlot
 	s.used = 0
 	return ids
 }
 
-// check verifies the table against itself: the recency list and the free
-// list together cover every slot once, each listed slot is indexed under
-// its own block, a free slot holds no data, and used is the sum of the
-// held bytes.
+// check verifies the table against itself: the index is sound, the
+// recency list and the free list together cover every slot once, each
+// listed slot is indexed under its own block, a free slot holds no data,
+// and used is the sum of the held bytes.
 func (s *BlockStore) check() error {
+	if err := s.index.check(); err != nil {
+		return err
+	}
 	var held int
 	var bytes int64
 	prev := nilSlot
@@ -360,7 +362,7 @@ func (s *BlockStore) check() error {
 		if e.prev != prev {
 			return fmt.Errorf("cluster: slot %d of %v links back to %d, not %d", i, e.id, e.prev, prev)
 		}
-		if j, ok := s.index[e.id.Key()]; !ok || j != i {
+		if j, ok := s.index.Get(e.id.Key()); !ok || j != i {
 			return fmt.Errorf("cluster: slot %d holds %v, which the index puts at %d (indexed %v)", i, e.id, j, ok)
 		}
 		bytes += e.bytes
@@ -369,8 +371,8 @@ func (s *BlockStore) check() error {
 	if prev != s.tail {
 		return fmt.Errorf("cluster: recency list ends at %d, tail is %d", prev, s.tail)
 	}
-	if held != len(s.index) {
-		return fmt.Errorf("cluster: recency list holds %d blocks, index %d", held, len(s.index))
+	if held != s.index.Len() {
+		return fmt.Errorf("cluster: recency list holds %d blocks, index %d", held, s.index.Len())
 	}
 	if bytes != s.used {
 		return fmt.Errorf("cluster: held blocks sum to %d bytes, used is %d", bytes, s.used)

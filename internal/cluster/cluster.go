@@ -297,11 +297,15 @@ func (c *Cluster) CheckConsistency() error {
 	return c.checkUnitIndex()
 }
 
-// checkDirectory walks the directory's slots: each held slot must be
-// indexed under its block and list only live executors that cache it, and
-// the held and free slots must account for the whole slab.
+// checkDirectory checks the directory's index against itself, then walks
+// its slots: each held slot must be indexed under its block and list only
+// live executors that cache it, and the held and free slots must account
+// for the whole slab.
 func (c *Cluster) checkDirectory() error {
 	d := &c.directory
+	if err := d.index.check(); err != nil {
+		return err
+	}
 	held := 0
 	for s, key := range d.keys {
 		h := d.slot(int32(s))
@@ -310,7 +314,7 @@ func (c *Cluster) checkDirectory() error {
 		}
 		held++
 		id := key.ID()
-		if got, ok := d.index[key]; !ok || got != int32(s) {
+		if got, ok := d.index.Get(key); !ok || got != int32(s) {
 			return fmt.Errorf("cluster: directory slot %d lists %v, which the index puts at %d (indexed %v)", s, id, got, ok)
 		}
 		for exec := nextHolder(h, 0); exec >= 0; exec = nextHolder(h, exec+1) {
@@ -326,8 +330,8 @@ func (c *Cluster) checkDirectory() error {
 			}
 		}
 	}
-	if held != len(d.index) {
-		return fmt.Errorf("cluster: directory indexes %d blocks but %d slots list a holder: some entry is empty", len(d.index), held)
+	if held != d.index.Len() {
+		return fmt.Errorf("cluster: directory indexes %d blocks but %d slots list a holder: some entry is empty", d.index.Len(), held)
 	}
 	if held+len(d.free) != len(d.keys) {
 		return fmt.Errorf("cluster: directory has %d held and %d free slots in a slab of %d", held, len(d.free), len(d.keys))

@@ -108,7 +108,8 @@ func TestBlockStoreCapacityInvariantQuick(t *testing.T) {
 		// must hold together.
 		var sum int64
 		for _, id := range s.Blocks() {
-			sum += s.slots[s.index[id.Key()]].bytes
+			i, _ := s.index.Get(id.Key())
+			sum += s.slots[i].bytes
 		}
 		return sum == s.Used() && s.check() == nil
 	}
@@ -257,8 +258,13 @@ func TestCheckConsistencyDetectsDrift(t *testing.T) {
 		"directory add": func(c *Cluster) { c.directory.add(BlockID{1, 0}.Key(), 2) },
 		// A block's holder set empties without freeing its slot.
 		"empty entry": func(c *Cluster) {
-			s := c.directory.index[BlockID{2, 0}.Key()]
+			s, _ := c.directory.index.Get(BlockID{2, 0}.Key())
 			clear(c.directory.slot(s))
+		},
+		// A store's index loses a key's cell without shifting its chain.
+		"index hole": func(c *Cluster) {
+			ix := &c.Executor(0).Store.index
+			ix.cells[ix.find(BlockID{1, 0}.Key())] = keyCell{}
 		},
 		// The recency list skips a held block.
 		"recency link": func(c *Cluster) {

@@ -7,24 +7,21 @@ import (
 
 // blockDirectory maps each cached block to the set of executors holding a
 // replica, as a bitset of words uint64s per block. The bitsets are
-// slots carved from one slab: index maps a block to its slot, keys names
-// each held slot's block, and a slot whose last holder leaves goes on a free
-// list the next new block reuses, so recording a replica allocates nothing
-// once the slab has grown. A held slot is never all zero and a free slot
+// slots carved from one slab: index (a KeyTable) maps a block to its slot,
+// keys names each held slot's block, and a slot whose last holder leaves
+// goes on a free list the next new block reuses, so recording a replica
+// allocates nothing once the slab has grown. A held slot is never all zero and a free slot
 // always is. Holders iterate in ascending executor order.
 type blockDirectory struct {
 	words int
-	index map[BlockKey]int32
+	index KeyTable
 	keys  []BlockKey
 	bits  []uint64
 	free  []int32
 }
 
 func newBlockDirectory(executors int) blockDirectory {
-	return blockDirectory{
-		words: max(1, (executors+63)/64),
-		index: make(map[BlockKey]int32),
-	}
+	return blockDirectory{words: max(1, (executors+63)/64)}
 }
 
 // slot returns slot s's holder words.
@@ -35,7 +32,7 @@ func (d *blockDirectory) slot(s int32) []uint64 {
 
 // holders returns a block's holder words; nil when it is cached nowhere.
 func (d *blockDirectory) holders(key BlockKey) []uint64 {
-	s, ok := d.index[key]
+	s, ok := d.index.Get(key)
 	if !ok {
 		return nil
 	}
@@ -50,10 +47,10 @@ func (d *blockDirectory) has(key BlockKey, exec int) bool {
 
 // add records a replica on exec, reporting false if it was already listed.
 func (d *blockDirectory) add(key BlockKey, exec int) bool {
-	s, ok := d.index[key]
+	s, ok := d.index.Get(key)
 	if !ok {
 		s = d.alloc(key)
-		d.index[key] = s
+		d.index.Put(key, s)
 	}
 	w, bit := &d.slot(s)[exec/64], uint64(1)<<(exec%64)
 	if *w&bit != 0 {
@@ -66,7 +63,7 @@ func (d *blockDirectory) add(key BlockKey, exec int) bool {
 // remove forgets a replica on exec, freeing the block's slot when it was
 // the last one.
 func (d *blockDirectory) remove(key BlockKey, exec int) {
-	s, ok := d.index[key]
+	s, ok := d.index.Get(key)
 	if !ok {
 		return
 	}
@@ -75,7 +72,7 @@ func (d *blockDirectory) remove(key BlockKey, exec int) {
 	if !isEmpty(h) {
 		return
 	}
-	delete(d.index, key)
+	d.index.Delete(key)
 	d.free = append(d.free, s)
 }
 

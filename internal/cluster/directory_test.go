@@ -30,10 +30,12 @@ func naiveLocations(c *Cluster, id BlockID) []int {
 }
 
 // TestDirectoryMatchesRecount is the model-based test of the directory:
-// seeded random puts, gets, drops, DropReplicas, kills and restarts over
-// edge-case ids, with every id's Locations compared against a naive
-// ascending recount of the stores, and CheckConsistency run, after every
-// step.
+// seeded random puts, gets, drops, DropReplicas, DropUnit, Clear, kills and
+// restarts over edge-case ids, plus ids whose keys collide at the key
+// tables' last cell (tailIDs), with every id's Locations compared against a
+// naive ascending recount of the stores, and CheckConsistency run, after
+// every step. It requires that the key tables grew past their load factor,
+// wrapped a probe chain past their end and shifted keys back on a remove.
 func TestDirectoryMatchesRecount(t *testing.T) {
 	const execs = 5
 	var ids []BlockID
@@ -42,6 +44,9 @@ func TestDirectoryMatchesRecount(t *testing.T) {
 			ids = append(ids, BlockID{RDD: r, Partition: p})
 		}
 	}
+	ids = append(ids, tailIDs(1<<31-1, 3)...)
+	ids = append(ids, tailIDs(3, 3)...)
+	var cov tableCoverage
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		cfg := config.Default()
@@ -66,9 +71,23 @@ func TestDirectoryMatchesRecount(t *testing.T) {
 			case k < 55:
 				op = "get"
 				c.CacheGet(exec, randBlock())
-			case k < 65:
+			case k < 62:
 				op = "drop"
-				c.DropBlock(exec, randBlock())
+				id := randBlock()
+				cov.removing(&c.executors[exec].Store.index, id.Key())
+				c.DropBlock(exec, id)
+			case k < 66:
+				op = "drop unit"
+				u := UnitID{NS: 1 + rng.Intn(2), Unit: rng.Intn(4)}
+				c.DropUnit(exec, u)
+				if c.UnitCached(exec, u) {
+					t.Fatalf("seed %d step %d: %v still cached on %d after DropUnit", seed, step, u, exec)
+				}
+			case k < 68:
+				op = "clear"
+				for _, id := range c.executors[exec].Store.Clear() {
+					c.dropLocation(id, exec)
+				}
 			case k < 80:
 				op = "drop replicas"
 				id := randBlock()
@@ -94,8 +113,10 @@ func TestDirectoryMatchesRecount(t *testing.T) {
 			if err := c.CheckConsistency(); err != nil {
 				t.Fatalf("seed %d step %d (%s): %v", seed, step, op, err)
 			}
+			cov.observe(c)
 		}
 	}
+	cov.require(t)
 }
 
 // TestBlockKeyPacking: every packable id round-trips through its key, edge
@@ -145,33 +166,5 @@ func TestBlockKeyPacking(t *testing.T) {
 	}
 	if err := c.CheckConsistency(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestCacheHitAllocatesNothing is the runtime ceiling of the cache-hit read
-// path the planes take (CachePeek → BlockStore.Peek) and the join replays
-// (CacheGet → BlockStore.Get): no allocation per hit.
-func TestCacheHitAllocatesNothing(t *testing.T) {
-	c := taxiShapeCluster()
-	ids := c.Executor(3).Store.Blocks()
-	hits := 0
-	for name, read := range map[string]func(BlockID) bool{
-		"BlockStore.Peek":   func(id BlockID) bool { _, ok := c.Executor(3).Store.Peek(id); return ok },
-		"BlockStore.Get":    func(id BlockID) bool { _, ok := c.Executor(3).Store.Get(id); return ok },
-		"Cluster.CachePeek": func(id BlockID) bool { _, ok := c.CachePeek(3, id); return ok },
-		"Cluster.CacheGet":  func(id BlockID) bool { _, ok := c.CacheGet(3, id); return ok },
-	} {
-		if avg := testing.AllocsPerRun(100, func() {
-			for _, id := range ids {
-				if read(id) {
-					hits++
-				}
-			}
-		}); avg != 0 {
-			t.Errorf("%s allocates %.1f per sweep of hits, want 0", name, avg)
-		}
-	}
-	if hits == 0 {
-		t.Fatal("no read hit")
 	}
 }

@@ -187,12 +187,80 @@ func (m *refModel) locations(id BlockID) []int {
 	return out
 }
 
+// tailIDs returns n ids of the RDD whose keys all hash to the last cell of
+// every key table up to 256 cells: two of them held at once make a probe
+// chain that wraps past the table's end to cell 0.
+func tailIDs(rdd, n int) []BlockID {
+	var out []BlockID
+	for p := 0; len(out) < n; p++ {
+		if id := (BlockID{RDD: rdd, Partition: p}); hashKey(id.Key())>>56 == 0xff {
+			out = append(out, id)
+		}
+	}
+	return out
+}
+
+// tableCoverage records which shapes the key tables went through, so a
+// model test can require that it drove them.
+type tableCoverage struct {
+	grew, wrapped, midRemoved bool
+}
+
+// observe notes whether any of the cluster's key tables has grown past its
+// first size or holds a chain that wraps past its end.
+func (cv *tableCoverage) observe(c *Cluster) {
+	tables := []*KeyTable{&c.directory.index}
+	for _, e := range c.executors {
+		tables = append(tables, &e.Store.index)
+	}
+	for _, t := range tables {
+		cv.grew = cv.grew || len(t.cells) > minCells
+		for i, cell := range t.cells {
+			if cell.k != 0 && t.home(BlockKey(cell.k-1)) > i {
+				cv.wrapped = true
+			}
+		}
+	}
+}
+
+// removing notes, before key leaves t, whether the next cell holds a key
+// away from its home: one the backward shift must move.
+func (cv *tableCoverage) removing(t *KeyTable, key BlockKey) {
+	i := t.find(key)
+	if i < 0 {
+		return
+	}
+	j := (i + 1) & (len(t.cells) - 1)
+	if next := t.cells[j]; next.k != 0 && t.home(BlockKey(next.k-1)) != j {
+		cv.midRemoved = true
+	}
+}
+
+// require fails the test for every shape the tables never took.
+func (cv *tableCoverage) require(t *testing.T) {
+	t.Helper()
+	if !cv.grew {
+		t.Error("no key table grew past its load factor")
+	}
+	if !cv.wrapped {
+		t.Error("no probe chain wrapped past a key table's end")
+	}
+	if !cv.midRemoved {
+		t.Error("no remove from the middle of a probe chain")
+	}
+}
+
 // TestBlockTableMatchesReference is the model-based test of the block
 // tables: seeded random puts, re-puts, gets, peeks, removes, oversized and
 // pin-blocked puts, Clear, Kill, Restart and DropUnit, under the LRU and
 // the DAG policy, each step checked against the slice-ordered reference —
 // every store's Blocks order and Used, the victims and PutStatus of a put,
-// the data a read returns, every block's Locations — and CheckConsistency.
+// the data a read returns, every block's Locations — and CheckConsistency,
+// which checks every key table's chains. Besides a 6×6 grid, the ids
+// include blocks of two later RDDs (first seen in random order) whose keys
+// collide at the key tables' last cell, so chains wrap past the end and
+// removes shift keys back; the test requires that the tables grew past
+// their load factor and took both shapes.
 func TestBlockTableMatchesReference(t *testing.T) {
 	const execs, capacity = 4, 1500
 	var ids []BlockID
@@ -201,6 +269,9 @@ func TestBlockTableMatchesReference(t *testing.T) {
 			ids = append(ids, BlockID{RDD: r, Partition: p})
 		}
 	}
+	ids = append(ids, tailIDs(9, 4)...)
+	ids = append(ids, tailIDs(7, 4)...)
+	var cov tableCoverage
 	statuses := map[PutStatus]int{}
 	for _, dag := range []bool{false, true} {
 		for seed := int64(1); seed <= 12; seed++ {
@@ -287,6 +358,7 @@ func TestBlockTableMatchesReference(t *testing.T) {
 					}
 				case k < 84:
 					op = "remove"
+					cov.removing(&c.executors[exec].Store.index, id.Key())
 					c.DropBlock(exec, id)
 					m.execs[exec].remove(id)
 				case k < 87:
@@ -347,9 +419,11 @@ func TestBlockTableMatchesReference(t *testing.T) {
 				if err := c.CheckConsistency(); err != nil {
 					t.Fatalf("dag=%v seed %d step %d (%s): %v", dag, seed, step, op, err)
 				}
+				cov.observe(c)
 			}
 		}
 	}
+	cov.require(t)
 	for _, st := range []PutStatus{PutStored, PutTooLarge, PutPinnedBlocked} {
 		if statuses[st] == 0 {
 			t.Errorf("no put ended %v: the sequences miss a path", st)
@@ -399,5 +473,42 @@ func TestCachePutAllocs(t *testing.T) {
 	}
 	if err := c.CheckConsistency(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCacheLookupAllocs is the runtime ceiling of the per-block reads: a
+// plane's cache read (CachePeek → BlockStore.Peek), the join's replay
+// (CacheGet → BlockStore.Get), Contains, and AppendLocations into a dst
+// with room, over the taxi-window cache shape, hits and misses alike,
+// allocate nothing.
+func TestCacheLookupAllocs(t *testing.T) {
+	c := taxiBlocksCluster()
+	st := c.Executor(3).Store
+	ids := st.Blocks()
+	for _, id := range ids[:len(ids)/2] {
+		ids = append(ids, BlockID{RDD: id.RDD + 100, Partition: id.Partition})
+	}
+	dst := make([]int, 0, c.NumExecutors())
+	hits := 0
+	for name, read := range map[string]func(BlockID) bool{
+		"BlockStore.Peek":         func(id BlockID) bool { _, ok := st.Peek(id); return ok },
+		"BlockStore.Get":          func(id BlockID) bool { _, ok := st.Get(id); return ok },
+		"BlockStore.Contains":     st.Contains,
+		"Cluster.CachePeek":       func(id BlockID) bool { _, ok := c.CachePeek(3, id); return ok },
+		"Cluster.CacheGet":        func(id BlockID) bool { _, ok := c.CacheGet(3, id); return ok },
+		"Cluster.AppendLocations": func(id BlockID) bool { return len(c.AppendLocations(dst[:0], id)) > 0 },
+	} {
+		if avg := testing.AllocsPerRun(100, func() {
+			for _, id := range ids {
+				if read(id) {
+					hits++
+				}
+			}
+		}); avg != 0 {
+			t.Errorf("%s allocates %.1f per sweep of hits and misses, want 0", name, avg)
+		}
+	}
+	if hits == 0 {
+		t.Fatal("no read hit")
 	}
 }

@@ -63,7 +63,7 @@ func (e *Engine) installCachePolicy() {
 // goroutines; it is only mutated here, at join, while planes are quiesced).
 func (e *Engine) noteEvicted(evicted []cluster.BlockID) {
 	for _, id := range evicted {
-		e.evictedEver[id.Key()] = true
+		e.evictedEver.Put(id.Key(), 0)
 	}
 }
 

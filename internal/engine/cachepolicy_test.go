@@ -50,15 +50,15 @@ func TestEvictionStormDereplicates(t *testing.T) {
 			}
 			switch policy {
 			case "lru":
-				if len(e.evictedEver) == 0 {
+				if e.evictedEver.Len() == 0 {
 					t.Fatal("no evictions occurred; the storm no longer stresses the cache")
 				}
 			case "dag":
 				if cs := e.CacheStats(); cs.PinnedEvictionsBlocked == 0 {
 					t.Fatalf("no pinned-group refusals under dag policy (stats %v); the storm no longer stresses the cache", cs)
 				}
-				if len(e.evictedEver) != 0 {
-					t.Errorf("dag policy evicted %d blocks from pinned peer groups", len(e.evictedEver))
+				if e.evictedEver.Len() != 0 {
+					t.Errorf("dag policy evicted %d blocks from pinned peer groups", e.evictedEver.Len())
 				}
 			}
 			if err := e.Cluster().CheckConsistency(); err != nil {

@@ -97,6 +97,8 @@ type driverMemory struct {
 	loc        *locality.Manager
 	grp        *group.Manager
 	registered map[string]*collection
+	// lastNS caches collectionOf's last lookup in registered (namespace.go).
+	lastNS lastNamespace
 	// streamSteps holds the stream step tables (nil unless DriverRecovery):
 	// stream name -> step -> RDD id.
 	streamSteps map[string]map[int]int

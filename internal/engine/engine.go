@@ -178,7 +178,7 @@ type Engine struct {
 	// read-only while planes run, mutated only at join).
 	dagPol      *cluster.DAGPolicy
 	oomArmed    map[int]bool
-	evictedEver map[cluster.BlockKey]bool
+	evictedEver cluster.KeyTable
 
 	// Control-plane transport and failure detection (detect.go). The
 	// network exists even when perfect, so launch/result routing is uniform;
@@ -270,7 +270,6 @@ func New(cfg Config) *Engine {
 		collections:  make(map[string]*collection),
 		jobTab:       make(map[int]*job),
 		oomArmed:     make(map[int]bool),
-		evictedEver:  make(map[cluster.BlockKey]bool),
 		rng:          rand.New(rand.NewSource(seed)),
 	}
 	e.cl.SetUnitMapping(e.unitIDOf)
@@ -713,7 +712,7 @@ func (e *Engine) enqueueSpecs(sr *stageRun, specs []taskSpec, prefCap bool) {
 			partitions: sp.partitions,
 			coll:       sp.coll,
 			unit:       sp.unit,
-			group:      sp.coll != nil && sp.coll.tree,
+			group:      sp.coll != nil && sp.coll.tree != nil,
 			prefCap:    prefCap,
 			submitted:  e.loop.Now(),
 		}
@@ -805,11 +804,8 @@ type taskSpec struct {
 // partition otherwise — tied to the partition's unit when the RDD is a
 // member, plain when it is not.
 func (e *Engine) taskSpecs(out *rdd.RDD, c *collection) []taskSpec {
-	if c != nil && c.tree {
-		groups, err := e.grp.Groups(c.name)
-		if err != nil {
-			panic(err) // a registered collection with a tree always has one
-		}
+	if c != nil && c.tree != nil {
+		groups := c.tree.Groups()
 		specs := make([]taskSpec, 0, len(groups))
 		for _, g := range groups {
 			specs = append(specs, taskSpec{partitions: e.partRange(g.Lo, g.Hi), coll: c, unit: cluster.UnitID{NS: c.id, Unit: g.ID}})

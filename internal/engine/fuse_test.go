@@ -211,6 +211,37 @@ func fusedScenario(t *testing.T, par int, fuse bool) string {
 	}
 	checkSizes(cached, refCoGroup)
 
+	// A diamond of plane puts: d2 is a cached narrow step over the cached
+	// d1, and the cogroup reads each twice. Each partition's plane computes
+	// and puts d1, reads it back from its own overlay to compute and put d2,
+	// then takes both second reads from the overlay: 3 hits and 2 misses a
+	// partition. The collect job then reads each side from the store.
+	same := func(r record.Record) record.Record { return r }
+	d1 := g.Map(a, "d1", true, same)
+	d1.CacheFlag = true
+	d2 := g.Map(d1, "d2", true, same)
+	d2.CacheFlag = true
+	dcg := g.CoGroup("diamond", hp, d1, d2, d1, d2)
+	fused, plain = countingCoGroup(dcg)
+	wantDiamond := make([][]record.Record, parts)
+	for p := range wantDiamond {
+		for _, r := range naiveCoGroup([][]record.Record{aRows[p], aRows[p], aRows[p], aRows[p]}) {
+			if inRange(r) {
+				wantDiamond[p] = append(wantDiamond[p], r)
+			}
+		}
+	}
+	before = e.Stats()
+	nf, np = run(filter(dcg, "over-diamond", inRange), wantDiamond, fused, plain)
+	st = e.Stats()
+	if fuse && (nf != 2*parts || np != 0) {
+		t.Fatalf("%s: diamond ran fused %d and plain %d times, want %d and 0", what, nf, np, 2*parts)
+	}
+	if misses, hits := st.CacheMisses-before.CacheMisses, st.CacheHits-before.CacheHits; misses != 2*parts || hits != (3+4)*parts {
+		t.Fatalf("%s: diamond: %d misses and %d hits over two jobs, want %d and %d", what, misses, hits, 2*parts, 7*parts)
+	}
+	checkSizes(d2, aRows)
+
 	// Checkpointed parent: read back from storage, never recomputed.
 	cp := g.CoGroup("checkpointed", hp, a, b, c)
 	if _, _, err := e.Count(cp); err != nil {

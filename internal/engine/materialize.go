@@ -178,7 +178,7 @@ func (px *planeCtx) materialize(r *rdd.RDD, p int) ([]record.Record, int64, erro
 		// The block was requested from a cache-enabled RDD and missed: this
 		// is the recompute penalty the locality machinery exists to avoid.
 		px.cacheMiss()
-		if e.evictedEver[cluster.BlockID{RDD: r.ID, Partition: p}.Key()] {
+		if e.evictedEver.Has(cluster.BlockID{RDD: r.ID, Partition: p}.Key()) {
 			px.evictedRecompute()
 		}
 	}

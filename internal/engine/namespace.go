@@ -25,22 +25,37 @@ type collection struct {
 	id    int
 	part  partition.Partitioner
 	parts int
-	// tree is whether the collection's units are Group Tree leaves
-	// (extendable mode) rather than partitions.
-	tree bool
+	// tree is the collection's Group Tree when its units are the tree's
+	// leaves (extendable mode), nil when they are partitions. It is the
+	// tree the group manager changes, read here without the manager's lock:
+	// the manager changes it only on the event loop, where unitOf runs.
+	tree *group.Tree
+}
+
+// lastNamespace is collectionOf's one-entry cache: the namespace it last
+// looked up and the collection registered under it (nil for none).
+type lastNamespace struct {
+	name  string
+	c     *collection
+	valid bool
 }
 
 // collectionOf is the one membership rule: r belongs to a collection when
 // its namespace is registered and r has the namespace's partition count.
 // Any other RDD — one that inherited the namespace's name through a
 // differently sized cogroup, say — is no member: its tasks are plain and
-// its blocks count under no unit.
+// its blocks count under no unit. The registered collection of the
+// namespace last asked about is cached, so the per-block lookups of a run
+// over one collection compare its name instead of hashing it; a
+// registration or a driver crash empties the cache.
 func (e *Engine) collectionOf(r *rdd.RDD) *collection {
-	c := e.registered[r.Namespace]
-	if c == nil || c.parts != r.Parts {
-		return nil
+	if !e.lastNS.valid || e.lastNS.name != r.Namespace {
+		e.lastNS = lastNamespace{name: r.Namespace, c: e.registered[r.Namespace], valid: true}
 	}
-	return c
+	if c := e.lastNS.c; c != nil && c.parts == r.Parts {
+		return c
+	}
+	return nil
 }
 
 // unitOf maps partition p of r to its collection and collection unit — the
@@ -55,12 +70,8 @@ func (e *Engine) unitOf(r *rdd.RDD, p int) (*collection, cluster.UnitID, bool) {
 		return nil, cluster.UnitID{}, false
 	}
 	unit := p
-	if c.tree {
-		g, err := e.grp.GroupOf(c.name, p)
-		if err != nil {
-			return nil, cluster.UnitID{}, false
-		}
-		unit = g.ID
+	if c.tree != nil {
+		unit = c.tree.GroupOf(p).ID
 	}
 	return c, cluster.UnitID{NS: c.id, Unit: unit}, true
 }
@@ -111,20 +122,21 @@ func (e *Engine) registerNamespace(ns string, p partition.Partitioner, initialGr
 	e.cl.UnitMappingChanged()
 	c := e.collections[ns]
 	if c == nil {
-		c = &collection{name: ns, id: len(e.collections) + 1, tree: e.cfg.Features.Extendable}
+		c = &collection{name: ns, id: len(e.collections) + 1}
 		e.collections[ns] = c
 	}
 	numParts := p.NumPartitions()
 	var units []int
-	if c.tree {
+	if e.cfg.Features.Extendable {
 		if err := e.grp.Register(ns, numParts, initialGroups); err != nil {
 			return err
 		}
-		groups, err := e.grp.Groups(ns)
+		tree, err := e.grp.Tree(ns)
 		if err != nil {
 			return err
 		}
-		for _, g := range groups {
+		c.tree = tree
+		for _, g := range tree.Groups() {
 			units = append(units, g.ID)
 		}
 	} else {
@@ -138,6 +150,7 @@ func (e *Engine) registerNamespace(ns string, p partition.Partitioner, initialGr
 	}
 	c.part, c.parts = p, numParts
 	e.registered[ns] = c
+	e.lastNS = lastNamespace{}
 	return nil
 }
 
@@ -150,7 +163,7 @@ func (e *Engine) ReportRDD(r *rdd.RDD) ([]group.Change, error) {
 		return nil, fmt.Errorf("engine: RDD %s has no namespace", r)
 	}
 	c := e.registered[r.Namespace]
-	if c == nil || !c.tree {
+	if c == nil || c.tree == nil {
 		return nil, nil
 	}
 	if r.PartBytes == nil {

@@ -99,8 +99,9 @@ type planeCtx struct {
 
 	// local overlays the executor cache with this plane's own deferred puts,
 	// so a diamond-shaped narrow chain re-reading a partition it just cached
-	// hits, as it would inline.
-	local map[cluster.BlockKey]localBlock
+	// hits, as it would inline: it holds the index in ops of each put, the
+	// latest last. A plane puts a few blocks, so a scan finds them.
+	local []int32
 	planeEffects
 
 	// scr backs the plane's transient tables (shuffle bucketing indexes,
@@ -116,12 +117,6 @@ type planeCtx struct {
 
 	dur time.Duration
 	err error
-}
-
-// localBlock is a block the plane put, with the bytes it was priced at.
-type localBlock struct {
-	data  []record.Record
-	bytes int64
 }
 
 // planeCtxPool hands out contexts whose logs keep their capacity across
@@ -143,13 +138,12 @@ func (e *Engine) newPlaneCtx(exec int) *planeCtx {
 }
 
 func releasePlaneCtx(px *planeCtx) {
-	clear(px.local)
 	clear(px.ops)
 	clear(px.drops)
 	clear(px.sizes)
 	clear(px.transforms)
 	px.scr.Reset()
-	*px = planeCtx{local: px.local, scr: px.scr, inputs: px.inputs, planeEffects: planeEffects{
+	*px = planeCtx{local: px.local[:0], scr: px.scr, inputs: px.inputs, planeEffects: planeEffects{
 		ops: px.ops[:0], drops: px.drops[:0], sizes: px.sizes[:0], transforms: px.transforms[:0]}}
 	planeCtxPool.Put(px)
 }
@@ -170,9 +164,12 @@ func (px *planeCtx) popInputs(n int) {
 //starklint:hotpath
 func (px *planeCtx) cacheGet(r *rdd.RDD, p int) ([]record.Record, int64, bool) {
 	id := cluster.BlockID{RDD: r.ID, Partition: p}
-	if b, ok := px.local[id.Key()]; ok {
-		px.ops = append(px.ops, cacheOp{id: id})
-		return b.data, b.bytes, true
+	for j := len(px.local) - 1; j >= 0; j-- {
+		if put := &px.ops[px.local[j]]; put.id == id {
+			data, bytes := put.data, put.bytes
+			px.ops = append(px.ops, cacheOp{id: id})
+			return data, bytes, true
+		}
 	}
 	data, ok := px.e.cl.CachePeek(px.exec, id)
 	if !ok {
@@ -185,10 +182,7 @@ func (px *planeCtx) cacheGet(r *rdd.RDD, p int) ([]record.Record, int64, bool) {
 // cachePut logs a put to the plane's executor cache; the store, its
 // evictions and task wake-ups happen in applyEffects.
 func (px *planeCtx) cachePut(id cluster.BlockID, data []record.Record, bytes int64) {
-	if px.local == nil {
-		px.local = make(map[cluster.BlockKey]localBlock)
-	}
-	px.local[id.Key()] = localBlock{data: data, bytes: bytes}
+	px.local = append(px.local, int32(len(px.ops)))
 	px.ops = append(px.ops, cacheOp{put: true, id: id, data: data, bytes: bytes})
 }
 

@@ -141,6 +141,8 @@ func (m *Manager) Groups(ns string) ([]Group, error) {
 }
 
 // GroupOf reports the group containing partition p.
+//
+//starklint:ignore unreachable bench/layers.go (group.groupof_ns_op)
 func (m *Manager) GroupOf(ns string, p int) (Group, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -149,6 +151,20 @@ func (m *Manager) GroupOf(ns string, p int) (Group, error) {
 		return Group{}, fmt.Errorf("group: unknown namespace %q", ns)
 	}
 	return st.tree.GroupOf(p), nil
+}
+
+// Tree returns the namespace's Group Tree itself. The manager changes the
+// tree only inside Rebalance, ReplaySplit and ReplayMerge, so a caller that
+// makes those calls may read the tree between them without the lock; any
+// other goroutine must go through the manager.
+func (m *Manager) Tree(ns string) (*Tree, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	st, ok := m.namespaces[ns]
+	if !ok {
+		return nil, fmt.Errorf("group: unknown namespace %q", ns)
+	}
+	return st.tree, nil
 }
 
 // Sizes returns the aggregated per-group sizes in partition order.

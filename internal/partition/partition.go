@@ -81,7 +81,48 @@ func (h Hash) Describe() string { return fmt.Sprintf("hash(%d)", h.n) }
 // the first partition open below and the last open above.
 type Range struct {
 	bounds []string // len n-1 upper bounds, sorted
-	id     uint64   // distinguishes independently fitted partitioners
+	// common is the longest prefix every bound shares, and prefixes holds
+	// each bound's next 8 bytes after it, big-endian and zero-padded, so a
+	// probe compares a word and falls back to the strings only on a tie.
+	// Fixed-width keys such as Z-codes share their leading digits, which a
+	// word of the first 8 bytes could never tell apart.
+	common   string
+	prefixes []uint64
+	id       uint64 // distinguishes independently fitted partitioners
+}
+
+// newRange builds a Range over sorted bounds.
+func newRange(bounds []string, id uint64) Range {
+	common := ""
+	if len(bounds) > 0 {
+		common = bounds[0]
+	}
+	for _, b := range bounds {
+		n := 0
+		for n < len(common) && n < len(b) && common[n] == b[n] {
+			n++
+		}
+		common = common[:n]
+	}
+	prefixes := make([]uint64, len(bounds))
+	for i, b := range bounds {
+		prefixes[i] = prefix8(b[len(common):])
+	}
+	return Range{bounds: bounds, common: common, prefixes: prefixes, id: id}
+}
+
+// prefix8 packs s's first 8 bytes big-endian, zero-padded. Two strings
+// whose prefixes differ compare as their prefixes do.
+func prefix8(s string) uint64 {
+	if len(s) >= 8 {
+		return uint64(s[0])<<56 | uint64(s[1])<<48 | uint64(s[2])<<40 | uint64(s[3])<<32 |
+			uint64(s[4])<<24 | uint64(s[5])<<16 | uint64(s[6])<<8 | uint64(s[7])
+	}
+	var w uint64
+	for i := 0; i < len(s); i++ {
+		w |= uint64(s[i]) << (56 - 8*i)
+	}
+	return w
 }
 
 var rangeSeq uint64
@@ -114,7 +155,7 @@ func NewRange(sample []string, n int) Range {
 		bounds = append(bounds, b)
 	}
 	rangeSeq++
-	return Range{bounds: bounds, id: rangeSeq}
+	return newRange(bounds, rangeSeq)
 }
 
 // NewStaticRange builds a range partitioner from explicit boundaries. Two
@@ -124,7 +165,7 @@ func NewStaticRange(bounds []string) Range {
 	b := make([]string, len(bounds))
 	copy(b, bounds)
 	sort.Strings(b)
-	return Range{bounds: b, id: 0}
+	return newRange(b, 0)
 }
 
 // UniformBounds produces n-1 evenly spaced single-byte-prefix boundaries
@@ -160,11 +201,32 @@ func HexBounds(n, width int) []string {
 // NumPartitions implements Partitioner.
 func (r Range) NumPartitions() int { return len(r.bounds) + 1 }
 
-// PartitionFor implements Partitioner.
+// PartitionFor implements Partitioner. The first boundary >= key marks the
+// partition (keys equal to a boundary stay in the lower partition, matching
+// the fitted quantiles); the binary search is written out, so a probe calls
+// no closure, and compares the 8 bytes after the bounds' common prefix
+// before the strings.
 func (r Range) PartitionFor(key string) int {
-	// First boundary >= key marks the partition (keys equal to a boundary
-	// stay in the lower partition, matching the fitted quantiles).
-	return sort.Search(len(r.bounds), func(i int) bool { return r.bounds[i] >= key })
+	n := len(r.common)
+	if len(key) < n || key[:n] != r.common {
+		// The key leaves the common prefix, so it sorts below every bound or
+		// above every one.
+		if key < r.common {
+			return 0
+		}
+		return len(r.bounds)
+	}
+	kp := prefix8(key[n:])
+	lo, hi := 0, len(r.bounds)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if bp := r.prefixes[m]; bp < kp || bp == kp && r.bounds[m] < key {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
 }
 
 // Equivalent implements Partitioner.

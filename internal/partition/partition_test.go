@@ -2,8 +2,12 @@ package partition
 
 import (
 	"fmt"
+	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
+
+	"stark/internal/zorder"
 )
 
 func TestHashInRangeAndDeterministic(t *testing.T) {
@@ -165,5 +169,79 @@ func TestPanicsOnBadN(t *testing.T) {
 			}()
 			fn()
 		}()
+	}
+}
+
+// TestRangePartitionForMatchesSearch: routing is the first bound >= key,
+// as sort.Search finds it, over random keys, keys equal to a bound or
+// between two, every prefix of a bound and keys leaving it there, the empty
+// key, duplicate bounds, bounds sharing a long prefix (one of them equal to
+// it), an empty bound and no bounds at all.
+func TestRangePartitionForMatchesSearch(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	randKey := func() string {
+		b := make([]byte, rng.Intn(5))
+		for i := range b {
+			b[i] = "abcdz\x00\xff"[rng.Intn(7)]
+		}
+		return string(b)
+	}
+	var zBounds []string
+	for i := 1; i < 256; i++ {
+		zBounds = append(zBounds, zorder.Key(uint64(i*16)))
+	}
+	sets := [][]string{nil, {""}, {"m"}, HexBounds(256, 16), zBounds, {"b", "b", "d", "d", "d", "q"},
+		{"ab", "abc", "abd", "abd"}, {"abcdefghijk1", "abcdefghijk2", "abcdefghijk2x"}}
+	for i := 0; i < 50; i++ {
+		set := make([]string, rng.Intn(12))
+		for j := range set {
+			set[j] = randKey()
+		}
+		sets = append(sets, set)
+	}
+	for _, set := range sets {
+		r := NewStaticRange(set)
+		var keys []string
+		for _, b := range r.bounds {
+			keys = append(keys, b, b+"\x00", b+"z")
+			for i := range b {
+				keys = append(keys, b[:i], b[:i]+"\x00", b[:i]+"\xff", b[:i]+string(b[i]+1))
+			}
+		}
+		keys = append(keys, "", "\xff\xff")
+		for i := 0; i < 200; i++ {
+			keys = append(keys, randKey(), zorder.Key(rng.Uint64()), zorder.Key(uint64(rng.Intn(4096))))
+		}
+		for _, k := range keys {
+			want := sort.Search(len(r.bounds), func(i int) bool { return r.bounds[i] >= k })
+			if got := r.PartitionFor(k); got != want {
+				t.Fatalf("bounds %q: PartitionFor(%q) = %d, sort.Search says %d", r.bounds, k, got, want)
+			}
+		}
+	}
+}
+
+var partSink int
+
+// BenchmarkRangePartitionFor is the taxi ingest's range routing: 255
+// static bounds cutting a 64×64 Z-order grid into 256 equal runs of cells,
+// over the grid's 16-hex-digit Z-code keys, which all share their first 13
+// digits with every bound.
+func BenchmarkRangePartitionFor(b *testing.B) {
+	const cells, parts = 64 * 64, 256
+	bounds := make([]string, 0, parts-1)
+	for i := 1; i < parts; i++ {
+		bounds = append(bounds, zorder.Key(uint64(i*cells/parts)))
+	}
+	r := NewStaticRange(bounds)
+	rng := rand.New(rand.NewSource(1))
+	keys := make([]string, 4096)
+	for i := range keys {
+		keys[i] = zorder.Key(zorder.Encode(uint32(rng.Intn(64)), uint32(rng.Intn(64))))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		partSink += r.PartitionFor(keys[i%len(keys)])
 	}
 }

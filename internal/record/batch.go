@@ -36,7 +36,7 @@ func mixInt64(h uint64, n int) uint64 {
 
 // Hash32 is FNV-32a over the key's bytes with no allocation — the bits
 // partition.Hash routes on (hash/fnv's New32a), and the one hash the shuffle
-// map side, the co-group kernel and rdd.Sample share.
+// map side and rdd.Sample share.
 func Hash32(s string) uint32 {
 	h := uint32(fnvOffset32)
 	for i := 0; i < len(s); i++ {

@@ -280,13 +280,11 @@ type coGrouping struct {
 	counts  []int32 // [g*len(sides)+s]: records of side s in group g
 }
 
-// group runs the hash pass. Keys are FNV-hashed once into a table whose
-// slots hold hash and group id together, so a probe touches a record only
-// when the full hash matches. A key's home slot folds the hash's high half
-// into its low half: partition.Hash routes on the hash modulo the partition
-// count, so every key of one reduce partition shares the hash's low bits,
-// and a slot of those alone would crowd a partition's keys into a fraction
-// of the table.
+// group runs the hash pass. Keys are hashed once, a word at a time by
+// KeySum64's fold (any hash serves: the output is in first-seen order), into
+// a table whose slots hold hash and group id together, so a probe touches a
+// record only when the full hash matches. A key's home slot folds the
+// hash's high half into its low half, so a small table reads all its bits.
 func (sc *groupScratch) group(sides [][]Record) coGrouping {
 	n := 0
 	for _, side := range sides {
@@ -304,7 +302,8 @@ func (sc *groupScratch) group(sides [][]Record) coGrouping {
 	for _, side := range sides {
 		for j := range side {
 			key := side[j].Key
-			h := Hash32(key)
+			m := mixKey(sumSeed, key)
+			h := uint32(m ^ m>>32)
 			slot := uint64(h^h>>16) & mask
 			for {
 				e := table[slot]
