@@ -27,7 +27,7 @@ func BenchmarkDirectoryLocations(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.Locations(BlockID{RDD: i % 50, Partition: i % 20})
+		c.AppendLocations(nil, BlockID{RDD: i % 50, Partition: i % 20})
 	}
 }
 

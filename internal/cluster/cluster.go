@@ -173,15 +173,12 @@ func (c *Cluster) SetMemPressure(exec int, factor float64) {
 	c.executors[exec].Store.SetShrink(factor)
 }
 
-// CacheGet reads a block from one executor's cache.
+// CacheGet reads a block from one executor's cache. A dead executor's
+// store is empty (Kill clears it), so a read there misses.
 //
 //starklint:hotpath
 func (c *Cluster) CacheGet(exec int, id BlockID) ([]record.Record, bool) {
-	e := c.executors[exec]
-	if e.dead {
-		return nil, false
-	}
-	return e.Store.Get(id)
+	return c.executors[exec].Store.Get(id)
 }
 
 // CachePeek reads a block from one executor's cache without touching LRU
@@ -189,20 +186,12 @@ func (c *Cluster) CacheGet(exec int, id BlockID) ([]record.Record, bool) {
 //
 //starklint:hotpath
 func (c *Cluster) CachePeek(exec int, id BlockID) ([]record.Record, bool) {
-	e := c.executors[exec]
-	if e.dead {
-		return nil, false
-	}
-	return e.Store.Peek(id)
+	return c.executors[exec].Store.Peek(id)
 }
-
-// Locations returns a copy of the executor ids caching a block, ascending;
-// nil when it is cached nowhere.
-func (c *Cluster) Locations(id BlockID) []int { return c.AppendLocations(nil, id) }
 
 // AppendLocations appends the executor ids caching a block, ascending, to
 // dst and returns the extended slice, so a caller with scratch room pays no
-// allocation.
+// allocation. Only live executors hold blocks, so only they are listed.
 func (c *Cluster) AppendLocations(dst []int, id BlockID) []int {
 	return c.directory.appendHolders(dst, id.Key())
 }

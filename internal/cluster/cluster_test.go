@@ -131,7 +131,7 @@ func TestClusterDirectory(t *testing.T) {
 	id := BlockID{5, 1}
 	c.CachePut(0, id, rec(1), 100)
 	c.CachePut(2, id, rec(1), 100)
-	locs := c.Locations(id)
+	locs := c.AppendLocations(nil, id)
 	if len(locs) != 2 || locs[0] != 0 || locs[1] != 2 {
 		t.Fatalf("locations = %v", locs)
 	}
@@ -139,7 +139,7 @@ func TestClusterDirectory(t *testing.T) {
 		t.Fatal("placement wrong")
 	}
 	c.DropBlock(0, id)
-	if locs := c.Locations(id); len(locs) != 1 || locs[0] != 2 {
+	if locs := c.AppendLocations(nil, id); len(locs) != 1 || locs[0] != 2 {
 		t.Fatalf("locations after drop = %v", locs)
 	}
 }
@@ -148,10 +148,10 @@ func TestClusterEvictionUpdatesDirectory(t *testing.T) {
 	c := newTestCluster()
 	c.CachePut(0, BlockID{1, 0}, nil, 600)
 	c.CachePut(0, BlockID{2, 0}, nil, 600) // evicts rdd1
-	if locs := c.Locations(BlockID{1, 0}); locs != nil {
+	if locs := c.AppendLocations(nil, BlockID{1, 0}); locs != nil {
 		t.Fatalf("evicted block still in directory: %v", locs)
 	}
-	if locs := c.Locations(BlockID{2, 0}); len(locs) != 1 {
+	if locs := c.AppendLocations(nil, BlockID{2, 0}); len(locs) != 1 {
 		t.Fatalf("new block not in directory: %v", locs)
 	}
 }
@@ -161,7 +161,7 @@ func TestKillClearsBlocksAndSlots(t *testing.T) {
 	c.CachePut(1, BlockID{1, 0}, nil, 100)
 	c.Executor(1).Acquire()
 	c.Kill(1)
-	if locs := c.Locations(BlockID{1, 0}); locs != nil {
+	if locs := c.AppendLocations(nil, BlockID{1, 0}); locs != nil {
 		t.Fatalf("dead executor still in directory: %v", locs)
 	}
 	if c.Executor(1).FreeSlots() != 0 {
@@ -179,7 +179,7 @@ func TestKillClearsBlocksAndSlots(t *testing.T) {
 	// Puts to dead executors are dropped.
 	c.Kill(2)
 	c.CachePut(2, BlockID{9, 0}, nil, 10)
-	if c.Locations(BlockID{9, 0}) != nil {
+	if c.AppendLocations(nil, BlockID{9, 0}) != nil {
 		t.Fatal("put to dead executor registered")
 	}
 }

@@ -18,7 +18,7 @@ var edgeRDDs = []int{0, 1, 1<<16 - 1, 1 << 16, 1<<16 + 1, 1<<31 - 1}
 var edgeParts = []int{0, 1, 1<<16 - 1, 1 << 16, 1<<31 - 1}
 
 // naiveLocations recounts the executors holding a block from their stores,
-// ascending: the reference Locations is checked against.
+// ascending: the reference AppendLocations is checked against.
 func naiveLocations(c *Cluster, id BlockID) []int {
 	var out []int
 	for i := 0; i < c.NumExecutors(); i++ {
@@ -32,9 +32,9 @@ func naiveLocations(c *Cluster, id BlockID) []int {
 // TestDirectoryMatchesRecount is the model-based test of the directory:
 // seeded random puts, gets, drops, DropReplicas, DropUnit, Clear, kills and
 // restarts over edge-case ids, plus ids whose keys collide at the key
-// tables' last cell (tailIDs), with every id's Locations compared against a
-// naive ascending recount of the stores, and CheckConsistency run, after
-// every step. It requires that the key tables grew past their load factor,
+// tables' last cell (tailIDs), with every id's AppendLocations compared
+// against a naive ascending recount of the stores, and CheckConsistency
+// run, after every step. It requires that the key tables grew past their load factor,
 // wrapped a probe chain past their end and shifted keys back on a remove.
 func TestDirectoryMatchesRecount(t *testing.T) {
 	const execs = 5
@@ -105,9 +105,9 @@ func TestDirectoryMatchesRecount(t *testing.T) {
 				}
 			}
 			for _, id := range ids {
-				got, want := c.Locations(id), naiveLocations(c, id)
+				got, want := c.AppendLocations(nil, id), naiveLocations(c, id)
 				if !slices.Equal(got, want) {
-					t.Fatalf("seed %d step %d (%s): Locations(%v) = %v, recount says %v", seed, step, op, id, got, want)
+					t.Fatalf("seed %d step %d (%s): AppendLocations(%v) = %v, recount says %v", seed, step, op, id, got, want)
 				}
 			}
 			if err := c.CheckConsistency(); err != nil {
@@ -162,7 +162,7 @@ func TestBlockKeyPacking(t *testing.T) {
 		mustPanic(fmt.Sprintf("Key(%v)", id), func() { id.Key() })
 		mustPanic(fmt.Sprintf("CachePut(%v)", id), func() { c.CachePut(0, id, nil, 10) })
 		mustPanic(fmt.Sprintf("CachePeek(%v)", id), func() { c.CachePeek(0, id) })
-		mustPanic(fmt.Sprintf("Locations(%v)", id), func() { c.Locations(id) })
+		mustPanic(fmt.Sprintf("AppendLocations(%v)", id), func() { c.AppendLocations(nil, id) })
 	}
 	if err := c.CheckConsistency(); err != nil {
 		t.Fatal(err)

@@ -253,7 +253,7 @@ func TestClusterCachePutCheckedCountsAndDirectory(t *testing.T) {
 	if st != PutPinnedBlocked || len(ev) != 0 {
 		t.Fatalf("st=%v ev=%v", st, ev)
 	}
-	if locs := c.Locations(BlockID{2, 0}); locs != nil {
+	if locs := c.AppendLocations(nil, BlockID{2, 0}); locs != nil {
 		t.Fatalf("refused block in directory: %v", locs)
 	}
 	if err := c.CheckConsistency(); err != nil {

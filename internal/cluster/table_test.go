@@ -255,12 +255,12 @@ func (cv *tableCoverage) require(t *testing.T) {
 // pin-blocked puts, Clear, Kill, Restart and DropUnit, under the LRU and
 // the DAG policy, each step checked against the slice-ordered reference —
 // every store's Blocks order and Used, the victims and PutStatus of a put,
-// the data a read returns, every block's Locations — and CheckConsistency,
-// which checks every key table's chains. Besides a 6×6 grid, the ids
-// include blocks of two later RDDs (first seen in random order) whose keys
-// collide at the key tables' last cell, so chains wrap past the end and
-// removes shift keys back; the test requires that the tables grew past
-// their load factor and took both shapes.
+// the data a read returns, every block's AppendLocations — and
+// CheckConsistency, which checks every key table's chains. Besides a 6×6
+// grid, the ids include blocks of two later RDDs (first seen in random
+// order) whose keys collide at the key tables' last cell, so chains wrap
+// past the end and removes shift keys back; the test requires that the
+// tables grew past their load factor and took both shapes.
 func TestBlockTableMatchesReference(t *testing.T) {
 	const execs, capacity = 4, 1500
 	var ids []BlockID
@@ -412,8 +412,8 @@ func TestBlockTableMatchesReference(t *testing.T) {
 					}
 				}
 				for _, id := range ids {
-					if got, want := c.Locations(id), m.locations(id); !slices.Equal(got, want) {
-						t.Fatalf("dag=%v seed %d step %d (%s): Locations(%v) = %v, reference %v", dag, seed, step, op, id, got, want)
+					if got, want := c.AppendLocations(nil, id), m.locations(id); !slices.Equal(got, want) {
+						t.Fatalf("dag=%v seed %d step %d (%s): AppendLocations(%v) = %v, reference %v", dag, seed, step, op, id, got, want)
 					}
 				}
 				if err := c.CheckConsistency(); err != nil {

@@ -206,7 +206,7 @@ func forceCheckpointUnderOOM(t *testing.T, par int) string {
 	// Cache other datasets until LRU has evicted every block of m.
 	cachedParts := func() (n int) {
 		for p := 0; p < m.Parts; p++ {
-			n += len(e.cl.Locations(blockID(m.ID, p)))
+			n += len(e.cl.AppendLocations(nil, blockID(m.ID, p)))
 		}
 		return n
 	}

@@ -134,11 +134,12 @@ func (e *Engine) drainDeferredCheckpoints() {
 }
 
 // partitionHome picks the executor best placed to produce a partition: a
-// cache holder first, the namespace primary second, any live executor last.
-// ok is false when the cluster has no live executor at all.
+// cache holder first (the directory lists only live executors), the
+// namespace primary second, any live executor last. ok is false when the
+// cluster has no live executor at all.
 func (e *Engine) partitionHome(r *rdd.RDD, p int) (int, bool) {
-	if locs := e.filterAlive(e.cl.Locations(blockID(r.ID, p))); len(locs) > 0 {
-		return locs[0], true
+	if e.prefs = e.cl.AppendLocations(e.prefs[:0], blockID(r.ID, p)); len(e.prefs) > 0 {
+		return e.prefs[0], true
 	}
 	if c, u, ok := e.unitOf(r, p); ok {
 		if primary, ok := e.loc.Primary(c.name, u.Unit); ok && !e.cl.Executor(primary).Dead() {

@@ -58,6 +58,9 @@ func TestDriverCrashRestartResumesJob(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("tear %d: crashed-run result diverged from fault-free baseline", tear)
 		}
+		if err := checkCacheInvariant(e); err != nil {
+			t.Fatalf("tear %d: %v", tear, err)
+		}
 		rec := e.Recovery()
 		if rec.DriverCrashes != 1 || rec.DriverRestarts != 1 {
 			t.Fatalf("tear %d: crash/restart = %d/%d, want 1/1", tear, rec.DriverCrashes, rec.DriverRestarts)
@@ -156,10 +159,19 @@ func TestDriverRecoveryRebuildsNamespace(t *testing.T) {
 	if _, err := e.Materialize(pb); err != nil {
 		t.Fatalf("materialize: %v", err)
 	}
+	checkInvariant := func(when string) {
+		t.Helper()
+		if err := checkCacheInvariant(e); err != nil {
+			t.Fatalf("%s: %v", when, err)
+		}
+	}
+	checkInvariant("before the crash")
 
 	e.CrashDriver(0)
+	checkInvariant("after the crash")
 	e.RestartDriver()
 	e.Loop().Run()
+	checkInvariant("after the restart")
 
 	// The namespace must be live again with replicas on the executors that
 	// still cache its blocks.
@@ -173,6 +185,7 @@ func TestDriverRecoveryRebuildsNamespace(t *testing.T) {
 	if jm.LocalityFraction() == 0 {
 		t.Fatal("post-restart job ran with zero NODE_LOCAL tasks: cache sweep failed")
 	}
+	checkInvariant("after the post-restart job")
 }
 
 // TestCrashDriverWithoutRecoveryPanics: arming a driver crash without

@@ -158,7 +158,9 @@ type Engine struct {
 	// ids and, under MCF, their scores, rebuilt in place each call.
 	offers     []int
 	offerUnits []int
-	// prefs is preferredExecutors' scratch, rebuilt in place each call.
+	// prefs is the scratch for reads of a block's holders or a task's
+	// preferred executors (preferredExecutors, enqueue, partitionHome),
+	// rebuilt in place each call; no caller holds it across another.
 	prefs []int
 
 	// inj is the fault injector when faults are armed.
@@ -747,11 +749,11 @@ func (e *Engine) enqueue(t *task) {
 	if t.prefCap {
 		chain := t.sr.st.NarrowChain()
 		for _, r := range chain {
-			if !r.CacheFlag && !r.Checkpointed {
+			if !r.CacheFlag {
 				continue
 			}
 			for _, p := range t.partitions {
-				if len(e.cl.Locations(cluster.BlockID{RDD: r.ID, Partition: p})) > 0 {
+				if e.prefs = e.cl.AppendLocations(e.prefs[:0], cluster.BlockID{RDD: r.ID, Partition: p}); len(e.prefs) > 0 {
 					e.prefPending = append(e.prefPending, t)
 					t.counted = true
 					e.unarmed++

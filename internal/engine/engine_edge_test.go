@@ -604,7 +604,7 @@ func TestStatsAndUnpersist(t *testing.T) {
 	// Unpersist drops all cached blocks; the next job misses and recomputes.
 	e.Unpersist(f)
 	for p := 0; p < f.Parts; p++ {
-		if locs := e.Cluster().Locations(blockID(f.ID, p)); locs != nil {
+		if locs := e.Cluster().AppendLocations(nil, blockID(f.ID, p)); locs != nil {
 			t.Fatalf("partition %d still cached at %v", p, locs)
 		}
 	}
@@ -679,6 +679,24 @@ func TestFig2Vs3Semantics(t *testing.T) {
 // asserting cluster invariants hold and results stay correct throughout.
 func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
+// checkCacheInvariant checks the rule the engine relies on instead of
+// re-checking it (DESIGN §4, "Block directory"): an executor cache holds a
+// block only if the block's RDD has CacheFlag set and the executor is
+// alive. It then checks the cluster's own books (CheckConsistency).
+func checkCacheInvariant(e *Engine) error {
+	for _, ex := range e.cl.Executors() {
+		for _, id := range ex.Store.Blocks() {
+			if ex.Dead() {
+				return fmt.Errorf("dead executor %d holds %v", ex.ID, id)
+			}
+			if r := e.graph.ByID(id.RDD); r == nil || !r.CacheFlag {
+				return fmt.Errorf("executor %d holds %v, whose RDD %v has no CacheFlag", ex.ID, id, r)
+			}
+		}
+	}
+	return e.cl.CheckConsistency()
+}
+
 func TestRandomOperationsConsistency(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		rng := newRand(seed)
@@ -713,6 +731,9 @@ func TestRandomOperationsConsistency(t *testing.T) {
 				e.ForceCheckpoint(base)
 			case 3:
 				e.Unpersist(base)
+				if err := checkCacheInvariant(e); err != nil {
+					t.Fatalf("seed %d op %d: after Unpersist: %v", seed, op, err)
+				}
 				base.CacheFlag = true // re-enable for later jobs
 			default:
 				f := g.Filter(base, "q", func(record.Record) bool { return true })
@@ -724,7 +745,7 @@ func TestRandomOperationsConsistency(t *testing.T) {
 					t.Fatalf("seed %d op %d: count %d, want %d", seed, op, got, want)
 				}
 			}
-			if err := e.Cluster().CheckConsistency(); err != nil {
+			if err := checkCacheInvariant(e); err != nil {
 				t.Fatalf("seed %d op %d: %v", seed, op, err)
 			}
 		}

@@ -285,8 +285,8 @@ func TestCoLocalityConsistentPlacement(t *testing.T) {
 		rdds = append(rdds, lp)
 	}
 	for part := 0; part < 4; part++ {
-		l0 := e.Cluster().Locations(blockID(rdds[0].ID, part))
-		l1 := e.Cluster().Locations(blockID(rdds[1].ID, part))
+		l0 := e.Cluster().AppendLocations(nil, blockID(rdds[0].ID, part))
+		l1 := e.Cluster().AppendLocations(nil, blockID(rdds[1].ID, part))
 		if len(l0) == 0 || len(l1) == 0 {
 			t.Fatalf("partition %d not cached: %v %v", part, l0, l1)
 		}
@@ -519,7 +519,7 @@ func TestMaterializeActionCaches(t *testing.T) {
 	}
 	cachedParts := 0
 	for p := 0; p < f.Parts; p++ {
-		if len(e.Cluster().Locations(blockID(f.ID, p))) > 0 {
+		if len(e.Cluster().AppendLocations(nil, blockID(f.ID, p))) > 0 {
 			cachedParts++
 		}
 	}

@@ -170,11 +170,11 @@ func (e *Engine) commitMapOutputs(t *task) error {
 // producing stage.
 func (px *planeCtx) materialize(r *rdd.RDD, p int) ([]record.Record, int64, error) {
 	e := px.e
-	if data, bytes, ok := px.cacheGet(r, p); ok {
-		px.cacheHit()
-		return data, bytes, nil
-	}
 	if r.CacheFlag {
+		if data, bytes, ok := px.cacheGet(r, p); ok {
+			px.cacheHit()
+			return data, bytes, nil
+		}
 		// The block was requested from a cache-enabled RDD and missed: this
 		// is the recompute penalty the locality machinery exists to avoid.
 		px.cacheMiss()
@@ -222,7 +222,7 @@ func (px *planeCtx) materialize(r *rdd.RDD, p int) ([]record.Record, int64, erro
 		px.acc.bytesInput += bytes
 		return data, px.finishPartition(r, p, data, bytes), nil
 	default:
-		if cg := px.fusableCoGroup(r, p); cg != nil {
+		if cg := fusableCoGroup(r); cg != nil {
 			return px.filterCoGroup(r, cg, p)
 		}
 		base := len(px.inputs)
@@ -312,19 +312,15 @@ func (px *planeCtx) chargeTransform(r *rdd.RDD, inputBytes int64) {
 }
 
 // fusableCoGroup returns r's parent when r is a Filter over a CoGroup that
-// materializing partition p would recompute anyway: not cached, not
-// checkpointed, and not held in its executor's cache (a block can outlive
-// its CacheFlag there after Unpersist). It returns nil otherwise. The
-// plane's overlay needs no lookup: it only holds blocks of cached RDDs.
-func (px *planeCtx) fusableCoGroup(r *rdd.RDD, p int) *rdd.RDD {
+// materializing r would recompute anyway: neither cached nor checkpointed
+// (no cache holds a block of an RDD without CacheFlag; DESIGN §4, "Block
+// directory"). It returns nil otherwise.
+func fusableCoGroup(r *rdd.RDD) *rdd.RDD {
 	if r.FilterPred == nil {
 		return nil
 	}
 	cg := r.Deps[0].Parent
 	if cg.CoGroupKeep == nil || cg.CacheFlag || cg.Checkpointed {
-		return nil
-	}
-	if _, ok := px.e.cl.CachePeek(px.exec, cluster.BlockID{RDD: cg.ID, Partition: p}); ok {
 		return nil
 	}
 	return cg

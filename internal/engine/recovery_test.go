@@ -244,7 +244,7 @@ func TestRestartExecutorRecovery(t *testing.T) {
 	}
 	hasBlocks := func(id int) bool {
 		for p := 0; p < f.Parts; p++ {
-			for _, loc := range e.Cluster().Locations(cluster.BlockID{RDD: f.ID, Partition: p}) {
+			for _, loc := range e.Cluster().AppendLocations(nil, cluster.BlockID{RDD: f.ID, Partition: p}) {
 				if loc == id {
 					return true
 				}

@@ -198,7 +198,9 @@ func (t *task) launched() bool { return t.tm.Locality != 0 }
 // narrow chain breadth-first and return the cached locations of the first
 // RDD that has any — for a cogroup that is effectively the first parent
 // branch, so the chosen executor is local for ONE branch and recomputes the
-// rest, the co-locality gap the paper measures (Sec. II-B).
+// rest, the co-locality gap the paper measures (Sec. II-B). Only a CacheFlag
+// RDD can have cached locations (DESIGN §4, "Block directory"), so the
+// others are skipped without a directory lookup.
 //
 // The result lives in the engine's scratch and is valid until the next
 // call: both schedule-loop callers consume it before calling again.
@@ -212,22 +214,15 @@ func (e *Engine) preferredExecutors(t *task) []int {
 	}
 	p := t.partitions[0]
 	for _, r := range t.sr.st.NarrowChain() {
+		if !r.CacheFlag {
+			continue
+		}
 		e.prefs = e.cl.AppendLocations(e.prefs[:0], cluster.BlockID{RDD: r.ID, Partition: p})
 		if locs := e.keepSchedulable(e.prefs); len(locs) > 0 {
 			return locs
 		}
 	}
 	return nil
-}
-
-func (e *Engine) filterAlive(execs []int) []int {
-	out := execs[:0:0]
-	for _, id := range execs {
-		if id >= 0 && id < e.cl.NumExecutors() && !e.cl.Executor(id).Dead() {
-			out = append(out, id)
-		}
-	}
-	return out
 }
 
 // keepSchedulable filters execs in place, keeping executors the scheduler

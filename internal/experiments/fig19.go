@@ -102,7 +102,29 @@ func (ts *throughputSetup) ingest(step int, recs []stark.Record) {
 	ts.steps = ts.stream.Recent(ts.cfg.WindowSteps)
 }
 
-func setupThroughput(cfg ThroughputConfig, sys System, stepVolume func(step int) int) (*throughputSetup, error) {
+// throughputWindow builds the merged taxi + Twitter records of the
+// WindowSteps timesteps a set-up ingests, stepVolume(step) taxi events each
+// (nil: EventsPerStep). The steps depend only on cfg and stepVolume, so a
+// sweep builds them once and hands the same slices to every set-up:
+// Stream.Ingest adopts them without copying or writing.
+func throughputWindow(cfg ThroughputConfig, stepVolume func(step int) int) [][]stark.Record {
+	taxi := workload.DefaultTaxi()
+	taxi.Seed = cfg.Seed
+	taxi.EventsPerStep = cfg.EventsPerStep
+	tw := workload.DefaultTwitter()
+	window := make([][]stark.Record, cfg.WindowSteps)
+	for st := range window {
+		if stepVolume != nil {
+			taxi.EventsPerStep = stepVolume(st)
+		}
+		window[st] = workload.MergedStep(taxi, tw, st)
+	}
+	return window
+}
+
+// setupThroughput ingests window, one timestep per slice (see
+// throughputWindow), under a system's discipline.
+func setupThroughput(cfg ThroughputConfig, sys System, window [][]stark.Record) (*throughputSetup, error) {
 	cc := stark.DefaultClusterConfig()
 	cc.NumExecutors = cfg.Executors
 	cc.SlotsPerExecutor = cfg.Slots
@@ -122,11 +144,6 @@ func setupThroughput(cfg ThroughputConfig, sys System, stepVolume func(step int)
 		stark.WithSeed(cfg.Seed),
 		stark.WithParallelism(cfg.Parallelism),
 	)...)
-
-	taxi := workload.DefaultTaxi()
-	taxi.Seed = cfg.Seed
-	taxi.EventsPerStep = cfg.EventsPerStep
-	tw := workload.DefaultTwitter()
 
 	grid := zorder.NewGrid(64)
 	// Spark-H and Stark-H share the default hash partitioner (paper
@@ -167,14 +184,7 @@ func setupThroughput(cfg ThroughputConfig, sys System, stepVolume func(step int)
 		return nil, err
 	}
 	var steps []*stark.RDD
-	for st := 0; st < cfg.WindowSteps; st++ {
-		n := cfg.EventsPerStep
-		if stepVolume != nil {
-			n = stepVolume(st)
-		}
-		t2 := taxi
-		t2.EventsPerStep = n
-		recs := workload.MergedStep(t2, tw, st)
+	for st, recs := range window {
 		steps = append(steps, s.Ingest(st, recs))
 		ctx.Drain()
 	}
@@ -244,9 +254,10 @@ func RunFig19(cfg ThroughputConfig) (Fig19Result, error) {
 		Curves:     make(map[System][]Fig19Point),
 		Throughput: make(map[System]float64),
 	}
+	window := throughputWindow(cfg, nil)
 	for _, sys := range res.Systems {
 		for _, rate := range cfg.Rates {
-			ts, err := setupThroughput(cfg, sys, nil)
+			ts, err := setupThroughput(cfg, sys, window)
 			if err != nil {
 				return res, err
 			}

@@ -73,11 +73,11 @@ func RunFig20(cfg Fig20Config) (Fig20Result, error) {
 	taxi.StepsPerHour = cfg.StepsPerHour
 
 	totalSteps := cfg.Hours * cfg.StepsPerHour
+	// Every system warms the same full window at nadir volume, then replays
+	// the day.
+	warm := throughputWindow(tp, func(int) int { return taxi.StepVolume(0) })
 	for _, sys := range res.Systems {
-		// Warm a full window at nadir volume, then replay the day.
-		ts, err := setupThroughput(tp, sys, func(step int) int {
-			return taxi.StepVolume(0)
-		})
+		ts, err := setupThroughput(tp, sys, warm)
 		if err != nil {
 			return res, err
 		}

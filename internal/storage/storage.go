@@ -475,11 +475,6 @@ func (s *Store) ReadCheckpoint(rdd, part int) ([]record.Record, int64, error) {
 // TotalCheckpointBytes reports cumulative live checkpoint bytes.
 func (s *Store) TotalCheckpointBytes() int64 { return s.cpBytes }
 
-// DropShuffle discards a shuffle's outputs (dataset eviction).
-//
-//starklint:ignore unreachable ROADMAP dataset lifecycle (release by lifetime)
-func (s *Store) DropShuffle(id int) { delete(s.shuffles, id) }
-
 // DropMapOutput discards one committed map output (simulated block loss);
 // the shuffle becomes incomplete until the partition is recomputed. It
 // reports whether an output was actually dropped.
@@ -573,17 +568,4 @@ func (s *Store) CorruptCheckpoint(rdd, part int) bool {
 	b.sum ^= 0xdeadbeef
 	s.checkpoints[k] = b
 	return true
-}
-
-// DropCheckpoints discards all checkpoints of an RDD, subtracting their
-// bytes from the running total.
-//
-//starklint:ignore unreachable ROADMAP dataset lifecycle (release by lifetime)
-func (s *Store) DropCheckpoints(rdd int) {
-	for k, b := range s.checkpoints {
-		if k.rdd == rdd {
-			s.cpBytes -= b.Bytes
-			delete(s.checkpoints, k)
-		}
-	}
 }

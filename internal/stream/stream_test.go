@@ -74,7 +74,7 @@ func TestIngestMaterializesAndCaches(t *testing.T) {
 	e.Loop().Run()
 	cached := 0
 	for p := 0; p < r.Parts; p++ {
-		if len(e.Cluster().Locations(blockID(r.ID, p))) > 0 {
+		if len(e.Cluster().AppendLocations(nil, blockID(r.ID, p))) > 0 {
 			cached++
 		}
 	}
@@ -106,7 +106,7 @@ func TestEvictionDropsCache(t *testing.T) {
 	// One holder of the step dies and comes back with a cold cache before
 	// the window moves: the eviction follows the directory, which must by
 	// then list only the replicas that are really there.
-	holders := e.Cluster().Locations(blockID(r0.ID, 0))
+	holders := e.Cluster().AppendLocations(nil, blockID(r0.ID, 0))
 	if len(holders) == 0 {
 		t.Fatal("step 0 was never cached")
 	}
@@ -115,7 +115,7 @@ func TestEvictionDropsCache(t *testing.T) {
 	s.Ingest(1, stepData(1, 20))
 	e.Loop().Run()
 	for p := 0; p < r0.Parts; p++ {
-		if len(e.Cluster().Locations(blockID(r0.ID, p))) != 0 {
+		if len(e.Cluster().AppendLocations(nil, blockID(r0.ID, p))) != 0 {
 			t.Fatal("evicted step still cached")
 		}
 		// The directory is not the only witness: probe every store.
@@ -171,7 +171,7 @@ func TestStreamCoLocality(t *testing.T) {
 	for part := 0; part < 4; part++ {
 		var first []int
 		for _, id := range rdds {
-			locs := e.Cluster().Locations(blockID(id, part))
+			locs := e.Cluster().AppendLocations(nil, blockID(id, part))
 			if len(locs) == 0 {
 				t.Fatalf("rdd %d partition %d not cached", id, part)
 			}
