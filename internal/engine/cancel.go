@@ -8,17 +8,18 @@ import (
 // This file is the cooperative job-cancellation path the session layer's
 // deadlines and admission control drive: a cancelled job unwinds its
 // in-flight tasks (slots free immediately, completion events become no-ops),
-// releases its shuffle-execution ownership so concurrent jobs subscribed to
-// a shared in-flight stage rerun it, and delivers a typed error through its
-// callback.
+// ends the shuffle executions it owns (endExecution) so other jobs' runs
+// waiting on them take them over and their parked reduce attempts get the
+// shuffle rebuilt, and delivers a typed error through its callback.
 
 // CancelJob withdraws an in-flight job by id: queued tasks are discarded,
 // running attempts are aborted with their slots freed at cancellation time,
-// shuffle ownership is released to any cross-job subscribers, and the job's
-// callback receives cause, wrapped over ErrJobCancelled when the sentinel is
-// not already in its chain. It reports whether a job was cancelled (false
-// for unknown ids and already-completed jobs). Submissions buffered during a
-// driver crash window cancel cleanly without ever starting.
+// the shuffle executions it owns end (waking other jobs' waiting runs and
+// parked attempts), and the job's callback receives cause, wrapped over
+// ErrJobCancelled when the sentinel is not already in its chain. It reports
+// whether a job was cancelled (false for unknown ids and already-completed
+// jobs). Submissions buffered during a driver crash window cancel cleanly
+// without ever starting.
 func (e *Engine) CancelJob(id int, cause error) bool {
 	j := e.jobTab[id]
 	if j == nil || j.done {

@@ -95,8 +95,10 @@ func (e *Engine) ForceCheckpoint(r *rdd.RDD) {
 // store reconciliation): the memo would otherwise keep walking through — or
 // stopping at — the wrong checkpoint frontier.
 func (e *Engine) invalidateStageChains() {
-	for _, st := range e.shuffleStages {
-		st.InvalidateChain()
+	for _, rec := range e.shuffles {
+		if rec.producer != nil {
+			rec.producer.InvalidateChain()
+		}
 	}
 	for _, j := range e.jobTab {
 		for _, sr := range j.stages {

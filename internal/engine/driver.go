@@ -11,7 +11,6 @@ import (
 	"stark/internal/locality"
 	"stark/internal/rdd"
 	"stark/internal/record"
-	"stark/internal/sched"
 )
 
 // This file is the driver fault domain. With Config.DriverRecovery enabled
@@ -45,7 +44,7 @@ import (
 // in append order, and every sweep over map-shaped state walks sorted keys.
 
 // driverMemory is DESIGN §12's volatile state: pending queues, the
-// running-task table, locality-wait bookkeeping, shuffle waiters, the
+// running-task table, locality-wait bookkeeping, the shuffle records, the
 // recovery and blacklist books, the locality and group managers with the
 // namespace tables beside them, the failure detector's timer flag. A crash
 // simply discards it — CrashDriver assigns a fresh one — and restart lets
@@ -70,22 +69,12 @@ type driverMemory struct {
 	wakeIndex map[cluster.BlockKey][]*task
 	running   map[int]*task // by task id
 
-	// shuffleRunning marks shuffles whose map stage is currently executing;
-	// shuffleWaiters holds stage runs blocked on them; shuffleOwner remembers
-	// which job's run holds the execution so cross-job in-flight stage
-	// subscriptions are distinguishable from same-job re-checks in Stats.
-	shuffleRunning map[int]bool
-	shuffleWaiters map[int][]*stageRun
-	shuffleOwner   map[int]*job
+	// shuffles holds one record per shuffle, by id (shuffleRec, recovery.go).
+	shuffles map[int]*shuffleRec
 
-	// Failure-recovery state: which stage produces each shuffle (for
-	// resubmission after block loss), reduce tasks parked on a rebuilding
-	// shuffle, per-shuffle resubmission counts, per-executor failure counts
-	// and blacklist windows (both blacklist maps guarded by Engine.recMu),
-	// and checkpoints deferred for lack of live executors.
-	shuffleStages  map[int]*sched.Stage
-	fetchWaiters   map[int][]*task
-	resubmits      map[int]int
+	// Failure-recovery state: per-executor failure counts and blacklist
+	// windows (both blacklist maps guarded by Engine.recMu), and checkpoints
+	// deferred for lack of live executors.
 	execFailures   map[int]int
 	blacklist      map[int]bool
 	blacklistUntil map[int]time.Duration
@@ -112,12 +101,7 @@ func newDriverMemory(cfg Config) driverMemory {
 	m := driverMemory{
 		wakeIndex:      make(map[cluster.BlockKey][]*task),
 		running:        make(map[int]*task),
-		shuffleRunning: make(map[int]bool),
-		shuffleWaiters: make(map[int][]*stageRun),
-		shuffleOwner:   make(map[int]*job),
-		shuffleStages:  make(map[int]*sched.Stage),
-		fetchWaiters:   make(map[int][]*task),
-		resubmits:      make(map[int]int),
+		shuffles:       make(map[int]*shuffleRec),
 		execFailures:   make(map[int]int),
 		blacklist:      make(map[int]bool),
 		blacklistUntil: make(map[int]time.Duration),

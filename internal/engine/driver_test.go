@@ -389,10 +389,10 @@ func TestCrashDriverForgetsDriverMemory(t *testing.T) {
 			e.noteExecutorFailure(3)
 		}
 		queued := len(e.prefPending) + len(e.plainPending) - e.plainHead
-		if queued == 0 || len(e.running) == 0 || len(e.shuffleStages) == 0 ||
+		if queued == 0 || len(e.running) == 0 || len(e.shuffles) == 0 ||
 			len(e.Blacklisted()) != 1 || e.registered["ns"] == nil || e.registered["ns"].parts != 8 {
 			t.Errorf("driver not busy before the crash: queued=%d running=%d shuffles=%d blacklisted=%v",
-				queued, len(e.running), len(e.shuffleStages), e.Blacklisted())
+				queued, len(e.running), len(e.shuffles), e.Blacklisted())
 		}
 		e.CrashDriver(0)
 		if !reflect.DeepEqual(e.driverMemory, newDriverMemory(e.cfg)) {

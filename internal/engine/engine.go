@@ -419,11 +419,10 @@ type stageRun struct {
 	st        *sched.Stage
 	job       *job
 	remaining int
-	started   bool
-	// runsShuffle marks this run as the owner of its shuffle's execution
-	// (holder of shuffleRunning); released when the job fails mid-stage so
-	// later jobs can rerun the shuffle.
-	runsShuffle bool
+	// started marks a run whose tasks were enqueued, or whose stage was
+	// skipped over a complete shuffle. A map-stage run executes its shuffle
+	// only while the shuffle's record names it owner (shuffleRec).
+	started bool
 	// charged lists the RDD ids this run holds DAG-policy references on;
 	// nil once released (cachepolicy.go).
 	charged []int
@@ -618,9 +617,9 @@ func (e *Engine) Materialize(final *rdd.RDD) (metrics.JobMetrics, error) {
 
 // maybeStartStage enqueues the stage's tasks when all its parent shuffles
 // are complete, deduplicating concurrently running shuffle-map stages
-// across jobs.
+// across jobs. A stage of a finished job never starts.
 func (e *Engine) maybeStartStage(sr *stageRun) {
-	if sr.started {
+	if sr.started || sr.job.done {
 		return
 	}
 	for _, p := range sr.st.Parents {
@@ -630,36 +629,32 @@ func (e *Engine) maybeStartStage(sr *stageRun) {
 		}
 	}
 	if sr.st.ShuffleMap {
+		rec := e.shuffle(sr.st.ShuffleID)
+		if rec.owner != nil {
+			// In-flight stage subscription: instead of computing the shuffle a
+			// second time, wait for the run that owns it and share its outputs.
+			if rec.owner.job != sr.job {
+				e.stats.SharedStageSubs++
+			}
+			rec.waiting = append(rec.waiting, sr)
+			return
+		}
+		// The producer registers even when the stage is skipped, so a fetch
+		// failure after a driver restart that resumed from committed outputs
+		// can still rebuild the shuffle.
+		rec.producer = sr.st
+		rec.owner = sr
 		if e.store.ShuffleComplete(sr.st.ShuffleID) {
 			// Outputs persist from an earlier job: skip the stage wholesale.
-			// The producer stage still registers so a later fetch failure on
-			// the skipped shuffle can rebuild it (without this, a restarted
-			// driver resuming from committed outputs would have no producer
-			// on record and block loss would fail the job).
 			e.stats.SharedShuffleSkips++
-			e.registerShuffleStage(sr.st)
 			sr.started = true
-			sr.runsShuffle = true
 			sr.remaining = 0
 			e.onStageComplete(sr)
 			return
 		}
-		if e.shuffleRunning[sr.st.ShuffleID] {
-			// In-flight stage subscription: instead of computing the shuffle a
-			// second time, park on the run that owns it and share its outputs.
-			if owner := e.shuffleOwner[sr.st.ShuffleID]; owner != nil && owner != sr.job {
-				e.stats.SharedStageSubs++
-			}
-			e.shuffleWaiters[sr.st.ShuffleID] = append(e.shuffleWaiters[sr.st.ShuffleID], sr)
-			return
-		}
-		e.shuffleRunning[sr.st.ShuffleID] = true
-		e.shuffleOwner[sr.st.ShuffleID] = sr.job
-		sr.runsShuffle = true
 		if err := e.store.RegisterShuffle(sr.st.ShuffleID, sr.st.Output.Parts, sr.st.Consumer.Parts); err != nil {
 			panic(err) // geometry conflicts are engine bugs
 		}
-		e.registerShuffleStage(sr.st)
 	}
 	sr.started = true
 	if e.tracer != nil {
@@ -840,46 +835,30 @@ func (e *Engine) partRange(lo, hi int) []int {
 	return e.partIdx[lo:hi:hi]
 }
 
-// onStageComplete propagates stage completion: shuffle-map stages unblock
-// waiters (in this and other jobs); the result stage finishes the job.
+// onStageComplete propagates stage completion: a map stage's run ends its
+// shuffle's execution, which wakes the stages and attempts waiting on it (in
+// this and other jobs); the result stage finishes the job.
 func (e *Engine) onStageComplete(sr *stageRun) {
-	if sr.st.ShuffleMap {
-		if !sr.runsShuffle {
-			// Ownership was released when this run's job failed; whichever
-			// run owns the shuffle now propagates completion.
-			return
-		}
-		// A block-loss fault may have punched holes in the shuffle while the
-		// stage ran; recompute just the missing map outputs before declaring
-		// the shuffle complete.
-		if missing := e.store.MissingMapOutputs(sr.st.ShuffleID); len(missing) > 0 {
-			if !e.bumpResubmit(sr.job, sr.st.ShuffleID) {
-				return
-			}
-			if e.tracer != nil {
-				e.trace("stage-resubmit", sr.job.id, sr.st.ID, -1, -1,
-					fmt.Sprintf("shuffle=%d missing=%d", sr.st.ShuffleID, len(missing)))
-			}
-			e.enqueueMissing(sr, missing)
-			return
-		}
-		sr.runsShuffle = false
-		e.releaseStage(sr)
-		delete(e.shuffleRunning, sr.st.ShuffleID)
-		delete(e.shuffleOwner, sr.st.ShuffleID)
-		waiters := e.shuffleWaiters[sr.st.ShuffleID]
-		delete(e.shuffleWaiters, sr.st.ShuffleID)
-		// Children in this job plus cross-job waiters re-check readiness.
-		for _, child := range sr.job.stages {
-			e.maybeStartStage(child)
-		}
-		for _, w := range waiters {
-			e.maybeStartStage(w)
-		}
-		e.releaseFetchWaiters(sr.st.ShuffleID)
+	if !sr.st.ShuffleMap {
+		e.finishJob(sr.job)
 		return
 	}
-	e.finishJob(sr.job)
+	id := sr.st.ShuffleID
+	rec := e.shuffles[id]
+	if rec.owner != sr {
+		// The execution ended when this run's job failed; whichever run owns
+		// the shuffle now propagates completion.
+		return
+	}
+	// A block-loss fault may have punched holes in the shuffle while the
+	// stage ran; recompute just the missing map outputs before declaring the
+	// shuffle complete.
+	if missing := e.store.MissingMapOutputs(id); len(missing) > 0 {
+		e.resubmitMissing(rec, sr, missing)
+		return
+	}
+	e.releaseStage(sr)
+	e.endExecution(id, rec)
 }
 
 func (e *Engine) finishJob(j *job) {

@@ -66,11 +66,7 @@ func TestConcurrentJobsShareShuffle(t *testing.T) {
 	var tasksA, tasksB int
 	e.SubmitJob(a, ActionCount, func(r JobResult) { tasksA = len(r.Metrics.Tasks); done++ })
 	e.SubmitJob(b, ActionCount, func(r JobResult) { tasksB = len(r.Metrics.Tasks); done++ })
-	for done < 2 && e.Loop().Step() {
-	}
-	if done != 2 {
-		t.Fatal("jobs did not complete")
-	}
+	stepUntil(t, e, func() bool { return done == 2 }, 10000)
 	// One job ran 4 map + 4 reduce tasks; the other only its 4 reduce tasks.
 	if tasksA+tasksB != 12 {
 		t.Fatalf("tasks = %d + %d, want 12 total (shared map stage)", tasksA, tasksB)
@@ -130,11 +126,7 @@ func TestLocalityWaitExpiryLaunchesRemote(t *testing.T) {
 	e.SubmitJob(big, ActionCount, func(JobResult) { doneBig = true })
 	q := g.Filter(lp, "q", func(record.Record) bool { return true })
 	e.SubmitJob(q, ActionCount, func(r JobResult) { nsJM = r.Metrics; doneNS = true })
-	for (!doneBig || !doneNS) && e.Loop().Step() {
-	}
-	if !doneNS {
-		t.Fatal("namespace job never finished")
-	}
+	stepUntil(t, e, func() bool { return doneBig && doneNS }, 10000)
 	remote := 0
 	for _, tm := range nsJM.Tasks {
 		if tm.Locality == metrics.Remote {
@@ -170,8 +162,7 @@ func TestReplicationAdoptsHotUnit(t *testing.T) {
 		q := g.Filter(lp, fmt.Sprintf("q%d", i), func(record.Record) bool { return true })
 		e.SubmitJob(q, ActionCount, func(JobResult) { done++ })
 	}
-	for done < n && e.Loop().Step() {
-	}
+	stepUntil(t, e, func() bool { return done == n }, 10000)
 	after := len(e.Locality().Preferred("hot", 0)) + len(e.Locality().Preferred("hot", 1))
 	if after <= before {
 		t.Fatalf("preferred executors %d -> %d: contended remote launches adopted no replica", before, after)
@@ -323,8 +314,7 @@ func TestDeterminismWithFailure(t *testing.T) {
 		var jm metrics.JobMetrics
 		e.SubmitJob(pb, ActionCount, func(r JobResult) { jm = r.Metrics; done = true })
 		e.Loop().At(2*time.Millisecond, func() { e.KillExecutor(2) })
-		for !done && e.Loop().Step() {
-		}
+		stepUntil(t, e, func() bool { return done }, 10000)
 		return jm.Finished
 	}
 	if a, b := run(), run(); a != b {
@@ -557,11 +547,7 @@ func TestKillDuringShuffleMapStage(t *testing.T) {
 	e.SubmitJob(pb, ActionCount, func(r JobResult) { res = r; done = true })
 	// Kill while map tasks are in flight.
 	e.Loop().At(time.Millisecond, func() { e.KillExecutor(0) })
-	for !done && e.Loop().Step() {
-	}
-	if !done {
-		t.Fatal("job stuck after mid-shuffle failure")
-	}
+	stepUntil(t, e, func() bool { return done }, 10000)
 	if res.Count != 2000 {
 		t.Fatalf("count = %d", res.Count)
 	}

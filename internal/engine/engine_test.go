@@ -22,6 +22,22 @@ func testConfig() Config {
 	return cfg
 }
 
+// stepUntil steps e's loop until done reports true. It fails the test when
+// the loop drains first or after maxSteps steps, naming the jobs still live,
+// so a job stranded under heartbeats (whose timers keep the loop busy) fails
+// instead of spinning. done is called before every step.
+func stepUntil(t testing.TB, e *Engine, done func() bool, maxSteps int) {
+	t.Helper()
+	for steps := 0; !done(); steps++ {
+		if steps == maxSteps {
+			t.Fatalf("not done after %d loop steps (virtual %v); live jobs %v", maxSteps, e.Now(), sortedIDs(e.jobTab))
+		}
+		if !e.Loop().Step() {
+			t.Fatalf("loop drained after %d steps (virtual %v); live jobs %v", steps, e.Now(), sortedIDs(e.jobTab))
+		}
+	}
+}
+
 // dataset builds n records "k<i>" -> i spread over parts partitions.
 func dataset(n, parts int) [][]record.Record {
 	out := make([][]record.Record, parts)
@@ -411,11 +427,7 @@ func TestKillMidJobResubmits(t *testing.T) {
 	e.SubmitJob(f, ActionCount, func(r JobResult) { res = r; done = true })
 	// Let some tasks start, then kill executor 1 mid-flight.
 	e.Loop().At(time.Millisecond, func() { e.KillExecutor(1) })
-	for !done && e.Loop().Step() {
-	}
-	if !done {
-		t.Fatal("job did not complete after failure")
-	}
+	stepUntil(t, e, func() bool { return done }, 10000)
 	if res.Count != 400 {
 		t.Fatalf("count = %d, want 400", res.Count)
 	}

@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -276,36 +277,85 @@ func (e *Engine) failJob(j *job, err error) {
 	e.releaseJobShuffles(j)
 }
 
-// releaseJobShuffles drops the shuffle-execution ownership of a failed job's
-// unfinished map stages so a later job (or a parked waiter) can rerun them
-// instead of waiting forever on a run that will never complete.
+// shuffleRec is the driver's record of one shuffle (DESIGN §7, "Shuffle
+// record"): the map stage producing it, registered by the first run that
+// starts or skips it; the owner, the one run executing that stage now (nil
+// when none); the runs waiting on the execution (the same stage in other
+// jobs, and stages reading the shuffle); the fresh attempts of reduce tasks
+// that failed to fetch it; and its resubmissions for lost outputs.
+type shuffleRec struct {
+	producer  *sched.Stage
+	owner     *stageRun
+	waiting   []*stageRun
+	parked    []*task
+	resubmits int
+}
+
+// shuffle returns a shuffle's record, creating it on first use.
+func (e *Engine) shuffle(id int) *shuffleRec {
+	rec := e.shuffles[id]
+	if rec == nil {
+		rec = &shuffleRec{}
+		e.shuffles[id] = rec
+	}
+	return rec
+}
+
+// endExecution ends the execution a shuffle's record holds — its owner
+// completed the shuffle, or the owner's job failed — and wakes what waited
+// on it, in order: the record loses its owner; the owner job's stages, then
+// the waiting runs re-check readiness, so one of them may take the
+// execution over; on a complete shuffle the parked attempts of live jobs
+// re-enqueue, and on an incomplete one that no run took over, the job of
+// the first live parked attempt rebuilds it.
+func (e *Engine) endExecution(id int, rec *shuffleRec) {
+	complete := e.store.ShuffleComplete(id)
+	j := rec.owner.job
+	rec.owner = nil
+	waiting := rec.waiting
+	rec.waiting = nil
+	for _, sr := range j.stages {
+		e.maybeStartStage(sr)
+	}
+	for _, w := range waiting {
+		e.maybeStartStage(w)
+	}
+	if complete {
+		e.releaseParked(rec)
+		return
+	}
+	if rec.owner != nil {
+		return
+	}
+	for _, t := range rec.parked {
+		if !t.sr.job.done {
+			e.rebuildShuffle(t.sr.job, id)
+			return
+		}
+	}
+}
+
+// releaseJobShuffles ends the executions a failed job's runs own, so the
+// runs and parked attempts of other jobs waiting on them are woken instead
+// of waiting for good on a run that will never complete.
 func (e *Engine) releaseJobShuffles(j *job) {
 	for _, sr := range j.stages {
-		if !sr.st.ShuffleMap || !sr.runsShuffle || sr.remaining == 0 {
+		if !sr.st.ShuffleMap {
 			continue
 		}
-		id := sr.st.ShuffleID
-		sr.runsShuffle = false
-		delete(e.shuffleRunning, id)
-		delete(e.shuffleOwner, id)
-		waiters := e.shuffleWaiters[id]
-		delete(e.shuffleWaiters, id)
-		for _, w := range waiters {
-			if w.job.done {
-				continue
-			}
-			e.maybeStartStage(w)
+		if rec := e.shuffles[sr.st.ShuffleID]; rec != nil && rec.owner == sr {
+			e.endExecution(sr.st.ShuffleID, rec)
 		}
 	}
 }
 
 // resubmitForFetch handles one reduce task's fetch failure: a fresh copy of
-// the task waits for the shuffle to be rebuilt (fetch failures do not burn
-// the task's retry budget), and the producing map stage is resubmitted for
-// the missing partitions.
+// the task parks on the shuffle until it is rebuilt (fetch failures do not
+// burn the task's retry budget), and the producing map stage is resubmitted
+// for the missing partitions.
 func (e *Engine) resubmitForFetch(t *task, shuffleID int) {
-	waiter := e.cloneTask(t, t.attempt)
-	e.fetchWaiters[shuffleID] = append(e.fetchWaiters[shuffleID], waiter)
+	rec := e.shuffle(shuffleID)
+	rec.parked = append(rec.parked, e.cloneTask(t, t.attempt))
 	e.rebuildShuffle(t.sr.job, shuffleID)
 }
 
@@ -314,54 +364,63 @@ func (e *Engine) resubmitForFetch(t *task, shuffleID int) {
 const maxStageResubmissions = 8
 
 // rebuildShuffle resubmits the map stage that produced a shuffle whose
-// outputs went missing, bounded by maxStageResubmissions per shuffle.
+// outputs went missing, as a new run of j that owns the execution. When no
+// producer is on record or the resubmissions ran out, the rebuild is refused
+// (refuseRebuild).
 func (e *Engine) rebuildShuffle(j *job, shuffleID int) {
-	if e.shuffleRunning[shuffleID] {
-		return // a rebuild is already in flight; waiters drain on completion
+	rec := e.shuffle(shuffleID)
+	if rec.owner != nil {
+		return // a run is executing the shuffle; its end wakes the waiters
 	}
-	st := e.shuffleStages[shuffleID]
+	st := rec.producer
 	if st == nil {
-		e.failJob(j, fmt.Errorf("engine: shuffle %d has no registered producer stage: %w",
+		e.refuseRebuild(rec, j, fmt.Errorf("engine: shuffle %d has no registered producer stage: %w",
 			shuffleID, ErrFetchFailed))
 		return
 	}
 	missing := e.store.MissingMapOutputs(shuffleID)
 	if len(missing) == 0 {
 		// The outputs reappeared (another job rewrote them) — release waiters.
-		e.releaseFetchWaiters(shuffleID)
+		e.releaseParked(rec)
 		return
 	}
-	if !e.bumpResubmit(j, shuffleID) {
-		return
-	}
-	sr := &stageRun{st: st, job: j, started: true, runsShuffle: true}
+	sr := &stageRun{st: st, job: j, started: true}
 	j.stages = append(j.stages, sr)
 	e.chargeStage(sr)
-	e.shuffleRunning[shuffleID] = true
-	e.shuffleOwner[shuffleID] = j
-	if e.tracer != nil {
-		e.trace("stage-resubmit", j.id, st.ID, -1, -1,
-			fmt.Sprintf("shuffle=%d missing=%d", shuffleID, len(missing)))
-	}
-	e.enqueueMissing(sr, missing)
+	rec.owner = sr
+	e.resubmitMissing(rec, sr, missing)
 }
 
-// bumpResubmit charges one resubmission of a shuffle against the bound,
-// failing the job when the bound is exhausted.
-func (e *Engine) bumpResubmit(j *job, shuffleID int) bool {
-	e.resubmits[shuffleID]++
-	if e.resubmits[shuffleID] > maxStageResubmissions {
-		e.failJob(j, fmt.Errorf("engine: shuffle %d resubmitted more than %d times: %w",
-			shuffleID, maxStageResubmissions, ErrFetchFailed))
-		return false
+// refuseRebuild fails j, and every live job with a run or an attempt waiting
+// on the shuffle, with err: a shuffle without a producer on record, or out of
+// resubmissions, cannot be rebuilt for any of them.
+func (e *Engine) refuseRebuild(rec *shuffleRec, j *job, err error) {
+	waiting, parked := rec.waiting, rec.parked
+	rec.waiting, rec.parked = nil, nil
+	e.failJob(j, err)
+	for _, w := range waiting {
+		e.failJob(w.job, err)
+	}
+	for _, t := range parked {
+		e.failJob(t.sr.job, err)
+	}
+}
+
+// resubmitMissing charges one resubmission of the owner sr's map stage
+// against maxStageResubmissions, refusing the rebuild past it, and enqueues
+// the tasks covering only the missing partitions (group tasks recompute any
+// group containing one).
+func (e *Engine) resubmitMissing(rec *shuffleRec, sr *stageRun, missing []int) {
+	id := sr.st.ShuffleID
+	if rec.resubmits++; rec.resubmits > maxStageResubmissions {
+		e.refuseRebuild(rec, sr.job, fmt.Errorf("engine: shuffle %d resubmitted more than %d times: %w",
+			id, maxStageResubmissions, ErrFetchFailed))
+		return
 	}
 	e.recUpdate(func(r *recMetrics) { r.StageResubmissions++ })
-	return true
-}
-
-// enqueueMissing enqueues a map stage's tasks covering only the missing
-// partitions (group tasks recompute any group containing one).
-func (e *Engine) enqueueMissing(sr *stageRun, missing []int) {
+	if e.tracer != nil {
+		e.trace("stage-resubmit", sr.job.id, sr.st.ID, -1, -1, fmt.Sprintf("shuffle=%d missing=%d", id, len(missing)))
+	}
 	out := sr.st.Output
 	c := e.collectionOf(out)
 	miss := make(map[int]bool, len(missing))
@@ -393,43 +452,24 @@ func (e *Engine) enqueueMissing(sr *stageRun, missing []int) {
 // outputs have since been lost — register the stage as a waiter and kick a
 // rebuild if none is in flight.
 func (e *Engine) ensureParentShuffle(sr *stageRun, shuffleID int) {
-	if prod := e.producerRun(sr.job, shuffleID); prod != nil && !prod.started {
-		return
-	}
-	dup := false
-	for _, w := range e.shuffleWaiters[shuffleID] {
-		if w == sr {
-			dup = true
-			break
+	for _, p := range sr.job.stages {
+		if p.st.ShuffleMap && p.st.ShuffleID == shuffleID && !p.started {
+			return
 		}
 	}
-	if !dup {
-		e.shuffleWaiters[shuffleID] = append(e.shuffleWaiters[shuffleID], sr)
+	rec := e.shuffle(shuffleID)
+	if !slices.Contains(rec.waiting, sr) {
+		rec.waiting = append(rec.waiting, sr)
 	}
 	e.rebuildShuffle(sr.job, shuffleID)
 }
 
-// producerRun finds the job's stage run producing a shuffle, nil when the
-// job has none (the shuffle persisted from an earlier job).
-func (e *Engine) producerRun(j *job, shuffleID int) *stageRun {
-	for _, sr := range j.stages {
-		if sr.st.ShuffleMap && sr.st.ShuffleID == shuffleID {
-			return sr
-		}
-	}
-	return nil
-}
-
-// releaseFetchWaiters re-enqueues the reduce tasks parked on a shuffle once
-// its outputs are complete again.
-func (e *Engine) releaseFetchWaiters(shuffleID int) {
-	waiters := e.fetchWaiters[shuffleID]
-	if len(waiters) == 0 {
-		return
-	}
-	delete(e.fetchWaiters, shuffleID)
-	now := e.loop.Now()
-	for _, w := range waiters {
+// releaseParked re-enqueues the reduce attempts of live jobs parked on a
+// shuffle once its outputs are complete again.
+func (e *Engine) releaseParked(rec *shuffleRec) {
+	parked, now := rec.parked, e.loop.Now()
+	rec.parked = nil
+	for _, w := range parked {
 		if w.sr.job.done {
 			continue
 		}
@@ -507,14 +547,6 @@ func medianDuration(ds []time.Duration) time.Duration {
 	copy(sorted, ds)
 	sort.Slice(sorted, func(a, b int) bool { return sorted[a] < sorted[b] })
 	return sorted[len(sorted)/2]
-}
-
-// registerShuffleStage remembers which stage produces a shuffle so lost
-// outputs can be recomputed after the stage completed.
-func (e *Engine) registerShuffleStage(st *sched.Stage) {
-	if st.ShuffleMap {
-		e.shuffleStages[st.ShuffleID] = st
-	}
 }
 
 // --- fault.System: the surface the fault injector drives ---------------
