@@ -3,23 +3,27 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
-// This file is the cooperative job-cancellation path the session layer's
-// deadlines and admission control drive: a cancelled job unwinds its
-// in-flight tasks (slots free immediately, completion events become no-ops),
-// ends the shuffle executions it owns (endExecution) so other jobs' runs
-// waiting on them take them over and their parked reduce attempts get the
-// shuffle rebuilt, and delivers a typed error through its callback.
+// This file is the one path that ends a job with an error: retry
+// exhaustion, a refused shuffle rebuild, CancelJob (the session layer's
+// deadlines and admission control) and Close all end in failJob. It aborts
+// the job's running attempts, discards its queued and parked ones, releases
+// their recovery epochs, ends the shuffle executions the job owns
+// (endExecution) so that runs and parked attempts of other jobs waiting on
+// them are woken, and delivers a typed error through the job's callback. No
+// attempt of a finished job stays in driver memory, so neither the scheduler
+// nor the recovery paths check for one.
 
-// CancelJob withdraws an in-flight job by id: queued tasks are discarded,
-// running attempts are aborted with their slots freed at cancellation time,
-// the shuffle executions it owns end (waking other jobs' waiting runs and
-// parked attempts), and the job's callback receives cause, wrapped over
-// ErrJobCancelled when the sentinel is not already in its chain. It reports
-// whether a job was cancelled (false for unknown ids and already-completed
-// jobs). Submissions buffered during a driver crash window cancel cleanly
-// without ever starting.
+// CancelJob withdraws an in-flight job by id through failJob: queued and
+// parked attempts are discarded, running ones are aborted with their slots
+// freed at cancellation time, the shuffle executions it owns end (waking
+// other jobs' waiting runs and parked attempts), and the job's callback
+// receives cause, wrapped over ErrJobCancelled when the sentinel is not
+// already in its chain. It reports whether a job was cancelled (false for
+// unknown ids and already-completed jobs). Submissions buffered during a
+// driver crash window cancel cleanly without ever starting.
 func (e *Engine) CancelJob(id int, cause error) bool {
 	j := e.jobTab[id]
 	if j == nil || j.done {
@@ -39,34 +43,61 @@ func (e *Engine) CancelJob(id int, cause error) bool {
 	return true
 }
 
-// cancelJob unwinds one job and fails it with cause. Close reuses it for
-// every in-flight job.
+// cancelJob counts one cancellation and fails j with cause through the
+// shared end path (failJob). Close reuses it for every in-flight job.
 func (e *Engine) cancelJob(j *job, cause error) {
-	// Abort running attempts first so their slots free now instead of at
-	// their simulated completion, and release their recovery epochs — a
-	// cancelled task needs no replacement attempt.
+	e.recUpdate(func(r *recMetrics) { r.JobCancellations++ })
+	e.failJob(j, cause)
+}
+
+// failJob ends j with err (see the file comment).
+func (e *Engine) failJob(j *job, err error) {
+	if j.done {
+		return
+	}
 	for _, tid := range sortedIDs(e.running) {
-		t := e.running[tid]
-		if t.sr.job == j {
+		if t := e.running[tid]; t.sr.job == j {
 			e.cancelTask(t)
 			e.releaseEpoch(t)
 		}
 	}
-	// Queued attempts are discarded lazily by the scheduler once the job is
-	// done; their epochs release here so crash-recovery delay measurement
-	// never waits on work that will not run.
-	for _, t := range e.prefPending {
-		if t != nil && t.sr.job == j && !t.aborted && !t.launched() {
-			e.releaseEpoch(t)
-		}
-	}
+	discard := func(t *task) bool { return e.discard(t, j) }
+	e.prefPending = slices.DeleteFunc(e.prefPending, discard)
 	for i := e.plainHead; i < len(e.plainPending); i++ {
-		if t := e.plainPending[i]; t != nil && t.sr.job == j && !t.aborted && !t.launched() {
-			e.releaseEpoch(t)
+		if discard(e.plainPending[i]) {
+			e.plainPending[i] = nil
 		}
 	}
-	e.recUpdate(func(r *recMetrics) { r.JobCancellations++ })
-	e.failJob(j, cause)
+	// Every record, not only the job's parent shuffles: a task recomputing
+	// past a lost or corrupt checkpoint parks on a shuffle upstream of its
+	// stage.
+	for _, id := range sortedIDs(e.shuffles) {
+		rec := e.shuffles[id]
+		rec.parked = slices.DeleteFunc(rec.parked, discard)
+	}
+	j.err = err
+	if e.tracer != nil {
+		e.trace("job-fail", j.id, -1, -1, -1, err.Error())
+	}
+	e.finishJob(j)
+	e.releaseJobShuffles(j)
+}
+
+// discard reports whether t is an attempt of j, discarding it if so: a
+// queued or parked attempt that will never launch leaves the unarmed-timer
+// counter and its recovery epoch.
+func (e *Engine) discard(t *task, j *job) bool {
+	if t == nil || t.sr.job != j {
+		return false
+	}
+	if !t.aborted && !t.launched() {
+		t.aborted = true
+		if t.counted && !t.waitArmed {
+			e.unarmed--
+		}
+		e.releaseEpoch(t)
+	}
+	return true
 }
 
 // releaseEpoch removes a task from its recovery epoch's pending count,

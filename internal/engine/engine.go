@@ -617,7 +617,9 @@ func (e *Engine) Materialize(final *rdd.RDD) (metrics.JobMetrics, error) {
 
 // maybeStartStage enqueues the stage's tasks when all its parent shuffles
 // are complete, deduplicating concurrently running shuffle-map stages
-// across jobs. A stage of a finished job never starts.
+// across jobs. A stage of a finished job never starts: endExecution
+// re-checks a failed owner's stages, and a finished job's runs may still
+// sit in a shuffle record's waiting list.
 func (e *Engine) maybeStartStage(sr *stageRun) {
 	if sr.started || sr.job.done {
 		return
@@ -769,7 +771,8 @@ func (e *Engine) enqueue(t *task) {
 	e.plainPending = append(e.plainPending, t)
 }
 
-// wakeTasks promotes plain tasks whose watched block just got cached.
+// wakeTasks promotes plain tasks whose watched block just got cached; a
+// failed job's tasks stay discarded (failJob).
 func (e *Engine) wakeTasks(id cluster.BlockID) {
 	key := id.Key()
 	tasks, ok := e.wakeIndex[key]
@@ -778,7 +781,7 @@ func (e *Engine) wakeTasks(id cluster.BlockID) {
 	}
 	delete(e.wakeIndex, key)
 	for _, t := range tasks {
-		if t.launched() || t.promoted {
+		if t.launched() || t.promoted || t.aborted {
 			continue
 		}
 		t.promoted = true
@@ -837,7 +840,9 @@ func (e *Engine) partRange(lo, hi int) []int {
 
 // onStageComplete propagates stage completion: a map stage's run ends its
 // shuffle's execution, which wakes the stages and attempts waiting on it (in
-// this and other jobs); the result stage finishes the job.
+// this and other jobs); the result stage finishes the job. A completing map
+// run always owns its shuffle: the execution moves to another run only when
+// this one's job fails, and failJob aborts the job's attempts with it.
 func (e *Engine) onStageComplete(sr *stageRun) {
 	if !sr.st.ShuffleMap {
 		e.finishJob(sr.job)
@@ -845,11 +850,6 @@ func (e *Engine) onStageComplete(sr *stageRun) {
 	}
 	id := sr.st.ShuffleID
 	rec := e.shuffles[id]
-	if rec.owner != sr {
-		// The execution ended when this run's job failed; whichever run owns
-		// the shuffle now propagates completion.
-		return
-	}
 	// A block-loss fault may have punched holes in the shuffle while the
 	// stage ran; recompute just the missing map outputs before declaring the
 	// shuffle complete.

@@ -133,9 +133,6 @@ func (e *Engine) onTaskFailure(t *task) {
 		// The speculative partner is still running; it is the live attempt.
 		return
 	}
-	if t.sr.job.done {
-		return
-	}
 	var fe *fetchError
 	if errors.As(err, &fe) {
 		e.recUpdate(func(r *recMetrics) { r.FetchFailures++ })
@@ -161,9 +158,16 @@ func (e *Engine) onTaskFailure(t *task) {
 	}
 	gen := e.driverGen
 	e.loop.After(backoff, func() {
-		if clone.sr.job.done || gen != e.driverGen {
+		if gen != e.driverGen {
 			// A driver crash between scheduling and firing voided the retry:
 			// the restarted driver resubmits the whole job from the journal.
+			return
+		}
+		if clone.sr.job.done {
+			// The clone sits in no queue while it waits, so failJob cannot
+			// discard it: drop it here, releasing the recovery epoch it
+			// carries so that the epoch still closes.
+			e.releaseEpoch(clone)
 			return
 		}
 		clone.submitted = e.loop.Now()
@@ -247,34 +251,16 @@ func (e *Engine) noteTaskSuccess(t *task) {
 	t.sr.durations = append(t.sr.durations, t.tm.Duration())
 }
 
-// cancelTask withdraws a running task (speculation loser): its slot frees
-// immediately and its pending completion event becomes a no-op.
+// cancelTask withdraws a running task (a speculation loser, or an attempt
+// of a failing job): its slot frees immediately and its pending completion
+// event becomes a no-op.
 func (e *Engine) cancelTask(t *task) {
 	if t.aborted {
 		return
 	}
 	t.aborted = true
-	if _, running := e.running[t.id]; running {
-		delete(e.running, t.id)
-		if t.slotHeld {
-			t.slotHeld = false
-			e.cl.Executor(t.exec).Release()
-		}
-	}
-}
-
-// failJob terminates a job with an error; its queued tasks are discarded
-// lazily by the scheduler and its callback receives the error.
-func (e *Engine) failJob(j *job, err error) {
-	if j.done {
-		return
-	}
-	j.err = err
-	if e.tracer != nil {
-		e.trace("job-fail", j.id, -1, -1, -1, err.Error())
-	}
-	e.finishJob(j)
-	e.releaseJobShuffles(j)
+	delete(e.running, t.id)
+	e.releaseSlot(t)
 }
 
 // shuffleRec is the driver's record of one shuffle (DESIGN §7, "Shuffle
@@ -305,9 +291,10 @@ func (e *Engine) shuffle(id int) *shuffleRec {
 // completed the shuffle, or the owner's job failed — and wakes what waited
 // on it, in order: the record loses its owner; the owner job's stages, then
 // the waiting runs re-check readiness, so one of them may take the
-// execution over; on a complete shuffle the parked attempts of live jobs
-// re-enqueue, and on an incomplete one that no run took over, the job of
-// the first live parked attempt rebuilds it.
+// execution over; on a complete shuffle the parked attempts re-enqueue, and
+// on an incomplete one that no run took over, the job of the first parked
+// attempt rebuilds it. Every parked attempt belongs to a live job: failJob
+// drops a failing job's.
 func (e *Engine) endExecution(id int, rec *shuffleRec) {
 	complete := e.store.ShuffleComplete(id)
 	j := rec.owner.job
@@ -327,11 +314,8 @@ func (e *Engine) endExecution(id int, rec *shuffleRec) {
 	if rec.owner != nil {
 		return
 	}
-	for _, t := range rec.parked {
-		if !t.sr.job.done {
-			e.rebuildShuffle(t.sr.job, id)
-			return
-		}
+	if len(rec.parked) > 0 {
+		e.rebuildShuffle(rec.parked[0].sr.job, id)
 	}
 }
 
@@ -393,10 +377,15 @@ func (e *Engine) rebuildShuffle(j *job, shuffleID int) {
 
 // refuseRebuild fails j, and every live job with a run or an attempt waiting
 // on the shuffle, with err: a shuffle without a producer on record, or out of
-// resubmissions, cannot be rebuilt for any of them.
+// resubmissions, cannot be rebuilt for any of them. The parked attempts
+// leave the record first, releasing their epochs, so that failing j (which
+// ends its execution of the shuffle) does not ask for the rebuild again.
 func (e *Engine) refuseRebuild(rec *shuffleRec, j *job, err error) {
 	waiting, parked := rec.waiting, rec.parked
 	rec.waiting, rec.parked = nil, nil
+	for _, t := range parked {
+		e.releaseEpoch(t)
+	}
 	e.failJob(j, err)
 	for _, w := range waiting {
 		e.failJob(w.job, err)
@@ -464,15 +453,12 @@ func (e *Engine) ensureParentShuffle(sr *stageRun, shuffleID int) {
 	e.rebuildShuffle(sr.job, shuffleID)
 }
 
-// releaseParked re-enqueues the reduce attempts of live jobs parked on a
-// shuffle once its outputs are complete again.
+// releaseParked re-enqueues the reduce attempts parked on a shuffle once its
+// outputs are complete again (failJob drops a failed job's parked attempts).
 func (e *Engine) releaseParked(rec *shuffleRec) {
 	parked, now := rec.parked, e.loop.Now()
 	rec.parked = nil
 	for _, w := range parked {
-		if w.sr.job.done {
-			continue
-		}
 		w.submitted = now
 		w.tm.Submitted = now
 		e.enqueue(w)
@@ -486,7 +472,7 @@ func (e *Engine) releaseParked(rec *shuffleRec) {
 // the first finisher wins.
 func (e *Engine) maybeSpeculate(sr *stageRun) {
 	rc := e.cfg.Recovery
-	if !rc.Speculation || sr.remaining <= 0 || sr.job.done {
+	if !rc.Speculation || sr.remaining <= 0 {
 		return
 	}
 	done := len(sr.durations)

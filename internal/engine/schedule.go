@@ -15,6 +15,8 @@ import (
 // tasks whose locality wait expired or that have no locality to wait for —
 // ordered by Minimum-Contention-First when enabled (paper Algorithm 1).
 // Tasks still waiting arm a timer so the round re-runs at wait expiry.
+// Every queued task belongs to a live job: failJob discards a failing job's
+// queue entries, so no round checks for finished jobs.
 func (e *Engine) schedule() {
 	if e.driverDown {
 		return
@@ -28,17 +30,12 @@ func (e *Engine) schedule() {
 
 		// Pass 1: NODE_LOCAL launches for locality-capable tasks. Stop as
 		// soon as the cluster fills — under overload the pending queue is
-		// huge and scanning it with no slots free is pure waste. Tasks of
-		// jobs that already failed are discarded lazily here.
+		// huge and scanning it with no slots free is pure waste.
 		for _, t := range e.prefPending {
 			if free == 0 {
 				break
 			}
 			if t.aborted || t.launched() {
-				continue
-			}
-			if t.sr.job.done {
-				e.discardPending(t)
 				continue
 			}
 			for _, ex := range e.preferredExecutors(t) {
@@ -62,10 +59,6 @@ func (e *Engine) schedule() {
 				break
 			}
 			if t.aborted || t.launched() {
-				continue
-			}
-			if t.sr.job.done {
-				e.discardPending(t)
 				continue
 			}
 			if now-t.submitted >= e.cfg.Sched.LocalityWait || len(e.preferredExecutors(t)) == 0 {
@@ -92,10 +85,6 @@ func (e *Engine) schedule() {
 					e.plainPending[e.plainHead] = nil
 					e.plainHead++
 					if t == nil || t.launched() || t.promoted || t.aborted {
-						continue
-					}
-					if t.sr.job.done {
-						t.aborted = true
 						continue
 					}
 					return t
@@ -171,15 +160,6 @@ func (e *Engine) compactPrefPending() {
 		e.prefPending[i] = nil
 	}
 	e.prefPending = kept
-}
-
-// discardPending drops a queued preference-queue task whose job already
-// finished, keeping the unarmed-timer counter consistent.
-func (e *Engine) discardPending(t *task) {
-	t.aborted = true
-	if t.counted && !t.waitArmed {
-		e.unarmed--
-	}
 }
 
 // compactPlainPending releases consumed queue prefix memory, amortized.
@@ -535,9 +515,6 @@ func (e *Engine) resubmitLostTasks(id int, epochStart time.Duration) {
 		delete(e.running, tid)
 		if t.detachPartner() {
 			continue // the live speculative partner is now the sole attempt
-		}
-		if t.sr.job.done {
-			continue
 		}
 		if t.epoch == nil {
 			if ep == nil {

@@ -12,6 +12,7 @@ import (
 	"stark/internal/partition"
 	"stark/internal/rdd"
 	"stark/internal/record"
+	"stark/internal/storage"
 )
 
 // TestCancelledRebuildOwnerWakesParkedJob: two jobs read one materialized
@@ -190,6 +191,27 @@ func checkShuffleInvariant(e *Engine) error {
 	return nil
 }
 
+// checkNoFinishedAttempts checks that every attempt the driver holds —
+// running, queued or parked — belongs to a live job: failJob removes a
+// failing job's attempts together, so the scheduler never meets one.
+func checkNoFinishedAttempts(e *Engine) error {
+	for _, t := range heldAttempts(e) {
+		if t.sr.job.done {
+			return fmt.Errorf("task %d of finished job %d is still held (launched=%v)", t.id, t.sr.job.id, t.launched())
+		}
+	}
+	unarmed := 0
+	for _, t := range e.prefPending {
+		if t.counted && !t.waitArmed && !t.launched() && !t.aborted {
+			unarmed++
+		}
+	}
+	if unarmed != e.unarmed {
+		return fmt.Errorf("unarmed = %d, but %d queued tasks wait for a locality timer", e.unarmed, unarmed)
+	}
+	return nil
+}
+
 // sharedShuffleRun is one seeded run of TestSharedShuffleModel: each job's
 // result, and what the shuffle records saw.
 type sharedShuffleRun struct {
@@ -201,14 +223,21 @@ type sharedShuffleRun struct {
 // s1's map stage; job 1 joins s1 with s2, subscribing to job 0's run of s1
 // and running s2's; job 2 counts s2, subscribing to job 1's run. Map output
 // losses, executor kills (restarted 10ms later) and cancellations land at
-// seeded virtual instants; odd seeds run under heartbeat detection. The
-// shuffle invariant is checked after every loop step.
+// seeded virtual instants; odd seeds run under heartbeat detection. From
+// seed 100 on, jobs also end by failure: those seeds run with no task
+// retries, and at seeded instants the next map output write fails, so its
+// job fails (ErrStorage) through retry exhaustion. The shuffle invariant,
+// and that no held attempt belongs to a finished job, are checked after
+// every loop step.
 func runSharedShuffles(t *testing.T, seed int64, par int) sharedShuffleRun {
 	cfg := testConfig()
 	if seed%2 == 1 {
 		cfg = hbConfig()
 	}
 	cfg.Execution.Parallelism = par
+	if seed >= 100 {
+		cfg.Recovery.MaxTaskRetries = 0
+	}
 	e := New(cfg)
 	g := e.Graph()
 	p := partition.NewHash(8)
@@ -240,8 +269,24 @@ func runSharedShuffles(t *testing.T, seed int64, par int) sharedShuffleRun {
 			}
 		})
 	}
+	if seed >= 100 {
+		failNext := false
+		e.Store().SetFaultHook(func(op storage.Op) error {
+			if op == storage.OpMapOutputWrite && failNext {
+				failNext = false
+				return errors.New("injected write fault")
+			}
+			return nil
+		})
+		for n := rng.Intn(3); n > 0; n-- {
+			e.Loop().At(time.Duration(rng.Int63n(int64(horizon))), func() { failNext = true })
+		}
+	}
 	stepUntil(t, e, func() bool {
 		if err := checkShuffleInvariant(e); err != nil {
+			t.Fatalf("seed %d par %d at %v: %v", seed, par, e.Now(), err)
+		}
+		if err := checkNoFinishedAttempts(e); err != nil {
 			t.Fatalf("seed %d par %d at %v: %v", seed, par, e.Now(), err)
 		}
 		return finished == len(finals)
@@ -251,24 +296,28 @@ func runSharedShuffles(t *testing.T, seed int64, par int) sharedShuffleRun {
 	return run
 }
 
-// TestSharedShuffleModel: under seeded losses, kills and cancellations,
-// three jobs sharing two shuffles each end with the right count or a typed
-// error, the shuffle invariant holds after every step, and parallelism 1
-// and 4 give identical task metrics.
+// TestSharedShuffleModel: under seeded losses, kills, cancellations and
+// failures, three jobs sharing two shuffles each end with the right count or
+// a typed error, the shuffle invariant holds after every step, no finished
+// job keeps an attempt, and parallelism 1 and 4 give identical task metrics.
 func TestSharedShuffleModel(t *testing.T) {
 	want := []int64{400, 300, 300}
-	const seeds = 100
-	var subs, rebuilt, cancelled int
+	const seeds = 200
+	var subs, rebuilt, cancelled, failed int
 	for seed := int64(0); seed < seeds; seed++ {
 		seq := runSharedShuffles(t, seed, 1)
+		jobFailed := 0
 		for i, r := range seq.results {
 			switch {
 			case r.Err == nil && r.Count != want[i]:
 				t.Fatalf("seed %d: job %d count = %d, want %d", seed, i, r.Count, want[i])
+			case seed >= 100 && errors.Is(r.Err, ErrStorage):
+				jobFailed = 1
 			case r.Err != nil && !errors.Is(r.Err, ErrJobCancelled) && !errors.Is(r.Err, ErrFetchFailed):
 				t.Fatalf("seed %d: job %d failed with an untyped error: %v", seed, i, r.Err)
 			}
 		}
+		failed += jobFailed
 		if pool := runSharedShuffles(t, seed, 4); !reflect.DeepEqual(seq, pool) {
 			t.Fatalf("seed %d: parallelism 4 differs from 1:\n  par 1: %+v\n  par 4: %+v", seed, seq, pool)
 		}
@@ -276,8 +325,8 @@ func TestSharedShuffleModel(t *testing.T) {
 		rebuilt += min(seq.resubmits, 1)
 		cancelled += min(seq.cancel, 1)
 	}
-	t.Logf("of %d seeds: %d subscribed, %d rebuilt a shuffle, %d cancelled a job", seeds, subs, rebuilt, cancelled)
-	if subs == 0 || rebuilt == 0 || cancelled == 0 {
-		t.Fatalf("the seeds never exercised a subscription (%d), a rebuild (%d) or a cancellation (%d)", subs, rebuilt, cancelled)
+	t.Logf("of %d seeds: %d subscribed, %d rebuilt a shuffle, %d cancelled a job, %d failed a job", seeds, subs, rebuilt, cancelled, failed)
+	if subs == 0 || rebuilt == 0 || cancelled == 0 || failed == 0 {
+		t.Fatalf("the seeds never exercised a subscription (%d), a rebuild (%d), a cancellation (%d) or a failure (%d)", subs, rebuilt, cancelled, failed)
 	}
 }
