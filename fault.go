@@ -143,10 +143,11 @@ func WithHeartbeat(interval, suspectAfter, deadAfter time.Duration) Option {
 // WithDriverRecovery makes the driver itself a recoverable fault domain: a
 // write-ahead journal records every commit point (namespace registrations,
 // group splits and merges, map-output commits, checkpoint completions, job
-// lifecycle, blacklist transitions, stream window movement), and a
-// DriverCrashFault can kill the driver mid-run — the restarted driver
-// replays the journal, re-handshakes the executors under a new incarnation,
-// and resumes every in-flight job from its last committed stage.
+// lifecycle, blacklist transitions), and a DriverCrashFault can kill the
+// driver mid-run — the restarted driver replays the journal, re-handshakes
+// the executors under a new incarnation, and resumes every in-flight job
+// from its last committed stage. A stream's window is the application's
+// and is not journaled: a driver crash leaves it as it was.
 func WithDriverRecovery() Option {
 	return func(c *engine.Config) { c.DriverRecovery = true }
 }

@@ -226,7 +226,9 @@ func (e *Engine) observeRestart(id int) {
 	}
 	e.loc.DropExecutor(id, e.viewAliveExecutors(id))
 	e.recMu.Lock()
-	delete(e.blacklistUntil, id)
+	if _, listed := e.blacklist[id]; listed {
+		e.blacklist[id] = 0 // probation: listed, but offered slots again
+	}
 	e.recMu.Unlock()
 	e.resubmitLostTasks(id, e.lastBeat[id])
 	e.drainDeferredCheckpoints()

@@ -17,8 +17,8 @@ import (
 // the engine appends a write-ahead journal at every commit point — namespace
 // registration, Group Tree splits and merges, map-output commits (at result
 // accept, inside the epoch fence), checkpoint completions, job submission
-// and completion, blacklist transitions, and stream window movement — and
-// can lose the driver process entirely (fault.DriverCrash) and come back:
+// and completion, and blacklist transitions — and can lose the driver
+// process entirely (fault.DriverCrash) and come back:
 //
 //   - CrashDriver discards all volatile driver memory (pending queues,
 //     running-task table, shuffle bookkeeping, locality and group state) and
@@ -37,8 +37,8 @@ import (
 //
 // Replay invariants: the journal is authoritative for driver-owned state;
 // objects owned by the client application — the lineage graph, namespace
-// partitioners, job handles and callbacks — survive in the application and
-// re-attach at restart, mirroring how a driver-HA deployment recovers
+// partitioners, job handles and callbacks, stream windows — survive in the
+// application and re-attach at restart, mirroring how a driver-HA deployment recovers
 // metadata from the WAL while the application supplies its closures anew.
 // Replay is virtual-time-free and deterministically ordered: records apply
 // in append order, and every sweep over map-shaped state walks sorted keys.
@@ -72,13 +72,13 @@ type driverMemory struct {
 	// shuffles holds one record per shuffle, by id (shuffleRec, recovery.go).
 	shuffles map[int]*shuffleRec
 
-	// Failure-recovery state: per-executor failure counts and blacklist
-	// windows (both blacklist maps guarded by Engine.recMu), and checkpoints
-	// deferred for lack of live executors.
-	execFailures   map[int]int
-	blacklist      map[int]bool
-	blacklistUntil map[int]time.Duration
-	pendingCP      []*rdd.RDD
+	// Failure-recovery state: per-executor failure counts, the blacklist
+	// (guarded by Engine.recMu) mapping each listed executor to the end of
+	// its exclusion window (0 once a restart opened probation early), and
+	// checkpoints deferred for lack of live executors.
+	execFailures map[int]int
+	blacklist    map[int]time.Duration
+	pendingCP    []*rdd.RDD
 
 	// Namespace state, re-registered by journal replay: preferred executors
 	// per collection unit, the Group Trees and the collections registered
@@ -88,9 +88,6 @@ type driverMemory struct {
 	registered map[string]*collection
 	// lastNS caches collectionOf's last lookup in registered (namespace.go).
 	lastNS lastNamespace
-	// streamSteps holds the stream step tables (nil unless DriverRecovery):
-	// stream name -> step -> RDD id.
-	streamSteps map[string]map[int]int
 	// detectorArmed is whether the failure-detector timer is scheduled.
 	detectorArmed bool
 }
@@ -98,47 +95,23 @@ type driverMemory struct {
 // newDriverMemory is the memory of a driver that has just started, whether
 // for the first time or after a crash.
 func newDriverMemory(cfg Config) driverMemory {
-	m := driverMemory{
-		wakeIndex:      make(map[cluster.BlockKey][]*task),
-		running:        make(map[int]*task),
-		shuffles:       make(map[int]*shuffleRec),
-		execFailures:   make(map[int]int),
-		blacklist:      make(map[int]bool),
-		blacklistUntil: make(map[int]time.Duration),
-		loc:            locality.NewManager(),
-		grp:            group.NewManager(cfg.Groups),
-		registered:     make(map[string]*collection),
+	return driverMemory{
+		wakeIndex:    make(map[cluster.BlockKey][]*task),
+		running:      make(map[int]*task),
+		shuffles:     make(map[int]*shuffleRec),
+		execFailures: make(map[int]int),
+		blacklist:    make(map[int]time.Duration),
+		loc:          locality.NewManager(),
+		grp:          group.NewManager(cfg.Groups),
+		registered:   make(map[string]*collection),
 	}
-	if cfg.DriverRecovery {
-		m.streamSteps = make(map[string]map[int]int)
-	}
-	return m
-}
-
-// DriverRecoveryEnabled reports whether the driver fault domain is armed.
-func (e *Engine) DriverRecoveryEnabled() bool { return e.jrn != nil }
-
-// OnDriverRestart registers a hook invoked after every journal replay, once
-// the control plane is rebuilt but before jobs resubmit. The stream layer
-// uses it to reconstruct step tables from the replayed journal.
-func (e *Engine) OnDriverRestart(fn func()) {
-	e.restartHooks = append(e.restartHooks, fn)
-}
-
-// StreamSteps returns the replayed step table of a stream — step index to
-// RDD id for every step still inside the retention window — as a copy.
-func (e *Engine) StreamSteps(name string) map[int]int {
-	out := make(map[int]int, len(e.streamSteps[name]))
-	for step, id := range e.streamSteps[name] {
-		out[step] = id
-	}
-	return out
 }
 
 // journalAppend records one commit-point record. During driver downtime the
 // record buffers: the crash already tore whatever tail it was going to tear,
-// and appends from the downtime window (buffered submissions, stream
-// ingests) land after replay so the journal stays parseable.
+// and appends from the downtime window (a namespace registration, a buffered
+// submission's cancellation) land after replay so the journal stays
+// parseable.
 func (e *Engine) journalAppend(rec journal.Record) {
 	if e.jrn == nil {
 		return
@@ -148,35 +121,6 @@ func (e *Engine) journalAppend(rec journal.Record) {
 		return
 	}
 	e.jrn.Append(rec)
-	e.applyStreamRecord(rec)
-}
-
-// applyStreamRecord maintains the live stream step tables from journaled
-// stream records; replay and the downtime flush reuse it.
-func (e *Engine) applyStreamRecord(rec journal.Record) {
-	switch rec.Kind {
-	case journal.KindStreamIngest:
-		m := e.streamSteps[rec.S]
-		if m == nil {
-			m = make(map[int]int)
-			e.streamSteps[rec.S] = m
-		}
-		m[int(rec.A)] = int(rec.B)
-	case journal.KindStreamEvict:
-		if m := e.streamSteps[rec.S]; m != nil {
-			delete(m, int(rec.A))
-		}
-	}
-}
-
-// JournalStreamIngest records a stream step entering the retention window.
-func (e *Engine) JournalStreamIngest(name string, step, rddID int) {
-	e.journalAppend(journal.Record{Kind: journal.KindStreamIngest, S: name, A: int64(step), B: int64(rddID)})
-}
-
-// JournalStreamEvict records a stream step leaving the retention window.
-func (e *Engine) JournalStreamEvict(name string, step int) {
-	e.journalAppend(journal.Record{Kind: journal.KindStreamEvict, S: name, A: int64(step)})
 }
 
 // journalJobSubmit records a job submission; the handle itself is filed in
@@ -241,8 +185,7 @@ func (e *Engine) CrashDriver(tearTail int) {
 }
 
 // RestartDriver brings the driver back: journal replay, storage
-// reconciliation, cache re-admission, stream reconstruction, and job
-// resubmission, in that order.
+// reconciliation, cache re-admission, and job resubmission, in that order.
 func (e *Engine) RestartDriver() {
 	if e.jrn == nil {
 		panic("engine: driver restart injected without driver recovery; enable WithDriverRecovery")
@@ -286,15 +229,11 @@ func (e *Engine) RestartDriver() {
 	// Appends buffered during downtime land after the replayed prefix.
 	for _, rec := range e.pendingJrn {
 		e.jrn.Append(rec)
-		e.applyStreamRecord(rec)
 	}
 	e.pendingJrn = nil
 
 	e.reconcileStore(journaledMap, journaledCP)
 	e.sweepCachedUnits()
-	for _, fn := range e.restartHooks {
-		fn()
-	}
 	e.resubmitJobs(liveJobs)
 
 	// With nothing to resume, recovery completes at resubmission time;
@@ -316,9 +255,9 @@ func (e *Engine) RestartDriver() {
 }
 
 // replayJournal applies the journal's records in append order, rebuilding
-// namespaces, Group Tree geometry, blacklist state, stream step tables, and
-// the journaled-commit sets the storage reconciliation consumes. It returns
-// the jobs the journal knows as submitted-but-not-completed.
+// namespaces, Group Tree geometry, blacklist state, and the journaled-commit
+// sets the storage reconciliation consumes. It returns the jobs the journal
+// knows as submitted-but-not-completed.
 func (e *Engine) replayJournal(recs []journal.Record, journaledMap map[[2]int]bool, journaledCP map[int]bool) map[int]bool {
 	liveJobs := make(map[int]bool)
 	for _, rec := range recs {
@@ -357,16 +296,12 @@ func (e *Engine) replayJournal(recs []journal.Record, journaledMap map[[2]int]bo
 			}
 		case journal.KindBlacklist:
 			e.recMu.Lock()
-			e.blacklist[int(rec.A)] = true
-			e.blacklistUntil[int(rec.A)] = time.Duration(rec.B)
+			e.blacklist[int(rec.A)] = time.Duration(rec.B)
 			e.recMu.Unlock()
 		case journal.KindUnblacklist:
 			e.recMu.Lock()
 			delete(e.blacklist, int(rec.A))
-			delete(e.blacklistUntil, int(rec.A))
 			e.recMu.Unlock()
-		case journal.KindStreamIngest, journal.KindStreamEvict:
-			e.applyStreamRecord(rec)
 		case journal.KindJobSubmit:
 			liveJobs[int(rec.A)] = true
 		case journal.KindJobComplete:
@@ -471,15 +406,14 @@ func (e *Engine) resubmitJobs(liveJobs map[int]bool) {
 		}
 		e.startJob(j)
 	}
-	pending := e.pendingJobs
-	e.pendingJobs = nil
-	for _, j := range pending {
-		if j.done {
-			continue // cancelled while buffered
+	// Ids ascend in submit order, and a job cancelled while buffered has
+	// already left jobTab.
+	for _, id := range sortedIDs(e.jobTab) {
+		if j := e.jobTab[id]; j != nil && j.pending {
+			j.pending = false
+			e.journalJobSubmit(j)
+			e.startJob(j)
 		}
-		j.pending = false
-		e.journalJobSubmit(j)
-		e.startJob(j)
 	}
 }
 
@@ -502,7 +436,6 @@ func (e *Engine) Close() error {
 	for _, id := range sortedIDs(e.jobTab) {
 		e.cancelJob(e.jobTab[id], cause)
 	}
-	e.pendingJobs = nil
 	if e.jrn != nil {
 		e.closeErr = e.jrn.Close()
 	}

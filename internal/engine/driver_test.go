@@ -287,56 +287,54 @@ func TestReplaySubmitOrderDeterminism(t *testing.T) {
 // it survives. A field added later fails this test until someone decides.
 func TestEveryEngineFieldIsClassified(t *testing.T) {
 	survives := map[string]string{
-		"cfg":          "configuration: the restarted driver starts from the same settings",
-		"loop":         "the simulation's clock and event queue, not a process's memory",
-		"cl":           "executors, their caches and their slots are other processes",
-		"store":        "persistent shuffle and checkpoint storage; reconcileStore squares it with the journal",
-		"graph":        "the lineage graph lives in the client application (DESIGN §12, client-side state)",
-		"repl":         "not reset at the parent either: its replica counts already drift from locality's (ROADMAP finding), resetting it moves virtual metrics",
-		"collections":  "one record per namespace: the interned id keys the cluster's unit index and repl, which survive; the partitioner is the client-side object replay re-attaches",
-		"jobSeq":       "id counter: post-restart jobs must not reuse the ids of client-held handles",
-		"taskSeq":      "id counter: post-restart tasks must not collide with results still in flight",
-		"offers":       "scratch, rebuilt in place by every remoteOffers call",
-		"offerUnits":   "scratch, rebuilt in place by every remoteOffers call",
-		"prefs":        "scratch, rebuilt in place by every preferredExecutors call",
-		"inj":          "the fault injector is the harness, armed on the loop",
-		"recMu":        "a lock",
-		"rec":          "recovery counters measure across crashes (DriverCrashes is one of them)",
-		"cacheRec":     "cache counters measure across crashes",
-		"dagPol":       "the policy object is installed in the executors' stores; CrashDriver resets its refcount table through ResetRefs",
-		"oomArmed":     "executor-side OOM windows, armed and disarmed by the injector",
-		"evictedEver":  "measurement: which blocks executor caches ever evicted, for the recompute counter",
-		"net":          "the network and the messages in flight on it",
-		"hb":           "normalized heartbeat configuration",
-		"activeJobs":   "counts the client-held in-flight jobs of jobTab, which survive",
-		"beatArmed":    "executor-side heartbeat timers keep firing while the driver is down",
-		"lastBeat":     "overwritten for every executor by RestartDriver's re-handshake",
-		"execView":     "overwritten for every executor by RestartDriver's re-handshake",
-		"execEpoch":    "the incarnation fence: bumped at restart, never reset, so pre-crash results are rejected",
-		"incSeen":      "refreshed at re-handshake for live executors; a dead one's last incarnation must be kept to notice its rebirth",
-		"beats":        "executor-side heartbeat records; heartbeats and ticks in flight carry them",
-		"jrn":          "the journal is what survives by design",
-		"driverDown":   "set by the crash itself",
-		"driverGen":    "bumped by the crash itself to void pre-crash timer closures",
-		"pendingJrn":   "filled during downtime, flushed at restart",
-		"pendingJobs":  "filled during downtime, submitted at restart",
-		"jobTab":       "client-held job handles (DESIGN §12, client-side state)",
-		"closed":       "Close is terminal",
-		"closeErr":     "Close is terminal",
-		"restartHooks": "client-registered callbacks",
-		"resumeEpoch":  "opened by the crash itself",
-		"batch":        "data-plane work already dispatched runs executor-side and reports into the fence",
-		"batchSpare":   "the empty second buffer drainBatch swaps with batch",
-		"draining":     "guards the drain of batch",
-		"par":          "worker-pool width, configuration",
-		"partIdx":      "the read-only ascending partition index task partition lists point into",
-		"onLaunch":     "a lifecycle handler bound in New; launch messages in flight carry it",
-		"onDone":       "a lifecycle handler bound in New; completion events already scheduled carry it",
-		"onResult":     "a lifecycle handler bound in New; result messages in flight carry it",
-		"completed":    "measurement: finished jobs' metrics",
-		"stats":        "measurement",
-		"rng":          "the seeded scheduler stream continues; restarting it would replay draws",
-		"tracer":       "observer installed by the client",
+		"cfg":         "configuration: the restarted driver starts from the same settings",
+		"loop":        "the simulation's clock and event queue, not a process's memory",
+		"cl":          "executors, their caches and their slots are other processes",
+		"store":       "persistent shuffle and checkpoint storage; reconcileStore squares it with the journal",
+		"graph":       "the lineage graph lives in the client application (DESIGN §12, client-side state)",
+		"repl":        "not reset at the parent either: its replica counts already drift from locality's (ROADMAP finding), resetting it moves virtual metrics",
+		"collections": "one record per namespace: the interned id keys the cluster's unit index and repl, which survive; the partitioner is the client-side object replay re-attaches",
+		"jobSeq":      "id counter: post-restart jobs must not reuse the ids of client-held handles",
+		"taskSeq":     "id counter: post-restart tasks must not collide with results still in flight",
+		"offers":      "scratch, rebuilt in place by every remoteOffers call",
+		"offerUnits":  "scratch, rebuilt in place by every remoteOffers call",
+		"prefs":       "scratch, rebuilt in place by every preferredExecutors call",
+		"inj":         "the fault injector is the harness, armed on the loop",
+		"recMu":       "a lock",
+		"rec":         "recovery counters measure across crashes (DriverCrashes is one of them)",
+		"cacheRec":    "cache counters measure across crashes",
+		"dagPol":      "the policy object is installed in the executors' stores; CrashDriver resets its refcount table through ResetRefs",
+		"oomArmed":    "executor-side OOM windows, armed and disarmed by the injector",
+		"evictedEver": "measurement: which blocks executor caches ever evicted, for the recompute counter",
+		"net":         "the network and the messages in flight on it",
+		"hb":          "normalized heartbeat configuration",
+		"activeJobs":  "counts the client-held in-flight jobs of jobTab, which survive",
+		"beatArmed":   "executor-side heartbeat timers keep firing while the driver is down",
+		"lastBeat":    "overwritten for every executor by RestartDriver's re-handshake",
+		"execView":    "overwritten for every executor by RestartDriver's re-handshake",
+		"execEpoch":   "the incarnation fence: bumped at restart, never reset, so pre-crash results are rejected",
+		"incSeen":     "refreshed at re-handshake for live executors; a dead one's last incarnation must be kept to notice its rebirth",
+		"beats":       "executor-side heartbeat records; heartbeats and ticks in flight carry them",
+		"jrn":         "the journal is what survives by design",
+		"driverDown":  "set by the crash itself",
+		"driverGen":   "bumped by the crash itself to void pre-crash timer closures",
+		"pendingJrn":  "filled during downtime, flushed at restart",
+		"jobTab":      "client-held job handles (DESIGN §12, client-side state)",
+		"closed":      "Close is terminal",
+		"closeErr":    "Close is terminal",
+		"resumeEpoch": "opened by the crash itself",
+		"batch":       "data-plane work already dispatched runs executor-side and reports into the fence",
+		"batchSpare":  "the empty second buffer drainBatch swaps with batch",
+		"draining":    "guards the drain of batch",
+		"par":         "worker-pool width, configuration",
+		"partIdx":     "the read-only ascending partition index task partition lists point into",
+		"onLaunch":    "a lifecycle handler bound in New; launch messages in flight carry it",
+		"onDone":      "a lifecycle handler bound in New; completion events already scheduled carry it",
+		"onResult":    "a lifecycle handler bound in New; result messages in flight carry it",
+		"completed":   "measurement: finished jobs' metrics",
+		"stats":       "measurement",
+		"rng":         "the seeded scheduler stream continues; restarting it would replay draws",
+		"tracer":      "observer installed by the client",
 	}
 	memory := reflect.TypeOf(driverMemory{})
 	engine := reflect.TypeOf((*Engine)(nil)).Elem()

@@ -165,10 +165,10 @@ type Engine struct {
 
 	// inj is the fault injector when faults are armed.
 	inj *fault.Injector
-	// recMu guards rec, cacheRec, and driverMemory's blacklist and
-	// blacklistUntil so RecoveryStats / CacheStats / Blacklisted snapshots
-	// may be taken from another goroutine while a job runs. All writes
-	// happen on the event-loop goroutine.
+	// recMu guards rec, cacheRec, and driverMemory's blacklist so
+	// RecoveryStats / CacheStats / Blacklisted snapshots may be taken from
+	// another goroutine while a job runs. All writes happen on the
+	// event-loop goroutine.
 	recMu    sync.Mutex
 	rec      metrics.RecoveryMetrics
 	cacheRec metrics.CacheMetrics
@@ -202,24 +202,23 @@ type Engine struct {
 	// Driver fault domain (driver.go): the write-ahead journal (nil unless
 	// DriverRecovery), whether the driver is currently crashed, the driver
 	// generation (bumped per crash, invalidating pre-crash timer closures),
-	// journal appends and job submissions buffered during downtime, the
-	// client-held job handles re-attached at restart, restart hooks, and the
-	// open recovery epoch spanning crash through first resumed completions.
-	jrn         *journal.Log
-	driverDown  bool
-	driverGen   int
-	pendingJrn  []journal.Record
-	pendingJobs []*job
+	// journal appends buffered during downtime, the client-held job handles
+	// re-attached at restart, and the open recovery epoch spanning crash
+	// through first resumed completions.
+	jrn        *journal.Log
+	driverDown bool
+	driverGen  int
+	pendingJrn []journal.Record
 	// jobTab indexes every in-flight job by id (all configurations, not just
-	// DriverRecovery): CancelJob resolves handles through it, and the restart
-	// path resubmits from it.
+	// DriverRecovery), submissions buffered during downtime (job.pending)
+	// included: CancelJob resolves handles through it, and the restart path
+	// resubmits from it.
 	jobTab map[int]*job
 	// closed marks a driver shut down for good via Close; closeErr remembers
 	// the first close's outcome so repeated Close calls are idempotent.
-	closed       bool
-	closeErr     error
-	restartHooks []func()
-	resumeEpoch  *recoveryEpoch
+	closed      bool
+	closeErr    error
+	resumeEpoch *recoveryEpoch
 
 	// Data-plane batching (plane.go): tasks dispatched during an event
 	// accumulate in batch and execute at the event boundary on up to par
@@ -533,7 +532,6 @@ func (e *Engine) SubmitJob(final *rdd.RDD, action Action, cb func(JobResult)) in
 	e.jobTab[j.id] = j
 	if e.driverDown {
 		j.pending = true
-		e.pendingJobs = append(e.pendingJobs, j)
 		return j.id
 	}
 	e.journalJobSubmit(j)

@@ -70,10 +70,7 @@ func (e *Engine) schedulable(id int) bool {
 	if e.hb.Interval > 0 && e.execView[id] != viewAlive {
 		return false
 	}
-	if until, ok := e.blacklistUntil[id]; ok && until > e.loop.Now() {
-		return false
-	}
-	return true
+	return e.blacklist[id] <= e.loop.Now()
 }
 
 // cloneTask builds a fresh attempt of a task (retry, crash resubmission, or
@@ -191,13 +188,12 @@ func (e *Engine) noteExecutorFailure(exec int) {
 	if e.execFailures[exec] < th {
 		return
 	}
-	if until, ok := e.blacklistUntil[exec]; ok && until > e.loop.Now() {
+	if e.blacklist[exec] > e.loop.Now() {
 		return // already inside an exclusion window
 	}
 	until := e.loop.Now() + e.cfg.Recovery.BlacklistExpiry
 	e.recMu.Lock()
-	e.blacklist[exec] = true
-	e.blacklistUntil[exec] = until
+	e.blacklist[exec] = until
 	e.rec.ExecutorBlacklists++
 	e.recMu.Unlock()
 	e.journalAppend(journal.Record{Kind: journal.KindBlacklist, A: int64(exec), B: int64(until)})
@@ -212,14 +208,14 @@ func (e *Engine) noteExecutorFailure(exec int) {
 // noteExecutorSuccess clears an executor's failure count and removes it
 // from the blacklist after a successful task.
 func (e *Engine) noteExecutorSuccess(exec int) {
-	if e.execFailures[exec] == 0 && !e.blacklist[exec] {
+	_, listed := e.blacklist[exec]
+	if e.execFailures[exec] == 0 && !listed {
 		return
 	}
 	e.execFailures[exec] = 0
-	if e.blacklist[exec] {
+	if listed {
 		e.recMu.Lock()
 		delete(e.blacklist, exec)
-		delete(e.blacklistUntil, exec)
 		e.rec.ExecutorUnblacklists++
 		e.recMu.Unlock()
 		e.journalAppend(journal.Record{Kind: journal.KindUnblacklist, A: int64(exec)})

@@ -475,48 +475,103 @@ func TestMissingShuffleRebuiltForLaterJob(t *testing.T) {
 }
 
 // TestBlacklistProbationHealing: a blacklisted executor whose exclusion
-// window expires by virtual time (no restart involved) gets probationary
-// offers while still listed; its first successful task heals the entry.
+// window ends gets probationary offers while still listed; its first
+// successful task heals the entry. The window ends by virtual time, or,
+// under heartbeat detection, when the driver sees a restarted process's
+// new incarnation. Restarting an executor that was never listed lists
+// nothing in either model.
 func TestBlacklistProbationHealing(t *testing.T) {
-	cfg := testConfig()
-	cfg.Recovery.BlacklistThreshold = 1
-	cfg.Recovery.BlacklistExpiry = 2 * time.Millisecond
-	e := New(cfg)
-	e.noteExecutorFailure(2)
-	if got := e.Blacklisted(); !reflect.DeepEqual(got, []int{2}) {
-		t.Fatalf("blacklisted = %v, want [2]", got)
-	}
-	if e.schedulable(2) {
-		t.Fatal("executor must be excluded inside the exclusion window")
-	}
-
-	// A long job outlives the 2ms window: probation reopens the executor
-	// mid-job, it serves tasks, and the first success clears the entry.
-	g := e.Graph()
-	src := g.Source("src", dataset(4000, 32), true)
-	pb := g.PartitionBy(src, "pb", partition.NewHash(32))
-	n, jm, err := e.Count(pb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 4000 {
-		t.Fatalf("count = %d, want 4000", n)
-	}
-	served := false
-	for _, tm := range jm.Tasks {
-		if tm.Executor == 2 {
-			served = true
+	// probationJob runs a job long enough for probation to reopen executor
+	// 2 mid-job, and checks that it served tasks and healed.
+	probationJob := func(t *testing.T, e *Engine) {
+		t.Helper()
+		g := e.Graph()
+		src := g.Source("src", dataset(4000, 32), true)
+		pb := g.PartitionBy(src, "pb", partition.NewHash(32))
+		n, jm, err := e.Count(pb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n != 4000 {
+			t.Fatalf("count = %d, want 4000", n)
+		}
+		served := false
+		for _, tm := range jm.Tasks {
+			if tm.Executor == 2 {
+				served = true
+			}
+		}
+		if !served {
+			t.Fatal("probation never offered the blacklisted executor any task")
+		}
+		if got := e.Blacklisted(); len(got) != 0 {
+			t.Fatalf("successful probation task should clear the blacklist, got %v", got)
+		}
+		if e.Recovery().ExecutorUnblacklists != 1 {
+			t.Fatalf("unblacklists = %d, want 1", e.Recovery().ExecutorUnblacklists)
 		}
 	}
-	if !served {
-		t.Fatal("probation never offered the blacklisted executor any task")
-	}
-	if got := e.Blacklisted(); len(got) != 0 {
-		t.Fatalf("successful probation task should clear the blacklist, got %v", got)
-	}
-	if e.Recovery().ExecutorUnblacklists != 1 {
-		t.Fatalf("unblacklists = %d, want 1", e.Recovery().ExecutorUnblacklists)
-	}
+
+	t.Run("expiry", func(t *testing.T) {
+		cfg := testConfig()
+		cfg.Recovery.BlacklistThreshold = 1
+		cfg.Recovery.BlacklistExpiry = 2 * time.Millisecond
+		e := New(cfg)
+		e.noteExecutorFailure(2)
+		if got := e.Blacklisted(); !reflect.DeepEqual(got, []int{2}) {
+			t.Fatalf("blacklisted = %v, want [2]", got)
+		}
+		if e.schedulable(2) {
+			t.Fatal("executor must be excluded inside the exclusion window")
+		}
+		e.KillExecutor(1)
+		e.RestartExecutor(1)
+		if got := e.Blacklisted(); !reflect.DeepEqual(got, []int{2}) {
+			t.Fatalf("after restarting never-listed executor 1: blacklisted = %v, want [2]", got)
+		}
+		// A long job outlives the 2ms window: probation reopens the
+		// executor mid-job, it serves tasks, and the first success clears
+		// the entry.
+		probationJob(t, e)
+	})
+
+	t.Run("heartbeat restart", func(t *testing.T) {
+		cfg := hbConfig()
+		cfg.Recovery.BlacklistThreshold = 1
+		cfg.Recovery.BlacklistExpiry = time.Hour // only the restart ends the window
+		e := New(cfg)
+		e.noteExecutorFailure(2)
+		e.Loop().At(time.Millisecond, func() {
+			e.KillExecutor(1)
+			e.KillExecutor(2)
+		})
+		e.Loop().At(40*time.Millisecond, func() {
+			e.RestartExecutor(1)
+			e.RestartExecutor(2)
+		})
+		// The driver learns of each restart from the new process's first
+		// heartbeat; check the books right after it has handled it.
+		observed := map[int]bool{}
+		e.SetTracer(func(ev TraceEvent) {
+			if ev.Kind != "executor-new-incarnation" || (ev.Executor != 1 && ev.Executor != 2) {
+				return
+			}
+			id := ev.Executor
+			e.Loop().After(0, func() {
+				observed[id] = true
+				if got := e.Blacklisted(); !reflect.DeepEqual(got, []int{2}) {
+					t.Errorf("after executor %d's new incarnation: blacklisted = %v, want [2]", id, got)
+				}
+				if !e.schedulable(id) {
+					t.Errorf("executor %d not offered after its new incarnation", id)
+				}
+			})
+		})
+		probationJob(t, e)
+		if !observed[1] || !observed[2] {
+			t.Fatalf("new incarnations observed = %v, want executors 1 and 2", observed)
+		}
+	})
 }
 
 // TestSpeculationOriginalWins: a mild straggler triggers a speculative copy

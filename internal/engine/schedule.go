@@ -553,7 +553,9 @@ func (e *Engine) RestartExecutor(id int) {
 		return
 	}
 	e.recMu.Lock()
-	delete(e.blacklistUntil, id)
+	if _, listed := e.blacklist[id]; listed {
+		e.blacklist[id] = 0 // probation: listed, but offered slots again
+	}
 	e.recMu.Unlock()
 	e.drainDeferredCheckpoints()
 	e.schedule()

@@ -48,12 +48,6 @@ const (
 	KindBlacklist
 	// KindUnblacklist records an executor leaving probation: A=executor.
 	KindUnblacklist
-	// KindStreamIngest records a stream step's RDD: S=stream name, A=step,
-	// B=RDD ID.
-	KindStreamIngest
-	// KindStreamEvict records a stream step leaving the retention window:
-	// S=stream name, A=step.
-	KindStreamEvict
 )
 
 // String names the kind for diagnostics.
@@ -77,16 +71,12 @@ func (k Kind) String() string {
 		return "blacklist"
 	case KindUnblacklist:
 		return "unblacklist"
-	case KindStreamIngest:
-		return "stream-ingest"
-	case KindStreamEvict:
-		return "stream-evict"
 	}
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
 
 // Record is one journal entry: a kind, four integer operands, and an
-// optional string (namespace or stream name). Unused operands are zero.
+// optional string (a namespace name). Unused operands are zero.
 type Record struct {
 	Kind Kind
 	A    int64

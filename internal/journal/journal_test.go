@@ -16,8 +16,8 @@ func sample() []Record {
 		{Kind: KindJobComplete, A: 9},
 		{Kind: KindBlacklist, A: 3, B: 1_500_000_000},
 		{Kind: KindUnblacklist, A: 3},
-		{Kind: KindStreamIngest, A: 5, B: 77, S: "clicks"},
-		{Kind: KindStreamEvict, A: 1, S: "clicks"},
+		{Kind: KindNamespace, A: 5, B: 77, S: "clicks"},
+		{Kind: KindGroupMerge, A: 1, S: "clicks"},
 		{Kind: KindMapOutput, A: -1, B: -9223372036854775808, C: 9223372036854775807},
 		{Kind: KindNamespace, S: ""},
 	}

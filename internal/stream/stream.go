@@ -7,6 +7,11 @@
 // Two ingestion modes mirror the compared systems: Spark Streaming ingests
 // each micro-batch on a single receiver node and then repartitions it,
 // while Stark partitions the batch straight into the locality namespace.
+//
+// The window belongs to the application: a Stream and its step table are
+// client-side state, like job handles, so a driver crash does not touch
+// them and the driver keeps no copy: after a restart the window holds the
+// same steps as before the crash.
 package stream
 
 import (
@@ -53,7 +58,9 @@ type Stream struct {
 	steps []*rdd.RDD // index = step
 }
 
-// New validates the configuration and registers the namespace.
+// New validates the configuration and registers the namespace. The step
+// table it starts is the stream's own: nothing about window membership is
+// journaled, so a driver crash leaves it as it was.
 func New(eng *engine.Engine, cfg Config) (*Stream, error) {
 	if cfg.Partitioner == nil {
 		return nil, fmt.Errorf("stream: partitioner required")
@@ -72,47 +79,7 @@ func New(eng *engine.Engine, cfg Config) (*Stream, error) {
 			return nil, err
 		}
 	}
-	s := &Stream{eng: eng, cfg: cfg}
-	if eng.DriverRecoveryEnabled() {
-		// Stream continuity across driver crashes: the step table is volatile
-		// driver-side state, so after every journal replay rebuild it from
-		// the replayed ingest/evict records and resume mid-window.
-		eng.OnDriverRestart(s.rebuildFromJournal)
-	}
-	return s, nil
-}
-
-// rebuildFromJournal reconstructs the live step table after a driver
-// restart: the journal's replayed ingest/evict records (every journaled
-// ingest not journaled as evicted is inside the retention window) merge
-// with the stream's own surviving handles — like job handles, the stream
-// object is client-side state that re-attaches. A torn journal tail can
-// lose the newest ingest or eviction record, so the retention cutoff is
-// re-derived from the newest known step and re-enforced rather than
-// trusted from the raw record set.
-func (s *Stream) rebuildFromJournal() {
-	live := s.eng.StreamSteps(s.cfg.Name)
-	g := s.eng.Graph()
-	maxStep := -1
-	for step, rddID := range live {
-		if r := g.ByID(rddID); r != nil {
-			for len(s.steps) <= step {
-				s.steps = append(s.steps, nil)
-			}
-			if s.steps[step] == nil {
-				s.steps[step] = r
-			}
-		}
-		if step > maxStep {
-			maxStep = step
-		}
-	}
-	for step, r := range s.steps {
-		if r != nil && step > maxStep {
-			maxStep = step
-		}
-	}
-	s.evictBefore(maxStep - s.cfg.Window + 1)
+	return &Stream{eng: eng, cfg: cfg}, nil
 }
 
 // Ingest creates the timestep's RDD at the current virtual time, submits
@@ -143,7 +110,6 @@ func (s *Stream) Ingest(step int, recs []record.Record) *rdd.RDD {
 		s.steps = append(s.steps, nil)
 	}
 	s.steps[step] = pb
-	s.eng.JournalStreamIngest(s.cfg.Name, step, pb.ID)
 
 	s.eng.SubmitJob(pb, engine.ActionMaterialize, func(engine.JobResult) {
 		if s.cfg.ReportSizes && s.cfg.Namespace != "" {
@@ -167,7 +133,6 @@ func (s *Stream) evictBefore(cutoff int) {
 		}
 		s.eng.DropCached(r)
 		s.steps[st] = nil
-		s.eng.JournalStreamEvict(s.cfg.Name, st)
 	}
 }
 

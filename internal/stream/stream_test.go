@@ -2,6 +2,9 @@ package stream
 
 import (
 	"fmt"
+	"reflect"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -191,6 +194,96 @@ func TestStreamCoLocality(t *testing.T) {
 	}
 	if jm.LocalityFraction() != 1.0 {
 		t.Fatalf("window cogroup locality = %v", jm.LocalityFraction())
+	}
+}
+
+// TestWindowSurvivesDriverCrash: a windowed stream ingests window+2 steps
+// under driver recovery. The driver crashes between two ingests, right
+// after one that evicted the oldest step and whose materialization has not
+// run yet, with a tear that eats the newest journal records. Restarted
+// either before or after the next ingest, the stream must hold the same
+// live steps (Step, Recent) with the same records as a crash-free run.
+func TestWindowSurvivesDriverCrash(t *testing.T) {
+	const window, crashAfter, tear = 2, 2, 40
+	const steps = window + 2
+	type live struct {
+		ids      []int // Recent(steps)
+		contents []string
+	}
+	run := func(t *testing.T, crash, ingestWhileDown bool) live {
+		cfg := engine.DefaultConfig()
+		cfg.Cluster.NumExecutors = 4
+		cfg.Cluster.SlotsPerExecutor = 2
+		cfg.Sched.LocalityWait = 50 * time.Millisecond
+		cfg.Features = config.Features{CoLocality: true}
+		cfg.DriverRecovery = true
+		e := engine.New(cfg)
+		s, err := New(e, Config{Name: "w", Partitioner: partition.NewHash(4), Namespace: "w", Window: window})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for step := 0; step < steps; step++ {
+			if crash && ingestWhileDown && step == crashAfter+1 {
+				s.Ingest(step, stepData(step, 60))
+				e.RestartDriver()
+				e.Loop().Run()
+				continue
+			}
+			s.Ingest(step, stepData(step, 60))
+			if crash && step == crashAfter {
+				// The step's materialization is submitted but has not run.
+				e.CrashDriver(tear)
+				if !ingestWhileDown {
+					e.RestartDriver()
+				}
+			}
+			e.Loop().Run()
+		}
+		if crash {
+			rec := e.Recovery()
+			if rec.DriverRestarts != 1 || rec.JournalTornTails != 1 {
+				t.Fatalf("restarts = %d, torn tails = %d, want 1 and 1", rec.DriverRestarts, rec.JournalTornTails)
+			}
+		}
+		var out live
+		for _, r := range s.Recent(steps) {
+			out.ids = append(out.ids, r.ID)
+		}
+		for step := 0; step < steps; step++ {
+			r := s.Step(step)
+			if r == nil {
+				out.contents = append(out.contents, "evicted")
+				continue
+			}
+			recs, _, err := e.Collect(r)
+			if err != nil {
+				t.Fatalf("collect step %d: %v", step, err)
+			}
+			keys := make([]string, len(recs))
+			for i, rc := range recs {
+				keys[i] = fmt.Sprintf("%s=%v", rc.Key, rc.Value)
+			}
+			sort.Strings(keys)
+			out.contents = append(out.contents, strings.Join(keys, ","))
+		}
+		return out
+	}
+	want := run(t, false, false)
+	if len(want.ids) != window {
+		t.Fatalf("crash-free window holds %d steps, want %d", len(want.ids), window)
+	}
+	for _, down := range []bool{false, true} {
+		t.Run(fmt.Sprintf("ingestWhileDown=%v", down), func(t *testing.T) {
+			got := run(t, true, down)
+			if !reflect.DeepEqual(got.ids, want.ids) {
+				t.Fatalf("live steps after the crash = %v, want %v", got.ids, want.ids)
+			}
+			for step := range want.contents {
+				if got.contents[step] != want.contents[step] {
+					t.Fatalf("step %d after the crash:\n  got  %.120s\n  want %.120s", step, got.contents[step], want.contents[step])
+				}
+			}
+		})
 	}
 }
 
